@@ -75,7 +75,7 @@ CHAOS_JSON = chaos-smoke.json
 
 COVER_PROFILE = coverage.out
 
-.PHONY: build test race bench-smoke bench-flat bench-compare server-smoke net-smoke openloop-smoke frontier-baseline frontier-compare advise-smoke chaos-smoke cover fmt fmt-check vet docs-check api api-check deprecations
+.PHONY: build test race bench-smoke bench-flat bench-compare server-smoke net-smoke openloop-smoke frontier-baseline frontier-compare advise-smoke chaos-smoke cover fmt fmt-check vet docs-check api api-check benchmark-check
 
 build:
 	$(GO) build ./...
@@ -156,12 +156,12 @@ api:
 api-check:
 	$(GO) run ./cmd/apidump -check api/dego.txt
 
-# Staticcheck-style sweep: no in-repo call site (benches, backends,
-# examples, tests) may use the deprecated representation-specific
-# constructors outside their own definitions — everything constructs
-# through the profile API.
-deprecations:
-	$(GO) run ./cmd/deprecations
+# benchmark/ is a nested module (the repo benchmark BENCHMARK.json runs):
+# `go build ./... && go test ./...` at the root never descends into it, so
+# a root-module refactor can break its build unseen. It compiles against
+# internal/retwis, internal/server, internal/wire and the public API.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	gofmt -l -w .

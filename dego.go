@@ -32,9 +32,6 @@
 // fail at construction with an error wrapping ErrInvalidProfile. Every
 // constructed object reports its Plan.
 //
-// The representation-specific New* constructors below remain as deprecated
-// one-line wrappers over this path.
-//
 // # Thread identity
 //
 // Go has no goroutine-local storage, so ownership is explicit: goroutines
@@ -141,55 +138,17 @@ func Register() (*Handle, error) { return core.Register() }
 // MustRegister is Register, panicking on registry exhaustion.
 func MustRegister() *Handle { return core.MustRegister() }
 
-// checkedIf turns the deprecated constructors' checked flag into options.
-func checkedIf(b bool) []Option {
-	if b {
-		return []Option{Checked()}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Counters
 
 // IncrementOnlyCounter is the adjusted increment-only counter (C3, CWSR).
 type IncrementOnlyCounter = counter.IncrementOnly
 
-// NewCounter creates an increment-only counter on the default registry.
-//
-// Deprecated: declare the profile: Counter(Blind(), SingleReader()).
-func NewCounter() *IncrementOnlyCounter {
-	return Must(Counter(Blind(), SingleReader())).Representation().(*IncrementOnlyCounter)
-}
-
-// NewCounterOn creates an increment-only counter on a specific registry;
-// checked enables the CWSR runtime guard.
-//
-// Deprecated: declare the profile: Counter(Blind(), SingleReader(), On(r)),
-// adding Checked() for the guard.
-func NewCounterOn(r *Registry, checked bool) *IncrementOnlyCounter {
-	return Must(Counter(append(checkedIf(checked), Blind(), SingleReader(), On(r))...)).Representation().(*IncrementOnlyCounter)
-}
-
 // Adder is the LongAdder-style striped adder.
 type Adder = counter.Adder
 
-// NewAdder creates an adder with the given number of cells.
-//
-// Deprecated: declare the profile: Counter(Blind(), Capacity(cells)).
-func NewAdder(cells int) *Adder {
-	return Must(Counter(Blind(), Capacity(cells))).Representation().(*Adder)
-}
-
 // AtomicCounter is the unadjusted baseline (AtomicLong-style shared cell).
 type AtomicCounter = counter.Atomic
-
-// NewAtomicCounter creates the baseline counter.
-//
-// Deprecated: declare the profile: Counter() (no adjustment declared).
-func NewAtomicCounter() *AtomicCounter {
-	return Must(Counter()).Representation().(*AtomicCounter)
-}
 
 // ---------------------------------------------------------------------------
 // Adaptive objects
@@ -225,24 +184,6 @@ func DefaultAdaptivePolicy() AdaptivePolicy { return adaptive.DefaultPolicy() }
 // writer concurrency subsides. Increment-only, like IncrementOnlyCounter.
 type AdaptiveCounter = adaptive.Counter
 
-// NewAdaptiveCounter creates an adaptive counter on the default registry
-// with the default policy.
-//
-// Deprecated: declare the profile:
-// Counter(Blind(), SingleReader(), Adaptive()).
-func NewAdaptiveCounter() *AdaptiveCounter {
-	return Must(Counter(Blind(), SingleReader(), Adaptive())).Adaptive()
-}
-
-// NewAdaptiveCounterOn creates an adaptive counter on a specific registry
-// with a specific policy.
-//
-// Deprecated: declare the profile:
-// Counter(Blind(), SingleReader(), Adaptive(WithPolicy(p)), On(r)).
-func NewAdaptiveCounterOn(r *Registry, p AdaptivePolicy) *AdaptiveCounter {
-	return Must(Counter(Blind(), SingleReader(), Adaptive(WithPolicy(p)), On(r))).Adaptive()
-}
-
 // AdaptiveMap is the contention-adaptive hash map: lock-striped until its
 // windowed lock-wait rate crosses the policy threshold, extended-segmented
 // (the M2 adjustment) while contention lasts. With AdaptivePolicy.Ranges > 1
@@ -251,28 +192,6 @@ func NewAdaptiveCounterOn(r *Registry, p AdaptivePolicy) *AdaptiveCounter {
 // promoted overlay lookup. It requires the commuting-writers contract in
 // every state: distinct threads write distinct keys.
 type AdaptiveMap[K comparable, V any] = adaptive.Map[K, V]
-
-// NewAdaptiveMap creates an adaptive map on the default registry with the
-// default policy.
-//
-// Deprecated: declare the profile:
-// Map[K, V](CommutingWriters(), Adaptive(), Capacity(capacity), WithHash(hash)).
-func NewAdaptiveMap[K comparable, V any](capacity int, hash func(K) uint64) *AdaptiveMap[K, V] {
-	return Must(Map[K, V](CommutingWriters(), Adaptive(), Capacity(capacity), WithHash(hash))).Adaptive()
-}
-
-// NewAdaptiveMapOn creates an adaptive map on a specific registry: stripes
-// sizes the cheap representation's lock array, capacity the tables,
-// dirBuckets the segmented directory.
-//
-// Deprecated: declare the profile: Map[K, V](CommutingWriters(),
-// Adaptive(WithPolicy(p)), On(r), Stripes(stripes), Capacity(capacity),
-// Buckets(dirBuckets), WithHash(hash)).
-func NewAdaptiveMapOn[K comparable, V any](r *Registry, stripes, capacity, dirBuckets int,
-	hash func(K) uint64, p AdaptivePolicy) *AdaptiveMap[K, V] {
-	return Must(Map[K, V](CommutingWriters(), Adaptive(WithPolicy(p)), On(r),
-		Stripes(stripes), Capacity(capacity), Buckets(dirBuckets), WithHash(hash))).Adaptive()
-}
 
 // AdaptiveSkipList is the contention-adaptive ordered map: the lock-free CAS
 // skip list until its windowed CAS-failure rate crosses the policy threshold,
@@ -285,54 +204,6 @@ func NewAdaptiveMapOn[K comparable, V any](r *Registry, stripes, capacity, dirBu
 // contract in every state: distinct threads write distinct keys.
 type AdaptiveSkipList[K cmp.Ordered, V any] = adaptive.SortedMap[K, V]
 
-// NewAdaptiveSkipList creates an adaptive skip list on the default registry
-// with the default policy; dirBuckets sizes the segmented directory
-// installed on promotion.
-//
-// Deprecated: declare the profile:
-// Ordered[K, V](CommutingWriters(), Adaptive(), Buckets(dirBuckets), WithHash(hash)).
-func NewAdaptiveSkipList[K cmp.Ordered, V any](dirBuckets int, hash func(K) uint64) *AdaptiveSkipList[K, V] {
-	return Must(Ordered[K, V](CommutingWriters(), Adaptive(), Buckets(dirBuckets), WithHash(hash))).Adaptive()
-}
-
-// NewAdaptiveSkipListOn creates an adaptive skip list on a specific registry
-// with a specific policy.
-//
-// Deprecated: declare the profile: Ordered[K, V](CommutingWriters(),
-// Adaptive(WithPolicy(p)), On(r), Buckets(dirBuckets), WithHash(hash)).
-func NewAdaptiveSkipListOn[K cmp.Ordered, V any](r *Registry, dirBuckets int,
-	hash func(K) uint64, p AdaptivePolicy) *AdaptiveSkipList[K, V] {
-	return Must(Ordered[K, V](CommutingWriters(), Adaptive(WithPolicy(p)), On(r),
-		Buckets(dirBuckets), WithHash(hash))).Adaptive()
-}
-
-// NewAdaptiveSkipListFenced creates an adaptive skip list whose range
-// directory is fenced at the given keys: len(fences)+1 contiguous key
-// intervals, each promoting and demoting independently while ordered
-// iteration stays strictly sorted across the fences. fences must be strictly
-// increasing (it panics otherwise); empty fences yield the single-range
-// list.
-//
-// Deprecated: declare the profile: Ordered[K, V](CommutingWriters(),
-// Adaptive(), Fenced(fences...), Buckets(dirBuckets), WithHash(hash)).
-func NewAdaptiveSkipListFenced[K cmp.Ordered, V any](dirBuckets int, hash func(K) uint64,
-	fences []K) *AdaptiveSkipList[K, V] {
-	return Must(Ordered[K, V](CommutingWriters(), Adaptive(), Fenced(fences...),
-		Buckets(dirBuckets), WithHash(hash))).Adaptive()
-}
-
-// NewAdaptiveSkipListFencedOn creates a fenced adaptive skip list on a
-// specific registry with a specific policy.
-//
-// Deprecated: declare the profile: Ordered[K, V](CommutingWriters(),
-// Adaptive(WithPolicy(p)), Fenced(fences...), On(r), Buckets(dirBuckets),
-// WithHash(hash)).
-func NewAdaptiveSkipListFencedOn[K cmp.Ordered, V any](r *Registry, dirBuckets int,
-	hash func(K) uint64, fences []K, p AdaptivePolicy) *AdaptiveSkipList[K, V] {
-	return Must(Ordered[K, V](CommutingWriters(), Adaptive(WithPolicy(p)), Fenced(fences...),
-		On(r), Buckets(dirBuckets), WithHash(hash))).Adaptive()
-}
-
 // AdaptiveSet is the contention-adaptive membership set: lock-striped until
 // its windowed lock-wait rate crosses the policy threshold, extended-
 // segmented (S3-style blind writes over CWMR) while contention lasts. With
@@ -341,28 +212,6 @@ func NewAdaptiveSkipListFencedOn[K cmp.Ordered, V any](r *Registry, dirBuckets i
 // threads write distinct elements.
 type AdaptiveSet[K comparable] = adaptive.Set[K]
 
-// NewAdaptiveSet creates an adaptive set on the default registry with the
-// default policy.
-//
-// Deprecated: declare the profile:
-// Set[K](CommutingWriters(), Adaptive(), Capacity(capacity), WithHash(hash)).
-func NewAdaptiveSet[K comparable](capacity int, hash func(K) uint64) *AdaptiveSet[K] {
-	return Must(Set[K](CommutingWriters(), Adaptive(), Capacity(capacity), WithHash(hash))).Adaptive()
-}
-
-// NewAdaptiveSetOn creates an adaptive set on a specific registry: stripes
-// sizes the cheap representation's lock array, capacity the tables,
-// dirBuckets the segmented directory.
-//
-// Deprecated: declare the profile: Set[K](CommutingWriters(),
-// Adaptive(WithPolicy(p)), On(r), Stripes(stripes), Capacity(capacity),
-// Buckets(dirBuckets), WithHash(hash)).
-func NewAdaptiveSetOn[K comparable](r *Registry, stripes, capacity, dirBuckets int,
-	hash func(K) uint64, p AdaptivePolicy) *AdaptiveSet[K] {
-	return Must(Set[K](CommutingWriters(), Adaptive(WithPolicy(p)), On(r),
-		Stripes(stripes), Capacity(capacity), Buckets(dirBuckets), WithHash(hash))).Adaptive()
-}
-
 // ---------------------------------------------------------------------------
 // References
 
@@ -370,43 +219,14 @@ func NewAdaptiveSetOn[K comparable](r *Registry, stripes, capacity, dirBuckets i
 // AtomicWriteOnceReference, with per-thread read caching.
 type WriteOnceRef[T any] = ref.WriteOnce[T]
 
-// NewWriteOnce creates a write-once reference on the default registry.
-//
-// Deprecated: declare the profile: Ref[T](nil, WriteOnce()).
-func NewWriteOnce[T any]() *WriteOnceRef[T] {
-	return Must(Ref[T](nil, WriteOnce())).Representation().(*WriteOnceRef[T])
-}
-
-// NewWriteOnceOn creates a write-once reference on a specific registry.
-//
-// Deprecated: declare the profile: Ref[T](nil, WriteOnce(), On(r)).
-func NewWriteOnceOn[T any](r *Registry) *WriteOnceRef[T] {
-	return Must(Ref[T](nil, WriteOnce(), On(r))).Representation().(*WriteOnceRef[T])
-}
-
 // ErrAlreadySet is returned by WriteOnceRef.Set on a second initialization.
 var ErrAlreadySet = ref.ErrAlreadySet
 
 // AtomicRef is the unadjusted atomic reference.
 type AtomicRef[T any] = ref.Atomic[T]
 
-// NewAtomicRef creates an atomic reference holding v (nil allowed).
-//
-// Deprecated: declare the profile: Ref(v) (no adjustment declared).
-func NewAtomicRef[T any](v *T) *AtomicRef[T] {
-	return Must(Ref(v)).Representation().(*AtomicRef[T])
-}
-
 // RCUBox holds an immutable snapshot replaced wholesale by a single writer.
 type RCUBox[T any] = ref.RCUBox[T]
-
-// NewRCUBox creates an RCU box holding v; checked enables the SWMR guard.
-//
-// Deprecated: declare the profile: Ref(v, SingleWriter()), adding Checked()
-// for the guard.
-func NewRCUBox[T any](v *T, checked bool) *RCUBox[T] {
-	return Must(Ref(v, append(checkedIf(checked), SingleWriter())...)).Representation().(*RCUBox[T])
-}
 
 // ---------------------------------------------------------------------------
 // Queues
@@ -415,23 +235,8 @@ func NewRCUBox[T any](v *T, checked bool) *RCUBox[T] {
 // no CAS on the consumer side (the paper's QueueMASP).
 type MPSCQueue[T any] = queue.MPSC[T]
 
-// NewMPSCQueue creates an MPSC queue; checked enables the MWSR guard.
-//
-// Deprecated: declare the profile: Queue[T](SingleReader()), adding
-// Checked() for the guard.
-func NewMPSCQueue[T any](checked bool) *MPSCQueue[T] {
-	return Must(Queue[T](append(checkedIf(checked), SingleReader())...)).Representation().(*MPSCQueue[T])
-}
-
 // MSQueue is the Michael–Scott queue, the unadjusted baseline.
 type MSQueue[T any] = queue.MS[T]
-
-// NewMSQueue creates a Michael–Scott queue.
-//
-// Deprecated: declare the profile: Queue[T]() (no adjustment declared).
-func NewMSQueue[T any]() *MSQueue[T] {
-	return Must(Queue[T]()).Representation().(*MSQueue[T])
-}
 
 // ---------------------------------------------------------------------------
 // Maps and sets
@@ -439,89 +244,20 @@ func NewMSQueue[T any]() *MSQueue[T] {
 // SWMRMap is a single-writer multi-reader hash map.
 type SWMRMap[K comparable, V any] = hashmap.SWMR[K, V]
 
-// NewSWMRMap creates an SWMR hash map; checked enables the SWMR guard.
-//
-// Deprecated: declare the profile: Map[K, V](SingleWriter(),
-// Capacity(capacity), WithHash(hash)), adding Checked() for the guard.
-func NewSWMRMap[K comparable, V any](capacity int, hash func(K) uint64, checked bool) *SWMRMap[K, V] {
-	return Must(Map[K, V](append(checkedIf(checked), SingleWriter(), Capacity(capacity), WithHash(hash))...)).Representation().(*SWMRMap[K, V])
-}
-
 // SegmentedMap is the ExtendedSegmentedHashMap (M2, CWMR).
 type SegmentedMap[K comparable, V any] = hashmap.Segmented[K, V]
-
-// NewSegmentedMap creates a segmented map on the default registry.
-//
-// Deprecated: declare the profile:
-// Map[K, V](CommutingWriters(), Capacity(capacity), WithHash(hash)).
-func NewSegmentedMap[K comparable, V any](capacity int, hash func(K) uint64) *SegmentedMap[K, V] {
-	return Must(Map[K, V](CommutingWriters(), Capacity(capacity), WithHash(hash))).Representation().(*SegmentedMap[K, V])
-}
-
-// NewSegmentedMapOn creates a segmented map on a specific registry.
-//
-// Deprecated: declare the profile: Map[K, V](CommutingWriters(), On(r),
-// Capacity(capacity), Buckets(dirBuckets), WithHash(hash)), adding
-// Checked() for the guard.
-func NewSegmentedMapOn[K comparable, V any](r *Registry, capacity, dirBuckets int,
-	hash func(K) uint64, checked bool) *SegmentedMap[K, V] {
-	return Must(Map[K, V](append(checkedIf(checked), CommutingWriters(), On(r),
-		Capacity(capacity), Buckets(dirBuckets), WithHash(hash))...)).Representation().(*SegmentedMap[K, V])
-}
 
 // StripedMap is the lock-striped baseline map.
 type StripedMap[K comparable, V any] = hashmap.Striped[K, V]
 
-// NewStripedMap creates a striped map.
-//
-// Deprecated: declare the profile:
-// Map[K, V](Stripes(stripes), Capacity(capacity), WithHash(hash)).
-func NewStripedMap[K comparable, V any](stripes, capacity int, hash func(K) uint64) *StripedMap[K, V] {
-	return Must(Map[K, V](Stripes(stripes), Capacity(capacity), WithHash(hash))).Representation().(*StripedMap[K, V])
-}
-
 // SWMRSkipList is a single-writer multi-reader ordered map.
 type SWMRSkipList[K cmp.Ordered, V any] = skiplist.SWMR[K, V]
-
-// NewSWMRSkipList creates an SWMR skip list; checked enables the guard.
-//
-// Deprecated: declare the profile: Ordered[K, V](SingleWriter()), adding
-// Checked() for the guard.
-func NewSWMRSkipList[K cmp.Ordered, V any](checked bool) *SWMRSkipList[K, V] {
-	return Must(Ordered[K, V](append(checkedIf(checked), SingleWriter())...)).Representation().(*SWMRSkipList[K, V])
-}
 
 // SegmentedSkipList is the ExtendedSegmentedSkipListMap.
 type SegmentedSkipList[K cmp.Ordered, V any] = skiplist.Segmented[K, V]
 
-// NewSegmentedSkipList creates a segmented skip list on the default registry.
-//
-// Deprecated: declare the profile:
-// Ordered[K, V](CommutingWriters(), Buckets(dirBuckets), WithHash(hash)).
-func NewSegmentedSkipList[K cmp.Ordered, V any](dirBuckets int, hash func(K) uint64) *SegmentedSkipList[K, V] {
-	return Must(Ordered[K, V](CommutingWriters(), Buckets(dirBuckets), WithHash(hash))).Representation().(*SegmentedSkipList[K, V])
-}
-
-// NewSegmentedSkipListOn creates a segmented skip list on a specific
-// registry.
-//
-// Deprecated: declare the profile: Ordered[K, V](CommutingWriters(), On(r),
-// Buckets(dirBuckets), WithHash(hash)), adding Checked() for the guard.
-func NewSegmentedSkipListOn[K cmp.Ordered, V any](r *Registry, dirBuckets int,
-	hash func(K) uint64, checked bool) *SegmentedSkipList[K, V] {
-	return Must(Ordered[K, V](append(checkedIf(checked), CommutingWriters(), On(r),
-		Buckets(dirBuckets), WithHash(hash))...)).Representation().(*SegmentedSkipList[K, V])
-}
-
 // ConcurrentSkipList is the lock-free CAS baseline ordered map.
 type ConcurrentSkipList[K cmp.Ordered, V any] = skiplist.Concurrent[K, V]
-
-// NewConcurrentSkipList creates a lock-free skip list.
-//
-// Deprecated: declare the profile: Ordered[K, V]() (no adjustment declared).
-func NewConcurrentSkipList[K cmp.Ordered, V any]() *ConcurrentSkipList[K, V] {
-	return Must(Ordered[K, V]()).Representation().(*ConcurrentSkipList[K, V])
-}
 
 // SWMRSet is a single-writer multi-reader membership set.
 type SWMRSet[K comparable] = set.SWMR[K]
@@ -529,33 +265,8 @@ type SWMRSet[K comparable] = set.SWMR[K]
 // SegmentedSet is the adjusted set (S3-style, CWMR).
 type SegmentedSet[K comparable] = set.Segmented[K]
 
-// NewSegmentedSet creates a segmented set on the default registry.
-//
-// Deprecated: declare the profile:
-// Set[K](CommutingWriters(), Capacity(capacity), WithHash(hash)).
-func NewSegmentedSet[K comparable](capacity int, hash func(K) uint64) *SegmentedSet[K] {
-	return Must(Set[K](CommutingWriters(), Capacity(capacity), WithHash(hash))).Representation().(*SegmentedSet[K])
-}
-
-// NewSegmentedSetOn creates a segmented set on a specific registry.
-//
-// Deprecated: declare the profile: Set[K](CommutingWriters(), On(r),
-// Capacity(capacity), WithHash(hash)), adding Checked() for the guard.
-func NewSegmentedSetOn[K comparable](r *Registry, capacity int, hash func(K) uint64, checked bool) *SegmentedSet[K] {
-	return Must(Set[K](append(checkedIf(checked), CommutingWriters(), On(r),
-		Capacity(capacity), WithHash(hash))...)).Representation().(*SegmentedSet[K])
-}
-
 // StripedSet is the lock-striped baseline set.
 type StripedSet[K comparable] = set.Striped[K]
-
-// NewStripedSet creates a striped set.
-//
-// Deprecated: declare the profile:
-// Set[K](Stripes(stripes), Capacity(capacity), WithHash(hash)).
-func NewStripedSet[K comparable](stripes, capacity int, hash func(K) uint64) *StripedSet[K] {
-	return Must(Set[K](Stripes(stripes), Capacity(capacity), WithHash(hash))).Representation().(*StripedSet[K])
-}
 
 // ---------------------------------------------------------------------------
 // Hashing helpers

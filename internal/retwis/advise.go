@@ -1,14 +1,14 @@
 package retwis
 
-// The advisor replay: run the Table-2 workload against a backend whose
-// every top-level shared object is built *unadjusted* but carrying a usage
-// recorder, then ask the tuning advisor which declarations the observed
-// traffic would have permitted. The point of the exercise is that the
-// advisor rediscovers, from traffic alone, the profile the hand-tuned
-// backends declare from domain knowledge: the per-user maps and the
-// community set are commuting-writers (each user is owned by one thread),
-// the timelines are single-consumer queues, a global post counter is
-// blind-commuting with one reader, and the run metadata reference is
+// The advisor replay: run the Table-2 workload against the table program's
+// RECORDED row — every top-level shared object built *unadjusted* but
+// carrying a usage recorder — then ask the tuning advisor which
+// declarations the observed traffic would have permitted. The point of the
+// exercise is that the advisor rediscovers, from traffic alone, the profile
+// the hand-tuned DEGO row declares from domain knowledge: the per-user maps
+// and the community set are commuting-writers (each user is owned by one
+// thread), the timelines are single-consumer queues, a global post counter
+// is blind-commuting with one reader, and the run metadata reference is
 // write-once. AdviseRun returns one TableAdvice per table, pairing the
 // advisor's certified recommendation with the hand-tuned declaration so a
 // report (or a test) can diff them.
@@ -21,8 +21,6 @@ import (
 
 	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/core"
-	"github.com/adjusted-objects/dego/internal/set"
-	"github.com/adjusted-objects/dego/internal/stats"
 )
 
 // TableAdvice is the advisor's verdict for one of the replay's shared
@@ -47,42 +45,6 @@ type runMeta struct {
 	Threads int
 }
 
-// recordedTables is the unadjusted, recorder-instrumented mirror of the
-// DEGO backend's shared state, plus the two objects the replay adds to
-// exercise the remaining inference rules (the post counter and the run
-// metadata reference).
-type recordedTables struct {
-	followers *dego.AdjustedMap[UserID, *set.Locked[UserID]]
-	following *dego.AdjustedMap[UserID, *set.Locked[UserID]]
-	timelines *dego.AdjustedMap[UserID, *dego.AdjustedQueue[Tweet]]
-	profiles  *dego.AdjustedMap[UserID, *profile]
-	community *dego.AdjustedSet[UserID]
-	posts     *dego.AdjustedCounter
-	meta      *dego.AdjustedRef[runMeta]
-	// timeline0 is user 0's queue, the one timeline built with recording —
-	// the representative for the queue-consumer inference (recording every
-	// user's queue would cost a recorder per user for identical evidence).
-	timeline0 *dego.AdjustedQueue[Tweet]
-}
-
-// recMap plans an unadjusted recorded map: no restriction declared, so the
-// planner yields the striped baseline, and the recorder watches what the
-// workload actually does with it.
-func recMap[V any](r *core.Registry, users int) *dego.AdjustedMap[UserID, V] {
-	return dego.Must(dego.Map[UserID, V](dego.On(r), dego.Capacity(users),
-		dego.WithHash(userHash), dego.WithUsageRecording()))
-}
-
-// recQueue plans an unadjusted queue, recorded only for the representative
-// user.
-func recQueue(r *core.Registry, record bool) *dego.AdjustedQueue[Tweet] {
-	opts := []dego.Option{dego.On(r)}
-	if record {
-		opts = append(opts, dego.WithUsageRecording())
-	}
-	return dego.Must(dego.Queue[Tweet](opts...))
-}
-
 // AdviseRun replays the Table-2 workload unadjusted-with-recorders and
 // returns the advisor's per-table recommendations. p.OpsPerThread bounds
 // the measured phase (0 means 2000 — the replay is evidence gathering,
@@ -105,67 +67,21 @@ func AdviseRun(p Params) ([]TableAdvice, error) {
 		workers[i] = reg.MustRegister()
 	}
 
-	t := &recordedTables{
-		followers: recMap[*set.Locked[UserID]](reg, p.Users),
-		following: recMap[*set.Locked[UserID]](reg, p.Users),
-		timelines: recMap[*dego.AdjustedQueue[Tweet]](reg, p.Users),
-		profiles:  recMap[*profile](reg, p.Users),
-		community: dego.Must(dego.Set[UserID](dego.On(reg), dego.Capacity(p.Users/8+16),
-			dego.WithHash(userHash), dego.WithUsageRecording())),
-		posts: dego.Must(dego.Counter(dego.On(reg), dego.WithUsageRecording())),
-		meta:  dego.Must(dego.Ref[runMeta](nil, dego.On(reg), dego.WithUsageRecording())),
-	}
-
-	addUser := func(h *core.Handle, u UserID) {
-		t.followers.Put(h, u, set.NewLocked[UserID](4, nil))
-		t.following.Put(h, u, set.NewLocked[UserID](4, nil))
-		q := recQueue(reg, u == 0)
-		if u == 0 {
-			t.timeline0 = q
-		}
-		t.timelines.Put(h, u, q)
-		t.profiles.Put(h, u, &profile{})
-	}
-	follow := func(follower, followee UserID) {
-		if s, ok := t.following.Get(follower); ok {
-			s.Add(followee)
-		}
-		if s, ok := t.followers.Get(followee); ok {
-			s.Add(follower)
-		}
-	}
-	unfollow := func(follower, followee UserID) {
-		if s, ok := t.following.Get(follower); ok {
-			s.Remove(followee)
-		}
-		if s, ok := t.followers.Get(followee); ok {
-			s.Remove(follower)
-		}
-	}
+	// The recorded row's tables, plus the two objects the replay adds to
+	// exercise the remaining inference rules: a global post counter and the
+	// run metadata reference.
+	t := newTableBackend(kindRecorded, p.Users, reg)
+	posts := dego.Must(dego.Counter(dego.On(reg), dego.WithUsageRecording()))
+	meta := dego.Must(dego.Ref[runMeta](nil, dego.On(reg), dego.WithUsageRecording()))
 
 	// Seed the graph with each user's OWNER handle, so seeding writes carry
 	// the same attribution steady-state writes will — the replay must show
-	// the advisor the ownership discipline, not a priming artifact. Edge
-	// seeding only reads the maps (the inner sets absorb the writes), so it
-	// can run from this goroutine.
-	for u := 0; u < p.Users; u++ {
-		uid := UserID(u)
-		addUser(workers[owner(uid, p.Threads)], uid)
-	}
-	degrees := stats.PowerLawDegrees(p.Users, p.MaxDegree, 2.0, p.Seed)
-	pick := stats.NewZipfian(p.Users, p.Alpha, p.Seed+1)
-	for u := 0; u < p.Users; u++ {
-		uid := UserID(u)
-		for d := 0; d < degrees[u]; d++ {
-			if f := UserID(pick.Next()); f != uid {
-				follow(f, uid)
-			}
-		}
-	}
+	// the advisor the ownership discipline, not a priming artifact.
+	seed(t, kindRecorded, p, workers)
 
 	// The one-time run metadata: a single Set by worker 0, reads from every
 	// worker below — the write-once, single-writer evidence.
-	if err := t.meta.Set(workers[0], &runMeta{Users: p.Users, Threads: p.Threads}); err != nil {
+	if err := meta.Set(workers[0], &runMeta{Users: p.Users, Threads: p.Threads}); err != nil {
 		return nil, err
 	}
 
@@ -181,55 +97,15 @@ func AdviseRun(p Params) ([]TableAdvice, error) {
 		go func(tid int) {
 			defer wg.Done()
 			h := workers[tid]
-			t.meta.Get(h)
+			meta.Get(h)
 			gen := NewGenerator(tid, p, partUsers[tid], false)
 			tl := make([]Tweet, TimelineSize)
 			for i := 0; i < ops; i++ {
 				op := gen.Next()
-				switch op.Kind {
-				case OpAddUser:
-					addUser(h, op.User)
-				case OpFollow:
-					follow(op.User, op.Target)
-					unfollow(op.User, op.Target)
-				case OpPost:
-					t.posts.Inc(h)
-					fset, ok := t.followers.Get(op.User)
-					if !ok {
-						continue
-					}
-					n := 0
-					tw := Tweet{Author: op.User, Seq: op.Seq}
-					fset.Range(func(f UserID) bool {
-						if q, ok := t.timelines.Get(f); ok {
-							q.Offer(h, tw)
-						}
-						n++
-						return n < FanoutLimit
-					})
-				case OpTimeline:
-					q, ok := t.timelines.Get(op.User)
-					if !ok {
-						continue
-					}
-					n := 0
-					for {
-						tw, ok := q.Poll(h)
-						if !ok {
-							break
-						}
-						if n < len(tl) {
-							tl[n] = tw
-							n++
-						}
-					}
-				case OpJoinGroup:
-					t.community.Add(h, op.User)
-				case OpLeaveGroup:
-					t.community.Remove(h, op.User)
-				default:
-					t.profiles.Put(h, op.User, &profile{Version: op.Seq})
+				if op.Kind == OpPost {
+					posts.Inc(h)
 				}
+				apply(t, h, op, tl)
 			}
 		}(tid)
 	}
@@ -237,57 +113,44 @@ func AdviseRun(p Params) ([]TableAdvice, error) {
 
 	// The post count is read once, by one thread — the single-reader
 	// evidence the blind counter needs for its strongest profile.
-	t.posts.Get(workers[0])
+	posts.Get(workers[0])
 
-	decl := declaredProfiles(reg)
-	advise := func(table, declared string, a dego.Advice, ok bool) TableAdvice {
-		if !ok {
-			panic("retwis: recorded table missing its recorder: " + table)
-		}
-		return TableAdvice{Table: table, Declared: declared, Advice: a}
-	}
+	// The comparison baseline is what the DEGO row's own tables declare —
+	// the planner's output for the hand-tuned row, not a string literal.
+	// Plans do not depend on sizes, so a token user count suffices.
+	hand := newTableBackend(KindDEGO, 1, reg)
 	out := make([]TableAdvice, 0, 8)
-	a, ok := t.followers.Advise()
-	out = append(out, advise("followers", decl.cwMap, a, ok))
-	a, ok = t.following.Advise()
-	out = append(out, advise("following", decl.cwMap, a, ok))
-	a, ok = t.timelines.Advise()
-	out = append(out, advise("timelines", decl.cwMap, a, ok))
-	a, ok = t.profiles.Advise()
-	out = append(out, advise("profiles", decl.cwMap, a, ok))
-	a, ok = t.community.Advise()
-	out = append(out, advise("community", decl.cwSet, a, ok))
-	a, ok = t.timeline0.Advise()
-	out = append(out, advise("timeline:0", decl.mpscQueue, a, ok))
-	a, ok = t.posts.Advise()
-	out = append(out, advise("posts:count", "", a, ok))
-	a, ok = t.meta.Advise()
-	out = append(out, advise("run:meta", "", a, ok))
+	for _, e := range []struct {
+		table    string
+		declared string
+		advise   func() (dego.Advice, bool)
+	}{
+		{"followers", hand.followers.Plan().Declared(), t.followers.Advise},
+		{"following", hand.following.Plan().Declared(), t.following.Advise},
+		{"timelines", hand.timelines.Plan().Declared(), t.timelines.Advise},
+		{"profiles", hand.profiles.Plan().Declared(), t.profiles.Advise},
+		{"community", hand.community.Plan().Declared(), t.community.Advise},
+		{"timeline:0", hand.row.timeline(0).Plan().Declared(), func() (dego.Advice, bool) {
+			// Fetched only now, after the timelines map gave its advice,
+			// so the lookup is not part of the recorded traffic.
+			q, _ := t.timelines.Get(0)
+			return q.(*dego.AdjustedQueue[Tweet]).Advise()
+		}},
+		{"posts:count", "", posts.Advise},
+		{"run:meta", "", meta.Advise},
+	} {
+		a, ok := e.advise()
+		if !ok {
+			panic("retwis: recorded table missing its recorder: " + e.table)
+		}
+		out = append(out, TableAdvice{Table: e.table, Declared: e.declared, Advice: a})
+	}
 	return out, nil
 }
 
 // AdviseHeader renders the replay parameters for WriteAdviceReport.
 func AdviseHeader(p Params) string {
 	return fmt.Sprintf("unadjusted replay (users=%d, threads=%d)", p.Users, p.Threads)
-}
-
-// declared holds the hand-tuned declarations the DEGO backend makes,
-// rendered "(M2, CWMR)"-style by actually constructing each profile — the
-// comparison baseline is the planner's own output, not a string literal.
-type declared struct {
-	cwMap     string
-	cwSet     string
-	mpscQueue string
-}
-
-func declaredProfiles(reg *core.Registry) declared {
-	return declared{
-		cwMap: dego.Must(dego.Map[UserID, int](dego.CommutingWriters(), dego.On(reg),
-			dego.Capacity(16), dego.WithHash(userHash))).Plan().Declared(),
-		cwSet: dego.Must(dego.Set[UserID](dego.CommutingWriters(), dego.On(reg),
-			dego.Capacity(16), dego.WithHash(userHash))).Plan().Declared(),
-		mpscQueue: dego.Must(dego.Queue[Tweet](dego.SingleReader(), dego.On(reg))).Plan().Declared(),
-	}
 }
 
 // WriteAdviceReport renders per-table advice as text: one block per table

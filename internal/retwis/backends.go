@@ -1,204 +1,170 @@
 package retwis
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/adjusted-objects/dego"
-	"github.com/adjusted-objects/dego/internal/contention"
 	"github.com/adjusted-objects/dego/internal/core"
 	"github.com/adjusted-objects/dego/internal/set"
 	"github.com/adjusted-objects/dego/internal/stats"
 )
 
-// Every top-level shared object is constructed through the public profile
-// API: the backend declares how it uses the structure (commuting per-user
-// writes, single-consumer timelines, ...) and the planner picks the
-// representation, which the backend then drives directly. UserID is a named
-// integer type, so the maps pass WithHash explicitly — the built-in default
-// hashers cover only the unnamed key types.
+// One Retwis program, many declarations. The §6.3 application is written
+// once, in tableBackend, against the public profile API: every top-level
+// shared table is a *dego.AdjustedMap / *dego.AdjustedSet, and a backend
+// kind is nothing but the row of declarations those tables are planned
+// with (rowOf). The planner turns each row into a representation — lock
+// striping for JUC, the extended segmentation for DEGO, preallocated slot
+// arrays for FLAT — and the program never learns which: DEGO is injected
+// into an unchanged program, which is the paper's claim. Every kind pays
+// the identical facade, so a DEGO-vs-JUC ratio compares representations,
+// not call paths.
 //
 // The per-user inner sets (set.Locked) stay deliberately unadjusted and
 // un-planned (§6.3: adjusting them costs more in write amplification than
 // it saves); they are values inside the planned maps, not shared catalog
 // objects.
 
+// kindRecorded is the advisor's row (AdviseRun): the JUC declarations — no
+// restriction — with a usage recorder on every table, so the advisor can
+// rediscover the DEGO row from traffic.
+const kindRecorded Kind = KindFLAT + 1
+
+// userHash hashes the named integer key type: the built-in default hashers
+// cover only the unnamed key types, so every node-based row declares it.
 func userHash(u UserID) uint64 { return stats.Hash64(uint64(u)) }
 
-// profile is an immutable profile snapshot, replaced wholesale on update
-// (both backends pay the same allocation).
+// profile is an immutable profile snapshot, replaced wholesale on update.
 type profile struct {
 	Version int64
 }
 
-// ---------------------------------------------------------------------------
-// JUC backend
-
-type jucBackend struct {
-	followers *dego.StripedMap[UserID, *set.Locked[UserID]]
-	following *dego.StripedMap[UserID, *set.Locked[UserID]]
-	timelines *dego.StripedMap[UserID, *dego.MSQueue[Tweet]]
-	profiles  *dego.StripedMap[UserID, *profile]
-	community *dego.StripedSet[UserID]
-	probe     *contention.Probe
+// row is one kind's declarations: the options its top-level tables are
+// planned with (Capacity is added per table) and the planner call for one
+// user's timeline queue (nil for the pull-model ADAPTIVE kind).
+type row struct {
+	tables   []dego.Option
+	timeline func(u UserID) *dego.AdjustedQueue[Tweet]
 }
 
-// jucMap plans a baseline map: no adjustment declared, so the planner
-// yields the lock-striped representation.
-func jucMap[V any](expectedUsers int, probe *contention.Probe) *dego.StripedMap[UserID, V] {
-	return dego.Must(dego.Map[UserID, V](dego.Stripes(256), dego.Capacity(expectedUsers),
-		dego.WithHash(userHash), dego.WithProbe(probe))).Representation().(*dego.StripedMap[UserID, V])
-}
-
-// NewJUC builds the baseline backend; probe may be nil.
-func NewJUC(expectedUsers int, probe *contention.Probe) Backend {
-	return &jucBackend{
-		followers: jucMap[*set.Locked[UserID]](expectedUsers, probe),
-		following: jucMap[*set.Locked[UserID]](expectedUsers, probe),
-		timelines: jucMap[*dego.MSQueue[Tweet]](expectedUsers, probe),
-		profiles:  jucMap[*profile](expectedUsers, probe),
-		community: dego.Must(dego.Set[UserID](dego.Stripes(256), dego.Capacity(expectedUsers/8+16),
-			dego.WithHash(userHash), dego.WithProbe(probe))).Representation().(*dego.StripedSet[UserID]),
-		probe: probe,
+// rowOf is the declaration table. Per-user writes commute (distinct threads
+// own distinct users) and a timeline's only consumer is its user's owner
+// thread; the DEGO, FLAT and ADAPTIVE rows say so, the JUC row says
+// nothing. CommutingWriters plus Capacity over an integer key with no
+// WithHash is the planner's flat gate.
+func rowOf(kind Kind, users int, reg *core.Registry) row {
+	queue := func(opts ...dego.Option) func(UserID) *dego.AdjustedQueue[Tweet] {
+		return func(UserID) *dego.AdjustedQueue[Tweet] { return dego.Must(dego.Queue[Tweet](opts...)) }
 	}
-}
-
-func (b *jucBackend) Name() string { return "JUC" }
-
-func (b *jucBackend) AddUser(_ *core.Handle, u UserID) {
-	b.followers.Put(u, set.NewLocked[UserID](4, b.probe))
-	b.following.Put(u, set.NewLocked[UserID](4, b.probe))
-	b.timelines.Put(u, dego.Must(dego.Queue[Tweet](dego.WithProbe(b.probe))).Representation().(*dego.MSQueue[Tweet]))
-	b.profiles.Put(u, &profile{})
-}
-
-func (b *jucBackend) Follow(_ *core.Handle, follower, followee UserID) {
-	if s, ok := b.following.Get(follower); ok {
-		s.Add(followee)
+	switch kind {
+	case KindJUC:
+		return row{[]dego.Option{dego.Stripes(256), dego.WithHash(userHash)}, queue()}
+	case KindDEGO:
+		return row{[]dego.Option{dego.CommutingWriters(), dego.On(reg), dego.Buckets(2 * users),
+			dego.WithHash(userHash)}, queue(dego.SingleReader())}
+	case KindFLAT:
+		return row{[]dego.Option{dego.CommutingWriters(), dego.On(reg)}, queue(dego.SingleReader())}
+	case KindADAPTIVE:
+		return row{[]dego.Option{dego.CommutingWriters(), dego.Adaptive(), dego.On(reg), dego.Stripes(256),
+			dego.Buckets(2 * users), dego.WithHash(userHash)}, nil}
+	case kindRecorded:
+		// User 0's queue is the one timeline built with recording — the
+		// representative for the queue-consumer inference (recording every
+		// user's queue would cost a recorder per user for identical
+		// evidence).
+		plain, recorded := queue(dego.On(reg)), queue(dego.On(reg), dego.WithUsageRecording())
+		return row{[]dego.Option{dego.On(reg), dego.WithHash(userHash), dego.WithUsageRecording()},
+			func(u UserID) *dego.AdjustedQueue[Tweet] {
+				if u == 0 {
+					return recorded(u)
+				}
+				return plain(u)
+			}}
 	}
-	if s, ok := b.followers.Get(followee); ok {
-		s.Add(follower)
-	}
+	panic(fmt.Sprintf("retwis: unknown backend kind %d", int(kind)))
 }
 
-func (b *jucBackend) Unfollow(_ *core.Handle, follower, followee UserID) {
-	if s, ok := b.following.Get(follower); ok {
-		s.Remove(followee)
-	}
-	if s, ok := b.followers.Get(followee); ok {
-		s.Remove(follower)
-	}
+// sized is the row's table declarations plus one table's Capacity.
+func (r row) sized(capacity int) []dego.Option {
+	return append([]dego.Option{dego.Capacity(capacity)}, r.tables...)
 }
 
-func (b *jucBackend) Post(_ *core.Handle, author UserID, t Tweet) {
-	fset, ok := b.followers.Get(author)
-	if !ok {
-		return
-	}
-	n := 0
-	fset.Range(func(f UserID) bool {
-		if q, ok := b.timelines.Get(f); ok {
-			q.Offer(t)
-		}
-		n++
-		return n < FanoutLimit
-	})
+// table plans one top-level per-user map from a row.
+func table[V any](r row, capacity int) *dego.AdjustedMap[UserID, V] {
+	return dego.Must(dego.Map[UserID, V](r.sized(capacity)...))
 }
 
-func (b *jucBackend) Timeline(_ *core.Handle, u UserID, out []Tweet) int {
-	q, ok := b.timelines.Get(u)
-	if !ok {
-		return 0
-	}
-	return drainLastMS(q, out)
+// timeline is what the program needs of a user's timeline queue.
+// *dego.MPSCQueue and *dego.AdjustedQueue satisfy it as they are.
+type timeline interface {
+	Offer(h *core.Handle, t Tweet)
+	Poll(h *core.Handle) (Tweet, bool)
 }
 
-func (b *jucBackend) JoinGroup(_ *core.Handle, u UserID)  { b.community.Add(u) }
-func (b *jucBackend) LeaveGroup(_ *core.Handle, u UserID) { b.community.Remove(u) }
+// msTimeline adapts the Michael–Scott baseline, which routes nothing by
+// thread identity and takes no handle.
+type msTimeline struct{ q *dego.MSQueue[Tweet] }
 
-func (b *jucBackend) UpdateProfile(_ *core.Handle, u UserID, version int64) {
-	b.profiles.Put(u, &profile{Version: version})
-}
+func (m msTimeline) Offer(_ *core.Handle, t Tweet)   { m.q.Offer(t) }
+func (m msTimeline) Poll(*core.Handle) (Tweet, bool) { return m.q.Poll() }
 
-func (b *jucBackend) InGroup(u UserID) bool { return b.community.Contains(u) }
-
-func (b *jucBackend) Followers(u UserID) int {
-	if s, ok := b.followers.Get(u); ok {
-		return s.Len()
-	}
-	return 0
-}
-
-func (b *jucBackend) Users() int { return b.profiles.Len() }
-
-// drainLastMS fetches every queued message and keeps the most recent
-// len(out) of them (the paper reads the full queue and returns the last 50).
-func drainLastMS(q *dego.MSQueue[Tweet], out []Tweet) int {
-	n := 0
-	for {
-		t, ok := q.Poll()
-		if !ok {
-			break
-		}
-		if n < len(out) {
-			out[n] = t
-			n++
-		} else {
-			copy(out, out[1:])
-			out[len(out)-1] = t
+// bare strips a planned queue to its representation. A backend holds one
+// queue per user, and a retained facade per user is a measured cost (10–16 %
+// of Table-2 throughput, 10 % of peak RSS) that the five top-level tables'
+// facades are not; only a queue that carries a usage recorder keeps its
+// facade, because the recorder lives there.
+func bare(q *dego.AdjustedQueue[Tweet]) timeline {
+	if _, recorded := q.Advise(); !recorded {
+		switch r := q.Representation().(type) {
+		case *dego.MPSCQueue[Tweet]:
+			return r
+		case *dego.MSQueue[Tweet]:
+			return msTimeline{r}
 		}
 	}
-	return n
+	return q
 }
 
-// ---------------------------------------------------------------------------
-// DEGO backend
-
-type degoBackend struct {
-	followers *dego.SegmentedMap[UserID, *set.Locked[UserID]]
-	following *dego.SegmentedMap[UserID, *set.Locked[UserID]]
-	timelines *dego.SegmentedMap[UserID, *dego.MPSCQueue[Tweet]]
-	profiles  *dego.SegmentedMap[UserID, *profile]
-	community *dego.SegmentedSet[UserID]
-	probe     *contention.Probe
+// tableBackend is the push-model Retwis program over one row of
+// declarations.
+type tableBackend struct {
+	name      string
+	row       row
+	followers *dego.AdjustedMap[UserID, *set.Locked[UserID]]
+	following *dego.AdjustedMap[UserID, *set.Locked[UserID]]
+	timelines *dego.AdjustedMap[UserID, timeline]
+	profiles  *dego.AdjustedMap[UserID, *profile]
+	community *dego.AdjustedSet[UserID]
 }
 
-// degoMap plans an adjusted map: per-user writes commute (distinct threads
-// own distinct users), so the planner yields the extended segmentation of
-// (M2, CWMR).
-func degoMap[V any](r *core.Registry, expectedUsers, dir int) *dego.SegmentedMap[UserID, V] {
-	return dego.Must(dego.Map[UserID, V](dego.CommutingWriters(), dego.On(r),
-		dego.Capacity(expectedUsers), dego.Buckets(dir), dego.WithHash(userHash))).Representation().(*dego.SegmentedMap[UserID, V])
-}
-
-// NewDEGO builds the adjusted backend over a registry. The maps are
-// (M2, CWMR) segmented maps keyed by user; timelines are MPSC queues whose
-// single consumer is the user's owner thread.
-func NewDEGO(r *core.Registry, expectedUsers int, probe *contention.Probe) Backend {
-	dir := expectedUsers * 2
-	return &degoBackend{
-		followers: degoMap[*set.Locked[UserID]](r, expectedUsers, dir),
-		following: degoMap[*set.Locked[UserID]](r, expectedUsers, dir),
-		timelines: degoMap[*dego.MPSCQueue[Tweet]](r, expectedUsers, dir),
-		profiles:  degoMap[*profile](r, expectedUsers, dir),
-		community: dego.Must(dego.Set[UserID](dego.CommutingWriters(), dego.On(r),
-			dego.Capacity(expectedUsers/8+16), dego.Buckets(dir), dego.WithHash(userHash))).Representation().(*dego.SegmentedSet[UserID]),
-		probe: probe,
+func newTableBackend(kind Kind, users int, reg *core.Registry) *tableBackend {
+	r := rowOf(kind, users, reg)
+	b := &tableBackend{
+		name:      kind.String(),
+		row:       r,
+		followers: table[*set.Locked[UserID]](r, users),
+		following: table[*set.Locked[UserID]](r, users),
+		profiles:  table[*profile](r, users),
+		community: dego.Must(dego.Set[UserID](r.sized(users/8 + 16)...)),
 	}
+	if r.timeline != nil {
+		b.timelines = table[timeline](r, users)
+	}
+	return b
 }
 
-func (b *degoBackend) Name() string { return "DEGO" }
+func (b *tableBackend) Name() string { return b.name }
 
-func (b *degoBackend) AddUser(h *core.Handle, u UserID) {
-	b.followers.Put(h, u, set.NewLocked[UserID](4, b.probe))
-	b.following.Put(h, u, set.NewLocked[UserID](4, b.probe))
-	b.timelines.Put(h, u, dego.Must(dego.Queue[Tweet](dego.SingleReader(),
-		dego.WithProbe(b.probe))).Representation().(*dego.MPSCQueue[Tweet]))
+func (b *tableBackend) AddUser(h *core.Handle, u UserID) {
+	b.followers.Put(h, u, set.NewLocked[UserID](4, nil))
+	b.following.Put(h, u, set.NewLocked[UserID](4, nil))
+	b.timelines.Put(h, u, bare(b.row.timeline(u)))
 	b.profiles.Put(h, u, &profile{})
 }
 
-func (b *degoBackend) Follow(_ *core.Handle, follower, followee UserID) {
-	// Map reads only; the inner sets are deliberately NOT adjusted (§6.3:
-	// adjusting them costs more in write amplification than it saves).
+func (b *tableBackend) Follow(_ *core.Handle, follower, followee UserID) {
+	// Map reads only: the inner sets absorb the writes.
 	if s, ok := b.following.Get(follower); ok {
 		s.Add(followee)
 	}
@@ -207,7 +173,7 @@ func (b *degoBackend) Follow(_ *core.Handle, follower, followee UserID) {
 	}
 }
 
-func (b *degoBackend) Unfollow(_ *core.Handle, follower, followee UserID) {
+func (b *tableBackend) Unfollow(_ *core.Handle, follower, followee UserID) {
 	if s, ok := b.following.Get(follower); ok {
 		s.Remove(followee)
 	}
@@ -216,7 +182,7 @@ func (b *degoBackend) Unfollow(_ *core.Handle, follower, followee UserID) {
 	}
 }
 
-func (b *degoBackend) Post(_ *core.Handle, author UserID, t Tweet) {
+func (b *tableBackend) Post(h *core.Handle, author UserID, t Tweet) {
 	fset, ok := b.followers.Get(author)
 	if !ok {
 		return
@@ -224,22 +190,22 @@ func (b *degoBackend) Post(_ *core.Handle, author UserID, t Tweet) {
 	n := 0
 	fset.Range(func(f UserID) bool {
 		if q, ok := b.timelines.Get(f); ok {
-			// Any thread may produce into an MPSC timeline; the offer is
-			// handle-free from the producer side (nil handle is fine with
-			// checking off).
-			q.Offer(nil, t)
+			// Any thread may produce into a timeline.
+			q.Offer(h, t)
 		}
 		n++
 		return n < FanoutLimit
 	})
 }
 
-func (b *degoBackend) Timeline(h *core.Handle, u UserID, out []Tweet) int {
+// Timeline fetches every queued message and keeps the most recent len(out)
+// of them (the paper reads the full queue and returns the last 50). The
+// owner thread is the queue's unique consumer.
+func (b *tableBackend) Timeline(h *core.Handle, u UserID, out []Tweet) int {
 	q, ok := b.timelines.Get(u)
 	if !ok {
 		return 0
 	}
-	// The owner thread is the queue's unique consumer (Q1, MWSR).
 	n := 0
 	for {
 		t, ok := q.Poll(h)
@@ -257,23 +223,23 @@ func (b *degoBackend) Timeline(h *core.Handle, u UserID, out []Tweet) int {
 	return n
 }
 
-func (b *degoBackend) JoinGroup(h *core.Handle, u UserID)  { b.community.Add(h, u) }
-func (b *degoBackend) LeaveGroup(h *core.Handle, u UserID) { b.community.Remove(h, u) }
+func (b *tableBackend) JoinGroup(h *core.Handle, u UserID)  { b.community.Add(h, u) }
+func (b *tableBackend) LeaveGroup(h *core.Handle, u UserID) { b.community.Remove(h, u) }
 
-func (b *degoBackend) UpdateProfile(h *core.Handle, u UserID, version int64) {
+func (b *tableBackend) UpdateProfile(h *core.Handle, u UserID, version int64) {
 	b.profiles.Put(h, u, &profile{Version: version})
 }
 
-func (b *degoBackend) InGroup(u UserID) bool { return b.community.Contains(u) }
+func (b *tableBackend) InGroup(u UserID) bool { return b.community.Contains(u) }
 
-func (b *degoBackend) Followers(u UserID) int {
+func (b *tableBackend) Followers(u UserID) int {
 	if s, ok := b.followers.Get(u); ok {
 		return s.Len()
 	}
 	return 0
 }
 
-func (b *degoBackend) Users() int { return b.profiles.Len() }
+func (b *tableBackend) Users() int { return b.profiles.Len() }
 
 // ---------------------------------------------------------------------------
 // ADAPTIVE backend
@@ -298,88 +264,48 @@ func postKey(author UserID, seq int64) uint64 {
 
 // tlCursor is a user's timeline read position: the last-seen sequence number
 // per followee. It is an immutable snapshot, replaced wholesale by the
-// user's owner thread on each timeline read (the same RCU-style profile
-// idiom both other backends use).
+// user's owner thread on each timeline read (the same RCU-style idiom as
+// profile).
 type tlCursor struct {
 	seen map[UserID]int64
 }
 
-// adaptiveBackend runs every shared structure on the contention-adaptive
-// objects: the per-user maps (followers, following, profiles, community,
-// cursors) are adaptive.Map — lock-striped until contention promotes them to
-// the extended segmentation — and the timelines are one shared
-// adaptive.SortedMap used as a pull-model post log.
+// adaptiveBackend is the table program over the ADAPTIVE row — every
+// top-level table a contention-adaptive object, lock-striped until
+// contention promotes it to the extended segmentation — with the timelines
+// replaced by one shared adaptive sorted map used as a pull-model post log.
 //
-// The timeline design differs from JUC/DEGO by necessity: push-model fan-out
-// (author writes into each follower's queue) is MWSR, which the sorted map's
-// commuting-writers contract cannot express. Instead the backend fans out on
-// read: Post appends to the author's own contiguous key range of the log
-// (keys are (author, seq), so distinct threads write distinct keys in every
-// state), and Timeline merges the caller's followees' recent ranges with
-// RangeFrom, remembering per-followee cursors so a message is delivered
-// once. Reads may therefore see posts made before the follow edge existed,
-// and — like Post's FanoutLimit in the push backends — a reader scans at
-// most FanoutLimit followees per refresh.
+// The timeline design differs from the push-model kinds by necessity:
+// push-model fan-out (author writes into each follower's queue) is MWSR,
+// which the sorted map's commuting-writers contract cannot express. Instead
+// the backend fans out on read: Post appends to the author's own contiguous
+// key range of the log (keys are (author, seq), so distinct threads write
+// distinct keys in every state), and Timeline merges the caller's followees'
+// recent ranges with RangeBetween, remembering per-followee cursors so a
+// message is delivered once. Reads may therefore see posts made before the
+// follow edge existed, and — like Post's FanoutLimit in the push model — a
+// reader scans at most FanoutLimit followees per refresh.
 type adaptiveBackend struct {
-	followers *dego.AdaptiveMap[UserID, *set.Locked[UserID]]
-	following *dego.AdaptiveMap[UserID, *set.Locked[UserID]]
-	posts     *dego.AdaptiveSkipList[uint64, Tweet]
-	cursors   *dego.AdaptiveMap[UserID, *tlCursor]
-	profiles  *dego.AdaptiveMap[UserID, *profile]
-	community *dego.AdaptiveMap[UserID, struct{}]
-	probe     *contention.Probe
+	*tableBackend
+	posts   *dego.AdjustedOrdered[uint64, Tweet]
+	cursors *dego.AdjustedMap[UserID, *tlCursor]
 }
 
-// adMap plans a contention-adaptive per-user map: commuting writers in
-// every state, striped until the stall rate promotes it.
-func adMap[V any](r *core.Registry, capacity, dir int) *dego.AdaptiveMap[UserID, V] {
-	return dego.Must(dego.Map[UserID, V](dego.CommutingWriters(), dego.Adaptive(), dego.On(r),
-		dego.Stripes(256), dego.Capacity(capacity), dego.Buckets(dir), dego.WithHash(userHash))).Adaptive()
-}
-
-// NewAdaptive builds the contention-adaptive backend over a registry; probe
-// may be nil (each adaptive object carries its own probe regardless).
-func NewAdaptive(r *core.Registry, expectedUsers int, probe *contention.Probe) Backend {
-	dir := expectedUsers * 2
+func newAdaptiveBackend(users int, reg *core.Registry) *adaptiveBackend {
+	t := newTableBackend(KindADAPTIVE, users, reg)
 	return &adaptiveBackend{
-		followers: adMap[*set.Locked[UserID]](r, expectedUsers, dir),
-		following: adMap[*set.Locked[UserID]](r, expectedUsers, dir),
+		tableBackend: t,
 		// The post log's uint64 keys hash with the built-in default hasher.
 		posts: dego.Must(dego.Ordered[uint64, Tweet](dego.CommutingWriters(), dego.Adaptive(),
-			dego.On(r), dego.Buckets(dir*adaptivePostLog/8))).Adaptive(),
-		cursors:   adMap[*tlCursor](r, expectedUsers, dir),
-		profiles:  adMap[*profile](r, expectedUsers, dir),
-		community: adMap[struct{}](r, expectedUsers/8+16, dir),
-		probe:     probe,
+			dego.On(reg), dego.Buckets(2*users*adaptivePostLog/8))),
+		cursors: table[*tlCursor](t.row, users),
 	}
 }
-
-func (b *adaptiveBackend) Name() string { return "ADAPTIVE" }
 
 func (b *adaptiveBackend) AddUser(h *core.Handle, u UserID) {
-	b.followers.Put(h, u, set.NewLocked[UserID](4, b.probe))
-	b.following.Put(h, u, set.NewLocked[UserID](4, b.probe))
+	b.followers.Put(h, u, set.NewLocked[UserID](4, nil))
+	b.following.Put(h, u, set.NewLocked[UserID](4, nil))
 	b.profiles.Put(h, u, &profile{})
-}
-
-func (b *adaptiveBackend) Follow(_ *core.Handle, follower, followee UserID) {
-	// Map reads only; the inner sets are deliberately NOT adjusted, as in
-	// the DEGO backend (§6.3).
-	if s, ok := b.following.Get(follower); ok {
-		s.Add(followee)
-	}
-	if s, ok := b.followers.Get(followee); ok {
-		s.Add(follower)
-	}
-}
-
-func (b *adaptiveBackend) Unfollow(_ *core.Handle, follower, followee UserID) {
-	if s, ok := b.following.Get(follower); ok {
-		s.Remove(followee)
-	}
-	if s, ok := b.followers.Get(followee); ok {
-		s.Remove(follower)
-	}
 }
 
 // Post appends the tweet to the author's range of the shared post log, then
@@ -423,17 +349,22 @@ func (b *adaptiveBackend) Timeline(h *core.Handle, u UserID, out []Tweet) int {
 	for f, s := range old {
 		seen[f] = s
 	}
+	// One collector per refresh, not per followee: the facade hands the
+	// callback on through an interface, so each closure is a heap object.
+	var followee UserID
+	collect := func(_ uint64, t Tweet) bool {
+		fresh = append(fresh, t)
+		seen[followee] = t.Seq
+		return true
+	}
 	scanned := 0
 	fset.Range(func(f UserID) bool {
+		followee = f
 		from := postKey(f, 0)
 		if last, ok := seen[f]; ok {
 			from = postKey(f, last+1)
 		}
-		b.posts.RangeBetween(from, postKey(f+1, 0), func(k uint64, t Tweet) bool {
-			fresh = append(fresh, t)
-			seen[f] = t.Seq
-			return true
-		})
+		b.posts.RangeBetween(from, postKey(f+1, 0), collect)
 		scanned++
 		return scanned < FanoutLimit
 	})
@@ -454,29 +385,6 @@ func (b *adaptiveBackend) Timeline(h *core.Handle, u UserID, out []Tweet) int {
 	return len(fresh)
 }
 
-func (b *adaptiveBackend) JoinGroup(h *core.Handle, u UserID) {
-	b.community.Put(h, u, struct{}{})
-}
-
-func (b *adaptiveBackend) LeaveGroup(h *core.Handle, u UserID) {
-	b.community.Remove(h, u)
-}
-
-func (b *adaptiveBackend) UpdateProfile(h *core.Handle, u UserID, version int64) {
-	b.profiles.Put(h, u, &profile{Version: version})
-}
-
-func (b *adaptiveBackend) InGroup(u UserID) bool { return b.community.Contains(u) }
-
-func (b *adaptiveBackend) Followers(u UserID) int {
-	if s, ok := b.followers.Get(u); ok {
-		return s.Len()
-	}
-	return 0
-}
-
-func (b *adaptiveBackend) Users() int { return b.profiles.Len() }
-
 // ---------------------------------------------------------------------------
 // DAP backend
 
@@ -495,10 +403,10 @@ type dapBackend struct {
 	parts []dapPart
 }
 
-// NewDAP builds the disjoint-access-parallel upper bound: threads touch only
+// newDAP builds the disjoint-access-parallel upper bound: threads touch only
 // their own partition, so nothing synchronizes. The workload generator must
 // keep every operation within the acting thread's partition.
-func NewDAP(threads int) Backend {
+func newDAP(threads int) *dapBackend {
 	b := &dapBackend{parts: make([]dapPart, threads)}
 	for i := range b.parts {
 		b.parts[i] = dapPart{

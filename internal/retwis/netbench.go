@@ -60,6 +60,48 @@ type NetPoint struct {
 	Reconnects uint64 `json:"reconnects"`
 }
 
+// seedTarget resolves the server a networked run talks to and brings it to
+// the seeded start state, so successive points start alike. With addr empty
+// it self-hosts an in-process dego-server of the given store kind
+// (server.StoreAdaptive by default) on an ephemeral loopback port; either
+// way it then issues FLUSHALL and seeds the social graph over a clean dial.
+// It returns where to connect, the point's store label ("remote" for a live
+// server), the shard count (as declared for a live server, as built for a
+// self-hosted one) and the seeded graph; closeTarget tears the self-hosted
+// server down and is a no-op for a live one.
+func seedTarget(addr, store string, shards int, p Params) (target, label string, nshards int, graph *Graph, closeTarget func(), err error) {
+	target, label, nshards, closeTarget = addr, "remote", shards, func() {}
+	if addr == "" {
+		if store == "" {
+			store = server.StoreAdaptive
+		}
+		srv, err := server.New(server.Config{Store: server.StoreConfig{Shards: shards, Kind: store}})
+		if err != nil {
+			return "", "", 0, nil, nil, err
+		}
+		if err := srv.Listen(); err != nil {
+			return "", "", 0, nil, nil, err
+		}
+		go srv.Serve()
+		target, label, nshards = srv.Addr().String(), store, srv.Store().Shards()
+		closeTarget = func() { srv.Close() }
+	}
+	graph = BuildGraph(p)
+	seeder, err := DialKV(target)
+	if err == nil {
+		_, err = seeder.ExecPipe([][][]byte{{[]byte("FLUSHALL")}})
+		if err == nil {
+			err = SeedKV(seeder, p, graph)
+		}
+		seeder.Close()
+	}
+	if err != nil {
+		closeTarget()
+		return "", "", 0, nil, nil, err
+	}
+	return target, label, nshards, graph, closeTarget, nil
+}
+
 // RunNet seeds the target and drives the measured phase. Self-hosted mode
 // boots a server, runs, and tears it down; targeting a live Addr it issues
 // FLUSHALL first so successive points start from the same state.
@@ -75,42 +117,11 @@ func RunNet(np NetParams) (NetPoint, error) {
 		np.Pipeline = 8
 	}
 
-	addr := np.Addr
-	label := "remote"
-	if addr == "" {
-		kind := np.Store
-		if kind == "" {
-			kind = server.StoreAdaptive
-		}
-		label = kind
-		srv, err := server.New(server.Config{
-			Store: server.StoreConfig{Shards: np.Shards, Kind: kind},
-		})
-		if err != nil {
-			return NetPoint{}, err
-		}
-		if err := srv.Listen(); err != nil {
-			return NetPoint{}, err
-		}
-		go srv.Serve()
-		defer srv.Close()
-		addr = srv.Addr().String()
-	}
-
-	graph := BuildGraph(p)
-	seeder, err := DialKV(addr)
+	addr, label, _, graph, closeTarget, err := seedTarget(np.Addr, np.Store, np.Shards, p)
 	if err != nil {
 		return NetPoint{}, err
 	}
-	if _, err := seeder.ExecPipe([][][]byte{{[]byte("FLUSHALL")}}); err != nil {
-		seeder.Close()
-		return NetPoint{}, err
-	}
-	if err := SeedKV(seeder, p, graph); err != nil {
-		seeder.Close()
-		return NetPoint{}, err
-	}
-	seeder.Close()
+	defer closeTarget()
 
 	partUsers := make([][]UserID, p.Threads)
 	for u := 0; u < p.Users; u++ {

@@ -7,7 +7,6 @@ import (
 
 	"github.com/adjusted-objects/dego/internal/faultnet"
 	"github.com/adjusted-objects/dego/internal/loadgen"
-	"github.com/adjusted-objects/dego/internal/server"
 )
 
 // OpenLoopParams configures one open-loop point: the Table-2 workload
@@ -139,44 +138,11 @@ func RunOpenLoop(olp OpenLoopParams) (FrontierPoint, error) {
 		return FrontierPoint{}, fmt.Errorf("retwis: open loop needs a positive arrival rate")
 	}
 
-	addr := olp.Addr
-	label := "remote"
-	shards := olp.Shards
-	if addr == "" {
-		kind := olp.Store
-		if kind == "" {
-			kind = server.StoreAdaptive
-		}
-		label = kind
-		srv, err := server.New(server.Config{
-			Store: server.StoreConfig{Shards: olp.Shards, Kind: kind},
-		})
-		if err != nil {
-			return FrontierPoint{}, err
-		}
-		if err := srv.Listen(); err != nil {
-			return FrontierPoint{}, err
-		}
-		go srv.Serve()
-		defer srv.Close()
-		addr = srv.Addr().String()
-		shards = srv.Store().Shards()
-	}
-
-	graph := BuildGraph(p)
-	seeder, err := DialKV(addr)
+	addr, label, shards, graph, closeTarget, err := seedTarget(olp.Addr, olp.Store, olp.Shards, p)
 	if err != nil {
 		return FrontierPoint{}, err
 	}
-	if _, err := seeder.ExecPipe([][][]byte{{[]byte("FLUSHALL")}}); err != nil {
-		seeder.Close()
-		return FrontierPoint{}, err
-	}
-	if err := SeedKV(seeder, p, graph); err != nil {
-		seeder.Close()
-		return FrontierPoint{}, err
-	}
-	seeder.Close()
+	defer closeTarget()
 
 	cfg := loadgen.Config{
 		Rate:     olp.Rate,

@@ -4,21 +4,30 @@
 // leave an interest group, and update their profiles.
 //
 // The application maintains five shared structures — mapFollowers,
-// mapFollowing, mapTimelines, mapProfiles and community — in three versions:
+// mapFollowing, mapTimelines, mapProfiles and community. The program over
+// them is written once (tableBackend, backends.go) against the public
+// profile API; a backend kind is a row of declarations for those tables,
+// and the planner picks what each row runs on:
 //
-//   - JUC: lock-striped maps and sets, Michael–Scott timeline queues.
-//   - DEGO: the maps are adjusted to (M2, CWMR) segmented maps, the timeline
-//     queues to multi-producer single-consumer, and the community set to
-//     CWMR. The follower/following sets inside the maps stay JUC-style: the
-//     paper reports that adjusting them too costs more in write
-//     amplification than it saves in contention.
-//   - DAP: disjoint-access parallel — each thread works on private
-//     unsynchronized structures; the upper bound on parallel performance.
-//   - ADAPTIVE: every shared structure is a contention-adaptive object — the
-//     per-user maps are adaptive hash maps and the timelines are one shared
-//     adaptive sorted map used as a pull-model post log (see backends.go).
-//     This is the end-to-end exercise of the internal/adaptive engine on a
+//   - JUC: nothing declared — lock-striped maps and set, Michael–Scott
+//     timeline queues.
+//   - DEGO: per-user writes declared commuting, timelines declared
+//     single-consumer — (M2, CWMR) segmented maps, a CWMR set, MPSC queues.
+//     The follower/following sets inside the maps stay JUC-style: the paper
+//     reports that adjusting them too costs more in write amplification
+//     than it saves in contention.
+//   - FLAT: DEGO's declarations plus a capacity and no hash function — the
+//     planner's flat gate, preallocated open-addressing tables.
+//   - ADAPTIVE: commuting and adaptive — every table a contention-adaptive
+//     object; the timelines become one shared adaptive sorted map used as a
+//     pull-model post log (adaptiveBackend overrides three methods). This
+//     is the end-to-end exercise of the internal/adaptive engine on a
 //     realistic mixed workload, not a paper figure.
+//   - RECORDED (unexported): JUC's declarations with a usage recorder on
+//     every table — what AdviseRun replays to rediscover the DEGO row.
+//   - DAP: disjoint-access parallel — each thread works on private
+//     unsynchronized structures; the upper bound on parallel performance,
+//     and the one backend that is not the table program.
 //
 // Each thread owns a partition of the users (consistent hashing degenerated
 // to the modulo ring, as ids are dense); an operation always executes on the

@@ -1,9 +1,12 @@
 package retwis
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/core"
 )
 
@@ -32,9 +35,13 @@ func TestMixTable2(t *testing.T) {
 	}
 }
 
+// allKinds is every backend Build can construct, the advisor's RECORDED row
+// included: it runs the same program, so it owes the same semantics.
+var allKinds = []Kind{KindJUC, KindDEGO, KindDAP, KindADAPTIVE, KindFLAT, kindRecorded}
+
 func eachBackend(t *testing.T, users, threads int, f func(t *testing.T, b Backend, h []*core.Handle)) {
 	t.Helper()
-	for _, kind := range []Kind{KindJUC, KindDEGO, KindDAP, KindADAPTIVE, KindFLAT} {
+	for _, kind := range allKinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			reg := core.NewRegistry(2*threads + 8)
@@ -152,7 +159,7 @@ func TestGraphSeedIsPowerLaw(t *testing.T) {
 }
 
 func TestRunAllBackends(t *testing.T) {
-	for _, kind := range []Kind{KindJUC, KindDEGO, KindDAP, KindADAPTIVE, KindFLAT} {
+	for _, kind := range allKinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
@@ -249,5 +256,125 @@ func TestRunPreservesInvariants(t *testing.T) {
 				t.Fatalf("users = %d, want %d", b2.Users(), p.Users)
 			}
 		})
+	}
+}
+
+// TestDeclarationTable pins what the planner makes of each kind's row: a
+// row edit that silently changes the representation behind a figure (or the
+// declaration the advisor is scored against) fails here.
+func TestDeclarationTable(t *testing.T) {
+	type plan struct{ rep, declared string }
+	for _, tc := range []struct {
+		kind            Kind
+		maps, set       plan
+		queue           plan   // zero for the pull-model ADAPTIVE kind
+		stored, stored0 string // dynamic type of a stored timeline (user 1, user 0)
+		recorded        bool
+	}{
+		{KindJUC, plan{"StripedMap", "(M1, ALL)"}, plan{"StripedSet", "(S1, ALL)"},
+			plan{"MSQueue", "(Q1, ALL)"}, "retwis.msTimeline", "retwis.msTimeline", false},
+		{KindDEGO, plan{"SegmentedMap", "(M2, CWMR)"}, plan{"SegmentedSet", "(S3, CWMR)"},
+			plan{"MPSCQueue", "(Q1, MWSR)"}, "*queue.MPSC[", "*queue.MPSC[", false},
+		{KindFLAT, plan{"FlatMap", "(M2, CWMR)"}, plan{"FlatSet", "(S3, CWMR)"},
+			plan{"MPSCQueue", "(Q1, MWSR)"}, "*queue.MPSC[", "*queue.MPSC[", false},
+		{kindRecorded, plan{"StripedMap", "(M1, ALL)"}, plan{"StripedSet", "(S1, ALL)"},
+			plan{"MSQueue", "(Q1, ALL)"}, "retwis.msTimeline", "*dego.AdjustedQueue[", true},
+		{KindADAPTIVE, plan{"AdaptiveMap", "(M2, CWMR)"}, plan{"AdaptiveSet", "(S3, CWMR)"},
+			plan{}, "", "", false},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			reg := core.NewRegistry(16)
+			built, _ := Build(tc.kind, testParams(8, 2), reg)
+			check := func(name string, got dego.Plan, want plan) {
+				t.Helper()
+				if got.Rep != want.rep || got.Declared() != want.declared {
+					t.Errorf("%s: planned %s %s, want %s %s", name, got.Rep, got.Declared(), want.rep, want.declared)
+				}
+			}
+			var b *tableBackend
+			maps := map[string]dego.Plan{}
+			if ad, ok := built.(*adaptiveBackend); ok {
+				b = ad.tableBackend
+				maps["cursors"] = ad.cursors.Plan()
+				check("posts", ad.posts.Plan(), plan{"AdaptiveSkipList", "(M2, CWMR)"})
+			} else {
+				b = built.(*tableBackend)
+				maps["timelines"] = b.timelines.Plan()
+				check("timeline queue", b.row.timeline(1).Plan(), tc.queue)
+				for u, want := range map[UserID]string{1: tc.stored, 0: tc.stored0} {
+					q, _ := b.timelines.Get(u)
+					if got := fmt.Sprintf("%T", q); !strings.HasPrefix(got, want) {
+						t.Errorf("timeline of user %d stored as %s, want %s…", u, got, want)
+					}
+				}
+			}
+			maps["followers"], maps["following"], maps["profiles"] = b.followers.Plan(), b.following.Plan(), b.profiles.Plan()
+			for name, got := range maps {
+				check(name, got, tc.maps)
+			}
+			check("community", b.community.Plan(), tc.set)
+			if _, ok := b.followers.Advise(); ok != tc.recorded {
+				t.Errorf("followers carries a usage recorder = %v, want %v", ok, tc.recorded)
+			}
+		})
+	}
+}
+
+// TestKindsAgreeOnOneOpSequence replays one seeded single-thread Table-2
+// sequence on every kind: the kinds differ in declarations only, so the
+// observable state must not differ at all — and, for the push-model kinds,
+// neither may a single timeline read. (One thread is one partition, so the
+// sequence is valid under DAP's contract too; MaxDegree stays below
+// FanoutLimit, so no delivery is cut at a set-iteration-order-dependent
+// point.)
+func TestKindsAgreeOnOneOpSequence(t *testing.T) {
+	p := testParams(96, 1)
+	p.OpsPerThread = 4000
+	all := make([]UserID, p.Users)
+	for u := range all {
+		all[u] = UserID(u)
+	}
+	type state struct {
+		Users     int
+		Followers []int
+		InGroup   []bool
+		Timelines [][]Tweet // every Timeline read of the sequence, in order
+	}
+	replay := func(kind Kind) state {
+		reg := core.NewRegistry(8)
+		h := reg.MustRegister()
+		b, _ := Build(kind, p, reg)
+		gen := NewGenerator(0, p, all, false)
+		var st state
+		tl := make([]Tweet, TimelineSize)
+		for i := 0; i < p.OpsPerThread; i++ {
+			op := gen.Next()
+			if op.Kind == OpTimeline {
+				n := b.Timeline(h, op.User, tl)
+				st.Timelines = append(st.Timelines, append([]Tweet(nil), tl[:n]...))
+				continue
+			}
+			apply(b, h, op, tl)
+		}
+		st.Users = b.Users()
+		for u := 0; u < p.Users; u++ {
+			st.Followers = append(st.Followers, b.Followers(UserID(u)))
+			st.InGroup = append(st.InGroup, b.InGroup(UserID(u)))
+		}
+		return st
+	}
+	want := replay(KindJUC)
+	if want.Users <= p.Users || len(want.Timelines) == 0 {
+		t.Fatalf("degenerate replay: %d users, %d timeline reads", want.Users, len(want.Timelines))
+	}
+	for _, kind := range allKinds[1:] {
+		got := replay(kind)
+		if kind == KindADAPTIVE {
+			// Pull model: same graph and groups, different delivery.
+			got.Timelines = want.Timelines
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s diverges from JUC on the same op sequence (users %d vs %d)", kind, got.Users, want.Users)
+		}
 	}
 }

@@ -25,7 +25,7 @@ const (
 
 // String returns the backend label used in the figures.
 func (k Kind) String() string {
-	return [...]string{"", "JUC", "DEGO", "DAP", "ADAPTIVE", "FLAT"}[k]
+	return [...]string{"", "JUC", "DEGO", "DAP", "ADAPTIVE", "FLAT", "RECORDED"}[k]
 }
 
 // Params configures one benchmark run (§6.3).
@@ -83,36 +83,40 @@ func (r Result) OpsPerSec() float64 {
 // ring.
 func owner(u UserID, threads int) int { return int(int64(u) % int64(threads)) }
 
+// newBackend constructs the empty backend of a kind: the unsynchronised DAP
+// reference, or the table program over the kind's declaration row (rowOf
+// panics on a kind that has none).
+func newBackend(kind Kind, p Params, reg *core.Registry) Backend {
+	switch kind {
+	case KindDAP:
+		return newDAP(p.Threads)
+	case KindADAPTIVE:
+		return newAdaptiveBackend(p.Users, reg)
+	}
+	return newTableBackend(kind, p.Users, reg)
+}
+
 // Build constructs the backend and seeds the social graph following the
 // method of §6.3: a directed graph whose in-degree distribution abides by a
 // power law (the clustering-boost step of Schweimer et al. is omitted, as in
 // the paper). It returns the backend and the priming handles (one per
 // partition, ids T..2T-1) used for ownership-correct seeding.
 func Build(kind Kind, p Params, reg *core.Registry) (Backend, []*core.Handle) {
-	var b Backend
-	switch kind {
-	case KindJUC:
-		b = NewJUC(p.Users, nil)
-	case KindDEGO:
-		b = NewDEGO(reg, p.Users, nil)
-	case KindDAP:
-		b = NewDAP(p.Threads)
-	case KindADAPTIVE:
-		b = NewAdaptive(reg, p.Users, nil)
-	case KindFLAT:
-		b = NewFlat(reg, p.Users, nil)
-	default:
-		panic(fmt.Sprintf("retwis: unknown backend kind %d", int(kind)))
-	}
-
+	b := newBackend(kind, p, reg)
 	primers := make([]*core.Handle, p.Threads)
 	for i := range primers {
 		primers[i] = reg.MustRegister()
 	}
+	seed(b, kind, p, primers)
+	return b, primers
+}
 
+// seed registers the initial users and follower edges, each write issued
+// through the handle of the acting user's partition.
+func seed(b Backend, kind Kind, p Params, handles []*core.Handle) {
 	for u := 0; u < p.Users; u++ {
 		uid := UserID(u)
-		b.AddUser(primers[owner(uid, p.Threads)], uid)
+		b.AddUser(handles[owner(uid, p.Threads)], uid)
 	}
 
 	// Follower edges: each user u receives deg(u) followers, deg drawn from
@@ -137,10 +141,33 @@ func Build(kind Kind, p Params, reg *core.Registry) (Backend, []*core.Handle) {
 					continue
 				}
 			}
-			b.Follow(primers[owner(f, p.Threads)], f, uid)
+			b.Follow(handles[owner(f, p.Threads)], f, uid)
 		}
 	}
-	return b, primers
+}
+
+// apply executes one generated operation — the single Table-2 dispatch of
+// the in-process drivers. tl is the caller's timeline read buffer.
+func apply(b Backend, h *core.Handle, op Op, tl []Tweet) {
+	switch op.Kind {
+	case OpAddUser:
+		b.AddUser(h, op.User)
+	case OpFollow:
+		// Follow, then immediately apply the converse to keep the graph
+		// invariant (§6.3); the converse is not measured.
+		b.Follow(h, op.User, op.Target)
+		b.Unfollow(h, op.User, op.Target)
+	case OpPost:
+		b.Post(h, op.User, Tweet{Author: op.User, Seq: op.Seq})
+	case OpTimeline:
+		b.Timeline(h, op.User, tl)
+	case OpJoinGroup:
+		b.JoinGroup(h, op.User)
+	case OpLeaveGroup:
+		b.LeaveGroup(h, op.User)
+	default:
+		b.UpdateProfile(h, op.User, op.Seq)
+	}
 }
 
 // Run executes the benchmark and returns the measurement.
@@ -184,28 +211,7 @@ func Run(kind Kind, p Params) (Result, error) {
 		gen := NewGenerator(tid, p, partUsers[tid], kind == KindDAP)
 		tl := make([]Tweet, TimelineSize)
 
-		oneOp := func() {
-			op := gen.Next()
-			switch op.Kind {
-			case OpAddUser:
-				b.AddUser(h, op.User)
-			case OpFollow:
-				// Follow, then immediately apply the converse to keep the
-				// graph invariant (§6.3); the converse is not measured.
-				b.Follow(h, op.User, op.Target)
-				b.Unfollow(h, op.User, op.Target)
-			case OpPost:
-				b.Post(h, op.User, Tweet{Author: op.User, Seq: op.Seq})
-			case OpTimeline:
-				b.Timeline(h, op.User, tl)
-			case OpJoinGroup:
-				b.JoinGroup(h, op.User)
-			case OpLeaveGroup:
-				b.LeaveGroup(h, op.User)
-			default:
-				b.UpdateProfile(h, op.User, op.Seq)
-			}
-		}
+		oneOp := func() { apply(b, h, gen.Next(), tl) }
 
 		started.Done()
 		<-begin

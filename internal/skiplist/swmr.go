@@ -76,19 +76,23 @@ func (s *SWMR[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// findGE returns the first node with key ≥ the argument, or nil.
+// findGE returns the first node with key ≥ the argument, or nil. It returns
+// the very pointer the level-0 scan stopped on: re-loading pred.next[0] here
+// could observe a smaller key the writer published after the scan decided,
+// and report a present key absent.
 func (s *SWMR[K, V]) findGE(key K) *snode[K, V] {
 	pred := s.head
+	var next *snode[K, V]
 	for level := int(s.level.Load()) - 1; level >= 0; level-- {
 		for {
-			next := pred.next[level].Load()
+			next = pred.next[level].Load()
 			if next == nil || next.key >= key {
 				break
 			}
 			pred = next
 		}
 	}
-	return pred.next[0].Load()
+	return next
 }
 
 // Put inserts or updates key (single writer only). Blind, per M2.
