@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/adjusted-objects/dego/internal/server"
 	"github.com/adjusted-objects/dego/internal/stats"
@@ -18,7 +19,9 @@ import (
 // KV abstracts "somewhere that answers the RESP subset" so the retwis
 // client runs identically against the in-process store and a live
 // dego-server over TCP. ExecPipe executes one pipeline: every command is
-// sent, then every reply is read, in order.
+// sent, then every reply is read, in order. The replies are valid until the
+// next ExecPipe on the same KV, which may decode into the same memory; a
+// caller that keeps one longer copies it. cmds is not retained.
 type KV interface {
 	ExecPipe(cmds [][][]byte) ([]wire.Reply, error)
 	Close() error
@@ -31,7 +34,8 @@ type LocalKV struct {
 	St *server.Store
 }
 
-// ExecPipe implements KV.
+// ExecPipe implements KV. The store's replies are caller-owned, so these
+// outlive the contract's "until the next ExecPipe".
 func (l *LocalKV) ExecPipe(cmds [][][]byte) ([]wire.Reply, error) {
 	return l.St.ExecBatch(cmds), nil
 }
@@ -139,6 +143,13 @@ type WireKV struct {
 	conn net.Conn
 	r    *wire.Reader
 	w    *wire.Writer
+	// reps and elems are the storage every ExecPipe decodes into: one
+	// Reply per command, and one arena the array replies' elements are
+	// decoded into in order — which command of a pipeline answers with an
+	// array changes from flush to flush, so element storage tied to a
+	// position would end up at every position. Each is trimmed to
+	// wire.RetainTotal bytes of carried-over capacity between calls.
+	reps, elems []wire.Reply
 
 	retries    atomic.Uint64
 	reconnects atomic.Uint64
@@ -209,7 +220,7 @@ func (c *WireKV) backoffFor(attempt int) time.Duration {
 }
 
 // attempt runs one wire round trip: write burst, one flush, read
-// len(cmds) replies, all bounded by IOTimeout.
+// len(cmds) replies into c.reps, all bounded by IOTimeout.
 func (c *WireKV) attempt(cmds [][][]byte) ([]wire.Reply, error) {
 	if c.cfg.IOTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.cfg.IOTimeout))
@@ -222,15 +233,49 @@ func (c *WireKV) attempt(cmds [][][]byte) ([]wire.Reply, error) {
 	if err := c.w.Flush(); err != nil {
 		return nil, err
 	}
-	reps := make([]wire.Reply, len(cmds))
-	for i := range reps {
-		rep, err := c.r.ReadReply()
-		if err != nil {
+	return c.readReplies(len(cmds))
+}
+
+// arenaMax is the element count past which the arena would be trimmed back
+// before its first use.
+const arenaMax = wire.RetainTotal / int(unsafe.Sizeof(wire.Reply{}))
+
+// readReplies decodes n replies into c.reps, array elements into c.elems.
+func (c *WireKV) readReplies(n int) ([]wire.Reply, error) {
+	for i := range c.reps {
+		c.reps[i].Elems = nil // a window into the arena, not storage of its own
+	}
+	c.reps, _ = wire.TrimReplies(c.reps)
+	c.elems, _ = wire.TrimReplies(c.elems)
+	if cap(c.reps) < n {
+		c.reps = append(c.reps[:cap(c.reps)], make([]wire.Reply, n-cap(c.reps))...)
+	}
+	c.reps = c.reps[:n]
+
+	free := c.elems // empty, its capacity the arena's unused tail
+	arrayed := 0
+	for i := range c.reps {
+		rep := &c.reps[i]
+		rep.Elems = free
+		if err := c.r.ReadReplyInto(rep); err != nil {
 			return nil, err
 		}
-		reps[i] = rep
+		m := len(rep.Elems)
+		arrayed += m
+		if m <= cap(free) {
+			free = free[m:m] // decoded in place
+		} else {
+			// Outgrew the tail and moved to an array of its own, leaving
+			// copies of its first elements behind: lend those to no one.
+			free = nil
+		}
 	}
-	return reps, nil
+	if arrayed > cap(c.elems) && cap(c.elems) < arenaMax {
+		// Size the arena for this flush's arrays; the replies just decoded
+		// keep the old one alive for as long as they are valid.
+		c.elems = make([]wire.Reply, 0, min(arrayed, arenaMax))
+	}
+	return c.reps, nil
 }
 
 // ExecPipe implements KV with self-healing: transport failures on an
@@ -238,6 +283,7 @@ func (c *WireKV) attempt(cmds [][][]byte) ([]wire.Reply, error) {
 // containing writes fails with *NonRetryableError (the connection is torn
 // down either way, so the next batch starts on a fresh dial). Error
 // replies are data, not transport failures, and never trigger a retry.
+// The replies are decoded into storage the next ExecPipe reuses.
 func (c *WireKV) ExecPipe(cmds [][][]byte) ([]wire.Reply, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -330,6 +376,30 @@ func userKey(prefix string, u UserID) []byte {
 
 func uidBytes(u UserID) []byte { return strconv.AppendInt(nil, int64(u), 10) }
 
+// Command words that are the same bytes in every command. They are shared and
+// read-only: the pipeline only ever serializes them. userKey, uidBytes, the
+// payloads and push's argument slices stay fresh per command on purpose —
+// the pipeline buffer is handed to KV.ExecPipe, and the repository
+// benchmark's replay keeps those commands after the client has moved on.
+var (
+	verbSet              = []byte("SET")
+	verbGet              = []byte("GET")
+	verbIncr             = []byte("INCR")
+	verbSAdd             = []byte("SADD")
+	verbSRem             = []byte("SREM")
+	verbLPush            = []byte("LPUSH")
+	verbLTrim            = []byte("LTRIM")
+	verbLRange           = []byte("LRANGE")
+	verbZAdd             = []byte("ZADD")
+	verbZRemRangeByScore = []byte("ZREMRANGEBYSCORE")
+
+	keyStatPosts    = []byte("stat:posts")
+	keyCommunity    = []byte("community")
+	argZero         = []byte("0")
+	argNegInf       = []byte("-inf")
+	argTimelineLast = []byte(strconv.Itoa(TimelineSize - 1))
+)
+
 // NetClient turns generated Ops into RESP command pipelines against a KV.
 // One NetClient serves one worker; it is not goroutine-safe.
 type NetClient struct {
@@ -349,42 +419,42 @@ func (c *NetClient) push(args ...[]byte) { c.buf = append(c.buf, args) }
 func (c *NetClient) AppendOp(op Op) {
 	switch op.Kind {
 	case OpAddUser:
-		c.push([]byte("SET"), userKey("profile", op.User), []byte("0"))
+		c.push(verbSet, userKey("profile", op.User), argZero)
 	case OpFollow:
 		u, t := uidBytes(op.User), uidBytes(op.Target)
 		// Follow both directions, then the converse (§6.3): not measured
 		// separately, but part of the op's cost exactly as in-process.
-		c.push([]byte("SADD"), userKey("following", op.User), t)
-		c.push([]byte("SADD"), userKey("followers", op.Target), u)
-		c.push([]byte("SREM"), userKey("following", op.User), t)
-		c.push([]byte("SREM"), userKey("followers", op.Target), u)
+		c.push(verbSAdd, userKey("following", op.User), t)
+		c.push(verbSAdd, userKey("followers", op.Target), u)
+		c.push(verbSRem, userKey("following", op.User), t)
+		c.push(verbSRem, userKey("followers", op.Target), u)
 	case OpPost:
 		seq := strconv.AppendInt(nil, op.Seq, 10)
 		payload := append(append(uidBytes(op.User), ':'), seq...)
-		c.push([]byte("INCR"), []byte("stat:posts"))
-		c.push([]byte("ZADD"), userKey("posts", op.User), seq, payload)
+		c.push(verbIncr, keyStatPosts)
+		c.push(verbZAdd, userKey("posts", op.User), seq, payload)
 		if op.Seq > int64(TimelineSize) {
 			// Prune the post log to the sliding window a timeline can show.
 			old := strconv.AppendInt(nil, op.Seq-int64(TimelineSize), 10)
-			c.push([]byte("ZREMRANGEBYSCORE"), userKey("posts", op.User), []byte("-inf"), old)
+			c.push(verbZRemRangeByScore, userKey("posts", op.User), argNegInf, old)
 		}
 		var fol []UserID
 		if int(op.User) < len(c.graph.Followers) {
 			fol = c.graph.Followers[op.User]
 		}
 		for _, f := range fol {
-			c.push([]byte("LPUSH"), userKey("timeline", f), payload)
-			c.push([]byte("LTRIM"), userKey("timeline", f), []byte("0"), []byte("49"))
+			c.push(verbLPush, userKey("timeline", f), payload)
+			c.push(verbLTrim, userKey("timeline", f), argZero, argTimelineLast)
 		}
 	case OpTimeline:
-		c.push([]byte("GET"), userKey("profile", op.User))
-		c.push([]byte("LRANGE"), userKey("timeline", op.User), []byte("0"), []byte("49"))
+		c.push(verbGet, userKey("profile", op.User))
+		c.push(verbLRange, userKey("timeline", op.User), argZero, argTimelineLast)
 	case OpJoinGroup:
-		c.push([]byte("SADD"), []byte("community"), uidBytes(op.User))
+		c.push(verbSAdd, keyCommunity, uidBytes(op.User))
 	case OpLeaveGroup:
-		c.push([]byte("SREM"), []byte("community"), uidBytes(op.User))
+		c.push(verbSRem, keyCommunity, uidBytes(op.User))
 	case OpUpdateProfile:
-		c.push([]byte("SET"), userKey("profile", op.User), strconv.AppendInt(nil, op.Seq, 10))
+		c.push(verbSet, userKey("profile", op.User), strconv.AppendInt(nil, op.Seq, 10))
 	}
 }
 
@@ -443,11 +513,11 @@ func SeedKV(kv KV, p Params, graph *Graph) error {
 	}
 	for u := 0; u < p.Users; u++ {
 		uid := UserID(u)
-		buf = append(buf, [][]byte{[]byte("SET"), userKey("profile", uid), []byte("0")})
+		buf = append(buf, [][]byte{verbSet, userKey("profile", uid), argZero})
 		for _, f := range graph.Followers[u] {
 			buf = append(buf,
-				[][]byte{[]byte("SADD"), userKey("followers", uid), uidBytes(f)},
-				[][]byte{[]byte("SADD"), userKey("following", f), uidBytes(uid)})
+				[][]byte{verbSAdd, userKey("followers", uid), uidBytes(f)},
+				[][]byte{verbSAdd, userKey("following", f), uidBytes(uid)})
 		}
 		if len(buf) >= chunk {
 			if err := flush(); err != nil {

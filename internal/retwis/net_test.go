@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/adjusted-objects/dego/internal/server"
+	"github.com/adjusted-objects/dego/internal/wire"
 )
 
 func netTestParams() Params {
@@ -156,5 +157,87 @@ func TestNetCurveRunsAllKinds(t *testing.T) {
 	}
 	if len(pts) != 2 || pts[0].Store == pts[1].Store {
 		t.Fatalf("points %+v", pts)
+	}
+}
+
+// TestWireKVRepliesReusedAndBounded pins the KV.ExecPipe contract on the
+// wire client: replies are decoded into storage the next ExecPipe reuses
+// (so they are valid until then, not after), array elements go to the one
+// arena whichever command they answer, and neither a megabyte value nor a
+// 3000-element array stays pinned once answered — carried-over capacity is
+// at most wire.RetainTotal for the replies and as much for the arena.
+func TestWireKVRepliesReusedAndBounded(t *testing.T) {
+	srv, err := server.New(server.Config{Store: server.StoreConfig{Shards: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	kv, err := DialKV(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	b := func(ss ...string) [][]byte {
+		out := make([][]byte, len(ss))
+		for i, s := range ss {
+			out[i] = []byte(s)
+		}
+		return out
+	}
+	exec := func(cmds ...[][]byte) []wire.Reply {
+		t.Helper()
+		reps, err := kv.ExecPipe(cmds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rep := range reps {
+			if rep.IsError() {
+				t.Fatalf("%s answered %v", cmds[i][0], rep)
+			}
+		}
+		return reps
+	}
+
+	exec(b("LPUSH", "l", "one", "two", "three"), b("SET", "k", "value"))
+	// The array answers command 1, then command 0: both decodes land at the
+	// start of the arena, and the first reply's slot is decoded into again.
+	exec(b("GET", "k"), b("LRANGE", "l", "0", "-1")) // sizes the arena
+	first := exec(b("GET", "k"), b("LRANGE", "l", "0", "-1"))
+	slot, elem := &first[0], &first[1].Elems[0]
+	if first[0].Text() != "value" || len(first[1].Elems) != 3 || first[1].Elems[0].Text() != "three" {
+		t.Fatalf("first pipeline = %v", first)
+	}
+	second := exec(b("LRANGE", "l", "0", "1"), b("GET", "k"))
+	if len(second[0].Elems) != 2 || second[0].Elems[1].Text() != "two" || second[1].Text() != "value" {
+		t.Fatalf("second pipeline = %v", second)
+	}
+	if &second[0] != slot || &second[0].Elems[0] != elem {
+		t.Fatal("the second ExecPipe did not reuse the first one's reply and element storage")
+	}
+
+	big := make([]byte, 1<<20)
+	exec([][]byte{[]byte("SET"), []byte("big"), big})
+	long := b("LPUSH", "long")
+	for i := 0; i < 1000; i++ {
+		long = append(long, []byte("element"))
+	}
+	exec(long, long, long)
+	reps := exec(b("GET", "big"), b("LRANGE", "long", "0", "-1"))
+	if len(reps[0].Bulk) != 1<<20 || len(reps[1].Elems) != 3000 {
+		t.Fatalf("big pipeline answered %d bytes, %d elements", len(reps[0].Bulk), len(reps[1].Elems))
+	}
+	exec(b("GET", "k"))
+	for i := range kv.reps[:cap(kv.reps)] {
+		kv.reps[:cap(kv.reps)][i].Elems = nil // windows into the arena, counted there
+	}
+	_, top := wire.TrimReplies(kv.reps)
+	_, arena := wire.TrimReplies(kv.elems)
+	if top > wire.RetainTotal || arena > wire.RetainTotal || cap(kv.reps[:1][0].Bulk) > wire.RetainBuf {
+		t.Fatalf("after the big pipeline the client still holds %d reply bytes, %d arena bytes (bound %d each), a %d-byte buffer in slot 0",
+			top, arena, wire.RetainTotal, cap(kv.reps[:1][0].Bulk))
 	}
 }

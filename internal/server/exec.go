@@ -106,8 +106,20 @@ func (p cmdPlan) reply(units []unit) wire.Reply {
 	}
 }
 
-func arityErr(verb string) cmdPlan {
-	return inlinePlan(wire.Errf("ERR wrong number of arguments for '%s' command", strings.ToLower(verb)))
+func arityErr(verb []byte) cmdPlan {
+	return inlinePlan(wire.Errf("ERR wrong number of arguments for '%s' command", strings.ToLower(string(verb))))
+}
+
+// upperASCII appends verb to buf in upper case. Every verb of the subset is
+// ASCII, so this is strings.ToUpper for anything the switch can match.
+func upperASCII(buf, verb []byte) []byte {
+	buf = append(buf, verb...)
+	for i, c := range buf {
+		if 'a' <= c && c <= 'z' {
+			buf[i] = c - ('a' - 'A')
+		}
+	}
+	return buf
 }
 
 // planCommand turns one parsed command into a cmdPlan, appending any
@@ -118,7 +130,11 @@ func planCommand(args [][]byte, s *Store, units *[]unit) cmdPlan {
 	if len(args) == 0 {
 		return inlinePlan(wire.Err("ERR empty command"))
 	}
-	verb := strings.ToUpper(string(args[0]))
+	// Upper-cased on the stack (the longest verb, ZREMRANGEBYSCORE, is 16
+	// bytes) and matched without a string conversion that outlives the
+	// switch: the verb costs no allocation.
+	var vb [16]byte
+	verb := upperASCII(vb[:0], args[0])
 
 	addUnit := func(op opcode, key []byte, rest [][]byte) {
 		*units = append(*units, unit{
@@ -143,7 +159,7 @@ func planCommand(args [][]byte, s *Store, units *[]unit) cmdPlan {
 		return p
 	}
 
-	switch verb {
+	switch string(verb) {
 	// --- control verbs, answered at planning time -----------------------
 	case "PING":
 		switch len(args) {
@@ -300,6 +316,6 @@ func planCommand(args [][]byte, s *Store, units *[]unit) cmdPlan {
 		return single(opZRemRangeByScore, args[1], args[2:])
 
 	default:
-		return inlinePlan(wire.Errf("ERR unknown command '%s'", verb))
+		return inlinePlan(wire.Errf("ERR unknown command '%s'", strings.ToUpper(string(args[0]))))
 	}
 }

@@ -308,6 +308,36 @@ func (s *Server) forget(c *lifecycleConn) {
 	s.active.Add(-1)
 }
 
+// cmdSlots is a connection's recycled command storage: command i of a batch
+// is decoded into the header and argument buffers command i of the previous
+// batch used, so a client that keeps sending the same shapes costs the
+// decoder no allocation. The arguments belong to the handler until the
+// batch's replies are written; whoever keeps one longer (the shard, for SET
+// and LPUSH operands) clones it.
+type cmdSlots struct {
+	cmds     [][][]byte // this batch; cmds[len:cap] is storage earlier batches left
+	retained int        // bytes of storage carried into this batch, at most wire.RetainTotal
+}
+
+// read decodes the next command of the batch.
+func (s *cmdSlots) read(r *wire.Reader) error {
+	var dst [][]byte
+	if n := len(s.cmds); n < cap(s.cmds) {
+		dst = s.cmds[:n+1][n]
+	}
+	cmd, err := r.ReadCommandInto(dst)
+	if err == nil {
+		s.cmds = append(s.cmds, cmd)
+	}
+	return err
+}
+
+// reset ends the batch and trims what is carried over to the retention
+// bound, so one oversized frame is not pinned for the life of the connection.
+func (s *cmdSlots) reset() {
+	s.cmds, s.retained = wire.TrimCommands(s.cmds)
+}
+
 // handle runs one connection: read the first command blocking (bounded by
 // IdleTimeout), drain whatever complete pipeline follow-up is already
 // buffered (up to MaxPipeline), execute the batch through the store, write
@@ -315,7 +345,9 @@ func (s *Server) forget(c *lifecycleConn) {
 // errors reply -ERR Protocol error and close, since the stream position is
 // gone; deadline expiries and drain interrupts close silently. A panic
 // anywhere in the handler is recovered into a typed *wire.ProtocolError
-// reply, counted, and closes only this connection.
+// reply, counted, and closes only this connection. The command storage and
+// the execution scratch live as long as the connection and are reused by
+// every batch.
 func (s *Server) handle(lc *lifecycleConn) {
 	defer s.conns.Done()
 	defer s.forget(lc)
@@ -335,43 +367,45 @@ func (s *Server) handle(lc *lifecycleConn) {
 	}()
 
 	r := wire.NewReader(lc)
-	cmds := make([][][]byte, 0, 16)
+	var (
+		slots cmdSlots
+		sc    scratch
+	)
 
 	for {
 		lc.beginIdle()
-		cmd, err := r.ReadCommand()
-		if err != nil {
+		if err := slots.read(r); err != nil {
 			s.closeOnReadError(w, err)
 			return
 		}
-		cmds = append(cmds[:0], cmd)
 		var deferredErr error
-		for len(cmds) < s.cfg.MaxPipeline && r.Buffered() > 0 {
-			next, err := r.ReadCommand()
-			if err != nil {
-				deferredErr = err
+		for len(slots.cmds) < s.cfg.MaxPipeline && r.Buffered() > 0 {
+			if deferredErr = slots.read(r); deferredErr != nil {
 				break
 			}
-			cmds = append(cmds, next)
 		}
 
 		// QUIT closes after its reply; later pipelined commands are moot.
-		quitAt := -1
+		cmds, quit := slots.cmds, false
 		for i, cm := range cmds {
 			if len(cm) > 0 && strings.EqualFold(string(cm[0]), "QUIT") {
-				quitAt = i
-				cmds = cmds[:i+1]
+				cmds, quit = cmds[:i+1], true
 				break
 			}
 		}
 
-		for _, rep := range s.store.ExecBatch(cmds) {
-			if err := w.WriteReply(rep); err != nil {
+		s.store.run(&sc, cmds)
+		for i := range sc.plans {
+			if err := w.WriteReply(sc.plans[i].reply(sc.units)); err != nil {
 				s.closeOnWriteError(err)
 				return
 			}
 		}
-		if quitAt >= 0 {
+		// Every reply is in the writer's buffer or on the wire: nothing
+		// points into the scratch or the decoded arguments any more.
+		sc.release()
+		slots.reset()
+		if quit {
 			w.Flush()
 			return
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -29,11 +30,14 @@ const (
 // wholesale, list elements are immutable once pushed, set/zset replies are
 // materialized at execution time — so a reply assembled for an earlier
 // command in a batch stays valid while later commands mutate the object.
+// Everything retained is the shard's own copy: connections recycle the
+// buffers commands are decoded into, so SET and LPUSH clone their operands
+// (keys, set members and zset members are string conversions already).
 type object struct {
 	kind objKind
 	str  []byte
 	set  map[string]struct{}
-	list [][]byte // head-first: index 0 is the most recent LPUSH
+	list list
 	zs   *zset
 }
 
@@ -79,11 +83,20 @@ func (z *zset) insert(member string, score float64) (added bool) {
 }
 
 // batch is one shard's slice of a pipeline dispatch: indices into the
-// batch-wide unit slice, in command order.
+// batch-wide unit slice, in command order, plus the arena the shard cuts
+// array replies' elements from. Batches live in a scratch and are reused.
 type batch struct {
 	units []unit
 	idxs  []int
+	arena []wire.Reply
 	wg    *sync.WaitGroup
+}
+
+// array returns the array reply whose elements the caller appended to the
+// arena from index from on. The elements are valid until the scratch's next
+// dispatch; capping the slice keeps a consumer's append off its neighbours.
+func (b *batch) array(from int) wire.Reply {
+	return wire.Reply{Kind: wire.KindArray, Elems: b.arena[from:len(b.arena):len(b.arena)]}
 }
 
 // shardMap is the shard's view of its planner-built map. The string-keyed
@@ -171,7 +184,7 @@ func (sh *shard) loop() {
 			return
 		case b := <-sh.mail:
 			for _, i := range b.idxs {
-				b.units[i].out = sh.execSafe(h, &b.units[i])
+				b.units[i].out = sh.execSafe(h, &b.units[i], b)
 			}
 			sh.ops.Add(uint64(len(b.idxs)))
 			b.wg.Done()
@@ -198,7 +211,7 @@ var errMinMax = wire.Err("ERR min or max is not a float")
 // one bad command cannot take the whole keyspace slice down. Keys the
 // panicking execution already mutated may be partially updated, the same
 // contract redis gives a script that dies mid-write.
-func (sh *shard) execSafe(h *dego.Handle, u *unit) (rep wire.Reply) {
+func (sh *shard) execSafe(h *dego.Handle, u *unit, b *batch) (rep wire.Reply) {
 	defer func() {
 		if p := recover(); p != nil {
 			pe := &wire.ProtocolError{
@@ -208,14 +221,14 @@ func (sh *shard) execSafe(h *dego.Handle, u *unit) (rep wire.Reply) {
 			rep = wire.Errf("ERR Protocol error: %s", pe.Detail)
 		}
 	}()
-	return sh.exec(h, u)
+	return sh.exec(h, u, b)
 }
 
 // exec runs one unit against the shard state. Every mutation ends in a
 // Put/Remove on the planner-built map even when the object pointer is
 // unchanged: adaptive sampling rides the write path, so the map must see
-// every write the shard absorbs.
-func (sh *shard) exec(h *dego.Handle, u *unit) wire.Reply {
+// every write the shard absorbs. Array replies are built in b's arena.
+func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 	switch u.op {
 	case opGet:
 		o := sh.get(u.key)
@@ -228,7 +241,7 @@ func (sh *shard) exec(h *dego.Handle, u *unit) wire.Reply {
 		return wire.Bulk(o.str)
 
 	case opSet:
-		sh.obj.Put(h, u.key, &object{kind: objString, str: u.args[0]})
+		sh.obj.Put(h, u.key, &object{kind: objString, str: bytes.Clone(u.args[0])})
 		return wire.OK()
 
 	case opDel:
@@ -316,11 +329,11 @@ func (sh *shard) exec(h *dego.Handle, u *unit) wire.Reply {
 		}
 		// Sorted for determinism; redis leaves set order unspecified.
 		sort.Strings(members)
-		elems := make([]wire.Reply, len(members))
-		for i, m := range members {
-			elems[i] = wire.BulkString(m)
+		from := len(b.arena)
+		for _, m := range members {
+			b.arena = append(b.arena, wire.BulkString(m))
 		}
-		return wire.Array(elems...)
+		return b.array(from)
 
 	case opLPush:
 		o := sh.get(u.key)
@@ -329,14 +342,12 @@ func (sh *shard) exec(h *dego.Handle, u *unit) wire.Reply {
 		} else if o.kind != objList {
 			return wrongType
 		}
-		// LPUSH a b c leaves c at the head: prepend the args in reverse.
-		fresh := make([][]byte, 0, len(u.args)+len(o.list))
-		for i := len(u.args) - 1; i >= 0; i-- {
-			fresh = append(fresh, u.args[i])
+		// LPUSH a b c leaves c at the head.
+		for _, v := range u.args {
+			o.list.push(bytes.Clone(v))
 		}
-		o.list = append(fresh, o.list...)
 		sh.obj.Put(h, u.key, o)
-		return wire.Int64(int64(len(o.list)))
+		return wire.Int64(int64(o.list.len()))
 
 	case opLRange:
 		o := sh.get(u.key)
@@ -346,18 +357,15 @@ func (sh *shard) exec(h *dego.Handle, u *unit) wire.Reply {
 		if o.kind != objList {
 			return wrongType
 		}
-		start, stop, ok := parseRangeIndexes(u.args, len(o.list))
+		start, stop, ok := parseRangeIndexes(u.args, o.list.len())
 		if !ok {
 			return errNotInt
 		}
-		if start > stop {
-			return wire.Array()
+		from := len(b.arena)
+		for i := start; i <= stop; i++ {
+			b.arena = append(b.arena, wire.Bulk(o.list.at(i)))
 		}
-		elems := make([]wire.Reply, 0, stop-start+1)
-		for _, v := range o.list[start : stop+1] {
-			elems = append(elems, wire.Bulk(v))
-		}
-		return wire.Array(elems...)
+		return b.array(from)
 
 	case opLTrim:
 		o := sh.get(u.key)
@@ -367,7 +375,7 @@ func (sh *shard) exec(h *dego.Handle, u *unit) wire.Reply {
 		if o.kind != objList {
 			return wrongType
 		}
-		start, stop, ok := parseRangeIndexes(u.args, len(o.list))
+		start, stop, ok := parseRangeIndexes(u.args, o.list.len())
 		if !ok {
 			return errNotInt
 		}
@@ -375,8 +383,7 @@ func (sh *shard) exec(h *dego.Handle, u *unit) wire.Reply {
 			sh.obj.Remove(h, u.key)
 			return wire.OK()
 		}
-		// Copy so the dropped tail is released.
-		o.list = append([][]byte(nil), o.list[start:stop+1]...)
+		o.list.keep(start, stop)
 		sh.obj.Put(h, u.key, o)
 		return wire.OK()
 
@@ -413,11 +420,11 @@ func (sh *shard) exec(h *dego.Handle, u *unit) wire.Reply {
 			return errMinMax
 		}
 		from, to := o.zs.boundIndexes(lo, hi)
-		elems := make([]wire.Reply, 0, to-from)
+		first := len(b.arena)
 		for _, e := range o.zs.sorted[from:to] {
-			elems = append(elems, wire.BulkString(e.member))
+			b.arena = append(b.arena, wire.BulkString(e.member))
 		}
-		return wire.Array(elems...)
+		return b.array(first)
 
 	case opZRemRangeByScore:
 		o := sh.get(u.key)

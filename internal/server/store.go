@@ -31,6 +31,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/stats"
@@ -137,6 +138,9 @@ type Store struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
+	// pool lends ExecBatch its scratch; connection handlers own theirs.
+	pool sync.Pool
+
 	// panics counts executions recovered inside shard loops; lastPanic
 	// holds the most recent one as a *wire.ProtocolError. A shard panic
 	// poisons one unit's reply, never the loop.
@@ -158,6 +162,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		cfg: cfg,
 		reg: dego.NewRegistry(cfg.Shards + 8),
 	}
+	s.pool.New = func() any { return new(scratch) }
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		sh, err := newShard(i, s)
@@ -314,51 +319,114 @@ func (s *Store) Exec(args [][]byte) wire.Reply {
 // per-key units are handed to their owning shards in one mailbox message
 // per shard, and the replies come back in command order. Commands for
 // different shards execute concurrently; commands touching the same shard
-// execute in batch order (see docs/PROTOCOL.md, "Pipelining").
+// execute in batch order (see docs/PROTOCOL.md, "Pipelining"). The replies
+// are the caller's to keep: the working memory is borrowed from a pool and
+// array elements are copied out of it before it goes back. The store keeps
+// no reference to cmds.
 func (s *Store) ExecBatch(cmds [][][]byte) []wire.Reply {
-	plans := make([]cmdPlan, len(cmds))
-	var units []unit
-	for i, args := range cmds {
-		plans[i] = planCommand(args, s, &units)
-	}
-	if len(units) > 0 {
-		s.dispatch(units)
-	}
+	sc := s.pool.Get().(*scratch)
+	s.run(sc, cmds)
 	replies := make([]wire.Reply, len(cmds))
-	for i := range plans {
-		replies[i] = plans[i].reply(units)
+	for i := range replies {
+		rep := sc.plans[i].reply(sc.units)
+		if rep.Kind == wire.KindArray {
+			rep.Elems = append([]wire.Reply(nil), rep.Elems...)
+		}
+		replies[i] = rep
 	}
+	sc.release()
+	s.pool.Put(sc)
 	return replies
 }
 
-// dispatch groups units by owning shard, preserving order within each
-// shard, sends each shard exactly one message, and waits for completion.
-func (s *Store) dispatch(units []unit) {
-	perShard := make([][]int, len(s.shards))
+// scratch is the working memory of one pipeline batch: the command plans,
+// the units they expand to, and per shard the unit indexes and reply-element
+// arena its event loop works on. A connection handler owns one for its
+// lifetime and ExecBatch borrows one per call, so steady-state batches plan
+// and dispatch without allocating. Plan replies and unit replies may point
+// into the arenas and into the commands' argument buffers; all of it is
+// valid from run until release.
+type scratch struct {
+	plans  []cmdPlan
+	units  []unit
+	shards []batch // indexed by shard id
+	wg     sync.WaitGroup
+}
+
+// release ends a batch: every reference the scratch holds into caller or
+// shard memory is cleared — over the used prefix only, which is all that
+// can be dirty — and a slice that grew past wire.RetainTotal bytes is
+// dropped, so an oversized batch or array reply gives its memory back rather
+// than pinning it on an idle connection.
+func (sc *scratch) release() {
+	sc.plans = recycle(sc.plans)
+	sc.units = recycle(sc.units)
+	for i := range sc.shards {
+		b := &sc.shards[i]
+		b.units, b.idxs, b.arena = nil, recycle(b.idxs), recycle(b.arena)
+	}
+}
+
+func recycle[T any](s []T) []T {
+	var elem T
+	if cap(s)*int(unsafe.Sizeof(elem)) > wire.RetainTotal {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// run plans cmds into sc and executes them; afterwards command i's reply is
+// sc.plans[i].reply(sc.units). It is the one execution path: connection
+// handlers call it with their own scratch, ExecBatch with a pooled one. sc
+// must be fresh or released.
+func (s *Store) run(sc *scratch, cmds [][][]byte) {
+	if cap(sc.plans) < len(cmds) {
+		sc.plans = make([]cmdPlan, 0, len(cmds))
+	}
+	if cap(sc.units) < len(cmds) {
+		// Most commands are one unit: size for the batch up front.
+		sc.units = make([]unit, 0, len(cmds))
+	}
+	for _, args := range cmds {
+		sc.plans = append(sc.plans, planCommand(args, s, &sc.units))
+	}
+	if len(sc.units) > 0 {
+		s.dispatch(sc)
+	}
+}
+
+// dispatch groups sc's units by owning shard, preserving order within each
+// shard, sends each touched shard exactly one message, and waits for
+// completion.
+func (s *Store) dispatch(sc *scratch) {
+	if len(sc.shards) != len(s.shards) {
+		sc.shards = make([]batch, len(s.shards))
+	}
 	touched := 0
-	for i := range units {
-		sh := units[i].shard
-		if perShard[sh] == nil {
+	for i := range sc.units {
+		b := &sc.shards[sc.units[i].shard]
+		if len(b.idxs) == 0 {
 			touched++
 		}
-		perShard[sh] = append(perShard[sh], i)
+		b.idxs = append(b.idxs, i)
 	}
-	var wg sync.WaitGroup
-	wg.Add(touched)
-	for shID, idxs := range perShard {
-		if idxs == nil {
+	sc.wg.Add(touched)
+	for shID := range sc.shards {
+		b := &sc.shards[shID]
+		if len(b.idxs) == 0 {
 			continue
 		}
-		b := &batch{units: units, idxs: idxs, wg: &wg}
+		b.units, b.wg = sc.units, &sc.wg
 		sh := s.shards[shID]
 		select {
 		case sh.mail <- b:
 		case <-sh.quit:
-			for _, i := range idxs {
-				units[i].out = wire.Err("ERR store is shut down")
+			for _, i := range b.idxs {
+				sc.units[i].out = wire.Err("ERR store is shut down")
 			}
-			wg.Done()
+			sc.wg.Done()
 		}
 	}
-	wg.Wait()
+	sc.wg.Wait()
 }

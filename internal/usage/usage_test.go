@@ -157,12 +157,19 @@ func TestConcurrentRecordingDoesNotCorrupt(t *testing.T) {
 	reg := core.NewRegistry(workers)
 	r := NewRecorderKeys(reg, 4*workers*keysPerSlot)
 
-	var wg sync.WaitGroup
-	for w := range workers {
+	// Every handle is registered before any worker starts: a worker that
+	// finishes early releases its handle, and a Register after that would
+	// reuse the slot and merge two workers into one.
+	handles := make([]*core.Handle, workers)
+	for w := range handles {
 		h, err := reg.Register()
 		if err != nil {
 			t.Fatalf("Register: %v", err)
 		}
+		handles[w] = h
+	}
+	var wg sync.WaitGroup
+	for w, h := range handles {
 		wg.Add(1)
 		go func(h *core.Handle, w int) {
 			defer wg.Done()

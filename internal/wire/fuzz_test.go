@@ -47,14 +47,32 @@ func FuzzReadCommand(f *testing.F) {
 	}
 	f.Add([]byte("*1\r\n$8388608\r\nshort"))
 	f.Add([]byte("*2\r\n$3\r\nGET\r\n$5\r\nab"))
+	// Shapes that change from one command to the next, so a recycled
+	// destination is shrunk, regrown and switched to the inline path.
+	f.Add([]byte("*4\r\n$4\r\nZADD\r\n$1\r\nz\r\n$1\r\n1\r\n$20\r\na-twenty-byte-member\r\n*1\r\n$4\r\nPING\r\nGET k\r\n*2\r\n$3\r\nGET\r\n$0\r\n\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
+		// The same bytes through ReadCommand and through ReadCommandInto
+		// with a recycled, dirty destination: one parse, so identical
+		// commands or identical errors.
+		r, into := NewReader(bytes.NewReader(data)), NewReader(bytes.NewReader(data))
+		dst := dirtyCommand()
 		for i := 0; i < 64; i++ {
 			args, err := r.ReadCommand()
+			got, ierr := into.ReadCommandInto(dst)
+			if !sameErr(err, ierr) {
+				t.Fatalf("ReadCommand err = %v, ReadCommandInto err = %v", err, ierr)
+			}
 			if err != nil {
 				checkDecodeErr(t, err)
+				if got != nil {
+					t.Fatalf("ReadCommandInto returned %q with error %v", got, ierr)
+				}
 				return
 			}
+			if !sameCommand(args, got) {
+				t.Fatalf("ReadCommand = %q, ReadCommandInto = %q", args, got)
+			}
+			dst = got
 			if len(args) == 0 {
 				t.Fatal("ReadCommand returned an empty command without error")
 			}
@@ -86,13 +104,26 @@ func FuzzReadReply(f *testing.F) {
 	}
 	f.Add([]byte("$8388608\r\ntruncated"))
 	f.Add([]byte("+OK\r"))
+	// Kinds that change from one reply to the next over one destination.
+	f.Add([]byte("*3\r\n$1\r\na\r\n$2\r\nbb\r\n*1\r\n:1\r\n:5\r\n$3\r\nxyz\r\n*0\r\n+OK\r\n*1\r\n$0\r\n\r\n$-1\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
+		r, into := NewReader(bytes.NewReader(data)), NewReader(bytes.NewReader(data))
+		dst := dirtyReply()
 		for i := 0; i < 64; i++ {
 			rep, err := r.ReadReply()
+			ierr := into.ReadReplyInto(&dst)
+			if !sameErr(err, ierr) {
+				t.Fatalf("ReadReply err = %v, ReadReplyInto err = %v", err, ierr)
+			}
 			if err != nil {
 				checkDecodeErr(t, err)
+				if dst.Kind != 0 || dst.Int != 0 || dst.Bulk != nil || dst.Elems != nil {
+					t.Fatalf("ReadReplyInto left %+v behind error %v, want the zero Reply", dst, ierr)
+				}
 				return
+			}
+			if !sameReply(rep, dst) {
+				t.Fatalf("ReadReply = %v, ReadReplyInto = %v", rep, dst)
 			}
 			// A decoded reply must re-encode: the Reply tree is the shared
 			// currency between server executors and client readers.
@@ -103,4 +134,52 @@ func FuzzReadReply(f *testing.F) {
 			}
 		}
 	})
+}
+
+// dirtyCommand is a recycled ReadCommandInto destination: three arguments
+// of leftover bytes, two of them beyond the length.
+func dirtyCommand() [][]byte {
+	return [][]byte{[]byte("leftover"), []byte("junk junk junk"), {}}[:1]
+}
+
+// dirtyReply is a recycled ReadReplyInto destination with leftovers in every
+// field and at two depths.
+func dirtyReply() Reply {
+	return Reply{Kind: KindArray, Int: 99, Bulk: []byte("stale"), Elems: []Reply{
+		{Kind: KindBulk, Bulk: []byte("old element")},
+		{Kind: KindArray, Int: 7, Elems: []Reply{{Kind: KindError, Bulk: []byte("ERR old")}}},
+		{Kind: KindInt, Int: 3},
+	}[:2]}
+}
+
+func sameErr(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error()
+}
+
+func sameCommand(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameReply compares what a reply says, not the spare capacity it carries.
+func sameReply(a, b Reply) bool {
+	if a.Kind != b.Kind || a.Int != b.Int || !bytes.Equal(a.Bulk, b.Bulk) || len(a.Elems) != len(b.Elems) {
+		return false
+	}
+	for i := range a.Elems {
+		if !sameReply(a.Elems[i], b.Elems[i]) {
+			return false
+		}
+	}
+	return true
 }

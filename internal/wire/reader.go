@@ -64,9 +64,13 @@ func (r *Reader) readInt() (int64, error) {
 // length, so a truncated frame claiming MaxBulk costs one chunk, not 8 MiB.
 const bulkChunk = 64 << 10
 
-// readBulkPayload reads n payload bytes plus the line terminator.
-func (r *Reader) readBulkPayload(n int64) ([]byte, error) {
-	buf := make([]byte, 0, min(n, bulkChunk))
+// readBulkPayload reads n payload bytes plus the line terminator into
+// buf's capacity, growing it a chunk at a time when it is too small. The
+// result is never nil, so an empty bulk stays distinguishable from null.
+func (r *Reader) readBulkPayload(buf []byte, n int64) ([]byte, error) {
+	if buf = buf[:0]; buf == nil {
+		buf = make([]byte, 0, min(n, bulkChunk))
+	}
 	for int64(len(buf)) < n {
 		step := int(min(n-int64(len(buf)), bulkChunk))
 		if cap(buf)-len(buf) < step {
@@ -108,6 +112,17 @@ func (r *Reader) readBulkPayload(n int64) ([]byte, error) {
 // allocated and owned by the caller. Framing violations return a
 // *ProtocolError; a clean end of stream returns io.EOF.
 func (r *Reader) ReadCommand() ([][]byte, error) {
+	return r.ReadCommandInto(nil)
+}
+
+// ReadCommandInto is ReadCommand decoding into dst's storage: the header
+// slice and every argument buffer within dst[:cap(dst)] are reused where
+// they are large enough and grown where they are not, so a caller that
+// feeds each result back in decodes a steady stream without allocating.
+// The result aliases dst and is valid until dst is decoded into again; dst
+// must be nil or an earlier result the caller no longer reads. On error the
+// result is nil and dst's contents are unspecified.
+func (r *Reader) ReadCommandInto(dst [][]byte) ([][]byte, error) {
 	for {
 		b, err := r.br.ReadByte()
 		if err != nil {
@@ -127,9 +142,9 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 			case n > MaxArgs:
 				return nil, protoErrf("command has %d arguments, limit %d", n, MaxArgs)
 			}
-			args := make([][]byte, 0, n)
+			args := slot(dst, int(n))
 			total := int64(0)
-			for i := int64(0); i < n; i++ {
+			for i := range args {
 				pb, err := r.br.ReadByte()
 				if err != nil {
 					if err == io.EOF {
@@ -153,11 +168,9 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 				if total += l; total > MaxCommandBytes {
 					return nil, protoErrf("command payload exceeds %d bytes", MaxCommandBytes)
 				}
-				arg, err := r.readBulkPayload(l)
-				if err != nil {
+				if args[i], err = r.readBulkPayload(args[i], l); err != nil {
 					return nil, err
 				}
-				args = append(args, arg)
 			}
 			return args, nil
 		case '\r', '\n', ' ':
@@ -180,91 +193,132 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 			if len(fields) > MaxArgs {
 				return nil, protoErrf("inline command has %d arguments, limit %d", len(fields), MaxArgs)
 			}
-			args := make([][]byte, len(fields))
+			args := slot(dst, len(fields))
 			for i, f := range fields {
-				args[i] = append([]byte(nil), f...)
+				args[i] = append(args[i][:0], f...)
 			}
 			return args, nil
 		}
 	}
 }
 
-// ReadReply decodes one server reply into a Reply tree. Framing violations
-// return a *ProtocolError; a clean end of stream returns io.EOF.
-func (r *Reader) ReadReply() (Reply, error) {
-	return r.readReply(0)
+// slot returns an n-argument header over dst's storage: dst's own array
+// (and the argument buffers earlier decodes left in it) when it holds n
+// entries, otherwise a fresh one that takes over dst's buffers. n is at
+// most MaxArgs, so the header never costs more than 24 KiB.
+func slot(dst [][]byte, n int) [][]byte {
+	if n <= cap(dst) {
+		return dst[:n]
+	}
+	args := make([][]byte, n)
+	copy(args, dst[:cap(dst)])
+	return args
 }
 
-func (r *Reader) readReply(depth int) (Reply, error) {
+// ReadReply decodes one server reply into a Reply tree the caller owns.
+// Framing violations return a *ProtocolError; a clean end of stream returns
+// io.EOF.
+func (r *Reader) ReadReply() (Reply, error) {
+	var rep Reply
+	err := r.ReadReplyInto(&rep)
+	return rep, err
+}
+
+// ReadReplyInto is ReadReply decoding into *dst's storage: Bulk, Elems and,
+// recursively, every element within Elems[:cap(Elems)] are reused where they
+// are large enough and grown where they are not. The reply aliases that
+// storage and is valid until dst is decoded into again. *dst must be the
+// zero Reply or an earlier result the caller no longer reads — never a
+// value built by OK, Bulk and friends, whose bytes belong to someone else.
+// On error *dst is the zero Reply.
+func (r *Reader) ReadReplyInto(dst *Reply) error {
+	err := r.readReplyInto(dst, 0)
+	if err != nil {
+		*dst = Reply{}
+	}
+	return err
+}
+
+func (r *Reader) readReplyInto(dst *Reply, depth int) error {
 	if depth > maxReplyDepth {
-		return Reply{}, protoErrf("reply nesting exceeds depth %d", maxReplyDepth)
+		return protoErrf("reply nesting exceeds depth %d", maxReplyDepth)
 	}
 	b, err := r.br.ReadByte()
 	if err != nil {
-		return Reply{}, err
+		return err
 	}
+	// Every kind keeps the storage the others would use, so a pipeline slot
+	// that answers an integer now and an array next time allocates neither.
+	dst.Int, dst.Bulk, dst.Elems = 0, dst.Bulk[:0], dst.Elems[:0]
 	switch b {
-	case '+':
+	case '+', '-':
 		line, err := r.readLine()
 		if err != nil {
-			return Reply{}, err
+			return err
 		}
-		return Reply{Kind: KindSimple, Bulk: append([]byte(nil), line...)}, nil
-	case '-':
-		line, err := r.readLine()
-		if err != nil {
-			return Reply{}, err
+		dst.Kind = KindSimple
+		if b == '-' {
+			dst.Kind = KindError
 		}
-		return Reply{Kind: KindError, Bulk: append([]byte(nil), line...)}, nil
+		dst.Bulk = append(dst.Bulk, line...)
 	case ':':
 		n, err := r.readInt()
 		if err != nil {
-			return Reply{}, err
+			return err
 		}
-		return Reply{Kind: KindInt, Int: n}, nil
+		dst.Kind, dst.Int = KindInt, n
 	case '$':
 		n, err := r.readInt()
 		if err != nil {
-			return Reply{}, err
+			return err
 		}
 		if n == -1 {
-			return Reply{Kind: KindNull}, nil
+			dst.Kind = KindNull
+			return nil
 		}
 		if n < 0 {
-			return Reply{}, protoErrf("negative bulk length %d", n)
+			return protoErrf("negative bulk length %d", n)
 		}
 		if n > MaxBulk {
-			return Reply{}, protoErrf("bulk string of %d bytes exceeds limit %d", n, MaxBulk)
+			return protoErrf("bulk string of %d bytes exceeds limit %d", n, MaxBulk)
 		}
-		payload, err := r.readBulkPayload(n)
-		if err != nil {
-			return Reply{}, err
+		if dst.Bulk, err = r.readBulkPayload(dst.Bulk, n); err != nil {
+			return err
 		}
-		return Reply{Kind: KindBulk, Bulk: payload}, nil
+		dst.Kind = KindBulk
 	case '*':
 		n, err := r.readInt()
 		if err != nil {
-			return Reply{}, err
+			return err
 		}
 		if n == -1 {
-			return Reply{Kind: KindNull}, nil
+			dst.Kind = KindNull
+			return nil
 		}
 		if n < 0 {
-			return Reply{}, protoErrf("negative array length %d", n)
+			return protoErrf("negative array length %d", n)
 		}
 		if n > maxReplyElems {
-			return Reply{}, protoErrf("reply array of %d elements exceeds limit %d", n, maxReplyElems)
+			return protoErrf("reply array of %d elements exceeds limit %d", n, maxReplyElems)
 		}
-		elems := make([]Reply, 0, min(n, 64))
-		for i := int64(0); i < n; i++ {
-			e, err := r.readReply(depth + 1)
-			if err != nil {
-				return Reply{}, err
+		// Grown by append, not sized by n: a header claiming a million
+		// elements costs what actually arrives.
+		if dst.Elems == nil {
+			dst.Elems = make([]Reply, 0, min(n, 64))
+		}
+		for i := 0; i < int(n); i++ {
+			if i < cap(dst.Elems) {
+				dst.Elems = dst.Elems[:i+1]
+			} else {
+				dst.Elems = append(dst.Elems, Reply{})
 			}
-			elems = append(elems, e)
+			if err := r.readReplyInto(&dst.Elems[i], depth+1); err != nil {
+				return err
+			}
 		}
-		return Reply{Kind: KindArray, Elems: elems}, nil
+		dst.Kind = KindArray
 	default:
-		return Reply{}, protoErrf("unexpected reply type byte %q", b)
+		return protoErrf("unexpected reply type byte %q", b)
 	}
+	return nil
 }

@@ -33,8 +33,12 @@ type Reply struct {
 // Simple returns a simple-string reply (+s).
 func Simple(s string) Reply { return Reply{Kind: KindSimple, Bulk: []byte(s)} }
 
-// OK is the canonical +OK reply.
-func OK() Reply { return Simple("OK") }
+// okText is shared by every OK reply and never written: the Writer only
+// reads a reply's bytes, and a decode destination is never a built reply.
+var okText = []byte("OK")
+
+// OK is the canonical +OK reply. It does not allocate.
+func OK() Reply { return Reply{Kind: KindSimple, Bulk: okText} }
 
 // Err returns an error reply (-msg).
 func Err(msg string) Reply { return Reply{Kind: KindError, Bulk: []byte(msg)} }

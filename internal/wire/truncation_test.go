@@ -105,6 +105,39 @@ func TestTruncatedBulkDoesNotTrustDeclaredLength(t *testing.T) {
 	}
 }
 
+// TestTruncatedBulkReusedDestination: the same promise when the decode goes
+// into a recycled destination. Reusing capacity must not turn into trusting
+// the header: a small leftover buffer grows by the bytes that arrive, one
+// bulkChunk at most, and the failed decode hands nothing half-filled back.
+func TestTruncatedBulkReusedDestination(t *testing.T) {
+	cmd := fmt.Sprintf("*1\r\n$%d\r\nonly-a-few-bytes", MaxBulk)
+	rep := fmt.Sprintf("*2\r\n$1\r\na\r\n$%d\r\nonly-a-few-bytes", MaxBulk)
+	const attempts = 16
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < attempts; i++ {
+		r := NewReader(bytes.NewReader([]byte(cmd)))
+		if got, err := r.ReadCommandInto(dirtyCommand()); err != io.ErrUnexpectedEOF || got != nil {
+			t.Fatalf("attempt %d: ReadCommandInto = %q, %v, want nil, io.ErrUnexpectedEOF", i, got, err)
+		}
+		r = NewReader(bytes.NewReader([]byte(rep)))
+		dst := dirtyReply()
+		if err := r.ReadReplyInto(&dst); err != io.ErrUnexpectedEOF {
+			t.Fatalf("attempt %d: ReadReplyInto err = %v, want io.ErrUnexpectedEOF", i, err)
+		}
+		if dst.Kind != 0 || dst.Int != 0 || dst.Bulk != nil || dst.Elems != nil {
+			t.Fatalf("attempt %d: failed ReadReplyInto left %+v, want the zero Reply", i, dst)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Per attempt: two 64 KiB reader buffers and at most one chunk each.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > attempts*2*(MaxInlineLine+2*bulkChunk) {
+		t.Fatalf("%d truncated MaxBulk frames into reused destinations allocated %d KiB — declared length is being trusted",
+			2*attempts, grew>>10)
+	}
+}
+
 // TestOversizedFrameRejectedBeforePayload: a declared length over MaxBulk
 // is refused from the header alone — typed error, no payload read.
 func TestOversizedFrameRejectedBeforePayload(t *testing.T) {

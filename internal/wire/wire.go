@@ -18,6 +18,16 @@
 //     with Writer.WriteReply, so both ends of the in-repo stack agree on one
 //     representation.
 //
+// Each decoder comes as a pair. ReadCommand and ReadReply return memory the
+// caller owns for good. ReadCommandInto and ReadReplyInto run the same parse
+// into a destination the caller hands back in — its header slice, argument
+// buffers, Bulk and Elems are reused at whatever capacity they have — so a
+// connection that recycles its destinations decodes without allocating; what
+// they return is valid only until the destination's next decode. The plain
+// methods are the Into methods on a fresh destination, so there is one parse
+// per direction. TrimCommands and TrimReplies bound what recycled
+// destinations may keep between uses (RetainBuf, RetainTotal).
+//
 // Malformed input never panics: every framing violation surfaces as a
 // *ProtocolError (the fuzz tests in this package hold that line), and the
 // hard limits below bound what a hostile peer can make the codec allocate.
