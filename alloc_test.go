@@ -1,0 +1,61 @@
+//go:build !race
+
+package dego
+
+import "testing"
+
+// Allocation ceilings of construction and of the facade's hot paths, per
+// call of the row's function. Timing on a shared box cannot hold a line;
+// these counts repeat exactly, so they can. A change may lower a number
+// here, never raise one. (The race detector allocates on its own, hence
+// the build tag; `make cover` runs this file.)
+//
+// Construction counts matter because a program may build one object per
+// user: the Retwis program plans one timeline queue per user. A segmented
+// Put of a present key pays one value box; an MPSC Offer pays one node.
+func TestAllocCeilings(t *testing.T) {
+	reg := NewRegistry(8)
+	h := Must(reg.Register())
+	segmented := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
+	flat := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16)))
+	recorded := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), WithUsageRecording()))
+	set := Must(Set[int](CommutingWriters(), On(reg), Capacity(16)))
+	mpsc := Must(Queue[int](SingleReader(), On(reg)))
+	for k := 0; k < 8; k++ {
+		segmented.Put(h, k, k)
+		flat.Put(h, k, k)
+		recorded.Put(h, k, k)
+		set.Add(h, k)
+	}
+
+	for _, row := range []struct {
+		name    string
+		ceiling float64
+		f       func()
+	}{
+		{"Queue(SingleReader())", 5, func() {
+			Must(Queue[int](SingleReader()))
+		}},
+		{"Map(CommutingWriters, On, Capacity, Buckets, WithHash)", 11, func() {
+			Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
+		}},
+		{"Set(CommutingWriters, On, Capacity)", 17, func() {
+			Must(Set[int](CommutingWriters(), On(reg), Capacity(16)))
+		}},
+		{"segmented AdjustedMap.Get", 0, func() { segmented.Get(3) }},
+		{"segmented AdjustedMap.Put, present key", 1, func() { segmented.Put(h, 3, 4) }},
+		{"flat AdjustedMap.Get and Put", 0, func() { flat.Get(3); flat.Put(h, 3, 4) }},
+		{"recorded AdjustedMap.Put", 0, func() { recorded.Put(h, 3, 4) }},
+		{"AdjustedSet.Contains", 0, func() { set.Contains(3) }},
+		{"MPSC AdjustedQueue.Offer and Poll", 1, func() { mpsc.Offer(h, 1); mpsc.Poll(h) }},
+	} {
+		for i := 0; i < 64; i++ {
+			row.f() // reach steady state
+		}
+		if got := testing.AllocsPerRun(200, row.f); got > row.ceiling {
+			t.Errorf("%s: %v allocations per run, ceiling %v", row.name, got, row.ceiling)
+		} else if got < row.ceiling {
+			t.Logf("%s: %v allocations per run, ceiling %v — lower the ceiling", row.name, got, row.ceiling)
+		}
+	}
+}
