@@ -18,18 +18,15 @@ import (
 // This file holds the profile constructors: Counter, Map, Set, Ordered,
 // Queue and Ref take a declared usage profile (functional options) and plan
 // the representation, instead of making the caller name one of the ~25
-// representation-specific constructors. Each constructor
-//
-//  1. folds its options into a profile and rejects inapplicable ones,
-//  2. resolves the declared §4.2 mode,
-//  3. picks the most adjusted representation whose contract the declared
-//     profile satisfies (the planner proper),
-//  4. cross-checks the declared Table 1 object against the executable
-//     Definition 1 (internal/spec) before constructing,
-//
-// and returns an Adjusted* wrapper exposing the narrowed interface, the
-// Plan that was made, and — for audits, benchmarks and migrations — the
-// underlying representation.
+// representation-specific constructors. Planning is data: each datatype
+// has a row table of its representations, most adjusted first, and one
+// declare step (profile.go) rejects inapplicable options, resolves the §4.2
+// mode, names and certifies the declared Table 1 object against the
+// executable Definition 1 (internal/spec), and picks the first row the
+// profile fits. A constructor only builds the row it was given and returns
+// an Adjusted* wrapper exposing the narrowed interface, the Plan that was
+// made, and — for audits, benchmarks and migrations — the underlying
+// representation.
 
 // ---------------------------------------------------------------------------
 // Counter
@@ -107,17 +104,25 @@ func (c *AdjustedCounter) Representation() any { return c.raw }
 
 // Probe returns the contention probe observing this object: the adaptive
 // probe when planned adaptive, else the WithProbe one (possibly nil).
-func (c *AdjustedCounter) Probe() *Probe {
-	if c.ad != nil {
-		return c.ad.Probe()
-	}
-	return c.probe
-}
+func (c *AdjustedCounter) Probe() *Probe { return c.probe }
 
 // Advise infers the most adjusted counter profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object
 // was constructed without WithUsageRecording.
 func (c *AdjustedCounter) Advise() (Advice, bool) { return adviseObject(c.plan, c.rec) }
+
+// counterRows are the counter representations, most adjusted first.
+var counterRows = []repRow{
+	{name: "AdaptiveCounter", modes: inCWSR, needs: needBlind, adaptive: true},
+	{name: "IncrementOnlyCounter", modes: inCWSR, needs: needBlind, guarded: true},
+	// Preallocated padded cells with a wait-free add, no CAS retry loop.
+	// Without CommutingWriters the Adder stays: its CAS loop is also the
+	// contention instrument WithProbe observes.
+	{name: "FlatCounter", modes: inCWMR, needs: needBlind | needCells},
+	// A blind single writer keeps the atomic cell: it is uncontended.
+	{name: "Adder", modes: inALL | inCWMR, needs: needBlind},
+	{name: "AtomicCounter", modes: anyMode},
+}
 
 // Counter builds a counter from a declared usage profile.
 //
@@ -128,88 +133,27 @@ func (c *AdjustedCounter) Advise() (Advice, bool) { return adviseObject(c.plan, 
 // the paper's (C3, CWSR) object; Adaptive on that profile switches between
 // the atomic cell and the cells under measured contention.
 func Counter(opts ...Option) (*AdjustedCounter, error) {
-	const dt = "Counter"
-	p := &profile{}
-	p.apply(opts)
-	if p.writeOnce {
-		return nil, invalid(dt, "WriteOnce narrows references (R1→R2), not counters")
-	}
-	if p.fences != nil {
-		return nil, invalid(dt, "Fenced applies to adaptive Ordered objects")
-	}
-	if p.hash != nil {
-		return nil, invalid(dt, "counters are unkeyed; WithHash does not apply")
-	}
-	if p.stripes > 0 {
-		return nil, invalid(dt, "Stripes applies to Map and Set; size blind counter cells with Capacity")
-	}
-	if p.buckets > 0 {
-		return nil, invalid(dt, "Buckets applies to Map, Set and Ordered")
-	}
-	mode, err := p.mode(dt)
+	p, plan, _, err := declare("Counter", counterTakes, opts, counterRows, false)
 	if err != nil {
 		return nil, err
 	}
-	// Counter writes (inc, add) commute by the datatype, so a declared
-	// single reader is the full CWSR adjustment even without
-	// CommutingWriters.
-	if mode == ModeMWSR {
-		mode = ModeCWSR
-	}
-
-	c := &AdjustedCounter{plan: Plan{Datatype: dt, Mode: mode}, probe: p.probe}
-	switch {
-	case p.adaptive:
-		if !p.blind {
-			return nil, invalid(dt, "the adaptive counter is increment-only: declare Blind")
-		}
-		if mode != ModeCWSR {
-			return nil, invalid(dt, "the adaptive counter promotes to per-thread cells with one reader: declare SingleReader (CWSR), not %s", mode)
-		}
-		if p.checked {
-			return nil, invalid(dt, "the adaptive counter has no runtime guard; drop Checked")
-		}
+	c := &AdjustedCounter{plan: plan, probe: p.probe, rec: p.recorder(4)}
+	switch plan.Rep {
+	case "AdaptiveCounter":
 		c.ad = adaptive.NewCounter(p.reg(), p.resolvedPolicy())
-		c.rep, c.raw = c.ad, c.ad
-		c.plan.Variant, c.plan.Rep, c.plan.Adaptive = "C3", "AdaptiveCounter", true
-	case p.blind && mode == ModeCWSR:
+		c.rep, c.raw, c.probe = c.ad, c.ad, c.ad.Probe()
+	case "IncrementOnlyCounter":
 		rep := counter.NewIncrementOnly(p.reg(), p.checked)
 		c.rep, c.raw = rep, rep
-		c.plan.Variant, c.plan.Rep = "C3", "IncrementOnlyCounter"
-	case p.blind && mode == ModeCWMR && p.capacity > 0 && p.probe == nil && !p.checked:
-		// The flat counter: a blind, commuting profile that declared its
-		// cell capacity and no probe gets preallocated padded cells with a
-		// wait-free atomic add — no CAS retry loop. The unrestricted blind
-		// profile keeps the Adder below (its CAS loop is also the
-		// contention instrument WithProbe observes).
+	case "FlatCounter":
 		rep := flatmap.NewCounter(p.capacity)
 		c.rep, c.raw = flatCounterRep{rep}, rep
-		c.plan.Variant, c.plan.Rep = "C3", "FlatCounter"
-	case p.blind && mode != ModeSWMR:
-		if p.checked {
-			return nil, invalid(dt, "the striped adder has no runtime guard; drop Checked")
-		}
+	case "Adder":
 		rep := counter.NewAdder(p.capacityOr(runtime.GOMAXPROCS(0)), p.probe)
 		c.rep, c.raw = adderCounterRep{rep}, rep
-		c.plan.Variant, c.plan.Rep = "C3", "Adder"
-	default:
-		// Un-blind profiles (and a blind single writer, where a plain cell
-		// is already uncontended) get the atomic baseline.
-		if p.checked {
-			return nil, invalid(dt, "the atomic counter has no runtime guard; drop Checked")
-		}
+	default: // AtomicCounter
 		rep := counter.NewAtomic(p.probe)
 		c.rep, c.raw = atomicCounterRep{rep}, rep
-		c.plan.Variant, c.plan.Rep = "C2", "AtomicCounter"
-		if p.blind {
-			c.plan.Variant = "C3"
-		}
-	}
-	if err := c.plan.validate(); err != nil {
-		return nil, err
-	}
-	if p.record {
-		c.rec = usage.NewRecorderKeys(p.reg(), 4)
 	}
 	return c, nil
 }
@@ -312,12 +256,7 @@ func (m *AdjustedMap[K, V]) Adaptive() *AdaptiveMap[K, V] { return m.ad }
 func (m *AdjustedMap[K, V]) Representation() any { return m.raw }
 
 // Probe returns the contention probe observing this object.
-func (m *AdjustedMap[K, V]) Probe() *Probe {
-	if m.ad != nil {
-		return m.ad.Probe()
-	}
-	return m.probe
-}
+func (m *AdjustedMap[K, V]) Probe() *Probe { return m.probe }
 
 // Advise infers the most adjusted map profile the recorded usage permits,
 // certified against Definition 1. ok is false when the object was
@@ -326,19 +265,14 @@ func (m *AdjustedMap[K, V]) Probe() *Probe {
 // one anyway).
 func (m *AdjustedMap[K, V]) Advise() (Advice, bool) { return adviseObject(m.plan, m.rec) }
 
-// initRecording attaches the usage recorder when the profile asked for
-// one; called after planning so the recorder never outlives a rejection.
-func (m *AdjustedMap[K, V]) initRecording(dt string, p *profile) error {
-	if !p.record {
-		return nil
-	}
-	hash, err := recordHash[K](dt, p)
-	if err != nil {
-		return err
-	}
-	m.rec = usage.NewRecorderKeys(p.reg(), usageKeyCells(p.capacityOr(1024)))
-	m.recHash = hash
-	return nil
+// mapRows are the hash-map representations, most adjusted first.
+var mapRows = []repRow{
+	{name: "FlatSWMRMap", modes: inSWMR, needs: needFlat, guarded: true},
+	{name: "FlatMap", modes: inALL | commuting, needs: needFlat},
+	{name: "AdaptiveMap", modes: commuting, adaptive: true, hashed: true},
+	{name: "SegmentedMap", modes: commuting, guarded: true, hashed: true},
+	{name: "SWMRMap", modes: inSWMR, guarded: true, hashed: true},
+	{name: "StripedMap", modes: inALL, hashed: true},
 }
 
 // Map builds a hash map from a declared usage profile.
@@ -348,96 +282,44 @@ func (m *AdjustedMap[K, V]) initRecording(dt string, p *profile) error {
 // segmentation of the paper's (M2, CWMR) — with SingleReader too (CWSR, a
 // stronger restriction the segmentation's contract also admits) the same
 // representation serves; Adaptive on a commuting profile yields the
-// contention-adaptive map (optionally split per-range with Ranges).
-// Integer and string keys hash by default; other key types need WithHash.
+// contention-adaptive map (optionally split per-range with Ranges). An
+// integer-kinded key with Capacity and no node-only tuning plans the flat
+// family instead (flat.go). Integer and string keys hash by default; other
+// key types need WithHash outside the flat family.
 func Map[K comparable, V any](opts ...Option) (*AdjustedMap[K, V], error) {
 	const dt = "Map"
-	p := &profile{}
-	p.apply(opts)
-	if p.writeOnce {
-		return nil, invalid(dt, "WriteOnce narrows references (R1→R2), not maps")
-	}
-	if p.fences != nil {
-		return nil, invalid(dt, "Fenced applies to adaptive Ordered objects; hash-keyed maps split with Adaptive(Ranges(n))")
-	}
-	mode, err := p.mode(dt)
+	enc, dec, intKey := intKeyCodec[K]()
+	p, plan, row, err := declare(dt, keyedTakes, opts, mapRows, intKey)
 	if err != nil {
 		return nil, err
 	}
-	// The flat family gates before hash resolution: a flat table hashes
-	// internally through the integer-key codec, so a named integer key
-	// type (type UserID uint64) plans FLAT without a WithHash declaration
-	// — while every node-based plan below still requires one.
-	if enc, dec, ok := intKeyCodec[K](); ok && p.flatEligible() &&
-		(mode == ModeSWMR || (!p.checked && mode != ModeMWSR)) {
-		m := &AdjustedMap[K, V]{plan: Plan{Datatype: dt, Mode: mode, Ranges: 1}, probe: p.probe}
-		if mode == ModeSWMR {
-			rep := newFlatSWMRMap[K, V](enc, dec, p.capacity, p.checked)
-			m.rep, m.raw = rep, rep
-			m.plan.Variant, m.plan.Rep = "M2", "FlatSWMRMap"
-		} else {
-			rep := newFlatMap[K, V](enc, dec, p.capacity)
-			m.rep, m.raw = rep, rep
-			m.plan.Variant, m.plan.Rep = "M1", "FlatMap"
-			if mode.CommutingWrites() || p.blind {
-				m.plan.Variant = "M2"
-			}
-		}
-		if err := m.plan.validate(); err != nil {
-			return nil, err
-		}
-		if err := m.initRecording(dt, p); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	hash, err := resolveHash[K](dt, p)
+	hash, rec, recHash, err := keyed[K](dt, p, row)
 	if err != nil {
 		return nil, err
 	}
 	capacity := p.capacityOr(1024)
 	buckets := p.bucketsOr(capacity * 2)
-
-	m := &AdjustedMap[K, V]{plan: Plan{Datatype: dt, Mode: mode, Ranges: 1}, probe: p.probe}
-	switch {
-	case p.adaptive:
-		if !mode.CommutingWrites() {
-			return nil, invalid(dt, "the adaptive map requires commuting writers in every state: declare CommutingWriters (CWMR), not %s", mode)
-		}
-		if p.checked {
-			return nil, invalid(dt, "the adaptive map has no runtime guard; drop Checked")
-		}
-		pol := p.resolvedPolicy()
-		m.ad = adaptive.NewMap[K, V](p.reg(), p.stripesOr(256), capacity, buckets, hash, pol)
-		m.rep, m.raw = m.ad, m.ad
-		m.plan.Variant, m.plan.Rep, m.plan.Adaptive = "M2", "AdaptiveMap", true
-		m.plan.Ranges = m.ad.Ranges()
-	case mode.CommutingWrites():
+	m := &AdjustedMap[K, V]{plan: plan, probe: p.probe, rec: rec, recHash: recHash}
+	m.plan.Ranges = 1
+	switch plan.Rep {
+	case "FlatSWMRMap":
+		rep := newFlatSWMRMap[K, V](enc, dec, p.capacity, p.checked)
+		m.rep, m.raw = rep, rep
+	case "FlatMap":
+		rep := newFlatMap[K, V](enc, dec, p.capacity)
+		m.rep, m.raw = rep, rep
+	case "AdaptiveMap":
+		m.ad = adaptive.NewMap[K, V](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
+		m.rep, m.raw, m.probe, m.plan.Ranges = m.ad, m.ad, m.ad.Probe(), m.ad.Ranges()
+	case "SegmentedMap":
 		rep := hashmap.NewSegmented[K, V](p.reg(), capacity, buckets, hash, p.checked)
 		m.rep, m.raw = rep, rep
-		m.plan.Variant, m.plan.Rep = "M2", "SegmentedMap"
-	case mode == ModeSWMR:
+	case "SWMRMap":
 		rep := hashmap.NewSWMR[K, V](capacity, hash, p.checked)
 		m.rep, m.raw = rep, rep
-		m.plan.Variant, m.plan.Rep = "M2", "SWMRMap"
-	case mode == ModeAll:
-		if p.checked {
-			return nil, invalid(dt, "the striped map has no runtime guard; drop Checked")
-		}
+	default: // StripedMap
 		rep := hashmap.NewStriped[K, V](p.stripesOr(256), capacity, hash, p.probe)
 		m.rep, m.raw = stripedMapRep[K, V]{rep}, rep
-		m.plan.Variant, m.plan.Rep = "M1", "StripedMap"
-		if p.blind {
-			m.plan.Variant = "M2"
-		}
-	default:
-		return nil, invalid(dt, "no map representation exploits a single reader alone (declared %s); add CommutingWriters (CWSR) or drop SingleReader", mode)
-	}
-	if err := m.plan.validate(); err != nil {
-		return nil, err
-	}
-	if err := m.initRecording(dt, p); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
@@ -524,124 +406,62 @@ func (s *AdjustedSet[K]) Adaptive() *AdaptiveSet[K] { return s.ad }
 func (s *AdjustedSet[K]) Representation() any { return s.raw }
 
 // Probe returns the contention probe observing this object.
-func (s *AdjustedSet[K]) Probe() *Probe {
-	if s.ad != nil {
-		return s.ad.Probe()
-	}
-	return s.probe
-}
+func (s *AdjustedSet[K]) Probe() *Probe { return s.probe }
 
 // Advise infers the most adjusted set profile the recorded usage permits,
 // certified against Definition 1. ok is false when the object was
 // constructed without WithUsageRecording.
 func (s *AdjustedSet[K]) Advise() (Advice, bool) { return adviseObject(s.plan, s.rec) }
 
-// initRecording attaches the usage recorder when the profile asked for one.
-func (s *AdjustedSet[K]) initRecording(dt string, p *profile) error {
-	if !p.record {
-		return nil
-	}
-	hash, err := recordHash[K](dt, p)
-	if err != nil {
-		return err
-	}
-	s.rec = usage.NewRecorderKeys(p.reg(), usageKeyCells(p.capacityOr(1024)))
-	s.recHash = hash
-	return nil
+// setRows are the set representations, most adjusted first.
+var setRows = []repRow{
+	{name: "FlatSWMRSet", modes: inSWMR, needs: needFlat, guarded: true},
+	{name: "FlatSet", modes: inALL | commuting, needs: needFlat},
+	{name: "AdaptiveSet", modes: commuting, adaptive: true, hashed: true},
+	{name: "SegmentedSet", modes: commuting, guarded: true, hashed: true},
+	{name: "SWMRSet", modes: inSWMR, guarded: true, hashed: true},
+	{name: "StripedSet", modes: inALL, hashed: true},
 }
 
 // Set builds a membership set from a declared usage profile. Planning
 // follows Map: unrestricted → striped baseline (S1); SingleWriter → SWMR
 // (S2); CommutingWriters → the segmented set of the paper's (S3, CWMR)
-// node; Adaptive on the commuting profile → the adaptive set.
+// node; Adaptive on the commuting profile → the adaptive set; the flat
+// gate → the flat family.
 func Set[K comparable](opts ...Option) (*AdjustedSet[K], error) {
 	const dt = "Set"
-	p := &profile{}
-	p.apply(opts)
-	if p.writeOnce {
-		return nil, invalid(dt, "WriteOnce narrows references (R1→R2), not sets")
-	}
-	if p.fences != nil {
-		return nil, invalid(dt, "Fenced applies to adaptive Ordered objects; hash-keyed sets split with Adaptive(Ranges(n))")
-	}
-	mode, err := p.mode(dt)
+	enc, dec, intKey := intKeyCodec[K]()
+	p, plan, row, err := declare(dt, keyedTakes, opts, setRows, intKey)
 	if err != nil {
 		return nil, err
 	}
-	// Flat gate, as in Map: integer-kind element type + Capacity, before
-	// hash resolution (flat sets hash internally via the codec).
-	if enc, dec, ok := intKeyCodec[K](); ok && p.flatEligible() &&
-		(mode == ModeSWMR || (!p.checked && mode != ModeMWSR)) {
-		s := &AdjustedSet[K]{plan: Plan{Datatype: dt, Mode: mode, Ranges: 1}, probe: p.probe}
-		if mode == ModeSWMR {
-			rep := newFlatSWMRSet[K](enc, dec, p.capacity, p.checked)
-			s.rep, s.raw = rep, rep
-			s.plan.Variant, s.plan.Rep = "S2", "FlatSWMRSet"
-		} else {
-			rep := newFlatSet[K](enc, dec, p.capacity)
-			s.rep, s.raw = rep, rep
-			s.plan.Variant, s.plan.Rep = "S1", "FlatSet"
-			if mode.CommutingWrites() {
-				s.plan.Variant = "S3"
-			} else if p.blind {
-				s.plan.Variant = "S2"
-			}
-		}
-		if err := s.plan.validate(); err != nil {
-			return nil, err
-		}
-		if err := s.initRecording(dt, p); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	hash, err := resolveHash[K](dt, p)
+	hash, rec, recHash, err := keyed[K](dt, p, row)
 	if err != nil {
 		return nil, err
 	}
 	capacity := p.capacityOr(1024)
 	buckets := p.bucketsOr(capacity * 2)
-
-	s := &AdjustedSet[K]{plan: Plan{Datatype: dt, Mode: mode, Ranges: 1}, probe: p.probe}
-	switch {
-	case p.adaptive:
-		if !mode.CommutingWrites() {
-			return nil, invalid(dt, "the adaptive set requires commuting writers in every state: declare CommutingWriters (CWMR), not %s", mode)
-		}
-		if p.checked {
-			return nil, invalid(dt, "the adaptive set has no runtime guard; drop Checked")
-		}
-		pol := p.resolvedPolicy()
-		s.ad = adaptive.NewSet[K](p.reg(), p.stripesOr(256), capacity, buckets, hash, pol)
-		s.rep, s.raw = s.ad, s.ad
-		s.plan.Variant, s.plan.Rep, s.plan.Adaptive = "S3", "AdaptiveSet", true
-		s.plan.Ranges = s.ad.Ranges()
-	case mode.CommutingWrites():
+	s := &AdjustedSet[K]{plan: plan, probe: p.probe, rec: rec, recHash: recHash}
+	s.plan.Ranges = 1
+	switch plan.Rep {
+	case "FlatSWMRSet":
+		rep := newFlatSWMRSet[K](enc, dec, p.capacity, p.checked)
+		s.rep, s.raw = rep, rep
+	case "FlatSet":
+		rep := newFlatSet[K](enc, dec, p.capacity)
+		s.rep, s.raw = rep, rep
+	case "AdaptiveSet":
+		s.ad = adaptive.NewSet[K](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
+		s.rep, s.raw, s.probe, s.plan.Ranges = s.ad, s.ad, s.ad.Probe(), s.ad.Ranges()
+	case "SegmentedSet":
 		rep := set.NewSegmented[K](p.reg(), capacity, buckets, hash, p.checked)
 		s.rep, s.raw = rep, rep
-		s.plan.Variant, s.plan.Rep = "S3", "SegmentedSet"
-	case mode == ModeSWMR:
+	case "SWMRSet":
 		rep := set.NewSWMR[K](capacity, hash, p.checked)
 		s.rep, s.raw = rep, rep
-		s.plan.Variant, s.plan.Rep = "S2", "SWMRSet"
-	case mode == ModeAll:
-		if p.checked {
-			return nil, invalid(dt, "the striped set has no runtime guard; drop Checked")
-		}
+	default: // StripedSet
 		rep := set.NewStriped[K](p.stripesOr(256), capacity, hash, p.probe)
 		s.rep, s.raw = stripedSetRep[K]{rep}, rep
-		s.plan.Variant, s.plan.Rep = "S1", "StripedSet"
-		if p.blind {
-			s.plan.Variant = "S2"
-		}
-	default:
-		return nil, invalid(dt, "no set representation exploits a single reader alone (declared %s); add CommutingWriters (CWSR) or drop SingleReader", mode)
-	}
-	if err := s.plan.validate(); err != nil {
-		return nil, err
-	}
-	if err := s.initRecording(dt, p); err != nil {
-		return nil, err
 	}
 	return s, nil
 }
@@ -780,30 +600,19 @@ func (m *AdjustedOrdered[K, V]) Adaptive() *AdaptiveSkipList[K, V] { return m.ad
 func (m *AdjustedOrdered[K, V]) Representation() any { return m.raw }
 
 // Probe returns the contention probe observing this object.
-func (m *AdjustedOrdered[K, V]) Probe() *Probe {
-	if m.ad != nil {
-		return m.ad.Probe()
-	}
-	return m.probe
-}
+func (m *AdjustedOrdered[K, V]) Probe() *Probe { return m.probe }
 
 // Advise infers the most adjusted ordered-map profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object
 // was constructed without WithUsageRecording.
 func (m *AdjustedOrdered[K, V]) Advise() (Advice, bool) { return adviseObject(m.plan, m.rec) }
 
-// initRecording attaches the usage recorder when the profile asked for one.
-func (m *AdjustedOrdered[K, V]) initRecording(dt string, p *profile) error {
-	if !p.record {
-		return nil
-	}
-	hash, err := recordHash[K](dt, p)
-	if err != nil {
-		return err
-	}
-	m.rec = usage.NewRecorderKeys(p.reg(), usageKeyCells(p.capacityOr(1024)))
-	m.recHash = hash
-	return nil
+// orderedRows are the ordered-map representations, most adjusted first.
+var orderedRows = []repRow{
+	{name: "AdaptiveSkipList", modes: commuting, adaptive: true, hashed: true},
+	{name: "SegmentedSkipList", modes: commuting, guarded: true, hashed: true},
+	{name: "SWMRSkipList", modes: inSWMR, guarded: true},
+	{name: "ConcurrentSkipList", modes: inALL},
 }
 
 // Ordered builds an ordered map (skip list) from a declared usage profile.
@@ -815,18 +624,7 @@ func (m *AdjustedOrdered[K, V]) initRecording(dt string, p *profile) error {
 // keys into independently adjusting ranges.
 func Ordered[K cmp.Ordered, V any](opts ...Option) (*AdjustedOrdered[K, V], error) {
 	const dt = "Ordered"
-	p := &profile{}
-	p.apply(opts)
-	if p.writeOnce {
-		return nil, invalid(dt, "WriteOnce narrows references (R1→R2), not ordered maps")
-	}
-	if p.stripes > 0 {
-		return nil, invalid(dt, "Stripes applies to Map and Set; ordered baselines are lock-free")
-	}
-	if p.ranges > 0 {
-		return nil, invalid(dt, "Ranges splits hash-keyed objects; split Ordered with Fenced(keys...)")
-	}
-	mode, err := p.mode(dt)
+	p, plan, row, err := declare(dt, orderedTakes, opts, orderedRows, false)
 	if err != nil {
 		return nil, err
 	}
@@ -846,56 +644,26 @@ func Ordered[K cmp.Ordered, V any](opts ...Option) (*AdjustedOrdered[K, V], erro
 			}
 		}
 	}
-	capacity := p.capacityOr(1024)
-	buckets := p.bucketsOr(capacity * 2)
-
-	m := &AdjustedOrdered[K, V]{plan: Plan{Datatype: dt, Mode: mode, Ranges: 1}, probe: p.probe}
-	switch {
-	case p.adaptive:
-		if !mode.CommutingWrites() {
-			return nil, invalid(dt, "the adaptive skip list requires commuting writers in every state: declare CommutingWriters (CWMR), not %s", mode)
-		}
-		if p.checked {
-			return nil, invalid(dt, "the adaptive skip list has no runtime guard; drop Checked")
-		}
-		hash, err := resolveHash[K](dt, p)
-		if err != nil {
-			return nil, err
-		}
+	hash, rec, recHash, err := keyed[K](dt, p, row)
+	if err != nil {
+		return nil, err
+	}
+	buckets := p.bucketsOr(p.capacityOr(1024) * 2)
+	m := &AdjustedOrdered[K, V]{plan: plan, probe: p.probe, rec: rec, recHash: recHash}
+	m.plan.Ranges, m.plan.Fences = len(fences)+1, len(fences)
+	switch plan.Rep {
+	case "AdaptiveSkipList":
 		m.ad = adaptive.NewSortedMapFenced[K, V](p.reg(), buckets, hash, fences, p.resolvedPolicy())
-		m.rep, m.raw = m.ad, m.ad
-		m.plan.Variant, m.plan.Rep, m.plan.Adaptive = "M2", "AdaptiveSkipList", true
-		m.plan.Ranges, m.plan.Fences = len(fences)+1, len(fences)
-	case mode.CommutingWrites():
-		hash, err := resolveHash[K](dt, p)
-		if err != nil {
-			return nil, err
-		}
+		m.rep, m.raw, m.probe = m.ad, m.ad, m.ad.Probe()
+	case "SegmentedSkipList":
 		rep := skiplist.NewSegmented[K, V](p.reg(), buckets, hash, p.checked)
 		m.rep, m.raw = rep, rep
-		m.plan.Variant, m.plan.Rep = "M2", "SegmentedSkipList"
-	case mode == ModeSWMR:
+	case "SWMRSkipList":
 		rep := skiplist.NewSWMR[K, V](p.checked)
 		m.rep, m.raw = swmrListRep[K, V]{rep}, rep
-		m.plan.Variant, m.plan.Rep = "M2", "SWMRSkipList"
-	case mode == ModeAll:
-		if p.checked {
-			return nil, invalid(dt, "the lock-free skip list has no runtime guard; drop Checked")
-		}
+	default: // ConcurrentSkipList
 		rep := skiplist.NewConcurrent[K, V](p.probe)
 		m.rep, m.raw = concurrentListRep[K, V]{rep}, rep
-		m.plan.Variant, m.plan.Rep = "M1", "ConcurrentSkipList"
-		if p.blind {
-			m.plan.Variant = "M2"
-		}
-	default:
-		return nil, invalid(dt, "no ordered representation exploits a single reader alone (declared %s); add CommutingWriters (CWSR) or drop SingleReader", mode)
-	}
-	if err := m.plan.validate(); err != nil {
-		return nil, err
-	}
-	if err := m.initRecording(dt, p); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
@@ -998,6 +766,12 @@ func (q *AdjustedQueue[T]) Probe() *Probe { return q.probe }
 // was constructed without WithUsageRecording.
 func (q *AdjustedQueue[T]) Advise() (Advice, bool) { return adviseObject(q.plan, q.rec) }
 
+// queueRows are the queue representations, most adjusted first.
+var queueRows = []repRow{
+	{name: "MPSCQueue", modes: inMWSR, guarded: true},
+	{name: "MSQueue", modes: inALL},
+}
+
 // Queue builds a FIFO queue from a declared usage profile: unrestricted →
 // the Michael–Scott baseline (Q1, ALL); SingleReader → the multi-producer
 // single-consumer queue of the paper's (Q1, MWSR) — producers never touch
@@ -1006,53 +780,18 @@ func (q *AdjustedQueue[T]) Advise() (Advice, bool) { return adviseObject(q.plan,
 // queue with one producer and many consumers has no adjusted
 // representation here).
 func Queue[T any](opts ...Option) (*AdjustedQueue[T], error) {
-	const dt = "Queue"
-	p := &profile{}
-	p.apply(opts)
-	if p.writeOnce {
-		return nil, invalid(dt, "WriteOnce narrows references (R1→R2), not queues")
-	}
-	if p.fences != nil {
-		return nil, invalid(dt, "Fenced applies to adaptive Ordered objects")
-	}
-	if p.hash != nil {
-		return nil, invalid(dt, "queues are unkeyed; WithHash does not apply")
-	}
-	if p.adaptive {
-		return nil, invalid(dt, "no adaptive queue representation")
-	}
-	if p.capacity > 0 || p.stripes > 0 || p.buckets > 0 {
-		return nil, invalid(dt, "queues are unbounded; Capacity, Stripes and Buckets do not apply")
-	}
-	if p.commuting {
-		return nil, invalid(dt, "queue offers do not commute (enqueue order is observable); drop CommutingWriters")
-	}
-	mode, err := p.mode(dt)
+	p, plan, _, err := declare("Queue", queueTakes, opts, queueRows, false)
 	if err != nil {
 		return nil, err
 	}
-
-	q := &AdjustedQueue[T]{plan: Plan{Datatype: dt, Variant: "Q1", Mode: mode}, probe: p.probe}
-	switch mode {
-	case ModeMWSR:
+	q := &AdjustedQueue[T]{plan: plan, probe: p.probe, rec: p.recorder(4)}
+	switch plan.Rep {
+	case "MPSCQueue":
 		rep := queue.NewMPSC[T](p.probe, p.checked)
 		q.rep, q.raw = rep, rep
-		q.plan.Rep = "MPSCQueue"
-	case ModeAll:
-		if p.checked {
-			return nil, invalid(dt, "the Michael–Scott queue has no runtime guard; drop Checked")
-		}
+	default: // MSQueue
 		rep := queue.NewMS[T](p.probe)
 		q.rep, q.raw = msQueueRep[T]{rep}, rep
-		q.plan.Rep = "MSQueue"
-	default:
-		return nil, invalid(dt, "no single-writer queue representation (declared %s)", mode)
-	}
-	if err := q.plan.validate(); err != nil {
-		return nil, err
-	}
-	if p.record {
-		q.rec = usage.NewRecorderKeys(p.reg(), 4)
 	}
 	return q, nil
 }
@@ -1148,6 +887,14 @@ func (r *AdjustedRef[T]) Representation() any { return r.raw }
 // was constructed without WithUsageRecording.
 func (r *AdjustedRef[T]) Advise() (Advice, bool) { return adviseObject(r.plan, r.rec) }
 
+// refRows are the reference representations, most adjusted first.
+var refRows = []repRow{
+	// Its precondition is checked by Set, so it carries no guard to enable.
+	{name: "WriteOnceRef", modes: inALL | inSWMR, needs: needWriteOnce},
+	{name: "RCUBox", modes: inSWMR, guarded: true},
+	{name: "AtomicRef", modes: inALL},
+}
+
 // Ref builds a shared reference holding v (nil allowed) from a declared
 // usage profile: unrestricted → the atomic reference (R1); SingleWriter →
 // the RCU box (R1, SWMR), whose readers take immutable snapshots;
@@ -1156,65 +903,24 @@ func (r *AdjustedRef[T]) Advise() (Advice, bool) { return adviseObject(r.plan, r
 // commute and CommutingWriters is rejected.
 func Ref[T any](v *T, opts ...Option) (*AdjustedRef[T], error) {
 	const dt = "Ref"
-	p := &profile{}
-	p.apply(opts)
-	if p.blind {
-		return nil, invalid(dt, "the reference family has no blind narrowing (R1's set already returns nothing)")
-	}
-	if p.fences != nil {
-		return nil, invalid(dt, "Fenced applies to adaptive Ordered objects")
-	}
-	if p.hash != nil {
-		return nil, invalid(dt, "references are unkeyed; WithHash does not apply")
-	}
-	if p.adaptive {
-		return nil, invalid(dt, "no adaptive reference representation")
-	}
-	if p.capacity > 0 || p.stripes > 0 || p.buckets > 0 {
-		return nil, invalid(dt, "references hold one referent; Capacity, Stripes and Buckets do not apply")
-	}
-	if p.commuting {
-		return nil, invalid(dt, "reference writes replace the referent and do not commute; drop CommutingWriters")
-	}
-	mode, err := p.mode(dt)
+	p, plan, _, err := declare(dt, refTakes, opts, refRows, false)
 	if err != nil {
 		return nil, err
 	}
-
-	r := &AdjustedRef[T]{plan: Plan{Datatype: dt, Mode: mode}}
-	switch {
-	case p.writeOnce:
-		if v != nil {
-			return nil, invalid(dt, "WriteOnce starts unset: construct with a nil initial value and Set once")
-		}
-		if mode != ModeAll && mode != ModeSWMR {
-			return nil, invalid(dt, "no %s write-once representation; WriteOnce takes SingleWriter or no restriction", mode)
-		}
-		if p.checked {
-			return nil, invalid(dt, "the write-once reference needs no guard (its precondition is checked by Set); drop Checked")
-		}
+	if p.writeOnce && v != nil {
+		return nil, invalid(dt, "WriteOnce starts unset: construct with a nil initial value and Set once")
+	}
+	r := &AdjustedRef[T]{plan: plan, rec: p.recorder(4)}
+	switch plan.Rep {
+	case "WriteOnceRef":
 		rep := ref.NewWriteOnce[T](p.reg())
 		r.rep, r.raw = writeOnceRefRep[T]{rep}, rep
-		r.plan.Variant, r.plan.Rep = "R2", "WriteOnceRef"
-	case mode == ModeSWMR:
+	case "RCUBox":
 		rep := ref.NewRCUBox[T](v, p.checked)
 		r.rep, r.raw = rcuRefRep[T]{rep}, rep
-		r.plan.Variant, r.plan.Rep = "R1", "RCUBox"
-	case mode == ModeAll:
-		if p.checked {
-			return nil, invalid(dt, "the atomic reference has no runtime guard; drop Checked")
-		}
+	default: // AtomicRef
 		rep := ref.NewAtomic[T](v)
 		r.rep, r.raw = atomicRefRep[T]{rep}, rep
-		r.plan.Variant, r.plan.Rep = "R1", "AtomicRef"
-	default:
-		return nil, invalid(dt, "no single-reader reference representation (declared %s); drop SingleReader", mode)
-	}
-	if err := r.plan.validate(); err != nil {
-		return nil, err
-	}
-	if p.record {
-		r.rec = usage.NewRecorderKeys(p.reg(), 4)
 	}
 	return r, nil
 }

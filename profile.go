@@ -3,6 +3,9 @@ package dego
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+
+	"github.com/adjusted-objects/dego/internal/usage"
 )
 
 // ErrInvalidProfile is the sentinel every profile-rejection error wraps:
@@ -107,19 +110,6 @@ func (p *profile) mode(dt string) (Mode, error) {
 	return ModeAll, nil
 }
 
-// flatEligible reports whether the declared tuning gates into the flat
-// representation family: an explicit Capacity (the flat tables
-// preallocate, so a declared capacity is their construction contract) and
-// none of the declarations only the node-based representations honor — a
-// caller-supplied hash (flat tables hash internally via the integer-key
-// codec), stripe or directory-bucket tuning, adaptivity, or a contention
-// probe (the flat hot paths have no instrumented wait to record). The
-// caller still checks the key type and mode.
-func (p *profile) flatEligible() bool {
-	return p.capacity > 0 && p.hash == nil && p.stripes == 0 &&
-		p.buckets == 0 && !p.adaptive && p.probe == nil
-}
-
 // resolvedPolicy returns the adaptive policy with the Ranges option folded
 // in.
 func (p *profile) resolvedPolicy() AdaptivePolicy {
@@ -163,4 +153,245 @@ func (p *profile) bucketsOr(def int) int {
 		return p.buckets
 	}
 	return def
+}
+
+// recorder is the usage recorder the profile asked for (nil without
+// WithUsageRecording), with evidence cells for keyCells distinct keys.
+func (p *profile) recorder(keyCells int) *usage.Recorder {
+	if !p.record {
+		return nil
+	}
+	return usage.NewRecorderKeys(p.reg(), keyCells)
+}
+
+// keyed resolves what a keyed constructor needs beyond its declaration:
+// the key hash when the planned row hashes keys, and the recorder together
+// with the hash it files written keys under.
+func keyed[K comparable](dt string, p *profile, row *repRow) (hash func(K) uint64, rec *usage.Recorder, recHash func(K) uint64, err error) {
+	if row.hashed {
+		if hash, err = resolveHash[K](dt, p); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if p.record {
+		if recHash, err = recordHash[K](dt, p); err != nil {
+			return nil, nil, nil, err
+		}
+		rec = p.recorder(usageKeyCells(p.capacityOr(1024)))
+	}
+	return hash, rec, recHash, nil
+}
+
+// ---------------------------------------------------------------------------
+// Planning as data
+
+// An optBit is one option whose applicability depends on the datatype.
+type optBit uint16
+
+const (
+	optBlind optBit = 1 << iota
+	optWriteOnce
+	optCommuting
+	optAdaptive
+	optRanges
+	optFenced
+	optHash
+	optCapacity
+	optStripes
+	optBuckets
+)
+
+// optionNames names the optBits, lowest first.
+var optionNames = [...]string{"Blind", "WriteOnce", "CommutingWriters", "Adaptive", "Ranges", "Fenced", "WithHash", "Capacity", "Stripes", "Buckets"}
+
+// The applicability table: the datatype-dependent options each datatype
+// takes. Declaring any other makes the profile invalid.
+const (
+	counterTakes = optBlind | optCommuting | optAdaptive | optRanges | optCapacity
+	keyedTakes   = optBlind | optCommuting | optAdaptive | optRanges | optHash | optCapacity | optStripes | optBuckets // Map, Set
+	orderedTakes = optBlind | optCommuting | optAdaptive | optFenced | optHash | optCapacity | optBuckets
+	queueTakes   = optBlind
+	refTakes     = optWriteOnce
+)
+
+// bit is b when on, else 0.
+func bit[B ~uint8 | ~uint16](on bool, b B) B {
+	if on {
+		return b
+	}
+	return 0
+}
+
+// declared returns the datatype-dependent options the profile declares.
+func (p *profile) declared() optBit {
+	return bit(p.blind, optBlind) | bit(p.writeOnce, optWriteOnce) | bit(p.commuting, optCommuting) |
+		bit(p.adaptive, optAdaptive) | bit(p.ranges > 0, optRanges) | bit(p.fences != nil, optFenced) |
+		bit(p.hash != nil, optHash) | bit(p.capacity > 0, optCapacity) | bit(p.stripes > 0, optStripes) |
+		bit(p.buckets > 0, optBuckets)
+}
+
+// A modeSet is a set of §4.2 modes, one bit per Mode.
+type modeSet uint8
+
+const (
+	inALL     modeSet = 1 << ModeAll
+	inSWMR    modeSet = 1 << ModeSWMR
+	inMWSR    modeSet = 1 << ModeMWSR
+	inCWMR    modeSet = 1 << ModeCWMR
+	inCWSR    modeSet = 1 << ModeCWSR
+	commuting         = inCWMR | inCWSR
+	anyMode           = inALL | inSWMR | inMWSR | commuting
+)
+
+// A need is a declaration a representation requires beyond its modes.
+type need uint8
+
+const (
+	// needFlat is the flat gate: an integer-kinded key and an explicit
+	// Capacity (the flat tables preallocate, so a declared capacity is
+	// their construction contract), and none of what only node-based
+	// representations honor — a caller-supplied hash (flat tables hash
+	// through the integer-key codec), stripe or bucket tuning, or a probe
+	// (the flat hot paths have no instrumented wait to record).
+	needFlat need = 1 << iota
+	needBlind
+	// needCells is preallocated counter cells: Capacity and no probe.
+	needCells
+	// needWriteOnce is matched exactly: a row without it refuses a
+	// WriteOnce profile.
+	needWriteOnce
+)
+
+// needNames names the needs, lowest first.
+var needNames = [...]string{"an integer key and Capacity without WithHash, Stripes, Buckets or WithProbe", "Blind", "Capacity without WithProbe", "WriteOnce"}
+
+// meets returns the needs the profile satisfies; intKey reports an
+// integer-kinded key type.
+func (p *profile) meets(intKey bool) need {
+	return bit(intKey && p.capacity > 0 && p.hash == nil && p.stripes == 0 && p.buckets == 0 && p.probe == nil, needFlat) |
+		bit(p.blind, needBlind) | bit(p.capacity > 0 && p.probe == nil, needCells) | bit(p.writeOnce, needWriteOnce)
+}
+
+// A repRow is one representation a datatype may plan to: the modes whose
+// contract it honors, what else the profile must declare, whether it
+// carries a runtime permission guard (so Checked may be declared), whether
+// it is the adaptive engine, and whether it hashes keys. Each datatype
+// lists its rows most adjusted first; they are the only statement of a
+// representation's modes, needs and guard.
+type repRow struct {
+	name     string
+	modes    modeSet
+	needs    need
+	guarded  bool
+	adaptive bool
+	hashed   bool
+}
+
+// fits is the stage a profile reaches on a row whose every requirement it
+// meets.
+const fits = 4
+
+// fit returns how far down the row's requirements — modes, adaptivity,
+// needs, guard — the profile gets.
+func (r *repRow) fit(p *profile, mode Mode, met need) int {
+	switch {
+	case r.modes&(1<<mode) == 0:
+		return 0
+	case r.adaptive != p.adaptive:
+		return 1
+	case r.needs&^met != 0 || (r.needs^met)&needWriteOnce != 0:
+		return 2
+	case p.checked && !r.guarded:
+		return 3
+	}
+	return fits
+}
+
+// declare folds a datatype's options into a profile and plans it. (a) It
+// rejects the options the datatype does not take. (b) It resolves the §4.2
+// mode. (c) It names the Table 1 object from Blind, WriteOnce and the mode
+// alone and certifies it against Definition 1 before any representation
+// is considered. (d) It picks the first row the profile fits; when none
+// does, the row that got furthest names the requirement that failed.
+func declare(dt string, takes optBit, opts []Option, rows []repRow, intKey bool) (*profile, Plan, *repRow, error) {
+	p := &profile{}
+	p.apply(opts)
+	if extra := p.declared() &^ takes; extra != 0 {
+		return nil, Plan{}, nil, invalid(dt, "%s does not apply", optionNames[bits.TrailingZeros16(uint16(extra))])
+	}
+	mode, err := p.mode(dt)
+	if err != nil {
+		return nil, Plan{}, nil, err
+	}
+	if dt == "Counter" && mode == ModeMWSR {
+		// Counter writes (inc, add) commute by the datatype, so a declared
+		// single reader is the full CWSR adjustment.
+		mode = ModeCWSR
+	}
+	plan := Plan{Datatype: dt, Variant: variant(dt, p, mode), Mode: mode}
+	if err := plan.validate(); err != nil {
+		return nil, Plan{}, nil, err
+	}
+	met := p.meets(intKey)
+	best, reached := 0, -1
+	for i := range rows {
+		switch stage := rows[i].fit(p, mode, met); {
+		case stage == fits:
+			plan.Rep, plan.Adaptive = rows[i].name, rows[i].adaptive
+			return p, plan, &rows[i], nil
+		case stage > reached:
+			best, reached = i, stage
+		}
+	}
+	return nil, Plan{}, nil, rows[best].misfit(dt, plan.Declared(), reached, met)
+}
+
+// misfit is the rejection of a profile that got no further than stage down
+// this row's requirements, and no row further.
+func (r *repRow) misfit(dt, declared string, stage int, met need) error {
+	switch stage {
+	case 0:
+		return invalid(dt, "no representation serves %s", declared)
+	case 1:
+		// Static rows cover every mode an adaptive row does, so only an
+		// Adaptive declaration stops here.
+		return invalid(dt, "no adaptive representation serves %s", declared)
+	case 2:
+		if unmet := r.needs &^ met; unmet != 0 {
+			return invalid(dt, "%s needs %s", r.name, needNames[bits.TrailingZeros8(uint8(unmet))])
+		}
+		return invalid(dt, "%s does not take WriteOnce", r.name)
+	}
+	return invalid(dt, "%s has no permission guard; drop Checked", r.name)
+}
+
+// variant names the Table 1 object a profile declares, from its narrowings
+// and mode alone.
+func variant(dt string, p *profile, mode Mode) string {
+	switch dt {
+	case "Counter":
+		if p.blind {
+			return "C3"
+		}
+		return "C2"
+	case "Map", "Ordered":
+		if p.blind || mode == ModeSWMR || mode.CommutingWrites() {
+			return "M2"
+		}
+		return "M1"
+	case "Set":
+		if mode.CommutingWrites() {
+			return "S3"
+		}
+		if p.blind || mode == ModeSWMR {
+			return "S2"
+		}
+		return "S1"
+	case "Queue":
+		return "Q1"
+	}
+	if p.writeOnce {
+		return "R2"
+	}
+	return "R1"
 }
