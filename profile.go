@@ -207,10 +207,10 @@ var optionNames = [...]string{"Blind", "WriteOnce", "CommutingWriters", "Adaptiv
 // The applicability table: the datatype-dependent options each datatype
 // takes. Declaring any other makes the profile invalid.
 const (
-	counterTakes = optBlind | optCommuting | optAdaptive | optRanges | optCapacity
+	counterTakes = optBlind | optCommuting | optAdaptive | optCapacity
 	keyedTakes   = optBlind | optCommuting | optAdaptive | optRanges | optHash | optCapacity | optStripes | optBuckets // Map, Set
 	orderedTakes = optBlind | optCommuting | optAdaptive | optFenced | optHash | optCapacity | optBuckets
-	queueTakes   = optBlind
+	queueTakes   = optBit(0)
 	refTakes     = optWriteOnce
 )
 

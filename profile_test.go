@@ -170,6 +170,8 @@ func TestPlannerDecisions(t *testing.T) {
 		{"Counter", []Option{Adaptive()}, "", ""},
 		{"Counter", []Option{SingleWriter(), SingleReader()}, "", ""},
 		{"Counter", []Option{WriteOnce()}, "", ""},
+		// Counters are unkeyed: no hash prefix to split adaptive ranges by.
+		{"Counter", []Option{Blind(), SingleReader(), Adaptive(Ranges(4))}, "", ""},
 		// The flat counter: blind + commuting + a declared cell capacity.
 		// Without CommutingWriters the same capacity keeps the Adder (its
 		// CAS loop doubles as the contention instrument), as NewAdder pins.
@@ -232,6 +234,8 @@ func TestPlannerDecisions(t *testing.T) {
 		{"Queue", []Option{SingleReader()}, "(Q1, MWSR)", "MPSCQueue"},
 		{"Queue", []Option{SingleWriter()}, "", ""},
 		{"Queue", []Option{CommutingWriters()}, "", ""},
+		// Q1 has no blind narrowing (Ref rejects Blind for the same reason).
+		{"Queue", []Option{Blind()}, "", ""},
 
 		// Ref: R2 is the write-once diamond of Figure 3.
 		{"Ref", nil, "(R1, ALL)", "AtomicRef"},
