@@ -2,9 +2,10 @@
 // Figure 9 (speedup over JUC across user counts and thread counts, with the
 // DAP upper bound) and Figure 10 (throughput across the user-access
 // distribution parameter alpha). The operation mix is Table 2. Both figures
-// also sweep the ADAPTIVE backend (contention-adaptive maps plus the
-// adaptive sorted-map post log), which is not in the paper: it measures the
-// runtime-adjustment engine end to end on the same workload.
+// also sweep the ADAPTIVE backend (the DEGO program over contention-adaptive
+// tables), which is not in the paper: it measures the runtime-adjustment
+// engine end to end on the same workload, so its ratio compares
+// representations, like every other column.
 //
 // Usage:
 //

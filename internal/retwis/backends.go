@@ -2,7 +2,6 @@ package retwis
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/core"
@@ -16,10 +15,10 @@ import (
 // kind is nothing but the row of declarations those tables are planned
 // with (rowOf). The planner turns each row into a representation — lock
 // striping for JUC, the extended segmentation for DEGO, preallocated slot
-// arrays for FLAT — and the program never learns which: DEGO is injected
-// into an unchanged program, which is the paper's claim. Every kind pays
-// the identical facade, so a DEGO-vs-JUC ratio compares representations,
-// not call paths.
+// arrays for FLAT, the adaptive engine for ADAPTIVE — and the program never
+// learns which: DEGO is injected into an unchanged program, which is the
+// paper's claim. Every kind pays the identical facade, so a DEGO-vs-JUC
+// ratio compares representations, not call paths.
 //
 // The per-user inner sets (set.Locked) stay deliberately unadjusted and
 // un-planned (§6.3: adjusting them costs more in write amplification than
@@ -42,7 +41,7 @@ type profile struct {
 
 // row is one kind's declarations: the options its top-level tables are
 // planned with (Capacity is added per table) and the planner call for one
-// user's timeline queue (nil for the pull-model ADAPTIVE kind).
+// user's timeline queue.
 type row struct {
 	tables   []dego.Option
 	timeline func(u UserID) *dego.AdjustedQueue[Tweet]
@@ -67,7 +66,7 @@ func rowOf(kind Kind, users int, reg *core.Registry) row {
 		return row{[]dego.Option{dego.CommutingWriters(), dego.On(reg)}, queue(dego.SingleReader())}
 	case KindADAPTIVE:
 		return row{[]dego.Option{dego.CommutingWriters(), dego.Adaptive(), dego.On(reg), dego.Stripes(256),
-			dego.Buckets(2 * users), dego.WithHash(userHash)}, nil}
+			dego.Buckets(2 * users), dego.WithHash(userHash)}, queue(dego.SingleReader())}
 	case kindRecorded:
 		// User 0's queue is the one timeline built with recording — the
 		// representative for the queue-consumer inference (recording every
@@ -140,18 +139,15 @@ type tableBackend struct {
 
 func newTableBackend(kind Kind, users int, reg *core.Registry) *tableBackend {
 	r := rowOf(kind, users, reg)
-	b := &tableBackend{
+	return &tableBackend{
 		name:      kind.String(),
 		row:       r,
 		followers: table[*set.Locked[UserID]](r, users),
 		following: table[*set.Locked[UserID]](r, users),
+		timelines: table[timeline](r, users),
 		profiles:  table[*profile](r, users),
 		community: dego.Must(dego.Set[UserID](r.sized(users/8 + 16)...)),
 	}
-	if r.timeline != nil {
-		b.timelines = table[timeline](r, users)
-	}
-	return b
 }
 
 func (b *tableBackend) Name() string { return b.name }
@@ -240,150 +236,6 @@ func (b *tableBackend) Followers(u UserID) int {
 }
 
 func (b *tableBackend) Users() int { return b.profiles.Len() }
-
-// ---------------------------------------------------------------------------
-// ADAPTIVE backend
-
-// adaptivePostLog bounds how many posts an author retains in the shared post
-// log: on each post the author prunes its own oldest entries past this cap
-// (pruning by the author keeps the commuting-writers contract — only the
-// thread that inserted a key ever removes it).
-const adaptivePostLog = 64
-
-// postSeqBits is the width of the per-author sequence field inside a post
-// key; the author id occupies the bits above it. A retwis run is bounded
-// (seconds, or OpsPerThread), so both fields are far from overflow at any
-// paper-scale configuration (≤ 2^36 users, ≤ 2^28 posts per author).
-const postSeqBits = 28
-
-// postKey orders the shared post log by (author, seq): all of an author's
-// posts are contiguous, ascending in sequence number.
-func postKey(author UserID, seq int64) uint64 {
-	return uint64(author)<<postSeqBits | uint64(seq)&(1<<postSeqBits-1)
-}
-
-// tlCursor is a user's timeline read position: the last-seen sequence number
-// per followee. It is an immutable snapshot, replaced wholesale by the
-// user's owner thread on each timeline read (the same RCU-style idiom as
-// profile).
-type tlCursor struct {
-	seen map[UserID]int64
-}
-
-// adaptiveBackend is the table program over the ADAPTIVE row — every
-// top-level table a contention-adaptive object, lock-striped until
-// contention promotes it to the extended segmentation — with the timelines
-// replaced by one shared adaptive sorted map used as a pull-model post log.
-//
-// The timeline design differs from the push-model kinds by necessity:
-// push-model fan-out (author writes into each follower's queue) is MWSR,
-// which the sorted map's commuting-writers contract cannot express. Instead
-// the backend fans out on read: Post appends to the author's own contiguous
-// key range of the log (keys are (author, seq), so distinct threads write
-// distinct keys in every state), and Timeline merges the caller's followees'
-// recent ranges with RangeBetween, remembering per-followee cursors so a
-// message is delivered once. Reads may therefore see posts made before the
-// follow edge existed, and — like Post's FanoutLimit in the push model — a
-// reader scans at most FanoutLimit followees per refresh.
-type adaptiveBackend struct {
-	*tableBackend
-	posts   *dego.AdjustedOrdered[uint64, Tweet]
-	cursors *dego.AdjustedMap[UserID, *tlCursor]
-}
-
-func newAdaptiveBackend(users int, reg *core.Registry) *adaptiveBackend {
-	t := newTableBackend(KindADAPTIVE, users, reg)
-	return &adaptiveBackend{
-		tableBackend: t,
-		// The post log's uint64 keys hash with the built-in default hasher.
-		posts: dego.Must(dego.Ordered[uint64, Tweet](dego.CommutingWriters(), dego.Adaptive(),
-			dego.On(reg), dego.Buckets(2*users*adaptivePostLog/8))),
-		cursors: table[*tlCursor](t.row, users),
-	}
-}
-
-func (b *adaptiveBackend) AddUser(h *core.Handle, u UserID) {
-	b.followers.Put(h, u, set.NewLocked[UserID](4, nil))
-	b.following.Put(h, u, set.NewLocked[UserID](4, nil))
-	b.profiles.Put(h, u, &profile{})
-}
-
-// Post appends the tweet to the author's range of the shared post log, then
-// periodically prunes the author's oldest entries past adaptivePostLog (the
-// walk is amortized over eight posts, so the log holds at most a few entries
-// more than the cap between prunes). Both the insert and the prune touch
-// only keys of the acting author, so the log's CWMR contract holds no matter
-// how authors interleave.
-func (b *adaptiveBackend) Post(h *core.Handle, author UserID, t Tweet) {
-	b.posts.Put(h, postKey(author, t.Seq), t)
-	if t.Seq&7 != 0 {
-		return
-	}
-	var keys []uint64
-	b.posts.RangeBetween(postKey(author, 0), postKey(author+1, 0), func(k uint64, _ Tweet) bool {
-		keys = append(keys, k)
-		return true
-	})
-	for len(keys) > adaptivePostLog {
-		b.posts.Remove(h, keys[0])
-		keys = keys[1:]
-	}
-}
-
-// Timeline merges the new posts of the user's followees (at most FanoutLimit
-// of them, mirroring the push backends' delivery cap) and returns the last
-// len(out) by sequence number. The per-followee cursor snapshot is replaced
-// wholesale by the user's owner thread, so repeat reads return only unseen
-// messages.
-func (b *adaptiveBackend) Timeline(h *core.Handle, u UserID, out []Tweet) int {
-	fset, ok := b.following.Get(u)
-	if !ok {
-		return 0
-	}
-	var old map[UserID]int64
-	if cur, ok := b.cursors.Get(u); ok {
-		old = cur.seen
-	}
-	var fresh []Tweet
-	seen := make(map[UserID]int64, len(old))
-	for f, s := range old {
-		seen[f] = s
-	}
-	// One collector per refresh, not per followee: the facade hands the
-	// callback on through an interface, so each closure is a heap object.
-	var followee UserID
-	collect := func(_ uint64, t Tweet) bool {
-		fresh = append(fresh, t)
-		seen[followee] = t.Seq
-		return true
-	}
-	scanned := 0
-	fset.Range(func(f UserID) bool {
-		followee = f
-		from := postKey(f, 0)
-		if last, ok := seen[f]; ok {
-			from = postKey(f, last+1)
-		}
-		b.posts.RangeBetween(from, postKey(f+1, 0), collect)
-		scanned++
-		return scanned < FanoutLimit
-	})
-	if len(fresh) == 0 {
-		return 0
-	}
-	b.cursors.Put(h, u, &tlCursor{seen: seen})
-	sort.Slice(fresh, func(i, j int) bool {
-		if fresh[i].Seq != fresh[j].Seq {
-			return fresh[i].Seq < fresh[j].Seq
-		}
-		return fresh[i].Author < fresh[j].Author
-	})
-	if len(fresh) > len(out) {
-		fresh = fresh[len(fresh)-len(out):]
-	}
-	copy(out, fresh)
-	return len(fresh)
-}
 
 // ---------------------------------------------------------------------------
 // DAP backend

@@ -18,11 +18,11 @@
 //     than it saves in contention.
 //   - FLAT: DEGO's declarations plus a capacity and no hash function — the
 //     planner's flat gate, preallocated open-addressing tables.
-//   - ADAPTIVE: commuting and adaptive — every table a contention-adaptive
-//     object; the timelines become one shared adaptive sorted map used as a
-//     pull-model post log (adaptiveBackend overrides three methods). This
-//     is the end-to-end exercise of the internal/adaptive engine on a
-//     realistic mixed workload, not a paper figure.
+//   - ADAPTIVE: DEGO's declarations plus Adaptive — every table a
+//     contention-adaptive object, lock-striped until contention promotes it
+//     to the extended segmentation; MPSC timeline queues. This is the end-to-
+//     end exercise of the internal/adaptive engine on a realistic mixed
+//     workload, not a paper figure.
 //   - RECORDED (unexported): JUC's declarations with a usage recorder on
 //     every table — what AdviseRun replays to rediscover the DEGO row.
 //   - DAP: disjoint-access parallel — each thread works on private

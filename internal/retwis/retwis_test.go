@@ -267,7 +267,7 @@ func TestDeclarationTable(t *testing.T) {
 	for _, tc := range []struct {
 		kind            Kind
 		maps, set       plan
-		queue           plan   // zero for the pull-model ADAPTIVE kind
+		queue           plan
 		stored, stored0 string // dynamic type of a stored timeline (user 1, user 0)
 		recorded        bool
 	}{
@@ -280,7 +280,7 @@ func TestDeclarationTable(t *testing.T) {
 		{kindRecorded, plan{"StripedMap", "(M1, ALL)"}, plan{"StripedSet", "(S1, ALL)"},
 			plan{"MSQueue", "(Q1, ALL)"}, "retwis.msTimeline", "*dego.AdjustedQueue[", true},
 		{KindADAPTIVE, plan{"AdaptiveMap", "(M2, CWMR)"}, plan{"AdaptiveSet", "(S3, CWMR)"},
-			plan{}, "", "", false},
+			plan{"MPSCQueue", "(Q1, MWSR)"}, "*queue.MPSC[", "*queue.MPSC[", false},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			reg := core.NewRegistry(16)
@@ -291,25 +291,16 @@ func TestDeclarationTable(t *testing.T) {
 					t.Errorf("%s: planned %s %s, want %s %s", name, got.Rep, got.Declared(), want.rep, want.declared)
 				}
 			}
-			var b *tableBackend
-			maps := map[string]dego.Plan{}
-			if ad, ok := built.(*adaptiveBackend); ok {
-				b = ad.tableBackend
-				maps["cursors"] = ad.cursors.Plan()
-				check("posts", ad.posts.Plan(), plan{"AdaptiveSkipList", "(M2, CWMR)"})
-			} else {
-				b = built.(*tableBackend)
-				maps["timelines"] = b.timelines.Plan()
-				check("timeline queue", b.row.timeline(1).Plan(), tc.queue)
-				for u, want := range map[UserID]string{1: tc.stored, 0: tc.stored0} {
-					q, _ := b.timelines.Get(u)
-					if got := fmt.Sprintf("%T", q); !strings.HasPrefix(got, want) {
-						t.Errorf("timeline of user %d stored as %s, want %s…", u, got, want)
-					}
+			b := built.(*tableBackend)
+			check("timeline queue", b.row.timeline(1).Plan(), tc.queue)
+			for u, want := range map[UserID]string{1: tc.stored, 0: tc.stored0} {
+				q, _ := b.timelines.Get(u)
+				if got := fmt.Sprintf("%T", q); !strings.HasPrefix(got, want) {
+					t.Errorf("timeline of user %d stored as %s, want %s…", u, got, want)
 				}
 			}
-			maps["followers"], maps["following"], maps["profiles"] = b.followers.Plan(), b.following.Plan(), b.profiles.Plan()
-			for name, got := range maps {
+			for name, got := range map[string]dego.Plan{"followers": b.followers.Plan(), "following": b.following.Plan(),
+				"timelines": b.timelines.Plan(), "profiles": b.profiles.Plan()} {
 				check(name, got, tc.maps)
 			}
 			check("community", b.community.Plan(), tc.set)
@@ -322,8 +313,8 @@ func TestDeclarationTable(t *testing.T) {
 
 // TestKindsAgreeOnOneOpSequence replays one seeded single-thread Table-2
 // sequence on every kind: the kinds differ in declarations only, so the
-// observable state must not differ at all — and, for the push-model kinds,
-// neither may a single timeline read. (One thread is one partition, so the
+// observable state must not differ at all — and neither may a single
+// timeline read. (One thread is one partition, so the
 // sequence is valid under DAP's contract too; MaxDegree stays below
 // FanoutLimit, so no delivery is cut at a set-iteration-order-dependent
 // point.)
@@ -369,10 +360,6 @@ func TestKindsAgreeOnOneOpSequence(t *testing.T) {
 	}
 	for _, kind := range allKinds[1:] {
 		got := replay(kind)
-		if kind == KindADAPTIVE {
-			// Pull model: same graph and groups, different delivery.
-			got.Timelines = want.Timelines
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s diverges from JUC on the same op sequence (users %d vs %d)", kind, got.Users, want.Users)
 		}

@@ -87,11 +87,8 @@ func owner(u UserID, threads int) int { return int(int64(u) % int64(threads)) }
 // reference, or the table program over the kind's declaration row (rowOf
 // panics on a kind that has none).
 func newBackend(kind Kind, p Params, reg *core.Registry) Backend {
-	switch kind {
-	case KindDAP:
+	if kind == KindDAP {
 		return newDAP(p.Threads)
-	case KindADAPTIVE:
-		return newAdaptiveBackend(p.Users, reg)
 	}
 	return newTableBackend(kind, p.Users, reg)
 }
