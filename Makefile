@@ -134,9 +134,10 @@ chaos-smoke:
 # The full test suite with coverage, atomic mode so the concurrent tests
 # count correctly; prints the total line into the log. CI runs this as its
 # one test pass (a separate `make test` would run the suite twice). It is
-# also where the serving path's allocation ceilings
-# (internal/server/alloc_test.go, //go:build !race) gate a PR: `make race`
-# cannot run them, the detector allocates on its own.
+# also where the two allocation-ceiling tables gate a PR — the serving
+# path's (internal/server/alloc_test.go) and construction plus the
+# Adjusted* hot paths (alloc_test.go) — both //go:build !race, so `make
+# race` skips them: the detector allocates on its own.
 cover:
 	$(GO) test -covermode=atomic -coverprofile=$(COVER_PROFILE) ./...
 	$(GO) tool cover -func=$(COVER_PROFILE) | tail -n 1

@@ -26,11 +26,13 @@
 // (SingleWriter, SingleReader, CommutingWriters), request adaptivity
 // (Adaptive, with Ranges or Fenced granularity) or tune the result (On,
 // Checked, WithHash, WithProbe, Capacity, Stripes, Buckets). The planner
-// maps the declared profile to a Table 1 object, cross-checks it against
-// the executable Definition 1 in the spec catalog, and picks the most
-// adjusted representation the declaration permits. Impossible combinations
-// fail at construction with an error wrapping ErrInvalidProfile. Every
-// constructed object reports its Plan.
+// names the Table 1 object the declared profile describes from its
+// narrowings and access mode alone, certifies it against the executable
+// Definition 1 in the spec catalog, and then picks the first — most
+// adjusted — representation in the datatype's row table whose modes,
+// needs and guard the declaration meets. Impossible combinations fail at
+// construction with an error wrapping ErrInvalidProfile. Every constructed
+// object reports its Plan.
 //
 // # Thread identity
 //

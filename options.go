@@ -19,15 +19,19 @@ import "cmp"
 //     planner picks, and never change which object is declared.
 //
 // Narrowings, restrictions and granularities that do not exist for a
-// datatype (WriteOnce on a map, Fenced on a counter, Checked on a plan
-// with no guard) make the whole profile invalid: the constructor returns
-// an error wrapping ErrInvalidProfile rather than guessing what was meant.
-// The sizing options (Capacity, Stripes, Buckets) are likewise rejected on
-// datatypes they can never size (queues, references); on the sized
-// datatypes they are hints, consumed where the planned representation has
-// the corresponding knob and harmlessly unused where it does not (e.g.
-// Capacity on an unrestricted Ordered plan — the lock-free list has no
-// preallocation).
+// datatype (WriteOnce on a map, Blind on a queue, Fenced or Ranges on a
+// counter) make the whole profile invalid, and so does a profile no
+// representation serves (SingleReader alone on a map, Checked on a plan
+// with no guard): the constructor returns an error wrapping
+// ErrInvalidProfile rather than guessing what was meant. Both rules are
+// data — one applicability table of the options each datatype takes, and
+// one row per representation stating the modes it serves, what it needs
+// and whether it carries a guard. The sizing options (Capacity, Stripes,
+// Buckets) are likewise rejected on datatypes they can never size (queues,
+// references); on the sized datatypes they are hints, consumed where the
+// planned representation has the corresponding knob and harmlessly unused
+// where it does not (e.g. Capacity on an unrestricted Ordered plan — the
+// lock-free list has no preallocation).
 type Option func(*profile)
 
 // An AdaptiveOption tunes the Adaptive declaration.
