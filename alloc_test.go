@@ -12,11 +12,14 @@ import "testing"
 //
 // Construction counts matter because a program may build one object per
 // user: the Retwis program plans one timeline queue per user. A segmented
-// Put of a present key pays one value box; an MPSC Offer pays one node.
+// Put of a present key pays one value box, of a fresh key the box and its
+// directory node (a set's empty value needs no box); an MPSC Offer pays one
+// node.
 func TestAllocCeilings(t *testing.T) {
 	reg := NewRegistry(8)
 	h := Must(reg.Register())
 	segmented := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
+	segSet := Must(Set[int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
 	flat := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16)))
 	recorded := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), WithUsageRecording()))
 	set := Must(Set[int](CommutingWriters(), On(reg), Capacity(16)))
@@ -27,6 +30,10 @@ func TestAllocCeilings(t *testing.T) {
 		recorded.Put(h, k, k)
 		set.Add(h, k)
 	}
+	if segmented.Plan().Rep != "SegmentedMap" || segSet.Plan().Rep != "SegmentedSet" {
+		t.Fatalf("segmented rows planned %s and %s", segmented.Plan().Rep, segSet.Plan().Rep)
+	}
+	fresh := 1 << 20 // keys above every key stored so far
 
 	for _, row := range []struct {
 		name    string
@@ -36,7 +43,7 @@ func TestAllocCeilings(t *testing.T) {
 		{"Queue(SingleReader())", 5, func() {
 			Must(Queue[int](SingleReader()))
 		}},
-		{"Map(CommutingWriters, On, Capacity, Buckets, WithHash)", 11, func() {
+		{"Map(CommutingWriters, On, Capacity, Buckets, WithHash)", 8, func() {
 			Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
 		}},
 		{"Set(CommutingWriters, On, Capacity)", 17, func() {
@@ -44,6 +51,8 @@ func TestAllocCeilings(t *testing.T) {
 		}},
 		{"segmented AdjustedMap.Get", 0, func() { segmented.Get(3) }},
 		{"segmented AdjustedMap.Put, present key", 1, func() { segmented.Put(h, 3, 4) }},
+		{"segmented AdjustedMap.Put, fresh key", 2, func() { fresh++; segmented.Put(h, fresh, 4) }},
+		{"segmented AdjustedSet.Add, fresh element", 1, func() { fresh++; segSet.Add(h, fresh) }},
 		{"flat AdjustedMap.Get and Put", 0, func() { flat.Get(3); flat.Put(h, 3, 4) }},
 		{"recorded AdjustedMap.Put", 0, func() { recorded.Put(h, 3, 4) }},
 		{"AdjustedSet.Contains", 0, func() { set.Contains(3) }},
