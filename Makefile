@@ -5,11 +5,12 @@ GO ?= go
 
 # Packages covered by the race-detector job: the adaptive machine, the
 # objects it migrates between (the flat open-addressing family included),
+# the segmentations and the sets built on the segmented map,
 # the serving layer (pipelined TCP clients against shards under forced
 # promote/demote flapping), the resilience layer (fault injection and
 # the chaos storm), and the open-loop load generator (clock goroutine
 # feeding a worker pool through a bounded queue).
-RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/skiplist/... ./internal/wire/... ./internal/server/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
+RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/segment/... ./internal/skiplist/... ./internal/wire/... ./internal/server/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
 
 # Tiny configuration for the bench-smoke job: catches harness bit-rot
 # without burning CI minutes; the JSON lands as a workflow artifact. The

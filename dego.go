@@ -62,8 +62,11 @@
 //   - MSQueue — Michael–Scott queue (the unadjusted baseline).
 //   - SWMRMap / SWMRSkipList / SWMRSet — single-writer multi-reader
 //     collections.
-//   - SegmentedMap / SegmentedSkipList / SegmentedSet — commuting-writers
-//     collections over extended segmentations (CWMR).
+//   - SegmentedMap / SegmentedSet — commuting-writers collections (CWMR):
+//     one lock-free directory whose entry holds the key, the thread it is
+//     bound to on first insert, and the value, so a lookup is one chain
+//     walk. SegmentedSkipList — the ordered one, over an extended
+//     segmentation of SWMR skip lists.
 //   - StripedMap / StripedSet — lock-striped baselines;
 //     ConcurrentSkipList — the lock-free CAS baseline.
 //   - FlatMap / FlatSWMRMap / FlatSet / FlatSWMRSet — preallocated

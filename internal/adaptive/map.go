@@ -41,8 +41,8 @@ type Map[K comparable, V any] struct {
 }
 
 // NewMap creates an adaptive map over a registry. stripes and capacity size
-// the cheap representation (and capacity the segments after promotion);
-// dirBuckets sizes the segmented directory. All three are per-object totals:
+// the cheap representation; dirBuckets sizes the segmented directory used
+// after promotion. All three are per-object totals:
 // with Policy.Ranges > 1 they are divided among the ranges. Pass a zero
 // Policy for the defaults.
 func NewMap[K comparable, V any](r *core.Registry, stripes, capacity, dirBuckets int,

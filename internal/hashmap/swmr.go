@@ -6,7 +6,8 @@
 //     with a single atomic store, exactly as described for SWMRHashMap.
 //   - Striped — the ConcurrentHashMap-style baseline: lock-striped buckets.
 //   - Segmented — the adjusted object (M2, CWMR), the paper's
-//     ExtendedSegmentedHashMap: an extended segmentation of SWMR maps.
+//     ExtendedSegmentedHashMap: one lock-free directory whose entry carries
+//     the key, the owner it is bound to (its segment) and the value box.
 package hashmap
 
 import (

@@ -53,9 +53,6 @@ func (e *Extended[K, S]) Find(key K) (*S, bool) {
 	return e.base.at(int(owner)), true
 }
 
-// Mine returns the calling thread's own segment.
-func (e *Extended[K, S]) Mine(h *core.Handle) *S { return e.base.Mine(h) }
-
 // ForEach visits every initialized segment until f returns false.
 func (e *Extended[K, S]) ForEach(f func(owner int, seg *S) bool) { e.base.ForEach(f) }
 

@@ -10,7 +10,9 @@
 //     lookup touches exactly one segment.
 //   - Extended: an item retains the segment where it was first stored, via
 //     an insert-only directory (the Go stand-in for the Java version's
-//     dedicated field inside the item).
+//     dedicated field inside the item). Only the segmented skip list
+//     (internal/skiplist) uses it; the segmented hash map keeps each binding
+//     in its own directory entries, next to the value (internal/hashmap).
 package segment
 
 import (

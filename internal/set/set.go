@@ -3,7 +3,7 @@
 //
 //   - SWMR — single-writer multi-reader hash set.
 //   - Segmented — the adjusted object (S3-style blind writes, CWMR), built
-//     on the extended segmentation.
+//     on the segmented hash map.
 //   - Striped — the lock-striped baseline (the ConcurrentSkipListSet stand-in
 //     for membership workloads; ordered iteration is provided by
 //     skiplist.Concurrent when needed).
@@ -47,7 +47,8 @@ func (s *SWMR[K]) Range(f func(x K) bool) {
 // ---------------------------------------------------------------------------
 
 // Segmented is the adjusted set (S3, CWMR): blind adds, removals and
-// membership tests over an extended segmentation.
+// membership tests over the segmented hash map (hashmap.Segmented), each
+// element bound to the thread that first added it.
 type Segmented[K comparable] struct {
 	m *hashmap.Segmented[K, struct{}]
 }
@@ -58,7 +59,7 @@ func NewSegmented[K comparable](r *core.Registry, capacity, dirBuckets int,
 	return &Segmented[K]{m: hashmap.NewSegmented[K, struct{}](r, capacity, dirBuckets, hash, checked)}
 }
 
-// Add inserts x into the caller's segment (or x's bound segment).
+// Add inserts x, binding it to the caller if it was never added before.
 func (s *Segmented[K]) Add(h *core.Handle, x K) { s.m.Put(h, x, struct{}{}) }
 
 // Remove deletes x, reporting whether it was present.

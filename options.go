@@ -135,9 +135,10 @@ func Capacity(n int) Option { return func(p *profile) { p.capacity = n } }
 // representation (SWMR, segmented).
 func Stripes(n int) Option { return func(p *profile) { p.stripes = n } }
 
-// Buckets sizes the segment directory of the extended segmentations
-// (default: twice the capacity). Applies to Map, Set and Ordered; a hint
-// on plans without a segment directory.
+// Buckets sizes the key directory of the segmented representations
+// (default: twice the capacity). The directory never grows, so size it for
+// the expected key count. Applies to Map, Set and Ordered; a hint on plans
+// without a key directory.
 func Buckets(n int) Option { return func(p *profile) { p.buckets = n } }
 
 // WithUsageRecording attaches a usage recorder to the constructed object:
