@@ -76,7 +76,7 @@ CHAOS_JSON = chaos-smoke.json
 
 COVER_PROFILE = coverage.out
 
-.PHONY: build test race bench-smoke bench-flat bench-compare server-smoke net-smoke openloop-smoke frontier-baseline frontier-compare advise-smoke chaos-smoke cover fmt fmt-check vet docs-check api api-check benchmark-check
+.PHONY: build test race bench-smoke bench-flat bench-compare server-smoke net-smoke openloop-smoke frontier-baseline frontier-compare advise-smoke chaos-smoke cover fuzz-smoke fmt fmt-check vet docs-check api api-check benchmark-check
 
 build:
 	$(GO) build ./...
@@ -142,6 +142,18 @@ chaos-smoke:
 cover:
 	$(GO) test -covermode=atomic -coverprofile=$(COVER_PROFILE) ./...
 	$(GO) tool cover -func=$(COVER_PROFILE) | tail -n 1
+
+# Fuzz smoke: ten seconds of coverage-guided fuzzing per codec target, on
+# top of the seed corpus every `go test` runs. -fuzz takes one target per
+# run; a failing input lands in internal/wire/testdata/fuzz/. Minimising a
+# new input is capped at 1 s: the buffer-edge seeds are 64 KiB, and
+# minimising a mutant of one under the default 60 s cap can take the whole
+# ten seconds.
+FUZZ_SMOKE_FLAGS = -run '^$$' -fuzztime 10s -fuzzminimizetime 1s
+
+fuzz-smoke:
+	$(GO) test $(FUZZ_SMOKE_FLAGS) -fuzz '^FuzzReadCommand$$' ./internal/wire
+	$(GO) test $(FUZZ_SMOKE_FLAGS) -fuzz '^FuzzReadReply$$' ./internal/wire
 
 # Documentation drift fails the build: every relative Markdown link must
 # resolve (cmd/docscheck) and every runnable Example must compile and print

@@ -150,6 +150,12 @@ type WireKV struct {
 	// position would end up at every position. Each is trimmed to
 	// wire.RetainTotal bytes of carried-over capacity between calls.
 	reps, elems []wire.Reply
+	// dirty is how many arena slots the last flush may have decoded into.
+	// elemExtra[i] is what arena slot i retained beyond its own header after
+	// the trim that last walked it, and extra is their sum.
+	dirty     int
+	elemExtra []int32
+	extra     int
 
 	retries    atomic.Uint64
 	reconnects atomic.Uint64
@@ -236,9 +242,12 @@ func (c *WireKV) attempt(cmds [][][]byte) ([]wire.Reply, error) {
 	return c.readReplies(len(cmds))
 }
 
+// replyBytes is what wire.TrimReplies counts for a Reply's own header.
+const replyBytes = int(unsafe.Sizeof(wire.Reply{}))
+
 // arenaMax is the element count past which the arena would be trimmed back
 // before its first use.
-const arenaMax = wire.RetainTotal / int(unsafe.Sizeof(wire.Reply{}))
+const arenaMax = wire.RetainTotal / replyBytes
 
 // readReplies decodes n replies into c.reps, array elements into c.elems.
 func (c *WireKV) readReplies(n int) ([]wire.Reply, error) {
@@ -246,13 +255,14 @@ func (c *WireKV) readReplies(n int) ([]wire.Reply, error) {
 		c.reps[i].Elems = nil // a window into the arena, not storage of its own
 	}
 	c.reps, _ = wire.TrimReplies(c.reps)
-	c.elems, _ = wire.TrimReplies(c.elems)
+	c.trimArena()
 	if cap(c.reps) < n {
 		c.reps = append(c.reps[:cap(c.reps)], make([]wire.Reply, n-cap(c.reps))...)
 	}
 	c.reps = c.reps[:n]
 
-	free := c.elems // empty, its capacity the arena's unused tail
+	free := c.elems        // empty, its capacity the arena's unused tail
+	c.dirty = cap(c.elems) // until the decode completes, any slot may be written
 	arrayed := 0
 	for i := range c.reps {
 		rep := &c.reps[i]
@@ -270,12 +280,44 @@ func (c *WireKV) readReplies(n int) ([]wire.Reply, error) {
 			free = nil
 		}
 	}
+	c.dirty = cap(c.elems) - cap(free)
 	if arrayed > cap(c.elems) && cap(c.elems) < arenaMax {
 		// Size the arena for this flush's arrays; the replies just decoded
 		// keep the old one alive for as long as they are valid.
 		c.elems = make([]wire.Reply, 0, min(arrayed, arenaMax))
+		c.elemExtra, c.extra, c.dirty = make([]int32, cap(c.elems)), 0, 0
 	}
 	return c.reps, nil
+}
+
+// trimArena leaves the arena exactly as wire.TrimReplies(c.elems) would, but
+// walks only the slots the last flush decoded into, so a one-LRANGE flush
+// costs 50 slots, not the whole arena. The untouched tail is already within
+// the bound: only a decode grows a slot, the last trim that walked each tail
+// slot dropped its oversized buffers, and nothing has written it since — so
+// elemExtra still says what it retains, and the arena's total is exact.
+func (c *WireKV) trimArena() {
+	c.walkArena(c.dirty)
+	c.dirty = 0
+	if cap(c.elems)*replyBytes+c.extra > wire.RetainTotal {
+		// Over the bound: cut where TrimReplies cuts, and count what it kept.
+		c.elems, _ = wire.TrimReplies(c.elems)
+		clear(c.elemExtra)
+		c.extra = 0
+		c.walkArena(cap(c.elems))
+	}
+}
+
+// walkArena trims arena slots [0, n) and brings their counts up to date.
+func (c *WireKV) walkArena(n int) {
+	for i := range n {
+		kept, b := wire.TrimReplies(c.elems[i : i+1 : i+1])
+		if cap(kept) == 0 {
+			b = replyBytes + wire.RetainTotal // over the bound on its own
+		}
+		c.extra += b - replyBytes - int(c.elemExtra[i])
+		c.elemExtra[i] = int32(b - replyBytes)
+	}
 }
 
 // ExecPipe implements KV with self-healing: transport failures on an

@@ -4,6 +4,7 @@ package server
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -34,20 +35,40 @@ func TestAllocCeilings(t *testing.T) {
 			}
 		}
 	}
+	elems := make([]wire.Reply, 50)
+	for i := range elems {
+		elems[i] = wire.BulkString(strconv.Itoa(1000+i) + ":" + strconv.Itoa(i))
+	}
+	timeline := wire.Array(elems...)
 	replyStream := func() func() {
 		var frame bytes.Buffer
 		w := wire.NewWriter(&frame)
-		elems := make([]wire.Reply, 50)
-		for i := range elems {
-			elems[i] = wire.BulkString(strconv.Itoa(1000+i) + ":" + strconv.Itoa(i))
-		}
-		w.WriteReply(wire.Array(elems...))
+		w.WriteReply(timeline)
 		w.WriteReply(wire.Int64(7))
 		w.Flush()
 		r := wire.NewReader(&loopReader{data: frame.Bytes()})
 		var dst wire.Reply
 		return func() {
 			if err := r.ReadReplyInto(&dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The encoders write into a buffer that bufio spills to io.Discard
+	// whenever it fills, so some of the measured frames straddle a spill.
+	replyEncode := func() func() {
+		w := wire.NewWriter(io.Discard)
+		return func() {
+			if err := w.WriteReply(timeline); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cmdEncode := func() func() {
+		w := wire.NewWriter(io.Discard)
+		zadd := [][]byte{[]byte("ZADD"), []byte("posts:123"), []byte("17"), []byte("123:17")}
+		return func() {
+			if err := w.WriteCommand(zadd...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -74,6 +95,8 @@ func TestAllocCeilings(t *testing.T) {
 	}{
 		{"wire.ReadCommandInto, recycled destination", 0, cmdStream},
 		{"wire.ReadReplyInto, 50-element array then an integer", 0, replyStream},
+		{"wire.Writer.WriteReply, 50-element array", 0, replyEncode},
+		{"wire.Writer.WriteCommand, 4-argument ZADD", 0, cmdEncode},
 		{"store.run, 38-command table-2 batch", 104, table2Batch},
 	} {
 		f := row.setup()

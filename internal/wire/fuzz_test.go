@@ -11,8 +11,8 @@ import (
 // The fuzz targets hold the package's central promise: malformed bytes never
 // panic the codec and never allocate attacker-sized buffers — every outcome
 // is a decoded frame, an io error, or a typed *ProtocolError whose message
-// is non-empty. CI runs the seed corpus on every `go test`; longer fuzzing
-// sessions run the same targets with `go test -fuzz`.
+// is non-empty. CI runs the seed corpus on every `go test`, and ten seconds
+// of each target in `make fuzz-smoke`.
 
 func checkDecodeErr(t *testing.T, err error) {
 	t.Helper()
@@ -50,6 +50,14 @@ func FuzzReadCommand(f *testing.F) {
 	// Shapes that change from one command to the next, so a recycled
 	// destination is shrunk, regrown and switched to the inline path.
 	f.Add([]byte("*4\r\n$4\r\nZADD\r\n$1\r\nz\r\n$1\r\n1\r\n$20\r\na-twenty-byte-member\r\n*1\r\n$4\r\nPING\r\nGET k\r\n*2\r\n$3\r\nGET\r\n$0\r\n\r\n"))
+	// The reader's buffer ending inside a payload, before its '\r' and
+	// before its '\n'; integer spellings strconv treats apart.
+	for _, at := range []int{strings.Index(full, "hello") + 2, len(full) - 2, len(full) - 1} {
+		f.Add(edgeStream(full, at, true))
+	}
+	f.Add([]byte("*+1\r\n$003\r\nGET\r\n*1\r\n$-0\r\n\r\n"))
+	f.Add([]byte("*1\r\n$1234567890123456789\r\n"))
+	f.Add([]byte("*1\r\n$9223372036854775808\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The same bytes through ReadCommand and through ReadCommandInto
 		// with a recycled, dirty destination: one parse, so identical
@@ -106,6 +114,16 @@ func FuzzReadReply(f *testing.F) {
 	f.Add([]byte("+OK\r"))
 	// Kinds that change from one reply to the next over one destination.
 	f.Add([]byte("*3\r\n$1\r\na\r\n$2\r\nbb\r\n*1\r\n:1\r\n:5\r\n$3\r\nxyz\r\n*0\r\n+OK\r\n*1\r\n$0\r\n\r\n$-1\r\n"))
+	// The reader's buffer ending inside a payload, before its '\r' and
+	// before its '\n'; integer spellings strconv treats apart.
+	bulk := "$12\r\nhello\r\nworld\r\n"
+	for _, at := range []int{strings.Index(bulk, "world"), len(bulk) - 2, len(bulk) - 1} {
+		f.Add(edgeStream(bulk, at, false))
+	}
+	f.Add([]byte(":+5\r\n:-0\r\n:007\r\n:123456789012345678\r\n:1234567890123456789\r\n:-9223372036854775808\r\n"))
+	for _, bad := range []string{":-\r\n", ":\r\n", ":9223372036854775808\r\n"} {
+		f.Add([]byte(bad))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, into := NewReader(bytes.NewReader(data)), NewReader(bytes.NewReader(data))
 		dst := dirtyReply()

@@ -46,11 +46,16 @@ func (r *Reader) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// readInt parses the decimal integer of a length or :integer line.
+// readInt parses the decimal integer of a length or :integer line: in
+// place when it is short enough not to overflow, otherwise through
+// strconv.ParseInt.
 func (r *Reader) readInt() (int64, error) {
 	line, err := r.readLine()
 	if err != nil {
 		return 0, err
+	}
+	if n, ok := parseShortInt(line); ok {
+		return n, nil
 	}
 	n, err := strconv.ParseInt(string(line), 10, 64)
 	if err != nil {
@@ -59,17 +64,55 @@ func (r *Reader) readInt() (int64, error) {
 	return n, nil
 }
 
+// parseShortInt parses an optional '-' and 1 to 18 decimal digits, too few
+// to overflow an int64. Anything else — a '+', 19 digits, garbage — reports
+// false and is left to strconv.ParseInt, so the accepted set and the error
+// text are strconv's.
+func parseShortInt(b []byte) (int64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	var n int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if neg {
+		n = -n
+	}
+	return n, true
+}
+
 // bulkChunk is how much readBulkPayload grows its buffer per read: the
 // allocation tracks the bytes that actually arrive, not the declared
 // length, so a truncated frame claiming MaxBulk costs one chunk, not 8 MiB.
 const bulkChunk = 64 << 10
 
 // readBulkPayload reads n payload bytes plus the line terminator into
-// buf's capacity, growing it a chunk at a time when it is too small. The
-// result is never nil, so an empty bulk stays distinguishable from null.
+// buf's capacity, growing it when it is too small. The result is never nil,
+// so an empty bulk stays distinguishable from null.
+//
+// A payload whose CRLF is already buffered is copied straight out of the
+// buffer. Any other — one that straddles the buffer's end, or ends in a bare
+// LF — is read a chunk at a time, growing buf by the bytes that arrive.
 func (r *Reader) readBulkPayload(buf []byte, n int64) ([]byte, error) {
 	if buf = buf[:0]; buf == nil {
 		buf = make([]byte, 0, min(n, bulkChunk))
+	}
+	if int64(r.br.Buffered()) >= n+2 {
+		// Neither Peek nor Discard can fail on bytes already buffered.
+		frame, _ := r.br.Peek(int(n) + 2)
+		if frame[n] == '\r' && frame[n+1] == '\n' {
+			buf = append(buf, frame[:n]...)
+			r.br.Discard(int(n) + 2)
+			return buf, nil
+		}
 	}
 	for int64(len(buf)) < n {
 		step := int(min(n-int64(len(buf)), bulkChunk))

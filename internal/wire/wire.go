@@ -28,6 +28,15 @@
 // per direction. TrimCommands and TrimReplies bound what recycled
 // destinations may keep between uses (RetainBuf, RetainTotal).
 //
+// Both directions work a frame at a time against bufio's buffer. The Writer
+// assembles a frame that fits the buffer's free space in place and commits
+// it with one write; the Reader parses integer lines in place and copies a
+// payload whose CRLF is already buffered straight out of the buffer. A frame
+// that straddles the buffer's edge — or an unusual one: a '+' or 19-digit
+// integer, a bare-LF terminator — takes the piecewise path, which accepts
+// and rejects exactly the same bytes, so the limits and error texts are the
+// same on both paths.
+//
 // Malformed input never panics: every framing violation surfaces as a
 // *ProtocolError (the fuzz tests in this package hold that line), and the
 // hard limits below bound what a hostile peer can make the codec allocate.

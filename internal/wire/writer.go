@@ -10,11 +10,20 @@ import (
 // reaches the connection until Flush, which is how the server turns one
 // pipeline batch into one outbound packet train. It is not safe for
 // concurrent use; a connection has exactly one writer goroutine.
+//
+// A frame that fits the buffer's free space is assembled in place, in
+// bufio's AvailableBuffer, and committed with one Write. A larger one goes
+// through bufio piece by piece, which flushes when the buffer fills and
+// writes a payload larger than the buffer straight to the stream.
 type Writer struct {
 	bw *bufio.Writer
-	// scratch avoids a strconv allocation per integer field.
-	scratch [24]byte
+	// scratch holds a header when the buffer's free space cannot.
+	scratch [maxIntLine]byte
 }
+
+// maxIntLine is the longest <prefix><int64>\r\n line: a type byte, 20 digits
+// with the sign, and CRLF.
+const maxIntLine = 1 + 20 + 2
 
 // NewWriter returns a Writer over w with the default 64 KiB buffer.
 func NewWriter(w io.Writer) *Writer {
@@ -43,19 +52,29 @@ func (w *Writer) writeCRLF() error {
 	return err
 }
 
-// writeIntLine emits <prefix><n>\r\n.
+// appendIntLine appends <prefix><n>\r\n.
+func appendIntLine(b []byte, prefix byte, n int64) []byte {
+	b = strconv.AppendInt(append(b, prefix), n, 10)
+	return append(b, '\r', '\n')
+}
+
+// writeIntLine emits <prefix><n>\r\n with one Write.
 func (w *Writer) writeIntLine(prefix byte, n int64) error {
-	if err := w.bw.WriteByte(prefix); err != nil {
-		return err
+	buf := w.bw.AvailableBuffer()
+	if cap(buf) < maxIntLine {
+		buf = w.scratch[:0]
 	}
-	if _, err := w.bw.Write(strconv.AppendInt(w.scratch[:0], n, 10)); err != nil {
-		return err
-	}
-	return w.writeCRLF()
+	_, err := w.bw.Write(appendIntLine(buf, prefix, n))
+	return err
 }
 
 // writeBulk emits $<len>\r\n<b>\r\n.
 func (w *Writer) writeBulk(b []byte) error {
+	if buf := w.bw.AvailableBuffer(); cap(buf) >= maxIntLine+len(b)+2 {
+		buf = append(appendIntLine(buf, '$', int64(len(b))), b...)
+		_, err := w.bw.Write(append(buf, '\r', '\n'))
+		return err
+	}
 	if err := w.writeIntLine('$', int64(len(b))); err != nil {
 		return err
 	}
@@ -65,17 +84,38 @@ func (w *Writer) writeBulk(b []byte) error {
 	return w.writeCRLF()
 }
 
+// writeLine emits <prefix><b>\r\n for a single-line payload (simple string,
+// error message).
+func (w *Writer) writeLine(prefix byte, b []byte) error {
+	b = sanitizeLine(b)
+	if buf := w.bw.AvailableBuffer(); cap(buf) >= len(b)+3 {
+		_, err := w.bw.Write(append(append(append(buf, prefix), b...), '\r', '\n'))
+		return err
+	}
+	if err := w.bw.WriteByte(prefix); err != nil {
+		return err
+	}
+	if _, err := w.bw.Write(b); err != nil {
+		return err
+	}
+	return w.writeCRLF()
+}
+
 // sanitizeLine replaces CR and LF in single-line payloads (simple strings,
-// error messages) so a crafted message cannot forge extra frames.
+// error messages) so a crafted message cannot forge extra frames. It copies
+// b once, at the first CR or LF, and returns b itself when there is none.
 func sanitizeLine(b []byte) []byte {
-	clean := b
+	var clean []byte
 	for i, c := range b {
 		if c == '\r' || c == '\n' {
-			if len(clean) == len(b) {
+			if clean == nil {
 				clean = append([]byte(nil), b...)
 			}
 			clean[i] = ' '
 		}
+	}
+	if clean == nil {
+		return b
 	}
 	return clean
 }
@@ -110,21 +150,9 @@ func (w *Writer) WriteCommandString(args ...string) error {
 func (w *Writer) WriteReply(r Reply) error {
 	switch r.Kind {
 	case KindSimple:
-		if err := w.bw.WriteByte('+'); err != nil {
-			return err
-		}
-		if _, err := w.bw.Write(sanitizeLine(r.Bulk)); err != nil {
-			return err
-		}
-		return w.writeCRLF()
+		return w.writeLine('+', r.Bulk)
 	case KindError:
-		if err := w.bw.WriteByte('-'); err != nil {
-			return err
-		}
-		if _, err := w.bw.Write(sanitizeLine(r.Bulk)); err != nil {
-			return err
-		}
-		return w.writeCRLF()
+		return w.writeLine('-', r.Bulk)
 	case KindInt:
 		return w.writeIntLine(':', r.Int)
 	case KindBulk:
