@@ -23,7 +23,9 @@ import (
 // LPUSH), the object header (SET), a member string (SADD, ZADD), INCR's
 // digits, one allocation inside the adaptive map's Put (every write), and a
 // fresh set body for every follow, because the unfollow that comes with it
-// empties the set and deletes the key.
+// empties the set and deletes the key. The timeline-read row pays the two
+// key strings and nothing else: running a shard's units under its lock,
+// inline or through the mailbox, allocates nothing.
 func TestAllocCeilings(t *testing.T) {
 	cmdStream := func() func() {
 		r := wire.NewReader(&loopReader{data: []byte("*4\r\n$4\r\nZADD\r\n$9\r\nposts:123\r\n$2\r\n17\r\n$6\r\n123:17\r\n*2\r\n$3\r\nGET\r\n$11\r\nprofile:123\r\n")})
@@ -73,9 +75,9 @@ func TestAllocCeilings(t *testing.T) {
 			}
 		}
 	}
-	table2Batch := func() func() {
+	storeRun := func(seed, cmds [][][]byte) func() {
 		st := newTestStore(t, StoreAdaptive, 2)
-		cmds := table2Commands(38)
+		st.ExecBatch(seed)
 		var sc scratch
 		return func() {
 			st.run(&sc, cmds)
@@ -86,6 +88,14 @@ func TestAllocCeilings(t *testing.T) {
 			}
 			sc.release()
 		}
+	}
+	table2Batch := func() func() { return storeRun(nil, table2Commands(38)) }
+	timelineRead := func() func() {
+		seed := [][][]byte{cmd("SET", "profile:7", "bio")}
+		for i := 0; i < 50; i++ {
+			seed = append(seed, cmd("LPUSH", "timeline:7", "7:"+strconv.Itoa(i)))
+		}
+		return storeRun(seed, [][][]byte{cmd("GET", "profile:7"), cmd("LRANGE", "timeline:7", "0", "49")})
 	}
 
 	for _, row := range []struct {
@@ -98,6 +108,7 @@ func TestAllocCeilings(t *testing.T) {
 		{"wire.Writer.WriteReply, 50-element array", 0, replyEncode},
 		{"wire.Writer.WriteCommand, 4-argument ZADD", 0, cmdEncode},
 		{"store.run, 38-command table-2 batch", 104, table2Batch},
+		{"store.run, GET profile + LRANGE timeline 0 49 read batch", 2, timelineRead},
 	} {
 		f := row.setup()
 		for i := 0; i < 64; i++ {

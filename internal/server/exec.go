@@ -42,7 +42,7 @@ const (
 	opZRangeByScore
 	opZRemRangeByScore
 	opFlush
-	// Debug opcodes (DEBUG PANIC / DEBUG SLEEP): deliberate shard-loop
+	// Debug opcodes (DEBUG PANIC / DEBUG SLEEP): deliberate shard
 	// crashes and stalls for the resilience tests.
 	opPanic
 	opSleep
@@ -205,9 +205,9 @@ func planCommand(args [][]byte, s *Store, units *[]unit) cmdPlan {
 		return inlinePlan(wire.Bulk([]byte(s.Info())))
 	case "DEBUG":
 		// The two redis DEBUG subcommands the resilience tests need: PANIC
-		// crashes inside a shard loop (proving execSafe's isolation), SLEEP
-		// holds one (proving Shutdown drains in-flight batches). Both route
-		// to shard 0; neither touches keys.
+		// crashes inside a shard execution (proving execSafe's isolation),
+		// SLEEP holds the shard's lock (proving Shutdown drains in-flight
+		// batches). Both route to shard 0; neither touches keys.
 		if len(args) == 2 && strings.EqualFold(string(args[1]), "PANIC") {
 			p := cmdPlan{first: len(*units), n: 1, agg: aggFirst}
 			*units = append(*units, unit{shard: 0, op: opPanic})

@@ -10,8 +10,8 @@ import (
 // flatShardMap adapts the planner's integer-keyed flat plan to the shard's
 // string-keyed view: keys hash to uint64 (stats.HashString) and each flat
 // slot holds a collision chain, so two strings sharing a hash coexist. The
-// profile declares SingleWriter — a shard map's only writer is its own
-// event loop — plus Capacity, which is exactly the flat gate: the planner
+// profile declares SingleWriter — a shard map's only writer is the holder
+// of its shard's lock — plus Capacity, which is exactly the flat gate: the planner
 // picks FlatSWMRMap (M2, SWMR) and certifies it, and the hot path probes
 // one preallocated slot array with no per-entry node allocation (chains
 // stay length one until a 64-bit hash collision, which at serving key
@@ -24,8 +24,8 @@ import (
 type flatShardMap struct {
 	m *dego.AdjustedMap[uint64, *chainEntry]
 	// n counts live string keys (the flat map's Len counts occupied hash
-	// slots, which undercounts by collided chains). Written by the owning
-	// shard loop, read by Store.Len from any goroutine.
+	// slots, which undercounts by collided chains). Written under the owning
+	// shard's lock, read by Store.Len from any goroutine.
 	n atomic.Int64
 }
 
@@ -69,7 +69,8 @@ func (f *flatShardMap) Contains(key string) bool {
 	return ok
 }
 
-// Put stores key → o. Owning shard loop only (the SWMR declaration).
+// Put stores key → o. Owning shard's lock holder only (the SWMR
+// declaration).
 func (f *flatShardMap) Put(h *dego.Handle, key string, o *object) {
 	hk := stats.HashString(key)
 	head, _ := f.m.Get(hk)
@@ -83,8 +84,8 @@ func (f *flatShardMap) Put(h *dego.Handle, key string, o *object) {
 	f.n.Add(1)
 }
 
-// Remove deletes key, reporting whether it was present. Owning shard loop
-// only.
+// Remove deletes key, reporting whether it was present. Owning shard's
+// lock holder only.
 func (f *flatShardMap) Remove(h *dego.Handle, key string) bool {
 	hk := stats.HashString(key)
 	head, ok := f.m.Get(hk)

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,14 +12,25 @@ import (
 )
 
 // TestRacePipelinedClientsVsForcedFlapping is the serving-layer analogue of
-// the engine's flapping race tests: pipelined TCP clients hammer a
-// single-shard adaptive store with mixed reads and writes while another
-// goroutine forces every range of the shard's map through
-// promote/demote cycles. The race detector checks the synchronization; the
-// final counter values check that no write was lost across transitions and
-// that per-connection pipeline order held. Wired into `make race` via
-// RACE_PKGS.
+// the engine's flapping race tests: pipelined TCP clients hammer an
+// adaptive store with mixed reads and writes while another goroutine forces
+// every range of every shard's map through promote/demote cycles. With one
+// shard, every batch contends for one lock; with two, batches span shards,
+// so shard units run both inline under a free lock and through the mailbox
+// of a taken one. The race detector checks the synchronization, including
+// the lock hand-over between connection goroutines and shard loops; each
+// GET of a client's counter must read the count its INCR just before it
+// returned, and the final counter values check that no write was lost
+// across transitions. Wired into `make race` via RACE_PKGS.
 func TestRacePipelinedClientsVsForcedFlapping(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			racePipelinedClients(t, shards)
+		})
+	}
+}
+
+func racePipelinedClients(t *testing.T, shards int) {
 	const (
 		clients  = 4
 		rounds   = 30
@@ -26,12 +38,9 @@ func TestRacePipelinedClientsVsForcedFlapping(t *testing.T) {
 	)
 
 	srv := startTestServer(t, Config{
-		Store: StoreConfig{Shards: 1, Kind: StoreAdaptive, Capacity: 512, Ranges: 4},
+		Store: StoreConfig{Shards: shards, Kind: StoreAdaptive, Capacity: 512, Ranges: 4},
 	})
-	ad := srv.Store().shards[0].obj.Adaptive()
-	if ad == nil {
-		t.Fatal("adaptive store has no adaptive engine")
-	}
+	st := srv.Store()
 
 	var stop atomic.Bool
 	var flips sync.WaitGroup
@@ -39,11 +48,11 @@ func TestRacePipelinedClientsVsForcedFlapping(t *testing.T) {
 	go func() {
 		defer flips.Done()
 		for !stop.Load() {
-			for i := 0; i < ad.Ranges(); i++ {
-				ad.ForcePromoteRange(i)
-			}
-			for i := 0; i < ad.Ranges(); i++ {
-				ad.ForceDemoteRange(i)
+			for i := 0; i < st.Shards(); i++ {
+				if !st.ForceFlapShard(i) {
+					t.Error("adaptive store has no adaptive engine")
+					return
+				}
 			}
 		}
 	}()
@@ -63,21 +72,19 @@ func TestRacePipelinedClientsVsForcedFlapping(t *testing.T) {
 			r, w := wire.NewReader(conn), wire.NewWriter(conn)
 			ctr := fmt.Sprintf("ctr:%d", cid)
 			for round := 0; round < rounds; round++ {
-				// One pipeline flush: INCR my counter, SET/GET a shared key,
-				// SADD a shared set — all on the single shard.
-				n := 0
+				// One pipeline flush: INCR my counter, SET a key, GET my
+				// counter, SADD a shared set.
 				for i := 0; i < pipeline; i++ {
 					w.WriteCommandString("INCR", ctr)
 					w.WriteCommandString("SET", fmt.Sprintf("k:%d:%d", cid, i), "v")
 					w.WriteCommandString("GET", ctr)
 					w.WriteCommandString("SADD", "shared", fmt.Sprintf("m%d", i))
-					n += 4
 				}
 				if err := w.Flush(); err != nil {
 					errs <- err
 					return
 				}
-				for i := 0; i < n; i++ {
+				for i := 0; i < 4*pipeline; i++ {
 					rep, err := r.ReadReply()
 					if err != nil {
 						errs <- fmt.Errorf("client %d round %d reply %d: %w", cid, round, i, err)
@@ -85,6 +92,12 @@ func TestRacePipelinedClientsVsForcedFlapping(t *testing.T) {
 					}
 					if rep.IsError() {
 						errs <- fmt.Errorf("client %d: error reply %v", cid, rep)
+						return
+					}
+					// The INCR and the GET after it both see this count.
+					count := int64(round*pipeline + i/4 + 1)
+					if (i%4 == 0 && rep.Int != count) || (i%4 == 2 && rep.Text() != strconv.FormatInt(count, 10)) {
+						errs <- fmt.Errorf("client %d round %d reply %d = %v, want count %d", cid, round, i, rep, count)
 						return
 					}
 				}
@@ -99,9 +112,8 @@ func TestRacePipelinedClientsVsForcedFlapping(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No increment lost, no pipeline reordered: each connection's counter
-	// saw exactly rounds*pipeline INCRs.
-	st := srv.Store()
+	// No increment lost: each connection's counter saw exactly
+	// rounds*pipeline INCRs.
 	for cid := 0; cid < clients; cid++ {
 		rep := st.Exec(cmd("GET", fmt.Sprintf("ctr:%d", cid)))
 		if want := fmt.Sprintf("%d", rounds*pipeline); rep.Text() != want {

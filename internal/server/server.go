@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/adjusted-objects/dego/internal/wire"
 )
@@ -75,7 +76,7 @@ type Stats struct {
 	IdleTimeouts    uint64 // connections closed by the idle/read deadline
 	SlowReaderDrops uint64 // connections dropped writing to a slow reader
 	ProtocolErrors  uint64 // framing violations answered and closed
-	Panics          uint64 // panics recovered (connection handlers + shard loops)
+	Panics          uint64 // panics recovered (connection handlers + shard executions)
 }
 
 // Server serves the RESP subset over TCP: accept loops hand each
@@ -127,7 +128,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Store() *Store { return s.store }
 
 // Stats snapshots the resilience counters. Panics sums connection-handler
-// recoveries and shard-loop recoveries.
+// recoveries and shard-execution recoveries.
 func (s *Server) Stats() Stats {
 	return Stats{
 		Accepted:        s.accepted.Load(),
@@ -200,9 +201,10 @@ func (s *Server) Close() error {
 // close immediately, and connections with a pipeline batch in flight
 // finish executing it and flush every reply before closing — a client
 // never sees EOF in the middle of a reply stream for a batch the server
-// accepted. Shard mailboxes drain through those completions; only then
-// does the store close. If ctx expires first the stragglers are closed
-// hard and ctx's error is returned.
+// accepted. Every batch those connections dispatched, inline or through a
+// shard mailbox, completes with them; only then does the store close. If
+// ctx expires first the stragglers are closed hard and ctx's error is
+// returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	return s.stop(ctx)
 }
@@ -257,8 +259,8 @@ func (s *Server) stop(ctx context.Context) error {
 	} else {
 		<-drained
 	}
-	// Every connection is done, so every accepted batch has cleared its
-	// shard mailbox: the store can close without cutting one off.
+	// Every connection is done, so every accepted batch has run: the store
+	// can close without cutting one off.
 	s.store.Close()
 	return err
 }
@@ -317,7 +319,13 @@ func (s *Server) forget(c *lifecycleConn) {
 type cmdSlots struct {
 	cmds     [][][]byte // this batch; cmds[len:cap] is storage earlier batches left
 	retained int        // bytes of storage carried into this batch, at most wire.RetainTotal
+	// extra[i] is what slot i retained beyond its own header after the
+	// reset that last walked it; len(extra) is cap(cmds) then.
+	extra []int
 }
+
+// slotHeader is what wire.TrimCommands counts for a slot's own header.
+const slotHeader = int(unsafe.Sizeof([][]byte(nil)))
 
 // read decodes the next command of the batch.
 func (s *cmdSlots) read(r *wire.Reader) error {
@@ -334,8 +342,42 @@ func (s *cmdSlots) read(r *wire.Reader) error {
 
 // reset ends the batch and trims what is carried over to the retention
 // bound, so one oversized frame is not pinned for the life of the connection.
+// It leaves the slots exactly as wire.TrimCommands(s.cmds) would, but walks
+// only the slots this batch decoded into, so a one-command batch costs one
+// slot, not every slot a deep pipeline once opened. The rest are already
+// within the bound: only a decode writes a slot, and the reset that last
+// walked each one dropped its oversized buffers and counted what it kept.
+// (A failed decode may have written the slot after the batch's last, but
+// a failed decode also ends the connection.)
 func (s *cmdSlots) reset() {
-	s.cmds, s.retained = wire.TrimCommands(s.cmds)
+	all := s.cmds[:cap(s.cmds)]
+	if grown := len(all) - len(s.extra); grown > 0 {
+		// Slots the array gained since the last reset: a header each.
+		s.retained += grown * slotHeader
+		s.extra = append(s.extra, make([]int, grown)...)
+	}
+	s.walk(len(s.cmds))
+	if s.retained > wire.RetainTotal {
+		// Over the bound: cut where TrimCommands cuts, and count what it kept.
+		s.cmds, _ = wire.TrimCommands(s.cmds)
+		s.retained, s.extra = cap(s.cmds)*slotHeader, make([]int, cap(s.cmds))
+		s.walk(cap(s.cmds))
+		return
+	}
+	s.cmds = all[:0]
+}
+
+// walk trims slots [0, n) and brings their counts up to date.
+func (s *cmdSlots) walk(n int) {
+	all := s.cmds[:cap(s.cmds)]
+	for i := range n {
+		kept, b := wire.TrimCommands(all[i : i+1 : i+1])
+		if cap(kept) == 0 {
+			b = slotHeader + wire.RetainTotal // over the bound on its own
+		}
+		s.retained += b - slotHeader - s.extra[i]
+		s.extra[i] = b - slotHeader
+	}
 }
 
 // handle runs one connection: read the first command blocking (bounded by

@@ -263,6 +263,47 @@ func TestStoreBatchOrderPerShard(t *testing.T) {
 	}
 }
 
+// TestStoreAfterCloseAnswersShutDown: once Close has returned, the caller
+// finds every shard's lock free and runs the units itself, and every unit,
+// in single- and multi-shard batches, must answer the shut-down error
+// rather than write through the released handle. Control verbs still
+// answer.
+func TestStoreAfterCloseAnswersShutDown(t *testing.T) {
+	const shutDown = "ERR store is shut down"
+	for _, shards := range []int{1, 4} {
+		st := newTestStore(t, StoreAdaptive, shards)
+		wantOK(t, st.Exec(cmd("SET", "k", "v")))
+		st.Close()
+
+		if rep := st.Exec(cmd("SET", "k", "w")); !rep.IsError() || rep.Text() != shutDown {
+			t.Fatalf("%d shards: SET after Close = %v, want -%s", shards, rep, shutDown)
+		}
+		batch := [][][]byte{cmd("PING")}
+		touched := map[int]bool{}
+		for i := 0; i < 8; i++ {
+			key := "k" + strconv.Itoa(i)
+			touched[st.ShardOf([]byte(key))] = true
+			batch = append(batch, cmd("SET", key, "v"), cmd("GET", key), cmd("LPUSH", "l"+key, "x"))
+		}
+		batch = append(batch, cmd("DEL", "k0", "k1", "k2", "k3"), cmd("FLUSHALL"), cmd("GET", "k"))
+		if len(touched) != shards {
+			t.Fatalf("%d shards: batch touches %d of them", shards, len(touched))
+		}
+		reps := st.ExecBatch(batch)
+		if reps[0].Text() != "PONG" {
+			t.Fatalf("%d shards: PING after Close = %v", shards, reps[0])
+		}
+		for i, rep := range reps[1:] {
+			if !rep.IsError() || rep.Text() != shutDown {
+				t.Fatalf("%d shards: %q after Close = %v, want -%s", shards, batch[i+1], rep, shutDown)
+			}
+		}
+		if n := st.Len(); n != 1 {
+			t.Fatalf("%d shards: %d keys after Close, want the 1 stored before", shards, n)
+		}
+	}
+}
+
 func dialTestServer(t *testing.T, srv *Server) (*wire.Reader, *wire.Writer, net.Conn) {
 	t.Helper()
 	c, err := net.Dial("tcp", srv.Addr().String())

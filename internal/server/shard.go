@@ -24,8 +24,9 @@ const (
 	objZSet
 )
 
-// object is one key's value. The struct itself is confined to the owning
-// shard goroutine: only the top-level map is a shared planner-built object.
+// object is one key's value. The struct itself is confined to the holder of
+// the owning shard's lock: only the top-level map is a shared planner-built
+// object.
 // Mutations never edit reply-visible memory in place — str is replaced
 // wholesale, list elements are immutable once pushed, set/zset replies are
 // materialized at execution time — so a reply assembled for an earlier
@@ -115,27 +116,31 @@ type shardMap interface {
 	Advise() (dego.Advice, bool)
 }
 
-// shard owns one slice of the keyspace: a planner-built map plus the
-// mailbox its event loop drains. All writes to obj go through the loop
-// goroutine's handle — the shard-confinement invariant.
+// shard owns one slice of the keyspace: a planner-built map, the lock whose
+// holder is the shard's writer, and the mailbox for batches that found the
+// lock taken. Whoever holds mu — a connection handler running its own batch,
+// or the shard's loop draining the mailbox — executes with the shard's one
+// handle h, so all writes to obj come from one identity, one holder at a
+// time: the shard-confinement invariant.
 type shard struct {
 	id    int
 	obj   shardMap
+	mu    sync.Mutex
+	h     *dego.Handle // the writer identity; used only under mu
 	mail  chan *batch
 	quit  chan struct{}
-	reg   *dego.Registry
-	store *Store // panic counter; set before the loop starts
+	store *Store // panic counter
 
-	// ops counts units this shard's loop has executed; written by the loop,
-	// read by Store.Info from any goroutine.
+	// ops counts units executed on this shard; written under mu, read by
+	// Store.Info from any goroutine.
 	ops atomic.Uint64
 }
 
 // planShardMap asks the planner for the shard's representation. The
 // commuting-writers declaration is certified by shard confinement: distinct
 // shards own distinct keys, so shard writes commute; the flat kind narrows
-// further to single-writer — each shard map's only writer is its own event
-// loop.
+// further to single-writer — each shard map's only writer is the holder of
+// its shard's lock, presenting the shard's one handle.
 func planShardMap(cfg StoreConfig, reg *dego.Registry) (shardMap, error) {
 	if cfg.Kind == StoreFlat {
 		return newFlatShardMap(cfg, reg)
@@ -164,32 +169,51 @@ func newShard(id int, st *Store) (*shard, error) {
 	return &shard{
 		id:    id,
 		obj:   m,
+		h:     st.reg.MustRegister(),
 		mail:  make(chan *batch),
 		quit:  make(chan struct{}),
-		reg:   st.reg,
 		store: st,
 	}, nil
 }
 
-// loop is the shard's event loop: it registers the shard's writer identity
-// on its own goroutine, then executes mailbox batches until quit. Dispatch
-// uses an unbuffered mailbox and selects on quit, so no sender can block on
-// a stopped loop.
+// loop drains the mailbox: each batch a dispatcher could not run itself
+// waits here for the lock and runs under it. On quit the loop takes the lock
+// before releasing the handle, so every batch that runs afterwards finds quit
+// closed and answers with an error instead of writing through a released
+// handle. Dispatch sends on an unbuffered mailbox and selects on quit, so no
+// sender can block on a stopped loop.
 func (sh *shard) loop() {
-	h := sh.reg.MustRegister()
-	defer h.Release()
 	for {
 		select {
 		case <-sh.quit:
+			sh.mu.Lock()
+			sh.h.Release()
+			sh.mu.Unlock()
 			return
 		case b := <-sh.mail:
-			for _, i := range b.idxs {
-				b.units[i].out = sh.execSafe(h, &b.units[i], b)
-			}
-			sh.ops.Add(uint64(len(b.idxs)))
-			b.wg.Done()
+			sh.mu.Lock()
+			sh.runLocked(b)
 		}
 	}
+}
+
+// runLocked executes b's units in order with sh.mu held, then releases the
+// lock and marks b done — on every path, a panic escaping execSafe included.
+func (sh *shard) runLocked(b *batch) {
+	defer b.wg.Done()
+	defer sh.mu.Unlock()
+	select {
+	case <-sh.quit:
+		for _, i := range b.idxs {
+			b.units[i].out = errShutDown
+		}
+		return
+	default:
+	}
+	for _, i := range b.idxs {
+		b.units[i].out = sh.execSafe(&b.units[i], b)
+	}
+	sh.ops.Add(uint64(len(b.idxs)))
 }
 
 func (sh *shard) get(key string) *object {
@@ -204,14 +228,15 @@ var wrongType = wire.Err("WRONGTYPE Operation against a key holding the wrong ki
 var errNotInt = wire.Err("ERR value is not an integer or out of range")
 var errNotFloat = wire.Err("ERR value is not a valid float")
 var errMinMax = wire.Err("ERR min or max is not a float")
+var errShutDown = wire.Err("ERR store is shut down")
 
 // execSafe runs one unit with panic isolation: a panic while executing a
 // command poisons that unit's reply (a typed protocol-error-derived error
-// reply, recorded on the store) instead of killing the shard's event loop —
-// one bad command cannot take the whole keyspace slice down. Keys the
+// reply, recorded on the store) instead of unwinding the lock holder — one
+// bad command cannot take the whole keyspace slice down. Keys the
 // panicking execution already mutated may be partially updated, the same
 // contract redis gives a script that dies mid-write.
-func (sh *shard) execSafe(h *dego.Handle, u *unit, b *batch) (rep wire.Reply) {
+func (sh *shard) execSafe(u *unit, b *batch) (rep wire.Reply) {
 	defer func() {
 		if p := recover(); p != nil {
 			pe := &wire.ProtocolError{
@@ -221,7 +246,7 @@ func (sh *shard) execSafe(h *dego.Handle, u *unit, b *batch) (rep wire.Reply) {
 			rep = wire.Errf("ERR Protocol error: %s", pe.Detail)
 		}
 	}()
-	return sh.exec(h, u, b)
+	return sh.exec(sh.h, u, b)
 }
 
 // exec runs one unit against the shard state. Every mutation ends in a
@@ -452,12 +477,12 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 		return wire.Int64(removed)
 
 	case opPanic:
-		// DEBUG PANIC: deliberate crash inside the shard loop, exercised by
+		// DEBUG PANIC: deliberate crash under the shard's lock, exercised by
 		// the resilience tests to prove execSafe's isolation.
 		panic("DEBUG PANIC requested")
 
 	case opSleep:
-		// DEBUG SLEEP <seconds>: hold the shard loop, so tests can have a
+		// DEBUG SLEEP <seconds>: hold the shard's lock, so tests can have a
 		// batch provably in flight while Shutdown drains.
 		secs, err := strconv.ParseFloat(string(u.args[0]), 64)
 		if err != nil || secs < 0 {

@@ -6,22 +6,23 @@
 // # Sharding and the shard-confinement invariant
 //
 // The keyspace is split across a fixed set of shards by key hash. Each
-// shard runs one event-loop goroutine that owns its slice of the keyspace:
-// every write to a key is executed by the owning shard's goroutine, never
-// by a connection goroutine. Connections parse pipelines, plan each command
-// into per-key units, hand each shard its units in one mailbox message per
-// pipeline batch, and assemble the replies in order.
+// shard has one lock, and the lock holder is the shard's writer: every
+// write to a key is executed by whoever holds the owning shard's lock,
+// presenting the shard's one registered handle. Connections parse
+// pipelines, plan each command into per-key units and group them per
+// shard; for each touched shard the connection goroutine takes the lock and
+// runs the units itself if the lock is free, or hands them to the shard's
+// event loop through its mailbox if not. Replies are assembled in order.
 //
 // This is the serving-layer mirror of the engine's range-confinement
 // invariant, and it is what certifies the store's representation choice:
 // distinct shards write distinct keys, so shard writes commute — exactly
 // the commuting-writers (CWMR) declaration the planner needs to hand each
 // shard an extended-segmentation or contention-adaptive map. The shard's
-// handle is the writer identity; connection goroutines never touch a dego
-// object directly.
+// handle is the writer identity, and only the lock holder uses it.
 //
 // Values inside a shard's map (the string/set/list/zset bodies) are plain
-// Go structures confined to the shard goroutine, the same deliberate
+// Go structures touched only under the shard's lock, the same deliberate
 // non-adjustment as retwis' inner follower sets: the top-level map is the
 // shared, planner-built object; interiors never cross a shard boundary.
 package server
@@ -49,7 +50,7 @@ const (
 	StoreStriped = "striped"
 	// StoreFlat plans the flat open-addressing family: each shard's keys are
 	// hashed to uint64 and the planner's preallocated single-writer flat map
-	// holds collision chains — a shard's event loop is its map's only
+	// holds collision chains — a shard's lock holder is its map's only
 	// writer, which is exactly the SWMR declaration the flat plan certifies.
 	StoreFlat = "flat"
 )
@@ -129,7 +130,7 @@ func (c *StoreConfig) fill() error {
 // Store is the sharded keyspace. It is safe for concurrent use: Exec and
 // ExecBatch may be called from any goroutine (connection handlers, the
 // in-process retwis client, tests); execution is serialized per shard by
-// the shard mailboxes.
+// the shard locks.
 type Store struct {
 	cfg    StoreConfig
 	reg    *dego.Registry
@@ -141,9 +142,9 @@ type Store struct {
 	// pool lends ExecBatch its scratch; connection handlers own theirs.
 	pool sync.Pool
 
-	// panics counts executions recovered inside shard loops; lastPanic
+	// panics counts shard executions recovered by execSafe; lastPanic
 	// holds the most recent one as a *wire.ProtocolError. A shard panic
-	// poisons one unit's reply, never the loop.
+	// poisons one unit's reply, never the lock holder.
 	panics    atomic.Uint64
 	lastPanic atomic.Pointer[wire.ProtocolError]
 
@@ -212,7 +213,8 @@ func (s *Store) Len() int {
 // Plan describes shard 0's planned representation (all shards share it).
 func (s *Store) Plan() dego.Plan { return s.shards[0].obj.Plan() }
 
-// PanicCount returns how many unit executions shard loops have recovered.
+// PanicCount returns how many unit executions have panicked and been
+// recovered.
 func (s *Store) PanicCount() uint64 { return s.panics.Load() }
 
 // Recording reports whether the shard maps carry usage recorders.
@@ -224,8 +226,8 @@ func (s *Store) SetStatsSource(fn func() Stats) { s.statsFn.Store(&fn) }
 
 // Advise runs the tuning advisor over every shard map's recorded usage.
 // ok is false when the store was built without StoreConfig.Record. The
-// expected shape is one SingleWriter recommendation per shard: the shard
-// event loop is its map's only writer, which is a stronger claim than the
+// expected shape is one SingleWriter recommendation per shard: the shard's
+// lock holder is its map's only writer, which is a stronger claim than the
 // CommutingWriters declaration the non-flat kinds hand the planner — the
 // advisor rediscovers, from observed traffic, that shard confinement
 // would certify (M2, SWMR) per shard.
@@ -316,13 +318,14 @@ func (s *Store) Exec(args [][]byte) wire.Reply {
 }
 
 // ExecBatch executes one pipeline batch: every command is planned, the
-// per-key units are handed to their owning shards in one mailbox message
-// per shard, and the replies come back in command order. Commands for
-// different shards execute concurrently; commands touching the same shard
-// execute in batch order (see docs/PROTOCOL.md, "Pipelining"). The replies
-// are the caller's to keep: the working memory is borrowed from a pool and
-// array elements are copied out of it before it goes back. The store keeps
-// no reference to cmds.
+// per-key units are grouped per owning shard and each group runs once under
+// that shard's lock — on the calling goroutine, or on the shard's loop when
+// the lock is taken — and the replies come back in command order. Commands
+// for different shards may execute concurrently; commands touching the same
+// shard execute in batch order (see docs/PROTOCOL.md, "Pipelining"). The
+// replies are the caller's to keep: the working memory is borrowed from a
+// pool and array elements are copied out of it before it goes back. The
+// store keeps no reference to cmds.
 func (s *Store) ExecBatch(cmds [][][]byte) []wire.Reply {
 	sc := s.pool.Get().(*scratch)
 	s.run(sc, cmds)
@@ -341,9 +344,9 @@ func (s *Store) ExecBatch(cmds [][][]byte) []wire.Reply {
 
 // scratch is the working memory of one pipeline batch: the command plans,
 // the units they expand to, and per shard the unit indexes and reply-element
-// arena its event loop works on. A connection handler owns one for its
-// lifetime and ExecBatch borrows one per call, so steady-state batches plan
-// and dispatch without allocating. Plan replies and unit replies may point
+// arena the shard's lock holder works on. A connection handler owns one for
+// its lifetime and ExecBatch borrows one per call, so steady-state batches
+// plan and dispatch without allocating. Plan replies and unit replies may point
 // into the arenas and into the commands' argument buffers; all of it is
 // valid from run until release.
 type scratch struct {
@@ -397,8 +400,11 @@ func (s *Store) run(sc *scratch, cmds [][][]byte) {
 }
 
 // dispatch groups sc's units by owning shard, preserving order within each
-// shard, sends each touched shard exactly one message, and waits for
-// completion.
+// shard, and hands each touched shard its batch once, in shard order: run
+// right here when the shard's lock is free, else sent to the shard's
+// mailbox, whose loop runs it under the lock. It then waits for every batch.
+// The caller holds at most one shard lock at a time, so dispatchers cannot
+// deadlock one another.
 func (s *Store) dispatch(sc *scratch) {
 	if len(sc.shards) != len(s.shards) {
 		sc.shards = make([]batch, len(s.shards))
@@ -419,13 +425,16 @@ func (s *Store) dispatch(sc *scratch) {
 		}
 		b.units, b.wg = sc.units, &sc.wg
 		sh := s.shards[shID]
+		if sh.mu.TryLock() {
+			sh.runLocked(b)
+			continue
+		}
 		select {
 		case sh.mail <- b:
 		case <-sh.quit:
-			for _, i := range b.idxs {
-				sc.units[i].out = wire.Err("ERR store is shut down")
-			}
-			sc.wg.Done()
+			// No loop to hand it to: runLocked answers the shut-down error.
+			sh.mu.Lock()
+			sh.runLocked(b)
 		}
 	}
 	sc.wg.Wait()
