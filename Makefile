@@ -5,11 +5,12 @@ GO ?= go
 
 # Packages covered by the race-detector job: the adaptive machine, the
 # objects it migrates between (the flat open-addressing family included),
-# the segmentations and the sets built on the segmented map,
-# the resilience layer (fault injection and the chaos storm), and the
-# open-loop load generator (clock goroutine feeding a worker pool through a
-# bounded queue).
-RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/segment/... ./internal/skiplist/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
+# the segmentations and the sets built on the segmented map, the queues
+# (their embedded sentinel is retired while producers may still hold it as
+# the tail), the resilience layer (fault injection and the chaos storm), and
+# the open-loop load generator (clock goroutine feeding a worker pool through
+# a bounded queue).
+RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/segment/... ./internal/skiplist/... ./internal/queue/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
 
 # The serving layer (pipelined TCP clients against shards under forced
 # promote/demote flapping) runs three times: a shard's writer is whoever
@@ -90,8 +91,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The root package's constructors share interned plans and recycled
+# profiles across goroutines, so the race job also runs the root test that
+# builds objects concurrently.
 race:
 	$(GO) test -race -short $(RACE_PKGS)
+	$(GO) test -race -short -run ConcurrentConstruction .
 	$(GO) test -race -short -count=3 $(RACE_SERVER_PKGS)
 
 bench-smoke:

@@ -29,7 +29,7 @@ type UsageTrace = usage.Trace
 
 // adviseObject runs the advisor over a wrapper's recorder; ok is false
 // when the object was constructed without WithUsageRecording.
-func adviseObject(plan Plan, rec *usage.Recorder) (Advice, bool) {
+func adviseObject(plan *Plan, rec *usage.Recorder) (Advice, bool) {
 	if rec == nil {
 		return Advice{}, false
 	}

@@ -2,7 +2,10 @@
 
 package dego
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Allocation ceilings of construction and of the facade's hot paths, per
 // call of the row's function. Timing on a shared box cannot hold a line;
@@ -11,7 +14,9 @@ import "testing"
 // the build tag; `make cover` runs this file.)
 //
 // Construction counts matter because a program may build one object per
-// user: the Retwis program plans one timeline queue per user. A segmented
+// user: the Retwis program plans one timeline queue per user, and a queue's
+// facade and representation are one allocation (its plan is interned, its
+// profile recycled). A segmented
 // Put of a present key pays one value box, of a fresh key the box and its
 // directory node (a set's empty value needs no box); an MPSC Offer pays one
 // node.
@@ -40,13 +45,13 @@ func TestAllocCeilings(t *testing.T) {
 		ceiling float64
 		f       func()
 	}{
-		{"Queue(SingleReader())", 5, func() {
+		{"Queue(SingleReader())", 1, func() {
 			Must(Queue[int](SingleReader()))
 		}},
-		{"Map(CommutingWriters, On, Capacity, Buckets, WithHash)", 8, func() {
+		{"Map(CommutingWriters, On, Capacity, Buckets, WithHash)", 6, func() {
 			Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
 		}},
-		{"Set(CommutingWriters, On, Capacity)", 17, func() {
+		{"Set(CommutingWriters, On, Capacity)", 15, func() {
 			Must(Set[int](CommutingWriters(), On(reg), Capacity(16)))
 		}},
 		{"segmented AdjustedMap.Get", 0, func() { segmented.Get(3) }},
@@ -65,6 +70,31 @@ func TestAllocCeilings(t *testing.T) {
 			t.Errorf("%s: %v allocations per run, ceiling %v", row.name, got, row.ceiling)
 		} else if got < row.ceiling {
 			t.Logf("%s: %v allocations per run, ceiling %v — lower the ceiling", row.name, got, row.ceiling)
+		}
+	}
+}
+
+// TestWrapperSizes pins each Adjusted* wrapper at what one object holds, in
+// machine words: an interned *Plan, the representation behind its planner
+// view (an interface, two words), the adaptive object where one is planned,
+// the probe and recorder it reports through, and a keyed object's recording
+// hash. A per-user object pays this on top of its representation.
+func TestWrapperSizes(t *testing.T) {
+	const word = unsafe.Sizeof(uintptr(0))
+	for _, row := range []struct {
+		name  string
+		size  uintptr
+		words uintptr
+	}{
+		{"AdjustedCounter", unsafe.Sizeof(AdjustedCounter{}), 6},
+		{"AdjustedMap", unsafe.Sizeof(AdjustedMap[int, int]{}), 7},
+		{"AdjustedSet", unsafe.Sizeof(AdjustedSet[int]{}), 7},
+		{"AdjustedOrdered", unsafe.Sizeof(AdjustedOrdered[int, int]{}), 7},
+		{"AdjustedQueue", unsafe.Sizeof(AdjustedQueue[int]{}), 5},
+		{"AdjustedRef", unsafe.Sizeof(AdjustedRef[int]{}), 4},
+	} {
+		if row.size != row.words*word {
+			t.Errorf("%s is %d bytes, want %d words (%d bytes)", row.name, row.size, row.words, row.words*word)
 		}
 	}
 }

@@ -182,3 +182,4 @@ type flatCounterRep struct{ c *flatmap.Counter }
 func (r flatCounterRep) Inc(h *Handle)              { r.c.Inc(h) }
 func (r flatCounterRep) Add(h *Handle, delta int64) { r.c.Add(h, delta) }
 func (r flatCounterRep) Get(*Handle) int64          { return r.c.Sum() }
+func (r flatCounterRep) unwrap() any                { return r.c }

@@ -20,23 +20,51 @@ type node[T any] struct {
 	next atomic.Pointer[node[T]]
 }
 
+// retire unlinks a queue's embedded sentinel once both the head and the
+// tail are past it. A heap node left behind is garbage, but the sentinel
+// lives as long as its queue, and its link would keep every node ever
+// enqueued reachable. It links to itself rather than to nil: a producer
+// still holding it as a stale tail must see a successor and move on, not
+// append to it.
+func (n *node[T]) retire() { n.next.Store(n) }
+
 // MS is the Michael–Scott queue (the JUC baseline). The zero value is not
-// usable; create with NewMS.
+// usable: create one with NewMS, or Init one in place.
 type MS[T any] struct {
-	head  atomic.Pointer[node[T]]
-	_     core.Pad
-	tail  atomic.Pointer[node[T]]
-	_     core.Pad
-	probe *contention.Probe
+	head     atomic.Pointer[node[T]]
+	_        core.Pad
+	tail     atomic.Pointer[node[T]]
+	_        core.Pad
+	probe    *contention.Probe
+	sentinel node[T]
 }
 
 // NewMS creates an empty queue; probe may be nil.
 func NewMS[T any](probe *contention.Probe) *MS[T] {
-	q := &MS[T]{probe: probe}
-	dummy := &node[T]{}
-	q.head.Store(dummy)
-	q.tail.Store(dummy)
+	q := new(MS[T])
+	q.Init(probe)
 	return q
+}
+
+// Init makes q an empty queue in place, so an owner can embed the queue
+// rather than point at it; probe may be nil. The queue starts on its
+// embedded sentinel and must not be copied afterwards.
+func (q *MS[T]) Init(probe *contention.Probe) {
+	q.probe = probe
+	q.head.Store(&q.sentinel)
+	q.tail.Store(&q.sentinel)
+}
+
+// front returns the head and the node after it (nil when the queue is
+// empty). A head that has just been retired may be the sentinel, which then
+// links to itself (see retire): re-read it.
+func (q *MS[T]) front() (head, next *node[T]) {
+	for {
+		head = q.head.Load()
+		if next = head.next.Load(); next != head {
+			return head, next
+		}
+	}
 }
 
 // Offer appends v to the tail.
@@ -62,8 +90,7 @@ func (q *MS[T]) Offer(v T) {
 func (q *MS[T]) Poll() (T, bool) {
 	var zero T
 	for {
-		head := q.head.Load()
-		next := head.next.Load()
+		head, next := q.front()
 		if next == nil {
 			return zero, false
 		}
@@ -73,6 +100,10 @@ func (q *MS[T]) Poll() (T, bool) {
 			q.tail.CompareAndSwap(tail, next)
 		}
 		if q.head.CompareAndSwap(head, next) {
+			if head == &q.sentinel {
+				// The tail is past it: helped above if it lagged.
+				head.retire()
+			}
 			// The value is not zeroed: a concurrent Peek may still be
 			// reading it (values are immutable after publication, so this
 			// is race-free; Java's CLQ nulls the item with a CAS instead).
@@ -85,7 +116,7 @@ func (q *MS[T]) Poll() (T, bool) {
 // Peek returns the head without removing it.
 func (q *MS[T]) Peek() (T, bool) {
 	var zero T
-	next := q.head.Load().next.Load()
+	_, next := q.front()
 	if next == nil {
 		return zero, false
 	}
@@ -93,12 +124,16 @@ func (q *MS[T]) Peek() (T, bool) {
 }
 
 // IsEmpty reports whether the queue has no elements.
-func (q *MS[T]) IsEmpty() bool { return q.head.Load().next.Load() == nil }
+func (q *MS[T]) IsEmpty() bool {
+	_, next := q.front()
+	return next == nil
+}
 
 // Len counts the elements in O(n), like ConcurrentLinkedQueue.size.
 func (q *MS[T]) Len() int {
 	n := 0
-	for cur := q.head.Load().next.Load(); cur != nil; cur = cur.next.Load() {
+	_, cur := q.front()
+	for ; cur != nil; cur = cur.next.Load() {
 		n++
 	}
 	return n
@@ -110,25 +145,33 @@ func (q *MS[T]) Len() int {
 // thread Polls. The consumer's head advance is a plain store — the paper's
 // "simpler mechanism to update the head when a single thread executes poll".
 type MPSC[T any] struct {
-	head  atomic.Pointer[node[T]]
-	_     core.Pad
-	tail  atomic.Pointer[node[T]]
-	_     core.Pad
-	probe *contention.Probe
-	guard *core.Guard
+	head     atomic.Pointer[node[T]]
+	_        core.Pad
+	tail     atomic.Pointer[node[T]]
+	_        core.Pad
+	probe    *contention.Probe
+	guard    *core.Guard
+	sentinel node[T]
 }
 
 // NewMPSC creates an empty queue. probe may be nil; when checked is true an
 // MWSR guard verifies the single-consumer role.
 func NewMPSC[T any](probe *contention.Probe, checked bool) *MPSC[T] {
-	q := &MPSC[T]{probe: probe}
-	dummy := &node[T]{}
-	q.head.Store(dummy)
-	q.tail.Store(dummy)
+	q := new(MPSC[T])
+	q.Init(probe, checked)
+	return q
+}
+
+// Init makes q an empty queue in place, so an owner can embed the queue
+// rather than point at it; see NewMPSC for the arguments. The queue starts
+// on its embedded sentinel and must not be copied afterwards.
+func (q *MPSC[T]) Init(probe *contention.Probe, checked bool) {
+	q.probe = probe
+	q.head.Store(&q.sentinel)
+	q.tail.Store(&q.sentinel)
 	if checked {
 		q.guard = core.NewGuard(core.ModeMWSR)
 	}
-	return q
 }
 
 // Offer appends v to the tail (identical to the Michael–Scott offer, as in
@@ -167,6 +210,11 @@ func (q *MPSC[T]) Poll(h *core.Handle) (T, bool) {
 	// Plain store: the consumer is the only head writer. Producers never
 	// read the head, so no CAS and no retry loop.
 	q.head.Store(next)
+	if head == &q.sentinel {
+		// The producer that linked next may not have moved the tail yet.
+		q.tail.CompareAndSwap(head, next)
+		head.retire()
+	}
 	return v, true
 }
 

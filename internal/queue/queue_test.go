@@ -2,6 +2,7 @@ package queue
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -280,6 +281,97 @@ func TestQueuesMatchOracleQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSentinelRetired: once the head and the tail have left a queue's
+// embedded sentinel, the sentinel links to itself, so the queue does not
+// keep every node it ever held reachable, and the MS reads see through it.
+func TestSentinelRetired(t *testing.T) {
+	h := core.NewRegistry(2).MustRegister()
+	ms, mp := NewMS[int](nil), NewMPSC[int](nil, false)
+	for i := 1; i <= 3; i++ {
+		ms.Offer(i)
+		mp.Offer(h, i)
+	}
+	ms.Poll()
+	mp.Poll(h)
+	for name, s := range map[string]*node[int]{"MS": &ms.sentinel, "MPSC": &mp.sentinel} {
+		if next := s.next.Load(); next != s {
+			t.Errorf("%s: polled-past sentinel links to %p, want itself", name, next)
+		}
+	}
+	if v, ok := ms.Peek(); !ok || v != 2 || ms.IsEmpty() || ms.Len() != 2 {
+		t.Fatalf("MS after retiring the sentinel: Peek = %d,%v, IsEmpty = %v, Len = %d", v, ok, ms.IsEmpty(), ms.Len())
+	}
+}
+
+// TestSentinelRetiredUnderProducers races the first Poll of fresh queues,
+// which retires the sentinel, against producers whose tail may still be the
+// sentinel: no element may be lost or duplicated, and the sentinel ends up
+// retired. MS runs two consumers that peek before they poll, so a stale
+// head meets a retired sentinel too.
+func TestSentinelRetiredUnderProducers(t *testing.T) {
+	const queues, producers, perP = 100, 2, 32
+	r := core.NewRegistry(producers + 1)
+	handles := make([]*core.Handle, producers+1)
+	for i := range handles {
+		handles[i] = r.MustRegister()
+	}
+	// run starts the producers and consumers of one queue together and
+	// returns how many elements the consumers took, and their sum.
+	run := func(offer func(h *core.Handle, v int), poll func(h *core.Handle) (int, bool), consumers int) (int, int) {
+		var wg sync.WaitGroup
+		var n, sum atomic.Int64
+		start := make(chan struct{})
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				<-start
+				for i := 1; i <= perP; i++ {
+					offer(handles[p], i)
+				}
+			}(p)
+		}
+		for c := 0; c < consumers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for n.Load() < producers*perP {
+					if v, ok := poll(handles[producers]); ok {
+						n.Add(1)
+						sum.Add(int64(v))
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		return int(n.Load()), int(sum.Load())
+	}
+	const wantSum = producers * perP * (perP + 1) / 2
+	for i := 0; i < queues; i++ {
+		ms := NewMS[int](nil)
+		pollMS := func(*core.Handle) (int, bool) {
+			// Elements are positive: a zero is the sentinel's value, read
+			// through a head retired under the reader.
+			if v, ok := ms.Peek(); ok && v == 0 {
+				t.Errorf("MS queue %d: Peek read the retired sentinel", i)
+			}
+			return ms.Poll()
+		}
+		if n, sum := run(func(_ *core.Handle, v int) { ms.Offer(v) }, pollMS, 2); n != producers*perP || sum != wantSum {
+			t.Fatalf("MS queue %d: took %d elements summing to %d, want %d summing to %d", i, n, sum, producers*perP, wantSum)
+		}
+		mp := NewMPSC[int](nil, false)
+		if n, sum := run(mp.Offer, mp.Poll, 1); n != producers*perP || sum != wantSum {
+			t.Fatalf("MPSC queue %d: took %d elements summing to %d, want %d summing to %d", i, n, sum, producers*perP, wantSum)
+		}
+		if ms.sentinel.next.Load() != &ms.sentinel || mp.sentinel.next.Load() != &mp.sentinel {
+			t.Fatalf("queue %d: sentinel not retired after draining", i)
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ func AdviseRun(p Params) ([]TableAdvice, error) {
 			// Fetched only now, after the timelines map gave its advice,
 			// so the lookup is not part of the recorded traffic.
 			q, _ := t.timelines.Get(0)
-			return q.(*dego.AdjustedQueue[Tweet]).Advise()
+			return q.Advise()
 		}},
 		{"posts:count", "", posts.Advise},
 		{"run:meta", "", meta.Advise},

@@ -18,7 +18,9 @@ import (
 // arrays for FLAT, the adaptive engine for ADAPTIVE — and the program never
 // learns which: DEGO is injected into an unchanged program, which is the
 // paper's claim. Every kind pays the identical facade, so a DEGO-vs-JUC
-// ratio compares representations, not call paths.
+// ratio compares representations, not call paths. That holds per user too:
+// each user's timeline is the *dego.AdjustedQueue its row declared, held as
+// declared (a queue's facade and representation are one allocation).
 //
 // The per-user inner sets (set.Locked) stay deliberately unadjusted and
 // un-planned (§6.3: adjusting them costs more in write amplification than
@@ -94,37 +96,6 @@ func table[V any](r row, capacity int) *dego.AdjustedMap[UserID, V] {
 	return dego.Must(dego.Map[UserID, V](r.sized(capacity)...))
 }
 
-// timeline is what the program needs of a user's timeline queue.
-// *dego.MPSCQueue and *dego.AdjustedQueue satisfy it as they are.
-type timeline interface {
-	Offer(h *core.Handle, t Tweet)
-	Poll(h *core.Handle) (Tweet, bool)
-}
-
-// msTimeline adapts the Michael–Scott baseline, which routes nothing by
-// thread identity and takes no handle.
-type msTimeline struct{ q *dego.MSQueue[Tweet] }
-
-func (m msTimeline) Offer(_ *core.Handle, t Tweet)   { m.q.Offer(t) }
-func (m msTimeline) Poll(*core.Handle) (Tweet, bool) { return m.q.Poll() }
-
-// bare strips a planned queue to its representation. A backend holds one
-// queue per user, and a retained facade per user is a measured cost (10–16 %
-// of Table-2 throughput, 10 % of peak RSS) that the five top-level tables'
-// facades are not; only a queue that carries a usage recorder keeps its
-// facade, because the recorder lives there.
-func bare(q *dego.AdjustedQueue[Tweet]) timeline {
-	if _, recorded := q.Advise(); !recorded {
-		switch r := q.Representation().(type) {
-		case *dego.MPSCQueue[Tweet]:
-			return r
-		case *dego.MSQueue[Tweet]:
-			return msTimeline{r}
-		}
-	}
-	return q
-}
-
 // tableBackend is the push-model Retwis program over one row of
 // declarations.
 type tableBackend struct {
@@ -132,7 +103,7 @@ type tableBackend struct {
 	row       row
 	followers *dego.AdjustedMap[UserID, *set.Locked[UserID]]
 	following *dego.AdjustedMap[UserID, *set.Locked[UserID]]
-	timelines *dego.AdjustedMap[UserID, timeline]
+	timelines *dego.AdjustedMap[UserID, *dego.AdjustedQueue[Tweet]]
 	profiles  *dego.AdjustedMap[UserID, *profile]
 	community *dego.AdjustedSet[UserID]
 }
@@ -144,7 +115,7 @@ func newTableBackend(kind Kind, users int, reg *core.Registry) *tableBackend {
 		row:       r,
 		followers: table[*set.Locked[UserID]](r, users),
 		following: table[*set.Locked[UserID]](r, users),
-		timelines: table[timeline](r, users),
+		timelines: table[*dego.AdjustedQueue[Tweet]](r, users),
 		profiles:  table[*profile](r, users),
 		community: dego.Must(dego.Set[UserID](r.sized(users/8 + 16)...)),
 	}
@@ -153,9 +124,9 @@ func newTableBackend(kind Kind, users int, reg *core.Registry) *tableBackend {
 func (b *tableBackend) Name() string { return b.name }
 
 func (b *tableBackend) AddUser(h *core.Handle, u UserID) {
-	b.followers.Put(h, u, set.NewLocked[UserID](4, nil))
-	b.following.Put(h, u, set.NewLocked[UserID](4, nil))
-	b.timelines.Put(h, u, bare(b.row.timeline(u)))
+	b.followers.Put(h, u, set.NewLocked[UserID](nil))
+	b.following.Put(h, u, set.NewLocked[UserID](nil))
+	b.timelines.Put(h, u, b.row.timeline(u))
 	b.profiles.Put(h, u, &profile{})
 }
 

@@ -29,6 +29,10 @@
 //     unsynchronized structures; the upper bound on parallel performance,
 //     and the one backend that is not the table program.
 //
+// Every table program holds what it declared: each user's timeline is the
+// *dego.AdjustedQueue its row planned, called through the same facade for
+// every kind.
+//
 // Each thread owns a partition of the users (consistent hashing degenerated
 // to the modulo ring, as ids are dense); an operation always executes on the
 // thread owning its acting user.

@@ -261,26 +261,23 @@ func TestRunPreservesInvariants(t *testing.T) {
 
 // TestDeclarationTable pins what the planner makes of each kind's row: a
 // row edit that silently changes the representation behind a figure (or the
-// declaration the advisor is scored against) fails here.
+// declaration the advisor is scored against) fails here. Every row stores
+// each user's timeline as the queue it declared, facade and all; only the
+// recorded row's user 0 carries a recorder.
 func TestDeclarationTable(t *testing.T) {
 	type plan struct{ rep, declared string }
 	for _, tc := range []struct {
-		kind            Kind
-		maps, set       plan
-		queue           plan
-		stored, stored0 string // dynamic type of a stored timeline (user 1, user 0)
-		recorded        bool
+		kind     Kind
+		maps     plan
+		set      plan
+		queue    plan
+		recorded bool
 	}{
-		{KindJUC, plan{"StripedMap", "(M1, ALL)"}, plan{"StripedSet", "(S1, ALL)"},
-			plan{"MSQueue", "(Q1, ALL)"}, "retwis.msTimeline", "retwis.msTimeline", false},
-		{KindDEGO, plan{"SegmentedMap", "(M2, CWMR)"}, plan{"SegmentedSet", "(S3, CWMR)"},
-			plan{"MPSCQueue", "(Q1, MWSR)"}, "*queue.MPSC[", "*queue.MPSC[", false},
-		{KindFLAT, plan{"FlatMap", "(M2, CWMR)"}, plan{"FlatSet", "(S3, CWMR)"},
-			plan{"MPSCQueue", "(Q1, MWSR)"}, "*queue.MPSC[", "*queue.MPSC[", false},
-		{kindRecorded, plan{"StripedMap", "(M1, ALL)"}, plan{"StripedSet", "(S1, ALL)"},
-			plan{"MSQueue", "(Q1, ALL)"}, "retwis.msTimeline", "*dego.AdjustedQueue[", true},
-		{KindADAPTIVE, plan{"AdaptiveMap", "(M2, CWMR)"}, plan{"AdaptiveSet", "(S3, CWMR)"},
-			plan{"MPSCQueue", "(Q1, MWSR)"}, "*queue.MPSC[", "*queue.MPSC[", false},
+		{KindJUC, plan{"StripedMap", "(M1, ALL)"}, plan{"StripedSet", "(S1, ALL)"}, plan{"MSQueue", "(Q1, ALL)"}, false},
+		{KindDEGO, plan{"SegmentedMap", "(M2, CWMR)"}, plan{"SegmentedSet", "(S3, CWMR)"}, plan{"MPSCQueue", "(Q1, MWSR)"}, false},
+		{KindFLAT, plan{"FlatMap", "(M2, CWMR)"}, plan{"FlatSet", "(S3, CWMR)"}, plan{"MPSCQueue", "(Q1, MWSR)"}, false},
+		{kindRecorded, plan{"StripedMap", "(M1, ALL)"}, plan{"StripedSet", "(S1, ALL)"}, plan{"MSQueue", "(Q1, ALL)"}, true},
+		{KindADAPTIVE, plan{"AdaptiveMap", "(M2, CWMR)"}, plan{"AdaptiveSet", "(S3, CWMR)"}, plan{"MPSCQueue", "(Q1, MWSR)"}, false},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			reg := core.NewRegistry(16)
@@ -292,11 +289,14 @@ func TestDeclarationTable(t *testing.T) {
 				}
 			}
 			b := built.(*tableBackend)
-			check("timeline queue", b.row.timeline(1).Plan(), tc.queue)
-			for u, want := range map[UserID]string{1: tc.stored, 0: tc.stored0} {
-				q, _ := b.timelines.Get(u)
-				if got := fmt.Sprintf("%T", q); !strings.HasPrefix(got, want) {
-					t.Errorf("timeline of user %d stored as %s, want %s…", u, got, want)
+			for _, u := range []UserID{0, 1} {
+				q, ok := b.timelines.Get(u)
+				if !ok {
+					t.Fatalf("user %d has no timeline", u)
+				}
+				check(fmt.Sprintf("timeline of user %d", u), q.Plan(), tc.queue)
+				if _, rec := q.Advise(); rec != (tc.recorded && u == 0) {
+					t.Errorf("timeline of user %d carries a usage recorder = %v", u, rec)
 				}
 			}
 			for name, got := range map[string]dego.Plan{"followers": b.followers.Plan(), "following": b.following.Plan(),

@@ -112,7 +112,8 @@ func (s *Striped[K]) Range(f func(x K) bool) {
 // (e.g. one user's followers): one lock, one map, no cache-line padding.
 // Padding per-entity sets would multiply allocation volume for objects that
 // are rarely contended individually — exactly the write-amplification trap
-// §6.3 warns about.
+// §6.3 warns about. For the same reason the map is made by the first Add:
+// many entities never get an element.
 type Locked[K comparable] struct {
 	mu    sync.Mutex
 	m     map[K]struct{}
@@ -120,8 +121,8 @@ type Locked[K comparable] struct {
 }
 
 // NewLocked creates a locked set; probe may be nil.
-func NewLocked[K comparable](capacity int, probe *contention.Probe) *Locked[K] {
-	return &Locked[K]{m: make(map[K]struct{}, capacity), probe: probe}
+func NewLocked[K comparable](probe *contention.Probe) *Locked[K] {
+	return &Locked[K]{probe: probe}
 }
 
 func (s *Locked[K]) lock() {
@@ -134,6 +135,9 @@ func (s *Locked[K]) lock() {
 // Add inserts x.
 func (s *Locked[K]) Add(x K) {
 	s.lock()
+	if s.m == nil {
+		s.m = make(map[K]struct{})
+	}
 	s.m[x] = struct{}{}
 	s.mu.Unlock()
 }

@@ -49,6 +49,14 @@ func (a strS) contains(x int) bool  { return a.s.Contains(x) }
 func (a strS) len() int             { return a.s.Len() }
 func (a strS) rng(f func(int) bool) { a.s.Range(f) }
 
+type lockedS struct{ s *Locked[int] }
+
+func (a lockedS) add(x int)            { a.s.Add(x) }
+func (a lockedS) remove(x int) bool    { return a.s.Remove(x) }
+func (a lockedS) contains(x int) bool  { return a.s.Contains(x) }
+func (a lockedS) len() int             { return a.s.Len() }
+func (a lockedS) rng(f func(int) bool) { a.s.Range(f) }
+
 func eachSet(t *testing.T, f func(t *testing.T, s setAPI)) {
 	t.Helper()
 	t.Run("SWMR", func(t *testing.T) {
@@ -62,13 +70,19 @@ func eachSet(t *testing.T, f func(t *testing.T, s setAPI)) {
 	t.Run("Striped", func(t *testing.T) {
 		f(t, strS{NewStriped[int](16, 64, intHash, nil)})
 	})
+	t.Run("Locked", func(t *testing.T) {
+		f(t, lockedS{NewLocked[int](nil)})
+	})
 }
 
 func TestSetBasics(t *testing.T) {
 	eachSet(t, func(t *testing.T, s setAPI) {
-		if s.contains(1) {
+		// Every method but Add first runs on a set that never had an
+		// element (Locked makes its map at the first Add).
+		if s.contains(1) || s.remove(1) || s.len() != 0 {
 			t.Fatal("fresh set must be empty")
 		}
+		s.rng(func(int) bool { t.Fatal("Range visited an element of a fresh set"); return false })
 		s.add(1)
 		s.add(2)
 		s.add(1) // idempotent

@@ -65,7 +65,18 @@ func FamilyBase(label string) (string, bool) {
 	return base, ok
 }
 
-var adjustCache sync.Map // "label/mode" -> error (possibly nil)
+// adjustKey is one declared object ValidateAdjustment has checked.
+type adjustKey struct {
+	label string
+	mode  core.Mode
+}
+
+// adjustCache holds ValidateAdjustment's results (a nil error included). A
+// hit allocates nothing: the key is a struct, not a built string.
+var adjustCache struct {
+	sync.RWMutex
+	m map[adjustKey]error
+}
 
 // ValidateAdjustment checks Definition 1 for the declared object
 // (label, mode) against its family base at mode ALL, with the default
@@ -75,15 +86,20 @@ var adjustCache sync.Map // "label/mode" -> error (possibly nil)
 // substitute a scalable representation. Results are cached: the subtype
 // check enumerates reachable states, and construction sites may be hot.
 func ValidateAdjustment(label string, mode core.Mode) error {
-	key := label + "/" + mode.String()
-	if err, ok := adjustCache.Load(key); ok {
-		if err == nil {
-			return nil
-		}
-		return err.(error)
+	key := adjustKey{label, mode}
+	adjustCache.RLock()
+	err, ok := adjustCache.m[key]
+	adjustCache.RUnlock()
+	if ok {
+		return err
 	}
-	err := validateAdjustment(label, mode)
-	adjustCache.LoadOrStore(key, err)
+	err = validateAdjustment(label, mode)
+	adjustCache.Lock()
+	if adjustCache.m == nil {
+		adjustCache.m = make(map[adjustKey]error)
+	}
+	adjustCache.m[key] = err
+	adjustCache.Unlock()
 	return err
 }
 

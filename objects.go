@@ -27,6 +27,22 @@ import (
 // an Adjusted* wrapper exposing the narrowed interface, the Plan that was
 // made, and — for audits, benchmarks and migrations — the underlying
 // representation.
+//
+// A wrapper holds what a program may keep one of per user: the
+// representation behind its planner view, a pointer to the interned Plan,
+// and the probe and recorder it reports through.
+
+// An adapter fits a representation whose methods differ from its
+// datatype's planner view; unwrap returns the representation it adapts.
+type adapter interface{ unwrap() any }
+
+// unwrap returns the representation behind a planner view.
+func unwrap(rep any) any {
+	if a, ok := rep.(adapter); ok {
+		return a.unwrap()
+	}
+	return rep
+}
 
 // ---------------------------------------------------------------------------
 // Counter
@@ -44,6 +60,7 @@ type atomicCounterRep struct{ a *counter.Atomic }
 func (r atomicCounterRep) Inc(*Handle)                { r.a.IncrementAndGet() }
 func (r atomicCounterRep) Add(_ *Handle, delta int64) { r.a.AddAndGet(delta) }
 func (r atomicCounterRep) Get(*Handle) int64          { return r.a.Get() }
+func (r atomicCounterRep) unwrap() any                { return r.a }
 
 // adderCounterRep adapts the striped adder (reads sum every cell, any
 // thread).
@@ -52,15 +69,15 @@ type adderCounterRep struct{ a *counter.Adder }
 func (r adderCounterRep) Inc(h *Handle)              { r.a.Inc(h) }
 func (r adderCounterRep) Add(h *Handle, delta int64) { r.a.Add(h, delta) }
 func (r adderCounterRep) Get(*Handle) int64          { return r.a.Sum() }
+func (r adderCounterRep) unwrap() any                { return r.a }
 
 // AdjustedCounter is a counter built from a declared profile. Its interface
 // is the narrowed one every dego counter representation shares — blind
 // increments, a read — so the planner may substitute any representation the
 // declaration permits.
 type AdjustedCounter struct {
-	plan  Plan
+	plan  *Plan
 	rep   counterRep
-	raw   any
 	ad    *AdaptiveCounter
 	probe *Probe
 	rec   *usage.Recorder
@@ -92,7 +109,7 @@ func (c *AdjustedCounter) Get(h *Handle) int64 {
 }
 
 // Plan returns the planner's decision for this object.
-func (c *AdjustedCounter) Plan() Plan { return c.plan }
+func (c *AdjustedCounter) Plan() Plan { return *c.plan }
 
 // Adaptive returns the underlying contention-adaptive counter when the
 // profile declared Adaptive, else nil.
@@ -100,7 +117,7 @@ func (c *AdjustedCounter) Adaptive() *AdaptiveCounter { return c.ad }
 
 // Representation returns the underlying representation (e.g.
 // *dego.AtomicCounter, *dego.Adder) for audits and rep-specific access.
-func (c *AdjustedCounter) Representation() any { return c.raw }
+func (c *AdjustedCounter) Representation() any { return unwrap(c.rep) }
 
 // Probe returns the contention probe observing this object: the adaptive
 // probe when planned adaptive, else the WithProbe one (possibly nil).
@@ -137,23 +154,19 @@ func Counter(opts ...Option) (*AdjustedCounter, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &AdjustedCounter{plan: plan, probe: p.probe, rec: p.recorder(4)}
+	c := &AdjustedCounter{plan: intern(plan), probe: p.probe, rec: p.recorder(4)}
 	switch plan.Rep {
 	case "AdaptiveCounter":
 		c.ad = adaptive.NewCounter(p.reg(), p.resolvedPolicy())
-		c.rep, c.raw, c.probe = c.ad, c.ad, c.ad.Probe()
+		c.rep, c.probe = c.ad, c.ad.Probe()
 	case "IncrementOnlyCounter":
-		rep := counter.NewIncrementOnly(p.reg(), p.checked)
-		c.rep, c.raw = rep, rep
+		c.rep = counter.NewIncrementOnly(p.reg(), p.checked)
 	case "FlatCounter":
-		rep := flatmap.NewCounter(p.capacity)
-		c.rep, c.raw = flatCounterRep{rep}, rep
+		c.rep = flatCounterRep{flatmap.NewCounter(p.capacity)}
 	case "Adder":
-		rep := counter.NewAdder(p.capacityOr(runtime.GOMAXPROCS(0)), p.probe)
-		c.rep, c.raw = adderCounterRep{rep}, rep
+		c.rep = adderCounterRep{counter.NewAdder(p.capacityOr(runtime.GOMAXPROCS(0)), p.probe)}
 	default: // AtomicCounter
-		rep := counter.NewAtomic(p.probe)
-		c.rep, c.raw = atomicCounterRep{rep}, rep
+		c.rep = atomicCounterRep{counter.NewAtomic(p.probe)}
 	}
 	return c, nil
 }
@@ -182,14 +195,14 @@ func (r stripedMapRep[K, V]) Remove(_ *Handle, k K) bool { return r.m.Remove(k) 
 func (r stripedMapRep[K, V]) Contains(k K) bool          { return r.m.Contains(k) }
 func (r stripedMapRep[K, V]) Len() int                   { return r.m.Len() }
 func (r stripedMapRep[K, V]) Range(f func(K, V) bool)    { r.m.Range(f) }
+func (r stripedMapRep[K, V]) unwrap() any                { return r.m }
 
 // AdjustedMap is a hash map built from a declared profile. Writes are
 // handle-routed (representations that do not route by thread ignore the
 // handle), reads are unrestricted unless the profile says otherwise.
 type AdjustedMap[K comparable, V any] struct {
-	plan    Plan
+	plan    *Plan
 	rep     mapRep[K, V]
-	raw     any
 	ad      *AdaptiveMap[K, V]
 	probe   *Probe
 	rec     *usage.Recorder
@@ -245,7 +258,7 @@ func (m *AdjustedMap[K, V]) Range(f func(key K, val V) bool) {
 }
 
 // Plan returns the planner's decision for this object.
-func (m *AdjustedMap[K, V]) Plan() Plan { return m.plan }
+func (m *AdjustedMap[K, V]) Plan() Plan { return *m.plan }
 
 // Adaptive returns the underlying contention-adaptive map when the profile
 // declared Adaptive, else nil.
@@ -253,7 +266,7 @@ func (m *AdjustedMap[K, V]) Adaptive() *AdaptiveMap[K, V] { return m.ad }
 
 // Representation returns the underlying representation (e.g.
 // *dego.SegmentedMap[K, V]).
-func (m *AdjustedMap[K, V]) Representation() any { return m.raw }
+func (m *AdjustedMap[K, V]) Representation() any { return unwrap(m.rep) }
 
 // Probe returns the contention probe observing this object.
 func (m *AdjustedMap[K, V]) Probe() *Probe { return m.probe }
@@ -293,34 +306,30 @@ func Map[K comparable, V any](opts ...Option) (*AdjustedMap[K, V], error) {
 	if err != nil {
 		return nil, err
 	}
-	hash, rec, recHash, err := keyed[K](dt, p, row)
+	hash, rec, recHash, err := keyed[K](dt, &p, row)
 	if err != nil {
 		return nil, err
 	}
 	capacity := p.capacityOr(1024)
 	buckets := p.bucketsOr(capacity * 2)
-	m := &AdjustedMap[K, V]{plan: plan, probe: p.probe, rec: rec, recHash: recHash}
-	m.plan.Ranges = 1
+	m := &AdjustedMap[K, V]{probe: p.probe, rec: rec, recHash: recHash}
+	plan.Ranges = 1
 	switch plan.Rep {
 	case "FlatSWMRMap":
-		rep := newFlatSWMRMap[K, V](enc, dec, p.capacity, p.checked)
-		m.rep, m.raw = rep, rep
+		m.rep = newFlatSWMRMap[K, V](enc, dec, p.capacity, p.checked)
 	case "FlatMap":
-		rep := newFlatMap[K, V](enc, dec, p.capacity)
-		m.rep, m.raw = rep, rep
+		m.rep = newFlatMap[K, V](enc, dec, p.capacity)
 	case "AdaptiveMap":
 		m.ad = adaptive.NewMap[K, V](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
-		m.rep, m.raw, m.probe, m.plan.Ranges = m.ad, m.ad, m.ad.Probe(), m.ad.Ranges()
+		m.rep, m.probe, plan.Ranges = m.ad, m.ad.Probe(), m.ad.Ranges()
 	case "SegmentedMap":
-		rep := hashmap.NewSegmented[K, V](p.reg(), capacity, buckets, hash, p.checked)
-		m.rep, m.raw = rep, rep
+		m.rep = hashmap.NewSegmented[K, V](p.reg(), capacity, buckets, hash, p.checked)
 	case "SWMRMap":
-		rep := hashmap.NewSWMR[K, V](capacity, hash, p.checked)
-		m.rep, m.raw = rep, rep
+		m.rep = hashmap.NewSWMR[K, V](capacity, hash, p.checked)
 	default: // StripedMap
-		rep := hashmap.NewStriped[K, V](p.stripesOr(256), capacity, hash, p.probe)
-		m.rep, m.raw = stripedMapRep[K, V]{rep}, rep
+		m.rep = stripedMapRep[K, V]{hashmap.NewStriped[K, V](p.stripesOr(256), capacity, hash, p.probe)}
 	}
+	m.plan = intern(plan)
 	return m, nil
 }
 
@@ -343,12 +352,12 @@ func (r stripedSetRep[K]) Remove(_ *Handle, x K) bool { return r.s.Remove(x) }
 func (r stripedSetRep[K]) Contains(x K) bool          { return r.s.Contains(x) }
 func (r stripedSetRep[K]) Len() int                   { return r.s.Len() }
 func (r stripedSetRep[K]) Range(f func(K) bool)       { r.s.Range(f) }
+func (r stripedSetRep[K]) unwrap() any                { return r.s }
 
 // AdjustedSet is a membership set built from a declared profile.
 type AdjustedSet[K comparable] struct {
-	plan    Plan
+	plan    *Plan
 	rep     setRep[K]
-	raw     any
 	ad      *AdaptiveSet[K]
 	probe   *Probe
 	rec     *usage.Recorder
@@ -396,14 +405,14 @@ func (s *AdjustedSet[K]) Range(f func(x K) bool) {
 }
 
 // Plan returns the planner's decision for this object.
-func (s *AdjustedSet[K]) Plan() Plan { return s.plan }
+func (s *AdjustedSet[K]) Plan() Plan { return *s.plan }
 
 // Adaptive returns the underlying contention-adaptive set when the profile
 // declared Adaptive, else nil.
 func (s *AdjustedSet[K]) Adaptive() *AdaptiveSet[K] { return s.ad }
 
 // Representation returns the underlying representation.
-func (s *AdjustedSet[K]) Representation() any { return s.raw }
+func (s *AdjustedSet[K]) Representation() any { return unwrap(s.rep) }
 
 // Probe returns the contention probe observing this object.
 func (s *AdjustedSet[K]) Probe() *Probe { return s.probe }
@@ -435,34 +444,30 @@ func Set[K comparable](opts ...Option) (*AdjustedSet[K], error) {
 	if err != nil {
 		return nil, err
 	}
-	hash, rec, recHash, err := keyed[K](dt, p, row)
+	hash, rec, recHash, err := keyed[K](dt, &p, row)
 	if err != nil {
 		return nil, err
 	}
 	capacity := p.capacityOr(1024)
 	buckets := p.bucketsOr(capacity * 2)
-	s := &AdjustedSet[K]{plan: plan, probe: p.probe, rec: rec, recHash: recHash}
-	s.plan.Ranges = 1
+	s := &AdjustedSet[K]{probe: p.probe, rec: rec, recHash: recHash}
+	plan.Ranges = 1
 	switch plan.Rep {
 	case "FlatSWMRSet":
-		rep := newFlatSWMRSet[K](enc, dec, p.capacity, p.checked)
-		s.rep, s.raw = rep, rep
+		s.rep = newFlatSWMRSet[K](enc, dec, p.capacity, p.checked)
 	case "FlatSet":
-		rep := newFlatSet[K](enc, dec, p.capacity)
-		s.rep, s.raw = rep, rep
+		s.rep = newFlatSet[K](enc, dec, p.capacity)
 	case "AdaptiveSet":
 		s.ad = adaptive.NewSet[K](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
-		s.rep, s.raw, s.probe, s.plan.Ranges = s.ad, s.ad, s.ad.Probe(), s.ad.Ranges()
+		s.rep, s.probe, plan.Ranges = s.ad, s.ad.Probe(), s.ad.Ranges()
 	case "SegmentedSet":
-		rep := set.NewSegmented[K](p.reg(), capacity, buckets, hash, p.checked)
-		s.rep, s.raw = rep, rep
+		s.rep = set.NewSegmented[K](p.reg(), capacity, buckets, hash, p.checked)
 	case "SWMRSet":
-		rep := set.NewSWMR[K](capacity, hash, p.checked)
-		s.rep, s.raw = rep, rep
+		s.rep = set.NewSWMR[K](capacity, hash, p.checked)
 	default: // StripedSet
-		rep := set.NewStriped[K](p.stripesOr(256), capacity, hash, p.probe)
-		s.rep, s.raw = stripedSetRep[K]{rep}, rep
+		s.rep = stripedSetRep[K]{set.NewStriped[K](p.stripesOr(256), capacity, hash, p.probe)}
 	}
+	s.plan = intern(plan)
 	return s, nil
 }
 
@@ -490,6 +495,7 @@ func (r concurrentListRep[K, V]) Contains(k K) bool                   { return r
 func (r concurrentListRep[K, V]) Len() int                            { return r.m.Len() }
 func (r concurrentListRep[K, V]) Range(f func(K, V) bool)             { r.m.Range(f) }
 func (r concurrentListRep[K, V]) RangeFrom(from K, f func(K, V) bool) { r.m.RangeFrom(from, f) }
+func (r concurrentListRep[K, V]) unwrap() any                         { return r.m }
 
 // swmrListRep adapts the SWMR skip list (its from-iteration is ref-based).
 type swmrListRep[K cmp.Ordered, V any] struct{ m *skiplist.SWMR[K, V] }
@@ -500,6 +506,7 @@ func (r swmrListRep[K, V]) Remove(h *Handle, k K) bool { return r.m.Remove(h, k)
 func (r swmrListRep[K, V]) Contains(k K) bool          { return r.m.Contains(k) }
 func (r swmrListRep[K, V]) Len() int                   { return r.m.Len() }
 func (r swmrListRep[K, V]) Range(f func(K, V) bool)    { r.m.Range(f) }
+func (r swmrListRep[K, V]) unwrap() any                { return r.m }
 func (r swmrListRep[K, V]) RangeFrom(from K, f func(K, V) bool) {
 	r.m.RangeRefFrom(from, func(k K, v *V) bool { return f(k, *v) })
 }
@@ -507,9 +514,8 @@ func (r swmrListRep[K, V]) RangeFrom(from K, f func(K, V) bool) {
 // AdjustedOrdered is an ordered map built from a declared profile. Ordered
 // iteration is strictly ascending in every representation and state.
 type AdjustedOrdered[K cmp.Ordered, V any] struct {
-	plan    Plan
+	plan    *Plan
 	rep     orderedRep[K, V]
-	raw     any
 	ad      *AdaptiveSkipList[K, V]
 	probe   *Probe
 	rec     *usage.Recorder
@@ -590,14 +596,14 @@ func (m *AdjustedOrdered[K, V]) RangeBetween(from, to K, f func(key K, val V) bo
 }
 
 // Plan returns the planner's decision for this object.
-func (m *AdjustedOrdered[K, V]) Plan() Plan { return m.plan }
+func (m *AdjustedOrdered[K, V]) Plan() Plan { return *m.plan }
 
 // Adaptive returns the underlying contention-adaptive skip list when the
 // profile declared Adaptive, else nil.
 func (m *AdjustedOrdered[K, V]) Adaptive() *AdaptiveSkipList[K, V] { return m.ad }
 
 // Representation returns the underlying representation.
-func (m *AdjustedOrdered[K, V]) Representation() any { return m.raw }
+func (m *AdjustedOrdered[K, V]) Representation() any { return unwrap(m.rep) }
 
 // Probe returns the contention probe observing this object.
 func (m *AdjustedOrdered[K, V]) Probe() *Probe { return m.probe }
@@ -644,26 +650,23 @@ func Ordered[K cmp.Ordered, V any](opts ...Option) (*AdjustedOrdered[K, V], erro
 			}
 		}
 	}
-	hash, rec, recHash, err := keyed[K](dt, p, row)
+	hash, rec, recHash, err := keyed[K](dt, &p, row)
 	if err != nil {
 		return nil, err
 	}
 	buckets := p.bucketsOr(p.capacityOr(1024) * 2)
-	m := &AdjustedOrdered[K, V]{plan: plan, probe: p.probe, rec: rec, recHash: recHash}
-	m.plan.Ranges, m.plan.Fences = len(fences)+1, len(fences)
+	plan.Ranges, plan.Fences = len(fences)+1, len(fences)
+	m := &AdjustedOrdered[K, V]{plan: intern(plan), probe: p.probe, rec: rec, recHash: recHash}
 	switch plan.Rep {
 	case "AdaptiveSkipList":
 		m.ad = adaptive.NewSortedMapFenced[K, V](p.reg(), buckets, hash, fences, p.resolvedPolicy())
-		m.rep, m.raw, m.probe = m.ad, m.ad, m.ad.Probe()
+		m.rep, m.probe = m.ad, m.ad.Probe()
 	case "SegmentedSkipList":
-		rep := skiplist.NewSegmented[K, V](p.reg(), buckets, hash, p.checked)
-		m.rep, m.raw = rep, rep
+		m.rep = skiplist.NewSegmented[K, V](p.reg(), buckets, hash, p.checked)
 	case "SWMRSkipList":
-		rep := skiplist.NewSWMR[K, V](p.checked)
-		m.rep, m.raw = swmrListRep[K, V]{rep}, rep
+		m.rep = swmrListRep[K, V]{skiplist.NewSWMR[K, V](p.checked)}
 	default: // ConcurrentSkipList
-		rep := skiplist.NewConcurrent[K, V](p.probe)
-		m.rep, m.raw = concurrentListRep[K, V]{rep}, rep
+		m.rep = concurrentListRep[K, V]{skiplist.NewConcurrent[K, V](p.probe)}
 	}
 	return m, nil
 }
@@ -687,6 +690,7 @@ func (r msQueueRep[T]) Offer(_ *Handle, v T)   { r.q.Offer(v) }
 func (r msQueueRep[T]) Poll(*Handle) (T, bool) { return r.q.Poll() }
 func (r msQueueRep[T]) Peek(*Handle) (T, bool) { return r.q.Peek() }
 func (r msQueueRep[T]) IsEmpty(*Handle) bool   { return r.q.IsEmpty() }
+func (r msQueueRep[T]) unwrap() any            { return r.q }
 func (r msQueueRep[T]) Drain(_ *Handle, out []T, max int) int {
 	n := 0
 	for n < max && n < len(out) {
@@ -702,11 +706,19 @@ func (r msQueueRep[T]) Drain(_ *Handle, out []T, max int) int {
 
 // AdjustedQueue is a FIFO queue built from a declared profile.
 type AdjustedQueue[T any] struct {
-	plan  Plan
+	plan  *Plan
 	rep   queueRep[T]
-	raw   any
 	probe *Probe
 	rec   *usage.Recorder
+}
+
+// queueWith is a queue facade allocated together with its representation,
+// so a program holding one queue per user pays one allocation for each. The
+// facade comes last: its fields, read on every call, stay off the cache
+// line the consumer writes the head on.
+type queueWith[T, R any] struct {
+	rep R
+	q   AdjustedQueue[T]
 }
 
 // Offer enqueues v.
@@ -753,10 +765,10 @@ func (q *AdjustedQueue[T]) Drain(h *Handle, out []T, max int) int {
 }
 
 // Plan returns the planner's decision for this object.
-func (q *AdjustedQueue[T]) Plan() Plan { return q.plan }
+func (q *AdjustedQueue[T]) Plan() Plan { return *q.plan }
 
 // Representation returns the underlying representation.
-func (q *AdjustedQueue[T]) Representation() any { return q.raw }
+func (q *AdjustedQueue[T]) Representation() any { return unwrap(q.rep) }
 
 // Probe returns the contention probe observing this object (possibly nil).
 func (q *AdjustedQueue[T]) Probe() *Probe { return q.probe }
@@ -784,15 +796,20 @@ func Queue[T any](opts ...Option) (*AdjustedQueue[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &AdjustedQueue[T]{plan: plan, probe: p.probe, rec: p.recorder(4)}
+	var q *AdjustedQueue[T]
 	switch plan.Rep {
 	case "MPSCQueue":
-		rep := queue.NewMPSC[T](p.probe, p.checked)
-		q.rep, q.raw = rep, rep
+		w := new(queueWith[T, queue.MPSC[T]])
+		w.rep.Init(p.probe, p.checked)
+		q = &w.q
+		q.rep = &w.rep
 	default: // MSQueue
-		rep := queue.NewMS[T](p.probe)
-		q.rep, q.raw = msQueueRep[T]{rep}, rep
+		w := new(queueWith[T, queue.MS[T]])
+		w.rep.Init(p.probe)
+		q = &w.q
+		q.rep = msQueueRep[T]{&w.rep}
 	}
+	q.plan, q.probe, q.rec = intern(plan), p.probe, p.recorder(4)
 	return q, nil
 }
 
@@ -810,6 +827,7 @@ type atomicRefRep[T any] struct{ r *ref.Atomic[T] }
 
 func (a atomicRefRep[T]) Get(*Handle) *T            { return a.r.Get() }
 func (a atomicRefRep[T]) Set(_ *Handle, v *T) error { a.r.Set(v); return nil }
+func (a atomicRefRep[T]) unwrap() any               { return a.r }
 func (a atomicRefRep[T]) Update(_ *Handle, f func(*T) *T) error {
 	for {
 		old := a.r.Get()
@@ -822,6 +840,7 @@ func (a atomicRefRep[T]) Update(_ *Handle, f func(*T) *T) error {
 type rcuRefRep[T any] struct{ r *ref.RCUBox[T] }
 
 func (a rcuRefRep[T]) Get(*Handle) *T { return a.r.Read() }
+func (a rcuRefRep[T]) unwrap() any    { return a.r }
 func (a rcuRefRep[T]) Set(h *Handle, v *T) error {
 	a.r.Update(h, func(*T) *T { return v })
 	return nil
@@ -835,15 +854,15 @@ type writeOnceRefRep[T any] struct{ w *ref.WriteOnce[T] }
 
 func (a writeOnceRefRep[T]) Get(h *Handle) *T          { return a.w.Get(h) }
 func (a writeOnceRefRep[T]) Set(h *Handle, v *T) error { return a.w.Set(h, v) }
+func (a writeOnceRefRep[T]) unwrap() any               { return a.w }
 func (a writeOnceRefRep[T]) Update(h *Handle, f func(*T) *T) error {
 	return a.w.Set(h, f(a.w.Get(h)))
 }
 
 // AdjustedRef is a shared reference built from a declared profile.
 type AdjustedRef[T any] struct {
-	plan Plan
+	plan *Plan
 	rep  refRep[T]
-	raw  any
 	rec  *usage.Recorder
 }
 
@@ -877,10 +896,10 @@ func (r *AdjustedRef[T]) Update(h *Handle, f func(old *T) *T) error {
 }
 
 // Plan returns the planner's decision for this object.
-func (r *AdjustedRef[T]) Plan() Plan { return r.plan }
+func (r *AdjustedRef[T]) Plan() Plan { return *r.plan }
 
 // Representation returns the underlying representation.
-func (r *AdjustedRef[T]) Representation() any { return r.raw }
+func (r *AdjustedRef[T]) Representation() any { return unwrap(r.rep) }
 
 // Advise infers the most adjusted reference profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object
@@ -910,17 +929,14 @@ func Ref[T any](v *T, opts ...Option) (*AdjustedRef[T], error) {
 	if p.writeOnce && v != nil {
 		return nil, invalid(dt, "WriteOnce starts unset: construct with a nil initial value and Set once")
 	}
-	r := &AdjustedRef[T]{plan: plan, rec: p.recorder(4)}
+	r := &AdjustedRef[T]{plan: intern(plan), rec: p.recorder(4)}
 	switch plan.Rep {
 	case "WriteOnceRef":
-		rep := ref.NewWriteOnce[T](p.reg())
-		r.rep, r.raw = writeOnceRefRep[T]{rep}, rep
+		r.rep = writeOnceRefRep[T]{ref.NewWriteOnce[T](p.reg())}
 	case "RCUBox":
-		rep := ref.NewRCUBox[T](v, p.checked)
-		r.rep, r.raw = rcuRefRep[T]{rep}, rep
+		r.rep = rcuRefRep[T]{ref.NewRCUBox[T](v, p.checked)}
 	default: // AtomicRef
-		rep := ref.NewAtomic[T](v)
-		r.rep, r.raw = atomicRefRep[T]{rep}, rep
+		r.rep = atomicRefRep[T]{ref.NewAtomic[T](v)}
 	}
 	return r, nil
 }

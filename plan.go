@@ -2,6 +2,7 @@ package dego
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/adjusted-objects/dego/internal/spec"
 )
@@ -59,4 +60,35 @@ func (p Plan) validate() error {
 		return invalid(p.Datatype, "declared object %s is not a valid adjustment: %v", p.Declared(), err)
 	}
 	return nil
+}
+
+// plans interns every Plan a constructor has made, so objects point at a
+// shared one. The set is finite: the declaration matrix's accepted cells
+// (testdata/plans.golden), each adaptive one with a power-of-two range count
+// or a fence count.
+var plans struct {
+	sync.RWMutex
+	m map[Plan]*Plan
+}
+
+// intern returns the shared copy of plan. Its caller fills in every field
+// first: an interned Plan is never written.
+func intern(plan Plan) *Plan {
+	plans.RLock()
+	p, ok := plans.m[plan]
+	plans.RUnlock()
+	if ok {
+		return p
+	}
+	plans.Lock()
+	defer plans.Unlock()
+	if p, ok = plans.m[plan]; !ok {
+		if plans.m == nil {
+			plans.m = make(map[Plan]*Plan)
+		}
+		p = new(Plan)
+		*p = plan
+		plans.m[plan] = p
+	}
+	return p
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"github.com/adjusted-objects/dego/internal/usage"
 )
@@ -78,6 +79,18 @@ type profile struct {
 	// object's key type; the constructor re-types them).
 	hash   any // func(K) uint64
 	fences any // []K, strictly increasing
+}
+
+// profiles recycles the profiles constructors plan from. Options are
+// closures over a *profile, so a profile escapes to the heap; a program that
+// builds one object per user would otherwise allocate one per object.
+var profiles = sync.Pool{New: func() any { return new(profile) }}
+
+// release zeroes p, so the pool keeps nothing a caller declared (registry,
+// probe, hash, fences) reachable, and recycles it.
+func (p *profile) release() {
+	*p = profile{}
+	profiles.Put(p)
 }
 
 // apply folds the options into a profile.
@@ -312,16 +325,28 @@ func (r *repRow) fit(p *profile, mode Mode, met need) int {
 // mode. (c) It names the Table 1 object from Blind, WriteOnce and the mode
 // alone and certifies it against Definition 1 before any representation
 // is considered. (d) It picks the first row the profile fits; when none
-// does, the row that got furthest names the requirement that failed.
-func declare(dt string, takes optBit, opts []Option, rows []repRow, intKey bool) (*profile, Plan, *repRow, error) {
-	p := &profile{}
+// does, the row that got furthest names the requirement that failed. The
+// options are folded into a recycled profile, and the constructor gets a
+// copy.
+func declare(dt string, takes optBit, opts []Option, rows []repRow, intKey bool) (profile, Plan, *repRow, error) {
+	p := profiles.Get().(*profile)
+	defer p.release()
 	p.apply(opts)
+	plan, row, err := p.decide(dt, takes, rows, intKey)
+	if err != nil {
+		return profile{}, Plan{}, nil, err
+	}
+	return *p, plan, row, nil
+}
+
+// decide is declare's decision over a profile the options are folded into.
+func (p *profile) decide(dt string, takes optBit, rows []repRow, intKey bool) (Plan, *repRow, error) {
 	if extra := p.declared() &^ takes; extra != 0 {
-		return nil, Plan{}, nil, invalid(dt, "%s does not apply", optionNames[bits.TrailingZeros16(uint16(extra))])
+		return Plan{}, nil, invalid(dt, "%s does not apply", optionNames[bits.TrailingZeros16(uint16(extra))])
 	}
 	mode, err := p.mode(dt)
 	if err != nil {
-		return nil, Plan{}, nil, err
+		return Plan{}, nil, err
 	}
 	if dt == "Counter" && mode == ModeMWSR {
 		// Counter writes (inc, add) commute by the datatype, so a declared
@@ -330,7 +355,7 @@ func declare(dt string, takes optBit, opts []Option, rows []repRow, intKey bool)
 	}
 	plan := Plan{Datatype: dt, Variant: variant(dt, p, mode), Mode: mode}
 	if err := plan.validate(); err != nil {
-		return nil, Plan{}, nil, err
+		return Plan{}, nil, err
 	}
 	met := p.meets(intKey)
 	best, reached := 0, -1
@@ -338,12 +363,12 @@ func declare(dt string, takes optBit, opts []Option, rows []repRow, intKey bool)
 		switch stage := rows[i].fit(p, mode, met); {
 		case stage == fits:
 			plan.Rep, plan.Adaptive = rows[i].name, rows[i].adaptive
-			return p, plan, &rows[i], nil
+			return plan, &rows[i], nil
 		case stage > reached:
 			best, reached = i, stage
 		}
 	}
-	return nil, Plan{}, nil, rows[best].misfit(dt, plan.Declared(), reached, met)
+	return Plan{}, nil, rows[best].misfit(dt, plan.Declared(), reached, met)
 }
 
 // misfit is the rejection of a profile that got no further than stage down
