@@ -63,9 +63,9 @@ func (p Plan) validate() error {
 }
 
 // plans interns every Plan a constructor has made, so objects point at a
-// shared one. The set is finite: the declaration matrix's accepted cells
-// (testdata/plans.golden), each adaptive one with a power-of-two range count
-// or a fence count.
+// shared one. It stays small: one entry per distinct declaration a program
+// makes (testdata/plans.golden lists the accepted ones), times the range or
+// fence counts its adaptive objects use.
 var plans struct {
 	sync.RWMutex
 	m map[Plan]*Plan
