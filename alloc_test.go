@@ -27,13 +27,37 @@ func TestAllocCeilings(t *testing.T) {
 	segSet := Must(Set[int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
 	flat := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16)))
 	recorded := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), WithUsageRecording()))
-	set := Must(Set[int](CommutingWriters(), On(reg), Capacity(16)))
-	mpsc := Must(Queue[int](SingleReader(), On(reg)))
+	// The other wrappers, each built once unrecorded and once recorded:
+	// recording is itself allocation-free.
+	v := 1
+	type hot struct {
+		counter *AdjustedCounter
+		ref     *AdjustedRef[int]
+		set     *AdjustedSet[int]
+		ordered *AdjustedOrdered[int, int]
+		mpsc    *AdjustedQueue[int]
+	}
+	hots := make([]hot, 2)
+	for i := range hots {
+		opts := []Option{On(reg)}
+		if i == 1 {
+			opts = append(opts, WithUsageRecording())
+		}
+		hots[i] = hot{
+			counter: Must(Counter(append(opts, Blind())...)),
+			ref:     Must(Ref(&v, opts...)),
+			set:     Must(Set[int](append(opts, CommutingWriters(), Capacity(16))...)),
+			ordered: Must(Ordered[int, int](append(opts, CommutingWriters())...)),
+			mpsc:    Must(Queue[int](append(opts, SingleReader())...)),
+		}
+		hots[i].ordered.Put(h, 3, 3)
+	}
+	unrec, rec := hots[0], hots[1]
 	for k := 0; k < 8; k++ {
 		segmented.Put(h, k, k)
 		flat.Put(h, k, k)
 		recorded.Put(h, k, k)
-		set.Add(h, k)
+		unrec.set.Add(h, k)
 	}
 	if segmented.Plan().Rep != "SegmentedMap" || segSet.Plan().Rep != "SegmentedSet" {
 		t.Fatalf("segmented rows planned %s and %s", segmented.Plan().Rep, segSet.Plan().Rep)
@@ -60,8 +84,17 @@ func TestAllocCeilings(t *testing.T) {
 		{"segmented AdjustedSet.Add, fresh element", 1, func() { fresh++; segSet.Add(h, fresh) }},
 		{"flat AdjustedMap.Get and Put", 0, func() { flat.Get(3); flat.Put(h, 3, 4) }},
 		{"recorded AdjustedMap.Put", 0, func() { recorded.Put(h, 3, 4) }},
-		{"AdjustedSet.Contains", 0, func() { set.Contains(3) }},
-		{"MPSC AdjustedQueue.Offer and Poll", 1, func() { mpsc.Offer(h, 1); mpsc.Poll(h) }},
+		{"AdjustedSet.Contains", 0, func() { unrec.set.Contains(3) }},
+		{"MPSC AdjustedQueue.Offer and Poll", 1, func() { unrec.mpsc.Offer(h, 1); unrec.mpsc.Poll(h) }},
+		{"AdjustedCounter.Inc and Get", 0, func() { unrec.counter.Inc(h); unrec.counter.Get(h) }},
+		{"recorded AdjustedCounter.Inc and Get", 0, func() { rec.counter.Inc(h); rec.counter.Get(h) }},
+		{"AdjustedRef.Get and Set", 0, func() { unrec.ref.Set(h, unrec.ref.Get(h)) }},
+		{"recorded AdjustedRef.Get and Set", 0, func() { rec.ref.Set(h, rec.ref.Get(h)) }},
+		{"AdjustedSet.Add and Contains", 0, func() { unrec.set.Add(h, 3); unrec.set.Contains(3) }},
+		{"recorded AdjustedSet.Add and Contains", 0, func() { rec.set.Add(h, 3); rec.set.Contains(3) }},
+		{"segmented AdjustedOrdered.Get", 0, func() { unrec.ordered.Get(3) }},
+		{"recorded segmented AdjustedOrdered.Get", 0, func() { rec.ordered.Get(3) }},
+		{"recorded MPSC AdjustedQueue.Offer and Poll", 1, func() { rec.mpsc.Offer(h, 1); rec.mpsc.Poll(h) }},
 	} {
 		for i := 0; i < 64; i++ {
 			row.f() // reach steady state
