@@ -92,11 +92,12 @@ test:
 	$(GO) test ./...
 
 # The root package's constructors share interned plans and recycled
-# profiles across goroutines, so the race job also runs the root test that
-# builds objects concurrently.
+# profiles across goroutines, and a recorded object's decorator feeds one
+# recorder from every caller while Advise reads it, so the race job also
+# runs the root tests that build and record through objects concurrently.
 race:
 	$(GO) test -race -short $(RACE_PKGS)
-	$(GO) test -race -short -run ConcurrentConstruction .
+	$(GO) test -race -short -run 'ConcurrentConstruction|ConcurrentRecording' .
 	$(GO) test -race -short -count=3 $(RACE_SERVER_PKGS)
 
 bench-smoke:

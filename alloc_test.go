@@ -53,6 +53,17 @@ func TestAllocCeilings(t *testing.T) {
 		hots[i].ordered.Put(h, 3, 3)
 	}
 	unrec, rec := hots[0], hots[1]
+	// A RangeBetween over two keys snapshots those two, however many the
+	// segmented list holds.
+	small := Must(Ordered[int, int](CommutingWriters(), On(reg)))
+	large := Must(Ordered[int, int](CommutingWriters(), On(reg)))
+	for k := 0; k < 100_000; k++ {
+		if k < 1_000 {
+			small.Put(h, k, k)
+		}
+		large.Put(h, k, k)
+	}
+	visit := func(int, int) bool { return true }
 	for k := 0; k < 8; k++ {
 		segmented.Put(h, k, k)
 		flat.Put(h, k, k)
@@ -95,6 +106,8 @@ func TestAllocCeilings(t *testing.T) {
 		{"segmented AdjustedOrdered.Get", 0, func() { unrec.ordered.Get(3) }},
 		{"recorded segmented AdjustedOrdered.Get", 0, func() { rec.ordered.Get(3) }},
 		{"recorded MPSC AdjustedQueue.Offer and Poll", 1, func() { rec.mpsc.Offer(h, 1); rec.mpsc.Poll(h) }},
+		{"segmented AdjustedOrdered.RangeBetween, 2 of 1 k keys", 5, func() { small.RangeBetween(10, 12, visit) }},
+		{"segmented AdjustedOrdered.RangeBetween, 2 of 100 k keys", 5, func() { large.RangeBetween(10, 12, visit) }},
 	} {
 		for i := 0; i < 64; i++ {
 			row.f() // reach steady state
@@ -109,9 +122,9 @@ func TestAllocCeilings(t *testing.T) {
 
 // TestWrapperSizes pins each Adjusted* wrapper at what one object holds, in
 // machine words: an interned *Plan, the representation behind its planner
-// view (an interface, two words), the adaptive object where one is planned,
-// the probe and recorder it reports through, and a keyed object's recording
-// hash. A per-user object pays this on top of its representation.
+// view (an interface, two words) and, but for a Ref, the probe it reports
+// through. A recorder lives in the recording decorator, not here. A per-user
+// object pays this on top of its representation.
 func TestWrapperSizes(t *testing.T) {
 	const word = unsafe.Sizeof(uintptr(0))
 	for _, row := range []struct {
@@ -119,12 +132,12 @@ func TestWrapperSizes(t *testing.T) {
 		size  uintptr
 		words uintptr
 	}{
-		{"AdjustedCounter", unsafe.Sizeof(AdjustedCounter{}), 6},
-		{"AdjustedMap", unsafe.Sizeof(AdjustedMap[int, int]{}), 7},
-		{"AdjustedSet", unsafe.Sizeof(AdjustedSet[int]{}), 7},
-		{"AdjustedOrdered", unsafe.Sizeof(AdjustedOrdered[int, int]{}), 7},
-		{"AdjustedQueue", unsafe.Sizeof(AdjustedQueue[int]{}), 5},
-		{"AdjustedRef", unsafe.Sizeof(AdjustedRef[int]{}), 4},
+		{"AdjustedCounter", unsafe.Sizeof(AdjustedCounter{}), 4},
+		{"AdjustedMap", unsafe.Sizeof(AdjustedMap[int, int]{}), 4},
+		{"AdjustedSet", unsafe.Sizeof(AdjustedSet[int]{}), 4},
+		{"AdjustedOrdered", unsafe.Sizeof(AdjustedOrdered[int, int]{}), 4},
+		{"AdjustedQueue", unsafe.Sizeof(AdjustedQueue[int]{}), 4},
+		{"AdjustedRef", unsafe.Sizeof(AdjustedRef[int]{}), 3},
 	} {
 		if row.size != row.words*word {
 			t.Errorf("%s is %d bytes, want %d words (%d bytes)", row.name, row.size, row.words, row.words*word)

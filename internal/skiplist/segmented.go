@@ -95,6 +95,12 @@ func (m *Segmented[K, V]) RangeFrom(from K, f func(key K, val V) bool) {
 	m.RangeRefFrom(from, func(k K, v *V) bool { return f(k, *v) })
 }
 
+// RangeBetween is Range over the half-open key interval [from, to); like
+// RangeRefBetween, it snapshots only the entries inside the interval.
+func (m *Segmented[K, V]) RangeBetween(from, to K, f func(key K, val V) bool) {
+	m.RangeRefBetween(from, to, func(k K, v *V) bool { return f(k, *v) })
+}
+
 // RangeRef calls f with the stored value box of every entry in ascending key
 // order until it returns false; weakly consistent, like Range. The box-level
 // iteration is the snapshot hook internal/adaptive uses for its tombstone

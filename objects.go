@@ -12,7 +12,6 @@ import (
 	"github.com/adjusted-objects/dego/internal/ref"
 	"github.com/adjusted-objects/dego/internal/set"
 	"github.com/adjusted-objects/dego/internal/skiplist"
-	"github.com/adjusted-objects/dego/internal/usage"
 )
 
 // This file holds the profile constructors: Counter, Map, Set, Ordered,
@@ -28,9 +27,11 @@ import (
 // made, and — for audits, benchmarks and migrations — the underlying
 // representation.
 //
-// A wrapper holds what a program may keep one of per user: the
-// representation behind its planner view, a pointer to the interned Plan,
-// and the probe and recorder it reports through.
+// A wrapper holds what a program may keep one of per user: a pointer to
+// the interned Plan, the representation behind its planner view, and the
+// probe it reports through. WithUsageRecording wraps that representation in
+// a recording decorator (advise.go), so every data method is one forwarding
+// call and an unrecorded object holds no recorder.
 
 // An adapter fits a representation whose methods differ from its
 // datatype's planner view; unwrap returns the representation it adapts.
@@ -42,6 +43,13 @@ func unwrap(rep any) any {
 		return a.unwrap()
 	}
 	return rep
+}
+
+// adaptiveOf returns the adaptive representation behind a planner view, or
+// nil when the view holds another.
+func adaptiveOf[A any](rep any) A {
+	a, _ := unwrap(rep).(A)
+	return a
 }
 
 // ---------------------------------------------------------------------------
@@ -78,42 +86,25 @@ func (r adderCounterRep) unwrap() any                { return r.a }
 type AdjustedCounter struct {
 	plan  *Plan
 	rep   counterRep
-	ad    *AdaptiveCounter
 	probe *Probe
-	rec   *usage.Recorder
 }
 
 // Inc adds one.
-func (c *AdjustedCounter) Inc(h *Handle) {
-	if c.rec != nil {
-		c.rec.RecordWrite(usage.MethodInc, usage.SlotOf(h), usage.UnkeyedKey)
-	}
-	c.rep.Inc(h)
-}
+func (c *AdjustedCounter) Inc(h *Handle) { c.rep.Inc(h) }
 
 // Add adds delta (non-negative: dego counters are increment-only).
-func (c *AdjustedCounter) Add(h *Handle, delta int64) {
-	if c.rec != nil {
-		c.rec.RecordWrite(usage.MethodAdd, usage.SlotOf(h), usage.UnkeyedKey)
-	}
-	c.rep.Add(h, delta)
-}
+func (c *AdjustedCounter) Add(h *Handle, delta int64) { c.rep.Add(h, delta) }
 
 // Get returns the current count. Under a SingleReader declaration only the
 // declared reader may call it.
-func (c *AdjustedCounter) Get(h *Handle) int64 {
-	if c.rec != nil {
-		c.rec.RecordRead(usage.MethodGet, usage.SlotOf(h))
-	}
-	return c.rep.Get(h)
-}
+func (c *AdjustedCounter) Get(h *Handle) int64 { return c.rep.Get(h) }
 
 // Plan returns the planner's decision for this object.
 func (c *AdjustedCounter) Plan() Plan { return *c.plan }
 
 // Adaptive returns the underlying contention-adaptive counter when the
 // profile declared Adaptive, else nil.
-func (c *AdjustedCounter) Adaptive() *AdaptiveCounter { return c.ad }
+func (c *AdjustedCounter) Adaptive() *AdaptiveCounter { return adaptiveOf[*AdaptiveCounter](c.rep) }
 
 // Representation returns the underlying representation (e.g.
 // *dego.AtomicCounter, *dego.Adder) for audits and rep-specific access.
@@ -126,7 +117,7 @@ func (c *AdjustedCounter) Probe() *Probe { return c.probe }
 // Advise infers the most adjusted counter profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object
 // was constructed without WithUsageRecording.
-func (c *AdjustedCounter) Advise() (Advice, bool) { return adviseObject(c.plan, c.rec) }
+func (c *AdjustedCounter) Advise() (Advice, bool) { return adviseObject(c.plan, c.rep) }
 
 // counterRows are the counter representations, most adjusted first.
 var counterRows = []repRow{
@@ -154,11 +145,11 @@ func Counter(opts ...Option) (*AdjustedCounter, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &AdjustedCounter{plan: intern(plan), probe: p.probe, rec: p.recorder(4)}
+	c := &AdjustedCounter{plan: intern(plan), probe: p.probe}
 	switch plan.Rep {
 	case "AdaptiveCounter":
-		c.ad = adaptive.NewCounter(p.reg(), p.resolvedPolicy())
-		c.rep, c.probe = c.ad, c.ad.Probe()
+		ad := adaptive.NewCounter(p.reg(), p.resolvedPolicy())
+		c.rep, c.probe = ad, ad.Probe()
 	case "IncrementOnlyCounter":
 		c.rep = counter.NewIncrementOnly(p.reg(), p.checked)
 	case "FlatCounter":
@@ -167,6 +158,9 @@ func Counter(opts ...Option) (*AdjustedCounter, error) {
 		c.rep = adderCounterRep{counter.NewAdder(p.capacityOr(runtime.GOMAXPROCS(0)), p.probe)}
 	default: // AtomicCounter
 		c.rep = atomicCounterRep{counter.NewAtomic(p.probe)}
+	}
+	if p.record {
+		c.rep = &recordedCounter{recording[counterRep]{c.rep, p.recorder(4)}}
 	}
 	return c, nil
 }
@@ -201,68 +195,37 @@ func (r stripedMapRep[K, V]) unwrap() any                { return r.m }
 // handle-routed (representations that do not route by thread ignore the
 // handle), reads are unrestricted unless the profile says otherwise.
 type AdjustedMap[K comparable, V any] struct {
-	plan    *Plan
-	rep     mapRep[K, V]
-	ad      *AdaptiveMap[K, V]
-	probe   *Probe
-	rec     *usage.Recorder
-	recHash func(K) uint64
+	plan  *Plan
+	rep   mapRep[K, V]
+	probe *Probe
 }
 
 // Put stores key → val.
-func (m *AdjustedMap[K, V]) Put(h *Handle, key K, val V) {
-	if m.rec != nil {
-		m.rec.RecordWrite(usage.MethodPut, usage.SlotOf(h), m.recHash(key))
-	}
-	m.rep.Put(h, key, val)
-}
+func (m *AdjustedMap[K, V]) Put(h *Handle, key K, val V) { m.rep.Put(h, key, val) }
 
 // Get returns the value for key.
-func (m *AdjustedMap[K, V]) Get(key K) (V, bool) {
-	if m.rec != nil {
-		m.rec.RecordRead(usage.MethodGet, usage.AnonSlot)
-	}
-	return m.rep.Get(key)
-}
+func (m *AdjustedMap[K, V]) Get(key K) (V, bool) { return m.rep.Get(key) }
 
 // Remove deletes key, reporting whether it was present.
-func (m *AdjustedMap[K, V]) Remove(h *Handle, key K) bool {
-	if m.rec != nil {
-		m.rec.RecordWrite(usage.MethodRemove, usage.SlotOf(h), m.recHash(key))
-	}
-	return m.rep.Remove(h, key)
-}
+func (m *AdjustedMap[K, V]) Remove(h *Handle, key K) bool { return m.rep.Remove(h, key) }
 
 // Contains reports whether key is present.
-func (m *AdjustedMap[K, V]) Contains(key K) bool {
-	if m.rec != nil {
-		m.rec.RecordRead(usage.MethodContains, usage.AnonSlot)
-	}
-	return m.rep.Contains(key)
-}
+func (m *AdjustedMap[K, V]) Contains(key K) bool { return m.rep.Contains(key) }
 
 // Len returns the entry count.
-func (m *AdjustedMap[K, V]) Len() int {
-	if m.rec != nil {
-		m.rec.RecordRead(usage.MethodLen, usage.AnonSlot)
-	}
-	return m.rep.Len()
-}
+func (m *AdjustedMap[K, V]) Len() int { return m.rep.Len() }
 
 // Range iterates entries (no ordering guarantee) until f returns false.
-func (m *AdjustedMap[K, V]) Range(f func(key K, val V) bool) {
-	if m.rec != nil {
-		m.rec.RecordRead(usage.MethodRange, usage.AnonSlot)
-	}
-	m.rep.Range(f)
-}
+func (m *AdjustedMap[K, V]) Range(f func(key K, val V) bool) { m.rep.Range(f) }
 
 // Plan returns the planner's decision for this object.
 func (m *AdjustedMap[K, V]) Plan() Plan { return *m.plan }
 
 // Adaptive returns the underlying contention-adaptive map when the profile
 // declared Adaptive, else nil.
-func (m *AdjustedMap[K, V]) Adaptive() *AdaptiveMap[K, V] { return m.ad }
+func (m *AdjustedMap[K, V]) Adaptive() *AdaptiveMap[K, V] {
+	return adaptiveOf[*AdaptiveMap[K, V]](m.rep)
+}
 
 // Representation returns the underlying representation (e.g.
 // *dego.SegmentedMap[K, V]).
@@ -276,7 +239,7 @@ func (m *AdjustedMap[K, V]) Probe() *Probe { return m.probe }
 // constructed without WithUsageRecording. Map reads carry no handle, so
 // reader restrictions are never inferred (no map representation exploits
 // one anyway).
-func (m *AdjustedMap[K, V]) Advise() (Advice, bool) { return adviseObject(m.plan, m.rec) }
+func (m *AdjustedMap[K, V]) Advise() (Advice, bool) { return adviseObject(m.plan, m.rep) }
 
 // mapRows are the hash-map representations, most adjusted first.
 var mapRows = []repRow{
@@ -312,7 +275,7 @@ func Map[K comparable, V any](opts ...Option) (*AdjustedMap[K, V], error) {
 	}
 	capacity := p.capacityOr(1024)
 	buckets := p.bucketsOr(capacity * 2)
-	m := &AdjustedMap[K, V]{probe: p.probe, rec: rec, recHash: recHash}
+	m := &AdjustedMap[K, V]{probe: p.probe}
 	plan.Ranges = 1
 	switch plan.Rep {
 	case "FlatSWMRMap":
@@ -320,14 +283,17 @@ func Map[K comparable, V any](opts ...Option) (*AdjustedMap[K, V], error) {
 	case "FlatMap":
 		m.rep = newFlatMap[K, V](enc, dec, p.capacity)
 	case "AdaptiveMap":
-		m.ad = adaptive.NewMap[K, V](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
-		m.rep, m.probe, plan.Ranges = m.ad, m.ad.Probe(), m.ad.Ranges()
+		ad := adaptive.NewMap[K, V](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
+		m.rep, m.probe, plan.Ranges = ad, ad.Probe(), ad.Ranges()
 	case "SegmentedMap":
 		m.rep = hashmap.NewSegmented[K, V](p.reg(), capacity, buckets, hash, p.checked)
 	case "SWMRMap":
 		m.rep = hashmap.NewSWMR[K, V](capacity, hash, p.checked)
 	default: // StripedMap
 		m.rep = stripedMapRep[K, V]{hashmap.NewStriped[K, V](p.stripesOr(256), capacity, hash, p.probe)}
+	}
+	if p.record {
+		m.rep = &recordedMap[K, V]{recording[mapRep[K, V]]{m.rep, rec}, recHash}
 	}
 	m.plan = intern(plan)
 	return m, nil
@@ -356,60 +322,32 @@ func (r stripedSetRep[K]) unwrap() any                { return r.s }
 
 // AdjustedSet is a membership set built from a declared profile.
 type AdjustedSet[K comparable] struct {
-	plan    *Plan
-	rep     setRep[K]
-	ad      *AdaptiveSet[K]
-	probe   *Probe
-	rec     *usage.Recorder
-	recHash func(K) uint64
+	plan  *Plan
+	rep   setRep[K]
+	probe *Probe
 }
 
 // Add inserts x.
-func (s *AdjustedSet[K]) Add(h *Handle, x K) {
-	if s.rec != nil {
-		s.rec.RecordWrite(usage.MethodAdd, usage.SlotOf(h), s.recHash(x))
-	}
-	s.rep.Add(h, x)
-}
+func (s *AdjustedSet[K]) Add(h *Handle, x K) { s.rep.Add(h, x) }
 
 // Remove deletes x, reporting whether it was present.
-func (s *AdjustedSet[K]) Remove(h *Handle, x K) bool {
-	if s.rec != nil {
-		s.rec.RecordWrite(usage.MethodRemove, usage.SlotOf(h), s.recHash(x))
-	}
-	return s.rep.Remove(h, x)
-}
+func (s *AdjustedSet[K]) Remove(h *Handle, x K) bool { return s.rep.Remove(h, x) }
 
 // Contains reports membership.
-func (s *AdjustedSet[K]) Contains(x K) bool {
-	if s.rec != nil {
-		s.rec.RecordRead(usage.MethodContains, usage.AnonSlot)
-	}
-	return s.rep.Contains(x)
-}
+func (s *AdjustedSet[K]) Contains(x K) bool { return s.rep.Contains(x) }
 
 // Len returns the element count.
-func (s *AdjustedSet[K]) Len() int {
-	if s.rec != nil {
-		s.rec.RecordRead(usage.MethodLen, usage.AnonSlot)
-	}
-	return s.rep.Len()
-}
+func (s *AdjustedSet[K]) Len() int { return s.rep.Len() }
 
 // Range iterates elements until f returns false.
-func (s *AdjustedSet[K]) Range(f func(x K) bool) {
-	if s.rec != nil {
-		s.rec.RecordRead(usage.MethodRange, usage.AnonSlot)
-	}
-	s.rep.Range(f)
-}
+func (s *AdjustedSet[K]) Range(f func(x K) bool) { s.rep.Range(f) }
 
 // Plan returns the planner's decision for this object.
 func (s *AdjustedSet[K]) Plan() Plan { return *s.plan }
 
 // Adaptive returns the underlying contention-adaptive set when the profile
 // declared Adaptive, else nil.
-func (s *AdjustedSet[K]) Adaptive() *AdaptiveSet[K] { return s.ad }
+func (s *AdjustedSet[K]) Adaptive() *AdaptiveSet[K] { return adaptiveOf[*AdaptiveSet[K]](s.rep) }
 
 // Representation returns the underlying representation.
 func (s *AdjustedSet[K]) Representation() any { return unwrap(s.rep) }
@@ -420,7 +358,7 @@ func (s *AdjustedSet[K]) Probe() *Probe { return s.probe }
 // Advise infers the most adjusted set profile the recorded usage permits,
 // certified against Definition 1. ok is false when the object was
 // constructed without WithUsageRecording.
-func (s *AdjustedSet[K]) Advise() (Advice, bool) { return adviseObject(s.plan, s.rec) }
+func (s *AdjustedSet[K]) Advise() (Advice, bool) { return adviseObject(s.plan, s.rep) }
 
 // setRows are the set representations, most adjusted first.
 var setRows = []repRow{
@@ -450,7 +388,7 @@ func Set[K comparable](opts ...Option) (*AdjustedSet[K], error) {
 	}
 	capacity := p.capacityOr(1024)
 	buckets := p.bucketsOr(capacity * 2)
-	s := &AdjustedSet[K]{probe: p.probe, rec: rec, recHash: recHash}
+	s := &AdjustedSet[K]{probe: p.probe}
 	plan.Ranges = 1
 	switch plan.Rep {
 	case "FlatSWMRSet":
@@ -458,14 +396,17 @@ func Set[K comparable](opts ...Option) (*AdjustedSet[K], error) {
 	case "FlatSet":
 		s.rep = newFlatSet[K](enc, dec, p.capacity)
 	case "AdaptiveSet":
-		s.ad = adaptive.NewSet[K](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
-		s.rep, s.probe, plan.Ranges = s.ad, s.ad.Probe(), s.ad.Ranges()
+		ad := adaptive.NewSet[K](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
+		s.rep, s.probe, plan.Ranges = ad, ad.Probe(), ad.Ranges()
 	case "SegmentedSet":
 		s.rep = set.NewSegmented[K](p.reg(), capacity, buckets, hash, p.checked)
 	case "SWMRSet":
 		s.rep = set.NewSWMR[K](capacity, hash, p.checked)
 	default: // StripedSet
 		s.rep = stripedSetRep[K]{set.NewStriped[K](p.stripesOr(256), capacity, hash, p.probe)}
+	}
+	if p.record {
+		s.rep = &recordedSet[K]{recording[setRep[K]]{s.rep, rec}, recHash}
 	}
 	s.plan = intern(plan)
 	return s, nil
@@ -483,6 +424,13 @@ type orderedRep[K cmp.Ordered, V any] interface {
 	Len() int
 	Range(f func(key K, val V) bool)
 	RangeFrom(from K, f func(key K, val V) bool)
+	RangeBetween(from, to K, f func(key K, val V) bool)
+}
+
+// below cuts an ascending iteration off at the first key ≥ to, so a list
+// without a bounded scan serves RangeBetween from RangeFrom.
+func below[K cmp.Ordered, V any](to K, f func(K, V) bool) func(K, V) bool {
+	return func(k K, v V) bool { return k < to && f(k, v) }
 }
 
 // concurrentListRep adapts the handle-free lock-free baseline.
@@ -495,7 +443,10 @@ func (r concurrentListRep[K, V]) Contains(k K) bool                   { return r
 func (r concurrentListRep[K, V]) Len() int                            { return r.m.Len() }
 func (r concurrentListRep[K, V]) Range(f func(K, V) bool)             { r.m.Range(f) }
 func (r concurrentListRep[K, V]) RangeFrom(from K, f func(K, V) bool) { r.m.RangeFrom(from, f) }
-func (r concurrentListRep[K, V]) unwrap() any                         { return r.m }
+func (r concurrentListRep[K, V]) RangeBetween(from, to K, f func(K, V) bool) {
+	r.m.RangeFrom(from, below(to, f))
+}
+func (r concurrentListRep[K, V]) unwrap() any { return r.m }
 
 // swmrListRep adapts the SWMR skip list (its from-iteration is ref-based).
 type swmrListRep[K cmp.Ordered, V any] struct{ m *skiplist.SWMR[K, V] }
@@ -510,89 +461,44 @@ func (r swmrListRep[K, V]) unwrap() any                { return r.m }
 func (r swmrListRep[K, V]) RangeFrom(from K, f func(K, V) bool) {
 	r.m.RangeRefFrom(from, func(k K, v *V) bool { return f(k, *v) })
 }
+func (r swmrListRep[K, V]) RangeBetween(from, to K, f func(K, V) bool) {
+	r.RangeFrom(from, below(to, f))
+}
 
 // AdjustedOrdered is an ordered map built from a declared profile. Ordered
 // iteration is strictly ascending in every representation and state.
 type AdjustedOrdered[K cmp.Ordered, V any] struct {
-	plan    *Plan
-	rep     orderedRep[K, V]
-	ad      *AdaptiveSkipList[K, V]
-	probe   *Probe
-	rec     *usage.Recorder
-	recHash func(K) uint64
+	plan  *Plan
+	rep   orderedRep[K, V]
+	probe *Probe
 }
 
 // Put stores key → val.
-func (m *AdjustedOrdered[K, V]) Put(h *Handle, key K, val V) {
-	if m.rec != nil {
-		m.rec.RecordWrite(usage.MethodPut, usage.SlotOf(h), m.recHash(key))
-	}
-	m.rep.Put(h, key, val)
-}
+func (m *AdjustedOrdered[K, V]) Put(h *Handle, key K, val V) { m.rep.Put(h, key, val) }
 
 // Get returns the value for key.
-func (m *AdjustedOrdered[K, V]) Get(key K) (V, bool) {
-	if m.rec != nil {
-		m.rec.RecordRead(usage.MethodGet, usage.AnonSlot)
-	}
-	return m.rep.Get(key)
-}
+func (m *AdjustedOrdered[K, V]) Get(key K) (V, bool) { return m.rep.Get(key) }
 
 // Remove deletes key, reporting whether it was present.
-func (m *AdjustedOrdered[K, V]) Remove(h *Handle, key K) bool {
-	if m.rec != nil {
-		m.rec.RecordWrite(usage.MethodRemove, usage.SlotOf(h), m.recHash(key))
-	}
-	return m.rep.Remove(h, key)
-}
+func (m *AdjustedOrdered[K, V]) Remove(h *Handle, key K) bool { return m.rep.Remove(h, key) }
 
 // Contains reports whether key is present.
-func (m *AdjustedOrdered[K, V]) Contains(key K) bool {
-	if m.rec != nil {
-		m.rec.RecordRead(usage.MethodContains, usage.AnonSlot)
-	}
-	return m.rep.Contains(key)
-}
+func (m *AdjustedOrdered[K, V]) Contains(key K) bool { return m.rep.Contains(key) }
 
 // Len returns the entry count.
-func (m *AdjustedOrdered[K, V]) Len() int {
-	if m.rec != nil {
-		m.rec.RecordRead(usage.MethodLen, usage.AnonSlot)
-	}
-	return m.rep.Len()
-}
+func (m *AdjustedOrdered[K, V]) Len() int { return m.rep.Len() }
 
 // Range iterates all entries in ascending key order until f returns false.
-func (m *AdjustedOrdered[K, V]) Range(f func(key K, val V) bool) {
-	if m.rec != nil {
-		m.rec.RecordRead(usage.MethodRange, usage.AnonSlot)
-	}
-	m.rep.Range(f)
-}
+func (m *AdjustedOrdered[K, V]) Range(f func(key K, val V) bool) { m.rep.Range(f) }
 
 // RangeFrom iterates entries with key ≥ from in ascending order.
 func (m *AdjustedOrdered[K, V]) RangeFrom(from K, f func(key K, val V) bool) {
-	if m.rec != nil {
-		m.rec.RecordRead(usage.MethodRangeFrom, usage.AnonSlot)
-	}
 	m.rep.RangeFrom(from, f)
 }
 
 // RangeBetween iterates entries with from ≤ key < to in ascending order.
 func (m *AdjustedOrdered[K, V]) RangeBetween(from, to K, f func(key K, val V) bool) {
-	if m.rec != nil {
-		m.rec.RecordRead(usage.MethodRangeFrom, usage.AnonSlot)
-	}
-	if m.ad != nil {
-		m.ad.RangeBetween(from, to, f)
-		return
-	}
-	m.rep.RangeFrom(from, func(k K, v V) bool {
-		if !(k < to) {
-			return false
-		}
-		return f(k, v)
-	})
+	m.rep.RangeBetween(from, to, f)
 }
 
 // Plan returns the planner's decision for this object.
@@ -600,7 +506,9 @@ func (m *AdjustedOrdered[K, V]) Plan() Plan { return *m.plan }
 
 // Adaptive returns the underlying contention-adaptive skip list when the
 // profile declared Adaptive, else nil.
-func (m *AdjustedOrdered[K, V]) Adaptive() *AdaptiveSkipList[K, V] { return m.ad }
+func (m *AdjustedOrdered[K, V]) Adaptive() *AdaptiveSkipList[K, V] {
+	return adaptiveOf[*AdaptiveSkipList[K, V]](m.rep)
+}
 
 // Representation returns the underlying representation.
 func (m *AdjustedOrdered[K, V]) Representation() any { return unwrap(m.rep) }
@@ -611,7 +519,7 @@ func (m *AdjustedOrdered[K, V]) Probe() *Probe { return m.probe }
 // Advise infers the most adjusted ordered-map profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object
 // was constructed without WithUsageRecording.
-func (m *AdjustedOrdered[K, V]) Advise() (Advice, bool) { return adviseObject(m.plan, m.rec) }
+func (m *AdjustedOrdered[K, V]) Advise() (Advice, bool) { return adviseObject(m.plan, m.rep) }
 
 // orderedRows are the ordered-map representations, most adjusted first.
 var orderedRows = []repRow{
@@ -656,17 +564,20 @@ func Ordered[K cmp.Ordered, V any](opts ...Option) (*AdjustedOrdered[K, V], erro
 	}
 	buckets := p.bucketsOr(p.capacityOr(1024) * 2)
 	plan.Ranges, plan.Fences = len(fences)+1, len(fences)
-	m := &AdjustedOrdered[K, V]{plan: intern(plan), probe: p.probe, rec: rec, recHash: recHash}
+	m := &AdjustedOrdered[K, V]{plan: intern(plan), probe: p.probe}
 	switch plan.Rep {
 	case "AdaptiveSkipList":
-		m.ad = adaptive.NewSortedMapFenced[K, V](p.reg(), buckets, hash, fences, p.resolvedPolicy())
-		m.rep, m.probe = m.ad, m.ad.Probe()
+		ad := adaptive.NewSortedMapFenced[K, V](p.reg(), buckets, hash, fences, p.resolvedPolicy())
+		m.rep, m.probe = ad, ad.Probe()
 	case "SegmentedSkipList":
 		m.rep = skiplist.NewSegmented[K, V](p.reg(), buckets, hash, p.checked)
 	case "SWMRSkipList":
 		m.rep = swmrListRep[K, V]{skiplist.NewSWMR[K, V](p.checked)}
 	default: // ConcurrentSkipList
 		m.rep = concurrentListRep[K, V]{skiplist.NewConcurrent[K, V](p.probe)}
+	}
+	if p.record {
+		m.rep = &recordedOrdered[K, V]{recording[orderedRep[K, V]]{m.rep, rec}, recHash}
 	}
 	return m, nil
 }
@@ -709,7 +620,6 @@ type AdjustedQueue[T any] struct {
 	plan  *Plan
 	rep   queueRep[T]
 	probe *Probe
-	rec   *usage.Recorder
 }
 
 // queueWith is a queue facade allocated together with its representation,
@@ -722,47 +632,22 @@ type queueWith[T, R any] struct {
 }
 
 // Offer enqueues v.
-func (q *AdjustedQueue[T]) Offer(h *Handle, v T) {
-	if q.rec != nil {
-		q.rec.RecordWrite(usage.MethodOffer, usage.SlotOf(h), usage.UnkeyedKey)
-	}
-	q.rep.Offer(h, v)
-}
+func (q *AdjustedQueue[T]) Offer(h *Handle, v T) { q.rep.Offer(h, v) }
 
 // Poll dequeues the head. Under SingleReader only the declared consumer may
 // call it. (The recorder counts Poll on the consumer side — a "read" for
 // cardinality purposes — because the MWSR adjustment is about who drains
 // the queue, not about FIFO mutation.)
-func (q *AdjustedQueue[T]) Poll(h *Handle) (T, bool) {
-	if q.rec != nil {
-		q.rec.RecordRead(usage.MethodPoll, usage.SlotOf(h))
-	}
-	return q.rep.Poll(h)
-}
+func (q *AdjustedQueue[T]) Poll(h *Handle) (T, bool) { return q.rep.Poll(h) }
 
 // Peek returns the head without removing it.
-func (q *AdjustedQueue[T]) Peek(h *Handle) (T, bool) {
-	if q.rec != nil {
-		q.rec.RecordRead(usage.MethodPeek, usage.SlotOf(h))
-	}
-	return q.rep.Peek(h)
-}
+func (q *AdjustedQueue[T]) Peek(h *Handle) (T, bool) { return q.rep.Peek(h) }
 
 // IsEmpty reports emptiness.
-func (q *AdjustedQueue[T]) IsEmpty(h *Handle) bool {
-	if q.rec != nil {
-		q.rec.RecordRead(usage.MethodIsEmpty, usage.SlotOf(h))
-	}
-	return q.rep.IsEmpty(h)
-}
+func (q *AdjustedQueue[T]) IsEmpty(h *Handle) bool { return q.rep.IsEmpty(h) }
 
 // Drain dequeues up to max elements into out, returning the count.
-func (q *AdjustedQueue[T]) Drain(h *Handle, out []T, max int) int {
-	if q.rec != nil {
-		q.rec.RecordRead(usage.MethodDrain, usage.SlotOf(h))
-	}
-	return q.rep.Drain(h, out, max)
-}
+func (q *AdjustedQueue[T]) Drain(h *Handle, out []T, max int) int { return q.rep.Drain(h, out, max) }
 
 // Plan returns the planner's decision for this object.
 func (q *AdjustedQueue[T]) Plan() Plan { return *q.plan }
@@ -776,7 +661,7 @@ func (q *AdjustedQueue[T]) Probe() *Probe { return q.probe }
 // Advise infers the most adjusted queue profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object
 // was constructed without WithUsageRecording.
-func (q *AdjustedQueue[T]) Advise() (Advice, bool) { return adviseObject(q.plan, q.rec) }
+func (q *AdjustedQueue[T]) Advise() (Advice, bool) { return adviseObject(q.plan, q.rep) }
 
 // queueRows are the queue representations, most adjusted first.
 var queueRows = []repRow{
@@ -809,7 +694,10 @@ func Queue[T any](opts ...Option) (*AdjustedQueue[T], error) {
 		q = &w.q
 		q.rep = msQueueRep[T]{&w.rep}
 	}
-	q.plan, q.probe, q.rec = intern(plan), p.probe, p.recorder(4)
+	q.plan, q.probe = intern(plan), p.probe
+	if p.record {
+		q.rep = &recordedQueue[T]{recording[queueRep[T]]{q.rep, p.recorder(4)}}
+	}
 	return q, nil
 }
 
@@ -863,37 +751,21 @@ func (a writeOnceRefRep[T]) Update(h *Handle, f func(*T) *T) error {
 type AdjustedRef[T any] struct {
 	plan *Plan
 	rep  refRep[T]
-	rec  *usage.Recorder
 }
 
 // Get returns the current referent (nil while unset).
-func (r *AdjustedRef[T]) Get(h *Handle) *T {
-	if r.rec != nil {
-		r.rec.RecordRead(usage.MethodGet, usage.SlotOf(h))
-	}
-	return r.rep.Get(h)
-}
+func (r *AdjustedRef[T]) Get(h *Handle) *T { return r.rep.Get(h) }
 
 // Set replaces the referent. Under WriteOnce a second Set returns
 // ErrAlreadySet; under SingleWriter only the declared writer may call it.
-func (r *AdjustedRef[T]) Set(h *Handle, v *T) error {
-	if r.rec != nil {
-		r.rec.RecordWrite(usage.MethodSet, usage.SlotOf(h), usage.UnkeyedKey)
-	}
-	return r.rep.Set(h, v)
-}
+func (r *AdjustedRef[T]) Set(h *Handle, v *T) error { return r.rep.Set(h, v) }
 
 // Update replaces the referent with f(old). Under WriteOnce it succeeds
 // only as the initializing write. f must be pure: the unrestricted plan
 // retries a CAS loop and may invoke f more than once under write
 // contention (the single-writer and write-once plans invoke it exactly
 // once).
-func (r *AdjustedRef[T]) Update(h *Handle, f func(old *T) *T) error {
-	if r.rec != nil {
-		r.rec.RecordWrite(usage.MethodUpdate, usage.SlotOf(h), usage.UnkeyedKey)
-	}
-	return r.rep.Update(h, f)
-}
+func (r *AdjustedRef[T]) Update(h *Handle, f func(old *T) *T) error { return r.rep.Update(h, f) }
 
 // Plan returns the planner's decision for this object.
 func (r *AdjustedRef[T]) Plan() Plan { return *r.plan }
@@ -904,7 +776,7 @@ func (r *AdjustedRef[T]) Representation() any { return unwrap(r.rep) }
 // Advise infers the most adjusted reference profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object
 // was constructed without WithUsageRecording.
-func (r *AdjustedRef[T]) Advise() (Advice, bool) { return adviseObject(r.plan, r.rec) }
+func (r *AdjustedRef[T]) Advise() (Advice, bool) { return adviseObject(r.plan, r.rep) }
 
 // refRows are the reference representations, most adjusted first.
 var refRows = []repRow{
@@ -929,7 +801,7 @@ func Ref[T any](v *T, opts ...Option) (*AdjustedRef[T], error) {
 	if p.writeOnce && v != nil {
 		return nil, invalid(dt, "WriteOnce starts unset: construct with a nil initial value and Set once")
 	}
-	r := &AdjustedRef[T]{plan: intern(plan), rec: p.recorder(4)}
+	r := &AdjustedRef[T]{plan: intern(plan)}
 	switch plan.Rep {
 	case "WriteOnceRef":
 		r.rep = writeOnceRefRep[T]{ref.NewWriteOnce[T](p.reg())}
@@ -937,6 +809,9 @@ func Ref[T any](v *T, opts ...Option) (*AdjustedRef[T], error) {
 		r.rep = rcuRefRep[T]{ref.NewRCUBox[T](v, p.checked)}
 	default: // AtomicRef
 		r.rep = atomicRefRep[T]{ref.NewAtomic[T](v)}
+	}
+	if p.record {
+		r.rep = &recordedRef[T]{recording[refRep[T]]{r.rep, p.recorder(4)}}
 	}
 	return r, nil
 }

@@ -168,18 +168,15 @@ func (p *profile) bucketsOr(def int) int {
 	return def
 }
 
-// recorder is the usage recorder the profile asked for (nil without
-// WithUsageRecording), with evidence cells for keyCells distinct keys.
+// recorder makes the usage recorder a WithUsageRecording profile asked for,
+// with evidence cells for keyCells distinct keys.
 func (p *profile) recorder(keyCells int) *usage.Recorder {
-	if !p.record {
-		return nil
-	}
 	return usage.NewRecorderKeys(p.reg(), keyCells)
 }
 
 // keyed resolves what a keyed constructor needs beyond its declaration:
-// the key hash when the planned row hashes keys, and the recorder together
-// with the hash it files written keys under.
+// the key hash when the planned row hashes keys, and, when the profile
+// records, the recorder together with the hash it files written keys under.
 func keyed[K comparable](dt string, p *profile, row *repRow) (hash func(K) uint64, rec *usage.Recorder, recHash func(K) uint64, err error) {
 	if row.hashed {
 		if hash, err = resolveHash[K](dt, p); err != nil {

@@ -1,6 +1,11 @@
 package dego
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+)
 
 // TestRecordedMethodTraces pins what each of the 30 data methods of the six
 // Adjusted* wrappers records: called once on an object built
@@ -132,5 +137,196 @@ func TestRecordedMethodTraces(t *testing.T) {
 	}
 	if methods != 30 {
 		t.Errorf("the table calls %d data methods, want all 30", methods)
+	}
+}
+
+// TestAccessorsSeeThroughRecording builds every row of every datatype twice,
+// unrecorded and recorded, and checks that the accessors answer the same
+// through the recording decorator: the same plan, a Representation of the
+// same dynamic type, Adaptive non-nil exactly on adaptive rows, Probe the
+// adaptive object's own probe there, and Advise available exactly when
+// recorded.
+func TestAccessorsSeeThroughRecording(t *testing.T) {
+	reg := NewRegistry(8)
+	type view struct {
+		plan     Plan
+		rep      any
+		adaptive bool   // Adaptive() is non-nil
+		probe    *Probe // Probe()
+		adProbe  *Probe // Adaptive().Probe()
+		advised  bool   // Advise() reports a recorder
+	}
+	datatypes := []struct {
+		rows  []repRow
+		decls [][]Option
+		build func(opts []Option) view
+	}{
+		{counterRows, [][]Option{
+			{Blind(), SingleReader(), Adaptive()}, {Blind(), SingleReader()},
+			{Blind(), CommutingWriters(), Capacity(8)}, {Blind()}, {},
+		}, func(opts []Option) view {
+			c := Must(Counter(opts...))
+			v := view{plan: c.Plan(), rep: c.Representation(), probe: c.Probe()}
+			if a := c.Adaptive(); a != nil {
+				v.adaptive, v.adProbe = true, a.Probe()
+			}
+			_, v.advised = c.Advise()
+			return v
+		}},
+		{mapRows, [][]Option{
+			{SingleWriter(), Capacity(16)}, {Capacity(16)}, {CommutingWriters(), Adaptive()},
+			{CommutingWriters()}, {SingleWriter()}, {},
+		}, func(opts []Option) view {
+			m := Must(Map[int, int](opts...))
+			v := view{plan: m.Plan(), rep: m.Representation(), probe: m.Probe()}
+			if a := m.Adaptive(); a != nil {
+				v.adaptive, v.adProbe = true, a.Probe()
+			}
+			_, v.advised = m.Advise()
+			return v
+		}},
+		{setRows, [][]Option{
+			{SingleWriter(), Capacity(16)}, {Capacity(16)}, {CommutingWriters(), Adaptive()},
+			{CommutingWriters()}, {SingleWriter()}, {},
+		}, func(opts []Option) view {
+			s := Must(Set[int](opts...))
+			v := view{plan: s.Plan(), rep: s.Representation(), probe: s.Probe()}
+			if a := s.Adaptive(); a != nil {
+				v.adaptive, v.adProbe = true, a.Probe()
+			}
+			_, v.advised = s.Advise()
+			return v
+		}},
+		{orderedRows, [][]Option{
+			{CommutingWriters(), Adaptive()}, {CommutingWriters()}, {SingleWriter()}, {},
+		}, func(opts []Option) view {
+			o := Must(Ordered[int, int](opts...))
+			v := view{plan: o.Plan(), rep: o.Representation(), probe: o.Probe()}
+			if a := o.Adaptive(); a != nil {
+				v.adaptive, v.adProbe = true, a.Probe()
+			}
+			_, v.advised = o.Advise()
+			return v
+		}},
+		{queueRows, [][]Option{{SingleReader()}, {}}, func(opts []Option) view {
+			q := Must(Queue[int](opts...))
+			v := view{plan: q.Plan(), rep: q.Representation(), probe: q.Probe()}
+			_, v.advised = q.Advise()
+			return v
+		}},
+		{refRows, [][]Option{{WriteOnce()}, {SingleWriter()}, {}}, func(opts []Option) view {
+			r := Must(Ref[int](nil, opts...))
+			v := view{plan: r.Plan(), rep: r.Representation()}
+			_, v.advised = r.Advise()
+			return v
+		}},
+	}
+	for _, dt := range datatypes {
+		if len(dt.decls) != len(dt.rows) {
+			t.Fatalf("%d declarations for %d rows", len(dt.decls), len(dt.rows))
+		}
+		for i, decl := range dt.decls {
+			opts := append([]Option{On(reg)}, decl...)
+			plain := dt.build(opts)
+			recorded := dt.build(append(opts, WithUsageRecording()))
+			name := plain.plan.String()
+			if row := dt.rows[i]; plain.plan.Rep != row.name {
+				t.Fatalf("declaration %d planned %s, want row %s", i, name, row.name)
+			}
+			if recorded.plan != plain.plan {
+				t.Errorf("%s: recorded plan %v", name, recorded.plan)
+			}
+			if a, b := fmt.Sprintf("%T", recorded.rep), fmt.Sprintf("%T", plain.rep); a != b {
+				t.Errorf("%s: recorded Representation is %s, unrecorded %s", name, a, b)
+			}
+			for _, v := range []view{plain, recorded} {
+				if v.adaptive != v.plan.Adaptive {
+					t.Errorf("%s (recorded %v): Adaptive() non-nil %v, plan adaptive %v", name, v.advised, v.adaptive, v.plan.Adaptive)
+				}
+				if v.adaptive && v.probe != v.adProbe {
+					t.Errorf("%s (recorded %v): Probe() is not the adaptive probe", name, v.advised)
+				}
+			}
+			if plain.advised || !recorded.advised {
+				t.Errorf("%s: Advise available unrecorded %v, recorded %v", name, plain.advised, recorded.advised)
+			}
+		}
+	}
+}
+
+// TestConcurrentRecording runs four goroutines through recorded Map, Set,
+// Queue and Counter wrappers while a fifth calls Advise() on all four in a
+// loop, as a program replaying traffic while it is asked for advice does.
+// No call may be lost: the traces after the run are exact. `make race` runs
+// it under the detector.
+func TestConcurrentRecording(t *testing.T) {
+	const workers, rounds = 4, 256
+	const n = workers * rounds
+	reg := NewRegistry(workers)
+	opts := []Option{On(reg), WithUsageRecording()}
+	m := Must(Map[int, int](opts...))
+	s := Must(Set[int](opts...))
+	q := Must(Queue[int](opts...))
+	c := Must(Counter(opts...))
+	advisers := []func() (Advice, bool){m.Advise, s.Advise, q.Advise, c.Advise}
+
+	done := make(chan struct{})
+	var advising sync.WaitGroup
+	advising.Add(1)
+	go func() {
+		defer advising.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, advise := range advisers {
+				if _, ok := advise(); !ok {
+					t.Error("Advise reports no recorder")
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		h := reg.MustRegister()
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := g*rounds + i
+				m.Put(h, k, i)
+				m.Get(k)
+				s.Add(h, k)
+				s.Contains(k)
+				q.Offer(h, k)
+				q.Poll(h)
+				c.Inc(h)
+				c.Get(h)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	advising.Wait()
+
+	// Keyed objects: every worker writes its own keys, and keyed reads are
+	// anonymous. Unkeyed ones: every write lands on the one key, and every
+	// read follows the reader's own write.
+	keyed := func(write, read string) UsageTrace {
+		return UsageTrace{Methods: map[string]uint64{write: n, read: n}, Writes: n, Reads: n,
+			Writers: workers, AnonReads: n, Keys: n}
+	}
+	unkeyed := func(write, read string) UsageTrace {
+		return UsageTrace{Methods: map[string]uint64{write: n, read: n}, Writes: n, Reads: n,
+			Writers: workers, Readers: workers, Keys: 1, SharedKeys: 1, Overwrites: n - 1, ReadYourWrites: n}
+	}
+	for i, want := range []UsageTrace{keyed("Put", "Get"), keyed("Add", "Contains"), unkeyed("Offer", "Poll"), unkeyed("Inc", "Get")} {
+		a, _ := advisers[i]()
+		if !reflect.DeepEqual(a.Trace, want) {
+			t.Errorf("trace %d:\n got %+v\nwant %+v", i, a.Trace, want)
+		}
 	}
 }
