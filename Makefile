@@ -95,9 +95,12 @@ test:
 # profiles across goroutines, and a recorded object's decorator feeds one
 # recorder from every caller while Advise reads it, so the race job also
 # runs the root tests that build and record through objects concurrently.
+# The Retwis runs write one user's follower set and timeline from the
+# owning thread and from the threads that follow or post to that user.
 race:
 	$(GO) test -race -short $(RACE_PKGS)
 	$(GO) test -race -short -run 'ConcurrentConstruction|ConcurrentRecording' .
+	$(GO) test -race -short -run 'TestRunAllBackends|TestRunPreservesInvariants' ./internal/retwis/
 	$(GO) test -race -short -count=3 $(RACE_SERVER_PKGS)
 
 bench-smoke:

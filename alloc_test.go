@@ -5,6 +5,8 @@ package dego
 import (
 	"testing"
 	"unsafe"
+
+	"github.com/adjusted-objects/dego/internal/queue"
 )
 
 // Allocation ceilings of construction and of the facade's hot paths, per
@@ -142,5 +144,15 @@ func TestWrapperSizes(t *testing.T) {
 		if row.size != row.words*word {
 			t.Errorf("%s is %d bytes, want %d words (%d bytes)", row.name, row.size, row.words, row.words*word)
 		}
+	}
+}
+
+// TestQueueWithSize pins what one per-user MPSC queue allocates, facade and
+// representation together, for a 16-byte element (a Retwis tweet): two
+// cache lines, the head's and the tail's.
+func TestQueueWithSize(t *testing.T) {
+	type t16 struct{ a, b int64 }
+	if size := unsafe.Sizeof(queueWith[t16, queue.MPSC[t16]]{}); size > 128 {
+		t.Errorf("an MPSC queue of a 16-byte element is %d bytes with its facade, want at most 128", size)
 	}
 }

@@ -144,13 +144,19 @@ func (q *MS[T]) Len() int {
 // MPSC is the adjusted queue (Q1, MWSR): any thread may Offer, exactly one
 // thread Polls. The consumer's head advance is a plain store — the paper's
 // "simpler mechanism to update the head when a single thread executes poll".
+//
+// The layout keeps the consumer's head and the producers' tail at least one
+// cache line apart with a single gap, not a pad around each: the fields the
+// consumer alone reads (the guard; the probe, which producers read only
+// after a failed CAS) fill the head's line, and the sentinel follows the
+// tail. A queue of 8-byte elements is 88 bytes, where a pad around each end
+// made it 176; a program holding one queue per user pays that per user.
 type MPSC[T any] struct {
 	head     atomic.Pointer[node[T]]
-	_        core.Pad
-	tail     atomic.Pointer[node[T]]
-	_        core.Pad
-	probe    *contention.Probe
 	guard    *core.Guard
+	probe    *contention.Probe
+	_        [core.CacheLineSize - 24]byte
+	tail     atomic.Pointer[node[T]]
 	sentinel node[T]
 }
 
@@ -175,9 +181,10 @@ func (q *MPSC[T]) Init(probe *contention.Probe, checked bool) {
 }
 
 // Offer appends v to the tail (identical to the Michael–Scott offer, as in
-// the JDK's ConcurrentLinkedQueue — §5.3).
-func (q *MPSC[T]) Offer(h *core.Handle, v T) {
-	q.guard.MustCheck(h, core.Write)
+// the JDK's ConcurrentLinkedQueue — §5.3). Any thread may offer, so there is
+// no role to check: MWSR never restricts a write, and a producer reads the
+// consumer's line only to record a failed CAS.
+func (q *MPSC[T]) Offer(_ *core.Handle, v T) {
 	n := &node[T]{val: v}
 	for {
 		tail := q.tail.Load()
@@ -199,6 +206,11 @@ func (q *MPSC[T]) Offer(h *core.Handle, v T) {
 // other thread ever moves the head.
 func (q *MPSC[T]) Poll(h *core.Handle) (T, bool) {
 	q.guard.MustCheck(h, core.Read)
+	return q.poll()
+}
+
+// poll is Poll once the caller's consumer role is checked.
+func (q *MPSC[T]) poll() (T, bool) {
 	var zero T
 	head := q.head.Load()
 	next := head.next.Load()
@@ -237,12 +249,12 @@ func (q *MPSC[T]) IsEmpty(h *core.Handle) bool {
 }
 
 // Drain polls up to max elements into out (consumer only), returning the
-// number drained. The timeline read of the Retwis application uses it.
+// number drained. The role is checked once per call, not per element.
 func (q *MPSC[T]) Drain(h *core.Handle, out []T, max int) int {
 	q.guard.MustCheck(h, core.Read)
 	n := 0
 	for n < max && n < len(out) {
-		v, ok := q.Poll(h)
+		v, ok := q.poll()
 		if !ok {
 			break
 		}

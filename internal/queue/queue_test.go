@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/adjusted-objects/dego/internal/contention"
 	"github.com/adjusted-objects/dego/internal/core"
@@ -206,20 +207,27 @@ func TestMPSCManyProducersOneConsumer(t *testing.T) {
 }
 
 func TestMPSCGuardRejectsSecondConsumer(t *testing.T) {
-	r := core.NewRegistry(4)
-	q := NewMPSC[int](nil, true)
-	c1, c2 := r.MustRegister(), r.MustRegister()
-	q.Offer(c1, 1) // producers may be anyone
-	q.Offer(c2, 2)
-	if _, ok := q.Poll(c1); !ok {
-		t.Fatal("first consumer poll failed")
+	for name, consume := range map[string]func(q *MPSC[int], h *core.Handle){
+		"Poll":  func(q *MPSC[int], h *core.Handle) { q.Poll(h) },
+		"Drain": func(q *MPSC[int], h *core.Handle) { q.Drain(h, make([]int, 2), 2) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := core.NewRegistry(4)
+			q := NewMPSC[int](nil, true)
+			c1, c2 := r.MustRegister(), r.MustRegister()
+			q.Offer(c1, 1) // producers may be anyone
+			q.Offer(c2, 2)
+			if _, ok := q.Poll(c1); !ok {
+				t.Fatal("first consumer poll failed")
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("second consumer must trip the MWSR guard")
+				}
+			}()
+			consume(q, c2)
+		})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second consumer must trip the MWSR guard")
-		}
-	}()
-	q.Poll(c2)
 }
 
 func TestMPSCDrain(t *testing.T) {
@@ -383,3 +391,34 @@ type atomic64 struct {
 
 func (a *atomic64) add(d int64) { a.mu.Lock(); a.v += d; a.mu.Unlock() }
 func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }
+
+// mpscOffsets returns where MPSC[T] keeps its head, guard, probe and tail.
+func mpscOffsets[T any]() (head, guard, probe, tail uintptr) {
+	var q MPSC[T]
+	return unsafe.Offsetof(q.head), unsafe.Offsetof(q.guard), unsafe.Offsetof(q.probe), unsafe.Offsetof(q.tail)
+}
+
+// TestMPSCLayout pins the queue's one gap: whatever the element type, the
+// consumer's head and the producers' tail sit at least a cache line apart,
+// and the consumer-side fields fill the head's line rather than the tail's.
+func TestMPSCLayout(t *testing.T) {
+	type pair struct{ a, b int64 }
+	type line struct{ a [8]int64 }
+	for _, tc := range []struct {
+		name    string
+		offsets func() (head, guard, probe, tail uintptr)
+	}{
+		{"struct{}", mpscOffsets[struct{}]},
+		{"int64", mpscOffsets[int64]},
+		{"16-byte struct", mpscOffsets[pair]},
+		{"64-byte struct", mpscOffsets[line]},
+	} {
+		head, guard, probe, tail := tc.offsets()
+		if tail-head < core.CacheLineSize {
+			t.Errorf("MPSC[%s]: tail is %d bytes past the head, want at least %d", tc.name, tail-head, core.CacheLineSize)
+		}
+		if guard >= tail || probe >= tail {
+			t.Errorf("MPSC[%s]: guard at %d and probe at %d, want both before the tail at %d", tc.name, guard, probe, tail)
+		}
+	}
+}

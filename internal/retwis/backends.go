@@ -25,7 +25,8 @@ import (
 // The per-user inner sets (set.Locked) stay deliberately unadjusted and
 // un-planned (§6.3: adjusting them costs more in write amplification than
 // it saves); they are values inside the planned maps, not shared catalog
-// objects.
+// objects. Each is one lock over a slice of at most 8 followers, which is
+// where most users stay, and over a map only past that.
 
 // kindRecorded is the advisor's row (AdviseRun): the JUC declarations — no
 // restriction — with a usage recorder on every table, so the advisor can
@@ -36,7 +37,8 @@ const kindRecorded Kind = KindFLAT + 1
 // cover only the unnamed key types, so every node-based row declares it.
 func userHash(u UserID) uint64 { return stats.Hash64(uint64(u)) }
 
-// profile is an immutable profile snapshot, replaced wholesale on update.
+// profile is one user's profile snapshot, held by value and replaced
+// wholesale on update.
 type profile struct {
 	Version int64
 }
@@ -104,7 +106,7 @@ type tableBackend struct {
 	followers *dego.AdjustedMap[UserID, *set.Locked[UserID]]
 	following *dego.AdjustedMap[UserID, *set.Locked[UserID]]
 	timelines *dego.AdjustedMap[UserID, *dego.AdjustedQueue[Tweet]]
-	profiles  *dego.AdjustedMap[UserID, *profile]
+	profiles  *dego.AdjustedMap[UserID, profile]
 	community *dego.AdjustedSet[UserID]
 }
 
@@ -116,7 +118,7 @@ func newTableBackend(kind Kind, users int, reg *core.Registry) *tableBackend {
 		followers: table[*set.Locked[UserID]](r, users),
 		following: table[*set.Locked[UserID]](r, users),
 		timelines: table[*dego.AdjustedQueue[Tweet]](r, users),
-		profiles:  table[*profile](r, users),
+		profiles:  table[profile](r, users),
 		community: dego.Must(dego.Set[UserID](r.sized(users/8 + 16)...)),
 	}
 }
@@ -124,10 +126,10 @@ func newTableBackend(kind Kind, users int, reg *core.Registry) *tableBackend {
 func (b *tableBackend) Name() string { return b.name }
 
 func (b *tableBackend) AddUser(h *core.Handle, u UserID) {
-	b.followers.Put(h, u, set.NewLocked[UserID](nil))
-	b.following.Put(h, u, set.NewLocked[UserID](nil))
+	b.followers.Put(h, u, set.NewLocked[UserID]())
+	b.following.Put(h, u, set.NewLocked[UserID]())
 	b.timelines.Put(h, u, b.row.timeline(u))
-	b.profiles.Put(h, u, &profile{})
+	b.profiles.Put(h, u, profile{})
 }
 
 func (b *tableBackend) Follow(_ *core.Handle, follower, followee UserID) {
@@ -194,7 +196,7 @@ func (b *tableBackend) JoinGroup(h *core.Handle, u UserID)  { b.community.Add(h,
 func (b *tableBackend) LeaveGroup(h *core.Handle, u UserID) { b.community.Remove(h, u) }
 
 func (b *tableBackend) UpdateProfile(h *core.Handle, u UserID, version int64) {
-	b.profiles.Put(h, u, &profile{Version: version})
+	b.profiles.Put(h, u, profile{Version: version})
 }
 
 func (b *tableBackend) InGroup(u UserID) bool { return b.community.Contains(u) }

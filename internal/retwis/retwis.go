@@ -13,7 +13,8 @@
 //     timeline queues.
 //   - DEGO: per-user writes declared commuting, timelines declared
 //     single-consumer — (M2, CWMR) segmented maps, a CWMR set, MPSC queues.
-//     The follower/following sets inside the maps stay JUC-style: the paper
+//     The follower/following sets inside the maps stay one-lock sets
+//     (set.Locked, a slice until they outgrow 8 elements): the paper
 //     reports that adjusting them too costs more in write amplification
 //     than it saves in contention.
 //   - FLAT: DEGO's declarations plus a capacity and no hash function — the
