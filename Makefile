@@ -41,20 +41,20 @@ FLAT_BASELINE    = BENCH_flat.json
 BENCHCMP_FLAGS  =
 
 # Networked retwis smoke: tiny closed-loop run of the Table-2 workload as
-# RESP pipelines against a self-hosted dego-server, one point per store
-# kind; the latency JSON lands as a CI artifact (net-<short-sha>.json, same
-# diffable-trajectory idea as the bench smoke).
-NET_SMOKE_FLAGS = -net -stores adaptive,striped -conns 2 -pipeline 8 -netusers 2000 -netduration 300ms
+# RESP pipelines against a self-hosted dego-server, one latency point; the
+# JSON lands as a CI artifact (net-<short-sha>.json, same diffable-trajectory
+# idea as the bench smoke).
+NET_SMOKE_FLAGS = -net -conns 2 -pipeline 8 -netusers 2000 -netduration 300ms
 NET_SMOKE_JSON  = net-smoke.json
 
-# Open-loop frontier smoke: a short two-rate walk of one store kind,
+# Open-loop frontier smoke: a short two-rate walk of the served store,
 # measured coordinated-omission-free (latency from intended start), once
 # over a clean network and once through the -chaos fault-injected dialer.
 # Like the other smokes this catches harness bit-rot, not performance;
 # both frontier JSONs land as CI artifacts (frontier-<short-sha>.json /
 # frontier-chaos-<short-sha>.json) so the latency trajectory stays
 # diffable across PRs.
-OPENLOOP_SMOKE_FLAGS = -openloop -stores adaptive -rates 1k,2k -olduration 300ms -olworkers 2 -netusers 2000
+OPENLOOP_SMOKE_FLAGS = -openloop -rates 1k,2k -olduration 300ms -olworkers 2 -netusers 2000
 FRONTIER_JSON        = frontier-smoke.json
 FRONTIER_CHAOS_JSON  = frontier-chaos-smoke.json
 
@@ -118,9 +118,12 @@ bench-compare:
 
 # Boot dego-server on an ephemeral port and run the scripted
 # GET/SET/INCR/LRANGE self-session through the repo's own wire client
-# (CI images have no redis-cli); every reply is checked.
+# (CI images have no redis-cli); every reply is checked, then INFO must show
+# the adaptive store and the session's keys. The second run records usage,
+# and DEBUG ADVISE must certify one single-writer map per shard.
 server-smoke:
 	$(GO) run ./cmd/dego-server -smoke -shards 2
+	$(GO) run ./cmd/dego-server -smoke -shards 2 -record
 
 net-smoke:
 	$(GO) run ./cmd/retwis-bench $(NET_SMOKE_FLAGS) -json $(NET_SMOKE_JSON)

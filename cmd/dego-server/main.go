@@ -10,7 +10,6 @@
 //
 //	-addr      listen address (default 127.0.0.1:6399; :0 picks a free port)
 //	-shards    event-loop shards, each owning a keyspace slice (default GOMAXPROCS)
-//	-store     shard map kind: adaptive, segmented, striped or flat
 //	-capacity  per-shard capacity hint for the planner
 //	-ranges    adaptive ranges per shard map
 //	-record    attach usage recorders to the shard maps, enabling the
@@ -25,23 +24,28 @@
 //
 // -smoke exists for CI: the container images have no redis-cli, so the
 // server proves the wire path with its own client — boot, connect over
-// TCP, run a GET/SET/INCR/LRANGE session, verify every reply, shut down.
+// TCP, run a GET/SET/INCR/LRANGE session, verify every reply, check INFO
+// (and, with -record, DEBUG ADVISE), shut down.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/retwis"
 	"github.com/adjusted-objects/dego/internal/server"
+	"github.com/adjusted-objects/dego/internal/wire"
 )
 
 func main() {
@@ -55,8 +59,6 @@ func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("dego-server", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:6399", "TCP listen address")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "keyspace shards (event loops)")
-	store := fs.String("store", server.StoreAdaptive,
-		"shard map kind: "+strings.Join(server.StoreKinds(), ", "))
 	capacity := fs.Int("capacity", 0, "per-shard capacity hint (0 = default)")
 	ranges := fs.Int("ranges", 0, "adaptive ranges per shard (0 = default)")
 	record := fs.Bool("record", false, "attach usage recorders to the shard maps (DEBUG ADVISE)")
@@ -73,7 +75,6 @@ func run(args []string, out *os.File) error {
 		Addr: *addr,
 		Store: server.StoreConfig{
 			Shards:   *shards,
-			Kind:     *store,
 			Capacity: *capacity,
 			Ranges:   *ranges,
 			Record:   *record,
@@ -97,12 +98,12 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	fmt.Fprintf(out, "dego-server: listening on %s (%d shards, %s store)\n",
-		srv.Addr(), srv.Store().Shards(), *store)
+		srv.Addr(), srv.Store().Shards(), srv.Store().Kind())
 
 	if *smoke {
 		defer srv.Close()
 		go srv.Serve()
-		return smokeSession(srv.Addr().String(), out)
+		return smokeSession(srv.Addr().String(), srv.Store().Shards(), *record, out)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -130,9 +131,17 @@ func run(args []string, out *os.File) error {
 	return nil
 }
 
+// smokeKeys is how many keys the scripted session leaves behind: visits,
+// community, timeline:1 and posts:1.
+const smokeKeys = 4
+
 // smokeSession drives the scripted self-session: one pipelined connection
 // exercising every verb family, each reply checked against its expectation.
-func smokeSession(addr string, out *os.File) error {
+// A second flush asks INFO, which must name the served store kind and count
+// the keys the session left, and on a recording server DEBUG ADVISE, which
+// must certify one single-writer map per shard. (INFO answers at planning
+// time, so in the first flush it would not see that flush's writes.)
+func smokeSession(addr string, shards int, record bool, out *os.File) error {
 	kv, err := retwis.DialKV(addr)
 	if err != nil {
 		return err
@@ -178,5 +187,55 @@ func smokeSession(addr string, out *os.File) error {
 		fmt.Fprintf(out, "smoke: %v -> %s\n", s.cmd, reps[i])
 	}
 	fmt.Fprintf(out, "smoke: %d/%d replies ok\n", len(session), len(session))
+
+	cmds = [][][]byte{{[]byte("INFO")}}
+	if record {
+		cmds = append(cmds, [][]byte{[]byte("DEBUG"), []byte("ADVISE")})
+	}
+	if reps, err = kv.ExecPipe(cmds); err != nil {
+		return err
+	}
+	if err := checkInfo(reps[0].Text()); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "smoke: INFO store_kind:%s keys:%d\n", server.StoreAdaptive, smokeKeys)
+	if record {
+		if err := checkAdvice(reps[1], shards); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "smoke: DEBUG ADVISE certified a single writer on each of %d shards\n", shards)
+	}
+	return nil
+}
+
+// checkInfo requires INFO to report the served store kind and the session's
+// key count.
+func checkInfo(info string) error {
+	for _, line := range []string{"store_kind:" + server.StoreAdaptive, "keys:" + strconv.Itoa(smokeKeys)} {
+		if !strings.Contains(info, "\r\n"+line+"\r\n") {
+			return fmt.Errorf("smoke: INFO lacks %q:\n%s", line, info)
+		}
+	}
+	return nil
+}
+
+// checkAdvice requires DEBUG ADVISE to hold one certified single-writer
+// recommendation per shard: a shard's lock holder is its map's only writer.
+func checkAdvice(rep wire.Reply, shards int) error {
+	if rep.IsError() {
+		return fmt.Errorf("smoke: DEBUG ADVISE replied %s", rep)
+	}
+	var advs []dego.Advice
+	if err := json.Unmarshal(rep.Bulk, &advs); err != nil {
+		return fmt.Errorf("smoke: DEBUG ADVISE is not advice JSON: %w", err)
+	}
+	if len(advs) != shards {
+		return fmt.Errorf("smoke: DEBUG ADVISE has %d entries, want one per shard (%d)", len(advs), shards)
+	}
+	for i, a := range advs {
+		if !a.SingleWriter || !a.Certified {
+			return fmt.Errorf("smoke: shard %d advice is not a certified single writer: %+v", i, a)
+		}
+	}
 	return nil
 }

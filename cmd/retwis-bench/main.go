@@ -15,27 +15,27 @@
 //
 // -net switches to the networked evaluation: the same Table-2 workload is
 // generated client-side and shipped to a dego-server as RESP pipelines,
-// producing latency-vs-throughput points (p50/p95/p99 of the pipeline round
-// trip). By default it self-hosts one server per store kind in -stores; with
-// -addr it targets a live server instead. -json writes the points as a JSON
-// array (the CI artifact):
+// producing one latency-vs-throughput point (p50/p95/p99 of the pipeline
+// round trip). By default it self-hosts a server; with -addr it targets a
+// live server instead. -json writes the point as a one-element JSON array
+// (the CI artifact):
 //
-//	retwis-bench -net [-stores adaptive,striped] [-conns 4] [-pipeline 8]
-//	             [-netusers 10000] [-netduration 2s] [-json net.json]
+//	retwis-bench -net [-conns 4] [-pipeline 8] [-netusers 10000]
+//	             [-netduration 2s] [-json net.json]
 //	retwis-bench -net -addr 127.0.0.1:6399
 //
 // -openloop switches to the open-loop frontier: arrivals are scheduled on a
 // Poisson (or fixed-interval) process at each target rate in -rates, and
 // latency is measured from *intended* start, so queueing delay behind a
 // stalled server is recorded instead of coordinated away (see README,
-// "Measuring latency"). The sweep walks rates per (store kind × shard
-// count × pipeline depth) cell until saturation and emits a frontier JSON;
-// -chaos runs the same sweep through a fault-injecting dialer for the
-// latency-under-chaos curve:
+// "Measuring latency"). The sweep walks rates per (shard count × pipeline
+// depth) cell until saturation and emits a frontier JSON; -chaos runs the
+// same sweep through a fault-injecting dialer for the latency-under-chaos
+// curve:
 //
-//	retwis-bench -openloop [-stores adaptive,striped] [-shardcounts 2]
-//	             [-pipelines 8] [-rates 2k,4k,8k] [-olduration 1s]
-//	             [-olworkers 4] [-arrivals poisson] [-json frontier.json]
+//	retwis-bench -openloop [-shardcounts 2] [-pipelines 8]
+//	             [-rates 2k,4k,8k] [-olduration 1s] [-olworkers 4]
+//	             [-arrivals poisson] [-json frontier.json]
 //	retwis-bench -openloop -chaos [-chaosseed 42]
 //
 // -advise switches to the tuning-advisor replay: the same Table-2 workload
@@ -62,7 +62,6 @@ import (
 	"github.com/adjusted-objects/dego/internal/faultnet"
 	"github.com/adjusted-objects/dego/internal/loadgen"
 	"github.com/adjusted-objects/dego/internal/retwis"
-	"github.com/adjusted-objects/dego/internal/server"
 )
 
 func main() {
@@ -84,9 +83,7 @@ func run(args []string) error {
 	alpha := fs.Float64("alpha", 1, "user-selection bias for figure 9")
 
 	netMode := fs.Bool("net", false, "networked mode: drive dego-server over TCP instead of the figures")
-	netAddr := fs.String("addr", "", "live server address for -net ('' self-hosts per store kind)")
-	storesFlag := fs.String("stores", "adaptive,striped",
-		"store kinds for self-hosted -net (any of: "+strings.Join(server.StoreKinds(), ", ")+")")
+	netAddr := fs.String("addr", "", "live server address for -net and -openloop ('' self-hosts one)")
 	conns := fs.Int("conns", 4, "client connections for -net")
 	pipelineDepth := fs.Int("pipeline", 8, "ops batched per pipeline flush for -net")
 	netUsers := fs.Int("netusers", 10_000, "seeded users for -net")
@@ -118,7 +115,7 @@ func run(args []string) error {
 	}
 	if *openLoop {
 		return runOpenLoop(openLoopArgs{
-			addr: *netAddr, stores: *storesFlag, shardCounts: *shardsOL,
+			addr: *netAddr, shardCounts: *shardsOL,
 			pipelines: *pipesOL, rates: *ratesFlag, users: *netUsers,
 			duration: *olDuration, workers: *olWorkers, queueCap: *olQueue,
 			process: *arrivals, alpha: *alpha, chaos: *chaosMode,
@@ -126,7 +123,7 @@ func run(args []string) error {
 		})
 	}
 	if *netMode {
-		return runNet(*netAddr, *storesFlag, *conns, *pipelineDepth, *netUsers,
+		return runNet(*netAddr, *conns, *pipelineDepth, *netUsers,
 			*netDuration, *netOps, *alpha, *jsonPath)
 	}
 
@@ -186,9 +183,9 @@ func runAdvise(users, threads, ops int, alpha float64, jsonPath string) error {
 	return nil
 }
 
-// runNet measures latency-vs-throughput points: one per store kind when
-// self-hosting, a single "remote" point when -addr targets a live server.
-func runNet(addr, stores string, conns, pipeline, users int,
+// runNet measures one latency-vs-throughput point, against a self-hosted
+// server or, with -addr, a live one.
+func runNet(addr string, conns, pipeline, users int,
 	duration time.Duration, opsPerConn int, alpha float64, jsonPath string) error {
 	p := retwis.DefaultParams()
 	p.Users = users
@@ -196,52 +193,37 @@ func runNet(addr, stores string, conns, pipeline, users int,
 	p.Alpha = alpha
 	p.Duration = duration
 	p.OpsPerThread = opsPerConn
-	base := retwis.NetParams{Workload: p, Addr: addr, Pipeline: pipeline}
-
-	var points []retwis.NetPoint
-	if addr != "" {
-		pt, err := retwis.RunNet(base)
-		if err != nil {
-			return err
-		}
-		points = append(points, pt)
-		fmt.Printf("remote %s: %.0f ops/s, p50 %dµs, p95 %dµs, p99 %dµs, errors %d, retries %d, reconnects %d\n",
-			addr, pt.OpsPerSec, pt.P50us, pt.P95us, pt.P99us, pt.Errors, pt.Retries, pt.Reconnects)
-	} else {
-		kinds, err := parseStores(stores)
-		if err != nil {
-			return err
-		}
-		points, err = retwis.NetCurve(os.Stdout, base, kinds)
-		if err != nil {
-			return err
-		}
+	pt, err := retwis.RunNet(retwis.NetParams{Workload: p, Addr: addr, Pipeline: pipeline})
+	if err != nil {
+		return err
 	}
-	return writeJSON(jsonPath, points, len(points))
+	target := addr
+	if target == "" {
+		target = "self-hosted"
+	}
+	fmt.Printf("%s %s: %.0f ops/s, p50 %dµs, p95 %dµs, p99 %dµs, errors %d, retries %d, reconnects %d\n",
+		pt.Store, target, pt.OpsPerSec, pt.P50us, pt.P95us, pt.P99us, pt.Errors, pt.Retries, pt.Reconnects)
+	return writeJSON(jsonPath, []retwis.NetPoint{pt}, 1)
 }
 
 // openLoopArgs carries the -openloop flag set.
 type openLoopArgs struct {
-	addr, stores, shardCounts, pipelines, rates string
-	users                                       int
-	duration                                    time.Duration
-	workers, queueCap                           int
-	process                                     string
-	alpha                                       float64
-	chaos                                       bool
-	chaosSeed                                   int64
-	jsonPath                                    string
+	addr, shardCounts, pipelines, rates string
+	users                               int
+	duration                            time.Duration
+	workers, queueCap                   int
+	process                             string
+	alpha                               float64
+	chaos                               bool
+	chaosSeed                           int64
+	jsonPath                            string
 }
 
 // runOpenLoop sweeps the coordinated-omission-free latency frontier: per
-// (store kind × shard count × pipeline depth) cell, arrival rates are
-// walked until saturation. -chaos interposes a seeded fault injector on
-// every worker dial, measuring the same frontier under a hostile network.
+// (shard count × pipeline depth) cell, arrival rates are walked until
+// saturation. -chaos interposes a seeded fault injector on every worker
+// dial, measuring the same frontier under a hostile network.
 func runOpenLoop(a openLoopArgs) error {
-	kinds, err := parseStores(a.stores)
-	if err != nil {
-		return err
-	}
 	shardCounts, err := parseInts(a.shardCounts)
 	if err != nil {
 		return fmt.Errorf("bad -shardcounts: %w", err)
@@ -286,32 +268,11 @@ func runOpenLoop(a openLoopArgs) error {
 		}
 	}
 
-	points, err := retwis.Frontier(os.Stdout, base, kinds, shardCounts, pipelines, rates)
+	points, err := retwis.Frontier(os.Stdout, base, shardCounts, pipelines, rates)
 	if err != nil {
 		return err
 	}
 	return writeJSON(a.jsonPath, points, len(points))
-}
-
-// parseStores validates the -stores list up front through the server's own
-// parser — the single source of truth — so a typo fails with the typed
-// *server.UnknownStoreKindError before any server boots or socket dials.
-// Empty entries (a stray comma) are rejected rather than silently
-// resolving to the default kind.
-func parseStores(s string) ([]string, error) {
-	kinds := strings.Split(s, ",")
-	for i := range kinds {
-		kind := strings.TrimSpace(kinds[i])
-		if kind == "" {
-			return nil, fmt.Errorf("-stores: empty store kind in %q", s)
-		}
-		k, err := server.ParseStoreKind(kind)
-		if err != nil {
-			return nil, fmt.Errorf("-stores: %w", err)
-		}
-		kinds[i] = k
-	}
-	return kinds, nil
 }
 
 // writeJSON serializes points to path when set (the CI artifact).

@@ -1,12 +1,6 @@
 package main
 
-import (
-	"errors"
-	"testing"
-	"time"
-
-	"github.com/adjusted-objects/dego/internal/server"
-)
+import "testing"
 
 func TestParseHelpers(t *testing.T) {
 	ints, err := parseInts("100,200")
@@ -45,41 +39,6 @@ func TestParseRates(t *testing.T) {
 	for _, bad := range []string{"x", "1g", "0", "-2k", ""} {
 		if _, err := parseRates(bad); err == nil {
 			t.Fatalf("parseRates(%q) accepted", bad)
-		}
-	}
-}
-
-// Regression: an unknown store kind must surface the typed
-// *server.UnknownStoreKindError and fail the run before any server boots
-// or socket dials — on the -net path and the -openloop path alike. The
-// time bound is the "before dialing anything" proof: validation fails in
-// microseconds, a sweep would take seconds.
-func TestUnknownStoreKindFailsTypedBeforeDialing(t *testing.T) {
-	for _, args := range [][]string{
-		{"-net", "-stores", "adaptive,bogus"},
-		{"-openloop", "-stores", "bogus", "-rates", "1k"},
-	} {
-		start := time.Now()
-		err := run(args)
-		var uk *server.UnknownStoreKindError
-		if !errors.As(err, &uk) {
-			t.Fatalf("run(%v) = %v, want *server.UnknownStoreKindError", args, err)
-		}
-		if uk.Kind != "bogus" {
-			t.Fatalf("run(%v): rejected kind %q, want %q", args, uk.Kind, "bogus")
-		}
-		if took := time.Since(start); took > time.Second {
-			t.Fatalf("run(%v) took %v before failing: work happened before validation", args, took)
-		}
-	}
-}
-
-// Regression: a stray comma in -stores must error, not silently resolve
-// the empty entry to the default store kind and measure the wrong thing.
-func TestEmptyStoreKindRejected(t *testing.T) {
-	for _, stores := range []string{"adaptive,", ",striped", "adaptive,,striped"} {
-		if err := run([]string{"-net", "-stores", stores}); err == nil {
-			t.Fatalf("-stores %q accepted", stores)
 		}
 	}
 }

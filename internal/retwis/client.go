@@ -29,7 +29,7 @@ type KV interface {
 
 // LocalKV runs the pipeline directly against an in-process store — the
 // zero-wire baseline that isolates protocol+network cost when compared with
-// WireKV against the same store kind.
+// WireKV against the same store.
 type LocalKV struct {
 	St *server.Store
 }

@@ -2,7 +2,6 @@ package retwis
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -108,12 +107,12 @@ func usersOf(p Params, tid int) []UserID {
 }
 
 func TestRunNetSelfHostedAndRemote(t *testing.T) {
-	np := NetParams{Workload: netTestParams(), Store: server.StoreStriped, Pipeline: 8}
+	np := NetParams{Workload: netTestParams(), Pipeline: 8}
 	pt, err := RunNet(np)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Store != server.StoreStriped || pt.Conns != 2 {
+	if pt.Store != server.StoreAdaptive || pt.Conns != 2 {
 		t.Fatalf("point %+v", pt)
 	}
 	wantOps := int64(2 * 200) // OpsPerThread mode rounds to pipeline multiples: 200 % 8 == 0
@@ -145,21 +144,6 @@ func TestRunNetSelfHostedAndRemote(t *testing.T) {
 	}
 	if pt.Store != "remote" || pt.Ops != 2*80 {
 		t.Fatalf("remote point %+v", pt)
-	}
-}
-
-func TestNetCurveRunsAllKinds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-backend curve in short mode")
-	}
-	np := NetParams{Workload: netTestParams(), Pipeline: 4}
-	np.Workload.OpsPerThread = 40
-	pts, err := NetCurve(io.Discard, np, []string{server.StoreAdaptive, server.StoreStriped})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || pts[0].Store == pts[1].Store {
-		t.Fatalf("points %+v", pts)
 	}
 }
 

@@ -2,7 +2,6 @@ package retwis
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,9 +20,6 @@ type NetParams struct {
 	// Addr is a live server to target; "" self-hosts an in-process
 	// dego-server on an ephemeral loopback port.
 	Addr string
-	// Store is the self-hosted store kind (server.StoreAdaptive by
-	// default); ignored when Addr is set.
-	Store string
 	// Shards is the self-hosted shard count (0 = server default).
 	Shards int
 	// Pipeline is how many generated ops each worker batches per flush.
@@ -39,6 +35,8 @@ type NetParams struct {
 // deeper pipelines trade latency for throughput — the curve the paper-style
 // serving evaluation wants.
 type NetPoint struct {
+	// Store labels the target: the served store kind when self-hosted,
+	// "remote" for a live server.
 	Store     string  `json:"store"`
 	Conns     int     `json:"conns"`
 	Pipeline  int     `json:"pipeline"`
@@ -62,28 +60,26 @@ type NetPoint struct {
 
 // seedTarget resolves the server a networked run talks to and brings it to
 // the seeded start state, so successive points start alike. With addr empty
-// it self-hosts an in-process dego-server of the given store kind
-// (server.StoreAdaptive by default) on an ephemeral loopback port; either
-// way it then issues FLUSHALL and seeds the social graph over a clean dial.
-// It returns where to connect, the point's store label ("remote" for a live
-// server), the shard count (as declared for a live server, as built for a
-// self-hosted one) and the seeded graph; closeTarget tears the self-hosted
-// server down and is a no-op for a live one.
-func seedTarget(addr, store string, shards int, p Params) (target, label string, nshards int, graph *Graph, closeTarget func(), err error) {
+// it self-hosts an in-process dego-server on an ephemeral loopback port;
+// either way it then issues FLUSHALL and seeds the social graph over a clean
+// dial. It returns where to connect, the point's store label (the store
+// kind for a self-hosted server, "remote" for a live one), the shard count
+// (as declared for a live server, as built for a self-hosted one) and the
+// seeded graph; closeTarget tears the self-hosted server down and is a no-op
+// for a live one.
+func seedTarget(addr string, shards int, p Params) (target, label string, nshards int, graph *Graph, closeTarget func(), err error) {
 	target, label, nshards, closeTarget = addr, "remote", shards, func() {}
 	if addr == "" {
-		if store == "" {
-			store = server.StoreAdaptive
-		}
-		srv, err := server.New(server.Config{Store: server.StoreConfig{Shards: shards, Kind: store}})
+		srv, err := server.New(server.Config{Store: server.StoreConfig{Shards: shards}})
 		if err != nil {
 			return "", "", 0, nil, nil, err
 		}
 		if err := srv.Listen(); err != nil {
+			srv.Close() // stops the shard loops New started
 			return "", "", 0, nil, nil, err
 		}
 		go srv.Serve()
-		target, label, nshards = srv.Addr().String(), store, srv.Store().Shards()
+		target, label, nshards = srv.Addr().String(), srv.Store().Kind(), srv.Store().Shards()
 		closeTarget = func() { srv.Close() }
 	}
 	graph = BuildGraph(p)
@@ -117,7 +113,7 @@ func RunNet(np NetParams) (NetPoint, error) {
 		np.Pipeline = 8
 	}
 
-	addr, label, _, graph, closeTarget, err := seedTarget(np.Addr, np.Store, np.Shards, p)
+	addr, label, _, graph, closeTarget, err := seedTarget(np.Addr, np.Shards, p)
 	if err != nil {
 		return NetPoint{}, err
 	}
@@ -244,28 +240,4 @@ func RunNet(np NetParams) (NetPoint, error) {
 		Retries:    totalRetries,
 		Reconnects: totalReconnects,
 	}, nil
-}
-
-// NetCurve measures one point per store kind (self-hosted) and prints a
-// table; the returned points are what retwis-bench -net serializes to JSON.
-func NetCurve(w io.Writer, base NetParams, storeKinds []string) ([]NetPoint, error) {
-	fmt.Fprintf(w, "=== dego-server: pipelined retwis over TCP (users=%d, conns=%d, pipeline=%d) ===\n\n",
-		base.Workload.Users, base.Workload.Threads, base.Pipeline)
-	fmt.Fprintf(w, "%-12s%12s%12s%12s%12s%12s%8s\n",
-		"store", "ops/s", "cmds/s", "p50 µs", "p95 µs", "p99 µs", "errs")
-	points := make([]NetPoint, 0, len(storeKinds))
-	for _, kind := range storeKinds {
-		np := base
-		np.Store = kind
-		pt, err := RunNet(np)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, pt)
-		cmdRate := float64(pt.Commands) / (pt.ElapsedMS / 1e3)
-		fmt.Fprintf(w, "%-12s%12.0f%12.0f%12d%12d%12d%8d\n",
-			pt.Store, pt.OpsPerSec, cmdRate, pt.P50us, pt.P95us, pt.P99us, pt.Errors)
-	}
-	fmt.Fprintln(w)
-	return points, nil
 }

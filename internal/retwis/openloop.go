@@ -19,8 +19,7 @@ type OpenLoopParams struct {
 	Workload Params
 	// Addr targets a live server; "" self-hosts one per point.
 	Addr string
-	// Store / Shards configure the self-hosted server (ignored with Addr).
-	Store  string
+	// Shards sizes the self-hosted server (ignored with Addr).
 	Shards int
 	// Rate is the target arrival rate in ops/sec.
 	Rate float64
@@ -56,11 +55,13 @@ func (olp *OpenLoopParams) fill() {
 	}
 }
 
-// FrontierPoint is one (store × shards × pipeline × rate) measurement on
+// FrontierPoint is one (shards × pipeline × rate) measurement on
 // the latency-vs-throughput frontier. Percentiles are intended-start →
 // completion — coordinated-omission-free — and Scheduled is always
 // Executed + Errors + Dropped.
 type FrontierPoint struct {
+	// Store labels the target: the served store kind when self-hosted,
+	// "remote" for a live server.
 	Store        string  `json:"store"`
 	Shards       int     `json:"shards"`
 	Pipeline     int     `json:"pipeline"`
@@ -138,7 +139,7 @@ func RunOpenLoop(olp OpenLoopParams) (FrontierPoint, error) {
 		return FrontierPoint{}, fmt.Errorf("retwis: open loop needs a positive arrival rate")
 	}
 
-	addr, label, shards, graph, closeTarget, err := seedTarget(olp.Addr, olp.Store, olp.Shards, p)
+	addr, label, shards, graph, closeTarget, err := seedTarget(olp.Addr, olp.Shards, p)
 	if err != nil {
 		return FrontierPoint{}, err
 	}
@@ -214,15 +215,15 @@ func RunOpenLoop(olp OpenLoopParams) (FrontierPoint, error) {
 	return pt, nil
 }
 
-// Frontier walks arrival rates (ascending) through every (store kind ×
-// shard count × pipeline depth) cell, stopping a cell's walk at the first
-// saturated point — past saturation an open-loop run only measures the
-// backlog policy, not the system. The returned points are what
-// retwis-bench -openloop serializes to JSON. With base.Addr set there is
-// exactly one remote cell and only the rates walk.
-func Frontier(w io.Writer, base OpenLoopParams, storeKinds []string, shardCounts, pipelines []int, rates []float64) ([]FrontierPoint, error) {
-	if len(storeKinds) == 0 || len(shardCounts) == 0 || len(pipelines) == 0 || len(rates) == 0 {
-		return nil, fmt.Errorf("retwis: frontier needs at least one store kind, shard count, pipeline depth and rate")
+// Frontier walks arrival rates (ascending) through every (shard count ×
+// pipeline depth) cell, stopping a cell's walk at the first saturated
+// point — past saturation an open-loop run only measures the backlog
+// policy, not the system. The returned points are what retwis-bench
+// -openloop serializes to JSON. With base.Addr set there is exactly one
+// remote cell and only the rates walk.
+func Frontier(w io.Writer, base OpenLoopParams, shardCounts, pipelines []int, rates []float64) ([]FrontierPoint, error) {
+	if len(shardCounts) == 0 || len(pipelines) == 0 || len(rates) == 0 {
+		return nil, fmt.Errorf("retwis: frontier needs at least one shard count, pipeline depth and rate")
 	}
 	mode := "clean network"
 	if base.Fault != nil {
@@ -234,35 +235,30 @@ func Frontier(w io.Writer, base OpenLoopParams, storeKinds []string, shardCounts
 		"store", "shards", "pipeline", "target/s", "achieved/s", "p50 µs", "p95 µs", "p99 µs", "p99.9 µs", "errs", "drops")
 
 	if base.Addr != "" {
-		storeKinds, shardCounts, pipelines = []string{"remote"}, shardCounts[:1], pipelines[:1]
+		shardCounts, pipelines = shardCounts[:1], pipelines[:1]
 	}
 	var points []FrontierPoint
-	for _, kind := range storeKinds {
-		for _, shards := range shardCounts {
-			for _, depth := range pipelines {
-				for _, rate := range rates {
-					olp := base
-					if base.Addr == "" {
-						olp.Store = kind
-					}
-					olp.Shards = shards
-					olp.Pipeline = depth
-					olp.Rate = rate
-					pt, err := RunOpenLoop(olp)
-					if err != nil {
-						return nil, err
-					}
-					points = append(points, pt)
-					mark := ""
-					if pt.Saturated {
-						mark = "  <- saturated"
-					}
-					fmt.Fprintf(w, "%-12s%8d%10d%12.0f%12.0f%10d%10d%10d%10d%8d%8d%s\n",
-						pt.Store, pt.Shards, pt.Pipeline, pt.TargetRate, pt.AchievedRate,
-						pt.P50us, pt.P95us, pt.P99us, pt.P999us, pt.Errors, pt.Dropped, mark)
-					if pt.Saturated {
-						break
-					}
+	for _, shards := range shardCounts {
+		for _, depth := range pipelines {
+			for _, rate := range rates {
+				olp := base
+				olp.Shards = shards
+				olp.Pipeline = depth
+				olp.Rate = rate
+				pt, err := RunOpenLoop(olp)
+				if err != nil {
+					return nil, err
+				}
+				points = append(points, pt)
+				mark := ""
+				if pt.Saturated {
+					mark = "  <- saturated"
+				}
+				fmt.Fprintf(w, "%-12s%8d%10d%12.0f%12.0f%10d%10d%10d%10d%8d%8d%s\n",
+					pt.Store, pt.Shards, pt.Pipeline, pt.TargetRate, pt.AchievedRate,
+					pt.P50us, pt.P95us, pt.P99us, pt.P999us, pt.Errors, pt.Dropped, mark)
+				if pt.Saturated {
+					break
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"io"
 	"testing"
 	"time"
@@ -45,7 +44,6 @@ func TestDrawOpsDeterministic(t *testing.T) {
 func TestRunOpenLoopPoint(t *testing.T) {
 	olp := OpenLoopParams{
 		Workload: netTestParams(),
-		Store:    server.StoreStriped,
 		Rate:     2000,
 		Ops:      600,
 		Workers:  2,
@@ -55,7 +53,7 @@ func TestRunOpenLoopPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Store != server.StoreStriped || pt.Scheduled != 600 {
+	if pt.Store != server.StoreAdaptive || pt.Scheduled != 600 {
 		t.Fatalf("point %+v", pt)
 	}
 	if pt.Executed+pt.Errors+pt.Dropped != pt.Scheduled {
@@ -72,15 +70,6 @@ func TestRunOpenLoopPoint(t *testing.T) {
 	}
 }
 
-func TestRunOpenLoopUnknownStoreKind(t *testing.T) {
-	olp := OpenLoopParams{Workload: netTestParams(), Store: "bogus", Rate: 1000, Ops: 10}
-	_, err := RunOpenLoop(olp)
-	var uk *server.UnknownStoreKindError
-	if !errors.As(err, &uk) || uk.Kind != "bogus" {
-		t.Fatalf("err = %v, want *server.UnknownStoreKindError for bogus", err)
-	}
-}
-
 func TestFrontierWalksCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell frontier in short mode")
@@ -91,28 +80,27 @@ func TestFrontierWalksCells(t *testing.T) {
 		Workers:  2,
 		QueueCap: 4096,
 	}
-	pts, err := Frontier(io.Discard, base,
-		[]string{server.StoreStriped, server.StoreSegmented}, []int{2}, []int{4}, []float64{1000, 2000})
+	pts, err := Frontier(io.Discard, base, []int{1, 2}, []int{4}, []float64{1000, 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Each cell walks until saturation: at least the first rate ran per
-	// store kind, and cells appear in order.
+	// shard count, and cells appear in order.
 	if len(pts) < 2 {
-		t.Fatalf("%d points, want at least one per store kind", len(pts))
+		t.Fatalf("%d points, want at least one per shard count", len(pts))
 	}
-	stores := map[string]bool{}
+	shards := map[int]bool{}
 	for _, pt := range pts {
-		stores[pt.Store] = true
-		if pt.Shards != 2 || pt.Pipeline != 4 {
+		shards[pt.Shards] = true
+		if pt.Store != server.StoreAdaptive || pt.Pipeline != 4 {
 			t.Fatalf("cell parameters lost: %+v", pt)
 		}
 		if pt.Executed+pt.Errors+pt.Dropped != pt.Scheduled {
 			t.Fatalf("accounting leak: %+v", pt)
 		}
 	}
-	if !stores[server.StoreStriped] || !stores[server.StoreSegmented] {
-		t.Fatalf("missing store kinds in %v", stores)
+	if !shards[1] || !shards[2] || pts[0].Shards != 1 {
+		t.Fatalf("cells out of order or missing: %+v", pts)
 	}
 	// The frontier is the CI artifact: it must serialize round-trip.
 	blob, err := json.Marshal(pts)
@@ -157,7 +145,6 @@ func TestCoordinatedOmissionDemonstration(t *testing.T) {
 	closedInjector := faultnet.New(stallCfg)
 	closed, err := RunNet(NetParams{
 		Workload: p,
-		Store:    server.StoreStriped,
 		Pipeline: pipeline,
 		Wire:     WireConfig{Dialer: closedInjector.Dialer()},
 	})
@@ -172,7 +159,6 @@ func TestCoordinatedOmissionDemonstration(t *testing.T) {
 	// Open loop: same store, same op budget, arrivals fixed at 2000/s.
 	open, err := RunOpenLoop(OpenLoopParams{
 		Workload: p,
-		Store:    server.StoreStriped,
 		Rate:     rate,
 		Ops:      totalOps,
 		Workers:  1,

@@ -76,7 +76,7 @@ func TestAllocCeilings(t *testing.T) {
 		}
 	}
 	storeRun := func(seed, cmds [][][]byte) func() {
-		st := newTestStore(t, StoreAdaptive, 2)
+		st := newTestStore(t, 2)
 		st.ExecBatch(seed)
 		var sc scratch
 		return func() {

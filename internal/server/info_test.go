@@ -37,13 +37,13 @@ func infoLines(t *testing.T, rep wire.Reply) map[string]string {
 }
 
 func TestInfoStoreSections(t *testing.T) {
-	st := newTestStore(t, StoreSegmented, 3)
+	st := newTestStore(t, 3)
 	wantOK(t, st.Exec(cmd("SET", "a", "1")))
 	wantOK(t, st.Exec(cmd("SET", "b", "2")))
 
 	got := infoLines(t, st.Exec(cmd("INFO")))
-	if got["store_kind"] != StoreSegmented {
-		t.Fatalf("store_kind = %q, want %q", got["store_kind"], StoreSegmented)
+	if got["store_kind"] != StoreAdaptive {
+		t.Fatalf("store_kind = %q, want %q", got["store_kind"], StoreAdaptive)
 	}
 	if got["shards"] != "3" {
 		t.Fatalf("shards = %q, want 3", got["shards"])
@@ -115,7 +115,7 @@ func TestInfoCarriesServerStats(t *testing.T) {
 }
 
 func TestDebugAdviseRequiresRecording(t *testing.T) {
-	st := newTestStore(t, StoreAdaptive, 2)
+	st := newTestStore(t, 2)
 	rep := st.Exec(cmd("DEBUG", "ADVISE"))
 	if !rep.IsError() || !strings.Contains(rep.Text(), "recording is off") {
 		t.Fatalf("DEBUG ADVISE without recording = %v, want recording-off error", rep)
@@ -123,42 +123,43 @@ func TestDebugAdviseRequiresRecording(t *testing.T) {
 }
 
 func TestDebugAdviseRediscoversShardConfinement(t *testing.T) {
-	for _, kind := range StoreKinds() {
-		t.Run(kind, func(t *testing.T) {
-			st, err := NewStore(StoreConfig{Shards: 2, Kind: kind, Capacity: 256, Ranges: 4, Record: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			if !st.Recording() {
-				t.Fatal("Recording() = false on a Record store")
-			}
-			for i := 0; i < 64; i++ {
-				wantOK(t, st.Exec(cmd("SET", "k"+string(rune('a'+i%26))+string(rune('0'+i/26)), "v")))
-			}
+	t.Run(StoreAdaptive, testDebugAdviseRediscoversShardConfinement)
+}
 
-			rep := st.Exec(cmd("DEBUG", "ADVISE"))
-			if rep.Kind != wire.KindBulk {
-				t.Fatalf("DEBUG ADVISE = %v, want bulk JSON", rep)
-			}
-			var advs []dego.Advice
-			if err := json.Unmarshal(rep.Bulk, &advs); err != nil {
-				t.Fatalf("DEBUG ADVISE reply is not advice JSON: %v\n%s", err, rep.Bulk)
-			}
-			if len(advs) != 2 {
-				t.Fatalf("got %d advice entries, want one per shard (2)", len(advs))
-			}
-			for i, a := range advs {
-				// Each shard map has exactly one writer — its event loop.
-				// That is the structure the advisor must rediscover from
-				// traffic, whatever the declared kind.
-				if !a.SingleWriter {
-					t.Fatalf("shard %d: advisor missed the single writer: %+v", i, a)
-				}
-				if !a.Certified {
-					t.Fatalf("shard %d: advice not certified: %s", i, a.CertError)
-				}
-			}
-		})
+func testDebugAdviseRediscoversShardConfinement(t *testing.T) {
+	st, err := NewStore(StoreConfig{Shards: 2, Kind: StoreAdaptive, Capacity: 256, Ranges: 4, Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if !st.Recording() {
+		t.Fatal("Recording() = false on a Record store")
+	}
+	for i := 0; i < 64; i++ {
+		wantOK(t, st.Exec(cmd("SET", "k"+string(rune('a'+i%26))+string(rune('0'+i/26)), "v")))
+	}
+
+	rep := st.Exec(cmd("DEBUG", "ADVISE"))
+	if rep.Kind != wire.KindBulk {
+		t.Fatalf("DEBUG ADVISE = %v, want bulk JSON", rep)
+	}
+	var advs []dego.Advice
+	if err := json.Unmarshal(rep.Bulk, &advs); err != nil {
+		t.Fatalf("DEBUG ADVISE reply is not advice JSON: %v\n%s", err, rep.Bulk)
+	}
+	if len(advs) != 2 {
+		t.Fatalf("got %d advice entries, want one per shard (2)", len(advs))
+	}
+	for i, a := range advs {
+		// Each shard map has exactly one writer at a time — whoever holds
+		// the shard's lock, presenting the shard's one handle. That is the
+		// structure the advisor must rediscover from traffic, stronger than
+		// the commuting-writers declaration the store plans with.
+		if !a.SingleWriter {
+			t.Fatalf("shard %d: advisor missed the single writer: %+v", i, a)
+		}
+		if !a.Certified {
+			t.Fatalf("shard %d: advice not certified: %s", i, a.CertError)
+		}
 	}
 }

