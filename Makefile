@@ -22,9 +22,10 @@ RACE_SERVER_PKGS = ./internal/server/...
 # Tiny configuration for the bench-smoke job: catches harness bit-rot
 # without burning CI minutes; the JSON lands as a workflow artifact. The
 # "all" figure set includes the AdaptiveSkipList workload (Figures 6 and 7),
-# so the adaptive engine's promotion path is exercised on every CI run. CI
-# overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so artifacts
-# from different commits are diffable side by side.
+# so the adaptive engine's promotion path is exercised on every CI run. The
+# ordered maps' layer benchmark (BenchmarkOrdered) runs once so it cannot rot.
+# CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
+# artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
 BENCH_SMOKE_JSON  = bench-smoke.json
 
@@ -105,6 +106,7 @@ race:
 
 bench-smoke:
 	$(GO) run ./cmd/dego-bench $(BENCH_SMOKE_FLAGS) -json $(BENCH_SMOKE_JSON)
+	$(GO) test -run '^$$' -bench Ordered -benchtime 1x ./internal/skiplist
 
 # Regenerate the checked-in flat baseline (run on a quiet machine, then
 # commit BENCH_flat.json).

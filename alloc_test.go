@@ -19,9 +19,9 @@ import (
 // user: the Retwis program plans one timeline queue per user, and a queue's
 // facade and representation are one allocation (its plan is interned, its
 // profile recycled). A segmented
-// Put of a present key pays one value box, of a fresh key the box and its
-// directory node (a set's empty value needs no box); an MPSC Offer pays one
-// node.
+// Put of a present key pays one value box (also right after a Remove, which
+// keeps the key's node), of a fresh key the box and its directory node (a
+// set's empty value needs no box); an MPSC Offer pays one node.
 func TestAllocCeilings(t *testing.T) {
 	reg := NewRegistry(8)
 	h := Must(reg.Register())
@@ -55,8 +55,8 @@ func TestAllocCeilings(t *testing.T) {
 		hots[i].ordered.Put(h, 3, 3)
 	}
 	unrec, rec := hots[0], hots[1]
-	// A RangeBetween over two keys snapshots those two, however many the
-	// segmented list holds.
+	// An ordered scan walks the segmented list in place: a RangeBetween over
+	// two keys and a full Range cost the same however many keys it holds.
 	small := Must(Ordered[int, int](CommutingWriters(), On(reg)))
 	large := Must(Ordered[int, int](CommutingWriters(), On(reg)))
 	for k := 0; k < 100_000; k++ {
@@ -108,8 +108,12 @@ func TestAllocCeilings(t *testing.T) {
 		{"segmented AdjustedOrdered.Get", 0, func() { unrec.ordered.Get(3) }},
 		{"recorded segmented AdjustedOrdered.Get", 0, func() { rec.ordered.Get(3) }},
 		{"recorded MPSC AdjustedQueue.Offer and Poll", 1, func() { rec.mpsc.Offer(h, 1); rec.mpsc.Poll(h) }},
-		{"segmented AdjustedOrdered.RangeBetween, 2 of 1 k keys", 5, func() { small.RangeBetween(10, 12, visit) }},
-		{"segmented AdjustedOrdered.RangeBetween, 2 of 100 k keys", 5, func() { large.RangeBetween(10, 12, visit) }},
+		{"segmented AdjustedOrdered.Put, present key", 1, func() { unrec.ordered.Put(h, 3, 4) }},
+		{"segmented AdjustedOrdered.Remove then Put of the same key", 1, func() { unrec.ordered.Remove(h, 3); unrec.ordered.Put(h, 3, 3) }},
+		{"segmented AdjustedOrdered.RangeBetween, 2 of 1 k keys", 0, func() { small.RangeBetween(10, 12, visit) }},
+		{"segmented AdjustedOrdered.RangeBetween, 2 of 100 k keys", 0, func() { large.RangeBetween(10, 12, visit) }},
+		{"segmented AdjustedOrdered.Range, 1 k keys", 0, func() { small.Range(visit) }},
+		{"segmented AdjustedOrdered.Range, 100 k keys", 0, func() { large.Range(visit) }},
 	} {
 		for i := 0; i < 64; i++ {
 			row.f() // reach steady state

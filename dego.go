@@ -65,8 +65,9 @@
 //   - SegmentedMap / SegmentedSet — commuting-writers collections (CWMR):
 //     one lock-free directory whose entry holds the key, the thread it is
 //     bound to on first insert, and the value, so a lookup is one chain
-//     walk. SegmentedSkipList — the ordered one, over an extended
-//     segmentation of SWMR skip lists.
+//     walk. SegmentedSkipList — the ordered one: the same node per key,
+//     also linked into one insert-only lock-free skip list for ordered
+//     iteration.
 //   - StripedMap / StripedSet — lock-striped baselines;
 //     ConcurrentSkipList — the lock-free CAS baseline.
 //   - FlatMap / FlatSWMRMap / FlatSet / FlatSWMRSet — preallocated

@@ -158,8 +158,8 @@ func (m *SortedMap[K, V]) RangeFrom(from K, f func(key K, val V) bool) {
 
 // RangeBetween is Range over the half-open key interval [from, to). Unlike
 // stopping a RangeFrom callback early, the bound limits the work done up
-// front: the promoted-phase shadow snapshot collects only entries inside
-// the interval (skiplist.Segmented.RangeRefBetween), so the cost is
+// front: the promoted-phase shadow copy holds only entries inside the
+// interval (skiplist.Segmented.RangeRefBetween stops at to), so the cost is
 // proportional to the interval, not to the whole map — and only the ranges
 // whose fences intersect the interval are visited at all.
 func (m *SortedMap[K, V]) RangeBetween(from, to K, f func(key K, val V) bool) {
@@ -190,10 +190,11 @@ func (m *SortedMap[K, V]) RangeBetween(from, to K, f func(key K, val V) bool) {
 // While the range is promoted (or demoting) this is the ordered analogue of
 // the engine's rangeOverlay, with the same single definition of visibility —
 // shadow wins, tombstone suppresses, backing fills the rest — but
-// merge-ordered: the shadow is snapshotted into a sorted slice of (key, box)
-// pairs, then the frozen backing is walked in order while shadow entries
-// interleave at their key positions. Both streams are individually sorted,
-// so the merge is strictly ascending with each key emitted at most once.
+// merge-ordered: the shadow's lazy, already ascending walk is copied into a
+// slice of (key, box) pairs, then the frozen backing is walked in order while
+// shadow entries interleave at their key positions. Both streams are
+// individually sorted, so the merge is strictly ascending with each key
+// emitted at most once.
 // Snapshotting the shadow first is safe for the same reason the engine's
 // backing-first pass is: the backing is frozen, so a key's "backed" status
 // cannot change mid-iteration, and a put racing the snapshot at worst leaves

@@ -12,10 +12,10 @@ import (
 	"github.com/adjusted-objects/dego/internal/hashmap"
 )
 
-// Ablations isolate the design decisions DESIGN.md calls out: which
-// segmentation to use (§5.2 offers three), whether cache-line padding
-// matters (the write-amplification trade-off of §8), and what the runtime
-// permission guards cost.
+// Ablations isolate the paper's design decisions: which segmentation to use
+// (§5.2 offers three), whether cache-line padding matters (the
+// write-amplification trade-off of §8), and what the runtime permission
+// guards cost.
 
 // SegBase benchmarks the BaseSegmentation map: cheap writes, O(#segments)
 // lookups.
@@ -69,9 +69,10 @@ func SegHash() Workload {
 	}}
 }
 
-// SegExtended benchmarks the ExtendedSegmentation map under the same
-// routed workload (it is HashMapDEGO's structure, rebuilt here so all three
-// rows share the exact same op mix).
+// SegExtended benchmarks hashmap.Segmented, HashMapDEGO's structure, under
+// the same routed workload as the other two rows: one node per key, whose
+// owner field is the extended segmentation's binding of the key to the thread
+// that first stored it.
 func SegExtended() Workload {
 	return Workload{Name: "ExtendedSegmentation", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		m := dego.Must(dego.Map[int, int](dego.CommutingWriters(), dego.On(reg),

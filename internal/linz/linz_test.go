@@ -106,48 +106,50 @@ func TestIncrementOnlyCounterLinearizable(t *testing.T) {
 }
 
 // brokenCounter loses updates: a non-atomic read-modify-write over a shared
-// plain variable, the bug the adjusted counter exists to avoid.
+// plain variable, the bug the adjusted counter exists to avoid. Between its
+// load and its store, Inc waits at the round's barrier, so every worker of a
+// round reads the same value and the round's increments collapse into one.
 type brokenCounter struct{ v atomic.Int64 }
 
-func (b *brokenCounter) Inc() {
+func (b *brokenCounter) Inc(round *sync.WaitGroup) {
 	cur := b.v.Load()
-	// Window for lost updates.
-	for i := 0; i < 50; i++ {
-		_ = i
-	}
+	round.Done()
+	round.Wait()
 	b.v.Store(cur + 1)
 }
 
 func TestBrokenCounterCaught(t *testing.T) {
-	// The checker must reject at least one history produced by a racy
-	// counter whose final read misses updates.
+	// The checker must reject the history of a racy counter whose final read
+	// misses updates.
+	const workers, rounds = 4, 2
 	c3 := spec.Counter(spec.C3)
-	caught := false
-	for trial := 0; trial < 200 && !caught; trial++ {
-		impl := &brokenCounter{}
-		rec := NewRecorder()
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < 2; i++ {
-					s := rec.Begin()
-					impl.Inc()
-					rec.End(w, c3.Op("inc"), spec.Bottom, s)
-				}
-			}(w)
-		}
-		wg.Wait()
-		s := rec.Begin()
-		got := impl.v.Load()
-		rec.End(4, c3.Op("get"), got, s)
-		if err := Check(c3.Init, rec.History()); err != nil {
-			caught = true
-		}
+	impl := &brokenCounter{}
+	barriers := make([]sync.WaitGroup, rounds)
+	for i := range barriers {
+		barriers[i].Add(workers)
 	}
-	if !caught {
-		t.Skip("racy counter never lost an update in 200 trials (timing-dependent)")
+	rec := NewRecorder()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				s := rec.Begin()
+				impl.Inc(&barriers[i])
+				rec.End(w, c3.Op("inc"), spec.Bottom, s)
+			}
+		}(w)
+	}
+	wg.Wait()
+	s := rec.Begin()
+	got := impl.v.Load()
+	rec.End(workers, c3.Op("get"), got, s)
+	if got >= workers*rounds {
+		t.Fatalf("broken counter read %d after %d increments; the barrier should lose updates", got, workers*rounds)
+	}
+	if err := Check(c3.Init, rec.History()); err == nil {
+		t.Fatalf("checker accepted a history whose final get read %d after %d increments", got, workers*rounds)
 	}
 }
 

@@ -2,17 +2,18 @@
 // segments, each owned by one thread, on which the CWMR/CWSR adjusted
 // collections are built.
 //
-// Three forms are provided, mirroring the DEGO library:
+// Two of the paper's three forms are provided:
 //
 //   - Base: a static thread→segment mapping; reads traverse every segment
 //     (best for write-dominated workloads).
 //   - Hash: an item is routed to the segment matching its hash code, so a
 //     lookup touches exactly one segment.
-//   - Extended: an item retains the segment where it was first stored, via
-//     an insert-only directory (the Go stand-in for the Java version's
-//     dedicated field inside the item). Only the segmented skip list
-//     (internal/skiplist) uses it; the segmented hash map keeps each binding
-//     in its own directory entries, next to the value (internal/hashmap).
+//
+// The third, Extended, where an item retains the segment where it was first
+// stored, needs no segment array: the adjusted hash map and skip list
+// (internal/hashmap, internal/skiplist) keep one node per key whose owner
+// field is that binding, the Go counterpart of the Java version's dedicated
+// field inside the item. Base and Hash remain as ablations of it.
 package segment
 
 import (
@@ -49,10 +50,7 @@ func NewBase[S any](r *core.Registry, newSeg func(owner int) *S) *Base[S] {
 // Mine returns the calling thread's segment, creating it on first use. Only
 // the owner may mutate the returned segment.
 func (b *Base[S]) Mine(h *core.Handle) *S {
-	return b.at(h.ID())
-}
-
-func (b *Base[S]) at(id int) *S {
+	id := h.ID()
 	if s := b.segs[id].p.Load(); s != nil {
 		return s
 	}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"github.com/adjusted-objects/dego/internal/core"
 )
@@ -119,89 +118,5 @@ func TestHashSegmentationRouting(t *testing.T) {
 	h.ForEach(func(int, *int) bool { n++; return true })
 	if n != 8 {
 		t.Fatalf("initialized segments = %d, want 8", n)
-	}
-}
-
-func TestExtendedBindingIsSticky(t *testing.T) {
-	r := core.NewRegistry(8)
-	hash := func(k int) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
-	e := NewExtended(r, 64, hash, func(owner int) *int { v := owner; return &v })
-	h1, h2 := r.MustRegister(), r.MustRegister()
-
-	if _, ok := e.Find(42); ok {
-		t.Fatal("Find on unbound key must miss")
-	}
-	seg := e.Acquire(h1, 42)
-	if *seg != h1.ID() {
-		t.Fatalf("key bound to segment %d, want %d", *seg, h1.ID())
-	}
-	// A second writer acquires the SAME segment: the binding is permanent.
-	if again := e.Acquire(h2, 42); again != seg {
-		t.Fatal("binding must be sticky across threads")
-	}
-	found, ok := e.Find(42)
-	if !ok || found != seg {
-		t.Fatal("Find must return the bound segment")
-	}
-	if e.Bindings() != 1 {
-		t.Fatalf("bindings = %d, want 1", e.Bindings())
-	}
-	// Distinct key binds to the acquiring thread.
-	if s2 := e.Acquire(h2, 43); *s2 != h2.ID() {
-		t.Fatalf("key 43 bound to %d, want %d", *s2, h2.ID())
-	}
-}
-
-func TestExtendedConcurrentAcquireSingleBinding(t *testing.T) {
-	const goroutines = 16
-	r := core.NewRegistry(goroutines)
-	hash := func(k int) uint64 { return uint64(k) }
-	e := NewExtended(r, 4, hash, func(owner int) *int { v := owner; return &v })
-
-	var wg sync.WaitGroup
-	segs := make([]*int, goroutines)
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h := r.MustRegister()
-			// Everyone fights over the same key (and the tiny directory
-			// forces CAS collisions on other keys too).
-			segs[i] = e.Acquire(h, 7)
-			e.Acquire(h, i+100)
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < goroutines; i++ {
-		if segs[i] != segs[0] {
-			t.Fatal("concurrent Acquire produced divergent bindings")
-		}
-	}
-	if got := e.Bindings(); got != goroutines+1 {
-		t.Fatalf("bindings = %d, want %d", got, goroutines+1)
-	}
-}
-
-func TestExtendedQuickDirectoryMatchesMap(t *testing.T) {
-	r := core.NewRegistry(4)
-	h := r.MustRegister()
-	hash := func(k uint16) uint64 { return uint64(k) }
-	e := NewExtended(r, 32, hash, func(owner int) *int { v := owner; return &v })
-	oracle := map[uint16]bool{}
-
-	prop := func(keys []uint16) bool {
-		for _, k := range keys {
-			e.Acquire(h, k)
-			oracle[k] = true
-		}
-		for k := range oracle {
-			if _, ok := e.Find(k); !ok {
-				return false
-			}
-		}
-		return e.Bindings() == len(oracle)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

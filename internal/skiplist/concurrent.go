@@ -264,15 +264,8 @@ func (c *Concurrent[K, V]) RangeFrom(from K, f func(key K, val V) bool) {
 }
 
 func (c *Concurrent[K, V]) randomHeight() int {
-	// Thread-safe xorshift via CAS-free mixing: each call perturbs a shared
-	// seed with Add (losing some randomness under races is harmless here).
+	// Each call perturbs a shared seed with Add and draws from its own copy
+	// (losing some randomness under races is harmless here).
 	x := c.rndS.Add(0x9e3779b97f4a7c15)
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	h := 1
-	for ; x&3 == 0 && h < maxLevel; x >>= 2 {
-		h++
-	}
-	return h
+	return nextHeight(&x)
 }

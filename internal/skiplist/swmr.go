@@ -7,7 +7,9 @@
 //     skip list of Herlihy & Shavit, CAS on every link, so contended updates
 //     retry (feeding the stall proxy).
 //   - Segmented — the adjusted object, the paper's
-//     ExtendedSegmentedSkipListMap: an extended segmentation of SWMR lists.
+//     ExtendedSegmentedSkipListMap: one node per key, bound to the thread
+//     that first stored it, found through a hash directory and linked into
+//     one insert-only lock-free skip list for ordered iteration.
 package skiplist
 
 import (
@@ -33,7 +35,7 @@ type SWMR[K cmp.Ordered, V any] struct {
 	head  *snode[K, V]
 	level atomic.Int32 // levels currently in use
 	size  atomic.Int64
-	rnd   uint64 // writer-only xorshift state
+	rnd   uint64 // writer-only xorshift state of nextHeight
 	guard *core.Guard
 }
 
@@ -63,7 +65,7 @@ func (s *SWMR[K, V]) Get(key K) (V, bool) {
 // GetRef returns the stored value box for key. The box is immutable: an
 // update replaces the box, never its contents. Any thread may call it.
 func (s *SWMR[K, V]) GetRef(key K) (*V, bool) {
-	n := s.findGE(key)
+	n := findGE(s.head, int(s.level.Load()), key)
 	if n != nil && n.key == key {
 		return n.val.Load(), true
 	}
@@ -76,25 +78,6 @@ func (s *SWMR[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// findGE returns the first node with key ≥ the argument, or nil. It returns
-// the very pointer the level-0 scan stopped on: re-loading pred.next[0] here
-// could observe a smaller key the writer published after the scan decided,
-// and report a present key absent.
-func (s *SWMR[K, V]) findGE(key K) *snode[K, V] {
-	pred := s.head
-	var next *snode[K, V]
-	for level := int(s.level.Load()) - 1; level >= 0; level-- {
-		for {
-			next = pred.next[level].Load()
-			if next == nil || next.key >= key {
-				break
-			}
-			pred = next
-		}
-	}
-	return next
-}
-
 // Put inserts or updates key (single writer only). Blind, per M2.
 func (s *SWMR[K, V]) Put(h *core.Handle, key K, val V) {
 	s.PutRef(h, key, &val)
@@ -105,24 +88,14 @@ func (s *SWMR[K, V]) Put(h *core.Handle, key K, val V) {
 // mutated after the call.
 func (s *SWMR[K, V]) PutRef(h *core.Handle, key K, val *V) {
 	s.guard.MustCheck(h, core.Write)
-	var preds [maxLevel]*snode[K, V]
-	pred := s.head
-	for level := maxLevel - 1; level >= 0; level-- {
-		for {
-			next := pred.next[level].Load()
-			if next == nil || next.key >= key {
-				break
-			}
-			pred = next
-		}
-		preds[level] = pred
-	}
-	if n := pred.next[0].Load(); n != nil && n.key == key {
+	var preds, succs [maxLevel]*snode[K, V]
+	window(s.head, key, &preds, &succs)
+	if n := succs[0]; n != nil && n.key == key {
 		n.val.Store(val) // update in place (setVolatile)
 		return
 	}
 
-	height := s.randomHeight()
+	height := nextHeight(&s.rnd)
 	if lv := int(s.level.Load()); height > lv {
 		s.level.Store(int32(height))
 	}
@@ -131,7 +104,7 @@ func (s *SWMR[K, V]) PutRef(h *core.Handle, key K, val *V) {
 	// First wire the node's own forward pointers at every level, so a
 	// reader that reaches the node can always continue.
 	for i := 0; i < height; i++ {
-		n.next[i].Store(preds[i].next[i].Load())
+		n.next[i].Store(succs[i])
 	}
 	// Then publish bottom-up: the level-0 store is the linearization point
 	// (the paper's setVolatile); the upper levels are shortcuts readers may
@@ -145,19 +118,9 @@ func (s *SWMR[K, V]) PutRef(h *core.Handle, key K, val *V) {
 // Remove deletes key (single writer only), reporting whether it was present.
 func (s *SWMR[K, V]) Remove(h *core.Handle, key K) bool {
 	s.guard.MustCheck(h, core.Write)
-	var preds [maxLevel]*snode[K, V]
-	pred := s.head
-	for level := maxLevel - 1; level >= 0; level-- {
-		for {
-			next := pred.next[level].Load()
-			if next == nil || next.key >= key {
-				break
-			}
-			pred = next
-		}
-		preds[level] = pred
-	}
-	n := pred.next[0].Load()
+	var preds, succs [maxLevel]*snode[K, V]
+	window(s.head, key, &preds, &succs)
+	n := succs[0]
 	if n == nil || n.key != key {
 		return false
 	}
@@ -187,20 +150,12 @@ func (s *SWMR[K, V]) Range(f func(key K, val V) bool) {
 // only the box identity — not the value — can distinguish them. Weakly
 // consistent, like Range.
 func (s *SWMR[K, V]) RangeRef(f func(key K, val *V) bool) {
-	for n := s.head.next[0].Load(); n != nil; n = n.next[0].Load() {
-		if !f(n.key, n.val.Load()) {
-			return
-		}
-	}
+	walk(s.head.next[0].Load(), f)
 }
 
 // RangeRefFrom is RangeRef starting at the first key ≥ from.
 func (s *SWMR[K, V]) RangeRefFrom(from K, f func(key K, val *V) bool) {
-	for n := s.findGE(from); n != nil; n = n.next[0].Load() {
-		if !f(n.key, n.val.Load()) {
-			return
-		}
-	}
+	walk(findGE(s.head, int(s.level.Load()), from), f)
 }
 
 // Min returns the smallest key.
@@ -214,14 +169,62 @@ func (s *SWMR[K, V]) Min() (K, V, bool) {
 	return n.key, *n.val.Load(), true
 }
 
-// randomHeight samples a geometric height with p = 1/4 (writer-only state).
-func (s *SWMR[K, V]) randomHeight() int {
-	s.rnd ^= s.rnd << 13
-	s.rnd ^= s.rnd >> 7
-	s.rnd ^= s.rnd << 17
+// nextHeight advances the xorshift state *x and samples a geometric tower
+// height with p = 1/4 from it. The state is its caller's own: a writer-only
+// field, a per-owner slot, or a local copy of a shared draw.
+func nextHeight(x *uint64) int {
+	*x ^= *x << 13
+	*x ^= *x >> 7
+	*x ^= *x << 17
 	h := 1
-	for x := s.rnd; x&3 == 0 && h < maxLevel; x >>= 2 {
+	for v := *x; v&3 == 0 && h < maxLevel; v >>= 2 {
 		h++
 	}
 	return h
+}
+
+// advance walks level from pred to the last node whose key is < key,
+// returning it and the successor it stopped on.
+func advance[K cmp.Ordered, V any](pred *snode[K, V], level int, key K) (*snode[K, V], *snode[K, V]) {
+	for {
+		next := pred.next[level].Load()
+		if next == nil || next.key >= key {
+			return pred, next
+		}
+		pred = next
+	}
+}
+
+// window fills preds and succs with key's window at every level, descending
+// from head.
+func window[K cmp.Ordered, V any](head *snode[K, V], key K, preds, succs *[maxLevel]*snode[K, V]) {
+	pred := head
+	for level := maxLevel - 1; level >= 0; level-- {
+		pred, succs[level] = advance(pred, level, key)
+		preds[level] = pred
+	}
+}
+
+// findGE returns the first node with key ≥ the argument, or nil, descending
+// from head's level top-1. It returns the very pointer the level-0 scan
+// stopped on: re-loading pred.next[0] here could observe a smaller key a
+// writer published after the scan decided, and report a present key absent.
+func findGE[K cmp.Ordered, V any](head *snode[K, V], top int, key K) *snode[K, V] {
+	pred, next := head, (*snode[K, V])(nil)
+	for level := top - 1; level >= 0; level-- {
+		for next = pred.next[level].Load(); next != nil && next.key < key; next = pred.next[level].Load() {
+			pred = next
+		}
+	}
+	return next
+}
+
+// walk calls f for every entry with a box, from n on at level 0, until f
+// returns false.
+func walk[K cmp.Ordered, V any](n *snode[K, V], f func(key K, val *V) bool) {
+	for ; n != nil; n = n.next[0].Load() {
+		if p := n.val.Load(); p != nil && !f(n.key, p) {
+			return
+		}
+	}
 }
