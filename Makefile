@@ -23,7 +23,8 @@ RACE_SERVER_PKGS = ./internal/server/...
 # without burning CI minutes; the JSON lands as a workflow artifact. The
 # "all" figure set includes the AdaptiveSkipList workload (Figures 6 and 7),
 # so the adaptive engine's promotion path is exercised on every CI run. The
-# ordered maps' layer benchmark (BenchmarkOrdered) runs once so it cannot rot.
+# ordered maps' layer benchmark (BenchmarkOrdered) and the root figure
+# wrappers (BenchmarkFig*) run once each so they cannot rot.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
@@ -107,6 +108,7 @@ race:
 bench-smoke:
 	$(GO) run ./cmd/dego-bench $(BENCH_SMOKE_FLAGS) -json $(BENCH_SMOKE_JSON)
 	$(GO) test -run '^$$' -bench Ordered -benchtime 1x ./internal/skiplist
+	$(GO) test -run '^$$' -bench Fig -benchtime 1x .
 
 # Regenerate the checked-in flat baseline (run on a quiet machine, then
 # commit BENCH_flat.json).

@@ -80,7 +80,7 @@ func (r *recording[R]) read(m usage.Method, h *Handle) R {
 	return r.rep
 }
 
-func (r *recording[R]) unwrap() any               { return unwrap(r.rep) }
+func (r *recording[R]) unwrap() any               { return r.rep }
 func (r *recording[R]) recorder() *usage.Recorder { return r.rec }
 
 type recordedCounter struct{ recording[counterRep] }

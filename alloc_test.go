@@ -21,13 +21,16 @@ import (
 // profile recycled). A segmented
 // Put of a present key pays one value box (also right after a Remove, which
 // keeps the key's node), of a fresh key the box and its directory node (a
-// set's empty value needs no box); an MPSC Offer pays one node.
+// set's empty value needs no box); an adaptive map's Put boxes its value in
+// every state, so a promotion can store the box as it is; an MPSC Offer
+// pays one node.
 func TestAllocCeilings(t *testing.T) {
 	reg := NewRegistry(8)
 	h := Must(reg.Register())
 	segmented := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
 	segSet := Must(Set[int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
 	flat := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16)))
+	adaptive := Must(Map[int, int](CommutingWriters(), Adaptive(), On(reg), Capacity(16)))
 	recorded := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), WithUsageRecording()))
 	// The other wrappers, each built once unrecorded and once recorded:
 	// recording is itself allocation-free.
@@ -69,11 +72,15 @@ func TestAllocCeilings(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		segmented.Put(h, k, k)
 		flat.Put(h, k, k)
+		adaptive.Put(h, k, k)
 		recorded.Put(h, k, k)
 		unrec.set.Add(h, k)
 	}
 	if segmented.Plan().Rep != "SegmentedMap" || segSet.Plan().Rep != "SegmentedSet" {
 		t.Fatalf("segmented rows planned %s and %s", segmented.Plan().Rep, segSet.Plan().Rep)
+	}
+	if adaptive.Plan().Rep != "AdaptiveMap" {
+		t.Fatalf("adaptive row planned %s", adaptive.Plan().Rep)
 	}
 	fresh := 1 << 20 // keys above every key stored so far
 
@@ -95,6 +102,8 @@ func TestAllocCeilings(t *testing.T) {
 		{"segmented AdjustedMap.Put, present key", 1, func() { segmented.Put(h, 3, 4) }},
 		{"segmented AdjustedMap.Put, fresh key", 2, func() { fresh++; segmented.Put(h, fresh, 4) }},
 		{"segmented AdjustedSet.Add, fresh element", 1, func() { fresh++; segSet.Add(h, fresh) }},
+		{"adaptive AdjustedMap.Get", 0, func() { adaptive.Get(3) }},
+		{"adaptive AdjustedMap.Put, present key", 1, func() { adaptive.Put(h, 3, 4) }},
 		{"flat AdjustedMap.Get and Put", 0, func() { flat.Get(3); flat.Put(h, 3, 4) }},
 		{"recorded AdjustedMap.Put", 0, func() { recorded.Put(h, 3, 4) }},
 		{"AdjustedSet.Contains", 0, func() { unrec.set.Contains(3) }},

@@ -49,7 +49,7 @@
 //
 // # Representations
 //
-// The planner chooses among (and Representation exposes):
+// Plan().Rep names the representation the planner chose:
 //
 //   - IncrementOnlyCounter — increment-only counter (C3, CWSR): per-thread
 //     cells, no CAS.
@@ -97,12 +97,7 @@ import (
 	"github.com/adjusted-objects/dego/internal/adaptive"
 	"github.com/adjusted-objects/dego/internal/contention"
 	"github.com/adjusted-objects/dego/internal/core"
-	"github.com/adjusted-objects/dego/internal/counter"
-	"github.com/adjusted-objects/dego/internal/hashmap"
-	"github.com/adjusted-objects/dego/internal/queue"
 	"github.com/adjusted-objects/dego/internal/ref"
-	"github.com/adjusted-objects/dego/internal/set"
-	"github.com/adjusted-objects/dego/internal/skiplist"
 	"github.com/adjusted-objects/dego/internal/stats"
 )
 
@@ -145,18 +140,6 @@ func Register() (*Handle, error) { return core.Register() }
 func MustRegister() *Handle { return core.MustRegister() }
 
 // ---------------------------------------------------------------------------
-// Counters
-
-// IncrementOnlyCounter is the adjusted increment-only counter (C3, CWSR).
-type IncrementOnlyCounter = counter.IncrementOnly
-
-// Adder is the LongAdder-style striped adder.
-type Adder = counter.Adder
-
-// AtomicCounter is the unadjusted baseline (AtomicLong-style shared cell).
-type AtomicCounter = counter.Atomic
-
-// ---------------------------------------------------------------------------
 // Adaptive objects
 
 // AdaptiveState is a position in the adaptive state machine (quiescent →
@@ -187,7 +170,8 @@ func DefaultAdaptivePolicy() AdaptivePolicy { return adaptive.DefaultPolicy() }
 // AdaptiveCounter is the contention-adaptive counter: an atomic shared cell
 // that promotes itself to per-thread cells (the C3 adjustment) when its
 // windowed CAS-failure rate crosses the policy threshold, and demotes when
-// writer concurrency subsides. Increment-only, like IncrementOnlyCounter.
+// writer concurrency subsides. Increment-only, like the IncrementOnlyCounter
+// representation.
 type AdaptiveCounter = adaptive.Counter
 
 // AdaptiveMap is the contention-adaptive hash map: lock-striped until its
@@ -221,58 +205,9 @@ type AdaptiveSet[K comparable] = adaptive.Set[K]
 // ---------------------------------------------------------------------------
 // References
 
-// WriteOnceRef is the write-once reference (R2): the Listing 1
-// AtomicWriteOnceReference, with per-thread read caching.
-type WriteOnceRef[T any] = ref.WriteOnce[T]
-
-// ErrAlreadySet is returned by WriteOnceRef.Set on a second initialization.
+// ErrAlreadySet is returned by AdjustedRef.Set and Update under WriteOnce
+// once the reference is set.
 var ErrAlreadySet = ref.ErrAlreadySet
-
-// AtomicRef is the unadjusted atomic reference.
-type AtomicRef[T any] = ref.Atomic[T]
-
-// RCUBox holds an immutable snapshot replaced wholesale by a single writer.
-type RCUBox[T any] = ref.RCUBox[T]
-
-// ---------------------------------------------------------------------------
-// Queues
-
-// MPSCQueue is the adjusted queue (Q1, MWSR): many producers, one consumer,
-// no CAS on the consumer side (the paper's QueueMASP).
-type MPSCQueue[T any] = queue.MPSC[T]
-
-// MSQueue is the Michael–Scott queue, the unadjusted baseline.
-type MSQueue[T any] = queue.MS[T]
-
-// ---------------------------------------------------------------------------
-// Maps and sets
-
-// SWMRMap is a single-writer multi-reader hash map.
-type SWMRMap[K comparable, V any] = hashmap.SWMR[K, V]
-
-// SegmentedMap is the ExtendedSegmentedHashMap (M2, CWMR).
-type SegmentedMap[K comparable, V any] = hashmap.Segmented[K, V]
-
-// StripedMap is the lock-striped baseline map.
-type StripedMap[K comparable, V any] = hashmap.Striped[K, V]
-
-// SWMRSkipList is a single-writer multi-reader ordered map.
-type SWMRSkipList[K cmp.Ordered, V any] = skiplist.SWMR[K, V]
-
-// SegmentedSkipList is the ExtendedSegmentedSkipListMap.
-type SegmentedSkipList[K cmp.Ordered, V any] = skiplist.Segmented[K, V]
-
-// ConcurrentSkipList is the lock-free CAS baseline ordered map.
-type ConcurrentSkipList[K cmp.Ordered, V any] = skiplist.Concurrent[K, V]
-
-// SWMRSet is a single-writer multi-reader membership set.
-type SWMRSet[K comparable] = set.SWMR[K]
-
-// SegmentedSet is the adjusted set (S3-style, CWMR).
-type SegmentedSet[K comparable] = set.Segmented[K]
-
-// StripedSet is the lock-striped baseline set.
-type StripedSet[K comparable] = set.Striped[K]
 
 // ---------------------------------------------------------------------------
 // Hashing helpers

@@ -23,8 +23,8 @@ func TestFlatMapFamily(t *testing.T) {
 	if got := m.Plan().Declared(); got != "(M2, CWMR)" {
 		t.Fatalf("Declared = %q", got)
 	}
-	if _, ok := m.Representation().(*FlatMap[flatUserID, string]); !ok {
-		t.Fatalf("Representation is %T", m.Representation())
+	if _, ok := m.rep.(*flatMap[flatUserID, string]); !ok {
+		t.Fatalf("representation is %T", m.rep)
 	}
 	for i := flatUserID(0); i < 256; i++ {
 		m.Put(h, i, "u")
@@ -80,8 +80,8 @@ func TestFlatMapFamily(t *testing.T) {
 	if got := c.Get(h); got != 10 {
 		t.Fatalf("Get = %d", got)
 	}
-	if _, ok := c.Representation().(*FlatCounter); !ok {
-		t.Fatalf("Representation is %T", c.Representation())
+	if _, ok := c.rep.(flatCounterRep); !ok {
+		t.Fatalf("representation is %T", c.rep)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestFacadeWriteOnceAndRCU(t *testing.T) {
 		t.Fatalf("RCU snapshot = %v", got)
 	}
 
-	r := Must(Ref[int](nil)).Representation().(*AtomicRef[int])
+	r := Must(Ref[int](nil)).rep.(atomicRefRep[int]).r
 	one := 1
 	if !r.CompareAndSet(nil, &one) || r.Get() != &one {
 		t.Fatal("AtomicRef CAS broken")
@@ -122,7 +122,7 @@ func TestFacadeQueuesPipeline(t *testing.T) {
 	if got != 20_000 {
 		t.Errorf("MPSC drained %d, want 20000", got)
 	}
-	if n := ms.Representation().(*MSQueue[int]).Len(); n != 20_000 {
+	if n := ms.rep.(msQueueRep[int]).q.Len(); n != 20_000 {
 		t.Errorf("MS len = %d, want 20000", n)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"sync/atomic"
 
-	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/contention"
 	"github.com/adjusted-objects/dego/internal/core"
+	"github.com/adjusted-objects/dego/internal/counter"
 	"github.com/adjusted-objects/dego/internal/hashmap"
 )
 
@@ -75,8 +75,7 @@ func SegHash() Workload {
 // that first stored it.
 func SegExtended() Workload {
 	return Workload{Name: "ExtendedSegmentation", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		m := dego.Must(dego.Map[int, int](dego.CommutingWriters(), dego.On(reg),
-			dego.Capacity(cfg.InitialItems), dego.Buckets(cfg.KeyRange*2))).Representation().(*dego.SegmentedMap[int, int])
+		m := hashmap.NewSegmented[int, int](reg, cfg.InitialItems, cfg.KeyRange*2, intHash, false)
 		keys := threadKeys(cfg)
 		return func(tid int, h *core.Handle, rng *rand.Rand) {
 			mine := keys[tid]
@@ -114,8 +113,7 @@ func CounterUnpadded() Workload {
 // price the runtime permission checking.
 func CounterGuarded() Workload {
 	return Workload{Name: "CounterGuarded", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		c := dego.Must(dego.Counter(dego.Blind(), dego.SingleReader(), dego.Checked(),
-			dego.On(reg))).Representation().(*dego.IncrementOnlyCounter)
+		c := counter.NewIncrementOnly(reg, true)
 		return func(tid int, h *core.Handle, rng *rand.Rand) {
 			c.Inc(h)
 		}, nil

@@ -7,8 +7,10 @@ package bench
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,8 +215,7 @@ func FormatTable(title string, series map[string][]Result, threads []int) string
 		out += fmt.Sprintf("%10d", t)
 	}
 	out += "\n"
-	names := sortedKeys(series)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(series)) {
 		out += fmt.Sprintf("%-32s", name)
 		for _, r := range series[name] {
 			out += fmt.Sprintf("%10.1f", r.KopsPerThread())
@@ -222,17 +223,4 @@ func FormatTable(title string, series map[string][]Result, threads []int) string
 		out += "\n"
 	}
 	return out
-}
-
-func sortedKeys(m map[string][]Result) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }

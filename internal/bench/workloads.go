@@ -8,6 +8,12 @@ import (
 	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/contention"
 	"github.com/adjusted-objects/dego/internal/core"
+	"github.com/adjusted-objects/dego/internal/counter"
+	"github.com/adjusted-objects/dego/internal/flatmap"
+	"github.com/adjusted-objects/dego/internal/hashmap"
+	"github.com/adjusted-objects/dego/internal/queue"
+	"github.com/adjusted-objects/dego/internal/ref"
+	"github.com/adjusted-objects/dego/internal/skiplist"
 	"github.com/adjusted-objects/dego/internal/stats"
 )
 
@@ -16,10 +22,12 @@ import (
 // is routed to a particular thread (using, e.g., the hash of the data
 // item)" — thread t works on the keys k with Hash64(k) mod Threads == t.
 //
-// Every object is constructed through the public profile API — the workload
-// declares its usage and the planner picks the representation — then the
-// hot loop runs on the concrete representation (Representation/Adaptive),
-// so the sweep measures the object, not the facade's indirection.
+// Each DEGO and JUC object is built directly from its internal package,
+// with the arguments the planner passes for the declaration the figure
+// legend implies (TestFigureDeclarations pins that the declaration still
+// plans that representation), so the sweep measures the object, not the
+// facade's indirection. The adaptive objects are declared through the
+// public profile API and the hot loop runs on what Adaptive returns.
 
 func intHash(k int) uint64 { return stats.Hash64(uint64(k)) }
 
@@ -39,7 +47,7 @@ func threadKeys(cfg Config) [][]int {
 func CounterJUC() Workload {
 	return Workload{Name: "CounterJUC", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		probe := contention.NewProbe()
-		c := dego.Must(dego.Counter(dego.WithProbe(probe))).Representation().(*dego.AtomicCounter)
+		c := counter.NewAtomic(probe)
 		return func(tid int, h *core.Handle, rng *rand.Rand) {
 			c.IncrementAndGet()
 		}, probe
@@ -52,8 +60,7 @@ func LongAdder() Workload {
 		probe := contention.NewProbe()
 		// LongAdder grows its cell array up to the number of CPUs
 		// (Striped64); beyond that, threads share cells and CAS-retry.
-		c := dego.Must(dego.Counter(dego.Blind(), dego.Capacity(runtime.GOMAXPROCS(0)),
-			dego.WithProbe(probe))).Representation().(*dego.Adder)
+		c := counter.NewAdder(runtime.GOMAXPROCS(0), probe)
 		return func(tid int, h *core.Handle, rng *rand.Rand) {
 			c.Inc(h)
 		}, probe
@@ -63,8 +70,7 @@ func LongAdder() Workload {
 // CounterIncrementOnly is the adjusted counter (C3, CWSR).
 func CounterIncrementOnly() Workload {
 	return Workload{Name: "CounterIncrementOnly", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		c := dego.Must(dego.Counter(dego.Blind(), dego.SingleReader(),
-			dego.On(reg))).Representation().(*dego.IncrementOnlyCounter)
+		c := counter.NewIncrementOnly(reg, false)
 		return func(tid int, h *core.Handle, rng *rand.Rand) {
 			c.Inc(h)
 		}, nil
@@ -137,8 +143,7 @@ func populate(cfg Config, put func(k int)) {
 func HashMapJUC() Workload {
 	return Workload{Name: "ConcurrentHashMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		probe := contention.NewProbe()
-		m := dego.Must(dego.Map[int, *int](dego.Stripes(256), dego.Capacity(cfg.InitialItems),
-			dego.WithProbe(probe))).Representation().(*dego.StripedMap[int, *int])
+		m := hashmap.NewStriped[int, *int](256, cfg.InitialItems, intHash, probe)
 		boxes := valueBoxes(cfg)
 		populate(cfg, func(k int) { m.Put(k, boxes[k]) })
 		return mapOps(cfg,
@@ -152,8 +157,7 @@ func HashMapJUC() Workload {
 // HashMapDEGO is the ExtendedSegmentedHashMap (M2, CWMR).
 func HashMapDEGO() Workload {
 	return Workload{Name: "ExtendedSegmentedHashMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		m := dego.Must(dego.Map[int, int](dego.CommutingWriters(), dego.On(reg),
-			dego.Capacity(cfg.InitialItems), dego.Buckets(cfg.KeyRange*2))).Representation().(*dego.SegmentedMap[int, int])
+		m := hashmap.NewSegmented[int, int](reg, cfg.InitialItems, cfg.KeyRange*2, intHash, false)
 		boxes := valueBoxes(cfg)
 		// Populate respecting the CWMR routing: one priming handle per
 		// thread partition, so each initial key binds to the segment that
@@ -204,7 +208,7 @@ func AdaptiveMap() Workload {
 func SkipListJUC() Workload {
 	return Workload{Name: "ConcurrentSkipListMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		probe := contention.NewProbe()
-		m := dego.Must(dego.Ordered[int, int](dego.WithProbe(probe))).Representation().(*dego.ConcurrentSkipList[int, int])
+		m := skiplist.NewConcurrent[int, int](probe)
 		boxes := valueBoxes(cfg)
 		populate(cfg, func(k int) { m.PutRef(k, boxes[k]) })
 		return mapOps(cfg,
@@ -218,8 +222,7 @@ func SkipListJUC() Workload {
 // SkipListDEGO is the ExtendedSegmentedSkipListMap.
 func SkipListDEGO() Workload {
 	return Workload{Name: "ExtendedSegmentedSkipListMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		m := dego.Must(dego.Ordered[int, int](dego.CommutingWriters(), dego.On(reg),
-			dego.Buckets(cfg.KeyRange*2))).Representation().(*dego.SegmentedSkipList[int, int])
+		m := skiplist.NewSegmented[int, int](reg, cfg.KeyRange*2, intHash, false)
 		boxes := valueBoxes(cfg)
 		handles := make([]*core.Handle, cfg.Threads)
 		for t := range handles {
@@ -270,13 +273,12 @@ func AdaptiveSkipList() Workload {
 // mid-run table growth.
 func FlatShardedMap() Workload {
 	return Workload{Name: "FlatShardedMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		m := dego.Must(dego.Map[int, int](dego.CommutingWriters(), dego.On(reg),
-			dego.Capacity(cfg.KeyRange))).Representation().(*dego.FlatMap[int, int])
-		populate(cfg, func(k int) { m.Put(nil, k, k) })
+		m := flatmap.NewSharded[int](flatmap.DefaultShards(), cfg.KeyRange)
+		populate(cfg, func(k int) { m.Put(uint64(k), k) })
 		return mapOps(cfg,
-			func(h *core.Handle, k int) { m.Put(h, k, k) },
-			func(h *core.Handle, k int) { m.Remove(h, k) },
-			func(k int) { m.Get(k) },
+			func(_ *core.Handle, k int) { m.Put(uint64(k), k) },
+			func(_ *core.Handle, k int) { m.Remove(uint64(k)) },
+			func(k int) { m.Get(uint64(k)) },
 		), nil
 	}}
 }
@@ -380,7 +382,7 @@ func AdaptiveMapHotPerRange() Workload {
 func ReferenceJUC() Workload {
 	return Workload{Name: "AtomicReference", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		v := 42
-		r := dego.Must(dego.Ref(&v)).Representation().(*dego.AtomicRef[int])
+		r := ref.NewAtomic(&v)
 		return func(tid int, h *core.Handle, rng *rand.Rand) {
 			if r.Get() == nil {
 				panic("bench: reference lost")
@@ -392,8 +394,7 @@ func ReferenceJUC() Workload {
 // ReferenceDEGO is the AtomicWriteOnceReference of Listing 1.
 func ReferenceDEGO() Workload {
 	return Workload{Name: "AtomicWriteOnceReference", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		w := dego.Must(dego.Ref[int](nil, dego.WriteOnce(),
-			dego.On(reg))).Representation().(*dego.WriteOnceRef[int])
+		w := ref.NewWriteOnce[int](reg)
 		init := reg.MustRegister()
 		v := 42
 		if !w.TrySet(init, &v) {
@@ -413,7 +414,7 @@ func ReferenceDEGO() Workload {
 func QueueJUC() Workload {
 	return Workload{Name: "ConcurrentLinkedQueue", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		probe := contention.NewProbe()
-		q := dego.Must(dego.Queue[int](dego.WithProbe(probe))).Representation().(*dego.MSQueue[int])
+		q := queue.NewMS[int](probe)
 		for i := 0; i < 1024; i++ {
 			q.Offer(i)
 		}
@@ -431,8 +432,7 @@ func QueueJUC() Workload {
 func QueueDEGO() Workload {
 	return Workload{Name: "QueueMASP", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		probe := contention.NewProbe()
-		q := dego.Must(dego.Queue[int](dego.SingleReader(),
-			dego.WithProbe(probe))).Representation().(*dego.MPSCQueue[int])
+		q := queue.NewMPSC[int](probe, false)
 		seed := reg.MustRegister()
 		for i := 0; i < 1024; i++ {
 			q.Offer(seed, i)

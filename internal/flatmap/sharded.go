@@ -2,6 +2,7 @@ package flatmap
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"github.com/adjusted-objects/dego/internal/core"
@@ -28,6 +29,18 @@ type flatShard[V any] struct {
 	_  core.Pad
 	mu sync.RWMutex
 	t  table[V]
+}
+
+// DefaultShards sizes the shard array of a commuting flat map or set:
+// enough shards that concurrent writers rarely meet (4× CPUs, rounded up
+// to a power of two), few enough that the per-shard padding stays
+// negligible next to a preallocated table.
+func DefaultShards() int {
+	n := runtime.GOMAXPROCS(0) * 4
+	if n < 8 {
+		n = 8
+	}
+	return 1 << bits.Len(uint(n-1))
 }
 
 // NewSharded creates a flat map with the given shard count (rounded up to

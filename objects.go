@@ -23,9 +23,11 @@ import (
 // mode, names and certifies the declared Table 1 object against the
 // executable Definition 1 (internal/spec), and picks the first row the
 // profile fits. A constructor only builds the row it was given and returns
-// an Adjusted* wrapper exposing the narrowed interface, the Plan that was
-// made, and — for audits, benchmarks and migrations — the underlying
-// representation.
+// an Adjusted* wrapper exposing the narrowed interface and the Plan that
+// was made, whose Rep names the representation; an adaptive plan also
+// exposes its adaptive object (Adaptive). Code that must time a
+// representation itself, as the figures do, builds it from its internal
+// package.
 //
 // A wrapper holds what a program may keep one of per user: a pointer to
 // the interned Plan, the representation behind its planner view, and the
@@ -33,14 +35,14 @@ import (
 // a recording decorator (advise.go), so every data method is one forwarding
 // call and an unrecorded object holds no recorder.
 
-// An adapter fits a representation whose methods differ from its
-// datatype's planner view; unwrap returns the representation it adapts.
-type adapter interface{ unwrap() any }
+// A decorator wraps a planner view (the recording decorator of advise.go
+// is the one); unwrap returns the view it wraps.
+type decorator interface{ unwrap() any }
 
-// unwrap returns the representation behind a planner view.
+// unwrap returns the planner view behind a decorator, or rep itself.
 func unwrap(rep any) any {
-	if a, ok := rep.(adapter); ok {
-		return a.unwrap()
+	if d, ok := rep.(decorator); ok {
+		return d.unwrap()
 	}
 	return rep
 }
@@ -68,7 +70,6 @@ type atomicCounterRep struct{ a *counter.Atomic }
 func (r atomicCounterRep) Inc(*Handle)                { r.a.IncrementAndGet() }
 func (r atomicCounterRep) Add(_ *Handle, delta int64) { r.a.AddAndGet(delta) }
 func (r atomicCounterRep) Get(*Handle) int64          { return r.a.Get() }
-func (r atomicCounterRep) unwrap() any                { return r.a }
 
 // adderCounterRep adapts the striped adder (reads sum every cell, any
 // thread).
@@ -77,7 +78,6 @@ type adderCounterRep struct{ a *counter.Adder }
 func (r adderCounterRep) Inc(h *Handle)              { r.a.Inc(h) }
 func (r adderCounterRep) Add(h *Handle, delta int64) { r.a.Add(h, delta) }
 func (r adderCounterRep) Get(*Handle) int64          { return r.a.Sum() }
-func (r adderCounterRep) unwrap() any                { return r.a }
 
 // AdjustedCounter is a counter built from a declared profile. Its interface
 // is the narrowed one every dego counter representation shares — blind
@@ -105,10 +105,6 @@ func (c *AdjustedCounter) Plan() Plan { return *c.plan }
 // Adaptive returns the underlying contention-adaptive counter when the
 // profile declared Adaptive, else nil.
 func (c *AdjustedCounter) Adaptive() *AdaptiveCounter { return adaptiveOf[*AdaptiveCounter](c.rep) }
-
-// Representation returns the underlying representation (e.g.
-// *dego.AtomicCounter, *dego.Adder) for audits and rep-specific access.
-func (c *AdjustedCounter) Representation() any { return unwrap(c.rep) }
 
 // Probe returns the contention probe observing this object: the adaptive
 // probe when planned adaptive, else the WithProbe one (possibly nil).
@@ -189,7 +185,6 @@ func (r stripedMapRep[K, V]) Remove(_ *Handle, k K) bool { return r.m.Remove(k) 
 func (r stripedMapRep[K, V]) Contains(k K) bool          { return r.m.Contains(k) }
 func (r stripedMapRep[K, V]) Len() int                   { return r.m.Len() }
 func (r stripedMapRep[K, V]) Range(f func(K, V) bool)    { r.m.Range(f) }
-func (r stripedMapRep[K, V]) unwrap() any                { return r.m }
 
 // AdjustedMap is a hash map built from a declared profile. Writes are
 // handle-routed (representations that do not route by thread ignore the
@@ -226,10 +221,6 @@ func (m *AdjustedMap[K, V]) Plan() Plan { return *m.plan }
 func (m *AdjustedMap[K, V]) Adaptive() *AdaptiveMap[K, V] {
 	return adaptiveOf[*AdaptiveMap[K, V]](m.rep)
 }
-
-// Representation returns the underlying representation (e.g.
-// *dego.SegmentedMap[K, V]).
-func (m *AdjustedMap[K, V]) Representation() any { return unwrap(m.rep) }
 
 // Probe returns the contention probe observing this object.
 func (m *AdjustedMap[K, V]) Probe() *Probe { return m.probe }
@@ -318,7 +309,6 @@ func (r stripedSetRep[K]) Remove(_ *Handle, x K) bool { return r.s.Remove(x) }
 func (r stripedSetRep[K]) Contains(x K) bool          { return r.s.Contains(x) }
 func (r stripedSetRep[K]) Len() int                   { return r.s.Len() }
 func (r stripedSetRep[K]) Range(f func(K) bool)       { r.s.Range(f) }
-func (r stripedSetRep[K]) unwrap() any                { return r.s }
 
 // AdjustedSet is a membership set built from a declared profile.
 type AdjustedSet[K comparable] struct {
@@ -348,9 +338,6 @@ func (s *AdjustedSet[K]) Plan() Plan { return *s.plan }
 // Adaptive returns the underlying contention-adaptive set when the profile
 // declared Adaptive, else nil.
 func (s *AdjustedSet[K]) Adaptive() *AdaptiveSet[K] { return adaptiveOf[*AdaptiveSet[K]](s.rep) }
-
-// Representation returns the underlying representation.
-func (s *AdjustedSet[K]) Representation() any { return unwrap(s.rep) }
 
 // Probe returns the contention probe observing this object.
 func (s *AdjustedSet[K]) Probe() *Probe { return s.probe }
@@ -446,7 +433,6 @@ func (r concurrentListRep[K, V]) RangeFrom(from K, f func(K, V) bool) { r.m.Rang
 func (r concurrentListRep[K, V]) RangeBetween(from, to K, f func(K, V) bool) {
 	r.m.RangeFrom(from, below(to, f))
 }
-func (r concurrentListRep[K, V]) unwrap() any { return r.m }
 
 // swmrListRep adapts the SWMR skip list (its from-iteration is ref-based).
 type swmrListRep[K cmp.Ordered, V any] struct{ m *skiplist.SWMR[K, V] }
@@ -457,7 +443,6 @@ func (r swmrListRep[K, V]) Remove(h *Handle, k K) bool { return r.m.Remove(h, k)
 func (r swmrListRep[K, V]) Contains(k K) bool          { return r.m.Contains(k) }
 func (r swmrListRep[K, V]) Len() int                   { return r.m.Len() }
 func (r swmrListRep[K, V]) Range(f func(K, V) bool)    { r.m.Range(f) }
-func (r swmrListRep[K, V]) unwrap() any                { return r.m }
 func (r swmrListRep[K, V]) RangeFrom(from K, f func(K, V) bool) {
 	r.m.RangeRefFrom(from, func(k K, v *V) bool { return f(k, *v) })
 }
@@ -509,9 +494,6 @@ func (m *AdjustedOrdered[K, V]) Plan() Plan { return *m.plan }
 func (m *AdjustedOrdered[K, V]) Adaptive() *AdaptiveSkipList[K, V] {
 	return adaptiveOf[*AdaptiveSkipList[K, V]](m.rep)
 }
-
-// Representation returns the underlying representation.
-func (m *AdjustedOrdered[K, V]) Representation() any { return unwrap(m.rep) }
 
 // Probe returns the contention probe observing this object.
 func (m *AdjustedOrdered[K, V]) Probe() *Probe { return m.probe }
@@ -601,7 +583,6 @@ func (r msQueueRep[T]) Offer(_ *Handle, v T)   { r.q.Offer(v) }
 func (r msQueueRep[T]) Poll(*Handle) (T, bool) { return r.q.Poll() }
 func (r msQueueRep[T]) Peek(*Handle) (T, bool) { return r.q.Peek() }
 func (r msQueueRep[T]) IsEmpty(*Handle) bool   { return r.q.IsEmpty() }
-func (r msQueueRep[T]) unwrap() any            { return r.q }
 func (r msQueueRep[T]) Drain(_ *Handle, out []T, max int) int {
 	n := 0
 	for n < max && n < len(out) {
@@ -654,9 +635,6 @@ func (q *AdjustedQueue[T]) Drain(h *Handle, out []T, max int) int { return q.rep
 
 // Plan returns the planner's decision for this object.
 func (q *AdjustedQueue[T]) Plan() Plan { return *q.plan }
-
-// Representation returns the underlying representation.
-func (q *AdjustedQueue[T]) Representation() any { return unwrap(q.rep) }
 
 // Probe returns the contention probe observing this object (possibly nil).
 func (q *AdjustedQueue[T]) Probe() *Probe { return q.probe }
@@ -718,7 +696,6 @@ type atomicRefRep[T any] struct{ r *ref.Atomic[T] }
 
 func (a atomicRefRep[T]) Get(*Handle) *T            { return a.r.Get() }
 func (a atomicRefRep[T]) Set(_ *Handle, v *T) error { a.r.Set(v); return nil }
-func (a atomicRefRep[T]) unwrap() any               { return a.r }
 func (a atomicRefRep[T]) Update(_ *Handle, f func(*T) *T) error {
 	for {
 		old := a.r.Get()
@@ -731,7 +708,6 @@ func (a atomicRefRep[T]) Update(_ *Handle, f func(*T) *T) error {
 type rcuRefRep[T any] struct{ r *ref.RCUBox[T] }
 
 func (a rcuRefRep[T]) Get(*Handle) *T { return a.r.Read() }
-func (a rcuRefRep[T]) unwrap() any    { return a.r }
 func (a rcuRefRep[T]) Set(h *Handle, v *T) error {
 	a.r.Update(h, func(*T) *T { return v })
 	return nil
@@ -745,7 +721,6 @@ type writeOnceRefRep[T any] struct{ w *ref.WriteOnce[T] }
 
 func (a writeOnceRefRep[T]) Get(h *Handle) *T          { return a.w.Get(h) }
 func (a writeOnceRefRep[T]) Set(h *Handle, v *T) error { return a.w.Set(h, v) }
-func (a writeOnceRefRep[T]) unwrap() any               { return a.w }
 func (a writeOnceRefRep[T]) Update(h *Handle, f func(*T) *T) error {
 	return a.w.Set(h, f(a.w.Get(h)))
 }
@@ -772,9 +747,6 @@ func (r *AdjustedRef[T]) Update(h *Handle, f func(old *T) *T) error { return r.r
 
 // Plan returns the planner's decision for this object.
 func (r *AdjustedRef[T]) Plan() Plan { return *r.plan }
-
-// Representation returns the underlying representation.
-func (r *AdjustedRef[T]) Representation() any { return unwrap(r.rep) }
 
 // Advise infers the most adjusted reference profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object

@@ -24,7 +24,7 @@ type Plan struct {
 	// Mode is the declared access-permission mode.
 	Mode Mode
 	// Rep names the chosen representation ("SegmentedMap", "AtomicCounter",
-	// ...), matching the dego type of the same name.
+	// ...; the package doc lists them all).
 	Rep string
 	// Adaptive reports whether the representation switches itself under
 	// measured contention.

@@ -142,10 +142,10 @@ func TestRecordedMethodTraces(t *testing.T) {
 
 // TestAccessorsSeeThroughRecording builds every row of every datatype twice,
 // unrecorded and recorded, and checks that the accessors answer the same
-// through the recording decorator: the same plan, a Representation of the
-// same dynamic type, Adaptive non-nil exactly on adaptive rows, Probe the
-// adaptive object's own probe there, and Advise available exactly when
-// recorded.
+// through the recording decorator: the same plan, a representation of the
+// same dynamic type behind the decorator, Adaptive non-nil exactly on
+// adaptive rows, Probe the adaptive object's own probe there, and Advise
+// available exactly when recorded.
 func TestAccessorsSeeThroughRecording(t *testing.T) {
 	reg := NewRegistry(8)
 	type view struct {
@@ -166,7 +166,7 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 			{Blind(), CommutingWriters(), Capacity(8)}, {Blind()}, {},
 		}, func(opts []Option) view {
 			c := Must(Counter(opts...))
-			v := view{plan: c.Plan(), rep: c.Representation(), probe: c.Probe()}
+			v := view{plan: c.Plan(), rep: unwrap(c.rep), probe: c.Probe()}
 			if a := c.Adaptive(); a != nil {
 				v.adaptive, v.adProbe = true, a.Probe()
 			}
@@ -178,7 +178,7 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 			{CommutingWriters()}, {SingleWriter()}, {},
 		}, func(opts []Option) view {
 			m := Must(Map[int, int](opts...))
-			v := view{plan: m.Plan(), rep: m.Representation(), probe: m.Probe()}
+			v := view{plan: m.Plan(), rep: unwrap(m.rep), probe: m.Probe()}
 			if a := m.Adaptive(); a != nil {
 				v.adaptive, v.adProbe = true, a.Probe()
 			}
@@ -190,7 +190,7 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 			{CommutingWriters()}, {SingleWriter()}, {},
 		}, func(opts []Option) view {
 			s := Must(Set[int](opts...))
-			v := view{plan: s.Plan(), rep: s.Representation(), probe: s.Probe()}
+			v := view{plan: s.Plan(), rep: unwrap(s.rep), probe: s.Probe()}
 			if a := s.Adaptive(); a != nil {
 				v.adaptive, v.adProbe = true, a.Probe()
 			}
@@ -201,7 +201,7 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 			{CommutingWriters(), Adaptive()}, {CommutingWriters()}, {SingleWriter()}, {},
 		}, func(opts []Option) view {
 			o := Must(Ordered[int, int](opts...))
-			v := view{plan: o.Plan(), rep: o.Representation(), probe: o.Probe()}
+			v := view{plan: o.Plan(), rep: unwrap(o.rep), probe: o.Probe()}
 			if a := o.Adaptive(); a != nil {
 				v.adaptive, v.adProbe = true, a.Probe()
 			}
@@ -210,13 +210,13 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 		}},
 		{queueRows, [][]Option{{SingleReader()}, {}}, func(opts []Option) view {
 			q := Must(Queue[int](opts...))
-			v := view{plan: q.Plan(), rep: q.Representation(), probe: q.Probe()}
+			v := view{plan: q.Plan(), rep: unwrap(q.rep), probe: q.Probe()}
 			_, v.advised = q.Advise()
 			return v
 		}},
 		{refRows, [][]Option{{WriteOnce()}, {SingleWriter()}, {}}, func(opts []Option) view {
 			r := Must(Ref[int](nil, opts...))
-			v := view{plan: r.Plan(), rep: r.Representation()}
+			v := view{plan: r.Plan(), rep: unwrap(r.rep)}
 			_, v.advised = r.Advise()
 			return v
 		}},
@@ -237,7 +237,7 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 				t.Errorf("%s: recorded plan %v", name, recorded.plan)
 			}
 			if a, b := fmt.Sprintf("%T", recorded.rep), fmt.Sprintf("%T", plain.rep); a != b {
-				t.Errorf("%s: recorded Representation is %s, unrecorded %s", name, a, b)
+				t.Errorf("%s: recorded representation is %s, unrecorded %s", name, a, b)
 			}
 			for _, v := range []view{plain, recorded} {
 				if v.adaptive != v.plan.Adaptive {
