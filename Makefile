@@ -5,12 +5,11 @@ GO ?= go
 
 # Packages covered by the race-detector job: the adaptive machine, the
 # objects it migrates between (the flat open-addressing family included),
-# the segmentations and the sets built on the segmented map, the queues
-# (their embedded sentinel is retired while producers may still hold it as
-# the tail), the resilience layer (fault injection and the chaos storm), and
-# the open-loop load generator (clock goroutine feeding a worker pool through
-# a bounded queue).
-RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/segment/... ./internal/skiplist/... ./internal/queue/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
+# the sets built on the segmented map, the queues (their embedded sentinel
+# is retired while producers may still hold it as the tail), the resilience
+# layer (fault injection and the chaos storm), and the open-loop load
+# generator (clock goroutine feeding a worker pool through a bounded queue).
+RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/skiplist/... ./internal/queue/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
 
 # The serving layer (pipelined TCP clients against shards under forced
 # promote/demote flapping) runs three times: a shard's writer is whoever
@@ -18,6 +17,12 @@ RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... .
 # safety rests on the lock hand-over between them, which only the detector
 # checks and only on the schedules a run happens to take.
 RACE_SERVER_PKGS = ./internal/server/...
+
+# The segmentations run three times too: the segmented hash map, set and
+# skip list all publish through the directory's one CAS-prepend loop, and
+# its lost-CAS retry only runs on the interleavings where two inserts race
+# for a bucket head.
+RACE_SEGMENT_PKGS = ./internal/segment/...
 
 # Tiny configuration for the bench-smoke job: catches harness bit-rot
 # without burning CI minutes; the JSON lands as a workflow artifact. The
@@ -103,6 +108,7 @@ race:
 	$(GO) test -race -short $(RACE_PKGS)
 	$(GO) test -race -short -run 'ConcurrentConstruction|ConcurrentRecording' .
 	$(GO) test -race -short -run 'TestRunAllBackends|TestRunPreservesInvariants' ./internal/retwis/
+	$(GO) test -race -short -count=3 $(RACE_SEGMENT_PKGS)
 	$(GO) test -race -short -count=3 $(RACE_SERVER_PKGS)
 
 bench-smoke:

@@ -127,7 +127,7 @@ func TestSegmentedSetConformsToS2(t *testing.T) {
 	s2 := spec.Set(spec.S2)
 	reg := core.NewRegistry(4)
 	h := reg.MustRegister()
-	impl := set.NewSegmented[int](reg, 64, 128, func(k int) uint64 {
+	impl := set.NewSegmented[int](reg, 128, func(k int) uint64 {
 		return stats.Hash64(uint64(k))
 	}, false)
 	st := s2.Init

@@ -2,7 +2,6 @@ package hashmap
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,160 +299,6 @@ func TestSegmentedCommutingWriters(t *testing.T) {
 	for k := 0; k < writers*perW; k += 97 {
 		if v, ok := m.Get(k); !ok || v != k*2 {
 			t.Fatalf("get(%d) = %d,%v", k, v, ok)
-		}
-	}
-}
-
-func TestSegmentedBindingRetainedAfterRemove(t *testing.T) {
-	r := core.NewRegistry(4)
-	m := NewSegmented[int, int](r, 16, 16, intHash, true)
-	h := r.MustRegister()
-	m.Put(h, 5, 50)
-	if !m.Remove(h, 5) {
-		t.Fatal("remove failed")
-	}
-	if m.Remove(h, 5) {
-		t.Fatal("double remove must miss")
-	}
-	// Re-insert by the same thread: same segment, no guard trip.
-	m.Put(h, 5, 51)
-	if v, ok := m.Get(5); !ok || v != 51 {
-		t.Fatalf("get = %d,%v", v, ok)
-	}
-	// Removing an unbound key is a miss without binding it.
-	if m.Remove(h, 999) {
-		t.Fatal("remove of never-inserted key must miss")
-	}
-}
-
-func TestSegmentedGuardCatchesCWMRViolation(t *testing.T) {
-	r := core.NewRegistry(4)
-	m := NewSegmented[int, int](r, 16, 16, intHash, true)
-	a, b := r.MustRegister(), r.MustRegister()
-	m.Put(a, 1, 1) // key 1 binds to a's segment
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-thread write to the same key must trip the guard")
-		}
-	}()
-	m.Put(b, 1, 2)
-}
-
-func TestSegmentedSharedBucketsConcurrent(t *testing.T) {
-	// Four directory buckets: every insert shares a chain with the other
-	// writers' inserts and loses CASes to them. Writer w owns keys i*4+w.
-	// Even i is put once and kept; odd i cycles Put / Remove / re-Put, and
-	// i%4 == 3 ends removed. All goroutines start together, and the chains
-	// are long enough that writers overlap while a walk is in flight.
-	const writers, readers, perW = 4, 2, 2000
-	r := core.NewRegistry(writers)
-	m := NewSegmented[int, int](r, writers*perW, 4, intHash, true)
-	key := func(w, i int) int { return i*writers + w }
-	var kept [writers]atomic.Int64 // kept keys whose Put has returned, per writer
-	var wg, rwg sync.WaitGroup
-	start, stop := make(chan struct{}), make(chan struct{})
-	for g := 0; g < readers; g++ {
-		rwg.Add(1)
-		go func(g int) {
-			defer rwg.Done()
-			<-start
-			for i := g; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				runtime.Gosched() // leave the writers room to run in parallel
-				w := i % writers
-				d := int(kept[w].Load())
-				if d == 0 {
-					continue
-				}
-				k := key(w, 2*(i%d))
-				v, ok := m.Get(k)
-				p, pok := m.GetRef(k)
-				if !ok || v != k || !pok || *p != k || !m.Contains(k) {
-					t.Errorf("reader %d: kept key %d reverted: Get (%d,%v) GetRef %v", g, k, v, ok, pok)
-					return
-				}
-				if m.Contains(-1 - i) {
-					t.Errorf("reader %d: never-stored key %d present", g, -1-i)
-					return
-				}
-			}
-		}(g)
-	}
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := r.MustRegister()
-			<-start
-			visible := func(k, want int) bool {
-				v, ok := m.Get(k)
-				p, pok := m.GetRef(k)
-				return ok && v == want && pok && *p == want && m.Contains(k)
-			}
-			removeOnce := func(k int) bool {
-				return m.Remove(h, k) && !m.Remove(h, k) && !m.Contains(k)
-			}
-			for i := 0; i < perW; i++ {
-				k := key(w, i)
-				if i%2 == 0 {
-					m.Put(h, k, k)
-					if !visible(k, k) {
-						t.Errorf("writer %d: own Put of %d not visible", w, k)
-						return
-					}
-					kept[w].Add(1)
-					continue
-				}
-				m.Put(h, k, -k)
-				ok := visible(k, -k) && removeOnce(k)
-				m.Put(h, k, k)
-				ok = ok && visible(k, k)
-				if ok && i%4 == 3 {
-					ok = removeOnce(k)
-				}
-				if !ok {
-					t.Errorf("writer %d: Put / Remove / re-Put cycle of %d misbehaved", w, k)
-					return
-				}
-			}
-		}(w)
-	}
-	close(start)
-	wg.Wait()
-	close(stop)
-	rwg.Wait()
-	if t.Failed() {
-		return
-	}
-	want := map[int]int{}
-	for w := 0; w < writers; w++ {
-		for i := 0; i < perW; i++ {
-			if i%4 != 3 {
-				want[key(w, i)] = key(w, i)
-			}
-		}
-	}
-	if got := m.Len(); got != len(want) {
-		t.Fatalf("Len = %d, want %d", got, len(want))
-	}
-	got := map[int]int{}
-	m.Range(func(k, v int) bool {
-		if _, dup := got[k]; dup {
-			t.Fatalf("Range visited key %d twice", k)
-		}
-		got[k] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Range saw %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("Range: key %d = %d, want %d", k, got[k], v)
 		}
 	}
 }

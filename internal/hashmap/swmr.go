@@ -6,8 +6,10 @@
 //     with a single atomic store, exactly as described for SWMRHashMap.
 //   - Striped — the ConcurrentHashMap-style baseline: lock-striped buckets.
 //   - Segmented — the adjusted object (M2, CWMR), the paper's
-//     ExtendedSegmentedHashMap: one lock-free directory whose entry carries
-//     the key, the owner it is bound to (its segment) and the value box.
+//     ExtendedSegmentedHashMap: the extended segmentation's lock-free
+//     directory (segment.Directory, shared with skiplist.Segmented), whose
+//     entry carries the key, the owner it is bound to (its segment) and the
+//     value box.
 package hashmap
 
 import (

@@ -6,6 +6,11 @@
 //     multi-producer single-consumer. Offer is the Michael–Scott offer
 //     (CAS on the tail); Poll is performed by the unique consumer, which
 //     advances the head with a plain atomic store — no CAS retry loop.
+//
+// §1's other queue example, Apache Ignite's FastSizeDeque, is an adjustment
+// by pairing rather than by a new representation: the deque keeps a striped
+// adder (counter.Adder here) beside it so that sizing, O(n) on the JDK's
+// ConcurrentLinkedDeque, never walks the list.
 package queue
 
 import (

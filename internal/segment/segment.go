@@ -1,19 +1,20 @@
-// Package segment implements the segmentations of §5.2: arrays of SWMR
-// segments, each owned by one thread, on which the CWMR/CWSR adjusted
-// collections are built.
+// Package segment implements the segmentations of §5.2, on which the
+// CWMR/CWSR adjusted collections are built:
 //
-// Two of the paper's three forms are provided:
+//   - Directory: the Extended segmentation, where an item retains the
+//     segment where it was first stored. It is one lock-free hash directory
+//     with one node per key, whose owner field is that binding (the Go
+//     counterpart of the Java version's dedicated field inside the item),
+//     plus a padded slot of per-owner state. The adjusted hash map and skip
+//     list (internal/hashmap, internal/skiplist) are this directory; the
+//     skip list extends each node with a tower, and the adjusted set is
+//     built on the hash map.
+//   - Base: an array of SWMR segments with a static thread→segment mapping;
+//     reads traverse every segment (best for write-dominated workloads).
+//   - Hash: an array of SWMR segments indexed by item hash, so a lookup
+//     touches exactly one segment.
 //
-//   - Base: a static thread→segment mapping; reads traverse every segment
-//     (best for write-dominated workloads).
-//   - Hash: an item is routed to the segment matching its hash code, so a
-//     lookup touches exactly one segment.
-//
-// The third, Extended, where an item retains the segment where it was first
-// stored, needs no segment array: the adjusted hash map and skip list
-// (internal/hashmap, internal/skiplist) keep one node per key whose owner
-// field is that binding, the Go counterpart of the Java version's dedicated
-// field inside the item. Base and Hash remain as ablations of it.
+// Base and Hash remain as ablations of the Extended form.
 package segment
 
 import (

@@ -14,10 +14,10 @@ import (
 	"github.com/adjusted-objects/dego/internal/wire"
 )
 
-// ErrServerClosed is returned by Serve and ListenAndServe after Close or
-// Shutdown, and by Shutdown when the drain did not finish in time it wraps
-// the context error. It is the single typed "server is done" signal —
-// callers never see the underlying listener's close-ordering errors.
+// ErrServerClosed is returned by Serve after Close or Shutdown, and by
+// Shutdown, wrapping the context error, when the drain did not finish in
+// time. It is the single typed "server is done" signal — callers never see
+// the underlying listener's close-ordering errors.
 var ErrServerClosed = errors.New("server: closed")
 
 // MaxClientsMsg is the error-reply text a connection refused at the
@@ -187,14 +187,6 @@ func (s *Server) Serve() error {
 	s.accepts.Wait()
 	s.conns.Wait()
 	return ErrServerClosed
-}
-
-// ListenAndServe binds and serves.
-func (s *Server) ListenAndServe() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 // Close stops the server hard: accepting stops, every open connection is

@@ -55,10 +55,11 @@ type Segmented[K comparable] struct {
 	m *hashmap.Segmented[K, struct{}]
 }
 
-// NewSegmented creates a segmented set over a registry.
-func NewSegmented[K comparable](r *core.Registry, capacity, dirBuckets int,
+// NewSegmented creates a segmented set over a registry. dirBuckets sizes the
+// map's directory, which never grows.
+func NewSegmented[K comparable](r *core.Registry, dirBuckets int,
 	hash func(K) uint64, checked bool) *Segmented[K] {
-	return &Segmented[K]{m: hashmap.NewSegmented[K, struct{}](r, capacity, dirBuckets, hash, checked)}
+	return &Segmented[K]{m: hashmap.NewSegmented[K, struct{}](r, 0, dirBuckets, hash, checked)}
 }
 
 // Add inserts x, binding it to the caller if it was never added before.

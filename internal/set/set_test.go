@@ -68,7 +68,7 @@ func eachSet(t *testing.T, f func(t *testing.T, s setAPI)) {
 	})
 	t.Run("Segmented", func(t *testing.T) {
 		r := core.NewRegistry(4)
-		f(t, segS{NewSegmented[int](r, 64, 64, intHash, false), r.MustRegister()})
+		f(t, segS{NewSegmented[int](r, 64, intHash, false), r.MustRegister()})
 	})
 	t.Run("Striped", func(t *testing.T) {
 		f(t, strS{NewStriped[int](16, 64, intHash, nil)})
@@ -140,7 +140,7 @@ func TestSetMatchesOracleQuick(t *testing.T) {
 func TestSegmentedSetConcurrent(t *testing.T) {
 	const writers, perW = 8, 3000
 	r := core.NewRegistry(writers)
-	s := NewSegmented[int](r, writers*perW, 1<<13, intHash, true)
+	s := NewSegmented[int](r, 1<<13, intHash, true)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)

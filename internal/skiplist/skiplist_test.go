@@ -1,9 +1,7 @@
 package skiplist
 
 import (
-	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -336,158 +334,6 @@ func TestSegmentedSkipListCommutingWriters(t *testing.T) {
 	})
 	if !sort.IntsAreSorted(keys) {
 		t.Fatal("merged iteration not sorted")
-	}
-}
-
-func TestSegmentedGuardCatchesCWMRViolation(t *testing.T) {
-	r := core.NewRegistry(4)
-	m := NewSegmented[int, int](r, 16, intHash, true)
-	a, b := r.MustRegister(), r.MustRegister()
-	m.Put(a, 1, 1) // key 1 binds to a
-	m.Remove(a, 1) // the binding outlives the entry
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-thread write to the same key must trip the guard")
-		}
-	}()
-	m.Put(b, 1, 2)
-}
-
-func TestSegmentedSharedBucketsConcurrent(t *testing.T) {
-	// Four directory buckets and four writers that take ascending keys from
-	// one ticket counter, so the keys are interleaved and the writers that
-	// run at once insert neighbours: inserts lose CASes both on bucket heads
-	// and on the level-0 link they share at the tail of the list. (With a
-	// fixed split, keys i*4+w, the writers drift apart and a level-0 CAS is
-	// almost never lost.) Even keys are put once and kept; odd keys cycle
-	// Put / Remove / re-Put, and k%4 == 3 ends removed. Readers scan while
-	// the writers run and check that every scan is strictly ascending and
-	// holds every kept key whose Put returned before the scan began.
-	const writers, readers, n = 4, 2, 8000
-	r := core.NewRegistry(writers)
-	m := NewSegmented[int, int](r, 4, intHash, true)
-	var next atomic.Int64
-	kept := make([]atomic.Bool, n) // kept keys whose Put has returned
-	var wg, rwg sync.WaitGroup
-	start, stop := make(chan struct{}), make(chan struct{})
-	for g := 0; g < readers; g++ {
-		rwg.Add(1)
-		go func(g int) {
-			defer rwg.Done()
-			rnd := rand.New(rand.NewSource(int64(g)))
-			seen := make([]bool, n)
-			done := make([]bool, n)
-			<-start
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for k := range done {
-					done[k] = kept[k].Load()
-				}
-				clear(seen)
-				from, to := 0, n
-				prev, bad := -1, ""
-				visit := func(k, v int) bool {
-					switch {
-					case k <= prev:
-						bad = fmt.Sprintf("key %d after %d", k, prev)
-					case k < from || k >= to:
-						bad = fmt.Sprintf("key %d outside [%d, %d)", k, from, to)
-					case v != k && v != -k:
-						bad = fmt.Sprintf("key %d holds %d", k, v)
-					}
-					prev, seen[k] = k, true
-					return bad == ""
-				}
-				switch i % 3 {
-				case 0:
-					m.Range(visit)
-				case 1:
-					from = rnd.Intn(n)
-					m.RangeFrom(from, visit)
-				default:
-					from = rnd.Intn(n)
-					to = from + rnd.Intn(64)
-					m.RangeBetween(from, to, visit)
-				}
-				for k := from; k < min(to, n) && bad == ""; k++ {
-					if done[k] && !seen[k] {
-						bad = fmt.Sprintf("kept key %d missing from [%d, %d)", k, from, to)
-					}
-				}
-				if bad != "" {
-					t.Errorf("reader %d, scan %d: %s", g, i, bad)
-					return
-				}
-			}
-		}(g)
-	}
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := r.MustRegister()
-			<-start
-			removeOnce := func(k int) bool {
-				return m.Remove(h, k) && !m.Remove(h, k) && !m.Contains(k)
-			}
-			for k := int(next.Add(1) - 1); k < n; k = int(next.Add(1) - 1) {
-				if k%2 == 0 {
-					m.Put(h, k, k)
-					kept[k].Store(true)
-					continue
-				}
-				m.Put(h, k, -k)
-				ok := removeOnce(k)
-				m.Put(h, k, k)
-				if v, got := m.Get(k); !got || v != k {
-					ok = false
-				}
-				if ok && k%4 == 3 {
-					ok = removeOnce(k)
-				}
-				if !ok {
-					t.Errorf("writer %d: Put / Remove / re-Put cycle of %d misbehaved", w, k)
-					return
-				}
-			}
-		}(w)
-	}
-	close(start)
-	wg.Wait()
-	close(stop)
-	rwg.Wait()
-	if t.Failed() {
-		return
-	}
-	var want []int
-	for k := 0; k < n; k++ {
-		if k%4 != 3 {
-			want = append(want, k)
-		}
-	}
-	if got := m.Len(); got != len(want) {
-		t.Fatalf("Len = %d, want %d", got, len(want))
-	}
-	var got []int
-	m.Range(func(k, v int) bool {
-		if v != k {
-			t.Fatalf("Range: key %d = %d", k, v)
-		}
-		got = append(got, k)
-		return true
-	})
-	if !slices.Equal(got, want) {
-		t.Fatalf("Range saw %d keys, want %d in ascending order", len(got), len(want))
-	}
-	for k := 0; k < n; k++ {
-		v, ok := m.Get(k)
-		if present := k%4 != 3; ok != present || (ok && v != k) {
-			t.Fatalf("Get(%d) = %d,%v, want present=%v", k, v, ok, present)
-		}
 	}
 }
 

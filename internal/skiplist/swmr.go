@@ -7,9 +7,11 @@
 //     skip list of Herlihy & Shavit, CAS on every link, so contended updates
 //     retry (feeding the stall proxy).
 //   - Segmented — the adjusted object, the paper's
-//     ExtendedSegmentedSkipListMap: one node per key, bound to the thread
-//     that first stored it, found through a hash directory and linked into
-//     one insert-only lock-free skip list for ordered iteration.
+//     ExtendedSegmentedSkipListMap: the extended segmentation's directory
+//     (segment.Directory, shared with hashmap.Segmented), one node per key
+//     bound to the thread that first stored it, whose node also carries a
+//     tower linking it into one insert-only lock-free skip list for ordered
+//     iteration.
 package skiplist
 
 import (

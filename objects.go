@@ -386,7 +386,7 @@ func Set[K comparable](opts ...Option) (*AdjustedSet[K], error) {
 		ad := adaptive.NewSet[K](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
 		s.rep, s.probe, plan.Ranges = ad, ad.Probe(), ad.Ranges()
 	case "SegmentedSet":
-		s.rep = set.NewSegmented[K](p.reg(), capacity, buckets, hash, p.checked)
+		s.rep = set.NewSegmented[K](p.reg(), buckets, hash, p.checked)
 	case "SWMRSet":
 		s.rep = set.NewSWMR[K](capacity, hash, p.checked)
 	default: // StripedSet
