@@ -7,8 +7,9 @@ GO ?= go
 # objects it migrates between (the flat open-addressing family included),
 # the sets built on the segmented map, the queues (their embedded sentinel
 # is retired while producers may still hold it as the tail), the resilience
-# layer (fault injection and the chaos storm), and the open-loop load
-# generator (clock goroutine feeding a worker pool through a bounded queue).
+# layer (fault injection and the chaos storm), and the load
+# generator (clock goroutine feeding a worker pool through a bounded queue,
+# or closed workers claiming from a shared counter).
 RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/skiplist/... ./internal/queue/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
 
 # The serving layer (pipelined TCP clients against shards under forced
@@ -51,7 +52,7 @@ BENCHCMP_FLAGS  =
 # RESP pipelines against a self-hosted dego-server, one latency point; the
 # JSON lands as a CI artifact (net-<short-sha>.json, same diffable-trajectory
 # idea as the bench smoke).
-NET_SMOKE_FLAGS = -net -conns 2 -pipeline 8 -netusers 2000 -netduration 300ms
+NET_SMOKE_FLAGS = -net -conns 2 -pipelines 8 -netusers 2000 -netops 20000
 NET_SMOKE_JSON  = net-smoke.json
 
 # Open-loop frontier smoke: a short two-rate walk of the served store,
@@ -61,7 +62,7 @@ NET_SMOKE_JSON  = net-smoke.json
 # both frontier JSONs land as CI artifacts (frontier-<short-sha>.json /
 # frontier-chaos-<short-sha>.json) so the latency trajectory stays
 # diffable across PRs.
-OPENLOOP_SMOKE_FLAGS = -openloop -rates 1k,2k -olduration 300ms -olworkers 2 -netusers 2000
+OPENLOOP_SMOKE_FLAGS = -net -arrivals poisson -rates 1k,2k -netduration 300ms -conns 2 -netusers 2000
 FRONTIER_JSON        = frontier-smoke.json
 FRONTIER_CHAOS_JSON  = frontier-chaos-smoke.json
 
@@ -103,11 +104,12 @@ test:
 # recorder from every caller while Advise reads it, so the race job also
 # runs the root tests that build and record through objects concurrently.
 # The Retwis runs write one user's follower set and timeline from the
-# owning thread and from the threads that follow or post to that user.
+# owning thread and from the threads that follow or post to that user, and
+# the closed-loop net runs' workers claim their ops from one shared counter.
 race:
 	$(GO) test -race -short $(RACE_PKGS)
 	$(GO) test -race -short -run 'ConcurrentConstruction|ConcurrentRecording' .
-	$(GO) test -race -short -run 'TestRunAllBackends|TestRunPreservesInvariants' ./internal/retwis/
+	$(GO) test -race -short -run 'TestRunAllBackends|TestRunPreservesInvariants|TestRunNetSelfHostedAndRemote|TestCoordinatedOmissionDemonstration' ./internal/retwis/
 	$(GO) test -race -short -count=3 $(RACE_SEGMENT_PKGS)
 	$(GO) test -race -short -count=3 $(RACE_SERVER_PKGS)
 

@@ -20,8 +20,8 @@
 // in one file is listed as unmatched, never an error, so adding a workload
 // does not break the comparison against an older baseline.
 //
-// benchcmp also compares open-loop frontier artifacts (the -json output of
-// retwis-bench -openloop, a JSON array of frontier points). The file shape
+// benchcmp also compares frontier artifacts (the -json output of
+// retwis-bench -net, a JSON array of net points). The file shape
 // selects the mode: two arrays compare as frontiers, two objects as
 // dego-bench artifacts, one of each is an error. Frontier cells are keyed
 // by (store, shards, pipeline, workers, process, faulted, target rate) and
@@ -192,8 +192,8 @@ type fpoint struct {
 	TargetRate       float64
 }
 
-func flattenFrontier(pts []retwis.FrontierPoint) map[fpoint]retwis.FrontierPoint {
-	out := map[fpoint]retwis.FrontierPoint{}
+func flattenFrontier(pts []retwis.NetPoint) map[fpoint]retwis.NetPoint {
+	out := map[fpoint]retwis.NetPoint{}
 	for _, p := range pts {
 		k := fpoint{p.Store, p.Shards, p.Pipeline, p.Workers, p.Process, p.Faulted, p.TargetRate}
 		if prev, ok := out[k]; !ok || p.ElapsedMS > prev.ElapsedMS {
@@ -203,11 +203,11 @@ func flattenFrontier(pts []retwis.FrontierPoint) map[fpoint]retwis.FrontierPoint
 	return out
 }
 
-// runFrontier compares two open-loop frontier artifacts cell by cell. A
+// runFrontier compares two frontier artifacts cell by cell. A
 // cell regresses when achieved rate drops below 1-band of the baseline, or
 // — when both runs absorbed the offered rate — when p99 rises above 1+band.
 func runFrontier(w io.Writer, band float64, fail bool, oldPath string, oldBlob []byte, newPath string, newBlob []byte) error {
-	var oldRaw, newRaw []retwis.FrontierPoint
+	var oldRaw, newRaw []retwis.NetPoint
 	if err := json.Unmarshal(oldBlob, &oldRaw); err != nil {
 		return fmt.Errorf("%s: %w", oldPath, err)
 	}

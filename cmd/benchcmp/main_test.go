@@ -15,7 +15,7 @@ import (
 // writeFrontier persists a one-cell open-loop frontier artifact.
 func writeFrontier(t *testing.T, dir, name string, achieved float64, p99 uint64, saturated bool) string {
 	t.Helper()
-	pts := []retwis.FrontierPoint{{
+	pts := []retwis.NetPoint{{
 		Store: "adaptive", Shards: 4, Pipeline: 8, Workers: 2, Process: "inproc",
 		TargetRate: 2000, AchievedRate: achieved, ElapsedMS: 300,
 		P99us: p99, Saturated: saturated,

@@ -14,29 +14,26 @@
 //	retwis-bench -fig all
 //
 // -net switches to the networked evaluation: the same Table-2 workload is
-// generated client-side and shipped to a dego-server as RESP pipelines,
-// producing one latency-vs-throughput point (p50/p95/p99 of the pipeline
-// round trip). By default it self-hosts a server; with -addr it targets a
-// live server instead. -json writes the point as a one-element JSON array
-// (the CI artifact):
+// generated client-side and shipped to a dego-server as RESP pipelines by
+// one driver (internal/loadgen) under one of two pacings. -arrivals closed
+// (the default) is the closed loop: each of -conns connections sends its
+// next pipeline when the last one returned, -netops ops in all, and the
+// point measures service time and capacity. -arrivals poisson or uniform
+// schedules arrivals at each target rate in -rates over a -netduration
+// horizon and measures latency from *intended* start, so queueing delay
+// behind a stalled server is recorded instead of coordinated away (see
+// README, "Measuring latency"); each cell's rate walk stops at saturation.
+// Either way the sweep covers every (shard count × pipeline depth) cell,
+// self-hosts a server per point unless -addr names a live one, and -json
+// writes the points as a JSON array (the CI artifact). -chaos runs the
+// same sweep through a fault-injecting dialer:
 //
-//	retwis-bench -net [-conns 4] [-pipeline 8] [-netusers 10000]
-//	             [-netduration 2s] [-json net.json]
+//	retwis-bench -net [-conns 4] [-pipelines 8] [-netusers 10000]
+//	             [-netops 100000] [-json net.json]
 //	retwis-bench -net -addr 127.0.0.1:6399
-//
-// -openloop switches to the open-loop frontier: arrivals are scheduled on a
-// Poisson (or fixed-interval) process at each target rate in -rates, and
-// latency is measured from *intended* start, so queueing delay behind a
-// stalled server is recorded instead of coordinated away (see README,
-// "Measuring latency"). The sweep walks rates per (shard count × pipeline
-// depth) cell until saturation and emits a frontier JSON; -chaos runs the
-// same sweep through a fault-injecting dialer for the latency-under-chaos
-// curve:
-//
-//	retwis-bench -openloop [-shardcounts 2] [-pipelines 8]
-//	             [-rates 2k,4k,8k] [-olduration 1s] [-olworkers 4]
-//	             [-arrivals poisson] [-json frontier.json]
-//	retwis-bench -openloop -chaos [-chaosseed 42]
+//	retwis-bench -net -arrivals poisson [-shardcounts 2] [-pipelines 8]
+//	             [-rates 2k,4k,8k] [-netduration 1s] [-json frontier.json]
+//	retwis-bench -net -arrivals poisson -chaos [-chaosseed 42]
 //
 // -advise switches to the tuning-advisor replay: the same Table-2 workload
 // runs against a backend whose shared objects are built with NO adjustment
@@ -83,24 +80,19 @@ func run(args []string) error {
 	alpha := fs.Float64("alpha", 1, "user-selection bias for figure 9")
 
 	netMode := fs.Bool("net", false, "networked mode: drive dego-server over TCP instead of the figures")
-	netAddr := fs.String("addr", "", "live server address for -net and -openloop ('' self-hosts one)")
-	conns := fs.Int("conns", 4, "client connections for -net")
-	pipelineDepth := fs.Int("pipeline", 8, "ops batched per pipeline flush for -net")
+	netAddr := fs.String("addr", "", "live server address for -net ('' self-hosts one per point)")
+	arrivals := fs.String("arrivals", "closed", "pacing for -net: closed, poisson or uniform")
+	conns := fs.Int("conns", 4, "worker connections per -net point")
+	pipelines := fs.String("pipelines", "8", "pipeline depths swept by -net (most ops per flush)")
+	shardCounts := fs.String("shardcounts", "2", "self-hosted server shard counts swept by -net")
 	netUsers := fs.Int("netusers", 10_000, "seeded users for -net")
-	netDuration := fs.Duration("netduration", 2*time.Second, "measured duration per -net point")
-	netOps := fs.Int("netops", 0, "ops per connection for -net (0 = duration mode)")
-	jsonPath := fs.String("json", "", "write -net / -openloop points as a JSON array to this file")
-
-	openLoop := fs.Bool("openloop", false, "open-loop mode: arrival-rate-driven latency frontier (coordinated-omission-free)")
-	ratesFlag := fs.String("rates", "2k,4k,8k", "arrival rates walked per frontier cell (ops/sec, k/m suffixes)")
-	shardsOL := fs.String("shardcounts", "2", "server shard counts swept by -openloop")
-	pipesOL := fs.String("pipelines", "8", "pipeline depths swept by -openloop")
-	olDuration := fs.Duration("olduration", time.Second, "schedule horizon per frontier point")
-	olWorkers := fs.Int("olworkers", 4, "worker connections per frontier point")
-	olQueue := fs.Int("olqueue", 1024, "bounded backlog between the arrival clock and the workers")
-	arrivals := fs.String("arrivals", "poisson", "arrival process for -openloop: poisson or uniform")
-	chaosMode := fs.Bool("chaos", false, "run the -openloop sweep through a fault-injecting dialer")
+	netOps := fs.Int("netops", 100_000, "ops per closed-loop -net point")
+	ratesFlag := fs.String("rates", "2k,4k,8k", "arrival rates walked per cell under open -net arrivals (ops/sec, k/m suffixes)")
+	netDuration := fs.Duration("netduration", time.Second, "schedule horizon per open -net point")
+	queueCap := fs.Int("queue", 1024, "bounded backlog between the arrival clock and the workers under open -net arrivals")
+	chaosMode := fs.Bool("chaos", false, "run the -net sweep through a fault-injecting dialer")
 	chaosSeed := fs.Int64("chaosseed", 42, "fault schedule seed for -chaos")
+	jsonPath := fs.String("json", "", "write -net points or -advise tables as a JSON array to this file")
 
 	adviseMode := fs.Bool("advise", false, "advisor mode: replay the workload unadjusted-with-recorders and print recommended declarations")
 	advUsers := fs.Int("advusers", 2000, "seeded users for -advise")
@@ -113,18 +105,41 @@ func run(args []string) error {
 	if *adviseMode {
 		return runAdvise(*advUsers, *advThreads, *advOps, *alpha, *jsonPath)
 	}
-	if *openLoop {
-		return runOpenLoop(openLoopArgs{
-			addr: *netAddr, shardCounts: *shardsOL,
-			pipelines: *pipesOL, rates: *ratesFlag, users: *netUsers,
-			duration: *olDuration, workers: *olWorkers, queueCap: *olQueue,
-			process: *arrivals, alpha: *alpha, chaos: *chaosMode,
-			chaosSeed: *chaosSeed, jsonPath: *jsonPath,
-		})
-	}
 	if *netMode {
-		return runNet(*netAddr, *conns, *pipelineDepth, *netUsers,
-			*netDuration, *netOps, *alpha, *jsonPath)
+		process, err := loadgen.ParseProcess(*arrivals)
+		if err != nil {
+			return fmt.Errorf("bad -arrivals: %w", err)
+		}
+		p := retwis.DefaultParams()
+		p.Users = *netUsers
+		p.Alpha = *alpha
+		base := retwis.NetParams{
+			Workload: p,
+			Addr:     *netAddr,
+			Process:  process,
+			Duration: *netDuration,
+			Workers:  *conns,
+			QueueCap: *queueCap,
+		}
+		if process == loadgen.Closed {
+			base.Ops = *netOps
+		}
+		if *chaosMode {
+			// A moderate seeded storm on the client's transport: enough
+			// latency, torn writes, stalls and the odd reset to bend the
+			// frontier, while the op mix and schedule stay identical to the
+			// clean sweep — the two JSONs differ only by the network.
+			base.Fault = &faultnet.Config{
+				Seed:             *chaosSeed,
+				LatencyProb:      0.05,
+				LatencyMax:       2 * time.Millisecond,
+				PartialWriteProb: 0.10,
+				StallProb:        0.02,
+				StallMax:         5 * time.Millisecond,
+				ResetProb:        0.002,
+			}
+		}
+		return runNet(base, *shardCounts, *pipelines, *ratesFlag, *jsonPath)
 	}
 
 	users, err := parseInts(*usersFlag)
@@ -183,96 +198,27 @@ func runAdvise(users, threads, ops int, alpha float64, jsonPath string) error {
 	return nil
 }
 
-// runNet measures one latency-vs-throughput point, against a self-hosted
-// server or, with -addr, a live one.
-func runNet(addr string, conns, pipeline, users int,
-	duration time.Duration, opsPerConn int, alpha float64, jsonPath string) error {
-	p := retwis.DefaultParams()
-	p.Users = users
-	p.Threads = conns
-	p.Alpha = alpha
-	p.Duration = duration
-	p.OpsPerThread = opsPerConn
-	pt, err := retwis.RunNet(retwis.NetParams{Workload: p, Addr: addr, Pipeline: pipeline})
-	if err != nil {
-		return err
-	}
-	target := addr
-	if target == "" {
-		target = "self-hosted"
-	}
-	fmt.Printf("%s %s: %.0f ops/s, p50 %dµs, p95 %dµs, p99 %dµs, errors %d, retries %d, reconnects %d\n",
-		pt.Store, target, pt.OpsPerSec, pt.P50us, pt.P95us, pt.P99us, pt.Errors, pt.Retries, pt.Reconnects)
-	return writeJSON(jsonPath, []retwis.NetPoint{pt}, 1)
-}
-
-// openLoopArgs carries the -openloop flag set.
-type openLoopArgs struct {
-	addr, shardCounts, pipelines, rates string
-	users                               int
-	duration                            time.Duration
-	workers, queueCap                   int
-	process                             string
-	alpha                               float64
-	chaos                               bool
-	chaosSeed                           int64
-	jsonPath                            string
-}
-
-// runOpenLoop sweeps the coordinated-omission-free latency frontier: per
-// (shard count × pipeline depth) cell, arrival rates are walked until
-// saturation. -chaos interposes a seeded fault injector on every worker
-// dial, measuring the same frontier under a hostile network.
-func runOpenLoop(a openLoopArgs) error {
-	shardCounts, err := parseInts(a.shardCounts)
+// runNet sweeps every (shard count × pipeline depth) cell: one point per
+// cell under the closed loop, a rate walk to saturation under open
+// arrivals.
+func runNet(base retwis.NetParams, shardCounts, pipelines, rates, jsonPath string) error {
+	shards, err := parseInts(shardCounts)
 	if err != nil {
 		return fmt.Errorf("bad -shardcounts: %w", err)
 	}
-	pipelines, err := parseInts(a.pipelines)
+	depths, err := parseInts(pipelines)
 	if err != nil {
 		return fmt.Errorf("bad -pipelines: %w", err)
 	}
-	rates, err := parseRates(a.rates)
+	walk, err := parseRates(rates)
 	if err != nil {
 		return fmt.Errorf("bad -rates: %w", err)
 	}
-	process, err := loadgen.ParseProcess(a.process)
-	if err != nil {
-		return fmt.Errorf("bad -arrivals: %w", err)
-	}
-
-	p := retwis.DefaultParams()
-	p.Users = a.users
-	p.Alpha = a.alpha
-	base := retwis.OpenLoopParams{
-		Workload: p,
-		Addr:     a.addr,
-		Duration: a.duration,
-		Process:  process,
-		Workers:  a.workers,
-		QueueCap: a.queueCap,
-	}
-	if a.chaos {
-		// A moderate seeded storm on the client's transport: enough
-		// latency, torn writes, stalls and the odd reset to bend the
-		// frontier, while the op mix and schedule stay identical to the
-		// clean sweep — the two JSONs differ only by the network.
-		base.Fault = &faultnet.Config{
-			Seed:             a.chaosSeed,
-			LatencyProb:      0.05,
-			LatencyMax:       2 * time.Millisecond,
-			PartialWriteProb: 0.10,
-			StallProb:        0.02,
-			StallMax:         5 * time.Millisecond,
-			ResetProb:        0.002,
-		}
-	}
-
-	points, err := retwis.Frontier(os.Stdout, base, shardCounts, pipelines, rates)
+	points, err := retwis.Frontier(os.Stdout, base, shards, depths, walk)
 	if err != nil {
 		return err
 	}
-	return writeJSON(a.jsonPath, points, len(points))
+	return writeJSON(jsonPath, points, len(points))
 }
 
 // writeJSON serializes points to path when set (the CI artifact).

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"github.com/adjusted-objects/dego/internal/retwis"
+)
 
 func TestParseHelpers(t *testing.T) {
 	ints, err := parseInts("100,200")
@@ -39,6 +46,38 @@ func TestParseRates(t *testing.T) {
 	for _, bad := range []string{"x", "1g", "0", "-2k", ""} {
 		if _, err := parseRates(bad); err == nil {
 			t.Fatalf("parseRates(%q) accepted", bad)
+		}
+	}
+}
+
+// TestRunNetModes drives -net end to end against a self-hosted server,
+// once under each pacing, and reads back the JSON it wrote.
+func TestRunNetModes(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		process string
+	}{
+		{[]string{"-netops", "203"}, "closed"},
+		{[]string{"-arrivals", "uniform", "-rates", "2k", "-netduration", "100ms"}, "uniform"},
+	} {
+		path := filepath.Join(t.TempDir(), "net.json")
+		args := append([]string{"-net", "-conns", "2", "-netusers", "200", "-json", path}, tc.args...)
+		if err := run(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pts []retwis.NetPoint
+		if err := json.Unmarshal(blob, &pts); err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != 1 || pts[0].Process != tc.process || pts[0].Executed == 0 || pts[0].Workers != 2 {
+			t.Fatalf("%v wrote %+v", args, pts)
+		}
+		if tc.process == "closed" && pts[0].Executed != 203 {
+			t.Fatalf("closed point executed %d ops, want 203", pts[0].Executed)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func TestChaosOpenLoopStorm(t *testing.T) {
 	p := retwis.DefaultParams()
 	p.Users = 500
 	p.MaxDegree = 8
-	pt, err := retwis.RunOpenLoop(retwis.OpenLoopParams{
+	pt, err := retwis.RunNet(retwis.NetParams{
 		Workload: p,
 		Addr:     srv.Addr().String(),
 		Rate:     4000,

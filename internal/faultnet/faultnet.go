@@ -155,9 +155,9 @@ func (l *Listener) Injector() *Injector { return l.in }
 
 // Dialer returns a dial function that wraps every established connection
 // with in's fault schedule — the client-side counterpart of WrapListener.
-// Its signature matches the retwis wire client's dial hook, so an open-loop
-// frontier sweep can run through a hostile network without touching the
-// server under test.
+// Its signature matches the retwis wire client's dial hook, so a
+// retwis-bench -net sweep can run through a hostile network without
+// touching the server under test.
 func (in *Injector) Dialer() func(addr string, timeout time.Duration) (net.Conn, error) {
 	return func(addr string, timeout time.Duration) (net.Conn, error) {
 		c, err := net.DialTimeout("tcp", addr, timeout)

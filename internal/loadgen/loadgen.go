@@ -1,24 +1,29 @@
-// Package loadgen is an open-loop load generator: operations are scheduled
-// on an arrival process (Poisson or fixed-interval) at a target rate, and
-// each operation's latency is measured from its *intended* start time — the
-// moment the schedule said it should begin — to its completion, not from
-// when a worker finally got around to sending it.
+// Package loadgen drives a pool of executors through a fixed number of
+// jobs under one of three arrival processes, and measures every job's
+// latency from the moment it was due.
 //
-// That distinction is the whole point. A closed-loop harness (like the
-// retwis -net curve) issues the next request only after the previous one
-// returns, so a server stall silently paces the client down: the stalled
-// request measures slow, but the requests that *would have arrived* during
-// the stall are never issued and never measured. This is coordinated
-// omission, and it hides exactly the queueing delay a production latency
-// SLO cares about. An open-loop generator keeps the clock honest: arrivals
-// are fixed in advance, a stalled connection makes subsequent arrivals
-// queue, and their recorded latency grows by the wait.
+// The open processes (Poisson, Uniform) schedule arrivals at a target rate,
+// and each operation's latency runs from its *intended* start — the moment
+// the schedule said it should begin — to its completion, not from when a
+// worker finally got around to sending it. The closed process has no clock:
+// each worker issues its next batch only after the previous one returns.
 //
-// The dispatcher never blocks on slow workers: the backlog between the
-// clock and the worker pool is a bounded queue, and an arrival that finds
-// it full is counted as dropped rather than delaying the schedule. Dropped
-// arrivals are load the system failed to absorb — they are reported in the
-// Result, and a nonzero count marks the point as past saturation.
+// That distinction is the whole point. Under the closed process a server
+// stall silently paces the client down: the stalled request measures slow,
+// but the requests that *would have arrived* during the stall are never
+// issued and never measured. This is coordinated omission, and it hides
+// exactly the queueing delay a production latency SLO cares about. An open
+// process keeps the clock honest: arrivals are fixed in advance, a stalled
+// connection makes subsequent arrivals queue, and their recorded latency
+// grows by the wait. The closed process is kept for what it does measure —
+// service time and capacity.
+//
+// Under an open process the dispatcher never blocks on slow workers: the
+// backlog between the clock and the worker pool is a bounded queue, and an
+// arrival that finds it full is counted as dropped rather than delaying the
+// schedule. Dropped arrivals are load the system failed to absorb — they
+// are reported in the Result, and a nonzero count marks the point as past
+// saturation.
 package loadgen
 
 import (
@@ -26,6 +31,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/adjusted-objects/dego/internal/stats"
@@ -41,12 +47,19 @@ const (
 	Poisson Process = iota
 	// Uniform spaces arrivals exactly 1/rate apart (fixed interval).
 	Uniform
+	// Closed has no clock and no backlog: each worker claims the next
+	// Batch jobs as soon as its previous Exec returned, and a job's
+	// latency runs from that claim. Rate and Duration are not read.
+	Closed
 )
 
 // String returns the process label used in frontier JSON.
 func (p Process) String() string {
-	if p == Uniform {
+	switch p {
+	case Uniform:
 		return "uniform"
+	case Closed:
+		return "closed"
 	}
 	return "poisson"
 }
@@ -58,16 +71,18 @@ func ParseProcess(s string) (Process, error) {
 		return Poisson, nil
 	case "uniform", "fixed":
 		return Uniform, nil
+	case "closed":
+		return Closed, nil
 	}
-	return 0, fmt.Errorf("loadgen: unknown arrival process %q (want poisson or uniform)", s)
+	return 0, fmt.Errorf("loadgen: unknown arrival process %q (want poisson, uniform or closed)", s)
 }
 
-// Config is one open-loop run.
+// Config is one run.
 type Config struct {
 	// Rate is the target arrival rate in operations per second.
 	Rate float64
-	// Count is the number of scheduled arrivals; 0 derives it from
-	// Rate*Duration.
+	// Count is the number of jobs; 0 derives it from Rate*Duration (the
+	// closed process needs it set).
 	Count int
 	// Duration is the schedule horizon used when Count is 0.
 	Duration time.Duration
@@ -79,10 +94,11 @@ type Config struct {
 	// Workers is the executor pool size (default 1). Each worker owns one
 	// Executor — one connection, in the networked case.
 	Workers int
-	// Batch is the most jobs one Exec call coalesces (default 1). A worker
-	// drains what the backlog holds up to this depth, so batching only
-	// happens when arrivals outpace the pool — latency is still recorded
-	// per job from its own intended start.
+	// Batch is the most jobs one Exec call coalesces (default 1). Under an
+	// open process a worker drains what the backlog holds up to this depth,
+	// so batching only happens when arrivals outpace the pool — latency is
+	// still recorded per job from its own intended start. A closed worker
+	// always claims Batch jobs, fewer only at the end of the run.
 	Batch int
 	// QueueCap bounds the backlog between the clock and the pool (default
 	// 1024). Arrivals that find it full are dropped and counted, never
@@ -91,11 +107,13 @@ type Config struct {
 }
 
 func (c *Config) fill() error {
-	if c.Rate <= 0 {
-		return errors.New("loadgen: Rate must be positive")
-	}
-	if c.Count == 0 {
-		c.Count = int(c.Rate * c.Duration.Seconds())
+	if c.Process != Closed {
+		if c.Rate <= 0 {
+			return errors.New("loadgen: Rate must be positive")
+		}
+		if c.Count == 0 {
+			c.Count = int(c.Rate * c.Duration.Seconds())
+		}
 	}
 	if c.Count <= 0 {
 		return errors.New("loadgen: need Count > 0 or a positive Duration")
@@ -114,7 +132,7 @@ func (c *Config) fill() error {
 
 // Job is one scheduled arrival. Index is its position in the schedule (and
 // in any pre-drawn op sequence); Intended is the wall-clock moment the
-// schedule assigned it.
+// schedule assigned it, or for a closed worker the moment it claimed it.
 type Job struct {
 	Index    int
 	Intended time.Time
@@ -128,7 +146,7 @@ type Executor interface {
 	Close() error
 }
 
-// Result is one open-loop run's accounting. Scheduled = Executed + Errors +
+// Result is one run's accounting. Scheduled = Executed + Errors +
 // Dropped always holds: every arrival is either completed, failed, or
 // shed at the full backlog.
 type Result struct {
@@ -144,7 +162,8 @@ type Result struct {
 	// Lag is intended-start → dispatch in microseconds: how far the clock
 	// goroutine itself ran behind schedule. A heavy tail here means the
 	// target rate exceeds what the generator can even dispatch, so the
-	// latency histogram is measuring the harness, not the system.
+	// latency histogram is measuring the harness, not the system. A closed
+	// run has no clock and leaves it empty.
 	Lag stats.LatencyHist
 }
 
@@ -178,13 +197,16 @@ type workerTally struct {
 }
 
 // Run executes cfg against a pool built by newWorker (called sequentially,
-// once per worker, before the clock starts). It returns when the schedule
-// is exhausted and the backlog has drained.
+// once per worker, before the clock starts). It returns when every job has
+// been executed, failed or dropped.
 func Run(cfg Config, newWorker func(id int) (Executor, error)) (Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Result{}, err
 	}
-	offsets := Schedule(cfg.Process, cfg.Rate, cfg.Count, cfg.Seed)
+	var offsets []time.Duration
+	if cfg.Process != Closed {
+		offsets = Schedule(cfg.Process, cfg.Rate, cfg.Count, cfg.Seed)
+	}
 
 	workers := make([]Executor, cfg.Workers)
 	for i := range workers {
@@ -199,6 +221,42 @@ func Run(cfg Config, newWorker func(id int) (Executor, error)) (Result, error) {
 	}
 
 	queue := make(chan Job, cfg.QueueCap)
+	// next refills batch with a worker's next jobs; empty means done. A
+	// closed worker claims from the shared counter, an open one drains the
+	// backlog.
+	var claimed atomic.Int64
+	next := func(batch []Job) []Job {
+		batch = batch[:0]
+		if cfg.Process == Closed {
+			end := int(claimed.Add(int64(cfg.Batch)))
+			now := time.Now()
+			for i := end - cfg.Batch; i < min(end, cfg.Count); i++ {
+				batch = append(batch, Job{Index: i, Intended: now})
+			}
+			return batch
+		}
+		j, ok := <-queue
+		if !ok {
+			return batch
+		}
+		batch = append(batch, j)
+		for len(batch) < cfg.Batch {
+			select {
+			case j2, ok := <-queue:
+				if !ok {
+					return batch
+				}
+				batch = append(batch, j2)
+			default:
+				return batch
+			}
+		}
+		return batch
+	}
+
+	// Closed workers wait for the clock to start, so Elapsed covers their
+	// first claim; open ones wait on the backlog anyway.
+	begin := make(chan struct{})
 	tallies := make([]workerTally, cfg.Workers)
 	var wg sync.WaitGroup
 	wg.Add(cfg.Workers)
@@ -209,24 +267,10 @@ func Run(cfg Config, newWorker func(id int) (Executor, error)) (Result, error) {
 			defer ex.Close()
 			tally := &tallies[id]
 			batch := make([]Job, 0, cfg.Batch)
-			for {
-				j, ok := <-queue
-				if !ok {
-					return
-				}
-				batch = append(batch[:0], j)
-			fill:
-				for len(batch) < cfg.Batch {
-					select {
-					case j2, ok := <-queue:
-						if !ok {
-							break fill
-						}
-						batch = append(batch, j2)
-					default:
-						break fill
-					}
-				}
+			if cfg.Process == Closed {
+				<-begin
+			}
+			for batch = next(batch); len(batch) > 0; batch = next(batch) {
 				if err := ex.Exec(batch); err != nil {
 					tally.errors += uint64(len(batch))
 					continue
@@ -241,6 +285,7 @@ func Run(cfg Config, newWorker func(id int) (Executor, error)) (Result, error) {
 
 	res := Result{Scheduled: uint64(cfg.Count)}
 	t0 := time.Now()
+	close(begin)
 	// Pacing is a plain sleep: the timer overshoots by some hundreds of
 	// microseconds per wake, and that overshoot lands in every measured
 	// latency. Spinning the gap away is tempting but wrong on small

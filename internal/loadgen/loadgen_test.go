@@ -72,10 +72,13 @@ func TestScheduleShape(t *testing.T) {
 }
 
 func TestParseProcess(t *testing.T) {
-	for s, want := range map[string]Process{"": Poisson, "poisson": Poisson, "uniform": Uniform, "fixed": Uniform} {
+	for s, want := range map[string]Process{"": Poisson, "poisson": Poisson, "uniform": Uniform, "fixed": Uniform, "closed": Closed} {
 		got, err := ParseProcess(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseProcess(%q) = %v, %v", s, got, err)
+		}
+		if s != "" && s != "fixed" && got.String() != s {
+			t.Fatalf("%v.String() = %q, want %q", got, got.String(), s)
 		}
 	}
 	if _, err := ParseProcess("lognormal"); err == nil {
@@ -197,6 +200,79 @@ func TestRunErrorAccounting(t *testing.T) {
 	}
 	if res.Latency.Count() != res.Executed {
 		t.Fatalf("latency has %d samples, want executed count %d", res.Latency.Count(), res.Executed)
+	}
+}
+
+// closedExec checks the closed process's contract from inside the
+// executor: one worker never has two Execs in flight, and no batch is
+// larger than the configured Batch. It counts how often each job index
+// reaches an Exec into seen, and fails every batch from failFrom on.
+type closedExec struct {
+	t        *testing.T
+	batch    int
+	failFrom int
+	seen     []atomic.Int32
+	inFlight atomic.Bool
+}
+
+func (e *closedExec) Exec(jobs []Job) error {
+	if !e.inFlight.CompareAndSwap(false, true) {
+		e.t.Error("a second Exec began before the previous one returned")
+	}
+	defer e.inFlight.Store(false)
+	if len(jobs) == 0 || len(jobs) > e.batch {
+		e.t.Errorf("Exec got %d jobs, want 1..%d", len(jobs), e.batch)
+	}
+	for _, j := range jobs {
+		e.seen[j.Index].Add(1)
+	}
+	time.Sleep(20 * time.Microsecond)
+	if jobs[0].Index >= e.failFrom {
+		return errors.New("boom")
+	}
+	return nil
+}
+
+func (e *closedExec) Close() error { return nil }
+
+// TestRunClosed: the closed process runs exactly Count jobs — the last
+// batch partial when Count is not a multiple of Batch — with no clock, so
+// nothing is dropped and the lag histogram stays empty; a failing Exec is
+// counted once per job, as on the open path.
+func TestRunClosed(t *testing.T) {
+	const count, batch = 203, 8
+	for _, failFrom := range []int{count, 100} {
+		seen := make([]atomic.Int32, count)
+		res, err := Run(Config{Process: Closed, Count: count, Workers: 3, Batch: batch},
+			func(int) (Executor, error) {
+				return &closedExec{t: t, batch: batch, failFrom: failFrom, seen: seen}, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Scheduled != count || res.Dropped != 0 || res.Lag.Count() != 0 {
+			t.Fatalf("failFrom %d: %+v", failFrom, res)
+		}
+		if res.Executed+res.Errors+res.Dropped != res.Scheduled {
+			t.Fatalf("failFrom %d: accounting leak: %+v", failFrom, res)
+		}
+		if failFrom == count && (res.Executed != count || res.Errors != 0) {
+			t.Fatalf("executed %d of %d, %d errors", res.Executed, count, res.Errors)
+		}
+		if failFrom < count && res.Errors == 0 {
+			t.Fatal("failing executor reported no errors")
+		}
+		if res.Latency.Count() != res.Executed {
+			t.Fatalf("latency has %d samples, want executed count %d", res.Latency.Count(), res.Executed)
+		}
+		for i := range seen {
+			if n := seen[i].Load(); n != 1 {
+				t.Fatalf("job %d executed %d times", i, n)
+			}
+		}
+	}
+	if _, err := Run(Config{Process: Closed, Rate: 100, Duration: time.Second}, nil); err == nil {
+		t.Fatal("closed run without a Count accepted")
 	}
 }
 

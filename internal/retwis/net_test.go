@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"github.com/adjusted-objects/dego/internal/loadgen"
 	"github.com/adjusted-objects/dego/internal/server"
 	"github.com/adjusted-objects/dego/internal/wire"
 )
@@ -106,20 +107,22 @@ func usersOf(p Params, tid int) []UserID {
 	return mine
 }
 
+// TestRunNetSelfHostedAndRemote runs closed-loop points: exactly Ops ops
+// whatever the pipeline depth (203 is not a multiple of 8), nothing
+// dropped, no schedule and so no target rate.
 func TestRunNetSelfHostedAndRemote(t *testing.T) {
-	np := NetParams{Workload: netTestParams(), Pipeline: 8}
+	np := NetParams{Workload: netTestParams(), Process: loadgen.Closed, Ops: 400, Workers: 2, Pipeline: 8}
 	pt, err := RunNet(np)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Store != server.StoreAdaptive || pt.Conns != 2 {
+	if pt.Store != server.StoreAdaptive || pt.Workers != 2 || pt.Process != "closed" {
 		t.Fatalf("point %+v", pt)
 	}
-	wantOps := int64(2 * 200) // OpsPerThread mode rounds to pipeline multiples: 200 % 8 == 0
-	if pt.Ops != wantOps {
-		t.Fatalf("ops = %d, want %d", pt.Ops, wantOps)
+	if pt.Scheduled != 400 || pt.Executed != 400 || pt.Errors != 0 || pt.Dropped != 0 {
+		t.Fatalf("accounting %+v, want all 400 ops executed", pt)
 	}
-	if pt.Commands < pt.Ops || pt.OpsPerSec <= 0 {
+	if pt.AchievedRate <= 0 || pt.TargetRate != 0 || pt.Saturated {
 		t.Fatalf("implausible point %+v", pt)
 	}
 	if pt.P50us > pt.P99us || pt.P99us > pt.MaxUs {
@@ -137,12 +140,12 @@ func TestRunNetSelfHostedAndRemote(t *testing.T) {
 	go srv.Serve()
 	defer srv.Close()
 	np.Addr = srv.Addr().String()
-	np.Workload.OpsPerThread = 80
+	np.Ops = 203
 	pt, err = RunNet(np)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Store != "remote" || pt.Ops != 2*80 {
+	if pt.Store != "remote" || pt.Executed != 203 || pt.Scheduled != 203 {
 		t.Fatalf("remote point %+v", pt)
 	}
 }

@@ -42,14 +42,14 @@ func TestDrawOpsDeterministic(t *testing.T) {
 }
 
 func TestRunOpenLoopPoint(t *testing.T) {
-	olp := OpenLoopParams{
+	np := NetParams{
 		Workload: netTestParams(),
 		Rate:     2000,
 		Ops:      600,
 		Workers:  2,
 		Pipeline: 8,
 	}
-	pt, err := RunOpenLoop(olp)
+	pt, err := RunNet(np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFrontierWalksCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell frontier in short mode")
 	}
-	base := OpenLoopParams{
+	base := NetParams{
 		Workload: netTestParams(),
 		Ops:      250,
 		Workers:  2,
@@ -107,7 +107,7 @@ func TestFrontierWalksCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back []FrontierPoint
+	var back []NetPoint
 	if err := json.Unmarshal(blob, &back); err != nil || len(back) != len(pts) {
 		t.Fatalf("frontier JSON round trip: %v", err)
 	}
@@ -118,14 +118,13 @@ func TestFrontierWalksCells(t *testing.T) {
 // read stalls) into both a closed-loop and an open-loop run of the same
 // workload over the same store.
 //
-// The closed-loop harness measures service time per pipeline flush: the
-// stalled flushes record ~50ms each, but while the client was blocked it
-// simply issued nothing — the requests that would have arrived during the
-// stall are never measured. Two slow samples out of ~256 sit above the
-// 99th percentile, so closed-loop p99 stays flat. The open-loop harness
-// fixes arrivals in advance and measures from intended start, so every
-// arrival scheduled during the hiccup records its queueing delay:
-// open-loop p99 absorbs the stall.
+// The closed loop measures service time: the 8 ops of each stalled flush
+// record ~50ms, but while the client was blocked it simply issued nothing —
+// the requests that would have arrived during the stall are never
+// measured. 16 slow samples out of 2048 sit above the 99th percentile, so
+// closed-loop p99 stays flat. The open loop fixes arrivals in advance and
+// measures from intended start, so every arrival scheduled during the
+// hiccup records its queueing delay: open-loop p99 absorbs the stall.
 func TestCoordinatedOmissionDemonstration(t *testing.T) {
 	const (
 		stall      = 50 * time.Millisecond
@@ -145,6 +144,9 @@ func TestCoordinatedOmissionDemonstration(t *testing.T) {
 	closedInjector := faultnet.New(stallCfg)
 	closed, err := RunNet(NetParams{
 		Workload: p,
+		Process:  loadgen.Closed,
+		Ops:      totalOps,
+		Workers:  1,
 		Pipeline: pipeline,
 		Wire:     WireConfig{Dialer: closedInjector.Dialer()},
 	})
@@ -157,7 +159,7 @@ func TestCoordinatedOmissionDemonstration(t *testing.T) {
 	}
 
 	// Open loop: same store, same op budget, arrivals fixed at 2000/s.
-	open, err := RunOpenLoop(OpenLoopParams{
+	open, err := RunNet(NetParams{
 		Workload: p,
 		Rate:     rate,
 		Ops:      totalOps,
@@ -180,8 +182,8 @@ func TestCoordinatedOmissionDemonstration(t *testing.T) {
 	if closed.MaxUs < stallUs {
 		t.Fatalf("closed-loop max %dµs < stall %dµs: hiccup not in the measured phase", closed.MaxUs, stallUs)
 	}
-	// …but closed-loop p99 misses it entirely: 2 slow flushes out of 256
-	// sit above the 99th percentile. (Generous bound for CI jitter — the
+	// …but closed-loop p99 misses it entirely: 2 slow flushes (16 ops out
+	// of 2048) sit above the 99th percentile. (Generous bound for CI jitter — the
 	// point is the order-of-magnitude gap to the stall.)
 	if closed.P99us >= stallUs/2 {
 		t.Fatalf("closed-loop p99 = %dµs, expected it to hide the %dµs stall", closed.P99us, stallUs)
