@@ -12,8 +12,8 @@ GO ?= go
 # or closed workers claiming from a shared counter).
 RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/skiplist/... ./internal/queue/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
 
-# The serving layer (pipelined TCP clients against shards under forced
-# promote/demote flapping) runs three times: a shard's writer is whoever
+# The serving layer (pipelined TCP clients against the shards, an adaptive
+# map under forced promote/demote flapping beside them) runs three times: a shard's writer is whoever
 # holds its lock, connection goroutine or shard loop, so the executor's
 # safety rests on the lock hand-over between them, which only the detector
 # checks and only on the schedules a run happens to take.
@@ -131,8 +131,9 @@ bench-compare:
 # Boot dego-server on an ephemeral port and run the scripted
 # GET/SET/INCR/LRANGE self-session through the repo's own wire client
 # (CI images have no redis-cli); every reply is checked, then INFO must show
-# the adaptive store and the session's keys. The second run records usage,
-# and DEBUG ADVISE must certify one single-writer map per shard.
+# the store kind, the single-writer shard map (SWMRMap (M2, SWMR)) and the
+# session's keys. The second run records usage, and DEBUG ADVISE must certify
+# on every shard the single-writer map the store already plans.
 server-smoke:
 	$(GO) run ./cmd/dego-server -smoke -shards 2
 	$(GO) run ./cmd/dego-server -smoke -shards 2 -record

@@ -1,5 +1,6 @@
 // Command dego-server serves the RESP subset of docs/PROTOCOL.md over TCP,
-// backed by the sharded, profile-planned adaptive store of internal/server.
+// backed by the sharded, profile-planned store of internal/server: one
+// single-writer (M2, SWMR) map per shard.
 // Stock redis clients can talk to it:
 //
 //	dego-server -addr :6399 &
@@ -11,7 +12,6 @@
 //	-addr      listen address (default 127.0.0.1:6399; :0 picks a free port)
 //	-shards    event-loop shards, each owning a keyspace slice (default GOMAXPROCS)
 //	-capacity  per-shard capacity hint for the planner
-//	-ranges    adaptive ranges per shard map
 //	-record    attach usage recorders to the shard maps, enabling the
 //	           DEBUG ADVISE tuning-advisor verb (a profiling mode)
 //	-pipeline  max commands executed per pipeline batch
@@ -60,7 +60,6 @@ func run(args []string, out *os.File) error {
 	addr := fs.String("addr", "127.0.0.1:6399", "TCP listen address")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "keyspace shards (event loops)")
 	capacity := fs.Int("capacity", 0, "per-shard capacity hint (0 = default)")
-	ranges := fs.Int("ranges", 0, "adaptive ranges per shard (0 = default)")
 	record := fs.Bool("record", false, "attach usage recorders to the shard maps (DEBUG ADVISE)")
 	pipeline := fs.Int("pipeline", 0, "max commands per pipeline batch (0 = default)")
 	maxconns := fs.Int("maxconns", 0, "max concurrent connections (0 = unlimited)")
@@ -76,7 +75,6 @@ func run(args []string, out *os.File) error {
 		Store: server.StoreConfig{
 			Shards:   *shards,
 			Capacity: *capacity,
-			Ranges:   *ranges,
 			Record:   *record,
 		},
 		MaxPipeline:  *pipeline,
@@ -137,9 +135,10 @@ const smokeKeys = 4
 
 // smokeSession drives the scripted self-session: one pipelined connection
 // exercising every verb family, each reply checked against its expectation.
-// A second flush asks INFO, which must name the served store kind and count
-// the keys the session left, and on a recording server DEBUG ADVISE, which
-// must certify one single-writer map per shard. (INFO answers at planning
+// A second flush asks INFO, which must name the served store kind and shard
+// map and count the keys the session left, and on a recording server DEBUG
+// ADVISE, which must certify on every shard the single-writer map the store
+// already plans. (INFO answers at planning
 // time, so in the first flush it would not see that flush's writes.)
 func smokeSession(addr string, shards int, record bool, out *os.File) error {
 	kv, err := retwis.DialKV(addr)
@@ -198,20 +197,22 @@ func smokeSession(addr string, shards int, record bool, out *os.File) error {
 	if err := checkInfo(reps[0].Text()); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "smoke: INFO store_kind:%s keys:%d\n", server.StoreAdaptive, smokeKeys)
+	fmt.Fprintf(out, "smoke: INFO %s\n", strings.Join(infoLines, " "))
 	if record {
 		if err := checkAdvice(reps[1], shards); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "smoke: DEBUG ADVISE certified a single writer on each of %d shards\n", shards)
+		fmt.Fprintf(out, "smoke: DEBUG ADVISE certified the planned single writer on each of %d shards\n", shards)
 	}
 	return nil
 }
 
-// checkInfo requires INFO to report the served store kind and the session's
-// key count.
+// infoLines are what INFO must report: the served store kind, the shard map
+// shard confinement certifies, and the session's key count.
+var infoLines = []string{"store_kind:" + server.StoreAdaptive, "shard_map:SWMRMap (M2, SWMR)", "keys:" + strconv.Itoa(smokeKeys)}
+
 func checkInfo(info string) error {
-	for _, line := range []string{"store_kind:" + server.StoreAdaptive, "keys:" + strconv.Itoa(smokeKeys)} {
+	for _, line := range infoLines {
 		if !strings.Contains(info, "\r\n"+line+"\r\n") {
 			return fmt.Errorf("smoke: INFO lacks %q:\n%s", line, info)
 		}
@@ -220,7 +221,8 @@ func checkInfo(info string) error {
 }
 
 // checkAdvice requires DEBUG ADVISE to hold one certified single-writer
-// recommendation per shard: a shard's lock holder is its map's only writer.
+// recommendation per shard, matching the declaration the shard already
+// plans: a shard's lock holder is its map's only writer.
 func checkAdvice(rep wire.Reply, shards int) error {
 	if rep.IsError() {
 		return fmt.Errorf("smoke: DEBUG ADVISE replied %s", rep)
@@ -233,8 +235,8 @@ func checkAdvice(rep wire.Reply, shards int) error {
 		return fmt.Errorf("smoke: DEBUG ADVISE has %d entries, want one per shard (%d)", len(advs), shards)
 	}
 	for i, a := range advs {
-		if !a.SingleWriter || !a.Certified {
-			return fmt.Errorf("smoke: shard %d advice is not a certified single writer: %+v", i, a)
+		if !a.SingleWriter || !a.Certified || !a.MatchesCurrent() {
+			return fmt.Errorf("smoke: shard %d advice is not the planned, certified single writer: %+v", i, a)
 		}
 	}
 	return nil

@@ -1,8 +1,8 @@
 // Server: the full client/protocol/store stack end to end, in one process.
 //
 // The demo boots a dego-server on an ephemeral loopback port — RESP subset
-// front, per-core sharded event loops, each shard a profile-planned adaptive
-// map — then plays both sides of the wire:
+// front, per-core sharded event loops, each shard a profile-planned
+// single-writer map — then plays both sides of the wire:
 //
 //  1. a raw wire client pipelines a small social-app session (profile SET,
 //     INCR counter, follower SADD, timeline LPUSH/LRANGE) in one flush and
@@ -11,7 +11,7 @@
 //     against the same server — generated ops become RESP pipelines, post
 //     fanout is resolved client-side from the deterministic social graph;
 //  3. the shard plans are printed, showing what the profile planner chose
-//     for the keyspace maps (the same CommutingWriters declaration the
+//     for the keyspace maps (the SingleWriter declaration the
 //     shard-confinement invariant certifies).
 //
 // Run it:

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/faultnet"
 	"github.com/adjusted-objects/dego/internal/retwis"
 	"github.com/adjusted-objects/dego/internal/server"
@@ -45,8 +46,8 @@ type expected struct {
 
 // TestChaosStorm drives pipelined self-healing clients through a seeded
 // fault storm — latency, torn writes, stalled reads, mid-stream resets —
-// while every shard's adaptive ranges are forced through promote/demote
-// flapping. When the storm quiesces, every client must converge to exactly
+// while, beside the server, an adaptive map under its own writers is forced
+// through promote/demote flapping (flapBeside). When the storm quiesces, every client must converge to exactly
 // the state it intended, the server must have recovered zero panics, and
 // shutdown must leave no goroutine behind.
 func TestChaosStorm(t *testing.T) {
@@ -75,7 +76,7 @@ func TestChaosStorm(t *testing.T) {
 	})
 	srv, err := server.New(server.Config{
 		Listener:     faultnet.WrapListener(inner, in),
-		Store:        server.StoreConfig{Shards: 2, Kind: server.StoreAdaptive, Capacity: 1024, Ranges: 4},
+		Store:        server.StoreConfig{Shards: 2, Kind: server.StoreAdaptive, Capacity: 1024},
 		MaxConns:     128,
 		IdleTimeout:  10 * time.Second,
 		ReadTimeout:  5 * time.Second,
@@ -91,18 +92,8 @@ func TestChaosStorm(t *testing.T) {
 	go func() { serveDone <- srv.Serve() }()
 	addr := inner.Addr().String()
 
-	// Forced representation flapping underneath the storm.
-	var stopFlap atomic.Bool
-	var flap sync.WaitGroup
-	flap.Add(1)
-	go func() {
-		defer flap.Done()
-		for !stopFlap.Load() {
-			for i := 0; i < srv.Store().Shards(); i++ {
-				srv.Store().ForceFlapShard(i)
-			}
-		}
-	}()
+	// Forced representation flapping beside the storm.
+	stopFlapping := flapBeside(t)
 
 	var (
 		appReplays                atomic.Uint64
@@ -245,8 +236,7 @@ func TestChaosStorm(t *testing.T) {
 		go worker(cid)
 	}
 	stormDone.Wait()
-	stopFlap.Store(true)
-	flap.Wait()
+	stopFlapping()
 	in.Quiesce()
 	close(quiesced)
 	workers.Wait()
@@ -374,6 +364,73 @@ func TestChaosShutdownUnderFaults(t *testing.T) {
 		}
 		if rep.Text() != want {
 			t.Fatalf("reply %d = %v, want %q", i, rep, want)
+		}
+	}
+}
+
+// flapBeside keeps promote/demote covered under the storm's load now that no
+// shard map adapts: it runs an adaptive map (CommutingWriters,
+// Adaptive(Ranges(4))) beside the server, with two writers that each own
+// half its keys and rewrite them round after round, while another goroutine
+// forces every range through full promote/demote cycles. The returned stop
+// joins them and requires that the ranges flapped and that the map holds
+// exactly each key's last write.
+func flapBeside(t *testing.T) (stop func()) {
+	t.Helper()
+	const writers, keys = 2, 64
+	reg := dego.NewRegistry(writers + 1)
+	m, err := dego.Map[string, int](dego.On(reg), dego.CommutingWriters(), dego.Adaptive(dego.Ranges(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad := m.Adaptive()
+	names := make([]string, keys)
+	for k := range names {
+		names[k] = fmt.Sprintf("flap:%d", k)
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	last := make([]int, writers) // last[w] is writer w's final round
+	for w := range writers {
+		h := reg.MustRegister()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer h.Release()
+			for r := 1; r == 1 || !done.Load(); r++ {
+				for k := w; k < keys; k += writers {
+					m.Put(h, names[k], r)
+				}
+				last[w] = r
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for first := true; first || !done.Load(); first = false {
+			for r := range ad.Ranges() {
+				ad.ForcePromoteRange(r)
+			}
+			for r := range ad.Ranges() {
+				ad.ForceDemoteRange(r)
+			}
+		}
+	}()
+	return func() {
+		t.Helper()
+		done.Store(true)
+		wg.Wait()
+		if ad.Transitions() == 0 {
+			t.Error("the adaptive map beside the traffic never changed representation")
+		}
+		if n := m.Len(); n != keys {
+			t.Errorf("adaptive map holds %d keys, want %d", n, keys)
+		}
+		for k, name := range names {
+			if v, ok := m.Get(name); !ok || v != last[k%writers] {
+				t.Errorf("adaptive map %s = (%d, %v), want its writer's last round %d", name, v, ok, last[k%writers])
+			}
 		}
 	}
 }

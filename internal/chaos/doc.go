@@ -1,6 +1,6 @@
 // Package chaos holds the end-to-end resilience suite: dego-server behind
 // an internal/faultnet injector, driven by self-healing retwis wire clients
-// while the adaptive store's ranges are forced through promote/demote
+// while an adaptive map beside the server is forced through promote/demote
 // flapping. The suite asserts the serving-layer invariants documented in
 // ARCHITECTURE.md's "Resilience" section — zero panics, zero leaked
 // goroutines, bounded memory, and exact data convergence once the injected

@@ -29,7 +29,7 @@ func TestChaosOpenLoopStorm(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	srv, err := server.New(server.Config{
-		Store:        server.StoreConfig{Shards: 2, Kind: server.StoreAdaptive, Capacity: 1024, Ranges: 4},
+		Store:        server.StoreConfig{Shards: 2, Kind: server.StoreAdaptive, Capacity: 1024},
 		MaxConns:     64,
 		IdleTimeout:  10 * time.Second,
 		ReadTimeout:  5 * time.Second,

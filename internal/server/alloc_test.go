@@ -5,7 +5,6 @@ package server
 import (
 	"bytes"
 	"io"
-	"math/rand"
 	"strconv"
 	"testing"
 
@@ -18,13 +17,15 @@ import (
 // raise one. (The race detector allocates on its own, hence the build tag;
 // `make cover` runs this file.)
 //
-// What the table-2 row still pays, 2.7 per command: the key's string (every
-// command; the shard's map keeps it on a write), the value clone (SET,
-// LPUSH), the object header (SET), a member string (SADD, ZADD), INCR's
-// digits, one allocation inside the adaptive map's Put (every write), and a
-// fresh set body for every follow, because the unfollow that comes with it
-// empties the set and deletes the key. The timeline-read row pays the two
-// key strings and nothing else: running a shard's units under its lock,
+// What the table-2 row still pays, 75 for 38 commands: 60 of them are its
+// ten follows, each a SADD that creates a set key the unfollow after it
+// empties and deletes — the object, its set, the key's clone, the SWMR map's
+// node and value box, the member string: six a follow. The rest is SET's
+// value clone, object and value box, the LPUSH elements' clones, INCR's
+// digits, ZADD's member string, and the sorted set's index growing under
+// new members. A write to a present key makes no map call and boxes
+// nothing. The timeline-read row pays nothing: lookups borrow their key
+// from the decoded argument, and running a shard's units under its lock,
 // inline or through the mailbox, allocates nothing.
 func TestAllocCeilings(t *testing.T) {
 	cmdStream := func() func() {
@@ -75,28 +76,8 @@ func TestAllocCeilings(t *testing.T) {
 			}
 		}
 	}
-	storeRun := func(seed, cmds [][][]byte) func() {
-		st := newTestStore(t, 2)
-		st.ExecBatch(seed)
-		var sc scratch
-		return func() {
-			st.run(&sc, cmds)
-			for i := range sc.plans {
-				if rep := sc.plans[i].reply(sc.units); rep.IsError() {
-					t.Fatalf("command %q answered %v", cmds[i], rep)
-				}
-			}
-			sc.release()
-		}
-	}
-	table2Batch := func() func() { return storeRun(nil, table2Commands(38)) }
-	timelineRead := func() func() {
-		seed := [][][]byte{cmd("SET", "profile:7", "bio")}
-		for i := 0; i < 50; i++ {
-			seed = append(seed, cmd("LPUSH", "timeline:7", "7:"+strconv.Itoa(i)))
-		}
-		return storeRun(seed, [][][]byte{cmd("GET", "profile:7"), cmd("LRANGE", "timeline:7", "0", "49")})
-	}
+	table2Batch := func() func() { return storeRunner(t, nil, table2Commands(38)) }
+	readBatch := func() func() { return storeRunner(t, timelineSeed(), timelineRead()) }
 
 	for _, row := range []struct {
 		name    string
@@ -107,8 +88,8 @@ func TestAllocCeilings(t *testing.T) {
 		{"wire.ReadReplyInto, 50-element array then an integer", 0, replyStream},
 		{"wire.Writer.WriteReply, 50-element array", 0, replyEncode},
 		{"wire.Writer.WriteCommand, 4-argument ZADD", 0, cmdEncode},
-		{"store.run, 38-command table-2 batch", 104, table2Batch},
-		{"store.run, GET profile + LRANGE timeline 0 49 read batch", 2, timelineRead},
+		{"store.run, 38-command table-2 batch", 75, table2Batch},
+		{"store.run, GET profile + LRANGE timeline 0 49 read batch", 0, readBatch},
 	} {
 		f := row.setup()
 		for i := 0; i < 64; i++ {
@@ -132,38 +113,4 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	n := copy(p, l.data[l.off:])
 	l.off = (l.off + n) % len(l.data)
 	return n, nil
-}
-
-// table2Commands expands a seeded draw of the Retwis table-2 mix the way
-// retwis.NetClient does (this package cannot import it): timeline reads,
-// posts fanned out to a few followers, follows, profile updates, group
-// joins — cut to exactly n commands.
-func table2Commands(n int) [][][]byte {
-	rng := rand.New(rand.NewSource(38))
-	user := func() string { return strconv.Itoa(rng.Intn(64)) }
-	var cmds [][][]byte
-	for seq := 60; len(cmds) < n; seq++ {
-		u := user()
-		switch p := rng.Intn(100); {
-		case p < 50:
-			cmds = append(cmds, cmd("GET", "profile:"+u), cmd("LRANGE", "timeline:"+u, "0", "49"))
-		case p < 65:
-			payload := u + ":" + strconv.Itoa(seq)
-			cmds = append(cmds, cmd("INCR", "stat:posts"), cmd("ZADD", "posts:"+u, strconv.Itoa(seq), payload),
-				cmd("ZREMRANGEBYSCORE", "posts:"+u, "-inf", strconv.Itoa(seq-50)))
-			for f := 0; f < 2; f++ {
-				tl := "timeline:" + user()
-				cmds = append(cmds, cmd("LPUSH", tl, payload), cmd("LTRIM", tl, "0", "49"))
-			}
-		case p < 80:
-			v := user()
-			cmds = append(cmds, cmd("SADD", "following:"+u, v), cmd("SADD", "followers:"+v, u),
-				cmd("SREM", "following:"+u, v), cmd("SREM", "followers:"+v, u))
-		case p < 90:
-			cmds = append(cmds, cmd("SET", "profile:"+u, strconv.Itoa(seq)))
-		default:
-			cmds = append(cmds, cmd("SADD", "community", u))
-		}
-	}
-	return cmds[:n]
 }

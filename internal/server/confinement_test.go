@@ -11,20 +11,30 @@ import (
 )
 
 // TestShardMapsStayQuiescentUnderConfinement pins the premise the store's
-// single map kind rests on: every shard-map call made while serving runs
-// under the shard's lock, so however hard pipelined clients contend for a
-// shard, its map sees one caller at a time. Four goroutines send Table-2-
-// shaped batches, sharing keys so they contend for the same shard locks;
-// afterwards no range of any shard map has promoted and no shard probe has
-// recorded a lock wait. Store.Len (INFO, DBSIZE) is the one call made
-// outside the locks, and it is not issued here.
+// single-writer declaration rests on: every shard-map write made while
+// serving comes from the shard's one handle, whoever holds the lock. Each
+// shard map is rebuilt checked (dego.Checked), so its SWMR guard panics the
+// moment a second handle writes, and the shard counts the recovered panic.
+// Four goroutines then send Table-2-shaped batches, sharing keys so they
+// contend for the same shard locks; afterwards no unit has panicked, and the
+// recorded usage of every shard advises exactly the single-writer map the
+// shard already plans.
 func TestShardMapsStayQuiescentUnderConfinement(t *testing.T) {
 	const (
 		clients = 4
 		rounds  = 150
 		users   = 64
 	)
-	st := newTestStore(t, 2)
+	st, err := NewStore(StoreConfig{Shards: 2, Capacity: 256, Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, sh := range st.shards {
+		if sh.obj, err = dego.Map[string, *object](append(shardMapOptions(st.cfg, st.reg), dego.Checked())...); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for g := 0; g < clients; g++ {
@@ -61,37 +71,40 @@ func TestShardMapsStayQuiescentUnderConfinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBulk(t, st.Exec(cmd("GET", "stat:posts")), strconv.Itoa(clients*rounds*4))
+	if n := st.PanicCount(); n != 0 {
+		t.Fatalf("%d shard executions panicked; last: %v", n, st.LastPanic())
+	}
 
-	for i, sh := range st.shards {
-		ad := sh.obj.Adaptive()
-		for r := 0; r < ad.Ranges(); r++ {
-			if s := ad.RangeState(r); s != dego.AdaptiveQuiescent {
-				t.Errorf("shard %d range %d is %v, want quiescent", i, r, s)
-			}
-		}
-		if n := ad.Transitions(); n != 0 {
-			t.Errorf("shard %d: %d representation transitions", i, n)
-		}
-		if w := sh.obj.Probe().Snapshot().LockWaits; w != 0 {
-			t.Errorf("shard %d: probe recorded %d lock waits", i, w)
+	advs, ok := st.Advise()
+	if !ok {
+		t.Fatal("Advise: recording is off")
+	}
+	for i, a := range advs {
+		if !a.SingleWriter || !a.MatchesCurrent() {
+			t.Errorf("shard %d: advice %s does not match the planned %s: %+v", i, a.Declared(), st.Plan().Declared(), a)
 		}
 	}
+
+	// The guard is armed: a write through any other handle panics.
+	h := st.reg.MustRegister()
+	defer h.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("a second handle wrote a checked shard map without a panic")
+		}
+	}()
+	st.shards[0].obj.Put(h, "intruder", &object{kind: objString})
 }
 
 // TestShardMapLookupsBorrowTheirKey pins the borrowed-key contract of the
-// shard map: Get and Contains read the key they are given and keep no
-// reference to it, so a caller may look up through a view of a buffer it
-// reuses. Every lookup here goes through an unsafe.String view of one
-// scratch buffer, in the quiescent state and again with every range
-// promoted; the buffer is then overwritten, and the map must still hold
-// exactly the keys and values it was filled with.
+// shard map: Get, Contains, Remove and a present-key Put read the key they
+// are given and keep no reference to it, so the shard may pass a view of a
+// buffer its connection reuses. Every such call here goes through an
+// unsafe.String view of one scratch buffer; the buffer is then overwritten,
+// and the map must hold exactly the keys and values of the model.
 func TestShardMapLookupsBorrowTheirKey(t *testing.T) {
-	cfg := StoreConfig{Capacity: 256, Ranges: 4}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
 	reg := dego.NewRegistry(4)
-	m, err := planShardMap(cfg, reg)
+	m, err := dego.Map[string, *object](shardMapOptions(StoreConfig{Capacity: 256}, reg)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,48 +122,46 @@ func TestShardMapLookupsBorrowTheirKey(t *testing.T) {
 		scratch = append(scratch[:0], s...)
 		return unsafe.String(unsafe.SliceData(scratch), len(scratch))
 	}
-	lookUpAndOverwrite := func(phase string) {
-		t.Helper()
-		for k, want := range model {
-			if o, ok := m.Get(view(k)); !ok || string(o.str) != want {
-				t.Fatalf("%s: Get(%q) = (%v, %v), want %q", phase, k, o, ok, want)
-			}
-			if !m.Contains(view(k)) {
-				t.Fatalf("%s: Contains(%q) = false", phase, k)
-			}
-			if _, ok := m.Get(view(k + ":absent")); ok || m.Contains(view(k+":absent")) {
-				t.Fatalf("%s: found absent key %q", phase, k+":absent")
-			}
+	i := 0
+	for k, want := range model {
+		if o, ok := m.Get(view(k)); !ok || string(o.str) != want {
+			t.Fatalf("Get(%q) = (%v, %v), want %q", k, o, ok, want)
 		}
-		for i := range scratch[:cap(scratch)] {
-			scratch[:cap(scratch)][i] = '#'
+		if !m.Contains(view(k)) {
+			t.Fatalf("Contains(%q) = false", k)
 		}
-		got := map[string]string{}
-		m.Range(func(k string, o *object) bool {
-			got[k] = string(o.str)
-			return true
-		})
-		if len(got) != len(model) || m.Len() != len(model) {
-			t.Fatalf("%s: Range yields %d keys, Len %d, want %d", phase, len(got), m.Len(), len(model))
+		if _, ok := m.Get(view(k + ":absent")); ok || m.Contains(view(k+":absent")) {
+			t.Fatalf("found absent key %q", k+":absent")
 		}
-		for k, want := range model {
-			if got[k] != want {
-				t.Fatalf("%s: Range yields %q for %q, want %q", phase, got[k], k, want)
+		if m.Remove(h, view(k+":absent")) {
+			t.Fatalf("removed absent key %q", k+":absent")
+		}
+		switch i % 3 {
+		case 0:
+			model[k] = want + ":updated"
+			m.Put(h, view(k), &object{kind: objString, str: []byte(model[k])})
+		case 1:
+			if !m.Remove(h, view(k)) {
+				t.Fatalf("Remove(%q) = false", k)
 			}
+			delete(model, k)
+		}
+		i++
+	}
+	for i := range scratch[:cap(scratch)] {
+		scratch[:cap(scratch)][i] = '#'
+	}
+	got := map[string]string{}
+	m.Range(func(k string, o *object) bool {
+		got[k] = string(o.str)
+		return true
+	})
+	if len(got) != len(model) || m.Len() != len(model) {
+		t.Fatalf("Range yields %d keys, Len %d, want %d", len(got), m.Len(), len(model))
+	}
+	for k, want := range model {
+		if got[k] != want {
+			t.Fatalf("Range yields %q for %q, want %q", got[k], k, want)
 		}
 	}
-
-	ad := m.Adaptive()
-	for r := 0; r < ad.Ranges(); r++ {
-		if s := ad.RangeState(r); s != dego.AdaptiveQuiescent {
-			t.Fatalf("range %d starts %v", r, s)
-		}
-	}
-	lookUpAndOverwrite("quiescent")
-	for r := 0; r < ad.Ranges(); r++ {
-		if !ad.ForcePromoteRange(r) {
-			t.Fatalf("range %d did not promote", r)
-		}
-	}
-	lookUpAndOverwrite("promoted")
 }

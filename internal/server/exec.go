@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"strings"
+	"unsafe"
 
 	"github.com/adjusted-objects/dego/internal/wire"
 )
@@ -48,8 +49,10 @@ const (
 	opSleep
 )
 
-// unit is one keyed operation bound to its owning shard. args holds the
-// operands after the key (values, members, range bounds).
+// unit is one keyed operation bound to its owning shard. key views the
+// decoded argument without a copy, valid for the unit's life: its batch runs
+// before the connection decodes again or ExecBatch returns. Only a key-creating
+// write keeps it, as a clone (shard.create). args holds the operands after it.
 type unit struct {
 	shard int
 	op    opcode
@@ -140,7 +143,7 @@ func planCommand(args [][]byte, s *Store, units *[]unit) cmdPlan {
 		*units = append(*units, unit{
 			shard: s.ShardOf(key),
 			op:    op,
-			key:   string(key),
+			key:   unsafe.String(unsafe.SliceData(key), len(key)),
 			args:  rest,
 		})
 	}

@@ -45,6 +45,9 @@ func TestInfoStoreSections(t *testing.T) {
 	if got["store_kind"] != StoreAdaptive {
 		t.Fatalf("store_kind = %q, want %q", got["store_kind"], StoreAdaptive)
 	}
+	if got["shard_map"] != "SWMRMap (M2, SWMR)" {
+		t.Fatalf("shard_map = %q, want the single-writer map", got["shard_map"])
+	}
 	if got["shards"] != "3" {
 		t.Fatalf("shards = %q, want 3", got["shards"])
 	}
@@ -127,7 +130,7 @@ func TestDebugAdviseRediscoversShardConfinement(t *testing.T) {
 }
 
 func testDebugAdviseRediscoversShardConfinement(t *testing.T) {
-	st, err := NewStore(StoreConfig{Shards: 2, Kind: StoreAdaptive, Capacity: 256, Ranges: 4, Record: true})
+	st, err := NewStore(StoreConfig{Shards: 2, Kind: StoreAdaptive, Capacity: 256, Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +156,13 @@ func testDebugAdviseRediscoversShardConfinement(t *testing.T) {
 	for i, a := range advs {
 		// Each shard map has exactly one writer at a time — whoever holds
 		// the shard's lock, presenting the shard's one handle. That is the
-		// structure the advisor must rediscover from traffic, stronger than
-		// the commuting-writers declaration the store plans with.
+		// structure the advisor must rediscover from traffic, and the
+		// declaration the store already plans with.
 		if !a.SingleWriter {
 			t.Fatalf("shard %d: advisor missed the single writer: %+v", i, a)
+		}
+		if !a.MatchesCurrent() {
+			t.Fatalf("shard %d: advice %s, plan %s: want them to match", i, a.Declared(), st.Plan().Declared())
 		}
 		if !a.Certified {
 			t.Fatalf("shard %d: advice not certified: %s", i, a.CertError)

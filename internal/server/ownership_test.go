@@ -36,10 +36,12 @@ func pipeline(t *testing.T, r *wire.Reader, w *wire.Writer, cmds ...[]string) []
 
 // TestStoredValuesSurviveSlotReuse: on one connection, later batches decode
 // same-length payloads into the pipeline slots that carried a SET value and
-// two LPUSH elements. The shard must have cloned what it stored
-// (shard.exec's bytes.Clone at SET and LPUSH); without the clones the
-// stored bytes are the connection's argument buffers and read back as the
-// later payloads.
+// two LPUSH elements, and same-length keys into the slots that carried a key
+// each creating verb (SET, INCR, SADD, LPUSH, ZADD) created. The shard must
+// have cloned what it stored (shard.exec's bytes.Clone at SET and LPUSH,
+// shard.create's strings.Clone of a fresh key): without the clones the
+// stored bytes are the connection's argument buffers, the values read back
+// as the later payloads and the keys answer under the later names.
 func TestStoredValuesSurviveSlotReuse(t *testing.T) {
 	t.Run(StoreAdaptive, func(t *testing.T) {
 		srv := startTestServer(t, Config{Store: StoreConfig{Shards: 2, Kind: StoreAdaptive, Capacity: 128}})
@@ -55,6 +57,34 @@ func TestStoredValuesSurviveSlotReuse(t *testing.T) {
 		reps := pipeline(t, r, w, []string{"GET", "k"}, []string{"LRANGE", "l", "0", "-1"})
 		wantBulk(t, reps[0], "AAAA")
 		wantMembers(t, reps[1], "bbbb", "aaaa")
+
+		// Keys: each round creates five keys through the five slots the
+		// round before used, names of the same length.
+		const rounds = 8
+		creates := func(i int) [][]string {
+			return [][]string{{"SET", "s:" + strconv.Itoa(i), "v"}, {"INCR", "i:" + strconv.Itoa(i)},
+				{"SADD", "a:" + strconv.Itoa(i), "m"}, {"LPUSH", "l:" + strconv.Itoa(i), "e"},
+				{"ZADD", "z:" + strconv.Itoa(i), "1", "m"}}
+		}
+		for i := range rounds {
+			pipeline(t, r, w, creates(i)...)
+		}
+		for i := range rounds {
+			// A PING first shifts every lookup into another verb's slot:
+			// a key that stayed a view of its slot would read back as
+			// whatever that slot decoded last, not as the name asked for.
+			n := strconv.Itoa(i)
+			reps := pipeline(t, r, w, []string{"PING"}, []string{"GET", "s:" + n}, []string{"GET", "i:" + n},
+				[]string{"SMEMBERS", "a:" + n}, []string{"LRANGE", "l:" + n, "0", "-1"},
+				[]string{"ZRANGEBYSCORE", "z:" + n, "-inf", "+inf"})
+			wantBulk(t, reps[1], "v")
+			wantBulk(t, reps[2], "1")
+			wantMembers(t, reps[3], "m")
+			wantMembers(t, reps[4], "e")
+			wantMembers(t, reps[5], "m")
+		}
+		// k, l, x, y, m, n and five keys a round.
+		wantInt(t, pipeline(t, r, w, []string{"DBSIZE"})[0], int64(6+5*rounds))
 	})
 }
 

@@ -8,20 +8,22 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/wire"
 )
 
 // TestRacePipelinedClientsVsForcedFlapping is the serving-layer analogue of
-// the engine's flapping race tests: pipelined TCP clients hammer an
-// adaptive store with mixed reads and writes while another goroutine forces
-// every range of every shard's map through promote/demote cycles. With one
-// shard, every batch contends for one lock; with two, batches span shards,
-// so shard units run both inline under a free lock and through the mailbox
-// of a taken one. The race detector checks the synchronization, including
-// the lock hand-over between connection goroutines and shard loops; each
-// GET of a client's counter must read the count its INCR just before it
-// returned, and the final counter values check that no write was lost
-// across transitions. Wired into `make race` via RACE_PKGS.
+// the engine's flapping race tests: pipelined TCP clients hammer the store
+// with mixed reads and writes while, beside them, an adaptive map's own
+// writers run and another goroutine forces every range of it through
+// promote/demote cycles (flapBeside). With one shard, every batch contends
+// for one lock; with two, batches span shards, so shard units run both
+// inline under a free lock and through the mailbox of a taken one. The race
+// detector checks the synchronization, including the lock hand-over between
+// connection goroutines and shard loops; each GET of a client's counter
+// must read the count its INCR just before it returned, and the final
+// counter values check that no write was lost. Wired into `make race` via
+// RACE_SERVER_PKGS.
 func TestRacePipelinedClientsVsForcedFlapping(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -38,21 +40,10 @@ func racePipelinedClients(t *testing.T, shards int) {
 	)
 
 	srv := startTestServer(t, Config{
-		Store: StoreConfig{Shards: shards, Capacity: 512, Ranges: 4},
+		Store: StoreConfig{Shards: shards, Capacity: 512},
 	})
 	st := srv.Store()
-
-	var stop atomic.Bool
-	var flips sync.WaitGroup
-	flips.Add(1)
-	go func() {
-		defer flips.Done()
-		for !stop.Load() {
-			for i := 0; i < st.Shards(); i++ {
-				st.ForceFlapShard(i)
-			}
-		}
-	}()
+	stopFlapping := flapBeside(t)
 
 	var workers sync.WaitGroup
 	errs := make(chan error, clients)
@@ -102,8 +93,7 @@ func racePipelinedClients(t *testing.T, shards int) {
 		}(cid)
 	}
 	workers.Wait()
-	stop.Store(true)
-	flips.Wait()
+	stopFlapping()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -120,5 +110,72 @@ func racePipelinedClients(t *testing.T, shards int) {
 	rep := st.Exec(cmd("SMEMBERS", "shared"))
 	if len(rep.Elems) != pipeline {
 		t.Fatalf("shared set has %d members, want %d", len(rep.Elems), pipeline)
+	}
+}
+
+// flapBeside keeps promote/demote under load covered now that no shard map
+// adapts: it runs an adaptive map (CommutingWriters, Adaptive(Ranges(4)))
+// beside the served traffic, with two writers that each own half its keys
+// and rewrite them round after round, while another goroutine forces every
+// range through full promote/demote cycles. The returned stop joins them
+// and requires that the ranges flapped and that the map holds exactly each
+// key's last write.
+func flapBeside(t *testing.T) (stop func()) {
+	t.Helper()
+	const writers, keys = 2, 64
+	reg := dego.NewRegistry(writers + 1)
+	m, err := dego.Map[string, int](dego.On(reg), dego.CommutingWriters(), dego.Adaptive(dego.Ranges(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad := m.Adaptive()
+	names := make([]string, keys)
+	for k := range names {
+		names[k] = fmt.Sprintf("flap:%d", k)
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	last := make([]int, writers) // last[w] is writer w's final round
+	for w := range writers {
+		h := reg.MustRegister()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer h.Release()
+			for r := 1; r == 1 || !done.Load(); r++ {
+				for k := w; k < keys; k += writers {
+					m.Put(h, names[k], r)
+				}
+				last[w] = r
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for first := true; first || !done.Load(); first = false {
+			for r := range ad.Ranges() {
+				ad.ForcePromoteRange(r)
+			}
+			for r := range ad.Ranges() {
+				ad.ForceDemoteRange(r)
+			}
+		}
+	}()
+	return func() {
+		t.Helper()
+		done.Store(true)
+		wg.Wait()
+		if ad.Transitions() == 0 {
+			t.Error("the adaptive map beside the traffic never changed representation")
+		}
+		if n := m.Len(); n != keys {
+			t.Errorf("adaptive map holds %d keys, want %d", n, keys)
+		}
+		for k, name := range names {
+			if v, ok := m.Get(name); !ok || v != last[k%writers] {
+				t.Errorf("adaptive map %s = (%d, %v), want its writer's last round %d", name, v, ok, last[k%writers])
+			}
+		}
 	}
 }

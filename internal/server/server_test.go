@@ -18,9 +18,9 @@ func cmd(args ...string) [][]byte {
 	return out
 }
 
-func newTestStore(t *testing.T, shards int) *Store {
+func newTestStore(t testing.TB, shards int) *Store {
 	t.Helper()
-	st, err := NewStore(StoreConfig{Shards: shards, Capacity: 256, Ranges: 4})
+	st, err := NewStore(StoreConfig{Shards: shards, Capacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +156,24 @@ func TestStoreZSetOps(t *testing.T) {
 	if rep := st.Exec(cmd("ZADD", "z", "notafloat", "m")); !rep.IsError() {
 		t.Fatalf("ZADD bad score = %v, want error", rep)
 	}
+	wantInt(t, st.Exec(cmd("EXISTS", "z")), 0) // the failed ZADD created nothing
 	wantInt(t, st.Exec(cmd("ZADD", "z", "1", "m")), 1)
 	if rep := st.Exec(cmd("ZRANGEBYSCORE", "z", "x", "1")); !rep.IsError() {
 		t.Fatalf("ZRANGEBYSCORE bad bound = %v, want error", rep)
 	}
+
+	// A bad score anywhere in the command changes nothing, on a present key
+	// or a fresh one: every score is checked before the first insert.
+	wantInt(t, st.Exec(cmd("ZADD", "p", "1", "a")), 1)
+	for _, bad := range [][][]byte{cmd("ZADD", "p", "2", "b", "x", "c"), cmd("ZADD", "p", "2", "b", "nan", "c"),
+		cmd("ZADD", "fresh", "2", "b", "x", "c")} {
+		if rep := st.Exec(bad); !rep.IsError() || rep.Text() != errNotFloat.Text() {
+			t.Fatalf("%q = %v, want %v", bad, rep, errNotFloat)
+		}
+	}
+	wantMembers(t, st.Exec(cmd("ZRANGEBYSCORE", "p", "-inf", "+inf")), "a")
+	wantInt(t, st.Exec(cmd("EXISTS", "fresh")), 0)
+	wantInt(t, st.Exec(cmd("DBSIZE")), 2)
 }
 
 func TestStoreMultiKeyAndFlush(t *testing.T) {
@@ -247,8 +261,8 @@ func TestParseStoreKind(t *testing.T) {
 // and without usage recording, whether Kind is left empty or named.
 func TestStoreKindsPlanAsDeclared(t *testing.T) {
 	for _, cfg := range []StoreConfig{
-		{Shards: 2, Capacity: 256, Ranges: 4},
-		{Shards: 2, Kind: StoreAdaptive, Capacity: 256, Ranges: 4, Record: true},
+		{Shards: 2, Capacity: 256},
+		{Shards: 2, Kind: StoreAdaptive, Capacity: 256, Record: true},
 	} {
 		st, err := NewStore(cfg)
 		if err != nil {
@@ -260,7 +274,7 @@ func TestStoreKindsPlanAsDeclared(t *testing.T) {
 		if st.Kind() != StoreAdaptive {
 			t.Fatalf("%+v: Kind = %q, want %q", cfg, st.Kind(), StoreAdaptive)
 		}
-		if plan := st.Plan(); plan.Rep != "AdaptiveMap" || plan.Declared() != "(M2, CWMR)" {
+		if plan := st.Plan(); plan.Rep != "SWMRMap" || plan.Declared() != "(M2, SWMR)" {
 			t.Fatalf("%+v: plan %s declared %s", cfg, plan.Rep, plan.Declared())
 		}
 	}

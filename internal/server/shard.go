@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,16 +26,17 @@ const (
 	objZSet
 )
 
-// object is one key's value. The struct itself is confined to the holder of
-// the owning shard's lock: only the top-level map is a shared planner-built
-// object.
+// object is one key's value, confined with its body to the holder of the
+// owning shard's lock: only the top-level map is a shared planner-built
+// object, and a write to a present key updates the object in place.
 // Mutations never edit reply-visible memory in place — str is replaced
 // wholesale, list elements are immutable once pushed, set/zset replies are
 // materialized at execution time — so a reply assembled for an earlier
 // command in a batch stays valid while later commands mutate the object.
 // Everything retained is the shard's own copy: connections recycle the
-// buffers commands are decoded into, so SET and LPUSH clone their operands
-// (keys, set members and zset members are string conversions already).
+// buffers commands are decoded into, so SET and LPUSH clone their operands,
+// a key-creating write clones its key (shard.create), and set and zset
+// members are string conversions already.
 type object struct {
 	kind objKind
 	str  []byte
@@ -120,20 +123,19 @@ type shard struct {
 	ops atomic.Uint64
 }
 
-// planShardMap asks the planner for the shard's representation. The
-// commuting-writers declaration is certified by shard confinement: distinct
-// shards own distinct keys, so shard writes commute.
-func planShardMap(cfg StoreConfig, reg *dego.Registry) (*dego.AdjustedMap[string, *object], error) {
-	opts := []dego.Option{dego.On(reg), dego.Capacity(cfg.Capacity), dego.CommutingWriters(),
-		dego.Adaptive(dego.Ranges(cfg.Ranges)), dego.Stripes(256), dego.Buckets(cfg.Capacity * 2)}
+// shardMapOptions is the shard map's declaration, planned as the (M2, SWMR)
+// map. Shard confinement certifies SingleWriter: every write comes from the
+// lock holder, presenting the shard's one handle.
+func shardMapOptions(cfg StoreConfig, reg *dego.Registry) []dego.Option {
+	opts := []dego.Option{dego.On(reg), dego.Capacity(cfg.Capacity), dego.SingleWriter()}
 	if cfg.Record {
 		opts = append(opts, dego.WithUsageRecording())
 	}
-	return dego.Map[string, *object](opts...)
+	return opts
 }
 
 func newShard(id int, st *Store) (*shard, error) {
-	m, err := planShardMap(st.cfg, st.reg)
+	m, err := dego.Map[string, *object](shardMapOptions(st.cfg, st.reg)...)
 	if err != nil {
 		return nil, err
 	}
@@ -188,11 +190,15 @@ func (sh *shard) runLocked(b *batch) {
 }
 
 func (sh *shard) get(key string) *object {
-	o, ok := sh.obj.Get(key)
-	if !ok {
-		return nil
-	}
+	o, _ := sh.obj.Get(key)
 	return o
+}
+
+// create binds an absent key to o. The unit's key is a view of a recycled
+// argument buffer and the map keeps the key of a fresh entry, so it stores a
+// clone.
+func (sh *shard) create(h *dego.Handle, key string, o *object) {
+	sh.obj.Put(h, strings.Clone(key), o)
 }
 
 var wrongType = wire.Err("WRONGTYPE Operation against a key holding the wrong kind of value")
@@ -220,10 +226,9 @@ func (sh *shard) execSafe(u *unit, b *batch) (rep wire.Reply) {
 	return sh.exec(sh.h, u, b)
 }
 
-// exec runs one unit against the shard state. Every mutation ends in a
-// Put/Remove on the planner-built map even when the object pointer is
-// unchanged: adaptive sampling rides the write path, so the map must see
-// every write the shard absorbs. Array replies are built in b's arena.
+// exec runs one unit against the shard state. Only key creation (create),
+// emptying (Remove) and SET call the map's writers; a write to a present key
+// updates its object in place. Array replies are built in b's arena.
 func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 	switch u.op {
 	case opGet:
@@ -237,7 +242,13 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 		return wire.Bulk(o.str)
 
 	case opSet:
-		sh.obj.Put(h, u.key, &object{kind: objString, str: bytes.Clone(u.args[0])})
+		// A fresh object Put over a present key too: the recorder sees it.
+		o := &object{kind: objString, str: bytes.Clone(u.args[0])}
+		if sh.obj.Contains(u.key) {
+			sh.obj.Put(h, u.key, o)
+		} else {
+			sh.create(h, u.key, o)
+		}
 		return wire.OK()
 
 	case opDel:
@@ -255,7 +266,7 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 	case opIncr:
 		o := sh.get(u.key)
 		if o == nil {
-			sh.obj.Put(h, u.key, &object{kind: objString, str: []byte("1")})
+			sh.create(h, u.key, &object{kind: objString, str: []byte("1")})
 			return wire.Int64(1)
 		}
 		if o.kind != objString {
@@ -267,25 +278,24 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 		}
 		n++
 		o.str = strconv.AppendInt(nil, n, 10)
-		sh.obj.Put(h, u.key, o)
 		return wire.Int64(n)
 
 	case opSAdd:
 		o := sh.get(u.key)
 		if o == nil {
 			o = &object{kind: objSet, set: make(map[string]struct{}, len(u.args))}
+			sh.create(h, u.key, o)
 		} else if o.kind != objSet {
 			return wrongType
 		}
 		added := int64(0)
 		for _, m := range u.args {
-			k := string(m)
-			if _, ok := o.set[k]; !ok {
-				o.set[k] = struct{}{}
+			// Looked up without a copy; only a new member is stored as one.
+			if _, ok := o.set[string(m)]; !ok {
+				o.set[string(m)] = struct{}{}
 				added++
 			}
 		}
-		sh.obj.Put(h, u.key, o)
 		return wire.Int64(added)
 
 	case opSRem:
@@ -306,8 +316,6 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 		}
 		if len(o.set) == 0 {
 			sh.obj.Remove(h, u.key)
-		} else {
-			sh.obj.Put(h, u.key, o)
 		}
 		return wire.Int64(removed)
 
@@ -335,6 +343,7 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 		o := sh.get(u.key)
 		if o == nil {
 			o = &object{kind: objList}
+			sh.create(h, u.key, o)
 		} else if o.kind != objList {
 			return wrongType
 		}
@@ -342,7 +351,6 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 		for _, v := range u.args {
 			o.list.push(bytes.Clone(v))
 		}
-		sh.obj.Put(h, u.key, o)
 		return wire.Int64(int64(o.list.len()))
 
 	case opLRange:
@@ -380,27 +388,32 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 			return wire.OK()
 		}
 		o.list.keep(start, stop)
-		sh.obj.Put(h, u.key, o)
 		return wire.OK()
 
 	case opZAdd:
+		// Every score is parsed before the first insert, so a bad one
+		// changes nothing, as in redis.
+		scores := make([]float64, 0, 8)
+		for i := 0; i < len(u.args); i += 2 {
+			score, err := strconv.ParseFloat(string(u.args[i]), 64)
+			if err != nil || math.IsNaN(score) {
+				return errNotFloat
+			}
+			scores = append(scores, score)
+		}
 		o := sh.get(u.key)
 		if o == nil {
 			o = &object{kind: objZSet, zs: &zset{score: make(map[string]float64)}}
+			sh.create(h, u.key, o)
 		} else if o.kind != objZSet {
 			return wrongType
 		}
 		added := int64(0)
-		for i := 0; i+1 < len(u.args); i += 2 {
-			score, err := strconv.ParseFloat(string(u.args[i]), 64)
-			if err != nil {
-				return errNotFloat
-			}
-			if o.zs.insert(string(u.args[i+1]), score) {
+		for i, score := range scores {
+			if o.zs.insert(string(u.args[2*i+1]), score) {
 				added++
 			}
 		}
-		sh.obj.Put(h, u.key, o)
 		return wire.Int64(added)
 
 	case opZRangeByScore:
@@ -442,8 +455,6 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 		o.zs.sorted = append(o.zs.sorted[:from], o.zs.sorted[to:]...)
 		if len(o.zs.sorted) == 0 {
 			sh.obj.Remove(h, u.key)
-		} else {
-			sh.obj.Put(h, u.key, o)
 		}
 		return wire.Int64(removed)
 

@@ -16,18 +16,16 @@
 //
 // This is the serving-layer mirror of the engine's range-confinement
 // invariant, and it is what certifies the store's representation choice:
-// distinct shards write distinct keys, so shard writes commute — exactly
-// the commuting-writers (CWMR) declaration the planner needs to hand each
-// shard a contention-adaptive map. The shard's handle is the writer
-// identity, and only the lock holder uses it.
+// every write to a shard's map comes from one identity, one holder at a
+// time — exactly the single-writer (SWMR) declaration the planner needs to
+// hand each shard the paper's (M2, SWMR) hash map. The shard's handle is
+// the writer identity, and only the lock holder uses it.
 //
-// The same invariant is why there is one map to plan. Every Get, Put,
-// Remove and Contains on a shard map runs under the shard's lock, so the
-// map never sees two writers at once and its ranges never promote on
-// their own; the only access from outside the lock is Store.Len (INFO,
-// DBSIZE), a read. Representations that differ only in how they absorb
-// concurrent writers would run the same uncontended object at slightly
-// different constant costs.
+// Every Get, Put, Remove and Contains on a shard map runs under the shard's
+// lock; the only call made outside it is Store.Len (INFO, DBSIZE), which the
+// SWMR map answers from an atomic counter. A write to a present key touches
+// no map at all: it updates the key's object in place under the lock. Only
+// key creation, emptying and SET call the map's writers.
 //
 // Values inside a shard's map (the string/set/list/zset bodies) are plain
 // Go structures touched only under the shard's lock, the same deliberate
@@ -47,10 +45,9 @@ import (
 	"github.com/adjusted-objects/dego/internal/wire"
 )
 
-// StoreAdaptive is the one store kind: each shard plans a contention-adaptive
-// map (striped until a range promotes, segmented after), the commuting-writers
-// declaration shard confinement certifies. StoreConfig.Kind still names it so
-// INFO and the benchmark labels can say which map is served.
+// StoreAdaptive is the one store kind: each shard plans the single-writer
+// (M2, SWMR) map shard confinement certifies. StoreConfig.Kind still names
+// it so INFO and the benchmark labels can say which store is served.
 const StoreAdaptive = "adaptive"
 
 // UnknownStoreKindError reports a StoreConfig.Kind other than StoreAdaptive
@@ -74,9 +71,6 @@ type StoreConfig struct {
 	Kind string
 	// Capacity is the expected key count per shard; 0 means 1<<14.
 	Capacity int
-	// Ranges is the adaptive per-range directory size per shard (hash-prefix
-	// buckets); 0 means 8.
-	Ranges int
 	// Record attaches a usage recorder to every shard map
 	// (dego.WithUsageRecording), so DEBUG ADVISE can run the tuning advisor
 	// over the traffic each shard actually absorbed. A replay/profiling
@@ -97,9 +91,6 @@ func (c *StoreConfig) fill() error {
 	}
 	if c.Capacity <= 0 {
 		c.Capacity = 1 << 14
-	}
-	if c.Ranges <= 0 {
-		c.Ranges = 8
 	}
 	return nil
 }
@@ -177,8 +168,8 @@ func (s *Store) ShardOf(key []byte) int {
 }
 
 // Len returns the total number of live keys. It is the one shard-map call
-// made outside the shard locks: the maps are planner-built shared objects,
-// so reading their lengths from any goroutine is safe.
+// made outside the shard locks: the SWMR map keeps its length in an atomic
+// counter any goroutine may read.
 func (s *Store) Len() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -203,11 +194,9 @@ func (s *Store) SetStatsSource(fn func() Stats) { s.statsFn.Store(&fn) }
 
 // Advise runs the tuning advisor over every shard map's recorded usage.
 // ok is false when the store was built without StoreConfig.Record. The
-// expected shape is one SingleWriter recommendation per shard: the shard's
-// lock holder is its map's only writer, which is a stronger claim than the
-// CommutingWriters declaration the store hands the planner — the advisor
-// rediscovers, from observed traffic, that shard confinement would certify
-// (M2, SWMR) per shard.
+// expected shape is one SingleWriter recommendation per shard that matches
+// the declaration the store already plans: the advisor rediscovers, from
+// observed traffic, the (M2, SWMR) map shard confinement certifies.
 func (s *Store) Advise() ([]dego.Advice, bool) {
 	out := make([]dego.Advice, len(s.shards))
 	for i, sh := range s.shards {
@@ -229,8 +218,9 @@ func (s *Store) Info() string {
 	if s.cfg.Record {
 		recording = 1
 	}
-	fmt.Fprintf(&b, "# Server\r\nstore_kind:%s\r\nshards:%d\r\nusage_recording:%d\r\n",
-		s.cfg.Kind, len(s.shards), recording)
+	plan := s.Plan()
+	fmt.Fprintf(&b, "# Server\r\nstore_kind:%s\r\nshard_map:%s %s\r\nshards:%d\r\nusage_recording:%d\r\n",
+		s.cfg.Kind, plan.Rep, plan.Declared(), len(s.shards), recording)
 	if fn := s.statsFn.Load(); fn != nil {
 		st := (*fn)()
 		fmt.Fprintf(&b, "# Clients\r\nconnected_clients:%d\r\n", st.Active)
@@ -256,19 +246,6 @@ func (s *Store) LastPanic() *wire.ProtocolError { return s.lastPanic.Load() }
 func (s *Store) notePanic(pe *wire.ProtocolError) {
 	s.panics.Add(1)
 	s.lastPanic.Store(pe)
-}
-
-// ForceFlapShard drives every range of shard i's map through one full
-// promote/demote cycle. The chaos suite calls this in a loop to keep
-// representation transitions happening underneath injected network faults.
-func (s *Store) ForceFlapShard(i int) {
-	ad := s.shards[i].obj.Adaptive()
-	for r := 0; r < ad.Ranges(); r++ {
-		ad.ForcePromoteRange(r)
-	}
-	for r := 0; r < ad.Ranges(); r++ {
-		ad.ForceDemoteRange(r)
-	}
 }
 
 // Close stops the shard event loops. In-flight batches complete; batches
