@@ -13,10 +13,10 @@ GO ?= go
 RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/skiplist/... ./internal/queue/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
 
 # The serving layer (pipelined TCP clients against the shards, an adaptive
-# map under forced promote/demote flapping beside them) runs three times: a shard's writer is whoever
-# holds its lock, connection goroutine or shard loop, so the executor's
-# safety rests on the lock hand-over between them, which only the detector
-# checks and only on the schedules a run happens to take.
+# map under forced promote/demote flapping beside them) runs three times: a
+# shard's writer is whichever connection goroutine holds its lock, so the
+# executor's safety rests on the lock hand-over between them, which only the
+# detector checks and only on the schedules a run happens to take.
 RACE_SERVER_PKGS = ./internal/server/...
 
 # The segmentations run three times too: the segmented hash map, set and
@@ -29,8 +29,9 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # without burning CI minutes; the JSON lands as a workflow artifact. The
 # "all" figure set includes the AdaptiveSkipList workload (Figures 6 and 7),
 # so the adaptive engine's promotion path is exercised on every CI run. The
-# ordered maps' layer benchmark (BenchmarkOrdered) and the root figure
-# wrappers (BenchmarkFig*) run once each so they cannot rot.
+# ordered maps' layer benchmark (BenchmarkOrdered), the root figure
+# wrappers (BenchmarkFig*) and the serving executor's (BenchmarkStoreRun,
+# its contended case included) run once each so they cannot rot.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
@@ -117,6 +118,7 @@ bench-smoke:
 	$(GO) run ./cmd/dego-bench $(BENCH_SMOKE_FLAGS) -json $(BENCH_SMOKE_JSON)
 	$(GO) test -run '^$$' -bench Ordered -benchtime 1x ./internal/skiplist
 	$(GO) test -run '^$$' -bench Fig -benchtime 1x .
+	$(GO) test -run '^$$' -bench StoreRun -benchtime 1x ./internal/server
 
 # Regenerate the checked-in flat baseline (run on a quiet machine, then
 # commit BENCH_flat.json).

@@ -10,7 +10,7 @@
 // Flags:
 //
 //	-addr      listen address (default 127.0.0.1:6399; :0 picks a free port)
-//	-shards    event-loop shards, each owning a keyspace slice (default GOMAXPROCS)
+//	-shards    keyspace shards, each a slice behind its own lock (default GOMAXPROCS)
 //	-capacity  per-shard capacity hint for the planner
 //	-record    attach usage recorders to the shard maps, enabling the
 //	           DEBUG ADVISE tuning-advisor verb (a profiling mode)
@@ -58,7 +58,7 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("dego-server", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:6399", "TCP listen address")
-	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "keyspace shards (event loops)")
+	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "keyspace shards, each behind its own lock")
 	capacity := fs.Int("capacity", 0, "per-shard capacity hint (0 = default)")
 	record := fs.Bool("record", false, "attach usage recorders to the shard maps (DEBUG ADVISE)")
 	pipeline := fs.Int("pipeline", 0, "max commands per pipeline batch (0 = default)")

@@ -1,8 +1,9 @@
 // Server: the full client/protocol/store stack end to end, in one process.
 //
 // The demo boots a dego-server on an ephemeral loopback port — RESP subset
-// front, per-core sharded event loops, each shard a profile-planned
-// single-writer map — then plays both sides of the wire:
+// front, a goroutine per connection, the keyspace split across per-core
+// shards, each a profile-planned single-writer map behind one lock — then
+// plays both sides of the wire:
 //
 //  1. a raw wire client pipelines a small social-app session (profile SET,
 //     INCR counter, follower SADD, timeline LPUSH/LRANGE) in one flush and

@@ -103,7 +103,7 @@ func seedTarget(addr string, shards int, p Params) (target, label string, nshard
 			return "", "", 0, nil, nil, err
 		}
 		if err := srv.Listen(); err != nil {
-			srv.Close() // stops the shard loops New started
+			srv.Close() // releases the store New built
 			return "", "", 0, nil, nil, err
 		}
 		go srv.Serve()

@@ -25,8 +25,8 @@ import (
 // digits, ZADD's member string, and the sorted set's index growing under
 // new members. A write to a present key makes no map call and boxes
 // nothing. The timeline-read row pays nothing: lookups borrow their key
-// from the decoded argument, and running a shard's units under its lock,
-// inline or through the mailbox, allocates nothing.
+// from the decoded argument, and running a shard's units under its lock
+// allocates nothing.
 func TestAllocCeilings(t *testing.T) {
 	cmdStream := func() func() {
 		r := wire.NewReader(&loopReader{data: []byte("*4\r\n$4\r\nZADD\r\n$9\r\nposts:123\r\n$2\r\n17\r\n$6\r\n123:17\r\n*2\r\n$3\r\nGET\r\n$11\r\nprofile:123\r\n")})

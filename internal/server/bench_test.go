@@ -10,8 +10,11 @@ import (
 // allocations TestAllocCeilings pins: 38 commands of the Retwis table-2 mix,
 // and a timeline read (GET profile + LRANGE timeline 0 49). Each runs through
 // Store.run on a two-shard store with one reused scratch, as a connection
-// handler runs its batches, uncontended, so every shard's units run inline.
-// ns/cmd divides the batch time by its command count.
+// handler runs its batches. The uncontended cases run one caller, so every
+// shard lock is free when asked for; table2-38-contended runs the table-2
+// batch from GOMAXPROCS callers at once, one scratch each, so callers queue
+// for the two shard locks. ns/cmd divides the elapsed time by the commands
+// run, on all callers together.
 func BenchmarkStoreRun(b *testing.B) {
 	for _, bc := range []struct {
 		name       string
@@ -32,20 +35,42 @@ func BenchmarkStoreRun(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bc.cmds)), "ns/cmd")
 		})
 	}
+	b.Run("table2-38-contended", func(b *testing.B) {
+		cmds := table2Commands(38)
+		st := newTestStore(b, 2)
+		warm := scratchRunner(st, cmds, b.Fatalf)
+		for range 64 {
+			warm()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			f := scratchRunner(st, cmds, b.Errorf)
+			for pb.Next() {
+				f()
+			}
+		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cmds)), "ns/cmd")
+	})
 }
 
 // storeRunner returns one call of Store.run over cmds, on a two-shard store
-// seeded with seed and through one scratch it reuses; every reply must be a
-// success.
+// seeded with seed, through a scratchRunner that fails tb on an error reply.
 func storeRunner(tb testing.TB, seed, cmds [][][]byte) func() {
 	st := newTestStore(tb, 2)
 	st.ExecBatch(seed)
+	return scratchRunner(st, cmds, tb.Fatalf)
+}
+
+// scratchRunner returns one call of st.run over cmds through one scratch it
+// reuses; an error reply is reported through fail.
+func scratchRunner(st *Store, cmds [][][]byte, fail func(format string, args ...any)) func() {
 	var sc scratch
 	return func() {
 		st.run(&sc, cmds)
 		for i := range sc.plans {
 			if rep := sc.plans[i].reply(sc.units); rep.IsError() {
-				tb.Fatalf("command %q answered %v", cmds[i], rep)
+				fail("command %q answered %v", cmds[i], rep)
 			}
 		}
 		sc.release()

@@ -17,10 +17,10 @@ import (
 // with mixed reads and writes while, beside them, an adaptive map's own
 // writers run and another goroutine forces every range of it through
 // promote/demote cycles (flapBeside). With one shard, every batch contends
-// for one lock; with two, batches span shards, so shard units run both
-// inline under a free lock and through the mailbox of a taken one. The race
-// detector checks the synchronization, including the lock hand-over between
-// connection goroutines and shard loops; each GET of a client's counter
+// for one lock; with two, batches span shards, so a connection goroutine
+// takes one lock after another, finding each free or waiting for it. The
+// race detector checks the synchronization, including the lock hand-over
+// between connection goroutines; each GET of a client's counter
 // must read the count its INCR just before it returned, and the final
 // counter values check that no write was lost. Wired into `make race` via
 // RACE_SERVER_PKGS.

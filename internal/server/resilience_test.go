@@ -120,7 +120,7 @@ func TestServerReadTimeoutTornFrame(t *testing.T) {
 	}
 }
 
-// TestServerPanicRecovery: DEBUG PANIC crashes inside the shard loop; the
+// TestServerPanicRecovery: DEBUG PANIC crashes inside a shard execution; the
 // command gets a typed protocol-error-derived reply, the connection and the
 // shard stay alive, and the counters record it.
 func TestServerPanicRecovery(t *testing.T) {
@@ -137,7 +137,7 @@ func TestServerPanicRecovery(t *testing.T) {
 	if !rep.IsError() || !strings.Contains(rep.Text(), "internal panic") {
 		t.Fatalf("DEBUG PANIC reply = %v, want internal-panic error", rep)
 	}
-	// The shard loop survived: the pipelined GET after the crash answers.
+	// The shard survived: the pipelined GET after the crash answers.
 	wantBulk(t, mustReply(t, r), "v")
 
 	if st := srv.Stats(); st.Panics != 1 {
@@ -161,7 +161,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	w.WriteCommandString("DEBUG", "SLEEP", "0.3")
 	w.WriteCommandString("GET", "k")
 	w.Flush()
-	// Let the batch reach the shard loop before shutting down.
+	// Let the batch reach the shard's lock before shutting down.
 	time.Sleep(50 * time.Millisecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -37,9 +37,6 @@ type Config struct {
 	Listener net.Listener
 	// Store sizes the sharded keyspace.
 	Store StoreConfig
-	// AcceptLoops is the number of concurrent accept goroutines; 0 means
-	// one per shard.
-	AcceptLoops int
 	// MaxPipeline caps how many pipelined commands one batch executes
 	// before replies are flushed; 0 means 256.
 	MaxPipeline int
@@ -79,26 +76,26 @@ type Stats struct {
 	Panics          uint64 // panics recovered (connection handlers + shard executions)
 }
 
-// Server serves the RESP subset over TCP: accept loops hand each
+// Server serves the RESP subset over TCP: one accept loop hands each
 // connection to a goroutine that batches pipelined commands into store
-// dispatches and flushes replies once per batch. Close stops it hard;
+// dispatches and flushes replies once per batch. Those are all its
+// goroutines; shards run nothing of their own. Close stops it hard;
 // Shutdown drains in-flight batches first.
 type Server struct {
 	cfg   Config
 	store *Store
 	ln    net.Listener
 
-	mu      sync.Mutex
-	open    map[*lifecycleConn]struct{}
-	closed  bool
-	conns   sync.WaitGroup
-	accepts sync.WaitGroup
+	mu     sync.Mutex
+	open   map[*lifecycleConn]struct{}
+	closed bool
+	conns  sync.WaitGroup
 
 	accepted, rejected, idleTimeouts, slowDrops, protoErrs, panics atomic.Uint64
 	active                                                         atomic.Int64
 }
 
-// New builds the store (starting the shard loops) but does not bind yet.
+// New builds the store but does not bind yet.
 func New(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -109,9 +106,6 @@ func New(cfg Config) (*Server, error) {
 	st, err := NewStore(cfg.Store)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.AcceptLoops <= 0 {
-		cfg.AcceptLoops = st.Shards()
 	}
 	srv := &Server{
 		cfg:   cfg,
@@ -163,28 +157,16 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Serve runs the accept loops and blocks until Close or Shutdown, then
-// returns ErrServerClosed. Listen must have succeeded first.
+// Serve runs the accept loop on the calling goroutine and blocks until
+// Close or Shutdown, then returns ErrServerClosed once every connection is
+// done. Listen must have succeeded first.
 func (s *Server) Serve() error {
 	if s.ln == nil {
 		return errors.New("server: Serve before Listen")
 	}
-	// Add under mu, after checking closed: stop sets closed under mu before
-	// it waits on accepts, so no Add can race that Wait.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrServerClosed
-	}
-	s.accepts.Add(s.cfg.AcceptLoops)
-	s.mu.Unlock()
-	for i := 0; i < s.cfg.AcceptLoops; i++ {
-		go func() {
-			defer s.accepts.Done()
-			s.acceptLoop()
-		}()
-	}
-	s.accepts.Wait()
+	// After Close or Shutdown the listener is closed, so this returns at
+	// once; a connection accepted meanwhile finds closed set and is dropped.
+	s.acceptLoop()
 	s.conns.Wait()
 	return ErrServerClosed
 }
@@ -201,10 +183,9 @@ func (s *Server) Close() error {
 // close immediately, and connections with a pipeline batch in flight
 // finish executing it and flush every reply before closing — a client
 // never sees EOF in the middle of a reply stream for a batch the server
-// accepted. Every batch those connections dispatched, inline or through a
-// shard mailbox, completes with them; only then does the store close. If
-// ctx expires first the stragglers are closed hard and ctx's error is
-// returned.
+// accepted. Every batch those connections dispatched completes with them;
+// only then does the store close. If ctx expires first the stragglers are
+// closed hard and ctx's error is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	return s.stop(ctx)
 }
@@ -235,7 +216,6 @@ func (s *Server) stop(ctx context.Context) error {
 			c.interrupt()
 		}
 	}
-	s.accepts.Wait()
 
 	drained := make(chan struct{})
 	go func() {
@@ -269,7 +249,7 @@ func (s *Server) acceptLoop() {
 	for {
 		c, err := s.ln.Accept()
 		if err != nil {
-			// Listener closed (shutdown) or fatal error: stop this loop.
+			// Listener closed (shutdown) or fatal error: stop accepting.
 			return
 		}
 		s.mu.Lock()

@@ -2,11 +2,17 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/wire"
 )
 
@@ -76,6 +82,22 @@ func TestStoreStringOps(t *testing.T) {
 	wantBulk(t, st.Exec(cmd("GET", "n")), "2")
 	if rep := st.Exec(cmd("INCR", "k")); !rep.IsError() || !strings.Contains(rep.Text(), "not an integer") {
 		t.Fatalf("INCR non-int = %v", rep)
+	}
+	// Only a canonical integer counts, as in redis: no sign on a positive
+	// value, no leading zero, no negative zero, no blanks, within int64. A
+	// rejected value stays as stored.
+	for _, bad := range []string{"+5", "007", "-0", "00", " 5", "5 ", "", "1e3",
+		"9223372036854775807", "9223372036854775808"} {
+		wantOK(t, st.Exec(cmd("SET", "c", bad)))
+		if rep := st.Exec(cmd("INCR", "c")); !rep.IsError() || rep.Text() != errNotInt.Text() {
+			t.Fatalf("SET c %q; INCR c = %v, want %v", bad, rep, errNotInt)
+		}
+		wantBulk(t, st.Exec(cmd("GET", "c")), bad)
+	}
+	for _, good := range []int64{0, -1, -5, 41, -9223372036854775808} {
+		wantOK(t, st.Exec(cmd("SET", "c", strconv.FormatInt(good, 10))))
+		wantInt(t, st.Exec(cmd("INCR", "c")), good+1)
+		wantBulk(t, st.Exec(cmd("GET", "c")), strconv.FormatInt(good+1, 10))
 	}
 
 	wantInt(t, st.Exec(cmd("EXISTS", "k", "n", "ghost")), 2)
@@ -174,6 +196,37 @@ func TestStoreZSetOps(t *testing.T) {
 	wantMembers(t, st.Exec(cmd("ZRANGEBYSCORE", "p", "-inf", "+inf")), "a")
 	wantInt(t, st.Exec(cmd("EXISTS", "fresh")), 0)
 	wantInt(t, st.Exec(cmd("DBSIZE")), 2)
+
+	// Infinite scores are scores like any other: a bound at ±inf, inclusive
+	// or exclusive, in any spelling strtod reads, selects what redis selects.
+	// A NaN bound is not a float.
+	wantInt(t, st.Exec(cmd("ZADD", "inf", "+inf", "top", "-inf", "bot", "1", "one")), 3)
+	for _, row := range []struct {
+		min, max string
+		want     []string
+	}{
+		{"-inf", "+inf", []string{"bot", "one", "top"}},
+		{"+inf", "+inf", []string{"top"}},
+		{"-inf", "-inf", []string{"bot"}},
+		{"(-inf", "(+inf", []string{"one"}},
+		{"(-inf", "+inf", []string{"one", "top"}},
+		{"-inf", "(+inf", []string{"bot", "one"}},
+		{"inf", "Infinity", []string{"top"}},
+		{"-Infinity", "-INF", []string{"bot"}},
+		{"+inf", "-inf", nil},
+		{"(1", "+Inf", []string{"top"}},
+	} {
+		wantMembers(t, st.Exec(cmd("ZRANGEBYSCORE", "inf", row.min, row.max)), row.want...)
+	}
+	for _, bad := range [][][]byte{cmd("ZRANGEBYSCORE", "inf", "0", "nan"), cmd("ZRANGEBYSCORE", "inf", "(NaN", "1"),
+		cmd("ZREMRANGEBYSCORE", "inf", "nan", "+inf")} {
+		if rep := st.Exec(bad); !rep.IsError() || rep.Text() != errMinMax.Text() {
+			t.Fatalf("%q = %v, want %v", bad, rep, errMinMax)
+		}
+	}
+	wantInt(t, st.Exec(cmd("ZREMRANGEBYSCORE", "inf", "+inf", "+inf")), 1)
+	wantInt(t, st.Exec(cmd("ZREMRANGEBYSCORE", "inf", "(-inf", "(+inf")), 1)
+	wantMembers(t, st.Exec(cmd("ZRANGEBYSCORE", "inf", "-inf", "+inf")), "bot")
 }
 
 func TestStoreMultiKeyAndFlush(t *testing.T) {
@@ -348,6 +401,125 @@ func TestStoreAfterCloseAnswersShutDown(t *testing.T) {
 		if n := st.Len(); n != 1 {
 			t.Fatalf("%d shards: %d keys after Close, want the 1 stored before", shards, n)
 		}
+	}
+}
+
+// TestStoreStartsNoGoroutine: a shard is its lock, not a goroutine, so
+// building a store and closing it leave the goroutine count where it was.
+func TestStoreStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	st, err := NewStore(StoreConfig{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewStore with 8 shards: %d goroutines, %d before", n, before)
+	}
+	wantOK(t, st.Exec(cmd("SET", "k", "v")))
+	st.Close()
+	st.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("after Close: %d goroutines, %d before", n, before)
+	}
+}
+
+// TestStoreCloseRacesBlockedDispatchers: Close races dispatchers, half of
+// them queued for shard 0's lock behind a DEBUG SLEEP, half running on shard
+// 1. Close waits its turn for each lock, so every batch runs either before it
+// and answers as usual, or after it and answers the shut-down error — all of
+// its units alike, since a one-shard batch runs under one hold of the lock.
+// None writes through the released handle: the shard maps are built checked,
+// so a write through any handle but the shard's own would panic and count.
+func TestStoreCloseRacesBlockedDispatchers(t *testing.T) {
+	const dispatchers = 6
+	st, err := NewStore(StoreConfig{Shards: 2, Capacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, sh := range st.shards {
+		if sh.obj, err = dego.Map[string, *object](append(shardMapOptions(st.cfg, st.reg), dego.Checked())...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// keyOn extends prefix until the key lands on shard id.
+	keyOn := func(id int, prefix string) string {
+		for i := 0; ; i++ {
+			if k := prefix + "." + strconv.Itoa(i); st.ShardOf([]byte(k)) == id {
+				return k
+			}
+		}
+	}
+	sleeper := make(chan wire.Reply, 1)
+	go func() { sleeper <- st.Exec(cmd("DEBUG", "SLEEP", "0.1")) }()
+	// Wait until the sleeper holds shard 0's lock.
+	for st.shards[0].mu.TryLock() {
+		st.shards[0].mu.Unlock()
+		runtime.Gosched()
+	}
+
+	shutDown := errShutDown.Text()
+	var (
+		wg               sync.WaitGroup
+		answered, denied atomic.Int64
+	)
+	errs := make(chan error, dispatchers)
+	deadline := time.Now().Add(5 * time.Second)
+	for g := range dispatchers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := g % 2
+			ctr := keyOn(id, "ctr:"+strconv.Itoa(g))
+			for round := int64(1); ; round++ {
+				if time.Now().After(deadline) {
+					errs <- fmt.Errorf("dispatcher %d: no shut-down error after %d rounds", g, round)
+					return
+				}
+				key := keyOn(id, "k:"+strconv.Itoa(g)+":"+strconv.FormatInt(round, 10))
+				batch := [][][]byte{cmd("INCR", ctr), cmd("SET", key, "v"), cmd("GET", key),
+					cmd("DEL", key), cmd("GET", ctr)}
+				want := []wire.Reply{wire.Int64(round), wire.OK(), wire.BulkString("v"), wire.Int64(1),
+					wire.BulkString(strconv.FormatInt(round, 10))}
+				reps := st.ExecBatch(batch)
+				if reps[0].IsError() && reps[0].Text() == shutDown {
+					for i, rep := range reps {
+						if !rep.IsError() || rep.Text() != shutDown {
+							errs <- fmt.Errorf("dispatcher %d round %d: %q = %v after the batch was shut out", g, round, batch[i], rep)
+							return
+						}
+					}
+					denied.Add(1)
+					return
+				}
+				for i, rep := range reps {
+					if rep.Kind != want[i].Kind || rep.Text() != want[i].Text() || rep.Int != want[i].Int {
+						errs <- fmt.Errorf("dispatcher %d round %d: %q = %v, want %v", g, round, batch[i], rep, want[i])
+						return
+					}
+				}
+				answered.Add(1)
+			}
+		}()
+	}
+	// Close once shard 1 has served a batch while the sleeper holds shard 0.
+	for answered.Load() == 0 && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	st.Close()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if answered.Load() == 0 || denied.Load() != dispatchers {
+		t.Fatalf("%d batches answered, %d of %d dispatchers shut out", answered.Load(), denied.Load(), dispatchers)
+	}
+	if rep := <-sleeper; rep.Kind != wire.KindSimple || rep.Text() != "OK" {
+		t.Fatalf("DEBUG SLEEP = %v, want +OK: it held the lock before Close", rep)
+	}
+	if n := st.PanicCount(); n != 0 {
+		t.Fatalf("%d unit executions panicked; last: %v", n, st.LastPanic())
 	}
 }
 

@@ -86,37 +86,18 @@ func (z *zset) insert(member string, score float64) (added bool) {
 	return added
 }
 
-// batch is one shard's slice of a pipeline dispatch: indices into the
-// batch-wide unit slice, in command order, plus the arena the shard cuts
-// array replies' elements from. Batches live in a scratch and are reused.
-type batch struct {
-	units []unit
-	idxs  []int
-	arena []wire.Reply
-	wg    *sync.WaitGroup
-}
-
-// array returns the array reply whose elements the caller appended to the
-// arena from index from on. The elements are valid until the scratch's next
-// dispatch; capping the slice keeps a consumer's append off its neighbours.
-func (b *batch) array(from int) wire.Reply {
-	return wire.Reply{Kind: wire.KindArray, Elems: b.arena[from:len(b.arena):len(b.arena)]}
-}
-
-// shard owns one slice of the keyspace: a planner-built map, the lock whose
-// holder is the shard's writer, and the mailbox for batches that found the
-// lock taken. Whoever holds mu — a connection handler running its own batch,
-// or the shard's loop draining the mailbox — executes with the shard's one
-// handle h, so all writes to obj come from one identity, one holder at a
-// time: the shard-confinement invariant.
+// shard owns one slice of the keyspace: a planner-built map and the lock
+// whose holder is the shard's writer. Whoever holds mu — the goroutine
+// dispatching a batch — executes with the shard's one handle h, so all
+// writes to obj come from one identity, one holder at a time: the
+// shard-confinement invariant.
 type shard struct {
-	id    int
-	obj   *dego.AdjustedMap[string, *object]
-	mu    sync.Mutex
-	h     *dego.Handle // the writer identity; used only under mu
-	mail  chan *batch
-	quit  chan struct{}
-	store *Store // panic counter
+	id     int
+	obj    *dego.AdjustedMap[string, *object]
+	mu     sync.Mutex
+	h      *dego.Handle // the writer identity; used only under mu
+	closed bool         // h is released (Store.Close); read and written under mu
+	store  *Store       // panic counter
 
 	// ops counts units executed on this shard; written under mu, read by
 	// Store.Info from any goroutine.
@@ -143,50 +124,27 @@ func newShard(id int, st *Store) (*shard, error) {
 		id:    id,
 		obj:   m,
 		h:     st.reg.MustRegister(),
-		mail:  make(chan *batch),
-		quit:  make(chan struct{}),
 		store: st,
 	}, nil
 }
 
-// loop drains the mailbox: each batch a dispatcher could not run itself
-// waits here for the lock and runs under it. On quit the loop takes the lock
-// before releasing the handle, so every batch that runs afterwards finds quit
-// closed and answers with an error instead of writing through a released
-// handle. Dispatch sends on an unbuffered mailbox and selects on quit, so no
-// sender can block on a stopped loop.
-func (sh *shard) loop() {
-	for {
-		select {
-		case <-sh.quit:
-			sh.mu.Lock()
-			sh.h.Release()
-			sh.mu.Unlock()
-			return
-		case b := <-sh.mail:
-			sh.mu.Lock()
-			sh.runLocked(b)
-		}
-	}
-}
-
-// runLocked executes b's units in order with sh.mu held, then releases the
-// lock and marks b done — on every path, a panic escaping execSafe included.
-func (sh *shard) runLocked(b *batch) {
-	defer b.wg.Done()
+// run takes the shard's lock, waiting for it if another batch holds it,
+// and executes the units sc.units[i], i in idxs, in order. Once the store is
+// closed every unit answers the shut-down error instead of writing through
+// the released handle.
+func (sh *shard) run(sc *scratch, idxs []int) {
+	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	select {
-	case <-sh.quit:
-		for _, i := range b.idxs {
-			b.units[i].out = errShutDown
+	if sh.closed {
+		for _, i := range idxs {
+			sc.units[i].out = errShutDown
 		}
 		return
-	default:
 	}
-	for _, i := range b.idxs {
-		b.units[i].out = sh.execSafe(&b.units[i], b)
+	for _, i := range idxs {
+		sc.units[i].out = sh.execSafe(&sc.units[i], sc)
 	}
-	sh.ops.Add(uint64(len(b.idxs)))
+	sh.ops.Add(uint64(len(idxs)))
 }
 
 func (sh *shard) get(key string) *object {
@@ -213,7 +171,7 @@ var errShutDown = wire.Err("ERR store is shut down")
 // bad command cannot take the whole keyspace slice down. Keys the
 // panicking execution already mutated may be partially updated, the same
 // contract redis gives a script that dies mid-write.
-func (sh *shard) execSafe(u *unit, b *batch) (rep wire.Reply) {
+func (sh *shard) execSafe(u *unit, sc *scratch) (rep wire.Reply) {
 	defer func() {
 		if p := recover(); p != nil {
 			pe := &wire.ProtocolError{
@@ -223,13 +181,13 @@ func (sh *shard) execSafe(u *unit, b *batch) (rep wire.Reply) {
 			rep = wire.Errf("ERR Protocol error: %s", pe.Detail)
 		}
 	}()
-	return sh.exec(sh.h, u, b)
+	return sh.exec(sh.h, u, sc)
 }
 
 // exec runs one unit against the shard state. Only key creation (create),
 // emptying (Remove) and SET call the map's writers; a write to a present key
-// updates its object in place. Array replies are built in b's arena.
-func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
+// updates its object in place. Array replies are built in sc's arena.
+func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 	switch u.op {
 	case opGet:
 		o := sh.get(u.key)
@@ -272,8 +230,12 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 		if o.kind != objString {
 			return wrongType
 		}
+		// Only the canonical spelling counts, as in redis' string2ll: the
+		// value must format back to exactly its bytes, so "+5", "007" and
+		// "-0" are not integers. The digits are formatted on the stack.
 		n, err := strconv.ParseInt(string(o.str), 10, 64)
-		if err != nil || n == int64(1<<63-1) {
+		var digits [20]byte
+		if err != nil || n == int64(1<<63-1) || !bytes.Equal(strconv.AppendInt(digits[:0], n, 10), o.str) {
 			return errNotInt
 		}
 		n++
@@ -333,11 +295,11 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 		}
 		// Sorted for determinism; redis leaves set order unspecified.
 		sort.Strings(members)
-		from := len(b.arena)
+		from := len(sc.arena)
 		for _, m := range members {
-			b.arena = append(b.arena, wire.BulkString(m))
+			sc.arena = append(sc.arena, wire.BulkString(m))
 		}
-		return b.array(from)
+		return sc.array(from)
 
 	case opLPush:
 		o := sh.get(u.key)
@@ -365,11 +327,11 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 		if !ok {
 			return errNotInt
 		}
-		from := len(b.arena)
+		from := len(sc.arena)
 		for i := start; i <= stop; i++ {
-			b.arena = append(b.arena, wire.Bulk(o.list.at(i)))
+			sc.arena = append(sc.arena, wire.Bulk(o.list.at(i)))
 		}
-		return b.array(from)
+		return sc.array(from)
 
 	case opLTrim:
 		o := sh.get(u.key)
@@ -429,11 +391,11 @@ func (sh *shard) exec(h *dego.Handle, u *unit, b *batch) wire.Reply {
 			return errMinMax
 		}
 		from, to := o.zs.boundIndexes(lo, hi)
-		first := len(b.arena)
+		first := len(sc.arena)
 		for _, e := range o.zs.sorted[from:to] {
-			b.arena = append(b.arena, wire.BulkString(e.member))
+			sc.arena = append(sc.arena, wire.BulkString(e.member))
 		}
-		return b.array(first)
+		return sc.array(first)
 
 	case opZRemRangeByScore:
 		o := sh.get(u.key)
@@ -520,30 +482,22 @@ func normIndex(i int64, n int) int {
 	return int(i)
 }
 
-// scoreBound is one end of a ZRANGEBYSCORE interval.
+// scoreBound is one end of a ZRANGEBYSCORE interval. val may be infinite:
+// ParseFloat reads "inf", "+Inf", "-infinity" and the like, as redis' strtod
+// does, and the searches treat an infinite bound like any other value.
 type scoreBound struct {
 	val       float64
 	exclusive bool
-	inf       int // -1: -inf, +1: +inf, 0: finite
 }
 
 func parseScoreBound(b []byte) (scoreBound, bool) {
-	s := string(b)
 	var sb scoreBound
-	if len(s) > 0 && s[0] == '(' {
+	if len(b) > 0 && b[0] == '(' {
 		sb.exclusive = true
-		s = s[1:]
+		b = b[1:]
 	}
-	switch s {
-	case "-inf", "-INF", "-Inf":
-		sb.inf = -1
-		return sb, true
-	case "+inf", "inf", "+INF", "INF", "+Inf", "Inf":
-		sb.inf = +1
-		return sb, true
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil || math.IsNaN(v) {
 		return sb, false
 	}
 	sb.val = v
@@ -561,32 +515,18 @@ func parseScoreBounds(args [][]byte) (lo, hi scoreBound, ok bool) {
 // boundIndexes returns the half-open [from, to) window of sorted entries
 // inside the score interval.
 func (z *zset) boundIndexes(lo, hi scoreBound) (from, to int) {
-	switch {
-	case lo.inf < 0:
-		from = 0
-	case lo.inf > 0:
-		from = len(z.sorted)
-	default:
-		from = sort.Search(len(z.sorted), func(i int) bool {
-			if lo.exclusive {
-				return z.sorted[i].score > lo.val
-			}
-			return z.sorted[i].score >= lo.val
-		})
-	}
-	switch {
-	case hi.inf > 0:
-		to = len(z.sorted)
-	case hi.inf < 0:
-		to = 0
-	default:
-		to = sort.Search(len(z.sorted), func(i int) bool {
-			if hi.exclusive {
-				return z.sorted[i].score >= hi.val
-			}
-			return z.sorted[i].score > hi.val
-		})
-	}
+	from = sort.Search(len(z.sorted), func(i int) bool {
+		if lo.exclusive {
+			return z.sorted[i].score > lo.val
+		}
+		return z.sorted[i].score >= lo.val
+	})
+	to = sort.Search(len(z.sorted), func(i int) bool {
+		if hi.exclusive {
+			return z.sorted[i].score >= hi.val
+		}
+		return z.sorted[i].score > hi.val
+	})
 	if to < from {
 		to = from
 	}

@@ -10,9 +10,10 @@
 // write to a key is executed by whoever holds the owning shard's lock,
 // presenting the shard's one registered handle. Connections parse
 // pipelines, plan each command into per-key units and group them per
-// shard; for each touched shard the connection goroutine takes the lock and
-// runs the units itself if the lock is free, or hands them to the shard's
-// event loop through its mailbox if not. Replies are assembled in order.
+// shard; for each touched shard, in shard order, the connection goroutine
+// takes the lock, waiting for it if it is held, and runs the units itself.
+// Replies are assembled in order. Nothing runs per shard: a server's
+// goroutines are its accept loop and one per connection.
 //
 // This is the serving-layer mirror of the engine's range-confinement
 // invariant, and it is what certifies the store's representation choice:
@@ -65,7 +66,8 @@ func (e *UnknownStoreKindError) Error() string {
 
 // StoreConfig sizes a Store.
 type StoreConfig struct {
-	// Shards is the number of keyspace slices and event loops; 0 means 1.
+	// Shards is the number of keyspace slices, each behind its own lock;
+	// 0 means 1.
 	Shards int
 	// Kind names the planned representation per shard: "" or StoreAdaptive.
 	Kind string
@@ -104,9 +106,6 @@ type Store struct {
 	reg    *dego.Registry
 	shards []*shard
 
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-
 	// pool lends ExecBatch its scratch; connection handlers own theirs.
 	pool sync.Pool
 
@@ -122,7 +121,7 @@ type Store struct {
 	statsFn atomic.Pointer[func() Stats]
 }
 
-// NewStore builds the shards and starts their event loops.
+// NewStore builds the shards. It starts no goroutine.
 func NewStore(cfg StoreConfig) (*Store, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -136,19 +135,9 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	for i := range s.shards {
 		sh, err := newShard(i, s)
 		if err != nil {
-			// Unwind the shards already running.
-			for _, prev := range s.shards[:i] {
-				close(prev.quit)
-			}
-			s.wg.Wait()
 			return nil, err
 		}
 		s.shards[i] = sh
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			sh.loop()
-		}()
 	}
 	return s, nil
 }
@@ -248,15 +237,18 @@ func (s *Store) notePanic(pe *wire.ProtocolError) {
 	s.lastPanic.Store(pe)
 }
 
-// Close stops the shard event loops. In-flight batches complete; batches
-// submitted after Close receive error replies.
+// Close shuts every shard down: it waits for the shard's lock, so a batch
+// running there completes, then releases the shard's handle. Every unit
+// that takes the lock afterwards answers the shut-down error. Idempotent.
 func (s *Store) Close() {
-	s.closeOnce.Do(func() {
-		for _, sh := range s.shards {
-			close(sh.quit)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		if !sh.closed {
+			sh.closed = true
+			sh.h.Release()
 		}
-	})
-	s.wg.Wait()
+		sh.mu.Unlock()
+	}
 }
 
 // Exec plans and executes one command, for in-process clients. The reply is
@@ -267,14 +259,14 @@ func (s *Store) Exec(args [][]byte) wire.Reply {
 }
 
 // ExecBatch executes one pipeline batch: every command is planned, the
-// per-key units are grouped per owning shard and each group runs once under
-// that shard's lock — on the calling goroutine, or on the shard's loop when
-// the lock is taken — and the replies come back in command order. Commands
-// for different shards may execute concurrently; commands touching the same
-// shard execute in batch order (see docs/PROTOCOL.md, "Pipelining"). The
-// replies are the caller's to keep: the working memory is borrowed from a
-// pool and array elements are copied out of it before it goes back. The
-// store keeps no reference to cmds.
+// per-key units are grouped per owning shard and each group runs once, on
+// the calling goroutine, under that shard's lock, and the replies come back
+// in command order. Batches from different callers may execute concurrently
+// on different shards; commands touching the same shard execute in batch
+// order (see docs/PROTOCOL.md, "Pipelining"). The replies are the caller's
+// to keep: the working memory is borrowed from a pool and array elements are
+// copied out of it before it goes back. The store keeps no reference to
+// cmds.
 func (s *Store) ExecBatch(cmds [][][]byte) []wire.Reply {
 	sc := s.pool.Get().(*scratch)
 	s.run(sc, cmds)
@@ -292,17 +284,24 @@ func (s *Store) ExecBatch(cmds [][][]byte) []wire.Reply {
 }
 
 // scratch is the working memory of one pipeline batch: the command plans,
-// the units they expand to, and per shard the unit indexes and reply-element
-// arena the shard's lock holder works on. A connection handler owns one for
-// its lifetime and ExecBatch borrows one per call, so steady-state batches
-// plan and dispatch without allocating. Plan replies and unit replies may point
-// into the arenas and into the commands' argument buffers; all of it is
-// valid from run until release.
+// the units they expand to, per shard the indexes of its units, and the
+// arena array replies' elements are cut from. A connection handler owns one
+// for its lifetime and ExecBatch borrows one per call, so steady-state
+// batches plan and dispatch without allocating. Plan replies and unit replies
+// may point into the arena and into the commands' argument buffers; all of
+// it is valid from run until release.
 type scratch struct {
 	plans  []cmdPlan
 	units  []unit
-	shards []batch // indexed by shard id
-	wg     sync.WaitGroup
+	shards [][]int // indexed by shard id: unit indexes, in command order
+	arena  []wire.Reply
+}
+
+// array returns the array reply whose elements the caller appended to the
+// arena from index from on. Capping the slice keeps a consumer's append off
+// its neighbours.
+func (sc *scratch) array(from int) wire.Reply {
+	return wire.Reply{Kind: wire.KindArray, Elems: sc.arena[from:len(sc.arena):len(sc.arena)]}
 }
 
 // release ends a batch: every reference the scratch holds into caller or
@@ -313,9 +312,9 @@ type scratch struct {
 func (sc *scratch) release() {
 	sc.plans = recycle(sc.plans)
 	sc.units = recycle(sc.units)
+	sc.arena = recycle(sc.arena)
 	for i := range sc.shards {
-		b := &sc.shards[i]
-		b.units, b.idxs, b.arena = nil, recycle(b.idxs), recycle(b.arena)
+		sc.shards[i] = recycle(sc.shards[i])
 	}
 }
 
@@ -349,42 +348,20 @@ func (s *Store) run(sc *scratch, cmds [][][]byte) {
 }
 
 // dispatch groups sc's units by owning shard, preserving order within each
-// shard, and hands each touched shard its batch once, in shard order: run
-// right here when the shard's lock is free, else sent to the shard's
-// mailbox, whose loop runs it under the lock. It then waits for every batch.
-// The caller holds at most one shard lock at a time, so dispatchers cannot
-// deadlock one another.
+// shard, then runs each touched shard's units under its lock, in shard order,
+// waiting for the lock when another caller holds it. The caller holds at most
+// one shard lock at a time, so dispatchers cannot deadlock one another.
 func (s *Store) dispatch(sc *scratch) {
 	if len(sc.shards) != len(s.shards) {
-		sc.shards = make([]batch, len(s.shards))
+		sc.shards = make([][]int, len(s.shards))
 	}
-	touched := 0
 	for i := range sc.units {
-		b := &sc.shards[sc.units[i].shard]
-		if len(b.idxs) == 0 {
-			touched++
-		}
-		b.idxs = append(b.idxs, i)
+		id := sc.units[i].shard
+		sc.shards[id] = append(sc.shards[id], i)
 	}
-	sc.wg.Add(touched)
-	for shID := range sc.shards {
-		b := &sc.shards[shID]
-		if len(b.idxs) == 0 {
-			continue
-		}
-		b.units, b.wg = sc.units, &sc.wg
-		sh := s.shards[shID]
-		if sh.mu.TryLock() {
-			sh.runLocked(b)
-			continue
-		}
-		select {
-		case sh.mail <- b:
-		case <-sh.quit:
-			// No loop to hand it to: runLocked answers the shut-down error.
-			sh.mu.Lock()
-			sh.runLocked(b)
+	for id, idxs := range sc.shards {
+		if len(idxs) > 0 {
+			s.shards[id].run(sc, idxs)
 		}
 	}
-	sc.wg.Wait()
 }
