@@ -119,6 +119,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Ordered -benchtime 1x ./internal/skiplist
 	$(GO) test -run '^$$' -bench Fig -benchtime 1x .
 	$(GO) test -run '^$$' -bench StoreRun -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench CommandBatch -benchtime 1x ./internal/wire
 
 # Regenerate the checked-in flat baseline (run on a quiet machine, then
 # commit BENCH_flat.json).

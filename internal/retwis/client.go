@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"github.com/adjusted-objects/dego/internal/server"
 	"github.com/adjusted-objects/dego/internal/stats"
@@ -143,19 +142,9 @@ type WireKV struct {
 	conn net.Conn
 	r    *wire.Reader
 	w    *wire.Writer
-	// reps and elems are the storage every ExecPipe decodes into: one
-	// Reply per command, and one arena the array replies' elements are
-	// decoded into in order — which command of a pipeline answers with an
-	// array changes from flush to flush, so element storage tied to a
-	// position would end up at every position. Each is trimmed to
-	// wire.RetainTotal bytes of carried-over capacity between calls.
-	reps, elems []wire.Reply
-	// dirty is how many arena slots the last flush may have decoded into.
-	// elemExtra[i] is what arena slot i retained beyond its own header after
-	// the trim that last walked it, and extra is their sum.
-	dirty     int
-	elemExtra []int32
-	extra     int
+	// replies is the storage every ExecPipe decodes into, kept across
+	// reconnects and trimmed to the retention bound between calls.
+	replies wire.ReplyBatch
 
 	retries    atomic.Uint64
 	reconnects atomic.Uint64
@@ -226,7 +215,7 @@ func (c *WireKV) backoffFor(attempt int) time.Duration {
 }
 
 // attempt runs one wire round trip: write burst, one flush, read
-// len(cmds) replies into c.reps, all bounded by IOTimeout.
+// len(cmds) replies into c.replies, all bounded by IOTimeout.
 func (c *WireKV) attempt(cmds [][][]byte) ([]wire.Reply, error) {
 	if c.cfg.IOTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.cfg.IOTimeout))
@@ -239,85 +228,7 @@ func (c *WireKV) attempt(cmds [][][]byte) ([]wire.Reply, error) {
 	if err := c.w.Flush(); err != nil {
 		return nil, err
 	}
-	return c.readReplies(len(cmds))
-}
-
-// replyBytes is what wire.TrimReplies counts for a Reply's own header.
-const replyBytes = int(unsafe.Sizeof(wire.Reply{}))
-
-// arenaMax is the element count past which the arena would be trimmed back
-// before its first use.
-const arenaMax = wire.RetainTotal / replyBytes
-
-// readReplies decodes n replies into c.reps, array elements into c.elems.
-func (c *WireKV) readReplies(n int) ([]wire.Reply, error) {
-	for i := range c.reps {
-		c.reps[i].Elems = nil // a window into the arena, not storage of its own
-	}
-	c.reps, _ = wire.TrimReplies(c.reps)
-	c.trimArena()
-	if cap(c.reps) < n {
-		c.reps = append(c.reps[:cap(c.reps)], make([]wire.Reply, n-cap(c.reps))...)
-	}
-	c.reps = c.reps[:n]
-
-	free := c.elems        // empty, its capacity the arena's unused tail
-	c.dirty = cap(c.elems) // until the decode completes, any slot may be written
-	arrayed := 0
-	for i := range c.reps {
-		rep := &c.reps[i]
-		rep.Elems = free
-		if err := c.r.ReadReplyInto(rep); err != nil {
-			return nil, err
-		}
-		m := len(rep.Elems)
-		arrayed += m
-		if m <= cap(free) {
-			free = free[m:m] // decoded in place
-		} else {
-			// Outgrew the tail and moved to an array of its own, leaving
-			// copies of its first elements behind: lend those to no one.
-			free = nil
-		}
-	}
-	c.dirty = cap(c.elems) - cap(free)
-	if arrayed > cap(c.elems) && cap(c.elems) < arenaMax {
-		// Size the arena for this flush's arrays; the replies just decoded
-		// keep the old one alive for as long as they are valid.
-		c.elems = make([]wire.Reply, 0, min(arrayed, arenaMax))
-		c.elemExtra, c.extra, c.dirty = make([]int32, cap(c.elems)), 0, 0
-	}
-	return c.reps, nil
-}
-
-// trimArena leaves the arena exactly as wire.TrimReplies(c.elems) would, but
-// walks only the slots the last flush decoded into, so a one-LRANGE flush
-// costs 50 slots, not the whole arena. The untouched tail is already within
-// the bound: only a decode grows a slot, the last trim that walked each tail
-// slot dropped its oversized buffers, and nothing has written it since — so
-// elemExtra still says what it retains, and the arena's total is exact.
-func (c *WireKV) trimArena() {
-	c.walkArena(c.dirty)
-	c.dirty = 0
-	if cap(c.elems)*replyBytes+c.extra > wire.RetainTotal {
-		// Over the bound: cut where TrimReplies cuts, and count what it kept.
-		c.elems, _ = wire.TrimReplies(c.elems)
-		clear(c.elemExtra)
-		c.extra = 0
-		c.walkArena(cap(c.elems))
-	}
-}
-
-// walkArena trims arena slots [0, n) and brings their counts up to date.
-func (c *WireKV) walkArena(n int) {
-	for i := range n {
-		kept, b := wire.TrimReplies(c.elems[i : i+1 : i+1])
-		if cap(kept) == 0 {
-			b = replyBytes + wire.RetainTotal // over the bound on its own
-		}
-		c.extra += b - replyBytes - int(c.elemExtra[i])
-		c.elemExtra[i] = int32(b - replyBytes)
-	}
+	return c.replies.Read(c.r, len(cmds))
 }
 
 // ExecPipe implements KV with self-healing: transport failures on an

@@ -1,9 +1,6 @@
 package retwis
 
 import (
-	"bytes"
-	"math/rand"
-	"strconv"
 	"testing"
 
 	"github.com/adjusted-objects/dego/internal/loadgen"
@@ -220,84 +217,10 @@ func TestWireKVRepliesReusedAndBounded(t *testing.T) {
 	if len(reps[0].Bulk) != 1<<20 || len(reps[1].Elems) != 3000 {
 		t.Fatalf("big pipeline answered %d bytes, %d elements", len(reps[0].Bulk), len(reps[1].Elems))
 	}
-	exec(b("GET", "k"))
-	for i := range kv.reps[:cap(kv.reps)] {
-		kv.reps[:cap(kv.reps)][i].Elems = nil // windows into the arena, counted there
-	}
-	_, top := wire.TrimReplies(kv.reps)
-	_, arena := wire.TrimReplies(kv.elems)
-	if top > wire.RetainTotal || arena > wire.RetainTotal || cap(kv.reps[:1][0].Bulk) > wire.RetainBuf {
+	slot0 := exec(b("GET", "k"))[0] // decoded after the big pipeline was trimmed
+	top, arena := kv.replies.Retained()
+	if top > wire.RetainTotal || arena > wire.RetainTotal || cap(slot0.Bulk) > wire.RetainBuf {
 		t.Fatalf("after the big pipeline the client still holds %d reply bytes, %d arena bytes (bound %d each), a %d-byte buffer in slot 0",
-			top, arena, wire.RetainTotal, cap(kv.reps[:1][0].Bulk))
-	}
-}
-
-// TestWireKVArenaTrimIsExact: the arena trim walks only the slots the last
-// flush decoded into, yet after every flush it must leave the arena within
-// wire.RetainTotal and its running count equal to what a whole-arena
-// wire.TrimReplies walk finds. Pipelines of random LRANGEs over lists of
-// small, mid-sized and over-RetainBuf elements grow, shrink, cut and
-// replace the arena.
-func TestWireKVArenaTrimIsExact(t *testing.T) {
-	srv, err := server.New(server.Config{Store: server.StoreConfig{Shards: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	defer srv.Close()
-	kv, err := DialKV(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kv.Close()
-
-	lists := []struct {
-		key       string
-		n, length int
-	}{{"small", 1500, 20}, {"mid", 300, 300}, {"big", 12, 2 * wire.RetainBuf}}
-	for _, l := range lists {
-		var pushes [][][]byte
-		for i := 0; i < l.n; i++ {
-			if i%500 == 0 {
-				pushes = append(pushes, [][]byte{[]byte("LPUSH"), []byte(l.key)})
-			}
-			last := &pushes[len(pushes)-1]
-			*last = append(*last, bytes.Repeat([]byte{'a' + byte(i%26)}, l.length))
-		}
-		if _, err := kv.ExecPipe(pushes); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(1))
-	for flush := 0; flush < 300; flush++ {
-		var cmds [][][]byte
-		for c := rng.Intn(6); c >= 0; c-- {
-			l := lists[rng.Intn(len(lists))]
-			n := rng.Intn(l.n + 1)
-			if rng.Intn(4) > 0 {
-				n = rng.Intn(min(l.n, 60) + 1)
-			}
-			cmds = append(cmds, [][]byte{[]byte("LRANGE"), []byte(l.key), []byte("0"), []byte(strconv.Itoa(n - 1))})
-		}
-		reps, err := kv.ExecPipe(cmds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, rep := range reps {
-			if rep.Kind != wire.KindArray {
-				t.Fatalf("flush %d: %q answered %v", flush, cmds[i], rep)
-			}
-		}
-		kv.trimArena() // what the next flush starts with
-		counted := cap(kv.elems)*replyBytes + kv.extra
-		kept, walked := wire.TrimReplies(kv.elems)
-		if cap(kept) != cap(kv.elems) || walked != counted || walked > wire.RetainTotal {
-			t.Fatalf("flush %d: arena of %d slots counted %d bytes; a whole walk keeps %d slots, %d bytes (bound %d)",
-				flush, cap(kv.elems), counted, cap(kept), walked, wire.RetainTotal)
-		}
+			top, arena, wire.RetainTotal, cap(slot0.Bulk))
 	}
 }

@@ -30,12 +30,14 @@ import (
 func TestAllocCeilings(t *testing.T) {
 	cmdStream := func() func() {
 		r := wire.NewReader(&loopReader{data: []byte("*4\r\n$4\r\nZADD\r\n$9\r\nposts:123\r\n$2\r\n17\r\n$6\r\n123:17\r\n*2\r\n$3\r\nGET\r\n$11\r\nprofile:123\r\n")})
-		var dst [][]byte
+		var batch wire.CommandBatch
 		return func() {
-			var err error
-			if dst, err = r.ReadCommandInto(dst); err != nil {
-				t.Fatal(err)
+			for range 2 {
+				if err := batch.Read(r); err != nil {
+					t.Fatal(err)
+				}
 			}
+			batch.Reset()
 		}
 	}
 	elems := make([]wire.Reply, 50)
@@ -50,9 +52,9 @@ func TestAllocCeilings(t *testing.T) {
 		w.WriteReply(wire.Int64(7))
 		w.Flush()
 		r := wire.NewReader(&loopReader{data: frame.Bytes()})
-		var dst wire.Reply
+		var batch wire.ReplyBatch
 		return func() {
-			if err := r.ReadReplyInto(&dst); err != nil {
+			if _, err := batch.Read(r, 2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -84,8 +86,8 @@ func TestAllocCeilings(t *testing.T) {
 		ceiling float64
 		setup   func() func()
 	}{
-		{"wire.ReadCommandInto, recycled destination", 0, cmdStream},
-		{"wire.ReadReplyInto, 50-element array then an integer", 0, replyStream},
+		{"wire.CommandBatch, ZADD + GET batch on recycled storage", 0, cmdStream},
+		{"wire.ReplyBatch, 50-element array then an integer", 0, replyStream},
 		{"wire.Writer.WriteReply, 50-element array", 0, replyEncode},
 		{"wire.Writer.WriteCommand, 4-argument ZADD", 0, cmdEncode},
 		{"store.run, 38-command table-2 batch", 75, table2Batch},

@@ -7,26 +7,6 @@ import (
 	"time"
 )
 
-// SlowReaderPolicy picks what happens when reply bytes cannot reach a
-// client that has stopped draining its socket. Either way the connection
-// eventually closes — RESP has no way to skip output — the policy chooses
-// how much patience the server spends first.
-type SlowReaderPolicy uint8
-
-const (
-	// SlowReaderBlock waits up to Config.WriteTimeout for each write to
-	// drain, then disconnects. The default.
-	SlowReaderBlock SlowReaderPolicy = iota
-	// SlowReaderDisconnect drops the connection as soon as a write blocks
-	// longer than a short fixed grace, regardless of WriteTimeout —
-	// protects shared output capacity at the cost of eagerly shedding
-	// slow clients.
-	SlowReaderDisconnect
-)
-
-// slowReaderGrace is the write patience under SlowReaderDisconnect.
-const slowReaderGrace = 5 * time.Millisecond
-
 // errDrainInterrupt marks a read interrupted by graceful shutdown: the
 // handler closes cleanly, it is not a peer failure.
 var errDrainInterrupt = errors.New("server: read interrupted by shutdown")
@@ -41,7 +21,7 @@ var aLongTimeAgo = time.Unix(1, 0)
 //     bounded by IdleTimeout;
 //   - once a command has started arriving, each read is bounded by
 //     ReadTimeout, so a torn frame cannot hold the connection open;
-//   - each write toward the client is bounded per SlowReaderPolicy;
+//   - each write toward the client is bounded by WriteTimeout;
 //   - Shutdown interrupts a blocked idle read via interrupt, which the
 //     handler distinguishes from real timeouts.
 //
@@ -52,7 +32,7 @@ type lifecycleConn struct {
 	net.Conn
 	idle  time.Duration // idle wait between batches; 0 = unbounded
 	read  time.Duration // per-read bound mid-command; 0 = unbounded
-	write time.Duration // per-write bound (already policy-resolved); 0 = unbounded
+	write time.Duration // per-write bound; 0 = unbounded
 
 	mu        sync.Mutex
 	idlePhase bool
@@ -61,15 +41,11 @@ type lifecycleConn struct {
 }
 
 func newLifecycleConn(c net.Conn, cfg Config) *lifecycleConn {
-	write := cfg.WriteTimeout
-	if cfg.SlowReader == SlowReaderDisconnect && (write == 0 || write > slowReaderGrace) {
-		write = slowReaderGrace
-	}
 	return &lifecycleConn{
 		Conn:  c,
 		idle:  cfg.IdleTimeout,
 		read:  cfg.ReadTimeout,
-		write: write,
+		write: cfg.WriteTimeout,
 	}
 }
 

@@ -308,136 +308,3 @@ func TestTimelineSettlesInOneArray(t *testing.T) {
 		t.Fatal("a settled timeline moved to a new backing array")
 	}
 }
-
-// TestConnectionRetentionIsBounded: a 1 MiB SET followed by small commands.
-// The connection's recycled command storage must not keep the megabyte, nor
-// more than wire.RetainTotal altogether, however many slots a deep pipeline
-// opened.
-func TestConnectionRetentionIsBounded(t *testing.T) {
-	var frames bytes.Buffer
-	w := wire.NewWriter(&frames)
-	w.WriteCommand([]byte("SET"), []byte("big"), bytes.Repeat([]byte("x"), 1<<20))
-	const small = 4000
-	for i := 0; i < small; i++ {
-		w.WriteCommand([]byte("SET"), []byte("key:"+strconv.Itoa(i)), []byte("value"))
-	}
-	w.Flush()
-	r := wire.NewReader(&frames)
-
-	var slots cmdSlots
-	for i := 0; i < 1+small/2; i++ { // one deep batch, the megabyte in slot 0
-		if err := slots.read(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := string(slots.cmds[0][1]); got != "big" || len(slots.cmds[0][2]) != 1<<20 {
-		t.Fatalf("slot 0 = %q with a %d-byte value", got, len(slots.cmds[0][2]))
-	}
-	slots.reset()
-	if slots.retained > wire.RetainTotal || slots.retained != slotBytes(slots.cmds) {
-		t.Fatalf("after the deep batch: %d bytes reported, %d found, bound %d",
-			slots.retained, slotBytes(slots.cmds), wire.RetainTotal)
-	}
-	if cap(slots.cmds) >= small/2 || cap(slots.cmds) == 0 {
-		t.Fatalf("%d of %d slots kept: want some, not all", cap(slots.cmds), 1+small/2)
-	}
-	for i := 0; i < small/2; i += 2 { // then two-command batches, like any small client
-		for j := 0; j < 2; j++ {
-			if err := slots.read(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		slots.reset()
-		if slots.retained > wire.RetainTotal {
-			t.Fatalf("batch %d: %d bytes retained, bound %d", i/2, slots.retained, wire.RetainTotal)
-		}
-	}
-	if got := slotBytes(slots.cmds); got != slots.retained {
-		t.Fatalf("%d bytes reported, %d found", slots.retained, got)
-	}
-}
-
-// TestCommandSlotTrimIsExact: cmdSlots.reset walks only the slots the batch
-// decoded into, yet after every batch it must leave the slots as a
-// whole-slice wire.TrimCommands leaves a twin fed the same commands — same
-// capacity, same byte count — and a further whole walk must find that count
-// again. Random batches of shallow and deep pipelines, few and many
-// arguments, small, mid-sized and over-RetainBuf arguments grow the slots,
-// cut them at the bound and carry oversized buffers into later batches.
-func TestCommandSlotTrimIsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var frames bytes.Buffer
-	w := wire.NewWriter(&frames)
-	var depths []int
-	for batch := 0; batch < 400; batch++ {
-		depth := 1 + rng.Intn(4)
-		if rng.Intn(8) == 0 {
-			depth = 1 + rng.Intn(300)
-		}
-		depths = append(depths, depth)
-		for c := 0; c < depth; c++ {
-			args := make([][]byte, 1+rng.Intn(5))
-			if rng.Intn(20) == 0 {
-				args = make([][]byte, 1+rng.Intn(200))
-			}
-			for i := range args {
-				size := rng.Intn(40)
-				switch rng.Intn(50) {
-				case 0:
-					size = wire.RetainBuf + 1 + rng.Intn(wire.RetainBuf)
-				case 1, 2, 3:
-					size = 500 + rng.Intn(3000)
-				}
-				args[i] = bytes.Repeat([]byte{'a' + byte(c%26)}, size)
-			}
-			w.WriteCommand(args...)
-		}
-	}
-	w.Flush()
-	r, twinR := wire.NewReader(bytes.NewReader(frames.Bytes())), wire.NewReader(bytes.NewReader(frames.Bytes()))
-
-	var slots cmdSlots
-	var twin [][][]byte // decoded like cmdSlots.read, trimmed whole
-	for batch, depth := range depths {
-		for c := 0; c < depth; c++ {
-			if err := slots.read(r); err != nil {
-				t.Fatal(err)
-			}
-			var dst [][]byte
-			if n := len(twin); n < cap(twin) {
-				dst = twin[:n+1][n]
-			}
-			cmd, err := twinR.ReadCommandInto(dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			twin = append(twin, cmd)
-		}
-		slots.reset()
-		var want int
-		twin, want = wire.TrimCommands(twin)
-		kept, walked := wire.TrimCommands(slots.cmds)
-		if cap(slots.cmds) != cap(twin) || slots.retained != want || cap(kept) != cap(slots.cmds) || walked != want {
-			t.Fatalf("batch %d (%d deep): %d slots, %d bytes counted; the whole-trimmed twin keeps %d slots, %d bytes; a whole walk keeps %d slots, %d bytes",
-				batch, depth, cap(slots.cmds), slots.retained, cap(twin), want, cap(kept), walked)
-		}
-	}
-}
-
-// slotBytes counts the storage cmds carries, to capacity, as
-// wire.TrimCommands does, and fails the bound on any single oversized buffer.
-func slotBytes(cmds [][][]byte) int {
-	const sliceHeader = 24
-	n := 0
-	for _, c := range cmds[:cap(cmds)] {
-		c = c[:cap(c)]
-		n += sliceHeader * (1 + len(c))
-		for _, arg := range c {
-			if cap(arg) > wire.RetainBuf {
-				return 1 << 40
-			}
-			n += cap(arg)
-		}
-	}
-	return n
-}

@@ -235,9 +235,9 @@ func TestServerCloseIdempotent(t *testing.T) {
 // replies are in flight is dropped instead of pinning server memory.
 func TestServerSlowReaderDisconnect(t *testing.T) {
 	srv := startTestServer(t, Config{
-		Store:      StoreConfig{Shards: 1, Capacity: 64},
-		SlowReader: SlowReaderDisconnect,
-		OutBuf:     4 << 10,
+		Store:        StoreConfig{Shards: 1, Capacity: 64},
+		WriteTimeout: 5 * time.Millisecond,
+		OutBuf:       4 << 10,
 	})
 	r, w, _ := dialTestServer(t, srv)
 

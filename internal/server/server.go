@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"github.com/adjusted-objects/dego/internal/wire"
 )
@@ -51,13 +50,10 @@ type Config struct {
 	// a torn frame cannot hold the connection (and its memory) hostage;
 	// 0 means unbounded.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each write of reply bytes toward the client;
-	// 0 means unbounded. How patiently it is applied is SlowReader's call.
+	// WriteTimeout bounds each write of reply bytes toward the client: a
+	// client that stops reading is disconnected once a write has blocked
+	// this long (counted in Stats.SlowReaderDrops). 0 means unbounded.
 	WriteTimeout time.Duration
-	// SlowReader picks the policy when reply writes block on a client that
-	// stopped reading: block up to WriteTimeout (default) or disconnect
-	// after a short grace.
-	SlowReader SlowReaderPolicy
 	// OutBuf caps the reply bytes buffered per connection before they are
 	// forced onto the wire (the write buffer size); 0 means 64 KiB.
 	// Together with WriteTimeout it bounds what a slow reader can pin.
@@ -290,76 +286,6 @@ func (s *Server) forget(c *lifecycleConn) {
 	s.active.Add(-1)
 }
 
-// cmdSlots is a connection's recycled command storage: command i of a batch
-// is decoded into the header and argument buffers command i of the previous
-// batch used, so a client that keeps sending the same shapes costs the
-// decoder no allocation. The arguments belong to the handler until the
-// batch's replies are written; whoever keeps one longer (the shard, for SET
-// and LPUSH operands) clones it.
-type cmdSlots struct {
-	cmds     [][][]byte // this batch; cmds[len:cap] is storage earlier batches left
-	retained int        // bytes of storage carried into this batch, at most wire.RetainTotal
-	// extra[i] is what slot i retained beyond its own header after the
-	// reset that last walked it; len(extra) is cap(cmds) then.
-	extra []int
-}
-
-// slotHeader is what wire.TrimCommands counts for a slot's own header.
-const slotHeader = int(unsafe.Sizeof([][]byte(nil)))
-
-// read decodes the next command of the batch.
-func (s *cmdSlots) read(r *wire.Reader) error {
-	var dst [][]byte
-	if n := len(s.cmds); n < cap(s.cmds) {
-		dst = s.cmds[:n+1][n]
-	}
-	cmd, err := r.ReadCommandInto(dst)
-	if err == nil {
-		s.cmds = append(s.cmds, cmd)
-	}
-	return err
-}
-
-// reset ends the batch and trims what is carried over to the retention
-// bound, so one oversized frame is not pinned for the life of the connection.
-// It leaves the slots exactly as wire.TrimCommands(s.cmds) would, but walks
-// only the slots this batch decoded into, so a one-command batch costs one
-// slot, not every slot a deep pipeline once opened. The rest are already
-// within the bound: only a decode writes a slot, and the reset that last
-// walked each one dropped its oversized buffers and counted what it kept.
-// (A failed decode may have written the slot after the batch's last, but
-// a failed decode also ends the connection.)
-func (s *cmdSlots) reset() {
-	all := s.cmds[:cap(s.cmds)]
-	if grown := len(all) - len(s.extra); grown > 0 {
-		// Slots the array gained since the last reset: a header each.
-		s.retained += grown * slotHeader
-		s.extra = append(s.extra, make([]int, grown)...)
-	}
-	s.walk(len(s.cmds))
-	if s.retained > wire.RetainTotal {
-		// Over the bound: cut where TrimCommands cuts, and count what it kept.
-		s.cmds, _ = wire.TrimCommands(s.cmds)
-		s.retained, s.extra = cap(s.cmds)*slotHeader, make([]int, cap(s.cmds))
-		s.walk(cap(s.cmds))
-		return
-	}
-	s.cmds = all[:0]
-}
-
-// walk trims slots [0, n) and brings their counts up to date.
-func (s *cmdSlots) walk(n int) {
-	all := s.cmds[:cap(s.cmds)]
-	for i := range n {
-		kept, b := wire.TrimCommands(all[i : i+1 : i+1])
-		if cap(kept) == 0 {
-			b = slotHeader + wire.RetainTotal // over the bound on its own
-		}
-		s.retained += b - slotHeader - s.extra[i]
-		s.extra[i] = b - slotHeader
-	}
-}
-
 // handle runs one connection: read the first command blocking (bounded by
 // IdleTimeout), drain whatever complete pipeline follow-up is already
 // buffered (up to MaxPipeline), execute the batch through the store, write
@@ -390,25 +316,25 @@ func (s *Server) handle(lc *lifecycleConn) {
 
 	r := wire.NewReader(lc)
 	var (
-		slots cmdSlots
+		batch wire.CommandBatch
 		sc    scratch
 	)
 
 	for {
 		lc.beginIdle()
-		if err := slots.read(r); err != nil {
+		if err := batch.Read(r); err != nil {
 			s.closeOnReadError(w, err)
 			return
 		}
 		var deferredErr error
-		for len(slots.cmds) < s.cfg.MaxPipeline && r.Buffered() > 0 {
-			if deferredErr = slots.read(r); deferredErr != nil {
+		for len(batch.Commands()) < s.cfg.MaxPipeline && r.Buffered() > 0 {
+			if deferredErr = batch.Read(r); deferredErr != nil {
 				break
 			}
 		}
 
 		// QUIT closes after its reply; later pipelined commands are moot.
-		cmds, quit := slots.cmds, false
+		cmds, quit := batch.Commands(), false
 		for i, cm := range cmds {
 			if len(cm) > 0 && strings.EqualFold(string(cm[0]), "QUIT") {
 				cmds, quit = cmds[:i+1], true
@@ -426,7 +352,7 @@ func (s *Server) handle(lc *lifecycleConn) {
 		// Every reply is in the writer's buffer or on the wire: nothing
 		// points into the scratch or the decoded arguments any more.
 		sc.release()
-		slots.reset()
+		batch.Reset()
 		if quit {
 			w.Flush()
 			return
@@ -468,7 +394,7 @@ func (s *Server) closeOnReadError(w *wire.Writer, err error) {
 }
 
 // closeOnWriteError counts a reply stream cut off by the write deadline —
-// the slow-reader policy disconnecting a client that stopped draining.
+// WriteTimeout disconnecting a client that stopped draining.
 func (s *Server) closeOnWriteError(err error) {
 	if isTimeout(err) {
 		s.slowDrops.Add(1)

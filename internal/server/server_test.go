@@ -229,6 +229,28 @@ func TestStoreZSetOps(t *testing.T) {
 	wantMembers(t, st.Exec(cmd("ZRANGEBYSCORE", "inf", "-inf", "+inf")), "bot")
 }
 
+// TestZRemRangeByScoreReleasesRemovedMembers: removing a score range leaves
+// no removed entry past the sorted slice's length, where it would pin the
+// member's string for as long as the key lives.
+func TestZRemRangeByScoreReleasesRemovedMembers(t *testing.T) {
+	st := newTestStore(t, 1)
+	wantInt(t, st.Exec(cmd("ZADD", "z", "1", "a", "2", "b", "3", "c")), 3)
+	wantInt(t, st.Exec(cmd("ZREMRANGEBYSCORE", "z", "(1", "+inf")), 2)
+	o, ok := st.shards[0].obj.Get("z")
+	if !ok {
+		t.Fatal("z is gone, want it to keep a")
+	}
+	sorted := o.zs.sorted
+	if len(sorted) != 1 || sorted[0].member != "a" {
+		t.Fatalf("z holds %v, want [{a 1}]", sorted)
+	}
+	for i, e := range sorted[len(sorted):cap(sorted)] {
+		if e != (zentry{}) {
+			t.Fatalf("slot %d past the length still holds %v", len(sorted)+i, e)
+		}
+	}
+}
+
 func TestStoreMultiKeyAndFlush(t *testing.T) {
 	st := newTestStore(t, 4)
 	const n = 64

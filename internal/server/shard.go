@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -414,7 +415,7 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 			delete(o.zs.score, e.member)
 		}
 		removed := int64(to - from)
-		o.zs.sorted = append(o.zs.sorted[:from], o.zs.sorted[to:]...)
+		o.zs.sorted = slices.Delete(o.zs.sorted, from, to) // clears the vacated tail
 		if len(o.zs.sorted) == 0 {
 			sh.obj.Remove(h, u.key)
 		}

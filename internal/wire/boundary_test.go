@@ -93,7 +93,7 @@ func TestDecodeAtBufferEdge(t *testing.T) {
 			if _, err := r.ReadCommand(); err != nil {
 				t.Fatalf("%q at %d: filler: %v", frame, at, err)
 			}
-			got, err := r.ReadCommandInto(dirtyCommand())
+			got, err := r.readCommandInto(dirtyCommand())
 			if !sameErr(wantErr, err) || !sameCommand(want, got) {
 				t.Fatalf("%q with the buffer's edge at %d = %q, %v; want %q, %v", frame, at, got, err, want, wantErr)
 			}
@@ -111,7 +111,7 @@ func TestDecodeAtBufferEdge(t *testing.T) {
 				t.Fatalf("%q at %d: filler: %v", frame, at, err)
 			}
 			got := dirtyReply()
-			err := r.ReadReplyInto(&got)
+			err := r.readReplyInto(&got)
 			if !sameErr(wantErr, err) || !sameReply(want, got) {
 				t.Fatalf("%q with the buffer's edge at %d = %v, %v; want %v, %v", frame, at, got, err, want, wantErr)
 			}

@@ -59,26 +59,41 @@ func FuzzReadCommand(f *testing.F) {
 	f.Add([]byte("*1\r\n$1234567890123456789\r\n"))
 	f.Add([]byte("*1\r\n$9223372036854775808\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The same bytes through ReadCommand and through ReadCommandInto
-		// with a recycled, dirty destination: one parse, so identical
-		// commands or identical errors.
+		// The same bytes through ReadCommand, through readCommandInto with
+		// a recycled, dirty destination, and through a CommandBatch over
+		// dirty storage: one parse, so identical commands or identical
+		// errors.
 		r, into := NewReader(bytes.NewReader(data)), NewReader(bytes.NewReader(data))
+		via, batch := NewReader(bytes.NewReader(data)), dirtyCommandBatch(t)
 		dst := dirtyCommand()
 		for i := 0; i < 64; i++ {
 			args, err := r.ReadCommand()
-			got, ierr := into.ReadCommandInto(dst)
+			got, ierr := into.readCommandInto(dst)
 			if !sameErr(err, ierr) {
-				t.Fatalf("ReadCommand err = %v, ReadCommandInto err = %v", err, ierr)
+				t.Fatalf("ReadCommand err = %v, readCommandInto err = %v", err, ierr)
+			}
+			read := len(batch.Commands())
+			if berr := batch.Read(via); !sameErr(err, berr) {
+				t.Fatalf("ReadCommand err = %v, CommandBatch.Read err = %v", err, berr)
 			}
 			if err != nil {
 				checkDecodeErr(t, err)
 				if got != nil {
-					t.Fatalf("ReadCommandInto returned %q with error %v", got, ierr)
+					t.Fatalf("readCommandInto returned %q with error %v", got, ierr)
+				}
+				if n := len(batch.Commands()); n != read {
+					t.Fatalf("a failed CommandBatch.Read took the batch from %d to %d commands", read, n)
 				}
 				return
 			}
 			if !sameCommand(args, got) {
-				t.Fatalf("ReadCommand = %q, ReadCommandInto = %q", args, got)
+				t.Fatalf("ReadCommand = %q, readCommandInto = %q", args, got)
+			}
+			if cmds := batch.Commands(); len(cmds) != read+1 || !sameCommand(args, cmds[read]) {
+				t.Fatalf("ReadCommand = %q, CommandBatch.Read appended to %d commands: %q", args, read, cmds)
+			}
+			if i%3 == 2 {
+				batch.Reset()
 			}
 			dst = got
 			if len(args) == 0 {
@@ -127,21 +142,25 @@ func FuzzReadReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, into := NewReader(bytes.NewReader(data)), NewReader(bytes.NewReader(data))
 		dst := dirtyReply()
+		var plain []Reply
+		var perr error
 		for i := 0; i < 64; i++ {
 			rep, err := r.ReadReply()
-			ierr := into.ReadReplyInto(&dst)
+			ierr := into.readReplyInto(&dst)
 			if !sameErr(err, ierr) {
-				t.Fatalf("ReadReply err = %v, ReadReplyInto err = %v", err, ierr)
+				t.Fatalf("ReadReply err = %v, readReplyInto err = %v", err, ierr)
 			}
 			if err != nil {
 				checkDecodeErr(t, err)
 				if dst.Kind != 0 || dst.Int != 0 || dst.Bulk != nil || dst.Elems != nil {
-					t.Fatalf("ReadReplyInto left %+v behind error %v, want the zero Reply", dst, ierr)
+					t.Fatalf("readReplyInto left %+v behind error %v, want the zero Reply", dst, ierr)
 				}
-				return
+				perr = err
+				break
 			}
+			plain = append(plain, rep)
 			if !sameReply(rep, dst) {
-				t.Fatalf("ReadReply = %v, ReadReplyInto = %v", rep, dst)
+				t.Fatalf("ReadReply = %v, readReplyInto = %v", rep, dst)
 			}
 			// A decoded reply must re-encode: the Reply tree is the shared
 			// currency between server executors and client readers.
@@ -151,16 +170,78 @@ func FuzzReadReply(f *testing.F) {
 				t.Fatalf("re-encode of decoded reply failed: %v", err)
 			}
 		}
+		// The same bytes through a ReplyBatch over dirty storage, one to
+		// three replies a Read: the replies ReadReply decoded, then its
+		// error.
+		via, batch := NewReader(bytes.NewReader(data)), dirtyReplyBatch(t)
+		for at, n := 0, 1; ; at, n = at+n, n%3+1 {
+			if perr == nil {
+				if n = min(n, len(plain)-at); n == 0 {
+					break
+				}
+			}
+			got, err := batch.Read(via, n)
+			if at+n > len(plain) {
+				if !sameErr(err, perr) || got != nil {
+					t.Fatalf("ReplyBatch.Read of replies %d to %d = %v, %v; ReadReply failed at %d with %v", at, at+n-1, got, err, len(plain), perr)
+				}
+				break
+			}
+			if err != nil || len(got) != n {
+				t.Fatalf("ReplyBatch.Read of replies %d to %d = %v, %v", at, at+n-1, got, err)
+			}
+			for i := range got {
+				if !sameReply(plain[at+i], got[i]) {
+					t.Fatalf("ReadReply = %v, ReplyBatch.Read = %v", plain[at+i], got[i])
+				}
+			}
+		}
 	})
 }
 
-// dirtyCommand is a recycled ReadCommandInto destination: three arguments
+// dirtyCommandBatch is a CommandBatch whose storage an earlier batch left
+// behind: slots of leftover arguments, one of them above RetainBuf.
+func dirtyCommandBatch(t *testing.T) *CommandBatch {
+	var frames bytes.Buffer
+	w := NewWriter(&frames)
+	w.WriteCommand([]byte("SET"), []byte("k"), bytes.Repeat([]byte("x"), RetainBuf+1))
+	w.WriteCommand([]byte("ZADD"), []byte("z"), []byte("1"), []byte("a"), []byte("2"), []byte("b"))
+	w.WriteCommandString("GET", "leftover")
+	w.Flush()
+	r := NewReader(&frames)
+	var b CommandBatch
+	for range 3 {
+		if err := b.Read(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Reset()
+	return &b
+}
+
+// dirtyReplyBatch is a ReplyBatch straight after a Read: replies and an
+// element arena holding leftovers, a Bulk above RetainBuf among them.
+func dirtyReplyBatch(t *testing.T) *ReplyBatch {
+	var frames bytes.Buffer
+	w := NewWriter(&frames)
+	w.WriteReply(Array(BulkString("old"), Array(Int64(7), BulkString("older")), Null()))
+	w.WriteReply(Bulk(bytes.Repeat([]byte("x"), RetainBuf+1)))
+	w.WriteReply(Array(BulkString("a"), BulkString("b")))
+	w.Flush()
+	var b ReplyBatch
+	if _, err := b.Read(NewReader(&frames), 3); err != nil {
+		t.Fatal(err)
+	}
+	return &b
+}
+
+// dirtyCommand is a recycled readCommandInto destination: three arguments
 // of leftover bytes, two of them beyond the length.
 func dirtyCommand() [][]byte {
 	return [][]byte{[]byte("leftover"), []byte("junk junk junk"), {}}[:1]
 }
 
-// dirtyReply is a recycled ReadReplyInto destination with leftovers in every
+// dirtyReply is a recycled readReplyInto destination with leftovers in every
 // field and at two depths.
 func dirtyReply() Reply {
 	return Reply{Kind: KindArray, Int: 99, Bulk: []byte("stale"), Elems: []Reply{

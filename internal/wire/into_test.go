@@ -25,7 +25,7 @@ func TestPlainDecodersReturnCallerOwnedMemory(t *testing.T) {
 		if i%2 == 0 {
 			_, err = r.ReadCommand()
 		} else {
-			dst, err = r.ReadCommandInto(dst)
+			dst, err = r.readCommandInto(dst)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +50,7 @@ func TestPlainDecodersReturnCallerOwnedMemory(t *testing.T) {
 		if i%4 < 2 {
 			_, err = r.ReadReply()
 		} else {
-			err = r.ReadReplyInto(&into)
+			err = r.readReplyInto(&into)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -72,11 +72,11 @@ func TestIntoDecodersReuseTheirDestination(t *testing.T) {
 		"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$4\r\nAAAA\r\n" +
 			"*2\r\n$3\r\nGET\r\n$1\r\nj\r\n" +
 			"*4\r\n$5\r\nLPUSH\r\n$1\r\nl\r\n$9\r\nnine-byte\r\n$1\r\nx\r\n"))
-	a, err := r.ReadCommandInto(nil)
+	a, err := r.readCommandInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.ReadCommandInto(a)
+	b, err := r.readCommandInto(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestIntoDecodersReuseTheirDestination(t *testing.T) {
 	if &a[0] != &b[0] || &a[0][0] != &b[0][0] {
 		t.Fatal("second decode did not reuse the first one's header and argument bytes")
 	}
-	c, err := r.ReadCommandInto(b)
+	c, err := r.readCommandInto(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +96,14 @@ func TestIntoDecodersReuseTheirDestination(t *testing.T) {
 
 	r = NewReader(strings.NewReader("*2\r\n$1\r\na\r\n$1\r\nb\r\n:7\r\n*2\r\n$1\r\nc\r\n$1\r\nd\r\n"))
 	var rep Reply
-	if err := r.ReadReplyInto(&rep); err != nil {
+	if err := r.readReplyInto(&rep); err != nil {
 		t.Fatal(err)
 	}
 	elems, bulk := &rep.Elems[0], &rep.Elems[0].Bulk[0]
-	if err := r.ReadReplyInto(&rep); err != nil || !sameReply(rep, Int64(7)) {
+	if err := r.readReplyInto(&rep); err != nil || !sameReply(rep, Int64(7)) {
 		t.Fatalf("integer into an array's destination = %v, %v", rep, err)
 	}
-	if err := r.ReadReplyInto(&rep); err != nil {
+	if err := r.readReplyInto(&rep); err != nil {
 		t.Fatal(err)
 	}
 	if want := Array(BulkString("c"), BulkString("d")); !sameReply(rep, want) {
@@ -115,7 +115,7 @@ func TestIntoDecodersReuseTheirDestination(t *testing.T) {
 }
 
 // TestTrimBoundsRecycledStorage: whatever was decoded, a destination slice
-// passed through TrimCommands / TrimReplies carries at most RetainTotal bytes
+// passed through trimSlots carries at most RetainTotal bytes
 // into the next round, no buffer above RetainBuf, and reports what it kept.
 func TestTrimBoundsRecycledStorage(t *testing.T) {
 	big := bytes.Repeat([]byte("x"), 1<<20)
@@ -129,18 +129,18 @@ func TestTrimBoundsRecycledStorage(t *testing.T) {
 	r := NewReader(&frames)
 	var cmds [][][]byte
 	for i := 0; i < 2001; i++ {
-		cmd, err := r.ReadCommandInto(nil)
+		cmd, err := r.readCommandInto(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cmds = append(cmds, cmd)
 	}
-	kept, retained := TrimCommands(cmds)
+	kept, retained := trimSlots(cmds, commandSize)
 	if len(kept) != 0 || cap(kept) == 0 || cap(kept) >= 2001 {
-		t.Fatalf("TrimCommands kept len %d cap %d of 2001 commands, want an empty slice over part of them", len(kept), cap(kept))
+		t.Fatalf("trimSlots kept len %d cap %d of 2001 commands, want an empty slice over part of them", len(kept), cap(kept))
 	}
 	if got := commandBytes(t, kept); got != retained || retained > RetainTotal {
-		t.Fatalf("TrimCommands reports %d bytes retained, a walk finds %d, bound %d", retained, got, RetainTotal)
+		t.Fatalf("trimSlots reports %d bytes retained, a walk finds %d, bound %d", retained, got, RetainTotal)
 	}
 	if first := kept[:1][0]; first[:3][2] != nil || first[:3][1] == nil {
 		t.Fatal("the 1 MiB argument was kept, or its small neighbour dropped")
@@ -157,27 +157,27 @@ func TestTrimBoundsRecycledStorage(t *testing.T) {
 	w.Flush()
 	reps := make([]Reply, 3)
 	for i := range reps {
-		if err := r.ReadReplyInto(&reps[i]); err != nil {
+		if err := r.readReplyInto(&reps[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	keptReps, retained := TrimReplies(reps)
+	keptReps, retained := trimSlots(reps, replySize)
 	if cap(keptReps) != 1 || keptReps[:1][0].Bulk != nil {
-		t.Fatalf("TrimReplies kept %d replies, first Bulk cap %d: want the first, minus its 1 MiB buffer",
+		t.Fatalf("trimSlots kept %d replies, first Bulk cap %d: want the first, minus its 1 MiB buffer",
 			cap(keptReps), cap(keptReps[:1][0].Bulk))
 	}
 	if retained > RetainTotal {
-		t.Fatalf("TrimReplies retained %d bytes, bound %d", retained, RetainTotal)
+		t.Fatalf("trimSlots retained %d bytes, bound %d", retained, RetainTotal)
 	}
 	// Within budget an array keeps its elements but not an oversized one's bytes.
 	small := []Reply{reps[2]}
-	keptReps, _ = TrimReplies(small)
+	keptReps, _ = trimSlots(small, replySize)
 	if e := keptReps[:1][0].Elems; cap(e) < 2 || e[:2][0].Bulk == nil || e[:2][1].Bulk != nil {
-		t.Fatal("TrimReplies should keep a small array's elements and drop only the 1 MiB one's buffer")
+		t.Fatal("trimSlots should keep a small array's elements and drop only the 1 MiB one's buffer")
 	}
 }
 
-// commandBytes walks cmds to capacity and counts what TrimCommands counts.
+// commandBytes walks cmds to capacity and counts what commandSize counts.
 func commandBytes(t *testing.T, cmds [][][]byte) int {
 	t.Helper()
 	n := 0

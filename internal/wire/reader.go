@@ -155,17 +155,17 @@ func (r *Reader) readBulkPayload(buf []byte, n int64) ([]byte, error) {
 // allocated and owned by the caller. Framing violations return a
 // *ProtocolError; a clean end of stream returns io.EOF.
 func (r *Reader) ReadCommand() ([][]byte, error) {
-	return r.ReadCommandInto(nil)
+	return r.readCommandInto(nil)
 }
 
-// ReadCommandInto is ReadCommand decoding into dst's storage: the header
+// readCommandInto is ReadCommand decoding into dst's storage: the header
 // slice and every argument buffer within dst[:cap(dst)] are reused where
 // they are large enough and grown where they are not, so a caller that
 // feeds each result back in decodes a steady stream without allocating.
 // The result aliases dst and is valid until dst is decoded into again; dst
 // must be nil or an earlier result the caller no longer reads. On error the
 // result is nil and dst's contents are unspecified.
-func (r *Reader) ReadCommandInto(dst [][]byte) ([][]byte, error) {
+func (r *Reader) readCommandInto(dst [][]byte) ([][]byte, error) {
 	for {
 		b, err := r.br.ReadByte()
 		if err != nil {
@@ -263,26 +263,26 @@ func slot(dst [][]byte, n int) [][]byte {
 // io.EOF.
 func (r *Reader) ReadReply() (Reply, error) {
 	var rep Reply
-	err := r.ReadReplyInto(&rep)
+	err := r.readReplyInto(&rep)
 	return rep, err
 }
 
-// ReadReplyInto is ReadReply decoding into *dst's storage: Bulk, Elems and,
+// readReplyInto is ReadReply decoding into *dst's storage: Bulk, Elems and,
 // recursively, every element within Elems[:cap(Elems)] are reused where they
 // are large enough and grown where they are not. The reply aliases that
 // storage and is valid until dst is decoded into again. *dst must be the
 // zero Reply or an earlier result the caller no longer reads — never a
 // value built by OK, Bulk and friends, whose bytes belong to someone else.
 // On error *dst is the zero Reply.
-func (r *Reader) ReadReplyInto(dst *Reply) error {
-	err := r.readReplyInto(dst, 0)
+func (r *Reader) readReplyInto(dst *Reply) error {
+	err := r.decodeReply(dst, 0)
 	if err != nil {
 		*dst = Reply{}
 	}
 	return err
 }
 
-func (r *Reader) readReplyInto(dst *Reply, depth int) error {
+func (r *Reader) decodeReply(dst *Reply, depth int) error {
 	if depth > maxReplyDepth {
 		return protoErrf("reply nesting exceeds depth %d", maxReplyDepth)
 	}
@@ -355,7 +355,7 @@ func (r *Reader) readReplyInto(dst *Reply, depth int) error {
 			} else {
 				dst.Elems = append(dst.Elems, Reply{})
 			}
-			if err := r.readReplyInto(&dst.Elems[i], depth+1); err != nil {
+			if err := r.decodeReply(&dst.Elems[i], depth+1); err != nil {
 				return err
 			}
 		}

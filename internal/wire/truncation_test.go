@@ -118,16 +118,16 @@ func TestTruncatedBulkReusedDestination(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < attempts; i++ {
 		r := NewReader(bytes.NewReader([]byte(cmd)))
-		if got, err := r.ReadCommandInto(dirtyCommand()); err != io.ErrUnexpectedEOF || got != nil {
-			t.Fatalf("attempt %d: ReadCommandInto = %q, %v, want nil, io.ErrUnexpectedEOF", i, got, err)
+		if got, err := r.readCommandInto(dirtyCommand()); err != io.ErrUnexpectedEOF || got != nil {
+			t.Fatalf("attempt %d: readCommandInto = %q, %v, want nil, io.ErrUnexpectedEOF", i, got, err)
 		}
 		r = NewReader(bytes.NewReader([]byte(rep)))
 		dst := dirtyReply()
-		if err := r.ReadReplyInto(&dst); err != io.ErrUnexpectedEOF {
-			t.Fatalf("attempt %d: ReadReplyInto err = %v, want io.ErrUnexpectedEOF", i, err)
+		if err := r.readReplyInto(&dst); err != io.ErrUnexpectedEOF {
+			t.Fatalf("attempt %d: readReplyInto err = %v, want io.ErrUnexpectedEOF", i, err)
 		}
 		if dst.Kind != 0 || dst.Int != 0 || dst.Bulk != nil || dst.Elems != nil {
-			t.Fatalf("attempt %d: failed ReadReplyInto left %+v, want the zero Reply", i, dst)
+			t.Fatalf("attempt %d: failed readReplyInto left %+v, want the zero Reply", i, dst)
 		}
 	}
 	runtime.ReadMemStats(&after)

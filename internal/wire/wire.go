@@ -18,15 +18,16 @@
 //     with Writer.WriteReply, so both ends of the in-repo stack agree on one
 //     representation.
 //
-// Each decoder comes as a pair. ReadCommand and ReadReply return memory the
-// caller owns for good. ReadCommandInto and ReadReplyInto run the same parse
-// into a destination the caller hands back in — its header slice, argument
-// buffers, Bulk and Elems are reused at whatever capacity they have — so a
-// connection that recycles its destinations decodes without allocating; what
-// they return is valid only until the destination's next decode. The plain
-// methods are the Into methods on a fresh destination, so there is one parse
-// per direction. TrimCommands and TrimReplies bound what recycled
-// destinations may keep between uses (RetainBuf, RetainTotal).
+// Each direction decodes two ways. ReadCommand and ReadReply return memory
+// the caller owns for good. A CommandBatch (a server connection's commands)
+// and a ReplyBatch (a client's replies to one pipeline) run the same parse
+// into storage they own and recycle from batch to batch — header slices,
+// argument buffers, Bulk and Elems are reused at whatever capacity they have
+// — so a connection decodes a steady stream without allocating; what they
+// return is valid only until the batch ends. The plain methods are the same
+// parse into a fresh destination, so there is one parse per direction.
+// Between batches each type trims what it keeps to RetainTotal bytes, with
+// no buffer above RetainBuf, walking only the slots the batch decoded into.
 //
 // Both directions work a frame at a time against bufio's buffer. The Writer
 // assembles a frame that fits the buffer's free space in place and commits
