@@ -27,8 +27,9 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 
 # Tiny configuration for the bench-smoke job: catches harness bit-rot
 # without burning CI minutes; the JSON lands as a workflow artifact. The
-# "all" figure set includes the AdaptiveSkipList workload (Figures 6 and 7),
-# so the adaptive engine's promotion path is exercised on every CI run. The
+# "all" figure set includes the AdaptiveMap workload (Figures 6 and 7) and
+# the hot-range pair (AdaptiveMapHotWholesale / AdaptiveMapHotPerRange), so
+# the adaptive engine's promotion path is exercised on every CI run. The
 # ordered maps' layer benchmark (BenchmarkOrdered), the root figure
 # wrappers (BenchmarkFig*) and the serving executor's (BenchmarkStoreRun,
 # its contended case included) run once each so they cannot rot.

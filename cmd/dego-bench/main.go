@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -41,7 +42,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("dego-bench", flag.ContinueOnError)
 	fig := fs.String("fig", "all", "figure to regenerate: 6, 7, 8, hotrange, flat, all or none (with -ablation)")
 	threadsFlag := fs.String("threads", "1,5,10,20,40,80", "comma-separated thread counts")
-	ratiosFlag := fs.String("ratios", "25,50,75,100", "update ratios for figure 7")
+	ratiosFlag := fs.String("ratios", "25,50,75,100", "update ratios for figure 7, in percent (0-100)")
 	duration := fs.Duration("duration", 500*time.Millisecond, "measured duration per point")
 	warmup := fs.Duration("warmup", 100*time.Millisecond, "warm-up before each point")
 	items := fs.Int("items", 16<<10, "initial items (paper: 16384)")
@@ -53,11 +54,11 @@ func run(args []string) error {
 		return err
 	}
 
-	threads, err := parseInts(*threadsFlag)
+	threads, err := parseInts(*threadsFlag, 1, math.MaxInt32)
 	if err != nil {
 		return fmt.Errorf("bad -threads: %w", err)
 	}
-	ratios, err := parseInts(*ratiosFlag)
+	ratios, err := parseInts(*ratiosFlag, 0, 100)
 	if err != nil {
 		return fmt.Errorf("bad -ratios: %w", err)
 	}
@@ -126,7 +127,9 @@ func writeJSON(path string, cfg bench.Config, threads []int,
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
-func parseInts(s string) ([]int, error) {
+// parseInts parses a comma-separated list whose every value lies in
+// [lo, hi].
+func parseInts(s string, lo, hi int) ([]int, error) {
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
@@ -134,8 +137,8 @@ func parseInts(s string) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n <= 0 {
-			return nil, fmt.Errorf("value %d must be positive", n)
+		if n < lo || n > hi {
+			return nil, fmt.Errorf("value %d outside [%d, %d]", n, lo, hi)
 		}
 		out = append(out, n)
 	}

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/adjusted-objects/dego/internal/igraph"
@@ -23,13 +24,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "igraph:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run renders what args ask for to w.
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("igraph", flag.ContinueOnError)
 	fig := fs.String("fig", "", "figure to render: 2 or 3")
 	table := fs.String("table", "", "table to render: 1")
@@ -41,37 +43,37 @@ func run(args []string) error {
 
 	did := false
 	if *fig == "2" {
-		figure2(*dot)
+		figure2(w, *dot)
 		did = true
 	}
 	if *fig == "3" {
-		if err := figure3(); err != nil {
+		if err := figure3(w); err != nil {
 			return err
 		}
 		did = true
 	}
 	if *table == "1" {
-		table1()
+		table1(w)
 		did = true
 	}
 	if *analyze != "" {
-		if err := analyzeType(*analyze); err != nil {
+		if err := analyzeType(w, *analyze); err != nil {
 			return err
 		}
 		did = true
 	}
 	if !did {
-		figure2(false)
-		if err := figure3(); err != nil {
+		figure2(w, false)
+		if err := figure3(w); err != nil {
 			return err
 		}
-		table1()
+		table1(w)
 	}
 	return nil
 }
 
 // figure2 renders the three panels of Figure 2.
-func figure2(dot bool) {
+func figure2(w io.Writer, dot bool) {
 	r := spec.Ref(spec.R1)
 	s := spec.Set(spec.S1)
 	c := spec.Counter(spec.C1)
@@ -83,42 +85,42 @@ func figure2(dot bool) {
 		{"Set", igraph.New([]*spec.Op{s.Op("add", 1), s.Op("add", 1), s.Op("contains", 1)}, s.Init)},
 		{"Counter", igraph.New([]*spec.Op{c.Op("rmw", 1), c.Op("rmw", 3), c.Op("rmw", 5)}, c.Init)},
 	}
-	fmt.Println("=== Figure 2: indistinguishability graphs G({a,b,c}) ===")
-	fmt.Println()
+	fmt.Fprintln(w, "=== Figure 2: indistinguishability graphs G({a,b,c}) ===")
+	fmt.Fprintln(w)
 	for _, p := range panels {
 		if dot {
-			fmt.Println(p.g.DOT(p.name))
+			fmt.Fprintln(w, p.g.DOT(p.name))
 		} else {
-			fmt.Println(p.g.Summary(p.name))
+			fmt.Fprintln(w, p.g.Summary(p.name))
 		}
 	}
 }
 
 // figure3 renders and verifies the adjustment lattice.
-func figure3() error {
+func figure3(w io.Writer) error {
 	l := spec.Figure3()
-	fmt.Println("=== Figure 3: adjustments (subtyping p/r, deletion d, access c/m) ===")
-	fmt.Println()
+	fmt.Fprintln(w, "=== Figure 3: adjustments (subtyping p/r, deletion d, access c/m) ===")
+	fmt.Fprintln(w)
 	for _, e := range l.Edges {
-		fmt.Printf("  %s\n", e)
+		fmt.Fprintf(w, "  %s\n", e)
 	}
-	fmt.Printf("\nverifying Definition 1 on every edge and path... ")
+	fmt.Fprintf(w, "\nverifying Definition 1 on every edge and path... ")
 	if err := l.Verify(spec.DefaultCheckConfig()); err != nil {
 		return err
 	}
-	fmt.Println("OK")
-	fmt.Println()
+	fmt.Fprintln(w, "OK")
+	fmt.Fprintln(w)
 	return nil
 }
 
 // table1 renders the catalog in the paper's Hoare-logic layout, then the
 // computed per-type analyses.
-func table1() {
-	fmt.Println("=== Table 1: adjusted data types ===")
-	fmt.Println()
-	fmt.Print(spec.FormatTable1())
-	fmt.Println()
-	fmt.Println("Computed properties:")
+func table1(w io.Writer) {
+	fmt.Fprintln(w, "=== Table 1: adjusted data types ===")
+	fmt.Fprintln(w)
+	fmt.Fprint(w, spec.FormatTable1())
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Computed properties:")
 	opts := igraph.DefaultSearchOpts()
 	for _, dt := range spec.AllCatalogTypes() {
 		cn := igraph.ConsensusNumber(dt, opts)
@@ -126,14 +128,14 @@ func table1() {
 		if !cn.Exact {
 			cnStr = fmt.Sprintf("≥%d", cn.CN)
 		}
-		fmt.Printf("%-4s ops=%v readable=%v permissive=%v CN=%s\n",
+		fmt.Fprintf(w, "%-4s ops=%v readable=%v permissive=%v CN=%s\n",
 			dt.Name, dt.OpNames(), dt.Readable, igraph.Permissive(dt, opts), cnStr)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // analyzeType prints the full analysis of one catalog type.
-func analyzeType(name string) error {
+func analyzeType(w io.Writer, name string) error {
 	var dt *spec.DataType
 	for _, t := range spec.AllCatalogTypes() {
 		if t.Name == name {
@@ -145,29 +147,29 @@ func analyzeType(name string) error {
 		return fmt.Errorf("unknown data type %q", name)
 	}
 	opts := igraph.DefaultSearchOpts()
-	fmt.Printf("=== Analysis of %s ===\n\n", dt.Name)
-	fmt.Printf("operations:        %v\n", dt.OpNames())
-	fmt.Printf("readable:          %v\n", dt.Readable)
+	fmt.Fprintf(w, "=== Analysis of %s ===\n\n", dt.Name)
+	fmt.Fprintf(w, "operations:        %v\n", dt.OpNames())
+	fmt.Fprintf(w, "readable:          %v\n", dt.Readable)
 	cn := igraph.ConsensusNumber(dt, opts)
-	fmt.Printf("consensus number:  %d (exact=%v)", cn.CN, cn.Exact)
+	fmt.Fprintf(w, "consensus number:  %d (exact=%v)", cn.CN, cn.Exact)
 	if cn.Witness != "" {
-		fmt.Printf("  witness: %s", cn.Witness)
+		fmt.Fprintf(w, "  witness: %s", cn.Witness)
 	}
-	fmt.Println()
-	fmt.Printf("permissive (Cor.1): %v\n", igraph.Permissive(dt, opts))
-	fmt.Printf("D(2,l):            l=%d\n", igraph.Distinguish(dt, 2, opts))
-	fmt.Printf("D(3,l):            l=%d\n", igraph.Distinguish(dt, 3, opts))
-	fmt.Printf("conflict-free (Prop.2, |B|=2): %v\n", igraph.ConflictFreeLongLived(dt, opts))
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "permissive (Cor.1): %v\n", igraph.Permissive(dt, opts))
+	fmt.Fprintf(w, "D(2,l):            l=%d\n", igraph.Distinguish(dt, 2, opts))
+	fmt.Fprintf(w, "D(3,l):            l=%d\n", igraph.Distinguish(dt, 3, opts))
+	fmt.Fprintf(w, "conflict-free (Prop.2, |B|=2): %v\n", igraph.ConflictFreeLongLived(dt, opts))
 	oneShot := opts
 	oneShot.OneShot = true
-	fmt.Printf("conflict-free one-shot (Prop.1, |B|=2): %v\n", igraph.ConflictFreeOneShot(dt, 2, oneShot))
+	fmt.Fprintf(w, "conflict-free one-shot (Prop.1, |B|=2): %v\n", igraph.ConflictFreeOneShot(dt, 2, oneShot))
 	for _, opName := range dt.OpNames() {
 		var gen *spec.Op
 		switch {
 		case dt.HasOp(opName):
 			gen = dt.Op(opName, 1, 1)
 		}
-		fmt.Printf("  %-10s left-mover=%-5v right-mover=%v\n",
+		fmt.Fprintf(w, "  %-10s left-mover=%-5v right-mover=%v\n",
 			opName, igraph.LeftMover(dt, gen, opts), igraph.RightMover(dt, gen, opts))
 	}
 	return nil

@@ -256,6 +256,9 @@ func parseInts(s string) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n <= 0 {
+			return nil, fmt.Errorf("value %d must be positive", n)
+		}
 		out = append(out, n)
 	}
 	return out, nil

@@ -14,8 +14,13 @@ func TestParseHelpers(t *testing.T) {
 	if err != nil || len(ints) != 2 || ints[1] != 200 {
 		t.Fatalf("parseInts = %v, %v", ints, err)
 	}
-	if _, err := parseInts("x"); err == nil {
-		t.Fatal("bad int accepted")
+	for _, bad := range []string{"x", "0", "4,-1"} {
+		if _, err := parseInts(bad); err == nil {
+			t.Fatalf("parseInts(%q) accepted", bad)
+		}
+	}
+	if err := run([]string{"-fig", "9", "-threads", "0"}); err == nil {
+		t.Fatal("-threads 0 accepted")
 	}
 	floats, err := parseFloats("0, 0.5 ,1")
 	if err != nil || len(floats) != 3 || floats[1] != 0.5 {

@@ -62,15 +62,15 @@ func TestConcurrentConstruction(t *testing.T) {
 	wg.Wait()
 
 	// declare recycles its profile zeroed: the pool must not keep a
-	// caller's registry, probe, hash or fences reachable.
-	if _, _, _, err := declare("Ordered", orderedTakes,
-		[]Option{CommutingWriters(), Adaptive(), On(reg), WithProbe(NewProbe()), WithHash(HashInt), Fenced(10, 20)},
-		orderedRows, false); err != nil {
+	// caller's registry, probe or hash reachable.
+	if _, _, _, err := declare("Map", mapTakes,
+		[]Option{CommutingWriters(), Adaptive(), On(reg), WithProbe(NewProbe()), WithHash(HashInt)},
+		mapRows, false); err != nil {
 		t.Fatal(err)
 	}
 	p := profiles.Get().(*profile)
 	defer profiles.Put(p)
-	if p.registry != nil || p.probe != nil || p.hash != nil || p.fences != nil {
-		t.Errorf("recycled profile keeps registry %p, probe %p, hash %v, fences %v", p.registry, p.probe, p.hash != nil, p.fences)
+	if p.registry != nil || p.probe != nil || p.hash != nil {
+		t.Errorf("recycled profile keeps registry %p, probe %p, hash %v", p.registry, p.probe, p.hash != nil)
 	}
 }

@@ -18,13 +18,13 @@
 //	m, err := dego.Map[string, int](dego.CommutingWriters(), dego.Capacity(1<<16))
 //	c, err := dego.Counter(dego.Blind(), dego.SingleReader())
 //	q, err := dego.Queue[task](dego.SingleReader())
-//	o, err := dego.Ordered[int, string](dego.CommutingWriters(), dego.Adaptive())
+//	o, err := dego.Ordered[int, string](dego.CommutingWriters())
 //	s, err := dego.Set[string](dego.CommutingWriters())
 //	r, err := dego.Ref[config](nil, dego.WriteOnce())
 //
 // The options narrow the interface (Blind, WriteOnce), restrict access
-// (SingleWriter, SingleReader, CommutingWriters), request adaptivity
-// (Adaptive, with Ranges or Fenced granularity) or tune the result (On,
+// (SingleWriter, SingleReader, CommutingWriters), request adaptivity of a
+// map (Adaptive, with Ranges granularity) or tune the result (On,
 // Checked, WithHash, WithProbe, Capacity, Stripes, Buckets). The planner
 // names the Table 1 object the declared profile describes from its
 // narrowings and access mode alone, certifies it against the executable
@@ -75,15 +75,15 @@
 //     keys and values inline in slot arrays, zero steady-state allocation,
 //     nothing for the GC to trace. FlatCounter — padded wait-free cells,
 //     the flat pairing of the C3 counter.
-//   - AdaptiveCounter / AdaptiveMap / AdaptiveSkipList / AdaptiveSet —
-//     contention-adaptive wrappers: the unadjusted representation until the
-//     windowed stall rate says otherwise, the adjusted one while contention
-//     lasts (readers never block on a switch). All share one generic
-//     adjustment engine (internal/adaptive) whose payload is a directory of
-//     per-range representations, so only the key ranges that actually
-//     contend pay for the adjustment (Adaptive(Ranges(n)) for hash-keyed
-//     objects, Fenced(keys...) for the ordered one). See ARCHITECTURE.md
-//     for the full layer stack.
+//   - AdaptiveMap — the contention-adaptive map: the striped map until the
+//     windowed stall rate says otherwise, the segmented one while
+//     contention lasts (readers never block on a switch). Its engine
+//     (internal/adaptive) holds a directory of per-range representations,
+//     so only the key ranges that actually contend pay for the adjustment
+//     (Adaptive(Ranges(n))). It is the only adaptive representation: a
+//     counter, set or ordered map plans its static adjusted representation,
+//     which is faster under the same declaration. See ARCHITECTURE.md for
+//     the full layer stack.
 //
 // The theory toolkit (sequential specifications, indistinguishability
 // graphs, consensus-number analysis) lives in internal packages and is
@@ -92,8 +92,6 @@
 package dego
 
 import (
-	"cmp"
-
 	"github.com/adjusted-objects/dego/internal/adaptive"
 	"github.com/adjusted-objects/dego/internal/contention"
 	"github.com/adjusted-objects/dego/internal/core"
@@ -140,7 +138,7 @@ func Register() (*Handle, error) { return core.Register() }
 func MustRegister() *Handle { return core.MustRegister() }
 
 // ---------------------------------------------------------------------------
-// Adaptive objects
+// The adaptive map
 
 // AdaptiveState is a position in the adaptive state machine (quiescent →
 // migrating → promoted → demoting).
@@ -154,25 +152,18 @@ const (
 	AdaptiveDemoting  = adaptive.StateDemoting
 )
 
-// AdaptivePolicy tunes when adaptive objects switch representation; the zero
-// value of any field selects its default. Ranges sets the granularity of the
-// per-range directory for the hash-keyed objects (AdaptiveMap, AdaptiveSet):
-// with Ranges > 1 the key space splits into that many hash-prefix buckets,
-// each promoting and demoting independently, so a hot range pays the
-// adjusted representation while cold ranges keep single-lookup cheap-rep
-// reads. The default (1) adjusts wholesale.
+// AdaptivePolicy tunes when the adaptive map switches representation; the
+// zero value of any field selects its default. Ranges sets the granularity
+// of the map's per-range directory: with Ranges > 1 the key space splits
+// into that many hash-prefix buckets, each promoting and demoting
+// independently, so a hot range pays the adjusted representation while cold
+// ranges keep single-lookup cheap-rep reads. The default (1) adjusts
+// wholesale.
 type AdaptivePolicy = adaptive.Policy
 
-// DefaultAdaptivePolicy returns the tuning used by the adaptive
-// constructors.
+// DefaultAdaptivePolicy returns the tuning an Adaptive map declaration
+// uses.
 func DefaultAdaptivePolicy() AdaptivePolicy { return adaptive.DefaultPolicy() }
-
-// AdaptiveCounter is the contention-adaptive counter: an atomic shared cell
-// that promotes itself to per-thread cells (the C3 adjustment) when its
-// windowed CAS-failure rate crosses the policy threshold, and demotes when
-// writer concurrency subsides. Increment-only, like the IncrementOnlyCounter
-// representation.
-type AdaptiveCounter = adaptive.Counter
 
 // AdaptiveMap is the contention-adaptive hash map: lock-striped until its
 // windowed lock-wait rate crosses the policy threshold, extended-segmented
@@ -182,25 +173,6 @@ type AdaptiveCounter = adaptive.Counter
 // promoted overlay lookup. It requires the commuting-writers contract in
 // every state: distinct threads write distinct keys.
 type AdaptiveMap[K comparable, V any] = adaptive.Map[K, V]
-
-// AdaptiveSkipList is the contention-adaptive ordered map: the lock-free CAS
-// skip list until its windowed CAS-failure rate crosses the policy threshold,
-// extended-segmented (the M2 adjustment) while contention lasts. Range and
-// RangeFrom stay strictly key-ordered in every state — while promoted they
-// merge the segmented shadow with the frozen backing, suppressing
-// tombstones. Fenced(keys...) splits the key space at ordered fences into
-// independently adjusting ranges whose concatenation keeps the global
-// iteration sorted. Like AdaptiveMap it requires the commuting-writers
-// contract in every state: distinct threads write distinct keys.
-type AdaptiveSkipList[K cmp.Ordered, V any] = adaptive.SortedMap[K, V]
-
-// AdaptiveSet is the contention-adaptive membership set: lock-striped until
-// its windowed lock-wait rate crosses the policy threshold, extended-
-// segmented (S3-style blind writes over CWMR) while contention lasts. With
-// AdaptivePolicy.Ranges > 1 the adjustment is per-range, as for AdaptiveMap.
-// It requires the commuting-writers contract in every state: distinct
-// threads write distinct elements.
-type AdaptiveSet[K comparable] = adaptive.Set[K]
 
 // ---------------------------------------------------------------------------
 // References

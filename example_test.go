@@ -83,58 +83,49 @@ func ExampleMap_adaptive() {
 	// state: quiescent gamma: 3 len: 2
 }
 
-// ExampleOrdered declares an adaptive commuting-writers ordered profile and
-// shows the ordered contract holding across a promotion: Range stays
-// strictly key-ordered even while the iteration merges the live segmented
-// shadow with the frozen lock-free backing.
+// ExampleOrdered declares a commuting-writers ordered profile: the planner
+// yields the extended segmented skip list of the paper's (M2, CWMR), whose
+// iteration stays strictly key-ordered whatever order the keys arrived in.
 func ExampleOrdered() {
 	h := dego.MustRegister()
 	defer h.Release()
 
-	o := dego.Must(dego.Ordered[int, string](dego.CommutingWriters(), dego.Adaptive(),
-		dego.Buckets(1024)))
+	o := dego.Must(dego.Ordered[int, string](dego.CommutingWriters(), dego.Buckets(1024)))
 	fmt.Println("plan:", o.Plan())
 
-	sl := o.Adaptive()
-	for _, k := range []int{30, 10, 50} {
-		sl.Put(h, k, fmt.Sprintf("v%d", k))
+	for _, k := range []int{30, 10, 50, 20} {
+		o.Put(h, k, fmt.Sprintf("v%d", k))
 	}
-	sl.ForcePromote()
-	sl.Put(h, 20, "v20") // fresh key interleaves with the backed ones
-	sl.Remove(h, 30)     // tombstone suppressed from the merged stream
+	o.Remove(h, 30)
 
-	sl.Range(func(k int, v string) bool {
+	o.Range(func(k int, v string) bool {
 		fmt.Println(k, v)
 		return true
 	})
 	// Output:
-	// plan: Ordered (M2, CWMR) → AdaptiveSkipList (adaptive)
+	// plan: Ordered (M2, CWMR) → SegmentedSkipList
 	// 10 v10
 	// 20 v20
 	// 50 v50
 }
 
-// ExampleSet declares an adaptive commuting-writers membership set and
-// exercises it across a promote/demote cycle; zero-size values ride on the
-// engine's tombstone sentinel, so removals of backed elements stay removals.
+// ExampleSet declares a commuting-writers membership set: the planner yields
+// the segmented set of the paper's (S3, CWMR) node, whose adds are blind.
 func ExampleSet() {
 	h := dego.MustRegister()
 	defer h.Release()
 
-	s := dego.Must(dego.Set[string](dego.CommutingWriters(), dego.Adaptive(),
-		dego.Capacity(1024))).Adaptive()
+	s := dego.Must(dego.Set[string](dego.CommutingWriters()))
+	fmt.Println("plan:", s.Plan())
+
 	s.Add(h, "reader")
 	s.Add(h, "writer")
-	s.ForcePromote()
-	s.Remove(h, "reader") // tombstones the backed element
+	s.Remove(h, "reader")
 	s.Add(h, "admin")
-	fmt.Println("reader:", s.Contains("reader"), "admin:", s.Contains("admin"))
-
-	s.ForceDemote()
-	fmt.Println("len:", s.Len(), "ranges:", s.Ranges())
+	fmt.Println("reader:", s.Contains("reader"), "admin:", s.Contains("admin"), "len:", s.Len())
 	// Output:
-	// reader: false admin: true
-	// len: 2 ranges: 1
+	// plan: Set (S3, CWMR) → SegmentedSet
+	// reader: false admin: true len: 2
 }
 
 // ExampleQueue declares a single-consumer queue profile: the planner yields

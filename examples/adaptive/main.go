@@ -1,30 +1,30 @@
 // Adaptive: a workload whose contention phase-shifts mid-run, driving the
-// contention-adaptive objects through their whole state machine:
+// contention-adaptive map through its whole state machine:
 //
-//  1. a lone writer warms the counter, the map and the sorted map — the
-//     cheap unadjusted representations (atomic cell, striped map, lock-free
-//     skip list) win, so they stay quiescent;
-//  2. a burst of writers arrives — CAS failures and lock waits push the
-//     windowed stall rate over the promotion threshold and the objects
-//     promote themselves to the adjusted representations (per-thread cells,
-//     extended segmentations);
-//  3. while the sorted map is promoted, an ordered range scan runs over it —
-//     the merge iterator interleaves the live segmented shadow with the
-//     frozen backing, and the keys still come out strictly ascending;
+//  1. a lone writer warms the map — the cheap unadjusted representation (the
+//     striped map) wins, so it stays quiescent;
+//  2. a burst of writers arrives — lock waits push the windowed stall rate
+//     over the promotion threshold and the map promotes itself to the
+//     adjusted representation (the extended segmentation);
+//  3. while the map is promoted, a full Range runs over it — the overlay of
+//     the live segmented shadow on the frozen striped backing visits every
+//     live key exactly once;
 //  4. the burst drains away — the lone survivor's samples show writer
-//     concurrency collapsed, and the objects demote again.
+//     concurrency collapsed, and the map demotes again.
 //
 // Readers run through every phase: representation switches never block them.
-// The counter is exact at every quiesce point no matter how often it
-// switched. At the end the demo prints the state-transition trace each
-// object was observed to walk.
+// The contents are exact at the end no matter how often the map switched.
+// At the end the demo prints the state-transition trace it observed.
+//
+// The map is the only adaptive object: a counter, set or ordered map
+// declared the same way plans its static adjusted representation, which is
+// faster in every measured cell (ARCHITECTURE.md, "Why only the map adapts").
 package main
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	dego "github.com/adjusted-objects/dego"
 )
@@ -33,29 +33,27 @@ const (
 	burstWriters = 8
 	keyRange     = 4096
 	phaseOps     = 400_000
+	// maxTrace caps the printed trace: a reader's stripe-lock waits count as
+	// stalls, so the map may flap many times in one phase.
+	maxTrace = 12
 )
 
-// tracer records each object's state every time a worker passes an
-// observation point, deduplicating consecutive repeats — the demo's
-// state-transition trace. Observing from the workers (rather than a polling
-// goroutine) guarantees the trace sees every phase the workers lived
-// through, even on a single-CPU host where a background poller might never
-// be scheduled inside a short promoted window. The short-lived
-// migrating/demoting states only show up when an observation lands inside
-// one; the trace is what was observed, not a transition log.
+// tracer records the map's state every time a worker passes an observation
+// point, deduplicating consecutive repeats — the demo's state-transition
+// trace. Observing from the workers (rather than a polling goroutine)
+// guarantees the trace sees every phase the workers lived through, even on
+// a single-CPU host where a background poller might never be scheduled
+// inside a short promoted window. The short-lived migrating/demoting states
+// only show up when an observation lands inside one; the trace is what was
+// observed, not a transition log.
 type tracer struct {
-	mu   sync.Mutex
-	objs []tracedObj
-	seqs [][]dego.AdaptiveState
-}
-
-type tracedObj struct {
-	name  string
+	mu    sync.Mutex
 	state func() dego.AdaptiveState
+	seq   []dego.AdaptiveState
 }
 
-func newTracer(objs ...tracedObj) *tracer {
-	t := &tracer{objs: objs, seqs: make([][]dego.AdaptiveState, len(objs))}
+func newTracer(state func() dego.AdaptiveState) *tracer {
+	t := &tracer{state: state}
 	t.observe()
 	return t
 }
@@ -63,27 +61,25 @@ func newTracer(objs ...tracedObj) *tracer {
 func (t *tracer) observe() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i, o := range t.objs {
-		s := o.state()
-		if seq := t.seqs[i]; len(seq) == 0 || seq[len(seq)-1] != s {
-			t.seqs[i] = append(seq, s)
-		}
+	if s := t.state(); len(t.seq) == 0 || t.seq[len(t.seq)-1] != s {
+		t.seq = append(t.seq, s)
 	}
 }
 
 func (t *tracer) print() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i, o := range t.objs {
-		out := o.name + " trace: "
-		for j, s := range t.seqs[i] {
-			if j > 0 {
-				out += " → "
-			}
-			out += s.String()
+	out := "map trace: "
+	for j, s := range t.seq[:min(len(t.seq), maxTrace)] {
+		if j > 0 {
+			out += " → "
 		}
-		fmt.Println(out)
+		out += s.String()
 	}
+	if len(t.seq) > maxTrace {
+		out += fmt.Sprintf(" → … (%d more observed states)", len(t.seq)-maxTrace)
+	}
+	fmt.Println(out)
 }
 
 func main() {
@@ -91,26 +87,14 @@ func main() {
 	// An eager policy so the demo converges in fractions of a second; the
 	// defaults sample 16x less often.
 	policy := dego.AdaptivePolicy{SampleEvery: 64, MinSamples: 2, DemoteSamples: 4}
-	counter := dego.Must(dego.Counter(dego.Blind(), dego.SingleReader(), dego.On(reg),
-		dego.Adaptive(dego.WithPolicy(policy)))).Adaptive()
 	m := dego.Must(dego.Map[int, int](dego.CommutingWriters(), dego.On(reg), dego.Stripes(8),
 		dego.Capacity(keyRange), dego.Adaptive(dego.WithPolicy(policy)))).Adaptive()
-	sl := dego.Must(dego.Ordered[int, int](dego.CommutingWriters(), dego.On(reg),
-		dego.Buckets(keyRange*2), dego.Adaptive(dego.WithPolicy(policy)))).Adaptive()
 
-	traces := newTracer(
-		tracedObj{"map     ", m.State},
-		tracedObj{"skiplist", sl.State},
-	)
+	traces := newTracer(m.State)
 
-	var totalIncs atomic.Int64
 	report := func(phase string) {
 		traces.observe()
-		h := reg.MustRegister()
-		defer h.Release()
-		fmt.Printf("%-28s counter=%-9v map=%-9v skiplist=%-9v transitions=%d/%d/%d count=%d\n",
-			phase+":", counter.State(), m.State(), sl.State(),
-			counter.Transitions(), m.Transitions(), sl.Transitions(), counter.Get(h))
+		fmt.Printf("%-28s map=%-9v transitions=%d len=%d\n", phase+":", m.State(), m.Transitions(), m.Len())
 	}
 
 	// A reader runs through every phase; switches never block it.
@@ -118,46 +102,47 @@ func main() {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		h := reg.MustRegister()
-		defer h.Release()
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-stopReader:
 				return
 			default:
-				counter.Get(h)
-				m.Get(int(counter.Get(h)) % keyRange)
-				sl.Get(int(counter.Get(h)) % keyRange)
+				m.Get(i % keyRange)
 			}
 		}
 	}()
 
+	// models[w] is what writer w last wrote to each key it owns. Only the
+	// worker running as w touches it, and phases run one after another.
+	var models [burstWriters]map[int]int
+	for w := range models {
+		models[w] = make(map[int]int)
+	}
 	work := func(w, ops int) {
 		h := reg.MustRegister()
 		defer h.Release()
+		model := models[w]
 		for i := 0; i < ops; i++ {
-			counter.Inc(h)
 			// Commuting writes: writer w owns keys k ≡ w (mod burstWriters).
 			k := (i%(keyRange/burstWriters))*burstWriters + w
 			if i%3 == 0 {
 				m.Remove(h, k)
-				sl.Remove(h, k)
+				delete(model, k)
 			} else {
 				m.Put(h, k, i)
-				sl.Put(h, k, i)
+				model[k] = i
 			}
 			if i&63 == 0 {
 				traces.observe()
 			}
 		}
-		totalIncs.Add(int64(ops))
 	}
 
-	// Phase 1: a lone writer — no contention, the cheap representations win.
+	// Phase 1: a lone writer — no contention, the cheap representation wins.
 	work(0, phaseOps)
 	report("phase 1 (lone writer)")
 
-	// Phase 2: contention arrives — the stall rate promotes the objects.
+	// Phase 2: contention arrives — the stall rate promotes the map.
 	var wg sync.WaitGroup
 	for w := 0; w < burstWriters; w++ {
 		wg.Add(1)
@@ -167,58 +152,55 @@ func main() {
 		}(w)
 	}
 	wg.Wait()
-	if counter.State() == dego.AdaptiveQuiescent && runtime.GOMAXPROCS(0) == 1 {
+	if m.State() == dego.AdaptiveQuiescent && runtime.GOMAXPROCS(0) == 1 {
 		// A single-core host cannot produce hardware contention: goroutines
-		// timeslice instead of racing, CAS never fails, locks never wait.
-		// Feed the probes a synthetic stall burst (the same deterministic
-		// stand-in the unit tests use) so the demo still walks the machine.
+		// timeslice instead of racing, locks never wait. Feed the probe a
+		// synthetic stall burst (the same deterministic stand-in the unit
+		// tests use) so the demo still walks the machine.
 		fmt.Println("  (single CPU: no real contention possible — injecting synthetic stalls)")
 		for i := 0; i < 50_000; i++ {
-			counter.Probe().RecordCASFailure()
 			m.Probe().RecordLockWait()
-			sl.Probe().RecordCASFailure()
 		}
 		work(0, 256) // just enough boundaries to promote, not to re-demote
 	}
 	report("phase 2 (contention burst)")
 
-	// Phase 3: an ordered range over the (ideally promoted) sorted map. The
-	// scan merges the segmented shadow with the frozen lock-free backing and
-	// must stay strictly ascending whatever state the flap left us in.
-	low := keyRange / 2
-	prev, scanned := -1, 0
-	var firstFew []int
-	sl.RangeFrom(low, func(k, v int) bool {
-		if k < low || k <= prev {
-			panic(fmt.Sprintf("ordered range violated: %d after %d", k, prev))
+	// Phase 3: a full Range over the (ideally promoted) map. The overlay
+	// walks the frozen backing, then the shadow-only keys, and must visit
+	// every live key exactly once whatever state the flap left us in.
+	seen := make(map[int]bool)
+	m.Range(func(k, _ int) bool {
+		if seen[k] {
+			panic(fmt.Sprintf("Range visited key %d twice", k))
 		}
-		prev = k
-		if len(firstFew) < 6 {
-			firstFew = append(firstFew, k)
-		}
-		scanned++
+		seen[k] = true
 		return true
 	})
-	fmt.Printf("%-28s state=%v keys≥%d: %d, ascending, first %v\n",
-		"phase 3 (ordered range):", sl.State(), low, scanned, firstFew)
+	fmt.Printf("%-28s state=%v keys visited once: %d\n", "phase 3 (full range):", m.State(), len(seen))
 
-	// Phase 4: the burst is gone — the lone survivor demotes the objects.
+	// Phase 4: the burst is gone — the lone survivor demotes the map.
 	work(0, phaseOps)
 	report("phase 4 (burst subsided)")
 
 	close(stopReader)
 	<-readerDone
 
-	h := reg.MustRegister()
-	defer h.Release()
-	if got, want := counter.Get(h), totalIncs.Load(); got != want {
-		fmt.Printf("LOST UPDATES: counter=%d want=%d\n", got, want)
+	want := 0
+	lost := 0
+	for _, model := range models {
+		want += len(model)
+		for k, v := range model {
+			if got, ok := m.Get(k); !ok || got != v {
+				lost++
+			}
+		}
+	}
+	if lost > 0 || m.Len() != want {
+		fmt.Printf("LOST UPDATES: %d keys differ, len=%d want=%d\n", lost, m.Len(), want)
 	} else {
-		fmt.Printf("exact across every switch: counter=%d after %d transitions\n",
-			got, counter.Transitions())
+		fmt.Printf("exact across every switch: %d keys after %d transitions\n", want, m.Transitions())
 	}
 	traces.print()
-	stalls := counter.Probe().Snapshot()
-	fmt.Printf("counter stall proxy: %d CAS failures, %d transition spins\n",
-		stalls.CASFailures, stalls.SpinWaits)
+	stalls := m.Probe().Snapshot()
+	fmt.Printf("map stall proxy: %d lock waits, %d transition spins\n", stalls.LockWaits, stalls.SpinWaits)
 }

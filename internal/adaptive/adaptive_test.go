@@ -60,159 +60,45 @@ func TestPolicyDefaults(t *testing.T) {
 	}
 }
 
-// --- Counter ----------------------------------------------------------------
-
-func TestCounterSingleThreadStaysQuiescent(t *testing.T) {
-	r := core.NewRegistry(8)
-	c := NewCounter(r, aggressive())
-	h := r.MustRegister()
-	for i := 0; i < 10_000; i++ {
-		c.Inc(h)
-	}
-	if c.State() != StateQuiescent {
-		t.Fatalf("state = %v, want quiescent (no contention)", c.State())
-	}
-	if c.Transitions() != 0 {
-		t.Fatalf("transitions = %d, want 0", c.Transitions())
-	}
-	if got := c.Get(h); got != 10_000 {
-		t.Fatalf("Get = %d, want 10000", got)
-	}
-}
-
-func TestCounterPromotesOnStallRate(t *testing.T) {
-	r := core.NewRegistry(8)
-	p := aggressive()
-	p.DemoteSamples = 1000 // a lone writer would re-demote; keep it promoted
-	c := NewCounter(r, p)
-	h := r.MustRegister()
-	// Inject stalls through the probe (the deterministic stand-in for CAS
-	// failures under real contention), then run past a sampling boundary.
-	for i := 0; i < 1000; i++ {
-		c.Probe().RecordCASFailure()
-	}
-	for i := 0; i < 256; i++ {
-		c.Inc(h)
-	}
-	if c.State() != StatePromoted {
-		t.Fatalf("state = %v, want promoted after stall burst", c.State())
-	}
-	// Value is preserved across the transition and keeps counting.
-	for i := 0; i < 100; i++ {
-		c.Inc(h)
-	}
-	if got := c.Get(h); got != 356 {
-		t.Fatalf("Get = %d, want 356", got)
-	}
-}
-
-func TestCounterDemotesWhenContentionSubsides(t *testing.T) {
-	r := core.NewRegistry(8)
-	c := NewCounter(r, aggressive())
-	h := r.MustRegister()
-	if !c.ForcePromote() {
-		t.Fatal("ForcePromote failed")
-	}
-	// A lone writer: every sample sees one active writer, so after
-	// cooldown + DemoteSamples boundaries the counter must demote.
-	for i := 0; i < 64*8; i++ {
-		c.Inc(h)
-	}
-	if c.State() != StateQuiescent {
-		t.Fatalf("state = %v, want quiescent after single-writer phase", c.State())
-	}
-	if got := c.Get(h); got != 64*8 {
-		t.Fatalf("Get = %d, want %d", got, 64*8)
-	}
-}
-
-func TestCounterForceTransitionsAreGuarded(t *testing.T) {
-	r := core.NewRegistry(8)
-	c := NewCounter(r, DefaultPolicy())
-	if c.ForceDemote() {
-		t.Fatal("ForceDemote succeeded while quiescent")
-	}
-	if !c.ForcePromote() || c.ForcePromote() {
-		t.Fatal("ForcePromote: want exactly one success")
-	}
-	if !c.ForceDemote() || c.ForceDemote() {
-		t.Fatal("ForceDemote: want exactly one success")
-	}
-	if c.Transitions() != 2 {
-		t.Fatalf("transitions = %d, want 2", c.Transitions())
-	}
-}
-
-// TestCounterMigrationNoLostUpdates hammers the counter across forced
-// promote and demote boundaries and asserts the final count is exact — the
-// satellite race test of the issue. Run under -race.
-func TestCounterMigrationNoLostUpdates(t *testing.T) {
-	const writers = 8
-	perWriter := 200_000
-	if testing.Short() {
-		perWriter = 20_000
-	}
-	r := core.NewRegistry(writers + 4)
-	c := NewCounter(r, Policy{SampleEvery: 1 << 62}) // policy out of the way
-	var (
-		wg   sync.WaitGroup
-		stop atomic.Bool
-	)
-	// Flapper: force transitions as fast as they will go.
-	flapped := make(chan struct{})
-	go func() {
-		defer close(flapped)
-		for !stop.Load() {
-			c.ForcePromote()
-			c.ForceDemote()
-		}
-	}()
-	// Reader: values must be monotone — both representations stay live, so
-	// no transition may ever make the sum go backwards.
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		h := r.MustRegister()
-		defer h.Release()
-		var last int64
-		for !stop.Load() {
-			v := c.Get(h)
-			if v < last {
-				t.Errorf("Get went backwards: %d -> %d", last, v)
-				return
-			}
-			last = v
-		}
-	}()
-	wg.Add(writers)
-	for w := 0; w < writers; w++ {
-		go func() {
-			defer wg.Done()
-			h := r.MustRegister()
-			defer h.Release()
-			for i := 0; i < perWriter; i++ {
-				c.Inc(h)
-			}
-		}()
-	}
-	wg.Wait()
-	stop.Store(true)
-	<-flapped
-	<-readerDone
-	h := r.MustRegister()
-	if got, want := c.Get(h), int64(writers*perWriter); got != want {
-		t.Fatalf("final count = %d, want %d (lost %d updates across %d transitions)",
-			got, want, want-got, c.Transitions())
-	}
-	if c.Transitions() == 0 {
-		t.Fatal("flapper produced no transitions; test exercised nothing")
-	}
-}
-
 // --- Map --------------------------------------------------------------------
 
 func newTestMap(r *core.Registry, p Policy) *Map[int, int] {
 	return NewMap[int, int](r, 16, 256, 512, intHash, p)
+}
+
+func TestMapSingleThreadStaysQuiescent(t *testing.T) {
+	r := core.NewRegistry(8)
+	m := newTestMap(r, aggressive())
+	h := r.MustRegister()
+	for i := 0; i < 10_000; i++ {
+		m.Put(h, i%100, i)
+	}
+	if m.State() != StateQuiescent {
+		t.Fatalf("state = %v, want quiescent (no contention)", m.State())
+	}
+	if m.Transitions() != 0 {
+		t.Fatalf("transitions = %d, want 0", m.Transitions())
+	}
+	if m.Len() != 100 {
+		t.Fatalf("Len = %d, want 100", m.Len())
+	}
+}
+
+func TestMapForceTransitionsAreGuarded(t *testing.T) {
+	r := core.NewRegistry(8)
+	m := newTestMap(r, DefaultPolicy())
+	if m.ForceDemote() {
+		t.Fatal("ForceDemote succeeded while quiescent")
+	}
+	if !m.ForcePromote() || m.ForcePromote() {
+		t.Fatal("ForcePromote: want exactly one success")
+	}
+	if !m.ForceDemote() || m.ForceDemote() {
+		t.Fatal("ForceDemote: want exactly one success")
+	}
+	if m.Transitions() != 2 {
+		t.Fatalf("transitions = %d, want 2", m.Transitions())
+	}
 }
 
 func TestMapBasicOpsPerState(t *testing.T) {

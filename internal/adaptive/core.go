@@ -1,7 +1,7 @@
-// Package adaptive provides contention-adaptive objects: wrappers that start
-// in a cheap unadjusted representation and promote themselves to the adjusted
-// representation when their contention probe reports a high stall rate over a
-// sliding window — then demote again when contention subsides.
+// Package adaptive provides the contention-adaptive map: a wrapper that
+// starts in a cheap unadjusted representation and promotes itself to the
+// adjusted representation when its contention probe reports a high stall
+// rate over a sliding window — then demotes again when contention subsides.
 //
 // The paper adjusts objects statically, at construction, to how the program
 // uses them. Self-adjusting computation (Acar et al.) shows the value of
@@ -12,7 +12,7 @@
 //
 // # State machine
 //
-// Every adaptive object runs the same four-state machine:
+// Every range of the adaptive map runs the same four-state machine:
 //
 //	quiescent ──promote──▶ migrating ──▶ promoted
 //	    ▲                                    │
@@ -23,19 +23,21 @@
 // fresh views and CASes the pointer — the pointer identity doubles as the
 // epoch, so there is no ABA under GC. Readers never block: they load the
 // view once and read whichever representation it names (during a transition
-// that is the stable source representation). Writers of objects that move
-// data announce themselves in per-thread epoch slots; a transition flips the
-// view, waits for every writer still pinned to the old view to finish
-// (seqlock-style: announce, re-check, retract on conflict), drains the old
-// representation into the new one, and publishes the final view. Writers
+// that is the stable source representation). Writers announce themselves in
+// per-thread epoch slots; a transition flips the view, waits for every
+// writer still pinned to the old view to finish (seqlock-style: announce,
+// re-check, retract on conflict), drains the old representation into the
+// new one, and publishes the final view. Writers
 // that arrive mid-transition spin — the spins are recorded in the object's
 // probe, so the cost of adapting is itself visible to the stall analysis.
 //
-// The adaptive counter never needs the drain at all: both of its
-// representations stay live for its whole lifetime and reads sum them, so
-// increments commute with transitions and no update can be lost (counter.go).
-// The adaptive map freezes its cheap representation as a read-through backing
-// store on promotion and only pays a real drain on demotion (map.go).
+// The map freezes its cheap representation as a read-through backing store
+// on promotion and only pays a real drain on demotion (engine.go).
+//
+// The map is the only adaptive object. A counter, set or ordered map
+// declared with the same profile is served faster by the static adjusted
+// representation its declaration already names, so the planner takes
+// Adaptive on Map only.
 //
 // # Policy
 //
@@ -118,16 +120,14 @@ type Policy struct {
 	DemoteSamples int
 	// Cooldown is the number of samples ignored after a transition.
 	Cooldown int
-	// Ranges is the granularity of the engine's range directory for
-	// hash-keyed objects (Map, Set): the key space is split into this many
+	// Ranges is the granularity of the map's range directory: the key space
+	// is split into this many
 	// hash-prefix buckets (rounded up to a power of two), each with its own
 	// representations, contention window and state machine, promoting and
 	// demoting independently — a hot range pays the adjusted representation
 	// while cold ranges keep cheap-rep reads with no overlay lookup. 1 (the
 	// default) is wholesale adjustment: one range covering every key, the
-	// pre-directory behavior. Ordered objects ignore Ranges — their
-	// granularity is the explicit key fences of the fenced constructors,
-	// since hash-prefix buckets would break ordered iteration.
+	// pre-directory behavior.
 	//
 	// Each range carries its own per-thread sampling state sized by the
 	// registry, so memory grows linearly with Ranges; prefer a handful of
@@ -135,7 +135,7 @@ type Policy struct {
 	Ranges int
 }
 
-// DefaultPolicy returns the tuning used by the public constructors:
+// DefaultPolicy returns the tuning used by the public constructor:
 // sample every 1024 operations over an 8-sample window, promote at a 5%
 // stall rate, demote after 3 consecutive single-writer samples.
 func DefaultPolicy() Policy {
@@ -203,7 +203,7 @@ func (p Policy) sampleMask() int64 {
 	return n - 1
 }
 
-// view is one published configuration of an adaptive object: a state plus
+// view is one published configuration of an adaptive range: a state plus
 // the representations (R) valid in it. Transitions allocate fresh views, so
 // pointer identity identifies the epoch.
 type view[R any] struct {
@@ -220,12 +220,12 @@ const (
 	actDemote
 )
 
-// machine is the state machine shared by the adaptive wrappers: the current
-// view, the per-thread writer slots used to quiesce an old view, and the
-// sampling controller.
+// machine is the state machine of one adaptive range: the current view, the
+// per-thread writer slots used to quiesce an old view, and the sampling
+// controller.
 type machine[R any] struct {
 	cur   atomic.Pointer[view[R]]
-	slots []core.PaddedPointer[view[R]] // writer presence, indexed by handle ID; empty when the wrapper needs no quiescing
+	slots []core.PaddedPointer[view[R]] // writer presence, indexed by handle ID
 	probe *contention.Probe
 
 	policy Policy
@@ -245,21 +245,16 @@ type machine[R any] struct {
 	transitions atomic.Int64
 }
 
-// newMachine creates a machine in StateQuiescent publishing initial. Wrappers
-// whose transitions move data set tracked to allocate the per-thread writer
-// slots; wrappers whose representations all stay live (the counter) skip them
-// and never pay the announce cost.
-func newMachine[R any](reg *core.Registry, probe *contention.Probe, policy Policy,
-	initial R, tracked bool) *machine[R] {
+// newMachine creates a machine in StateQuiescent publishing initial, with one
+// writer slot per registry handle.
+func newMachine[R any](reg *core.Registry, probe *contention.Probe, policy Policy, initial R) *machine[R] {
 	policy = policy.withDefaults()
 	m := &machine[R]{
+		slots:  make([]core.PaddedPointer[view[R]], reg.Capacity()),
 		probe:  probe,
 		policy: policy,
 		mask:   policy.sampleMask(),
 		window: contention.NewWindow(policy.WindowBuckets),
-	}
-	if tracked {
-		m.slots = make([]core.PaddedPointer[view[R]], reg.Capacity())
 	}
 	m.cur.Store(&view[R]{state: StateQuiescent, reps: initial})
 	return m
@@ -317,9 +312,7 @@ func (m *machine[R]) swap(old, mid, final *view[R], drain func()) bool {
 	if drain != nil {
 		drain()
 	}
-	if mid != final {
-		m.cur.Store(final)
-	}
+	m.cur.Store(final)
 	m.transitions.Add(1)
 	m.window.Reset()
 	m.lowSamples = 0

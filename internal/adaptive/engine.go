@@ -6,21 +6,18 @@ import (
 	"github.com/adjusted-objects/dego/internal/counter"
 )
 
-// This file is the representation-agnostic core of every adaptive key-value
-// object: the quiescent→migrating→promoted→demoting machine combined with
-// the frozen-backing + tombstone-shadow overlay, extracted from the original
-// adaptive.Map so that any pair of (cheap, adjusted) KV representations can
-// be made adaptive without duplicating the transition logic. adaptive.Map
-// instantiates it over the hash maps (map.go), adaptive.SortedMap over the
-// skip lists (sortedmap.go), adaptive.Set over the zero-size-value hash maps
-// (set.go); internal/adaptive/README.md documents the rep contract and the
+// This file is the representation-agnostic core of the adaptive map: the
+// quiescent→migrating→promoted→demoting machine combined with the
+// frozen-backing + tombstone-shadow overlay, over any pair of (cheap,
+// adjusted) KV representations. adaptive.Map instantiates it over the hash
+// maps (map.go), and flat_race_test.go over the flat tables;
+// internal/adaptive/README.md documents the rep contract and the
 // state-machine invariants the engine preserves.
 //
 // # The range directory
 //
 // The engine's payload is a directory of per-range representations: the key
-// space is split into ranges (hash-prefix buckets for the hash-keyed
-// objects, ordered key fences for SortedMap) and every range carries its own
+// space is split into hash-prefix ranges and every range carries its own
 // cheap/adjusted rep pair, its own contention probe and sampling window, and
 // its own state machine. Ranges promote and demote independently: a hot
 // range pays the adjusted representation's read indirection while cold
@@ -174,7 +171,7 @@ func newKVEngine[K comparable, V any, C cheapKV[K, V], A adjustedKV[K, V]](
 			rp = probe.Child()
 		}
 		e.ranges[i] = kvRange[K, V, C, A]{
-			mach: newMachine(r, rp, p, kvReps[C, A]{cheap: newCheap(rp)}, true),
+			mach: newMachine(r, rp, p, kvReps[C, A]{cheap: newCheap(rp)}),
 			ops:  counter.NewIncrementOnly(r, false),
 		}
 	}
@@ -261,9 +258,7 @@ func (e *kvEngine[K, V, C, A]) get(key K) (V, bool) {
 // rangeOverlay iterates the promoted-phase contents of reps — shadow entries
 // overlaid on the frozen backing, tombstones masking backed keys. It is the
 // single definition of "what a promoted range contains", shared by len,
-// rangeAny and the demotion drain. The order is whatever the reps produce —
-// wrappers with an ordered contract (SortedMap) build their own merge
-// iterator on the same overlay rules instead.
+// rangeAny and the demotion drain. The order is whatever the reps produce.
 //
 // The pass order matters for the live (non-quiesced) callers: the backing
 // is frozen, so "k is backed" is stable for the whole iteration. Walking

@@ -10,10 +10,9 @@ import (
 )
 
 // This file is the test suite for the range directory: per-range promotion
-// and demotion (hash-prefix buckets for Map/Set, ordered fences for
-// SortedMap), per-range sampling isolation, and the flapping race tests that
-// drive one hot range through transitions while a cold range must stay
-// quiescent.
+// and demotion over hash-prefix buckets, per-range sampling isolation, and
+// the flapping race tests that drive one hot range through transitions while
+// a cold range must stay quiescent.
 
 func TestPolicyRangeCount(t *testing.T) {
 	for in, want := range map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 8: 8, 9: 16} {
@@ -285,243 +284,5 @@ func TestMapPerRangeFlapping(t *testing.T) {
 	}
 	if got := m.Len(); got != len(want) {
 		t.Fatalf("Len = %d, want %d", got, len(want))
-	}
-}
-
-// --- SortedMap fences -------------------------------------------------------
-
-func TestSortedMapFencedPanicsOnUnsortedFences(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unsorted fences did not panic")
-		}
-	}()
-	NewSortedMapFenced[int, int](core.NewRegistry(4), 64, intHash, []int{10, 10}, Policy{})
-}
-
-// TestSortedMapFencedOrderedAcrossRanges promotes only the middle of three
-// fenced ranges and asserts the ordered iterators stitch the quiescent and
-// promoted ranges into one strictly ascending stream with the overlay rules
-// (shadow wins, tombstone suppresses) applied only where the promotion is.
-func TestSortedMapFencedOrderedAcrossRanges(t *testing.T) {
-	r := core.NewRegistry(8)
-	m := NewSortedMapFenced[int, int](r, 512, intHash, []int{100, 200},
-		Policy{SampleEvery: 1 << 62})
-	h := r.MustRegister()
-	if m.Ranges() != 3 {
-		t.Fatalf("Ranges = %d, want 3", m.Ranges())
-	}
-	for _, k := range []int{0, 100, 200} {
-		if got := m.RangeOf(k + 50); got != k/100 {
-			t.Fatalf("RangeOf(%d) = %d, want %d", k+50, got, k/100)
-		}
-	}
-	// Keys straddling both fences, in every range.
-	for k := 0; k < 300; k += 10 {
-		m.Put(h, k, k)
-	}
-	mid := 1
-	if !m.ForcePromoteRange(mid) {
-		t.Fatal("ForcePromoteRange failed")
-	}
-	m.Put(h, 150, 1500) // shadow a backed key in the promoted range
-	m.Remove(h, 160)    // tombstone in the promoted range
-	m.Put(h, 155, 1550) // fresh key in the promoted range
-	m.Put(h, 95, 950)   // plain write in a quiescent range
-
-	want := map[int]int{150: 1500, 155: 1550, 95: 950}
-	for k := 0; k < 300; k += 10 {
-		if _, ok := want[k]; !ok && k != 160 {
-			want[k] = k
-		}
-	}
-	keys, vals := collectSorted(t, m)
-	if len(keys) != len(want) {
-		t.Fatalf("Range emitted %d keys (%v), want %d", len(keys), keys, len(want))
-	}
-	for k, v := range want {
-		if vals[k] != v {
-			t.Fatalf("Range[%d] = %d, want %d", k, vals[k], v)
-		}
-	}
-	if m.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", m.Len(), len(want))
-	}
-
-	// RangeFrom starting inside the promoted range crosses its upper fence
-	// into the quiescent tail without breaking order.
-	var got []int
-	m.RangeFrom(150, func(k, v int) bool { got = append(got, k); return true })
-	wantFrom := []int{150, 155, 170, 180, 190, 200, 210, 220, 230, 240, 250, 260, 270, 280, 290}
-	if len(got) != len(wantFrom) {
-		t.Fatalf("RangeFrom(150) = %v, want %v", got, wantFrom)
-	}
-	for i := range wantFrom {
-		if got[i] != wantFrom[i] {
-			t.Fatalf("RangeFrom(150) = %v, want %v", got, wantFrom)
-		}
-	}
-
-	// RangeBetween spanning all three ranges: bounded on both fences.
-	got = nil
-	m.RangeBetween(95, 215, func(k, v int) bool { got = append(got, k); return true })
-	wantBetween := []int{95, 100, 110, 120, 130, 140, 150, 155, 170, 180, 190, 200, 210}
-	if len(got) != len(wantBetween) {
-		t.Fatalf("RangeBetween(95,215) = %v, want %v", got, wantBetween)
-	}
-	for i := range wantBetween {
-		if got[i] != wantBetween[i] {
-			t.Fatalf("RangeBetween(95,215) = %v, want %v", got, wantBetween)
-		}
-	}
-	// An interval entirely inside one cold range never touches the others.
-	got = nil
-	m.RangeBetween(200, 230, func(k, v int) bool { got = append(got, k); return true })
-	if len(got) != 3 || got[0] != 200 || got[2] != 220 {
-		t.Fatalf("RangeBetween(200,230) = %v, want [200 210 220]", got)
-	}
-	// Early stop crossing a fence boundary.
-	n := 0
-	m.Range(func(int, int) bool { n++; return n < 12 })
-	if n != 12 {
-		t.Fatalf("early-stop Range visited %d, want 12", n)
-	}
-
-	// Demote the middle range: the drain folds the overlay back and the
-	// stitched iteration is unchanged.
-	if !m.ForceDemoteRange(mid) {
-		t.Fatal("ForceDemoteRange failed")
-	}
-	keys2, vals2 := collectSorted(t, m)
-	if len(keys2) != len(keys) {
-		t.Fatalf("post-demote Range emitted %d keys, want %d", len(keys2), len(keys))
-	}
-	for k, v := range want {
-		if vals2[k] != v {
-			t.Fatalf("post-demote Range[%d] = %d, want %d", k, vals2[k], v)
-		}
-	}
-}
-
-// TestSortedMapFencedFlapping drives the low fenced range through
-// promote/demote while the high range stays quiescent, with a reader
-// asserting every mid-flight ordered iteration stays strictly ascending
-// across the fence — the ordered half of the per-range flapping satellite.
-// Run under -race.
-func TestSortedMapFencedFlapping(t *testing.T) {
-	const writers = 4
-	const keyRange = 1024
-	const fence = keyRange / 2
-	opsPerWriter := 60_000
-	if testing.Short() {
-		opsPerWriter = 8_000
-	}
-	r := core.NewRegistry(writers + 4)
-	m := NewSortedMapFenced[int, int](r, 2*keyRange, intHash, []int{fence},
-		Policy{SampleEvery: 1 << 62})
-
-	var (
-		wg     sync.WaitGroup
-		stop   atomic.Bool
-		models [writers]map[int]int
-	)
-	flapped := make(chan struct{})
-	go func() {
-		defer close(flapped)
-		for !stop.Load() {
-			m.ForcePromoteRange(0)
-			m.ForceDemoteRange(0)
-		}
-	}()
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		rng := rand.New(rand.NewSource(99))
-		for !stop.Load() {
-			if s := m.RangeState(1); s != StateQuiescent {
-				t.Errorf("cold range state = %v during flapping", s)
-				return
-			}
-			last, first := 0, true
-			m.Range(func(k, v int) bool {
-				if !first && k <= last {
-					t.Errorf("mid-flight Range order violated: %d then %d", last, k)
-					return false
-				}
-				first = false
-				last = k
-				return true
-			})
-			from := rng.Intn(keyRange)
-			m.RangeFrom(from, func(k, v int) bool {
-				if k < from {
-					t.Errorf("RangeFrom(%d) emitted %d", from, k)
-					return false
-				}
-				return true
-			})
-		}
-	}()
-	wg.Add(writers)
-	for w := 0; w < writers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			h := r.MustRegister()
-			defer h.Release()
-			model := make(map[int]int)
-			models[w] = model
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < opsPerWriter; i++ {
-				// CWMR: writer w owns keys ≡ w mod writers; half the writes
-				// land below the fence (the flapping range), half above.
-				k := rng.Intn(keyRange/writers)*writers + w
-				if rng.Intn(3) == 0 {
-					wantPresent := func() bool { _, ok := model[k]; return ok }()
-					if got := m.Remove(h, k); got != wantPresent {
-						t.Errorf("Remove(%d) = %v, want %v", k, got, wantPresent)
-						return
-					}
-					delete(model, k)
-				} else {
-					m.Put(h, k, i)
-					model[k] = i
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	stop.Store(true)
-	<-flapped
-	<-readerDone
-	if m.Transitions() == 0 {
-		t.Fatal("flapper produced no transitions; test exercised nothing")
-	}
-	if s := m.RangeState(1); s != StateQuiescent {
-		t.Fatalf("cold range finished in state %v", s)
-	}
-
-	want := map[int]int{}
-	for _, model := range models {
-		for k, v := range model {
-			want[k] = v
-		}
-	}
-	for k := 0; k < keyRange; k++ {
-		wantV, wantOK := want[k]
-		gotV, gotOK := m.Get(k)
-		if gotOK != wantOK || (gotOK && gotV != wantV) {
-			t.Fatalf("key %d (range %d): Get = %d, %v; want %d, %v",
-				k, m.RangeOf(k), gotV, gotOK, wantV, wantOK)
-		}
-	}
-	// The settled iteration is exact and globally sorted across the fence.
-	keys, vals := collectSorted(t, m)
-	if len(keys) != len(want) {
-		t.Fatalf("Range emitted %d keys, want %d", len(keys), len(want))
-	}
-	for _, k := range keys {
-		if vals[k] != want[k] {
-			t.Fatalf("Range[%d] = %d, want %d", k, vals[k], want[k])
-		}
 	}
 }

@@ -192,7 +192,7 @@ func TestFigurePrinters(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{"Figure 6", "CounterIncrementOnly", "QueueMASP",
 		"AtomicWriteOnceReference", "ExtendedSegmentedHashMap", "ConcurrentSkipListMap",
-		"AdaptiveSkipList"} {
+		"AdaptiveMap"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Figure6 output missing %q", want)
 		}

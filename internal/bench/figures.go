@@ -56,7 +56,7 @@ func Figure7(w io.Writer, base Config, threads []int, ratios []int) map[string]m
 		series := map[string][]Result{}
 		for _, wl := range []Workload{HashMapJUC(), HashMapDEGO(), AdaptiveMap(),
 			AdaptiveMapHotWholesale(), AdaptiveMapHotPerRange(),
-			SkipListJUC(), SkipListDEGO(), AdaptiveSkipList()} {
+			SkipListJUC(), SkipListDEGO()} {
 			series[wl.Name] = Sweep(wl, cfg, threads)
 		}
 		title := fmt.Sprintf("%d%% updates", ratio)

@@ -77,21 +77,6 @@ func CounterIncrementOnly() Workload {
 	}}
 }
 
-// AdaptiveCounter is the contention-adaptive counter: the unadjusted shared
-// cell until the windowed stall rate crosses the promotion threshold, the
-// adjusted per-thread cells afterwards. Single-threaded it should track
-// CounterJUC (one CAS plus a view load); at high thread counts it should
-// track CounterIncrementOnly after its first promotion.
-func AdaptiveCounter() Workload {
-	return Workload{Name: "AdaptiveCounter", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		c := dego.Must(dego.Counter(dego.Blind(), dego.SingleReader(), dego.Adaptive(),
-			dego.On(reg))).Adaptive()
-		return func(tid int, h *core.Handle, rng *rand.Rand) {
-			c.Inc(h)
-		}, c.Probe()
-	}}
-}
-
 // --- Hash maps (Figures 6, 7, 8) -------------------------------------------
 
 // mapOps builds the §6.2 mixed workload over a put/remove/get interface:
@@ -239,27 +224,6 @@ func SkipListDEGO() Workload {
 			func(h *core.Handle, k int) { m.Remove(h, k) },
 			func(k int) { m.Get(k) },
 		), nil
-	}}
-}
-
-// AdaptiveSkipList is the contention-adaptive ordered map: the lock-free CAS
-// skip list until the windowed CAS-failure rate crosses the promotion
-// threshold, extended-segmented afterwards. As with AdaptiveMap, population
-// goes through a single priming handle (the cheap lock-free representation
-// accepts any writer) and each key is re-homed by its owning partition's
-// worker on its first post-promotion write.
-func AdaptiveSkipList() Workload {
-	return Workload{Name: "AdaptiveSkipList", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		m := dego.Must(dego.Ordered[int, int](dego.CommutingWriters(), dego.Adaptive(),
-			dego.On(reg), dego.Buckets(cfg.KeyRange*2))).Adaptive()
-		boxes := valueBoxes(cfg)
-		prime := reg.MustRegister()
-		populate(cfg, func(k int) { m.PutRef(prime, k, boxes[k]) })
-		return mapOps(cfg,
-			func(h *core.Handle, k int) { m.PutRef(h, k, boxes[k]) },
-			func(h *core.Handle, k int) { m.Remove(h, k) },
-			func(k int) { m.Get(k) },
-		), m.Probe()
 	}}
 }
 
@@ -447,14 +411,14 @@ func QueueDEGO() Workload {
 	}}
 }
 
-// Figure6Families lists the five object families of Figure 6, DEGO last,
-// with the contention-adaptive variants alongside so the sweeps compare
+// Figure6Families lists the five object families of Figure 6, DEGO after
+// JUC, with the adaptive map alongside the hash maps so the sweep compares
 // static-adjusted against adaptive.
 func Figure6Families() map[string][]Workload {
 	return map[string][]Workload{
-		"Counter":     {CounterJUC(), LongAdder(), CounterIncrementOnly(), AdaptiveCounter()},
+		"Counter":     {CounterJUC(), LongAdder(), CounterIncrementOnly()},
 		"HashMap":     {HashMapJUC(), HashMapDEGO(), AdaptiveMap()},
-		"SkipListMap": {SkipListJUC(), SkipListDEGO(), AdaptiveSkipList()},
+		"SkipListMap": {SkipListJUC(), SkipListDEGO()},
 		"Reference":   {ReferenceJUC(), ReferenceDEGO()},
 		"Queue":       {QueueJUC(), QueueDEGO()},
 	}

@@ -50,11 +50,8 @@ type runMeta struct {
 // the measured phase (0 means 2000 — the replay is evidence gathering,
 // not a benchmark, so op-count mode keeps it deterministic).
 func AdviseRun(p Params) ([]TableAdvice, error) {
-	if err := p.Mix.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
-	}
-	if p.Users < p.Threads {
-		return nil, fmt.Errorf("retwis: need at least one user per thread (%d < %d)", p.Users, p.Threads)
 	}
 	ops := p.OpsPerThread
 	if ops <= 0 {

@@ -15,7 +15,7 @@ import (
 // kind is nothing but the row of declarations those tables are planned
 // with (rowOf). The planner turns each row into a representation — lock
 // striping for JUC, the extended segmentation for DEGO, preallocated slot
-// arrays for FLAT, the adaptive engine for ADAPTIVE — and the program never
+// arrays for FLAT, the adaptive map for ADAPTIVE — and the program never
 // learns which: DEGO is injected into an unchanged program, which is the
 // paper's claim. Every kind pays the identical facade, so a DEGO-vs-JUC
 // ratio compares representations, not call paths. That holds per user too:
@@ -44,10 +44,12 @@ type profile struct {
 }
 
 // row is one kind's declarations: the options its top-level tables are
-// planned with (Capacity is added per table) and the planner call for one
+// planned with (Capacity is added per table), the options only its per-user
+// maps add (Adaptive, which no set takes), and the planner call for one
 // user's timeline queue.
 type row struct {
 	tables   []dego.Option
+	maps     []dego.Option
 	timeline func(u UserID) *dego.AdjustedQueue[Tweet]
 }
 
@@ -55,29 +57,30 @@ type row struct {
 // own distinct users) and a timeline's only consumer is its user's owner
 // thread; the DEGO, FLAT and ADAPTIVE rows say so, the JUC row says
 // nothing. CommutingWriters plus Capacity over an integer key with no
-// WithHash is the planner's flat gate.
+// WithHash is the planner's flat gate. ADAPTIVE is DEGO's row with its four
+// per-user maps declared Adaptive; its community set plans as DEGO's does.
 func rowOf(kind Kind, users int, reg *core.Registry) row {
 	queue := func(opts ...dego.Option) func(UserID) *dego.AdjustedQueue[Tweet] {
 		return func(UserID) *dego.AdjustedQueue[Tweet] { return dego.Must(dego.Queue[Tweet](opts...)) }
 	}
 	switch kind {
 	case KindJUC:
-		return row{[]dego.Option{dego.Stripes(256), dego.WithHash(userHash)}, queue()}
+		return row{[]dego.Option{dego.Stripes(256), dego.WithHash(userHash)}, nil, queue()}
 	case KindDEGO:
 		return row{[]dego.Option{dego.CommutingWriters(), dego.On(reg), dego.Buckets(2 * users),
-			dego.WithHash(userHash)}, queue(dego.SingleReader())}
+			dego.WithHash(userHash)}, nil, queue(dego.SingleReader())}
 	case KindFLAT:
-		return row{[]dego.Option{dego.CommutingWriters(), dego.On(reg)}, queue(dego.SingleReader())}
+		return row{[]dego.Option{dego.CommutingWriters(), dego.On(reg)}, nil, queue(dego.SingleReader())}
 	case KindADAPTIVE:
-		return row{[]dego.Option{dego.CommutingWriters(), dego.Adaptive(), dego.On(reg), dego.Stripes(256),
-			dego.Buckets(2 * users), dego.WithHash(userHash)}, queue(dego.SingleReader())}
+		return row{[]dego.Option{dego.CommutingWriters(), dego.On(reg), dego.Stripes(256),
+			dego.Buckets(2 * users), dego.WithHash(userHash)}, []dego.Option{dego.Adaptive()}, queue(dego.SingleReader())}
 	case kindRecorded:
 		// User 0's queue is the one timeline built with recording — the
 		// representative for the queue-consumer inference (recording every
 		// user's queue would cost a recorder per user for identical
 		// evidence).
 		plain, recorded := queue(dego.On(reg)), queue(dego.On(reg), dego.WithUsageRecording())
-		return row{[]dego.Option{dego.On(reg), dego.WithHash(userHash), dego.WithUsageRecording()},
+		return row{[]dego.Option{dego.On(reg), dego.WithHash(userHash), dego.WithUsageRecording()}, nil,
 			func(u UserID) *dego.AdjustedQueue[Tweet] {
 				if u == 0 {
 					return recorded(u)
@@ -95,7 +98,7 @@ func (r row) sized(capacity int) []dego.Option {
 
 // table plans one top-level per-user map from a row.
 func table[V any](r row, capacity int) *dego.AdjustedMap[UserID, V] {
-	return dego.Must(dego.Map[UserID, V](r.sized(capacity)...))
+	return dego.Must(dego.Map[UserID, V](append(r.sized(capacity), r.maps...)...))
 }
 
 // tableBackend is the push-model Retwis program over one row of

@@ -19,9 +19,10 @@
 //     than it saves in contention.
 //   - FLAT: DEGO's declarations plus a capacity and no hash function — the
 //     planner's flat gate, preallocated open-addressing tables.
-//   - ADAPTIVE: DEGO's declarations plus Adaptive — every table a
-//     contention-adaptive object, lock-striped until contention promotes it
-//     to the extended segmentation; MPSC timeline queues. This is the end-to-
+//   - ADAPTIVE: DEGO's declarations plus Adaptive on the four per-user
+//     maps — each a contention-adaptive map, lock-striped until contention
+//     promotes it to the extended segmentation; DEGO's segmented community
+//     set (only maps adapt); MPSC timeline queues. This is the end-to-
 //     end exercise of the internal/adaptive engine on a realistic mixed
 //     workload, not a paper figure.
 //   - RECORDED (unexported): JUC's declarations with a usage recorder on

@@ -191,6 +191,15 @@ func TestRunRejectsBadParams(t *testing.T) {
 	if _, err := Run(KindJUC, p); err == nil {
 		t.Fatal("accepted invalid mix")
 	}
+	for _, threads := range []int{0, -1} {
+		p = testParams(512, threads)
+		if _, err := Run(KindJUC, p); err == nil {
+			t.Fatalf("Run accepted %d threads", threads)
+		}
+		if _, err := AdviseRun(p); err == nil {
+			t.Fatalf("AdviseRun accepted %d threads", threads)
+		}
+	}
 }
 
 func TestFigure9And10Printers(t *testing.T) {
@@ -277,7 +286,7 @@ func TestDeclarationTable(t *testing.T) {
 		{KindDEGO, plan{"SegmentedMap", "(M2, CWMR)"}, plan{"SegmentedSet", "(S3, CWMR)"}, plan{"MPSCQueue", "(Q1, MWSR)"}, false},
 		{KindFLAT, plan{"FlatMap", "(M2, CWMR)"}, plan{"FlatSet", "(S3, CWMR)"}, plan{"MPSCQueue", "(Q1, MWSR)"}, false},
 		{kindRecorded, plan{"StripedMap", "(M1, ALL)"}, plan{"StripedSet", "(S1, ALL)"}, plan{"MSQueue", "(Q1, ALL)"}, true},
-		{KindADAPTIVE, plan{"AdaptiveMap", "(M2, CWMR)"}, plan{"AdaptiveSet", "(S3, CWMR)"}, plan{"MPSCQueue", "(Q1, MWSR)"}, false},
+		{KindADAPTIVE, plan{"AdaptiveMap", "(M2, CWMR)"}, plan{"SegmentedSet", "(S3, CWMR)"}, plan{"MPSCQueue", "(Q1, MWSR)"}, false},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			reg := core.NewRegistry(16)

@@ -167,13 +167,25 @@ func apply(b Backend, h *core.Handle, op Op, tl []Tweet) {
 	}
 }
 
-// Run executes the benchmark and returns the measurement.
-func Run(kind Kind, p Params) (Result, error) {
+// validate rejects parameters no run can partition: a bad mix, no thread
+// (owner would divide by zero), or fewer users than threads.
+func (p Params) validate() error {
 	if err := p.Mix.Validate(); err != nil {
-		return Result{}, err
+		return err
+	}
+	if p.Threads < 1 {
+		return fmt.Errorf("retwis: need at least one thread (got %d)", p.Threads)
 	}
 	if p.Users < p.Threads {
-		return Result{}, fmt.Errorf("retwis: need at least one user per thread (%d < %d)", p.Users, p.Threads)
+		return fmt.Errorf("retwis: need at least one user per thread (%d < %d)", p.Users, p.Threads)
+	}
+	return nil
+}
+
+// Run executes the benchmark and returns the measurement.
+func Run(kind Kind, p Params) (Result, error) {
+	if err := p.validate(); err != nil {
+		return Result{}, err
 	}
 	reg := core.NewRegistry(2*p.Threads + 8)
 

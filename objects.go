@@ -24,7 +24,7 @@ import (
 // executable Definition 1 (internal/spec), and picks the first row the
 // profile fits. A constructor only builds the row it was given and returns
 // an Adjusted* wrapper exposing the narrowed interface and the Plan that
-// was made, whose Rep names the representation; an adaptive plan also
+// was made, whose Rep names the representation; an adaptive map also
 // exposes its adaptive object (Adaptive). Code that must time a
 // representation itself, as the figures do, builds it from its internal
 // package.
@@ -45,13 +45,6 @@ func unwrap(rep any) any {
 		return d.unwrap()
 	}
 	return rep
-}
-
-// adaptiveOf returns the adaptive representation behind a planner view, or
-// nil when the view holds another.
-func adaptiveOf[A any](rep any) A {
-	a, _ := unwrap(rep).(A)
-	return a
 }
 
 // ---------------------------------------------------------------------------
@@ -102,12 +95,8 @@ func (c *AdjustedCounter) Get(h *Handle) int64 { return c.rep.Get(h) }
 // Plan returns the planner's decision for this object.
 func (c *AdjustedCounter) Plan() Plan { return *c.plan }
 
-// Adaptive returns the underlying contention-adaptive counter when the
-// profile declared Adaptive, else nil.
-func (c *AdjustedCounter) Adaptive() *AdaptiveCounter { return adaptiveOf[*AdaptiveCounter](c.rep) }
-
-// Probe returns the contention probe observing this object: the adaptive
-// probe when planned adaptive, else the WithProbe one (possibly nil).
+// Probe returns the contention probe observing this object: the WithProbe
+// one (possibly nil).
 func (c *AdjustedCounter) Probe() *Probe { return c.probe }
 
 // Advise infers the most adjusted counter profile the recorded usage
@@ -117,7 +106,6 @@ func (c *AdjustedCounter) Advise() (Advice, bool) { return adviseObject(c.plan, 
 
 // counterRows are the counter representations, most adjusted first.
 var counterRows = []repRow{
-	{name: "AdaptiveCounter", modes: inCWSR, needs: needBlind, adaptive: true},
 	{name: "IncrementOnlyCounter", modes: inCWSR, needs: needBlind, guarded: true},
 	// Preallocated padded cells with a wait-free add, no CAS retry loop.
 	// Without CommutingWriters the Adder stays: its CAS loop is also the
@@ -134,8 +122,7 @@ var counterRows = []repRow{
 // (C2), which forces the shared atomic cell. Blind (C3) unlocks the striped
 // adder; Blind with a single declared reader (CWSR — counter writes always
 // commute, so SingleReader alone suffices) unlocks the per-thread cells of
-// the paper's (C3, CWSR) object; Adaptive on that profile switches between
-// the atomic cell and the cells under measured contention.
+// the paper's (C3, CWSR) object.
 func Counter(opts ...Option) (*AdjustedCounter, error) {
 	p, plan, _, err := declare("Counter", counterTakes, opts, counterRows, false)
 	if err != nil {
@@ -143,9 +130,6 @@ func Counter(opts ...Option) (*AdjustedCounter, error) {
 	}
 	c := &AdjustedCounter{plan: intern(plan), probe: p.probe}
 	switch plan.Rep {
-	case "AdaptiveCounter":
-		ad := adaptive.NewCounter(p.reg(), p.resolvedPolicy())
-		c.rep, c.probe = ad, ad.Probe()
 	case "IncrementOnlyCounter":
 		c.rep = counter.NewIncrementOnly(p.reg(), p.checked)
 	case "FlatCounter":
@@ -219,7 +203,8 @@ func (m *AdjustedMap[K, V]) Plan() Plan { return *m.plan }
 // Adaptive returns the underlying contention-adaptive map when the profile
 // declared Adaptive, else nil.
 func (m *AdjustedMap[K, V]) Adaptive() *AdaptiveMap[K, V] {
-	return adaptiveOf[*AdaptiveMap[K, V]](m.rep)
+	a, _ := unwrap(m.rep).(*AdaptiveMap[K, V])
+	return a
 }
 
 // Probe returns the contention probe observing this object.
@@ -256,7 +241,7 @@ var mapRows = []repRow{
 func Map[K comparable, V any](opts ...Option) (*AdjustedMap[K, V], error) {
 	const dt = "Map"
 	enc, dec, intKey := intKeyCodec[K]()
-	p, plan, row, err := declare(dt, keyedTakes, opts, mapRows, intKey)
+	p, plan, row, err := declare(dt, mapTakes, opts, mapRows, intKey)
 	if err != nil {
 		return nil, err
 	}
@@ -335,10 +320,6 @@ func (s *AdjustedSet[K]) Range(f func(x K) bool) { s.rep.Range(f) }
 // Plan returns the planner's decision for this object.
 func (s *AdjustedSet[K]) Plan() Plan { return *s.plan }
 
-// Adaptive returns the underlying contention-adaptive set when the profile
-// declared Adaptive, else nil.
-func (s *AdjustedSet[K]) Adaptive() *AdaptiveSet[K] { return adaptiveOf[*AdaptiveSet[K]](s.rep) }
-
 // Probe returns the contention probe observing this object.
 func (s *AdjustedSet[K]) Probe() *Probe { return s.probe }
 
@@ -351,7 +332,6 @@ func (s *AdjustedSet[K]) Advise() (Advice, bool) { return adviseObject(s.plan, s
 var setRows = []repRow{
 	{name: "FlatSWMRSet", modes: inSWMR, needs: needFlat, guarded: true},
 	{name: "FlatSet", modes: inALL | commuting, needs: needFlat},
-	{name: "AdaptiveSet", modes: commuting, adaptive: true, hashed: true},
 	{name: "SegmentedSet", modes: commuting, guarded: true, hashed: true},
 	{name: "SWMRSet", modes: inSWMR, guarded: true, hashed: true},
 	{name: "StripedSet", modes: inALL, hashed: true},
@@ -360,12 +340,11 @@ var setRows = []repRow{
 // Set builds a membership set from a declared usage profile. Planning
 // follows Map: unrestricted → striped baseline (S1); SingleWriter → SWMR
 // (S2); CommutingWriters → the segmented set of the paper's (S3, CWMR)
-// node; Adaptive on the commuting profile → the adaptive set; the flat
-// gate → the flat family.
+// node; the flat gate → the flat family.
 func Set[K comparable](opts ...Option) (*AdjustedSet[K], error) {
 	const dt = "Set"
 	enc, dec, intKey := intKeyCodec[K]()
-	p, plan, row, err := declare(dt, keyedTakes, opts, setRows, intKey)
+	p, plan, row, err := declare(dt, setTakes, opts, setRows, intKey)
 	if err != nil {
 		return nil, err
 	}
@@ -382,9 +361,6 @@ func Set[K comparable](opts ...Option) (*AdjustedSet[K], error) {
 		s.rep = newFlatSWMRSet[K](enc, dec, p.capacity, p.checked)
 	case "FlatSet":
 		s.rep = newFlatSet[K](enc, dec, p.capacity)
-	case "AdaptiveSet":
-		ad := adaptive.NewSet[K](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
-		s.rep, s.probe, plan.Ranges = ad, ad.Probe(), ad.Ranges()
 	case "SegmentedSet":
 		s.rep = set.NewSegmented[K](p.reg(), buckets, hash, p.checked)
 	case "SWMRSet":
@@ -451,7 +427,7 @@ func (r swmrListRep[K, V]) RangeBetween(from, to K, f func(K, V) bool) {
 }
 
 // AdjustedOrdered is an ordered map built from a declared profile. Ordered
-// iteration is strictly ascending in every representation and state.
+// iteration is strictly ascending in every representation.
 type AdjustedOrdered[K cmp.Ordered, V any] struct {
 	plan  *Plan
 	rep   orderedRep[K, V]
@@ -489,12 +465,6 @@ func (m *AdjustedOrdered[K, V]) RangeBetween(from, to K, f func(key K, val V) bo
 // Plan returns the planner's decision for this object.
 func (m *AdjustedOrdered[K, V]) Plan() Plan { return *m.plan }
 
-// Adaptive returns the underlying contention-adaptive skip list when the
-// profile declared Adaptive, else nil.
-func (m *AdjustedOrdered[K, V]) Adaptive() *AdaptiveSkipList[K, V] {
-	return adaptiveOf[*AdaptiveSkipList[K, V]](m.rep)
-}
-
 // Probe returns the contention probe observing this object.
 func (m *AdjustedOrdered[K, V]) Probe() *Probe { return m.probe }
 
@@ -505,7 +475,6 @@ func (m *AdjustedOrdered[K, V]) Advise() (Advice, bool) { return adviseObject(m.
 
 // orderedRows are the ordered-map representations, most adjusted first.
 var orderedRows = []repRow{
-	{name: "AdaptiveSkipList", modes: commuting, adaptive: true, hashed: true},
 	{name: "SegmentedSkipList", modes: commuting, guarded: true, hashed: true},
 	{name: "SWMRSkipList", modes: inSWMR, guarded: true},
 	{name: "ConcurrentSkipList", modes: inALL},
@@ -515,42 +484,21 @@ var orderedRows = []repRow{
 // The catalog rows are shared with Map — an ordered map narrows M1's
 // interface no differently — but the representations keep iteration
 // sorted: unrestricted → lock-free CAS baseline; SingleWriter → SWMR list;
-// CommutingWriters → the extended segmented list; Adaptive on the
-// commuting profile → the adaptive skip list, optionally split at Fenced
-// keys into independently adjusting ranges.
+// CommutingWriters → the extended segmented list.
 func Ordered[K cmp.Ordered, V any](opts ...Option) (*AdjustedOrdered[K, V], error) {
 	const dt = "Ordered"
 	p, plan, row, err := declare(dt, orderedTakes, opts, orderedRows, false)
 	if err != nil {
 		return nil, err
 	}
-	var fences []K
-	if p.fences != nil {
-		var ok bool
-		if fences, ok = p.fences.([]K); !ok {
-			var zero K
-			return nil, invalid(dt, "Fenced keys have type %T, want []%T", p.fences, zero)
-		}
-		if !p.adaptive {
-			return nil, invalid(dt, "Fenced defines adaptive range boundaries; declare Adaptive")
-		}
-		for i := 1; i < len(fences); i++ {
-			if fences[i] <= fences[i-1] {
-				return nil, invalid(dt, "Fenced keys must be strictly increasing (key %d)", i)
-			}
-		}
-	}
 	hash, rec, recHash, err := keyed[K](dt, &p, row)
 	if err != nil {
 		return nil, err
 	}
 	buckets := p.bucketsOr(p.capacityOr(1024) * 2)
-	plan.Ranges, plan.Fences = len(fences)+1, len(fences)
+	plan.Ranges = 1
 	m := &AdjustedOrdered[K, V]{plan: intern(plan), probe: p.probe}
 	switch plan.Rep {
-	case "AdaptiveSkipList":
-		ad := adaptive.NewSortedMapFenced[K, V](p.reg(), buckets, hash, fences, p.resolvedPolicy())
-		m.rep, m.probe = ad, ad.Probe()
 	case "SegmentedSkipList":
 		m.rep = skiplist.NewSegmented[K, V](p.reg(), buckets, hash, p.checked)
 	case "SWMRSkipList":

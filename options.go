@@ -1,7 +1,5 @@
 package dego
 
-import "cmp"
-
 // An Option declares one aspect of how a program will use a shared object.
 // The profile constructors (Counter, Map, Set, Ordered, Queue, Ref) fold
 // their options into a usage profile and hand it to the planner, which picks
@@ -12,15 +10,15 @@ import "cmp"
 //     interface (return values, re-initialization);
 //   - access restrictions: SingleWriter, SingleReader, CommutingWriters —
 //     promise which threads call what;
-//   - adaptivity: Adaptive — ask for a representation that switches itself
-//     under measured contention;
+//   - adaptivity: Adaptive — ask a map for a representation that switches
+//     itself under measured contention;
 //   - context and tuning: On, Checked, WithHash, WithProbe, Capacity,
-//     Stripes, Buckets, Fenced — they size or instrument whatever the
-//     planner picks, and never change which object is declared.
+//     Stripes, Buckets — they size or instrument whatever the planner
+//     picks, and never change which object is declared.
 //
-// Narrowings, restrictions and granularities that do not exist for a
-// datatype (WriteOnce on a map, Blind on a queue, Fenced or Ranges on a
-// counter) make the whole profile invalid, and so does a profile no
+// Narrowings, restrictions and adaptivity that do not exist for a datatype
+// (WriteOnce on a map, Blind on a queue, Adaptive on a counter) make the
+// whole profile invalid, and so does a profile no
 // representation serves (SingleReader alone on a map, Checked on a plan
 // with no guard): the constructor returns an error wrapping
 // ErrInvalidProfile rather than guessing what was meant. Both rules are
@@ -74,10 +72,14 @@ func SingleReader() Option { return func(p *profile) { p.singleReader = true } }
 // must hold for the object's whole lifetime.
 func CommutingWriters() Option { return func(p *profile) { p.commuting = true } }
 
-// Adaptive asks for a contention-adaptive representation: the unadjusted
-// one until the windowed stall rate says otherwise, the adjusted one while
-// contention lasts. The declared access restriction must still hold in
-// every state — adaptivity changes the representation, never the contract.
+// Adaptive asks a commuting-writers Map for the contention-adaptive
+// representation: the unadjusted one until the windowed stall rate says
+// otherwise, the adjusted one while contention lasts. The declared access
+// restriction must still hold in every state — adaptivity changes the
+// representation, never the contract. Applies to Map only: Counter, Set and
+// Ordered reject it, because under the same declaration their static
+// adjusted representation is faster in every measured cell
+// (ARCHITECTURE.md, "Why only the map adapts").
 func Adaptive(opts ...AdaptiveOption) Option {
 	return func(p *profile) {
 		p.adaptive = true
@@ -93,20 +95,10 @@ func WithPolicy(pol AdaptivePolicy) AdaptiveOption {
 	return func(p *profile) { p.policy, p.policySet = pol, true }
 }
 
-// Ranges splits a hash-keyed adaptive object (Map, Set) into n hash-prefix
-// ranges that promote and demote independently, so a hot range pays the
-// adjusted representation while cold ranges keep single-lookup reads.
-// Ordered objects take Fenced instead — hash-prefix buckets would scatter
-// adjacent keys and break ordered iteration.
+// Ranges splits an adaptive map into n hash-prefix ranges that promote and
+// demote independently, so a hot range pays the adjusted representation
+// while cold ranges keep single-lookup reads.
 func Ranges(n int) AdaptiveOption { return func(p *profile) { p.ranges = n } }
-
-// Fenced splits an adaptive ordered object's key space at the given keys:
-// len(keys)+1 contiguous intervals, each adjusting independently, whose
-// concatenation keeps global iteration sorted. Keys must be strictly
-// increasing. Applies to Ordered with Adaptive only.
-func Fenced[K cmp.Ordered](keys ...K) Option {
-	return func(p *profile) { p.fences = append([]K(nil), keys...) }
-}
 
 // WithHash supplies the key hash for keyed objects. Optional for built-in
 // integer and string key types, which get the library's default hashers
@@ -116,9 +108,9 @@ func WithHash[K comparable](f func(K) uint64) Option {
 }
 
 // WithProbe attaches a contention probe to representations that accept
-// external instrumentation (the lock- and CAS-based baselines). Adaptive
-// representations carry their own probe regardless — read it from the
-// constructed object. Advisory: representations with nothing to record
+// external instrumentation (the lock- and CAS-based baselines). The adaptive
+// map carries its own probe regardless — read it from the constructed
+// object. Advisory: representations with nothing to record
 // ignore it.
 func WithProbe(pr *Probe) Option { return func(p *profile) { p.probe = pr } }
 

@@ -29,12 +29,9 @@ type Plan struct {
 	// Adaptive reports whether the representation switches itself under
 	// measured contention.
 	Adaptive bool
-	// Ranges is the hash-prefix range count of an adaptive hash-keyed
-	// directory (1 = wholesale).
+	// Ranges is the hash-prefix range count of an adaptive map's directory
+	// (1 = wholesale; every other keyed plan reports 1).
 	Ranges int
-	// Fences is the fence count of an adaptive ordered directory
-	// (0 = single range).
-	Fences int
 }
 
 // Declared renders the declared object like the paper's nodes: "(M2, CWMR)".
@@ -64,8 +61,8 @@ func (p Plan) validate() error {
 
 // plans interns every Plan a constructor has made, so objects point at a
 // shared one. It stays small: one entry per distinct declaration a program
-// makes (testdata/plans.golden lists the accepted ones), times the range or
-// fence counts its adaptive objects use.
+// makes (testdata/plans.golden lists the accepted ones), times the range
+// counts its adaptive maps use.
 var plans struct {
 	sync.RWMutex
 	m map[Plan]*Plan

@@ -35,7 +35,6 @@ func TestPlanGolden(t *testing.T) {
 		{"buckets32", []Option{Buckets(32)}},
 		{"hash", []Option{WithHash(HashInt)}},
 		{"probe", []Option{WithProbe(NewProbe())}},
-		{"fenced", []Option{Fenced(10, 20)}},
 		{"recorded", []Option{WithUsageRecording()}},
 	}
 	dts := make([]string, 0, len(builders))
@@ -62,9 +61,9 @@ func TestPlanGolden(t *testing.T) {
 								if err != nil {
 									continue
 								}
-								got = append(got, fmt.Sprintf("%s/%s/%s/%s/%s/%s/%s: %s ranges=%d fences=%d",
+								got = append(got, fmt.Sprintf("%s/%s/%s/%s/%s/%s/%s: %s ranges=%d",
 									dt, md.name, nd.name, ad.name, ck.name, cp.name, tn.name,
-									plan, plan.Ranges, plan.Fences))
+									plan, plan.Ranges))
 							}
 						}
 					}
@@ -72,8 +71,8 @@ func TestPlanGolden(t *testing.T) {
 			}
 		}
 	}
-	if cells != 10584 {
-		t.Fatalf("matrix has %d cells, want 10584", cells)
+	if cells != 9072 {
+		t.Fatalf("matrix has %d cells, want 9072", cells)
 	}
 	text := strings.Join(got, "\n") + "\n"
 	if *updatePlans {

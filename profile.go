@@ -76,9 +76,8 @@ type profile struct {
 	record bool
 
 	// Key typing (carried as any because options are not generic over the
-	// object's key type; the constructor re-types them).
-	hash   any // func(K) uint64
-	fences any // []K, strictly increasing
+	// object's key type; the constructor re-types it).
+	hash any // func(K) uint64
 }
 
 // profiles recycles the profiles constructors plan from. Options are
@@ -87,7 +86,7 @@ type profile struct {
 var profiles = sync.Pool{New: func() any { return new(profile) }}
 
 // release zeroes p, so the pool keeps nothing a caller declared (registry,
-// probe, hash, fences) reachable, and recycles it.
+// probe, hash) reachable, and recycles it.
 func (p *profile) release() {
 	*p = profile{}
 	profiles.Put(p)
@@ -204,7 +203,6 @@ const (
 	optCommuting
 	optAdaptive
 	optRanges
-	optFenced
 	optHash
 	optCapacity
 	optStripes
@@ -212,14 +210,17 @@ const (
 )
 
 // optionNames names the optBits, lowest first.
-var optionNames = [...]string{"Blind", "WriteOnce", "CommutingWriters", "Adaptive", "Ranges", "Fenced", "WithHash", "Capacity", "Stripes", "Buckets"}
+var optionNames = [...]string{"Blind", "WriteOnce", "CommutingWriters", "Adaptive", "Ranges", "WithHash", "Capacity", "Stripes", "Buckets"}
 
 // The applicability table: the datatype-dependent options each datatype
-// takes. Declaring any other makes the profile invalid.
+// takes. Declaring any other makes the profile invalid. Only Map takes
+// Adaptive: a counter, set or ordered map under the same declaration is
+// served faster by the static adjusted representation its profile names.
 const (
-	counterTakes = optBlind | optCommuting | optAdaptive | optCapacity
-	keyedTakes   = optBlind | optCommuting | optAdaptive | optRanges | optHash | optCapacity | optStripes | optBuckets // Map, Set
-	orderedTakes = optBlind | optCommuting | optAdaptive | optFenced | optHash | optCapacity | optBuckets
+	counterTakes = optBlind | optCommuting | optCapacity
+	setTakes     = optBlind | optCommuting | optHash | optCapacity | optStripes | optBuckets
+	mapTakes     = setTakes | optAdaptive | optRanges
+	orderedTakes = optBlind | optCommuting | optHash | optCapacity | optBuckets
 	queueTakes   = optBit(0)
 	refTakes     = optWriteOnce
 )
@@ -235,9 +236,8 @@ func bit[B ~uint8 | ~uint16](on bool, b B) B {
 // declared returns the datatype-dependent options the profile declares.
 func (p *profile) declared() optBit {
 	return bit(p.blind, optBlind) | bit(p.writeOnce, optWriteOnce) | bit(p.commuting, optCommuting) |
-		bit(p.adaptive, optAdaptive) | bit(p.ranges > 0, optRanges) | bit(p.fences != nil, optFenced) |
-		bit(p.hash != nil, optHash) | bit(p.capacity > 0, optCapacity) | bit(p.stripes > 0, optStripes) |
-		bit(p.buckets > 0, optBuckets)
+		bit(p.adaptive, optAdaptive) | bit(p.ranges > 0, optRanges) | bit(p.hash != nil, optHash) |
+		bit(p.capacity > 0, optCapacity) | bit(p.stripes > 0, optStripes) | bit(p.buckets > 0, optBuckets)
 }
 
 // A modeSet is a set of §4.2 modes, one bit per Mode.

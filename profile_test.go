@@ -157,7 +157,7 @@ func TestPlannerDecisions(t *testing.T) {
 		dt       string
 		opts     []Option
 		declared string // "" = expect ErrInvalidProfile
-		rep      string
+		rep      string // the planned representation, or text the rejection must contain
 	}{
 		// Counter: Blind is the C2→C3 step; SingleReader completes CWSR.
 		{"Counter", nil, "(C2, ALL)", "AtomicCounter"},
@@ -166,12 +166,13 @@ func TestPlannerDecisions(t *testing.T) {
 		{"Counter", []Option{Blind(), SingleReader()}, "(C3, CWSR)", "IncrementOnlyCounter"},
 		{"Counter", []Option{Blind(), SingleReader(), CommutingWriters()}, "(C3, CWSR)", "IncrementOnlyCounter"},
 		{"Counter", []Option{Blind(), SingleWriter()}, "(C3, SWMR)", "AtomicCounter"},
-		{"Counter", []Option{Blind(), SingleReader(), Adaptive()}, "(C3, CWSR)", "AdaptiveCounter"},
-		{"Counter", []Option{Adaptive()}, "", ""},
+		// Only Map takes Adaptive: the same declaration plans the static
+		// row, which is faster in every measured cell.
+		{"Counter", []Option{Blind(), SingleReader(), Adaptive()}, "", "Adaptive does not apply"},
+		{"Counter", []Option{Adaptive()}, "", "Adaptive does not apply"},
 		{"Counter", []Option{SingleWriter(), SingleReader()}, "", ""},
 		{"Counter", []Option{WriteOnce()}, "", ""},
-		// Counters are unkeyed: no hash prefix to split adaptive ranges by.
-		{"Counter", []Option{Blind(), SingleReader(), Adaptive(Ranges(4))}, "", ""},
+		{"Counter", []Option{Blind(), SingleReader(), Adaptive(Ranges(4))}, "", "Adaptive does not apply"},
 		// The flat counter: blind + commuting + a declared cell capacity.
 		// Without CommutingWriters the same capacity keeps the Adder (its
 		// CAS loop doubles as the contention instrument), as NewAdder pins.
@@ -212,7 +213,8 @@ func TestPlannerDecisions(t *testing.T) {
 		{"Set", []Option{Blind()}, "(S2, ALL)", "StripedSet"},
 		{"Set", []Option{SingleWriter()}, "(S2, SWMR)", "SWMRSet"},
 		{"Set", []Option{CommutingWriters()}, "(S3, CWMR)", "SegmentedSet"},
-		{"Set", []Option{CommutingWriters(), Adaptive()}, "(S3, CWMR)", "AdaptiveSet"},
+		{"Set", []Option{CommutingWriters(), Adaptive()}, "", "Adaptive does not apply"},
+		{"Set", []Option{CommutingWriters(), Adaptive(Ranges(4))}, "", "Adaptive does not apply"},
 		{"Set", []Option{CommutingWriters(), SingleReader()}, "(S3, CWSR)", "SegmentedSet"},
 		{"Set", []Option{SingleReader()}, "", ""},
 		// Flat set rows mirror the flat map gate.
@@ -225,7 +227,7 @@ func TestPlannerDecisions(t *testing.T) {
 		{"Ordered", nil, "(M1, ALL)", "ConcurrentSkipList"},
 		{"Ordered", []Option{SingleWriter()}, "(M2, SWMR)", "SWMRSkipList"},
 		{"Ordered", []Option{CommutingWriters()}, "(M2, CWMR)", "SegmentedSkipList"},
-		{"Ordered", []Option{CommutingWriters(), Adaptive()}, "(M2, CWMR)", "AdaptiveSkipList"},
+		{"Ordered", []Option{CommutingWriters(), Adaptive()}, "", "Adaptive does not apply"},
 		{"Ordered", []Option{CommutingWriters(), SingleReader()}, "(M2, CWSR)", "SegmentedSkipList"},
 		{"Ordered", []Option{SingleReader()}, "", ""},
 
@@ -253,6 +255,8 @@ func TestPlannerDecisions(t *testing.T) {
 				t.Errorf("%s %v: built %v, want ErrInvalidProfile", tc.dt, optNames(tc.opts), plan)
 			} else if !errors.Is(err, ErrInvalidProfile) {
 				t.Errorf("%s: error %v does not wrap ErrInvalidProfile", tc.dt, err)
+			} else if !strings.Contains(err.Error(), tc.rep) {
+				t.Errorf("%s %v: rejected with %q, want it to say %q", tc.dt, optNames(tc.opts), err, tc.rep)
 			}
 			continue
 		}
@@ -328,25 +332,17 @@ func TestDefaultHashers(t *testing.T) {
 	}
 }
 
-// TestAdaptiveGranularity: Ranges splits hash-keyed adaptive objects,
-// Fenced splits ordered ones, and both are validated.
+// TestAdaptiveGranularity: Ranges splits the adaptive map into hash-prefix
+// ranges, and no other datatype takes it.
 func TestAdaptiveGranularity(t *testing.T) {
 	m := Must(Map[int, int](CommutingWriters(), Adaptive(Ranges(8))))
 	if m.Plan().Ranges != m.Adaptive().Ranges() || m.Plan().Ranges != 8 {
 		t.Fatalf("Ranges(8): plan=%d rep=%d", m.Plan().Ranges, m.Adaptive().Ranges())
 	}
 
-	o := Must(Ordered[int, int](CommutingWriters(), Adaptive(), Fenced(10, 20, 30)))
-	if o.Plan().Fences != 3 || o.Plan().Ranges != 4 || o.Adaptive().Ranges() != 4 {
-		t.Fatalf("Fenced: plan=%+v rep ranges=%d", o.Plan(), o.Adaptive().Ranges())
-	}
-
 	for name, err := range map[string]error{
-		"fences not increasing":   second(Ordered[int, int](CommutingWriters(), Adaptive(), Fenced(10, 10))),
-		"fences without adaptive": second(Ordered[int, int](CommutingWriters(), Fenced(10))),
-		"fences on map":           second(Map[int, int](CommutingWriters(), Adaptive(), Fenced(10))),
-		"fence key type mismatch": second(Ordered[int, int](CommutingWriters(), Adaptive(), Fenced("a"))),
-		"ranges on ordered":       second(Ordered[int, int](CommutingWriters(), Adaptive(Ranges(4)))),
+		"ranges on set":     second(Set[int](CommutingWriters(), Adaptive(Ranges(4)))),
+		"ranges on ordered": second(Ordered[int, int](CommutingWriters(), Adaptive(Ranges(4)))),
 	} {
 		if !errors.Is(err, ErrInvalidProfile) {
 			t.Errorf("%s: err = %v, want ErrInvalidProfile", name, err)

@@ -143,8 +143,8 @@ func TestRecordedMethodTraces(t *testing.T) {
 // TestAccessorsSeeThroughRecording builds every row of every datatype twice,
 // unrecorded and recorded, and checks that the accessors answer the same
 // through the recording decorator: the same plan, a representation of the
-// same dynamic type behind the decorator, Adaptive non-nil exactly on
-// adaptive rows, Probe the adaptive object's own probe there, and Advise
+// same dynamic type behind the decorator, Adaptive non-nil exactly on the
+// adaptive map row, Probe the adaptive map's own probe there, and Advise
 // available exactly when recorded.
 func TestAccessorsSeeThroughRecording(t *testing.T) {
 	reg := NewRegistry(8)
@@ -162,14 +162,10 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 		build func(opts []Option) view
 	}{
 		{counterRows, [][]Option{
-			{Blind(), SingleReader(), Adaptive()}, {Blind(), SingleReader()},
-			{Blind(), CommutingWriters(), Capacity(8)}, {Blind()}, {},
+			{Blind(), SingleReader()}, {Blind(), CommutingWriters(), Capacity(8)}, {Blind()}, {},
 		}, func(opts []Option) view {
 			c := Must(Counter(opts...))
 			v := view{plan: c.Plan(), rep: unwrap(c.rep), probe: c.Probe()}
-			if a := c.Adaptive(); a != nil {
-				v.adaptive, v.adProbe = true, a.Probe()
-			}
 			_, v.advised = c.Advise()
 			return v
 		}},
@@ -186,25 +182,18 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 			return v
 		}},
 		{setRows, [][]Option{
-			{SingleWriter(), Capacity(16)}, {Capacity(16)}, {CommutingWriters(), Adaptive()},
-			{CommutingWriters()}, {SingleWriter()}, {},
+			{SingleWriter(), Capacity(16)}, {Capacity(16)}, {CommutingWriters()}, {SingleWriter()}, {},
 		}, func(opts []Option) view {
 			s := Must(Set[int](opts...))
 			v := view{plan: s.Plan(), rep: unwrap(s.rep), probe: s.Probe()}
-			if a := s.Adaptive(); a != nil {
-				v.adaptive, v.adProbe = true, a.Probe()
-			}
 			_, v.advised = s.Advise()
 			return v
 		}},
 		{orderedRows, [][]Option{
-			{CommutingWriters(), Adaptive()}, {CommutingWriters()}, {SingleWriter()}, {},
+			{CommutingWriters()}, {SingleWriter()}, {},
 		}, func(opts []Option) view {
 			o := Must(Ordered[int, int](opts...))
 			v := view{plan: o.Plan(), rep: unwrap(o.rep), probe: o.Probe()}
-			if a := o.Adaptive(); a != nil {
-				v.adaptive, v.adProbe = true, a.Probe()
-			}
 			_, v.advised = o.Advise()
 			return v
 		}},
