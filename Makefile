@@ -31,8 +31,9 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # the hot-range pair (AdaptiveMapHotWholesale / AdaptiveMapHotPerRange), so
 # the adaptive engine's promotion path is exercised on every CI run. The
 # ordered maps' layer benchmark (BenchmarkOrdered), the root figure
-# wrappers (BenchmarkFig*) and the serving executor's (BenchmarkStoreRun,
-# its contended case included) run once each so they cannot rot.
+# wrappers (BenchmarkFig*), the serving executor's (BenchmarkStoreRun,
+# its contended case included) and the codec's (BenchmarkCommandBatch,
+# BenchmarkReplyBatch, BenchmarkWriteReply) run once each so they cannot rot.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
@@ -120,7 +121,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Ordered -benchtime 1x ./internal/skiplist
 	$(GO) test -run '^$$' -bench Fig -benchtime 1x .
 	$(GO) test -run '^$$' -bench StoreRun -benchtime 1x ./internal/server
-	$(GO) test -run '^$$' -bench CommandBatch -benchtime 1x ./internal/wire
+	$(GO) test -run '^$$' -bench 'CommandBatch|ReplyBatch|WriteReply' -benchtime 1x ./internal/wire
 
 # Regenerate the checked-in flat baseline (run on a quiet machine, then
 # commit BENCH_flat.json).

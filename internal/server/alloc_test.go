@@ -17,16 +17,18 @@ import (
 // raise one. (The race detector allocates on its own, hence the build tag;
 // `make cover` runs this file.)
 //
-// What the table-2 row still pays, 75 for 38 commands: 60 of them are its
+// What the table-2 row still pays, 73 for 38 commands: 60 of them are its
 // ten follows, each a SADD that creates a set key the unfollow after it
 // empties and deletes — the object, its set, the key's clone, the SWMR map's
 // node and value box, the member string: six a follow. The rest is SET's
-// value clone, object and value box, the LPUSH elements' clones, INCR's
-// digits, ZADD's member string, and the sorted set's index growing under
-// new members. A write to a present key makes no map call and boxes
+// value clone, object and value box, INCR's digits, ZADD's member string,
+// and the sorted set's index growing under new members. An LPUSH encodes its
+// element into the list's buffer, which moves to a fresh one only once per
+// dozens of pushes. A write to a present key makes no map call and boxes
 // nothing. The timeline-read row pays nothing: lookups borrow their key
-// from the decoded argument, and running a shard's units under its lock
-// allocates nothing.
+// from the decoded argument, running a shard's units under its lock
+// allocates nothing, and an LRANGE answers with a window of the list's
+// buffer.
 func TestAllocCeilings(t *testing.T) {
 	cmdStream := func() func() {
 		r := wire.NewReader(&loopReader{data: []byte("*4\r\n$4\r\nZADD\r\n$9\r\nposts:123\r\n$2\r\n17\r\n$6\r\n123:17\r\n*2\r\n$3\r\nGET\r\n$11\r\nprofile:123\r\n")})
@@ -69,6 +71,19 @@ func TestAllocCeilings(t *testing.T) {
 			}
 		}
 	}
+	var frames []byte
+	for _, e := range elems {
+		frames = wire.AppendBulk(frames, e.Bulk)
+	}
+	framesEncode := func() func() {
+		w := wire.NewWriter(io.Discard)
+		timeline := wire.Frames(len(elems), frames)
+		return func() {
+			if err := w.WriteReply(timeline); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	cmdEncode := func() func() {
 		w := wire.NewWriter(io.Discard)
 		zadd := [][]byte{[]byte("ZADD"), []byte("posts:123"), []byte("17"), []byte("123:17")}
@@ -89,8 +104,9 @@ func TestAllocCeilings(t *testing.T) {
 		{"wire.CommandBatch, ZADD + GET batch on recycled storage", 0, cmdStream},
 		{"wire.ReplyBatch, 50-element array then an integer", 0, replyStream},
 		{"wire.Writer.WriteReply, 50-element array", 0, replyEncode},
+		{"wire.Writer.WriteReply, 50-frame pre-encoded array", 0, framesEncode},
 		{"wire.Writer.WriteCommand, 4-argument ZADD", 0, cmdEncode},
-		{"store.run, 38-command table-2 batch", 75, table2Batch},
+		{"store.run, 38-command table-2 batch", 73, table2Batch},
 		{"store.run, GET profile + LRANGE timeline 0 49 read batch", 0, readBatch},
 	} {
 		f := row.setup()

@@ -93,7 +93,7 @@ func TestShardMapsStayQuiescentUnderConfinement(t *testing.T) {
 			t.Error("a second handle wrote a checked shard map without a panic")
 		}
 	}()
-	st.shards[0].obj.Put(h, "intruder", &object{kind: objString})
+	st.shards[0].obj.Put(h, "intruder", &object{})
 }
 
 // TestShardMapLookupsBorrowTheirKey pins the borrowed-key contract of the
@@ -113,7 +113,7 @@ func TestShardMapLookupsBorrowTheirKey(t *testing.T) {
 	model := map[string]string{}
 	for i := 0; i < 200; i++ {
 		k, v := fmt.Sprintf("key:%d", i), fmt.Sprintf("value:%d", i)
-		m.Put(h, k, &object{kind: objString, str: []byte(v)})
+		m.Put(h, k, &object{str: []byte(v)})
 		model[k] = v
 	}
 
@@ -139,7 +139,7 @@ func TestShardMapLookupsBorrowTheirKey(t *testing.T) {
 		switch i % 3 {
 		case 0:
 			model[k] = want + ":updated"
-			m.Put(h, view(k), &object{kind: objString, str: []byte(model[k])})
+			m.Put(h, view(k), &object{str: []byte(model[k])})
 		case 1:
 			if !m.Remove(h, view(k)) {
 				t.Fatalf("Remove(%q) = false", k)

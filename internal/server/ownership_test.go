@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/adjusted-objects/dego/internal/wire"
 )
@@ -38,10 +40,11 @@ func pipeline(t *testing.T, r *wire.Reader, w *wire.Writer, cmds ...[]string) []
 // same-length payloads into the pipeline slots that carried a SET value and
 // two LPUSH elements, and same-length keys into the slots that carried a key
 // each creating verb (SET, INCR, SADD, LPUSH, ZADD) created. The shard must
-// have cloned what it stored (shard.exec's bytes.Clone at SET and LPUSH,
-// shard.create's strings.Clone of a fresh key): without the clones the
-// stored bytes are the connection's argument buffers, the values read back
-// as the later payloads and the keys answer under the later names.
+// have copied what it stored (shard.exec's bytes.Clone at SET, LPUSH's
+// encoding into the list's buffer, shard.create's strings.Clone of a fresh
+// key): without the copies the stored bytes are the connection's argument
+// buffers, the values read back as the later payloads and the keys answer
+// under the later names.
 func TestStoredValuesSurviveSlotReuse(t *testing.T) {
 	t.Run(StoreAdaptive, func(t *testing.T) {
 		srv := startTestServer(t, Config{Store: StoreConfig{Shards: 2, Kind: StoreAdaptive, Capacity: 128}})
@@ -113,10 +116,12 @@ func equalReply(a, b wire.Reply) bool {
 }
 
 // TestExecBatchRepliesAreCallerOwned: ExecBatch borrows its scratch from a
-// pool, and array replies are cut from that scratch's arena. What it
-// returns must be a copy: 100 further batches, from this goroutine and from
-// others, reuse the arena, and without ExecBatch's element copy the kept
-// LRANGE reply would show their elements.
+// pool, and SMEMBERS and ZRANGEBYSCORE replies are cut from that scratch's
+// arena. What it returns must be a copy: 100 further batches, from this
+// goroutine and from others, reuse the arena, and without ExecBatch's
+// element copy the kept replies would show their elements. The kept LRANGE
+// reply aliases its list's frames, which the other batches' reads leave
+// alone.
 func TestExecBatchRepliesAreCallerOwned(t *testing.T) {
 	st := newTestStore(t, 2)
 	for i := 0; i < 8; i++ {
@@ -207,8 +212,13 @@ func (l headFirst) ltrim(start, stop int) headFirst {
 
 // TestListMatchesHeadFirstModel drives LPUSH / LTRIM / LRANGE through the
 // store and a naive head-first [][]byte side by side: a fixed table of the
-// index corner cases, then a seeded random walk.
+// index corner cases, then a seeded random walk. The values include the
+// frames a list stores unusually: empty, payloads on either side of a change
+// in header width (9/10 and 99/100 bytes), binary bytes, and CRLF or a whole
+// frame inside the payload.
 func TestListMatchesHeadFirstModel(t *testing.T) {
+	odd := []string{"", strings.Repeat("9", 9), strings.Repeat("a", 10), strings.Repeat("b", 99), strings.Repeat("c", 100),
+		"\x00\xff\x01\r", "a\r\nb", "\r\n", "$3\r\nfoo\r\n", "\r\n\r\n*2\r\n"}
 	st := newTestStore(t, 1)
 	var model headFirst
 	itoa := strconv.Itoa
@@ -260,6 +270,10 @@ func TestListMatchesHeadFirstModel(t *testing.T) {
 	trim(5, 9) // wholly past the end: deletes the key
 	push("p")
 	trim(0, 0)
+	push(odd...)
+	trim(2, -3)
+	push(odd[:5]...)
+	trim(-7, 3)
 
 	rng := rand.New(rand.NewSource(21))
 	for step := 0; step < 400; step++ {
@@ -267,7 +281,16 @@ func TestListMatchesHeadFirstModel(t *testing.T) {
 		case n == 0 || rng.Intn(3) > 0:
 			vs := make([]string, 1+rng.Intn(3))
 			for i := range vs {
-				vs[i] = "v" + itoa(step) + "." + itoa(i)
+				switch rng.Intn(6) {
+				case 0, 1:
+					vs[i] = odd[rng.Intn(len(odd))]
+				case 2:
+					b := make([]byte, rng.Intn(120))
+					rng.Read(b)
+					vs[i] = string(b)
+				default:
+					vs[i] = "v" + itoa(step) + "." + itoa(i)
+				}
 			}
 			push(vs...)
 		default:
@@ -276,35 +299,130 @@ func TestListMatchesHeadFirstModel(t *testing.T) {
 	}
 }
 
-// TestTimelineSettlesInOneArray: the retwis pattern — push one, trim to the
-// newest 50 — forever. The list must neither grow nor keep reallocating:
-// its backing array stays a small multiple of the live length, and dropped
-// slots are cleared so trimmed entries are not pinned.
-func TestTimelineSettlesInOneArray(t *testing.T) {
+// TestTimelineBufferStaysBounded: the retwis pattern — push one, trim to
+// the newest 50 — forever. The buffer must neither grow nor keep
+// reallocating: it holds at most three times the live frames' bytes (the
+// index and the gap fit in the other two), and a push+trim cycle moves the
+// list to a fresh buffer at most once in ten.
+func TestTimelineBufferStaysBounded(t *testing.T) {
 	var l list
-	for i := 0; i < 10_000; i++ {
-		l.push([]byte("tweet"))
+	tweet := [][]byte{[]byte("tweet")}
+	cycle := func() {
+		l.push(tweet)
 		if l.len() > 50 {
 			l.keep(0, 49)
 		}
 	}
+	for range 10_000 {
+		cycle()
+	}
 	if l.len() != 50 {
 		t.Fatalf("len = %d, want 50", l.len())
 	}
-	if cap(l.buf) > 4*50 {
-		t.Fatalf("cap = %d after 10000 push+trim cycles, want at most %d", cap(l.buf), 4*50)
+	if live := int(l.hi - l.lo); len(l.buf) > 3*live+64 {
+		t.Fatalf("buffer holds %d bytes for %d live frame bytes after 10000 push+trim cycles, want at most %d",
+			len(l.buf), live, 3*live+64)
 	}
-	for i, v := range l.buf[:cap(l.buf)] {
-		if live := i >= l.off && i < len(l.buf); (v != nil) != live {
-			t.Fatalf("slot %d of %d: nil=%v but live=%v (off %d, len %d)", i, cap(l.buf), v == nil, live, l.off, len(l.buf))
+	if got := testing.AllocsPerRun(1000, cycle); got > 0.1 {
+		t.Fatalf("%v allocations per push+trim cycle, want at most 0.1", got)
+	}
+}
+
+// TestListRejectsPushPastLimit: a push that would take the buffer past
+// maxListBytes, where the index's uint32 offsets end, is refused and leaves
+// the list as it was. The list here only claims that many live bytes.
+func TestListRejectsPushPastLimit(t *testing.T) {
+	l := list{hi: maxListBytes - 8}
+	before := l
+	if l.push([][]byte{[]byte("x")}) {
+		t.Fatal("a push past maxListBytes was accepted")
+	}
+	if l.buf != nil || l.ilo != before.ilo || l.ihi != before.ihi || l.lo != before.lo || l.hi != before.hi {
+		t.Fatalf("a refused push changed the list: %+v, was %+v", l, before)
+	}
+}
+
+// listBuffer returns the address of key's list buffer, which changes when
+// the list moves to a fresh one.
+func listBuffer(st *Store, key string) *byte {
+	return unsafe.SliceData(st.shards[st.ShardOf([]byte(key))].get(key).list.buf)
+}
+
+// TestListRepliesOutliveLaterWrites: a TCP reply is encoded after its
+// batch drops the shard's lock, so an LRANGE reply — a window of the list's
+// own buffer — may be written while other batches push, trim and delete the
+// key. Each round runs an LRANGE batch on its own scratch and then, on
+// another scratch, a batch that changes the list; only after the last round
+// are the LRANGE replies encoded, and their bytes must be the model's. The
+// rounds push and trim the tail until the buffer has moved, drop the head
+// and push again, and delete the key: a list that compacted in place, or let a
+// push overwrite a dropped head frame, fails here.
+func TestListRepliesOutliveLaterWrites(t *testing.T) {
+	st := newTestStore(t, 1)
+	var model headFirst
+	push := func(sc *scratch, v string) {
+		model = model.lpush(v)
+		st.run(sc, [][][]byte{cmd("LPUSH", "l", v)})
+		sc.release()
+	}
+	trim := func(sc *scratch, start, stop int) {
+		model = model.ltrim(start, stop)
+		st.run(sc, [][][]byte{cmd("LTRIM", "l", strconv.Itoa(start), strconv.Itoa(stop))})
+		sc.release()
+	}
+	for i := range 10 {
+		push(new(scratch), "entry-"+strconv.Itoa(i))
+	}
+
+	type read struct {
+		sc   *scratch
+		want []byte
+	}
+	var reads []read
+	lrange := func() {
+		sc := new(scratch)
+		st.run(sc, [][][]byte{cmd("LRANGE", "l", "0", "-1")})
+		if rep := sc.plans[0].reply(sc.units); rep.Kind != wire.KindFrames {
+			t.Fatalf("LRANGE answered %v, want a pre-encoded array", rep)
+		}
+		elems := make([]wire.Reply, len(model))
+		for i, v := range model {
+			elems[i] = wire.Bulk(bytes.Clone(v))
+		}
+		var want bytes.Buffer
+		w := wire.NewWriter(&want)
+		w.WriteReply(wire.Array(elems...))
+		w.Flush()
+		reads = append(reads, read{sc, want.Bytes()})
+	}
+	writer := new(scratch)
+
+	lrange()
+	before := listBuffer(st, "l")
+	for i := range 100 { // a 10-entry list's gap runs out many times over
+		push(writer, "pushed-"+strconv.Itoa(i))
+		trim(writer, 0, 9)
+	}
+	moved := listBuffer(st, "l") != before
+	lrange()
+	trim(writer, 1, -1)
+	push(writer, "after-head-trim")
+	lrange()
+	st.run(writer, [][][]byte{cmd("DEL", "l")})
+	writer.release()
+
+	for i, r := range reads {
+		var got bytes.Buffer
+		w := wire.NewWriter(&got)
+		if err := w.WriteReply(r.sc.plans[0].reply(r.sc.units)); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		if !bytes.Equal(got.Bytes(), r.want) {
+			t.Errorf("LRANGE reply %d changed under later writes:\n got %q\nwant %q", i, got.Bytes(), r.want)
 		}
 	}
-	array := &l.buf[:1][0]
-	for i := 0; i < 1000; i++ {
-		l.push([]byte("tweet"))
-		l.keep(0, 49)
-	}
-	if &l.buf[:1][0] != array {
-		t.Fatal("a settled timeline moved to a new backing array")
+	if !moved {
+		t.Error("100 push+trim cycles never moved the list to a fresh buffer")
 	}
 }

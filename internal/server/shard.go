@@ -31,19 +31,35 @@ const (
 // owning shard's lock: only the top-level map is a shared planner-built
 // object, and a write to a present key updates the object in place.
 // Mutations never edit reply-visible memory in place — str is replaced
-// wholesale, list elements are immutable once pushed, set/zset replies are
-// materialized at execution time — so a reply assembled for an earlier
-// command in a batch stays valid while later commands mutate the object.
+// wholesale, a list's frames are never rewritten once pushed (list), set and
+// zset replies are materialized at execution time — so a reply assembled for
+// an earlier command in a batch, or still being written to a connection,
+// stays valid while later commands mutate the object.
 // Everything retained is the shard's own copy: connections recycle the
-// buffers commands are decoded into, so SET and LPUSH clone their operands,
-// a key-creating write clones its key (shard.create), and set and zset
-// members are string conversions already.
+// buffers commands are decoded into, so SET clones its value, LPUSH encodes
+// its elements into the list's buffer, a key-creating write clones its key
+// (shard.create), and set and zset members are string conversions already.
+// The list body sits behind a pointer, so the keys of other kinds do not
+// carry its width.
 type object struct {
-	kind objKind
 	str  []byte
 	set  map[string]struct{}
-	list list
+	list *list
 	zs   *zset
+}
+
+// kind reads the type off the body: a set, list or sorted set has its body
+// and no other, a string has none of them. The tag costs no field.
+func (o *object) kind() objKind {
+	switch {
+	case o.list != nil:
+		return objList
+	case o.set != nil:
+		return objSet
+	case o.zs != nil:
+		return objZSet
+	}
+	return objString
 }
 
 // zset is a score-ordered member set: the map is the membership index, the
@@ -165,6 +181,7 @@ var errNotInt = wire.Err("ERR value is not an integer or out of range")
 var errNotFloat = wire.Err("ERR value is not a valid float")
 var errMinMax = wire.Err("ERR min or max is not a float")
 var errShutDown = wire.Err("ERR store is shut down")
+var errListTooLong = wire.Err("ERR list too long")
 
 // execSafe runs one unit with panic isolation: a panic while executing a
 // command poisons that unit's reply (a typed protocol-error-derived error
@@ -187,7 +204,8 @@ func (sh *shard) execSafe(u *unit, sc *scratch) (rep wire.Reply) {
 
 // exec runs one unit against the shard state. Only key creation (create),
 // emptying (Remove) and SET call the map's writers; a write to a present key
-// updates its object in place. Array replies are built in sc's arena.
+// updates its object in place. LRANGE answers with a window of the list's
+// frames; the other array replies are built in sc's arena.
 func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 	switch u.op {
 	case opGet:
@@ -195,14 +213,14 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 		switch {
 		case o == nil:
 			return wire.Null()
-		case o.kind != objString:
+		case o.kind() != objString:
 			return wrongType
 		}
 		return wire.Bulk(o.str)
 
 	case opSet:
 		// A fresh object Put over a present key too: the recorder sees it.
-		o := &object{kind: objString, str: bytes.Clone(u.args[0])}
+		o := &object{str: bytes.Clone(u.args[0])}
 		if sh.obj.Contains(u.key) {
 			sh.obj.Put(h, u.key, o)
 		} else {
@@ -225,10 +243,10 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 	case opIncr:
 		o := sh.get(u.key)
 		if o == nil {
-			sh.create(h, u.key, &object{kind: objString, str: []byte("1")})
+			sh.create(h, u.key, &object{str: []byte("1")})
 			return wire.Int64(1)
 		}
-		if o.kind != objString {
+		if o.kind() != objString {
 			return wrongType
 		}
 		// Only the canonical spelling counts, as in redis' string2ll: the
@@ -246,9 +264,9 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 	case opSAdd:
 		o := sh.get(u.key)
 		if o == nil {
-			o = &object{kind: objSet, set: make(map[string]struct{}, len(u.args))}
+			o = &object{set: make(map[string]struct{}, len(u.args))}
 			sh.create(h, u.key, o)
-		} else if o.kind != objSet {
+		} else if o.kind() != objSet {
 			return wrongType
 		}
 		added := int64(0)
@@ -266,7 +284,7 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 		if o == nil {
 			return wire.Int64(0)
 		}
-		if o.kind != objSet {
+		if o.kind() != objSet {
 			return wrongType
 		}
 		removed := int64(0)
@@ -287,7 +305,7 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 		if o == nil {
 			return wire.Array()
 		}
-		if o.kind != objSet {
+		if o.kind() != objSet {
 			return wrongType
 		}
 		members := make([]string, 0, len(o.set))
@@ -304,15 +322,18 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 
 	case opLPush:
 		o := sh.get(u.key)
-		if o == nil {
-			o = &object{kind: objList}
-			sh.create(h, u.key, o)
-		} else if o.kind != objList {
+		fresh := o == nil
+		if fresh {
+			o = &object{list: new(list)}
+		} else if o.kind() != objList {
 			return wrongType
 		}
 		// LPUSH a b c leaves c at the head.
-		for _, v := range u.args {
-			o.list.push(bytes.Clone(v))
+		if !o.list.push(u.args) {
+			return errListTooLong
+		}
+		if fresh {
+			sh.create(h, u.key, o)
 		}
 		return wire.Int64(int64(o.list.len()))
 
@@ -321,25 +342,25 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 		if o == nil {
 			return wire.Array()
 		}
-		if o.kind != objList {
+		if o.kind() != objList {
 			return wrongType
 		}
 		start, stop, ok := parseRangeIndexes(u.args, o.list.len())
 		if !ok {
 			return errNotInt
 		}
-		from := len(sc.arena)
-		for i := start; i <= stop; i++ {
-			sc.arena = append(sc.arena, wire.Bulk(o.list.at(i)))
+		if start > stop {
+			return wire.Array()
 		}
-		return sc.array(from)
+		// The window as the list stores it: already the reply's encoding.
+		return wire.Frames(stop-start+1, o.list.frames(start, stop))
 
 	case opLTrim:
 		o := sh.get(u.key)
 		if o == nil {
 			return wire.OK()
 		}
-		if o.kind != objList {
+		if o.kind() != objList {
 			return wrongType
 		}
 		start, stop, ok := parseRangeIndexes(u.args, o.list.len())
@@ -366,9 +387,9 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 		}
 		o := sh.get(u.key)
 		if o == nil {
-			o = &object{kind: objZSet, zs: &zset{score: make(map[string]float64)}}
+			o = &object{zs: &zset{score: make(map[string]float64)}}
 			sh.create(h, u.key, o)
-		} else if o.kind != objZSet {
+		} else if o.kind() != objZSet {
 			return wrongType
 		}
 		added := int64(0)
@@ -384,7 +405,7 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 		if o == nil {
 			return wire.Array()
 		}
-		if o.kind != objZSet {
+		if o.kind() != objZSet {
 			return wrongType
 		}
 		lo, hi, ok := parseScoreBounds(u.args)
@@ -403,7 +424,7 @@ func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
 		if o == nil {
 			return wire.Int64(0)
 		}
-		if o.kind != objZSet {
+		if o.kind() != objZSet {
 			return wrongType
 		}
 		lo, hi, ok := parseScoreBounds(u.args)

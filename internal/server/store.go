@@ -29,9 +29,13 @@
 // key creation, emptying and SET call the map's writers.
 //
 // Values inside a shard's map (the string/set/list/zset bodies) are plain
-// Go structures touched only under the shard's lock, the same deliberate
+// Go structures mutated only under the shard's lock, the same deliberate
 // non-adjustment as retwis' inner follower sets: the top-level map is the
 // shared, planner-built object; interiors never cross a shard boundary.
+// One read happens outside the lock: a list stores its entries as the bulk
+// frames LRANGE answers with, an LRANGE reply is a window of that buffer,
+// and the connection writes it after the lock is dropped. That is safe
+// because a frame's bytes are never rewritten (see list).
 package server
 
 import (
@@ -265,16 +269,20 @@ func (s *Store) Exec(args [][]byte) wire.Reply {
 // on different shards; commands touching the same shard execute in batch
 // order (see docs/PROTOCOL.md, "Pipelining"). The replies are the caller's
 // to keep: the working memory is borrowed from a pool and array elements are
-// copied out of it before it goes back. The store keeps no reference to
-// cmds.
+// copied out of it before it goes back; LRANGE's elements alias the list's
+// frames, which are never rewritten. The store keeps no reference to cmds.
 func (s *Store) ExecBatch(cmds [][][]byte) []wire.Reply {
 	sc := s.pool.Get().(*scratch)
 	s.run(sc, cmds)
 	replies := make([]wire.Reply, len(cmds))
 	for i := range replies {
 		rep := sc.plans[i].reply(sc.units)
-		if rep.Kind == wire.KindArray {
+		switch rep.Kind {
+		case wire.KindArray:
 			rep.Elems = append([]wire.Reply(nil), rep.Elems...)
+		case wire.KindFrames:
+			// The frames are a list's, never rewritten: elements may alias them.
+			rep = rep.Expand()
 		}
 		replies[i] = rep
 	}
@@ -285,11 +293,12 @@ func (s *Store) ExecBatch(cmds [][][]byte) []wire.Reply {
 
 // scratch is the working memory of one pipeline batch: the command plans,
 // the units they expand to, per shard the indexes of its units, and the
-// arena array replies' elements are cut from. A connection handler owns one
-// for its lifetime and ExecBatch borrows one per call, so steady-state
-// batches plan and dispatch without allocating. Plan replies and unit replies
+// arena SMEMBERS and ZRANGEBYSCORE replies' elements are cut from. A
+// connection handler owns one for its lifetime and ExecBatch borrows one per
+// call, so steady-state batches plan and dispatch without allocating. Plan replies and unit replies
 // may point into the arena and into the commands' argument buffers; all of
-// it is valid from run until release.
+// it is valid from run until release. An LRANGE reply points into its list's
+// buffer instead, which stays valid for good.
 type scratch struct {
 	plans  []cmdPlan
 	units  []unit

@@ -312,3 +312,27 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	l.off = (l.off + n) % len(l.data)
 	return n, nil
 }
+
+// BenchmarkReplyBatch times the client's side of a timeline read: decoding
+// one 50-element LRANGE reply into a recycled ReplyBatch.
+func BenchmarkReplyBatch(b *testing.B) {
+	array, _ := timelineReply()
+	var frame bytes.Buffer
+	w := NewWriter(&frame)
+	w.WriteReply(array)
+	w.Flush()
+	r := NewReader(&loopReader{data: frame.Bytes()})
+	var batch ReplyBatch
+	for range 2 { // the first sizes the arena, the second its payload buffers
+		if _, err := batch.Read(r, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := batch.Read(r, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -169,6 +169,18 @@ func FuzzReadReply(f *testing.F) {
 			if err := w.WriteReply(rep); err != nil {
 				t.Fatalf("re-encode of decoded reply failed: %v", err)
 			}
+			// An array of bulk strings, pre-encoded as a list stores it,
+			// must encode to the same bytes.
+			if frames, ok := bulkFrames(rep); ok {
+				w.Flush()
+				var pre bytes.Buffer
+				pw := NewWriter(&pre)
+				pw.WriteReply(Frames(len(rep.Elems), frames))
+				pw.Flush()
+				if !bytes.Equal(pre.Bytes(), buf.Bytes()) {
+					t.Fatalf("Frames encodes as %q, the Array as %q", pre.Bytes(), buf.Bytes())
+				}
+			}
 		}
 		// The same bytes through a ReplyBatch over dirty storage, one to
 		// three replies a Read: the replies ReadReply decoded, then its
@@ -281,4 +293,20 @@ func sameReply(a, b Reply) bool {
 		}
 	}
 	return true
+}
+
+// bulkFrames returns the frames of rep's elements back to back when rep is
+// an array of bulk strings.
+func bulkFrames(rep Reply) ([]byte, bool) {
+	if rep.Kind != KindArray {
+		return nil, false
+	}
+	var frames []byte
+	for _, e := range rep.Elems {
+		if e.Kind != KindBulk {
+			return nil, false
+		}
+		frames = AppendBulk(frames, e.Bulk)
+	}
+	return frames, true
 }

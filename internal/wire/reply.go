@@ -17,6 +17,7 @@ const (
 	KindBulk                   // $3\r\nfoo
 	KindNull                   // $-1 / *-1
 	KindArray                  // *2 ...
+	KindFrames                 // *2 ..., its elements already encoded (Frames)
 )
 
 // Reply is one decoded server→client frame. The server's shard executors
@@ -25,8 +26,8 @@ const (
 // ends structurally.
 type Reply struct {
 	Kind  Kind
-	Int   int64   // KindInt
-	Bulk  []byte  // KindSimple (text), KindError (message), KindBulk (payload)
+	Int   int64   // KindInt; KindFrames (element count)
+	Bulk  []byte  // KindSimple (text), KindError (message), KindBulk (payload), KindFrames (the frames)
 	Elems []Reply // KindArray
 }
 
@@ -61,12 +62,45 @@ func Null() Reply { return Reply{Kind: KindNull} }
 // Array returns an array reply of elems.
 func Array(elems ...Reply) Reply { return Reply{Kind: KindArray, Elems: elems} }
 
+// Frames returns an array reply of n bulk strings that are already encoded:
+// b is their n frames ($<len>\r\n<payload>\r\n, as AppendBulk writes them)
+// back to back. The Writer sends it as the array header and one copy of b,
+// the same bytes as the equivalent Array of Bulk replies; the Reader never
+// produces it. b is retained and must not change while the reply is in use.
+func Frames(n int, b []byte) Reply { return Reply{Kind: KindFrames, Int: int64(n), Bulk: b} }
+
+// Expand returns a KindFrames reply as the KindArray it encodes, whose
+// Elems are fresh but whose payloads alias the frames. Any other reply is
+// returned as it is.
+func (r Reply) Expand() Reply {
+	if r.Kind != KindFrames {
+		return r
+	}
+	elems := make([]Reply, 0, r.Int)
+	for b := r.Bulk; len(b) > 0; {
+		// b starts with $<len>\r\n: the digits run up to the CR.
+		n, i := 0, 1
+		for ; b[i] != '\r'; i++ {
+			n = 10*n + int(b[i]-'0')
+		}
+		i += 2
+		elems = append(elems, Bulk(b[i:i+n:i+n]))
+		b = b[i+n+2:]
+	}
+	return Array(elems...)
+}
+
 // IsError reports whether the reply is an error reply.
 func (r Reply) IsError() bool { return r.Kind == KindError }
 
 // Text returns the reply's textual payload: the simple string, error
 // message or bulk payload. Other kinds return "".
-func (r Reply) Text() string { return string(r.Bulk) }
+func (r Reply) Text() string {
+	if r.Kind == KindFrames {
+		return ""
+	}
+	return string(r.Bulk)
+}
 
 // String renders the reply in redis-cli style, for logs and examples.
 func (r Reply) String() string {
@@ -87,6 +121,8 @@ func (r Reply) String() string {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, " ") + "]"
+	case KindFrames:
+		return r.Expand().String()
 	default:
 		return fmt.Sprintf("(invalid reply kind %d)", r.Kind)
 	}

@@ -16,7 +16,10 @@
 //     Reply tree: simple strings, errors, integers, bulk strings, nulls and
 //     arrays. The server builds the same Reply values and serializes them
 //     with Writer.WriteReply, so both ends of the in-repo stack agree on one
-//     representation.
+//     representation. One kind only the server builds: Frames, an array of
+//     bulk strings that are already encoded (a served list keeps its
+//     entries that way), which WriteReply sends as the same bytes as the
+//     Array it stands for and Expand turns into that Array.
 //
 // Each direction decodes two ways. ReadCommand and ReadReply return memory
 // the caller owns for good. A CommandBatch (a server connection's commands)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -228,5 +230,103 @@ func TestReplyString(t *testing.T) {
 	if s := r.String(); !strings.Contains(s, "OK") || !strings.Contains(s, "(integer) 3") ||
 		!strings.Contains(s, "(nil)") {
 		t.Fatalf("String = %q", s)
+	}
+}
+
+// TestFramesEncodeAsArray: a pre-encoded array must reach the wire as the
+// same bytes as the Array of Bulk replies it stands for — over seeded random
+// arrays, the empty one included, with payloads on either side of a header
+// width change, binary bytes and CRLF inside, through writer buffers smaller
+// and larger than the frames. It must render like that array too, and
+// Expand must give it back.
+func TestFramesEncodeAsArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 300; i++ {
+		n := rng.Intn(60)
+		if i == 0 {
+			n = 0
+		}
+		elems := make([]Reply, n)
+		var frames []byte
+		for j := range elems {
+			var v []byte
+			switch rng.Intn(4) {
+			case 0:
+				v = bytes.Repeat([]byte{'x'}, []int{0, 9, 10, 99, 100, 999, 1000}[rng.Intn(7)])
+			case 1:
+				v = []byte("a\r\nb$2\r\n")
+			default:
+				v = make([]byte, rng.Intn(300))
+				rng.Read(v)
+			}
+			elems[j] = Bulk(v)
+			before := len(frames)
+			if frames = AppendBulk(frames, v); len(frames)-before != BulkLen(len(v)) {
+				t.Fatalf("BulkLen(%d) = %d, but the frame is %d bytes", len(v), BulkLen(len(v)), len(frames)-before)
+			}
+		}
+		array, pre := Array(elems...), Frames(n, frames)
+		size := []int{16, 100, 0}[i%3]
+		encode := func(r Reply) []byte {
+			var b bytes.Buffer
+			w := NewWriterSize(&b, size)
+			if err := w.WriteReply(r); err != nil {
+				t.Fatal(err)
+			}
+			w.Flush()
+			return b.Bytes()
+		}
+		if got, want := encode(pre), encode(array); !bytes.Equal(got, want) {
+			t.Fatalf("array %d (%d elements, writer buffer %d): Frames encodes as %q, Array as %q", i, n, size, got, want)
+		}
+		if got, want := pre.String(), array.String(); got != want {
+			t.Fatalf("array %d: Frames renders as %s, Array as %s", i, got, want)
+		}
+		if got := pre.Expand(); got.Kind != KindArray || len(got.Elems) != n {
+			t.Fatalf("array %d: Expand = %v, want %d elements", i, got, n)
+		} else {
+			for j, e := range got.Elems {
+				if e.Kind != KindBulk || !bytes.Equal(e.Bulk, elems[j].Bulk) {
+					t.Fatalf("array %d: Expand element %d = %v, want %v", i, j, e, elems[j])
+				}
+			}
+		}
+		if pre.Text() != "" {
+			t.Fatalf("array %d: Frames has text %q", i, pre.Text())
+		}
+	}
+}
+
+// timelineReply is a served LRANGE timeline 0 49: 50 retwis post ids.
+func timelineReply() (array Reply, frames []byte) {
+	elems := make([]Reply, 50)
+	for i := range elems {
+		elems[i] = BulkString(strconv.Itoa(1000+i) + ":" + strconv.Itoa(60+i))
+		frames = AppendBulk(frames, elems[i].Bulk)
+	}
+	return Array(elems...), frames
+}
+
+// BenchmarkWriteReply times encoding one timeline reply: the Array of 50
+// Bulk replies a store used to build, against the 50 frames a list keeps.
+func BenchmarkWriteReply(b *testing.B) {
+	array, frames := timelineReply()
+	for _, bc := range []struct {
+		name string
+		rep  Reply
+	}{
+		{"array-50", array},
+		{"frames-50", Frames(50, frames)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			w := NewWriter(io.Discard)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if err := w.WriteReply(bc.rep); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

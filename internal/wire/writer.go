@@ -68,11 +68,24 @@ func (w *Writer) writeIntLine(prefix byte, n int64) error {
 	return err
 }
 
+// AppendBulk appends the bulk-string frame of v, $<len>\r\n<v>\r\n, to b.
+func AppendBulk(b, v []byte) []byte {
+	return append(append(appendIntLine(b, '$', int64(len(v))), v...), '\r', '\n')
+}
+
+// BulkLen returns the length of the bulk-string frame of an n-byte payload.
+func BulkLen(n int) int {
+	digits := 1
+	for m := n; m >= 10; m /= 10 {
+		digits++
+	}
+	return 1 + digits + 2 + n + 2
+}
+
 // writeBulk emits $<len>\r\n<b>\r\n.
 func (w *Writer) writeBulk(b []byte) error {
 	if buf := w.bw.AvailableBuffer(); cap(buf) >= maxIntLine+len(b)+2 {
-		buf = append(appendIntLine(buf, '$', int64(len(b))), b...)
-		_, err := w.bw.Write(append(buf, '\r', '\n'))
+		_, err := w.bw.Write(AppendBulk(buf, b))
 		return err
 	}
 	if err := w.writeIntLine('$', int64(len(b))); err != nil {
@@ -170,6 +183,12 @@ func (w *Writer) WriteReply(r Reply) error {
 			}
 		}
 		return nil
+	case KindFrames:
+		if err := w.writeIntLine('*', r.Int); err != nil {
+			return err
+		}
+		_, err := w.bw.Write(r.Bulk)
+		return err
 	default:
 		return protoErrf("cannot encode reply kind %d", r.Kind)
 	}
