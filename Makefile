@@ -3,13 +3,14 @@
 
 GO ?= go
 
-# Packages covered by the race-detector job: the adaptive machine, the
-# objects it migrates between (the flat open-addressing family included),
-# the sets built on the segmented map, the queues (their embedded sentinel
-# is retired while producers may still hold it as the tail), the resilience
-# layer (fault injection and the chaos storm), and the load
-# generator (clock goroutine feeding a worker pool through a bounded queue,
-# or closed workers claiming from a shared counter).
+# Packages covered by the race-detector job: the adaptive map, the
+# representations (the striped and segmented maps it migrates between, and
+# the flat open-addressing family for its own tables), the sets built on
+# the segmented map, the queues (their embedded sentinel is retired while
+# producers may still hold it as the tail), the resilience layer (fault
+# injection and the chaos storm), and the load generator (clock goroutine
+# feeding a worker pool through a bounded queue, or closed workers claiming
+# from a shared counter).
 RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/skiplist/... ./internal/queue/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
 
 # The serving layer (pipelined TCP clients against the shards, an adaptive
@@ -29,11 +30,12 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # without burning CI minutes; the JSON lands as a workflow artifact. The
 # "all" figure set includes the AdaptiveMap workload (Figures 6 and 7) and
 # the hot-range pair (AdaptiveMapHotWholesale / AdaptiveMapHotPerRange), so
-# the adaptive engine's promotion path is exercised on every CI run. The
-# ordered maps' layer benchmark (BenchmarkOrdered), the root figure
-# wrappers (BenchmarkFig*), the serving executor's (BenchmarkStoreRun,
-# its contended case included) and the codec's (BenchmarkCommandBatch,
-# BenchmarkReplyBatch, BenchmarkWriteReply) run once each so they cannot rot.
+# the adaptive map's promotion path is exercised on every CI run. The
+# layer benchmarks of the ordered maps (BenchmarkOrdered) and the adaptive
+# map (BenchmarkMap), the root figure wrappers (BenchmarkFig*), the serving
+# executor's (BenchmarkStoreRun, its contended case included) and the
+# codec's (BenchmarkCommandBatch, BenchmarkReplyBatch, BenchmarkWriteReply)
+# run once each so they cannot rot.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
@@ -119,6 +121,7 @@ race:
 bench-smoke:
 	$(GO) run ./cmd/dego-bench $(BENCH_SMOKE_FLAGS) -json $(BENCH_SMOKE_JSON)
 	$(GO) test -run '^$$' -bench Ordered -benchtime 1x ./internal/skiplist
+	$(GO) test -run '^$$' -bench Map -benchtime 1x ./internal/adaptive
 	$(GO) test -run '^$$' -bench Fig -benchtime 1x .
 	$(GO) test -run '^$$' -bench StoreRun -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench 'CommandBatch|ReplyBatch|WriteReply' -benchtime 1x ./internal/wire

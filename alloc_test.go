@@ -31,6 +31,7 @@ func TestAllocCeilings(t *testing.T) {
 	segSet := Must(Set[int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
 	flat := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16)))
 	adaptive := Must(Map[int, int](CommutingWriters(), Adaptive(), On(reg), Capacity(16)))
+	promoted := Must(Map[int, int](CommutingWriters(), Adaptive(), On(reg), Capacity(16)))
 	recorded := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), WithUsageRecording()))
 	// The other wrappers, each built once unrecorded and once recorded:
 	// recording is itself allocation-free.
@@ -73,6 +74,7 @@ func TestAllocCeilings(t *testing.T) {
 		segmented.Put(h, k, k)
 		flat.Put(h, k, k)
 		adaptive.Put(h, k, k)
+		promoted.Put(h, k, k)
 		recorded.Put(h, k, k)
 		unrec.set.Add(h, k)
 	}
@@ -82,6 +84,14 @@ func TestAllocCeilings(t *testing.T) {
 	if adaptive.Plan().Rep != "AdaptiveMap" {
 		t.Fatalf("adaptive row planned %s", adaptive.Plan().Rep)
 	}
+	// The promoted map's keys 0..7 stay in the frozen striped backing; after
+	// the promotion key 1 is shadowed by the segmented map and key 2 masked
+	// by a tombstone.
+	if !promoted.Adaptive().ForcePromote() {
+		t.Fatal("ForcePromote refused a quiescent adaptive map")
+	}
+	promoted.Put(h, 1, 11)
+	promoted.Remove(h, 2)
 	fresh := 1 << 20 // keys above every key stored so far
 
 	for _, row := range []struct {
@@ -104,6 +114,11 @@ func TestAllocCeilings(t *testing.T) {
 		{"segmented AdjustedSet.Add, fresh element", 1, func() { fresh++; segSet.Add(h, fresh) }},
 		{"adaptive AdjustedMap.Get", 0, func() { adaptive.Get(3) }},
 		{"adaptive AdjustedMap.Put, present key", 1, func() { adaptive.Put(h, 3, 4) }},
+		{"promoted adaptive AdjustedMap.Get, shadowed key", 0, func() { promoted.Get(1) }},
+		{"promoted adaptive AdjustedMap.Get, backed key", 0, func() { promoted.Get(3) }},
+		{"promoted adaptive AdjustedMap.Get, tombstoned key", 0, func() { promoted.Get(2) }},
+		{"promoted adaptive AdjustedMap.Put, present key", 1, func() { promoted.Put(h, 4, 5) }},
+		{"promoted adaptive AdjustedMap.Remove then Put of a backed key", 1, func() { promoted.Remove(h, 5); promoted.Put(h, 5, 5) }},
 		{"flat AdjustedMap.Get and Put", 0, func() { flat.Get(3); flat.Put(h, 3, 4) }},
 		{"recorded AdjustedMap.Put", 0, func() { recorded.Put(h, 3, 4) }},
 		{"AdjustedSet.Contains", 0, func() { unrec.set.Contains(3) }},

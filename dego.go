@@ -153,21 +153,17 @@ const (
 )
 
 // AdaptivePolicy tunes when the adaptive map switches representation; the
-// zero value of any field selects its default. Ranges sets the granularity
-// of the map's per-range directory: with Ranges > 1 the key space splits
-// into that many hash-prefix buckets, each promoting and demoting
-// independently, so a hot range pays the adjusted representation while cold
-// ranges keep single-lookup cheap-rep reads. The default (1) adjusts
-// wholesale.
+// zero value of any field selects its default. Every range of the map's
+// directory (see Ranges) samples and switches under the same policy.
 type AdaptivePolicy = adaptive.Policy
 
 // DefaultAdaptivePolicy returns the tuning an Adaptive map declaration
-// uses.
+// uses when it names no WithPolicy.
 func DefaultAdaptivePolicy() AdaptivePolicy { return adaptive.DefaultPolicy() }
 
 // AdaptiveMap is the contention-adaptive hash map: lock-striped until its
 // windowed lock-wait rate crosses the policy threshold, extended-segmented
-// (the M2 adjustment) while contention lasts. With AdaptivePolicy.Ranges > 1
+// (the M2 adjustment) while contention lasts. With Ranges(n), n > 1,
 // the adjustment is per-range: only the hash-prefix buckets whose keys
 // contend promote, and reads of keys in quiescent ranges never pay the
 // promoted overlay lookup. It requires the commuting-writers contract in

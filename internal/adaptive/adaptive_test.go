@@ -63,7 +63,7 @@ func TestPolicyDefaults(t *testing.T) {
 // --- Map --------------------------------------------------------------------
 
 func newTestMap(r *core.Registry, p Policy) *Map[int, int] {
-	return NewMap[int, int](r, 16, 256, 512, intHash, p)
+	return NewMap[int, int](r, 16, 256, 512, 1, intHash, p)
 }
 
 func TestMapSingleThreadStaysQuiescent(t *testing.T) {
@@ -185,10 +185,15 @@ func TestMapRangeWhilePromoted(t *testing.T) {
 	for k := 0; k < 10; k++ {
 		m.Put(h, k, k)
 	}
-	m.ForcePromote()
+	if !m.ForcePromote() {
+		t.Fatal("ForcePromote refused a quiescent map")
+	}
 	m.Put(h, 0, 100) // shadow
 	m.Remove(h, 1)   // tombstone
 	m.Put(h, 10, 10) // fresh
+	if _, ok := m.Get(1); ok {
+		t.Fatal("tombstoned backed key still visible")
+	}
 	want := map[int]int{0: 100, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9, 10: 10}
 	got := map[int]int{}
 	m.Range(func(k, v int) bool { got[k] = v; return true })
@@ -209,6 +214,22 @@ func TestMapRangeWhilePromoted(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("early-stop Range visited %d", n)
 	}
+	// The demotion drain keeps the shadowed update, drops the tombstoned
+	// backed key and carries the fresh insert into a fresh striped map.
+	if !m.ForceDemote() {
+		t.Fatal("ForceDemote refused a promoted map")
+	}
+	if m.State() != StateQuiescent {
+		t.Fatalf("state = %v after demote", m.State())
+	}
+	if m.Len() != len(want) {
+		t.Fatalf("Len after demote = %d, want %d", m.Len(), len(want))
+	}
+	for k, v := range want {
+		if got, ok := m.Get(k); !ok || got != v {
+			t.Fatalf("after demote: Get(%d) = (%d, %v), want %d", k, got, ok, v)
+		}
+	}
 }
 
 // TestMapZeroSizeValues uses struct{} values (the set idiom): every
@@ -217,7 +238,7 @@ func TestMapRangeWhilePromoted(t *testing.T) {
 // alias every stored box and report live promoted entries as deleted.
 func TestMapZeroSizeValues(t *testing.T) {
 	r := core.NewRegistry(8)
-	m := NewMap[int, struct{}](r, 16, 256, 512, intHash, Policy{SampleEvery: 1 << 62})
+	m := NewMap[int, struct{}](r, 16, 256, 512, 1, intHash, Policy{SampleEvery: 1 << 62})
 	h := r.MustRegister()
 	m.Put(h, 1, struct{}{})
 	m.ForcePromote()
@@ -326,7 +347,7 @@ func TestMapMigrationNoLostUpdates(t *testing.T) {
 		opsPerWriter = 10_000
 	}
 	r := core.NewRegistry(writers + 4)
-	m := NewMap[int, int](r, 16, keyRange, 2*keyRange, intHash, Policy{SampleEvery: 1 << 62})
+	m := NewMap[int, int](r, 16, keyRange, 2*keyRange, 1, intHash, Policy{SampleEvery: 1 << 62})
 
 	var (
 		wg     sync.WaitGroup
@@ -418,7 +439,7 @@ func TestMapAdaptsUnderRealContention(t *testing.T) {
 	writers := 8
 	r := core.NewRegistry(writers + 4)
 	// Few stripes: collisions guaranteed, lock waits plentiful.
-	m := NewMap[int, int](r, 1, 256, 512, intHash, aggressive())
+	m := NewMap[int, int](r, 1, 256, 512, 1, intHash, aggressive())
 	var wg sync.WaitGroup
 	wg.Add(writers)
 	for w := 0; w < writers; w++ {

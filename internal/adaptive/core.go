@@ -12,7 +12,9 @@
 //
 // # State machine
 //
-// Every range of the adaptive map runs the same four-state machine:
+// Every range of the adaptive map runs the same four-state machine over the
+// two hash maps it switches between, hashmap.Striped (cheap) and
+// hashmap.Segmented (adjusted):
 //
 //	quiescent ──promote──▶ migrating ──▶ promoted
 //	    ▲                                    │
@@ -32,7 +34,7 @@
 // probe, so the cost of adapting is itself visible to the stall analysis.
 //
 // The map freezes its cheap representation as a read-through backing store
-// on promotion and only pays a real drain on demotion (engine.go).
+// on promotion and only pays a real drain on demotion (map.go).
 //
 // The map is the only adaptive object. A counter, set or ordered map
 // declared with the same profile is served faster by the static adjusted
@@ -59,6 +61,8 @@ import (
 
 	"github.com/adjusted-objects/dego/internal/contention"
 	"github.com/adjusted-objects/dego/internal/core"
+	"github.com/adjusted-objects/dego/internal/counter"
+	"github.com/adjusted-objects/dego/internal/hashmap"
 )
 
 // State identifies a position in the adaptive state machine.
@@ -120,19 +124,6 @@ type Policy struct {
 	DemoteSamples int
 	// Cooldown is the number of samples ignored after a transition.
 	Cooldown int
-	// Ranges is the granularity of the map's range directory: the key space
-	// is split into this many
-	// hash-prefix buckets (rounded up to a power of two), each with its own
-	// representations, contention window and state machine, promoting and
-	// demoting independently — a hot range pays the adjusted representation
-	// while cold ranges keep cheap-rep reads with no overlay lookup. 1 (the
-	// default) is wholesale adjustment: one range covering every key, the
-	// pre-directory behavior.
-	//
-	// Each range carries its own per-thread sampling state sized by the
-	// registry, so memory grows linearly with Ranges; prefer a handful of
-	// ranges (8-32) over hundreds.
-	Ranges int
 }
 
 // DefaultPolicy returns the tuning used by the public constructor:
@@ -147,7 +138,6 @@ func DefaultPolicy() Policy {
 		DemoteWriters:    1,
 		DemoteSamples:    3,
 		Cooldown:         2,
-		Ranges:           1,
 	}
 }
 
@@ -175,18 +165,15 @@ func (p Policy) withDefaults() Policy {
 	if p.Cooldown <= 0 {
 		p.Cooldown = d.Cooldown
 	}
-	if p.Ranges <= 0 {
-		p.Ranges = d.Ranges
-	}
 	return p
 }
 
-// rangeCount returns Ranges rounded up to a power of two (hash-prefix
-// routing takes the top log2(rangeCount) bits of the key hash, so the
-// directory size must be one).
-func (p Policy) rangeCount() int {
+// rangeCount rounds a requested range count up to a power of two, at least
+// 1 (hash-prefix routing takes the top log2(rangeCount) bits of the key
+// hash, so the directory size must be one).
+func rangeCount(ranges int) int {
 	n := 1
-	for n < p.Ranges && n < 1<<30 {
+	for n < ranges && n < 1<<30 {
 		n <<= 1
 	}
 	return n
@@ -203,12 +190,15 @@ func (p Policy) sampleMask() int64 {
 	return n - 1
 }
 
-// view is one published configuration of an adaptive range: a state plus
-// the representations (R) valid in it. Transitions allocate fresh views, so
-// pointer identity identifies the epoch.
-type view[R any] struct {
+// view is one published configuration of a range: a state plus the
+// representations valid in it. cheap is set in every state; adj only in
+// StatePromoted and StateDemoting, so adj == nil says the range reads its
+// striped map alone. Transitions allocate fresh views, so pointer identity
+// identifies the epoch.
+type view[K comparable, V any] struct {
 	state State
-	reps  R
+	cheap *hashmap.Striped[K, V]
+	adj   *hashmap.Segmented[K, V]
 }
 
 // action is the controller's verdict after a sample.
@@ -220,13 +210,19 @@ const (
 	actDemote
 )
 
-// machine is the state machine of one adaptive range: the current view, the
+// machine is one range of the adaptive map: the current view, the
 // per-thread writer slots used to quiesce an old view, and the sampling
-// controller.
-type machine[R any] struct {
-	cur   atomic.Pointer[view[R]]
-	slots []core.PaddedPointer[view[R]] // writer presence, indexed by handle ID
+// controller. Each range samples its own stream: its window sees only stalls
+// recorded against its own probe and only operations routed to it, so a
+// stall burst in one range can never promote another.
+type machine[K comparable, V any] struct {
+	cur   atomic.Pointer[view[K, V]]
+	slots []core.PaddedPointer[view[K, V]] // writer presence, indexed by handle ID
 	probe *contention.Probe
+	// ops counts operations per thread — an unchecked IncrementOnly reused
+	// as the sampling substrate: AddLocal's tally is the boundary trigger,
+	// SnapshotCells the writer-activity source for demotion.
+	ops *counter.IncrementOnly
 
 	policy Policy
 	mask   int64
@@ -245,30 +241,24 @@ type machine[R any] struct {
 	transitions atomic.Int64
 }
 
-// newMachine creates a machine in StateQuiescent publishing initial, with one
-// writer slot per registry handle.
-func newMachine[R any](reg *core.Registry, probe *contention.Probe, policy Policy, initial R) *machine[R] {
-	policy = policy.withDefaults()
-	m := &machine[R]{
-		slots:  make([]core.PaddedPointer[view[R]], reg.Capacity()),
-		probe:  probe,
-		policy: policy,
-		mask:   policy.sampleMask(),
-		window: contention.NewWindow(policy.WindowBuckets),
-	}
-	m.cur.Store(&view[R]{state: StateQuiescent, reps: initial})
-	return m
+// init sets up m in StateQuiescent over cheap, with one writer slot per
+// registry handle. policy must already carry its defaults.
+func (m *machine[K, V]) init(reg *core.Registry, probe *contention.Probe, policy Policy, cheap *hashmap.Striped[K, V]) {
+	m.slots = make([]core.PaddedPointer[view[K, V]], reg.Capacity())
+	m.probe = probe
+	m.ops = counter.NewIncrementOnly(reg, false)
+	m.policy = policy
+	m.mask = policy.sampleMask()
+	m.window = contention.NewWindow(policy.WindowBuckets)
+	m.cur.Store(&view[K, V]{state: StateQuiescent, cheap: cheap})
 }
-
-// view returns the current view (one atomic load; readers use it directly).
-func (m *machine[R]) view() *view[R] { return m.cur.Load() }
 
 // enter pins the current view for one write operation and returns it,
 // spinning (probe-recorded) while a transition is in flight. The announce /
 // re-check / retract dance is the seqlock-style handshake with swap: after
 // the re-check succeeds, either the writer saw the transition's flip, or the
 // transition's quiesce scan sees the writer's slot and waits for exit.
-func (m *machine[R]) enter(h *core.Handle) *view[R] {
+func (m *machine[K, V]) enter(h *core.Handle) *view[K, V] {
 	slot := &m.slots[h.ID()].P
 	for {
 		v := m.cur.Load()
@@ -285,8 +275,12 @@ func (m *machine[R]) enter(h *core.Handle) *view[R] {
 	}
 }
 
-// exit retracts the caller's pin.
-func (m *machine[R]) exit(h *core.Handle) { m.slots[h.ID()].P.Store(nil) }
+// exit retracts the caller's pin and advances its operation tally, reporting
+// whether the tally crossed a sampling boundary.
+func (m *machine[K, V]) exit(h *core.Handle) bool {
+	m.slots[h.ID()].P.Store(nil)
+	return m.ops.AddLocal(h, 1)&m.mask == 0
+}
 
 // swap performs one transition: CAS old→mid, wait until no writer is pinned
 // to old, run drain against the now-stable old representations, then publish
@@ -298,7 +292,7 @@ func (m *machine[R]) exit(h *core.Handle) { m.slots[h.ID()].P.Store(nil) }
 // the old window, cooldown or lowSamples — without this, a sample racing the
 // publish could act on the stale state (e.g. re-promote instantly on a
 // window still full of the pre-demotion stall burst, bypassing Cooldown).
-func (m *machine[R]) swap(old, mid, final *view[R], drain func()) bool {
+func (m *machine[K, V]) swap(old, mid, final *view[K, V], drain func()) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.cur.CompareAndSwap(old, mid) {
@@ -321,10 +315,10 @@ func (m *machine[R]) swap(old, mid, final *view[R], drain func()) bool {
 }
 
 // evaluate records one contention sample and returns the recommended action.
-// totalOps is a monotone operation-count proxy; cells snapshots per-thread
-// activity tallies (used to count distinct recent writers for demotion).
-// At most one sampler runs at a time; contenders return immediately.
-func (m *machine[R]) evaluate(totalOps func() int64, cells func(dst []int64) []int64) action {
+// The operation tally is the monotone operation-count proxy; its per-thread
+// cells count the distinct recent writers for demotion. At most one sampler
+// runs at a time; contenders return immediately.
+func (m *machine[K, V]) evaluate() action {
 	if !m.mu.TryLock() {
 		return actNone
 	}
@@ -335,13 +329,13 @@ func (m *machine[R]) evaluate(totalOps func() int64, cells func(dst []int64) []i
 		return actNone
 	}
 
-	ops := totalOps()
+	ops := m.ops.Get(nil) // ops is unchecked, so its guard accepts the nil handle
 	stalls := m.probe.Snapshot().Total()
 	dOps := ops - m.lastOps
 	dStalls := stalls - m.lastStalls
 	m.lastOps, m.lastStalls = ops, stalls
 
-	m.scratch = cells(m.scratch[:0])
+	m.scratch = m.ops.SnapshotCells(m.scratch[:0])
 	active := 0
 	for i, tally := range m.scratch {
 		// A cell first seen on this sample has an implicit previous tally of
@@ -384,6 +378,3 @@ func (m *machine[R]) evaluate(totalOps func() int64, cells func(dst []int64) []i
 	}
 	return actNone
 }
-
-// state returns the current machine state.
-func (m *machine[R]) state() State { return m.cur.Load().state }

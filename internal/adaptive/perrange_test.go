@@ -15,9 +15,9 @@ import (
 // a cold range must stay quiescent.
 
 func TestPolicyRangeCount(t *testing.T) {
-	for in, want := range map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 8: 8, 9: 16} {
-		if got := (Policy{Ranges: in}.withDefaults()).rangeCount(); got != want {
-			t.Errorf("rangeCount(Ranges=%d) = %d, want %d", in, got, want)
+	for in, want := range map[int]int{-1: 1, 0: 1, 1: 1, 2: 2, 3: 4, 8: 8, 9: 16} {
+		if got := rangeCount(in); got != want {
+			t.Errorf("rangeCount(%d) = %d, want %d", in, got, want)
 		}
 	}
 }
@@ -35,7 +35,7 @@ func rangedKeys(m *Map[int, int], n int) [][]int {
 
 func TestMapPerRangeBasicOps(t *testing.T) {
 	r := core.NewRegistry(8)
-	m := NewMap[int, int](r, 16, 256, 512, intHash, Policy{SampleEvery: 1 << 62, Ranges: 4})
+	m := NewMap[int, int](r, 16, 256, 512, 4, intHash, Policy{SampleEvery: 1 << 62})
 	h := r.MustRegister()
 	if m.Ranges() != 4 {
 		t.Fatalf("Ranges = %d, want 4", m.Ranges())
@@ -125,8 +125,7 @@ func TestMapPerRangePromotesOnlyHotRange(t *testing.T) {
 	r := core.NewRegistry(8)
 	p := aggressive()
 	p.DemoteSamples = 1000
-	p.Ranges = 4
-	m := NewMap[int, int](r, 16, 256, 512, intHash, p)
+	m := NewMap[int, int](r, 16, 256, 512, 4, intHash, p)
 	h := r.MustRegister()
 	keys := rangedKeys(m, 4096)
 	hot, cold := 2, 3
@@ -134,7 +133,7 @@ func TestMapPerRangePromotesOnlyHotRange(t *testing.T) {
 	// Stall burst attributed to the hot range alone (the deterministic
 	// stand-in for lock waits on its stripes).
 	for i := 0; i < 1000; i++ {
-		m.eng.ranges[hot].mach.probe.RecordLockWait()
+		m.ranges[hot].probe.RecordLockWait()
 	}
 	// Writes in both ranges cross their sampling boundaries.
 	for i := 0; i < 256; i++ {
@@ -162,8 +161,7 @@ func TestMapPerRangePromotesOnlyHotRange(t *testing.T) {
 func TestMapPerRangeDemotesIndependently(t *testing.T) {
 	r := core.NewRegistry(8)
 	p := aggressive()
-	p.Ranges = 4
-	m := NewMap[int, int](r, 16, 256, 512, intHash, p)
+	m := NewMap[int, int](r, 16, 256, 512, 4, intHash, p)
 	h := r.MustRegister()
 	keys := rangedKeys(m, 4096)
 	hot := 1
@@ -193,8 +191,7 @@ func TestMapPerRangeFlapping(t *testing.T) {
 		opsPerWriter = 8_000
 	}
 	r := core.NewRegistry(writers + 4)
-	m := NewMap[int, int](r, 16, keyRange, 2*keyRange, intHash,
-		Policy{SampleEvery: 1 << 62, Ranges: 4})
+	m := NewMap[int, int](r, 16, keyRange, 2*keyRange, 4, intHash, Policy{SampleEvery: 1 << 62})
 	keys := rangedKeys(m, keyRange)
 	hot, cold := 0, 2
 

@@ -285,9 +285,8 @@ const hotRangeBits = 4
 func hotRangeMap(name string, ranges int) Workload {
 	return Workload{Name: name, Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		pol := dego.DefaultAdaptivePolicy()
-		pol.Ranges = ranges
 		pol.DemoteSamples = 1 << 30
-		m := dego.Must(dego.Map[int, int](dego.CommutingWriters(), dego.Adaptive(dego.WithPolicy(pol)),
+		m := dego.Must(dego.Map[int, int](dego.CommutingWriters(), dego.Adaptive(dego.WithPolicy(pol), dego.Ranges(ranges)),
 			dego.On(reg), dego.Stripes(256), dego.Capacity(cfg.InitialItems),
 			dego.Buckets(cfg.KeyRange*2))).Adaptive()
 		boxes := valueBoxes(cfg)

@@ -259,7 +259,7 @@ func Map[K comparable, V any](opts ...Option) (*AdjustedMap[K, V], error) {
 	case "FlatMap":
 		m.rep = newFlatMap[K, V](enc, dec, p.capacity)
 	case "AdaptiveMap":
-		ad := adaptive.NewMap[K, V](p.reg(), p.stripesOr(256), capacity, buckets, hash, p.resolvedPolicy())
+		ad := adaptive.NewMap[K, V](p.reg(), p.stripesOr(256), capacity, buckets, p.ranges, hash, p.policy)
 		m.rep, m.probe, plan.Ranges = ad, ad.Probe(), ad.Ranges()
 	case "SegmentedMap":
 		m.rep = hashmap.NewSegmented[K, V](p.reg(), capacity, buckets, hash, p.checked)

@@ -90,9 +90,9 @@ func Adaptive(opts ...AdaptiveOption) Option {
 }
 
 // WithPolicy overrides the adaptive switching policy (thresholds, window
-// sizes, range count).
+// sizes); Ranges sets the range count.
 func WithPolicy(pol AdaptivePolicy) AdaptiveOption {
-	return func(p *profile) { p.policy, p.policySet = pol, true }
+	return func(p *profile) { p.policy = pol }
 }
 
 // Ranges splits an adaptive map into n hash-prefix ranges that promote and

@@ -61,10 +61,9 @@ type profile struct {
 	commuting    bool
 
 	// Adaptivity.
-	adaptive  bool
-	policy    AdaptivePolicy
-	policySet bool
-	ranges    int
+	adaptive bool
+	policy   AdaptivePolicy
+	ranges   int
 
 	// Tuning.
 	capacity int
@@ -120,19 +119,6 @@ func (p *profile) mode(dt string) (Mode, error) {
 		return ModeCWMR, nil
 	}
 	return ModeAll, nil
-}
-
-// resolvedPolicy returns the adaptive policy with the Ranges option folded
-// in.
-func (p *profile) resolvedPolicy() AdaptivePolicy {
-	pol := p.policy
-	if !p.policySet {
-		pol = DefaultAdaptivePolicy()
-	}
-	if p.ranges > 0 {
-		pol.Ranges = p.ranges
-	}
-	return pol
 }
 
 // reg returns the declared registry, defaulting to the process-wide one.
