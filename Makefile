@@ -5,12 +5,13 @@ GO ?= go
 
 # Packages covered by the race-detector job: the adaptive map, the
 # representations (the striped and segmented maps it migrates between, and
-# the flat open-addressing family for its own tables), the sets built on
-# the segmented map, the queues (their embedded sentinel is retired while
-# producers may still hold it as the tail), the resilience layer (fault
-# injection and the chaos storm), and the load generator (clock goroutine
-# feeding a worker pool through a bounded queue, or closed workers claiming
-# from a shared counter).
+# the flat open-addressing family for its own tables), the per-entity
+# locked set (its slice and map bodies swap under concurrent adds), the
+# queues (their embedded sentinel is retired while producers may still hold
+# it as the tail), the resilience layer (fault injection and the chaos
+# storm), and the load generator (clock goroutine feeding a worker pool
+# through a bounded queue, or closed workers claiming from a shared
+# counter). The planned set rows race in the root run below.
 RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/skiplist/... ./internal/queue/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
 
 # The serving layer (pipelined TCP clients against the shards, an adaptive
@@ -107,13 +108,15 @@ test:
 # The root package's constructors share interned plans and recycled
 # profiles across goroutines, and a recorded object's decorator feeds one
 # recorder from every caller while Advise reads it, so the race job also
-# runs the root tests that build and record through objects concurrently.
+# runs the root tests that build and record through objects concurrently,
+# and the one that fills every planned set row (the segmented set among
+# them) from concurrent writers beside readers.
 # The Retwis runs write one user's follower set and timeline from the
 # owning thread and from the threads that follow or post to that user, and
 # the closed-loop net runs' workers claim their ops from one shared counter.
 race:
 	$(GO) test -race -short $(RACE_PKGS)
-	$(GO) test -race -short -run 'ConcurrentConstruction|ConcurrentRecording' .
+	$(GO) test -race -short -run 'ConcurrentConstruction|ConcurrentRecording|TestSetConcurrent' .
 	$(GO) test -race -short -run 'TestRunAllBackends|TestRunPreservesInvariants|TestRunNetSelfHostedAndRemote|TestCoordinatedOmissionDemonstration' ./internal/retwis/
 	$(GO) test -race -short -count=3 $(RACE_SEGMENT_PKGS)
 	$(GO) test -race -short -count=3 $(RACE_SERVER_PKGS)

@@ -92,34 +92,22 @@ func (d *recordedCounter) Add(h *Handle, n int64) {
 func (d *recordedCounter) Get(h *Handle) int64 { return d.read(usage.MethodGet, h).Get(h) }
 
 // A keyed decorator also holds the hash it files written keys under.
+// recordedMap serves Set too, so it holds the method it files Put under: a
+// set's Add.
 type recordedMap[K comparable, V any] struct {
 	recording[mapRep[K, V]]
 	hash func(K) uint64
+	put  usage.Method
 }
 
-func (d *recordedMap[K, V]) Put(h *Handle, k K, v V) {
-	d.write(usage.MethodPut, h, d.hash(k)).Put(h, k, v)
-}
-func (d *recordedMap[K, V]) Get(k K) (V, bool) { return d.read(usage.MethodGet, nil).Get(k) }
+func (d *recordedMap[K, V]) Put(h *Handle, k K, v V) { d.write(d.put, h, d.hash(k)).Put(h, k, v) }
+func (d *recordedMap[K, V]) Get(k K) (V, bool)       { return d.read(usage.MethodGet, nil).Get(k) }
 func (d *recordedMap[K, V]) Remove(h *Handle, k K) bool {
 	return d.write(usage.MethodRemove, h, d.hash(k)).Remove(h, k)
 }
 func (d *recordedMap[K, V]) Contains(k K) bool       { return d.read(usage.MethodContains, nil).Contains(k) }
 func (d *recordedMap[K, V]) Len() int                { return d.read(usage.MethodLen, nil).Len() }
 func (d *recordedMap[K, V]) Range(f func(K, V) bool) { d.read(usage.MethodRange, nil).Range(f) }
-
-type recordedSet[K comparable] struct {
-	recording[setRep[K]]
-	hash func(K) uint64
-}
-
-func (d *recordedSet[K]) Add(h *Handle, x K) { d.write(usage.MethodAdd, h, d.hash(x)).Add(h, x) }
-func (d *recordedSet[K]) Remove(h *Handle, x K) bool {
-	return d.write(usage.MethodRemove, h, d.hash(x)).Remove(h, x)
-}
-func (d *recordedSet[K]) Contains(x K) bool    { return d.read(usage.MethodContains, nil).Contains(x) }
-func (d *recordedSet[K]) Len() int             { return d.read(usage.MethodLen, nil).Len() }
-func (d *recordedSet[K]) Range(f func(K) bool) { d.read(usage.MethodRange, nil).Range(f) }
 
 type recordedOrdered[K cmp.Ordered, V any] struct {
 	recording[orderedRep[K, V]]

@@ -14,9 +14,7 @@ import (
 	"github.com/adjusted-objects/dego/internal/counter"
 	"github.com/adjusted-objects/dego/internal/queue"
 	"github.com/adjusted-objects/dego/internal/ref"
-	"github.com/adjusted-objects/dego/internal/set"
 	"github.com/adjusted-objects/dego/internal/spec"
-	"github.com/adjusted-objects/dego/internal/stats"
 )
 
 func TestCounterConformsToC3(t *testing.T) {
@@ -120,41 +118,59 @@ func TestRefConformsToR2(t *testing.T) {
 	}
 }
 
+// TestSegmentedSetConformsToS2 drives every planned set row against the
+// Table 1 variant its plan declares and against S2: every row keeps S2's
+// useful remove, which S3 voids (a weaker adjustment along the same
+// r-arrow). Each step checks the variant's postcondition over the set's
+// contents before and after the call and the response the call returned;
+// Add returns nothing, so an S1 add's hit response is the spec's own and
+// only its transition is checked.
 func TestSegmentedSetConformsToS2(t *testing.T) {
-	// The segmented set realizes the blind S2 writes (the S3 spec additionally
-	// voids remove; the library keeps the useful S2 remove — a weaker
-	// adjustment along the same r-arrow).
-	s2 := spec.Set(spec.S2)
-	reg := core.NewRegistry(4)
-	h := reg.MustRegister()
-	impl := set.NewSegmented[int](reg, 128, func(k int) uint64 {
-		return stats.Hash64(uint64(k))
-	}, false)
-	st := s2.Init
-
-	rng := rand.New(rand.NewSource(19))
-	for i := 0; i < 3000; i++ {
-		x := rng.Intn(48)
-		switch rng.Intn(3) {
-		case 0:
-			impl.Add(h, x)
-			st, _ = s2.Op("add", x).Exec(st)
-		case 1:
-			impl.Remove(h, x)
-			st, _ = s2.Op("remove", x).Exec(st)
-		default:
-			var want spec.Value
-			st, want = s2.Op("contains", x).Exec(st)
-			if got := impl.Contains(x); got != want.(bool) {
-				t.Fatalf("step %d: contains(%d)=%v, spec=%v", i, x, got, want)
-			}
+	contents := func(s *AdjustedSet[int]) *spec.SetState {
+		st := spec.NewSetState()
+		s.Range(func(x int) bool { st.Elems[x] = true; return true })
+		return st
+	}
+	eachSetRow(t, 2, func(t *testing.T, reg *Registry, s *AdjustedSet[int], _ int) {
+		declared, ok := spec.CatalogType(s.Plan().Variant)
+		if !ok {
+			t.Fatalf("plan declares unknown variant %q", s.Plan().Variant)
 		}
-	}
-	// Final states agree.
-	specSize := len(st.(*spec.SetState).Elems)
-	if impl.Len() != specSize {
-		t.Fatalf("final size: impl=%d spec=%d", impl.Len(), specSize)
-	}
+		variants := []*spec.DataType{declared, spec.Set(spec.S2)}
+		h := reg.MustRegister()
+		prev := contents(s)
+		rng := rand.New(rand.NewSource(19))
+		for i := 0; i < 3000; i++ {
+			x := rng.Intn(48)
+			var name string
+			var r spec.Value // nil while the call returns nothing
+			switch rng.Intn(3) {
+			case 0:
+				name = "add"
+				s.Add(h, x)
+			case 1:
+				name = "remove"
+				r = s.Remove(h, x)
+			default:
+				name = "contains"
+				r = s.Contains(x)
+			}
+			next := contents(s)
+			for _, dt := range variants {
+				op, resp := dt.Op(name, x), r
+				if resp == nil {
+					_, resp = op.Exec(prev)
+				}
+				if !op.PostHolds(prev, next, resp) {
+					t.Fatalf("step %d: %s(%d) → %v breaks %s's postcondition", i, name, x, r, dt.Name)
+				}
+			}
+			prev = next
+		}
+		if s.Len() != len(prev.Elems) {
+			t.Fatalf("final size: Len=%d, Range=%d", s.Len(), len(prev.Elems))
+		}
+	})
 }
 
 func TestSegmentedMapConformsToM2(t *testing.T) {

@@ -85,6 +85,11 @@
 //     which is faster under the same declaration. See ARCHITECTURE.md for
 //     the full layer stack.
 //
+// Each *Set row is the map row of the same name over empty values:
+// SWMRSet is SWMRMap's representation, SegmentedSet SegmentedMap's,
+// StripedSet StripedMap's, FlatSet FlatMap's and FlatSWMRSet
+// FlatSWMRMap's, with Add storing an empty value.
+//
 // The theory toolkit (sequential specifications, indistinguishability
 // graphs, consensus-number analysis) lives in internal packages and is
 // exposed through the igraph command; the planner consults it through the

@@ -6,7 +6,8 @@ import (
 
 // This file wraps the flat representation family (internal/flatmap) for
 // the planner: preallocated, no-pointer, array-of-structs open-addressing
-// tables for integer-keyed Map and Set, plus the flat counter. A profile
+// tables for integer-keyed Map and Set (a flat set is the flat map over
+// empty values, one key word per slot), plus the flat counter. A profile
 // plans FLAT when its key type has an integer kind and it declares
 // Capacity(n) — the family preallocates, so a declared capacity is its
 // construction contract — and asks for nothing only the node-based
@@ -17,7 +18,7 @@ import (
 // hash.go) and mixed inside the tables. This is why a flat plan needs no
 // WithHash even for named key types — the table's probe sequence is its
 // own hashing, there is no caller-pluggable hash point. Range runs f under
-// a table read lock, so f must not write the object.
+// a table read lock, so f must not call the object.
 
 // flatMap is the commuting-writers flat map (M2 over CWMR profiles, M1
 // over unrestricted ones): padded per-shard open-addressing tables, key
@@ -66,47 +67,6 @@ func (m *flatSWMRMap[K, V]) Contains(key K) bool          { return m.m.Contains(
 func (m *flatSWMRMap[K, V]) Len() int                     { return m.m.Len() }
 func (m *flatSWMRMap[K, V]) Range(f func(key K, val V) bool) {
 	m.m.Range(func(k uint64, v V) bool { return f(m.dec(k), v) })
-}
-
-// flatSet is the commuting-writers flat set (S3 over CWMR profiles, S1
-// over unrestricted ones): flatMap's layout with zero-byte values, one
-// key word per slot.
-type flatSet[K comparable] struct {
-	s   *flatmap.Set
-	enc func(K) uint64
-	dec func(uint64) K
-}
-
-func newFlatSet[K comparable](enc func(K) uint64, dec func(uint64) K, capacity int) *flatSet[K] {
-	return &flatSet[K]{s: flatmap.NewSet(flatmap.DefaultShards(), capacity), enc: enc, dec: dec}
-}
-
-func (s *flatSet[K]) Add(_ *Handle, x K)         { s.s.Add(s.enc(x)) }
-func (s *flatSet[K]) Remove(_ *Handle, x K) bool { return s.s.Remove(s.enc(x)) }
-func (s *flatSet[K]) Contains(x K) bool          { return s.s.Contains(s.enc(x)) }
-func (s *flatSet[K]) Len() int                   { return s.s.Len() }
-func (s *flatSet[K]) Range(f func(x K) bool) {
-	s.s.Range(func(k uint64) bool { return f(s.dec(k)) })
-}
-
-// flatSWMRSet is the single-writer flat set (S2, SWMR).
-type flatSWMRSet[K comparable] struct {
-	m   *flatmap.Map[struct{}]
-	enc func(K) uint64
-	dec func(uint64) K
-}
-
-func newFlatSWMRSet[K comparable](enc func(K) uint64, dec func(uint64) K,
-	capacity int, checked bool) *flatSWMRSet[K] {
-	return &flatSWMRSet[K]{m: flatmap.NewMap[struct{}](capacity, checked), enc: enc, dec: dec}
-}
-
-func (s *flatSWMRSet[K]) Add(h *Handle, x K)         { s.m.Put(h, s.enc(x), struct{}{}) }
-func (s *flatSWMRSet[K]) Remove(h *Handle, x K) bool { return s.m.Remove(h, s.enc(x)) }
-func (s *flatSWMRSet[K]) Contains(x K) bool          { return s.m.Contains(s.enc(x)) }
-func (s *flatSWMRSet[K]) Len() int                   { return s.m.Len() }
-func (s *flatSWMRSet[K]) Range(f func(x K) bool) {
-	s.m.Range(func(k uint64, _ struct{}) bool { return f(s.dec(k)) })
 }
 
 // flatCounterRep adapts the flat counter (C3): preallocated cache-line-

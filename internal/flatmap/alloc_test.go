@@ -48,14 +48,14 @@ func TestSWMRMapSteadyStateAllocs(t *testing.T) {
 }
 
 func TestSetSteadyStateAllocs(t *testing.T) {
-	s := NewSet(8, 1024)
+	s := NewSharded[struct{}](8, 1024)
 	for x := uint64(1); x <= 1024; x++ {
-		s.Add(x)
+		s.Put(x, struct{}{})
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		s.Add(42)
+		s.Put(42, struct{}{})
 		s.Contains(42)
-		s.Add(1 << 42)
+		s.Put(1<<42, struct{}{})
 		s.Remove(1 << 42)
 	}); n != 0 {
 		t.Fatalf("set steady state allocates %.1f/op-batch, want 0", n)

@@ -18,8 +18,9 @@
 //
 // Two concurrent variants wrap the core: Map (single-writer, RWMutex —
 // the SWMR point of the catalog) and Sharded (commuting writers routed to
-// padded per-shard tables — the CWMR point). Set and Counter complete the
-// family. Keys are uint64; the public planner (package dego) encodes any
+// padded per-shard tables — the CWMR point). A set is either of them over
+// empty values, one key word per slot; Counter completes the family. Keys
+// are uint64; the public planner (package dego) encodes any
 // integer key type to uint64 losslessly and gates plans on a declared
 // Capacity.
 package flatmap

@@ -248,10 +248,11 @@ func TestShardedCommutingWriters(t *testing.T) {
 	}
 }
 
+// A flat set is the sharded map over empty values.
 func TestSetBasics(t *testing.T) {
-	s := NewSet(4, 64)
+	s := NewSharded[struct{}](4, 64)
 	for x := uint64(0); x < 64; x++ {
-		s.Add(x)
+		s.Put(x, struct{}{})
 	}
 	if s.Len() != 64 {
 		t.Fatalf("Len = %d", s.Len())
@@ -260,7 +261,7 @@ func TestSetBasics(t *testing.T) {
 		t.Fatal("Remove(0) lifecycle broken")
 	}
 	n := 0
-	s.Range(func(uint64) bool { n++; return true })
+	s.Range(func(uint64, struct{}) bool { n++; return true })
 	if n != 63 {
 		t.Fatalf("Range visited %d", n)
 	}

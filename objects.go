@@ -10,8 +10,8 @@ import (
 	"github.com/adjusted-objects/dego/internal/hashmap"
 	"github.com/adjusted-objects/dego/internal/queue"
 	"github.com/adjusted-objects/dego/internal/ref"
-	"github.com/adjusted-objects/dego/internal/set"
 	"github.com/adjusted-objects/dego/internal/skiplist"
+	"github.com/adjusted-objects/dego/internal/usage"
 )
 
 // This file holds the profile constructors: Counter, Map, Set, Ordered,
@@ -25,7 +25,9 @@ import (
 // profile fits. A constructor only builds the row it was given and returns
 // an Adjusted* wrapper exposing the narrowed interface and the Plan that
 // was made, whose Rep names the representation; an adaptive map also
-// exposes its adaptive object (Adaptive). Code that must time a
+// exposes its adaptive object (Adaptive). A set is its map: Map and Set
+// build through one builder (planMap), and a set's rows are the map's over
+// empty values. Code that must time a
 // representation itself, as the figures do, builds it from its internal
 // package.
 //
@@ -194,7 +196,10 @@ func (m *AdjustedMap[K, V]) Contains(key K) bool { return m.rep.Contains(key) }
 // Len returns the entry count.
 func (m *AdjustedMap[K, V]) Len() int { return m.rep.Len() }
 
-// Range iterates entries (no ordering guarantee) until f returns false.
+// Range iterates entries (no ordering guarantee) until f returns false. f
+// must not call this map: the StripedMap and AdaptiveMap rows run it
+// holding a stripe lock and the flat rows holding a table read lock, so
+// such a call may never return.
 func (m *AdjustedMap[K, V]) Range(f func(key K, val V) bool) { m.rep.Range(f) }
 
 // Plan returns the planner's decision for this object.
@@ -239,71 +244,67 @@ var mapRows = []repRow{
 // family instead (flat.go). Integer and string keys hash by default; other
 // key types need WithHash outside the flat family.
 func Map[K comparable, V any](opts ...Option) (*AdjustedMap[K, V], error) {
-	const dt = "Map"
-	enc, dec, intKey := intKeyCodec[K]()
-	p, plan, row, err := declare(dt, mapTakes, opts, mapRows, intKey)
+	rep, plan, probe, err := planMap[K, V]("Map", mapTakes, mapRows, usage.MethodPut, opts)
 	if err != nil {
 		return nil, err
+	}
+	return &AdjustedMap[K, V]{plan: plan, rep: rep, probe: probe}, nil
+}
+
+// planMap declares a Map or Set profile against rows and builds the hash
+// map it plans. A set is the map over empty values, so each map row and its
+// set twin build the same representation; put names the method a recorded
+// Put is filed under (a set's Add).
+func planMap[K comparable, V any](dt string, takes optBit, rows []repRow, put usage.Method,
+	opts []Option) (mapRep[K, V], *Plan, *Probe, error) {
+	enc, dec, intKey := intKeyCodec[K]()
+	p, plan, row, err := declare(dt, takes, opts, rows, intKey)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	hash, rec, recHash, err := keyed[K](dt, &p, row)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	capacity := p.capacityOr(1024)
 	buckets := p.bucketsOr(capacity * 2)
-	m := &AdjustedMap[K, V]{probe: p.probe}
+	probe := p.probe
+	var rep mapRep[K, V]
 	plan.Ranges = 1
 	switch plan.Rep {
-	case "FlatSWMRMap":
-		m.rep = newFlatSWMRMap[K, V](enc, dec, p.capacity, p.checked)
-	case "FlatMap":
-		m.rep = newFlatMap[K, V](enc, dec, p.capacity)
+	case "FlatSWMRMap", "FlatSWMRSet":
+		rep = newFlatSWMRMap[K, V](enc, dec, p.capacity, p.checked)
+	case "FlatMap", "FlatSet":
+		rep = newFlatMap[K, V](enc, dec, p.capacity)
 	case "AdaptiveMap":
 		ad := adaptive.NewMap[K, V](p.reg(), p.stripesOr(256), capacity, buckets, p.ranges, hash, p.policy)
-		m.rep, m.probe, plan.Ranges = ad, ad.Probe(), ad.Ranges()
-	case "SegmentedMap":
-		m.rep = hashmap.NewSegmented[K, V](p.reg(), capacity, buckets, hash, p.checked)
-	case "SWMRMap":
-		m.rep = hashmap.NewSWMR[K, V](capacity, hash, p.checked)
-	default: // StripedMap
-		m.rep = stripedMapRep[K, V]{hashmap.NewStriped[K, V](p.stripesOr(256), capacity, hash, p.probe)}
+		rep, probe, plan.Ranges = ad, ad.Probe(), ad.Ranges()
+	case "SegmentedMap", "SegmentedSet":
+		rep = hashmap.NewSegmented[K, V](p.reg(), capacity, buckets, hash, p.checked)
+	case "SWMRMap", "SWMRSet":
+		rep = hashmap.NewSWMR[K, V](capacity, hash, p.checked)
+	default: // StripedMap, StripedSet
+		rep = stripedMapRep[K, V]{hashmap.NewStriped[K, V](p.stripesOr(256), capacity, hash, p.probe)}
 	}
 	if p.record {
-		m.rep = &recordedMap[K, V]{recording[mapRep[K, V]]{m.rep, rec}, recHash}
+		rep = &recordedMap[K, V]{recording[mapRep[K, V]]{rep, rec}, recHash, put}
 	}
-	m.plan = intern(plan)
-	return m, nil
+	return rep, intern(plan), probe, nil
 }
 
 // ---------------------------------------------------------------------------
 // Set
 
-// setRep is the planner's view of a set representation.
-type setRep[K comparable] interface {
-	Add(h *Handle, x K)
-	Remove(h *Handle, x K) bool
-	Contains(x K) bool
-	Len() int
-	Range(f func(x K) bool)
-}
-
-type stripedSetRep[K comparable] struct{ s *set.Striped[K] }
-
-func (r stripedSetRep[K]) Add(_ *Handle, x K)         { r.s.Add(x) }
-func (r stripedSetRep[K]) Remove(_ *Handle, x K) bool { return r.s.Remove(x) }
-func (r stripedSetRep[K]) Contains(x K) bool          { return r.s.Contains(x) }
-func (r stripedSetRep[K]) Len() int                   { return r.s.Len() }
-func (r stripedSetRep[K]) Range(f func(K) bool)       { r.s.Range(f) }
-
-// AdjustedSet is a membership set built from a declared profile.
+// AdjustedSet is a membership set built from a declared profile: the hash
+// map of its plan over empty values, whose Put is the set's Add.
 type AdjustedSet[K comparable] struct {
 	plan  *Plan
-	rep   setRep[K]
+	rep   mapRep[K, struct{}]
 	probe *Probe
 }
 
 // Add inserts x.
-func (s *AdjustedSet[K]) Add(h *Handle, x K) { s.rep.Add(h, x) }
+func (s *AdjustedSet[K]) Add(h *Handle, x K) { s.rep.Put(h, x, struct{}{}) }
 
 // Remove deletes x, reporting whether it was present.
 func (s *AdjustedSet[K]) Remove(h *Handle, x K) bool { return s.rep.Remove(h, x) }
@@ -314,8 +315,12 @@ func (s *AdjustedSet[K]) Contains(x K) bool { return s.rep.Contains(x) }
 // Len returns the element count.
 func (s *AdjustedSet[K]) Len() int { return s.rep.Len() }
 
-// Range iterates elements until f returns false.
-func (s *AdjustedSet[K]) Range(f func(x K) bool) { s.rep.Range(f) }
+// Range iterates elements until f returns false. f must not call this set:
+// the striped and flat rows run it under a lock of their own (see
+// AdjustedMap.Range).
+func (s *AdjustedSet[K]) Range(f func(x K) bool) {
+	s.rep.Range(func(x K, _ struct{}) bool { return f(x) })
+}
 
 // Plan returns the planner's decision for this object.
 func (s *AdjustedSet[K]) Plan() Plan { return *s.plan }
@@ -328,7 +333,8 @@ func (s *AdjustedSet[K]) Probe() *Probe { return s.probe }
 // constructed without WithUsageRecording.
 func (s *AdjustedSet[K]) Advise() (Advice, bool) { return adviseObject(s.plan, s.rep) }
 
-// setRows are the set representations, most adjusted first.
+// setRows are the set representations, most adjusted first: each is the
+// map row of the same name over empty values.
 var setRows = []repRow{
 	{name: "FlatSWMRSet", modes: inSWMR, needs: needFlat, guarded: true},
 	{name: "FlatSet", modes: inALL | commuting, needs: needFlat},
@@ -342,37 +348,11 @@ var setRows = []repRow{
 // (S2); CommutingWriters → the segmented set of the paper's (S3, CWMR)
 // node; the flat gate → the flat family.
 func Set[K comparable](opts ...Option) (*AdjustedSet[K], error) {
-	const dt = "Set"
-	enc, dec, intKey := intKeyCodec[K]()
-	p, plan, row, err := declare(dt, setTakes, opts, setRows, intKey)
+	rep, plan, probe, err := planMap[K, struct{}]("Set", setTakes, setRows, usage.MethodAdd, opts)
 	if err != nil {
 		return nil, err
 	}
-	hash, rec, recHash, err := keyed[K](dt, &p, row)
-	if err != nil {
-		return nil, err
-	}
-	capacity := p.capacityOr(1024)
-	buckets := p.bucketsOr(capacity * 2)
-	s := &AdjustedSet[K]{probe: p.probe}
-	plan.Ranges = 1
-	switch plan.Rep {
-	case "FlatSWMRSet":
-		s.rep = newFlatSWMRSet[K](enc, dec, p.capacity, p.checked)
-	case "FlatSet":
-		s.rep = newFlatSet[K](enc, dec, p.capacity)
-	case "SegmentedSet":
-		s.rep = set.NewSegmented[K](p.reg(), buckets, hash, p.checked)
-	case "SWMRSet":
-		s.rep = set.NewSWMR[K](capacity, hash, p.checked)
-	default: // StripedSet
-		s.rep = stripedSetRep[K]{set.NewStriped[K](p.stripesOr(256), capacity, hash, p.probe)}
-	}
-	if p.record {
-		s.rep = &recordedSet[K]{recording[setRep[K]]{s.rep, rec}, recHash}
-	}
-	s.plan = intern(plan)
-	return s, nil
+	return &AdjustedSet[K]{plan: plan, rep: rep, probe: probe}, nil
 }
 
 // ---------------------------------------------------------------------------
