@@ -36,23 +36,13 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # map (BenchmarkMap), the root figure wrappers (BenchmarkFig*), the serving
 # executor's (BenchmarkStoreRun, its contended case included) and the
 # codec's (BenchmarkCommandBatch, BenchmarkReplyBatch, BenchmarkWriteReply)
-# run once each so they cannot rot.
+# run once each so they cannot rot, and so does cmd/benchcmp, the
+# alternating-pair runner every performance comparison is made with: one
+# -bench pair of the checkout against itself.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
 BENCH_SMOKE_JSON  = bench-smoke.json
-
-# Flat-figure smoke + regression compare: the flat figure alone at the smoke
-# configuration, compared against the checked-in baseline (BENCH_flat.json)
-# by cmd/benchcmp with a wide noise band. CI runs bench-compare as a
-# non-blocking report step (shared runners are noisy); locally,
-# `make bench-compare BENCHCMP_FLAGS=-fail` turns regressions into a
-# non-zero exit. Refresh the baseline deliberately with `make bench-flat`
-# after a representation change and commit the diff.
-FLAT_SMOKE_FLAGS = -fig flat -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
-FLAT_SMOKE_JSON  = flat-smoke.json
-FLAT_BASELINE    = BENCH_flat.json
-BENCHCMP_FLAGS  =
 
 # Networked retwis smoke: tiny closed-loop run of the Table-2 workload as
 # RESP pipelines against a self-hosted dego-server, one latency point; the
@@ -72,14 +62,6 @@ OPENLOOP_SMOKE_FLAGS = -net -arrivals poisson -rates 1k,2k -netduration 300ms -c
 FRONTIER_JSON        = frontier-smoke.json
 FRONTIER_CHAOS_JSON  = frontier-chaos-smoke.json
 
-# The clean-network frontier is also regression-tracked: the smoke run is
-# compared cell by cell (achieved rate, and p99 when both runs stayed
-# unsaturated) against the checked-in BENCH_frontier.json. Like the flat
-# compare, the CI step is a non-blocking report; run
-# `make frontier-compare BENCHCMP_FLAGS=-fail` on a quiet machine to
-# enforce the band, and `make frontier-baseline` to refresh the baseline.
-FRONTIER_BASELINE = BENCH_frontier.json
-
 # Advise smoke: replay the Table-2 workload against the unadjusted
 # recorded backend and print what the tuning advisor certifies from the
 # traffic alone. The JSON lands as a CI artifact
@@ -97,7 +79,7 @@ CHAOS_JSON = chaos-smoke.json
 
 COVER_PROFILE = coverage.out
 
-.PHONY: build test race bench-smoke bench-flat bench-compare server-smoke net-smoke openloop-smoke frontier-baseline frontier-compare advise-smoke chaos-smoke cover fuzz-smoke fmt fmt-check vet docs-check api api-check benchmark-check
+.PHONY: build test race bench-smoke server-smoke net-smoke openloop-smoke advise-smoke chaos-smoke cover fuzz-smoke fmt fmt-check vet docs-check api api-check benchmark-check
 
 build:
 	$(GO) build ./...
@@ -128,16 +110,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Fig -benchtime 1x .
 	$(GO) test -run '^$$' -bench StoreRun -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench 'CommandBatch|ReplyBatch|WriteReply' -benchtime 1x ./internal/wire
-
-# Regenerate the checked-in flat baseline (run on a quiet machine, then
-# commit BENCH_flat.json).
-bench-flat:
-	$(GO) run ./cmd/dego-bench $(FLAT_SMOKE_FLAGS) -json $(FLAT_BASELINE)
-
-# Run the flat figure fresh and compare against the checked-in baseline.
-bench-compare:
-	$(GO) run ./cmd/dego-bench $(FLAT_SMOKE_FLAGS) -json $(FLAT_SMOKE_JSON)
-	$(GO) run ./cmd/benchcmp $(BENCHCMP_FLAGS) $(FLAT_BASELINE) $(FLAT_SMOKE_JSON)
+	$(GO) run ./cmd/benchcmp -pairs 1 -bench StoreRun . . -- -benchtime 1x ./internal/server
 
 # Boot dego-server on an ephemeral port and run the scripted
 # GET/SET/INCR/LRANGE self-session through the repo's own wire client
@@ -155,17 +128,6 @@ net-smoke:
 openloop-smoke:
 	$(GO) run ./cmd/retwis-bench $(OPENLOOP_SMOKE_FLAGS) -json $(FRONTIER_JSON)
 	$(GO) run ./cmd/retwis-bench $(OPENLOOP_SMOKE_FLAGS) -chaos -json $(FRONTIER_CHAOS_JSON)
-
-# Regenerate the checked-in frontier baseline (run on a quiet machine,
-# then commit BENCH_frontier.json).
-frontier-baseline:
-	$(GO) run ./cmd/retwis-bench $(OPENLOOP_SMOKE_FLAGS) -json $(FRONTIER_BASELINE)
-
-# Walk the clean frontier fresh and compare against the checked-in
-# baseline, cell by cell.
-frontier-compare:
-	$(GO) run ./cmd/retwis-bench $(OPENLOOP_SMOKE_FLAGS) -json $(FRONTIER_JSON)
-	$(GO) run ./cmd/benchcmp $(BENCHCMP_FLAGS) $(FRONTIER_BASELINE) $(FRONTIER_JSON)
 
 advise-smoke:
 	$(GO) run ./cmd/retwis-bench $(ADVISE_SMOKE_FLAGS) -json $(ADVISE_JSON)

@@ -1,333 +1,324 @@
-// Command benchcmp compares two dego-bench JSON artifacts (the -json output
-// of cmd/dego-bench) and reports per-series throughput ratios against a
-// noise band. It exists for the regression-tracked flat baseline: CI runs
-// the flat figure at the smoke configuration and compares it against the
-// checked-in BENCH_flat.json, so a representation regression shows up as a
-// ratio outside the band instead of a silent drift.
+// Command benchcmp runs two checkouts in alternating pairs and reports, per
+// metric, how NEW reads against OLD:
 //
-// Usage:
+//	benchcmp [-pairs 10] [-workload w,…] [-seed 42] OLD NEW
+//	benchcmp -bench PATTERN [-pairs 10] OLD NEW [-- go test args…]
 //
-//	benchcmp [-band 0.40] [-fail] old.json new.json
+// Pair i runs `bash benchmark/run.sh --workload W --seed seed+i --seconds S
+// --trace 0` in each checkout, OLD first in even pairs, for every workload
+// in NEW's BENCHMARK.json, which also gives S and each end-to-end metric's
+// direction and bound; then `--trace 1` at the first seed twice a side.
+// Only a run's last line, the JSON result line, is read. With -bench a run
+// is `go test -run '^$' -bench PATTERN -count 1 ARGS…` and its benchmark
+// lines are read; a unit containing "/s" is better higher, others lower.
 //
-// The report prints one line per (figure, section, object, threads) series
-// point: old and new Kops/s, the new/old ratio, and a verdict. Points whose
-// ratio falls below 1-band are regressions; above 1+band, improvements.
-// Shared-runner smoke numbers are noisy, so the default band is wide and
-// the CI step that runs this is non-blocking; -fail turns regressions into
-// a non-zero exit for local use on quiet machines.
-//
-// Only points present in both files are compared — a new figure or object
-// in one file is listed as unmatched, never an error, so adding a workload
-// does not break the comparison against an older baseline.
-//
-// benchcmp also compares frontier artifacts (the -json output of
-// retwis-bench -net, a JSON array of net points). The file shape
-// selects the mode: two arrays compare as frontiers, two objects as
-// dego-bench artifacts, one of each is an error. Frontier cells are keyed
-// by (store, shards, pipeline, workers, process, faulted, target rate) and
-// judged on two metrics per cell: achieved rate (a regression when the
-// ratio falls below 1-band) and p99 latency (a regression when the ratio
-// rises above 1+band). Latency at a saturated cell measures queueing, not
-// the server, so p99 is only judged when both runs stayed unsaturated.
+// Each metric gets OLD's median, quartiles and spread (IQR ÷ median), NEW's
+// median, the change, NEW's wins (ties count for neither) and a verdict:
+// gain (≥ 10 pairs, 9 in 10 won, medians apart by more than OLD's IQR),
+// worse (NEW's median past the bound; with -bench, which has no bounds, the
+// gain rule the other way round), unresolved (spread past the bound, unless
+// every NEW run beats every OLD run) or level. A workload adds each side's
+// failed ops and the per-layer counts that differ. The exit status is
+// non-zero only when a run fails or its output cannot be parsed.
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
-	"sort"
-
-	"github.com/adjusted-objects/dego/internal/bench"
-	"github.com/adjusted-objects/dego/internal/retwis"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"text/tabwriter"
 )
 
-// artifact mirrors cmd/dego-bench's writeJSON payload.
-type artifact struct {
-	BaseConfig bench.Config
-	Note       string
-	Threads    []int
-	Figures    map[string]map[string]map[string][]bench.Result
+// entry is a named BENCHMARK.json entry: a workload, or a metric and how it
+// is judged (bound 0: none).
+type entry struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
-// point is one comparable series point, keyed by everything except the
-// measurement itself.
-type point struct {
-	Figure, Section, Object string
-	Threads                 int
+// result is what one run reported.
+type result struct {
+	values            map[string]float64
+	units             map[string]string
+	attempted, failed int64
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, command); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, w io.Writer) error {
+// execFunc runs argv in dir and returns its stdout; tests hand run a fake.
+type execFunc func(dir string, argv ...string) ([]byte, error)
+
+// command runs argv in dir; the error of a failed run carries its stderr.
+func command(dir string, argv ...string) ([]byte, error) {
+	cmd := exec.Command(argv[0], argv[1:]...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if exit := (*exec.ExitError)(nil); errors.As(err, &exit) {
+		return nil, fmt.Errorf("%s in %s: %v: %s", strings.Join(argv, " "), dir, err, bytes.TrimSpace(exit.Stderr))
+	}
+	return out, err
+}
+
+func run(args []string, w io.Writer, x execFunc) error {
 	fs := flag.NewFlagSet("benchcmp", flag.ContinueOnError)
-	band := fs.Float64("band", 0.40, "noise band: ratios in [1-band, 1+band] count as unchanged")
-	fail := fs.Bool("fail", false, "exit non-zero when any point regresses below 1-band")
+	n := fs.Int("pairs", 10, "alternating pairs of runs per workload, or of the -bench run")
+	only := fs.String("workload", "", "comma-separated workloads (default: every workload in NEW's BENCHMARK.json)")
+	seed := fs.Int("seed", 42, "seed of the first pair; pair i runs seed+i")
+	pattern := fs.String("bench", "", "compare `go test -bench` results for this pattern instead of running the benchmark")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("want two arguments: old.json new.json (got %d)", fs.NArg())
+	rest, testArgs := fs.Args(), []string(nil)
+	if i := slices.Index(rest, "--"); i >= 0 {
+		rest, testArgs = rest[:i], rest[i+1:]
 	}
-	oldBlob, err := os.ReadFile(fs.Arg(0))
+	if len(rest) != 2 || *n < 1 {
+		return errors.New("usage: benchcmp [-pairs n] [-workload w,…] [-seed s] OLD NEW, or benchcmp -bench PATTERN [-pairs n] OLD NEW [-- go test args…]")
+	}
+	fmt.Fprintf(w, "OLD %s\nNEW %s\n", rest[0], rest[1])
+	if *pattern == "" {
+		return workloads(w, x, [2]string(rest), *n, *seed, *only)
+	}
+	argv := append([]string{"go", "test", "-run", "^$", "-bench", *pattern, "-count", "1"}, testArgs...)
+	runs, err := pairs(w, x, [2]string(rest), *n, func(int) []string { return argv }, parseBench)
 	if err != nil {
 		return err
 	}
-	newBlob, err := os.ReadFile(fs.Arg(1))
+	var ms []entry
+	for _, key := range slices.Sorted(maps.Keys(runs[0][0].values)) {
+		rate := strings.Contains(key[strings.LastIndexByte(key, ' '):], "/s")
+		ms = append(ms, entry{Name: key, Better: map[bool]string{true: "higher", false: "lower"}[rate]})
+	}
+	return report(w, runs, ms)
+}
+
+// workloads compares the checkouts on the repository benchmark.
+func workloads(w io.Writer, x execFunc, dirs [2]string, n, seed int, only string) error {
+	blob, err := os.ReadFile(filepath.Join(dirs[1], "BENCHMARK.json"))
 	if err != nil {
 		return err
 	}
-	if isArray(oldBlob) != isArray(newBlob) {
-		return fmt.Errorf("%s and %s are different artifact kinds (one frontier array, one dego-bench object)",
-			fs.Arg(0), fs.Arg(1))
+	var cfg struct {
+		RunSeconds float64 `json:"run_seconds"`
+		Workloads  []entry `json:"workloads"`
+		EndToEnd   []entry `json:"end_to_end"`
 	}
-	if isArray(oldBlob) {
-		return runFrontier(w, *band, *fail, fs.Arg(0), oldBlob, fs.Arg(1), newBlob)
+	if err := json.Unmarshal(blob, &cfg); err != nil {
+		return fmt.Errorf("%s: BENCHMARK.json: %w", dirs[1], err)
 	}
-
-	oldArt, err := load(fs.Arg(0), oldBlob)
-	if err != nil {
-		return err
-	}
-	newArt, err := load(fs.Arg(1), newBlob)
-	if err != nil {
-		return err
-	}
-
-	oldPts := flatten(oldArt)
-	newPts := flatten(newArt)
-
-	keys := make([]point, 0, len(oldPts))
-	for k := range oldPts {
-		if _, ok := newPts[k]; ok {
-			keys = append(keys, k)
+	names := strings.FieldsFunc(only, func(r rune) bool { return r == ',' })
+	for _, wl := range cfg.Workloads {
+		if only == "" {
+			names = append(names, wl.Name)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Figure != b.Figure {
-			return a.Figure < b.Figure
+	secs := strconv.FormatFloat(cfg.RunSeconds, 'g', -1, 64)
+	for _, name := range names {
+		argv := func(seed, trace int) []string {
+			return []string{"bash", "benchmark/run.sh", "--workload", name, "--seed", strconv.Itoa(seed),
+				"--seconds", secs, "--trace", strconv.Itoa(trace)}
 		}
-		if a.Section != b.Section {
-			return a.Section < b.Section
+		fmt.Fprintf(w, "\n== %s: %d pairs, seeds %d–%d, %s s a run\n", name, n, seed, seed+n-1, secs)
+		runs, err := pairs(w, x, dirs, n, func(i int) []string { return argv(seed+i, 0) }, parseResult)
+		if err != nil {
+			return err
 		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
+		traced, err := pairs(w, x, dirs, 2, func(int) []string { return argv(seed, 1) }, parseResult)
+		if err != nil {
+			return err
 		}
-		return a.Threads < b.Threads
-	})
-
-	if oldArt.BaseConfig.InitialItems != newArt.BaseConfig.InitialItems ||
-		oldArt.BaseConfig.KeyRange != newArt.BaseConfig.KeyRange {
-		fmt.Fprintf(w, "note: base configs differ (old %d/%d items/range, new %d/%d) — ratios compare different workloads\n\n",
-			oldArt.BaseConfig.InitialItems, oldArt.BaseConfig.KeyRange,
-			newArt.BaseConfig.InitialItems, newArt.BaseConfig.KeyRange)
-	}
-
-	regressions := 0
-	fmt.Fprintf(w, "%-10s %-24s %-28s %7s %10s %10s %7s  %s\n",
-		"figure", "section", "object", "threads", "old Kops", "new Kops", "ratio", "verdict")
-	for _, k := range keys {
-		o, n := oldPts[k].Kops(), newPts[k].Kops()
-		ratio := 0.0
-		if o > 0 {
-			ratio = n / o
+		if err := report(w, runs, cfg.EndToEnd); err != nil {
+			return err
 		}
-		verdict := "ok"
-		switch {
-		case o == 0 || n == 0:
-			verdict = "no-data"
-		case ratio < 1-*band:
-			verdict = "REGRESSION"
-			regressions++
-		case ratio > 1+*band:
-			verdict = "improved"
-		}
-		fmt.Fprintf(w, "%-10s %-24s %-28s %7d %10.1f %10.1f %6.2fx  %s\n",
-			k.Figure, k.Section, k.Object, k.Threads, o, n, ratio, verdict)
-	}
-	fmt.Fprintf(w, "\n%d points compared (band ±%.0f%%), %d regression(s)",
-		len(keys), *band*100, regressions)
-	if un := unmatched(oldPts, newPts); un > 0 {
-		fmt.Fprintf(w, ", %d point(s) only in one file", un)
-	}
-	fmt.Fprintln(w)
-
-	if *fail && regressions > 0 {
-		return fmt.Errorf("%d point(s) regressed below %.2fx", regressions, 1-*band)
-	}
-	return nil
-}
-
-func load(path string, blob []byte) (*artifact, error) {
-	var a artifact
-	if err := json.Unmarshal(blob, &a); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &a, nil
-}
-
-// isArray reports whether a JSON document's top level is an array — the
-// shape that distinguishes a frontier artifact from a dego-bench one.
-func isArray(blob []byte) bool {
-	trimmed := bytes.TrimLeft(blob, " \t\r\n")
-	return len(trimmed) > 0 && trimmed[0] == '['
-}
-
-// fpoint is one comparable frontier cell, keyed by everything that
-// identifies the experiment except the measurements.
-type fpoint struct {
-	Store            string
-	Shards, Pipeline int
-	Workers          int
-	Process          string
-	Faulted          bool
-	TargetRate       float64
-}
-
-func flattenFrontier(pts []retwis.NetPoint) map[fpoint]retwis.NetPoint {
-	out := map[fpoint]retwis.NetPoint{}
-	for _, p := range pts {
-		k := fpoint{p.Store, p.Shards, p.Pipeline, p.Workers, p.Process, p.Faulted, p.TargetRate}
-		if prev, ok := out[k]; !ok || p.ElapsedMS > prev.ElapsedMS {
-			out[k] = p
-		}
-	}
-	return out
-}
-
-// runFrontier compares two frontier artifacts cell by cell. A
-// cell regresses when achieved rate drops below 1-band of the baseline, or
-// — when both runs absorbed the offered rate — when p99 rises above 1+band.
-func runFrontier(w io.Writer, band float64, fail bool, oldPath string, oldBlob []byte, newPath string, newBlob []byte) error {
-	var oldRaw, newRaw []retwis.NetPoint
-	if err := json.Unmarshal(oldBlob, &oldRaw); err != nil {
-		return fmt.Errorf("%s: %w", oldPath, err)
-	}
-	if err := json.Unmarshal(newBlob, &newRaw); err != nil {
-		return fmt.Errorf("%s: %w", newPath, err)
-	}
-	oldPts, newPts := flattenFrontier(oldRaw), flattenFrontier(newRaw)
-
-	keys := make([]fpoint, 0, len(oldPts))
-	for k := range oldPts {
-		if _, ok := newPts[k]; ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Store != b.Store {
-			return a.Store < b.Store
-		}
-		if a.Faulted != b.Faulted {
-			return !a.Faulted
-		}
-		if a.Shards != b.Shards {
-			return a.Shards < b.Shards
-		}
-		if a.Pipeline != b.Pipeline {
-			return a.Pipeline < b.Pipeline
-		}
-		return a.TargetRate < b.TargetRate
-	})
-
-	regressions := 0
-	fmt.Fprintf(w, "%-10s %6s %5s %8s %10s %10s %7s %9s %9s %7s  %s\n",
-		"store", "shards", "pipe", "target/s", "old ach/s", "new ach/s", "rate", "old p99", "new p99", "p99", "verdict")
-	for _, k := range keys {
-		o, n := oldPts[k], newPts[k]
-		rateRatio, p99Ratio := 0.0, 0.0
-		if o.AchievedRate > 0 {
-			rateRatio = n.AchievedRate / o.AchievedRate
-		}
-		if o.P99us > 0 {
-			p99Ratio = float64(n.P99us) / float64(o.P99us)
-		}
-		judgeLatency := !o.Saturated && !n.Saturated && o.P99us > 0 && n.P99us > 0
-		verdict := "ok"
-		switch {
-		case o.AchievedRate == 0 || n.AchievedRate == 0:
-			verdict = "no-data"
-		case rateRatio < 1-band:
-			verdict = "REGRESSION(rate)"
-			regressions++
-		case judgeLatency && p99Ratio > 1+band:
-			verdict = "REGRESSION(p99)"
-			regressions++
-		case rateRatio > 1+band || (judgeLatency && p99Ratio < 1-band):
-			verdict = "improved"
-		case !judgeLatency:
-			verdict = "ok(rate-only)"
-		}
-		fmt.Fprintf(w, "%-10s %6d %5d %8.0f %10.0f %10.0f %6.2fx %8dµs %8dµs %6.2fx  %s\n",
-			k.Store, k.Shards, k.Pipeline, k.TargetRate,
-			o.AchievedRate, n.AchievedRate, rateRatio, o.P99us, n.P99us, p99Ratio, verdict)
-	}
-	fmt.Fprintf(w, "\n%d frontier cell(s) compared (band ±%.0f%%), %d regression(s)",
-		len(keys), band*100, regressions)
-	un := 0
-	for k := range oldPts {
-		if _, ok := newPts[k]; !ok {
-			un++
-		}
-	}
-	for k := range newPts {
-		if _, ok := oldPts[k]; !ok {
-			un++
-		}
-	}
-	if un > 0 {
-		fmt.Fprintf(w, ", %d cell(s) only in one file", un)
-	}
-	fmt.Fprintln(w)
-
-	if fail && regressions > 0 {
-		return fmt.Errorf("%d frontier cell(s) regressed beyond the ±%.0f%% band", regressions, band*100)
-	}
-	return nil
-}
-
-// flatten indexes every series point of an artifact by its identity. A
-// duplicate thread count within one series keeps the longer-running point
-// (more samples, less noise); dego-bench never emits duplicates, so this is
-// pure defense against hand-edited baselines.
-func flatten(a *artifact) map[point]bench.Result {
-	out := map[point]bench.Result{}
-	for fig, sections := range a.Figures {
-		for section, series := range sections {
-			for object, results := range series {
-				for _, r := range results {
-					k := point{fig, section, object, r.Threads}
-					if prev, ok := out[k]; !ok || r.Elapsed > prev.Elapsed {
-						out[k] = r
-					}
-				}
+		var f [2][2]int64 // failed and attempted ops by side
+		for side, rs := range runs {
+			for _, r := range rs {
+				f[side][0], f[side][1] = f[side][0]+r.failed, f[side][1]+r.attempted
 			}
 		}
+		fmt.Fprintf(w, "failed ops: OLD %d/%d, NEW %d/%d", f[0][0], f[0][1], f[1][0], f[1][1])
+		if f[1][0]*f[0][1] > f[0][0]*f[1][1] {
+			fmt.Fprint(w, "  NEW fails a larger share")
+		}
+		counts(w, traced, seed)
 	}
-	return out
+	return nil
 }
 
-// unmatched counts points present in exactly one artifact.
-func unmatched(a, b map[point]bench.Result) int {
-	n := 0
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			n++
+// counts lists the per-layer `count` and `B` metrics that repeat over each
+// side's traced runs and differ between the sides, then those that moved.
+func counts(w io.Writer, traced [2][]result, seed int) {
+	var diffs, unsteady []string
+	for _, key := range slices.Sorted(maps.Keys(traced[1][0].units)) {
+		u, o, n := traced[1][0].units[key], series(traced[0], key), series(traced[1], key)
+		switch {
+		case u != "count" && u != "B" || o == nil || n == nil:
+		case o[0] != o[1] || n[0] != n[1]:
+			unsteady = append(unsteady, key)
+		case o[0] != n[0]:
+			diffs = append(diffs, fmt.Sprintf("\n  %s: OLD %s, NEW %s %s", key, num(o[0]), num(n[0]), u))
 		}
 	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			n++
+	fmt.Fprintf(w, "\nper-layer counts that differ (traced twice a side, seed %d):%s\nnot repeating, so no claim: %s\n",
+		seed, cmp.Or(strings.Join(diffs, ""), " none"), cmp.Or(strings.Join(unsteady, ", "), "none"))
+}
+
+// pairs runs argv(i) in both checkouts for pair i = 0…n-1, OLD first in even
+// pairs and NEW first in odd ones, and parses each run's output.
+func pairs(w io.Writer, x execFunc, dirs [2]string, n int, argv func(i int) []string, parse func([]byte) (result, error)) (runs [2][]result, err error) {
+	for i := 0; i < n; i++ {
+		order := [2]int{i % 2, 1 - i%2}
+		for _, side := range order {
+			out, err := x(dirs[side], argv(i)...)
+			if err != nil {
+				return runs, err
+			}
+			r, err := parse(out)
+			if err != nil {
+				return runs, fmt.Errorf("%s in %s: %w", strings.Join(argv(i), " "), dirs[side], err)
+			}
+			runs[side] = append(runs[side], r)
+		}
+		fmt.Fprintf(w, "pair %d/%d, %s first: %s\n", i+1, n, [2]string{"OLD", "NEW"}[order[0]], strings.Join(argv(i), " "))
+	}
+	return runs, nil
+}
+
+// parseResult reads the last line of a run.sh transcript, the result line.
+func parseResult(out []byte) (result, error) {
+	var line struct {
+		Attempted, Failed int64
+		Metrics           map[string]struct {
+			Value float64
+			Unit  string
 		}
 	}
-	return n
+	if err := json.Unmarshal(out[bytes.LastIndexByte(bytes.TrimRight(out, "\n"), '\n')+1:], &line); err != nil {
+		return result{}, fmt.Errorf("the last line is no result line: %w", err)
+	}
+	r := result{map[string]float64{}, map[string]string{}, line.Attempted, line.Failed}
+	for name, m := range line.Metrics {
+		r.values[name], r.units[name] = m.Value, m.Unit
+	}
+	return r, nil
+}
+
+// parseBench reads `go test -bench` lines (name, iterations, value–unit
+// pairs), keying a metric by the name, cpu suffix included, and the unit.
+func parseBench(out []byte) (result, error) {
+	r := result{values: map[string]float64{}}
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") || strings.Trim(f[1], "0123456789") != "" {
+			continue
+		}
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return result{}, fmt.Errorf("benchmark line %q: %w", line, err)
+			}
+			r.values[f[0]+" "+f[i+1]] = v
+		}
+	}
+	if len(r.values) == 0 {
+		return result{}, errors.New("no benchmark lines in the output")
+	}
+	return r, nil
+}
+
+// series is key's value in each run, or nil when a run lacks it.
+func series(rs []result, key string) []float64 {
+	v := make([]float64, len(rs))
+	for i, r := range rs {
+		var ok bool
+		if v[i], ok = r.values[key]; !ok {
+			return nil
+		}
+	}
+	return v
+}
+
+// report prints one line per metric.
+func report(w io.Writer, runs [2][]result, ms []entry) error {
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(tw, "metric\tOLD median\tOLD q1–q3\tspread\tNEW median\tΔ\twins\tverdict\t")
+	for _, m := range ms {
+		old, new := series(runs[0], m.Name), series(runs[1], m.Name)
+		if old == nil || new == nil {
+			return fmt.Errorf("a run did not report %s", m.Name)
+		}
+		wins, verdict := compare(old, new, m.Better == "higher", m.Bound)
+		q, newMed := quartiles(old), quartiles(new)[1]
+		base := max(math.Abs(q[1]), math.SmallestNonzeroFloat64) // a zero median reads 0 % when nothing moved
+		fmt.Fprintf(tw, "%s\t%s\t%s–%s\t%.1f %%\t%s\t%+.1f %%\t%d/%d\t%s\t\n", m.Name, num(q[1]), num(q[0]), num(q[2]),
+			100*(q[2]-q[0])/base, num(newMed), 100*(newMed-q[1])/base, wins, len(old), verdict)
+	}
+	return tw.Flush()
+}
+
+// compare counts NEW's wins over OLD, pair by pair, and judges the metric.
+func compare(old, new []float64, higher bool, bound float64) (wins int, verdict string) {
+	sign := map[bool]float64{true: 1, false: -1}[higher]
+	losses, worstNew, bestOld := 0, math.Inf(1), math.Inf(-1)
+	for i := range old {
+		if d := sign * (new[i] - old[i]); d > 0 {
+			wins++
+		} else if d < 0 {
+			losses++
+		}
+		worstNew, bestOld = min(worstNew, sign*new[i]), max(bestOld, sign*old[i])
+	}
+	q := quartiles(old)
+	gap, iqr, med := sign*(quartiles(new)[1]-q[1]), q[2]-q[0], math.Abs(q[1]) // gap > 0: NEW is better
+	decisive := func(k int) bool { return len(old) >= 10 && 10*k >= 9*len(old) && math.Abs(gap) > iqr }
+	switch {
+	case gap > 0 && decisive(wins):
+		return wins, "gain"
+	case bound > 0 && -gap > bound*med, bound == 0 && gap < 0 && decisive(losses):
+		return wins, "worse"
+	case bound > 0 && iqr > bound*med && worstNew <= bestOld:
+		return wins, "unresolved"
+	}
+	return wins, "level"
+}
+
+// quartiles are Python's statistics.quantiles(v, n=4), the exclusive
+// method; one value is its own quartiles.
+func quartiles(v []float64) [3]float64 {
+	s := slices.Sorted(slices.Values(v))
+	if len(s) == 1 {
+		return [3]float64{s[0], s[0], s[0]}
+	}
+	var q [3]float64
+	for i := 1; i <= 3; i++ {
+		j := min(max(i*(len(s)+1)/4, 1), len(s)-1)
+		delta := float64(i*(len(s)+1) - j*4)
+		q[i-1] = (s[j-1]*(4-delta) + s[j]*delta) / 4
+	}
+	return q
+}
+
+func num(v float64) string {
+	if math.Abs(v) >= 1000 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'g', 4, 64)
 }

@@ -22,6 +22,9 @@ func TestParseHelpers(t *testing.T) {
 	if err := run([]string{"-fig", "9", "-threads", "0"}); err == nil {
 		t.Fatal("-threads 0 accepted")
 	}
+	if err := run([]string{"-net", "-netusers", "0", "-netops", "10"}); err == nil {
+		t.Fatal("-netusers 0 accepted")
+	}
 	floats, err := parseFloats("0, 0.5 ,1")
 	if err != nil || len(floats) != 3 || floats[1] != 0.5 {
 		t.Fatalf("parseFloats = %v, %v", floats, err)

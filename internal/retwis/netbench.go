@@ -195,8 +195,8 @@ func RunNet(np NetParams) (NetPoint, error) {
 			count = int(np.Rate * np.Duration.Seconds())
 		}
 	}
-	if count <= 0 {
-		return NetPoint{}, fmt.Errorf("retwis: a point needs a positive op count")
+	if count <= 0 || p.Users < 1 {
+		return NetPoint{}, fmt.Errorf("retwis: a point needs a positive op count and user count (got %d ops, %d users)", count, p.Users)
 	}
 
 	addr, label, shards, graph, closeTarget, err := seedTarget(np.Addr, np.Shards, p)

@@ -8,6 +8,7 @@ import (
 
 	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/core"
+	"github.com/adjusted-objects/dego/internal/loadgen"
 )
 
 func testParams(users, threads int) Params {
@@ -198,6 +199,20 @@ func TestRunRejectsBadParams(t *testing.T) {
 		}
 		if _, err := AdviseRun(p); err == nil {
 			t.Fatalf("AdviseRun accepted %d threads", threads)
+		}
+	}
+	for _, kind := range []Kind{0, 99} {
+		if _, err := Run(kind, testParams(512, 4)); err == nil {
+			t.Fatalf("Run accepted %v", kind)
+		}
+		if got, want := kind.String(), fmt.Sprintf("Kind(%d)", int(kind)); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+	}
+	for _, users := range []int{0, -1} {
+		np := NetParams{Workload: testParams(users, 1), Process: loadgen.Closed, Ops: 10}
+		if _, err := RunNet(np); err == nil {
+			t.Fatalf("RunNet accepted %d users", users)
 		}
 	}
 }

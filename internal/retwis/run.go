@@ -23,8 +23,12 @@ const (
 	KindFLAT
 )
 
-// String returns the backend label used in the figures.
+// String returns the backend label used in the figures, or Kind(n) for a
+// value that names no backend.
 func (k Kind) String() string {
+	if k < KindJUC || k > kindRecorded {
+		return fmt.Sprintf("Kind(%d)", int(k))
+	}
 	return [...]string{"", "JUC", "DEGO", "DAP", "ADAPTIVE", "FLAT", "RECORDED"}[k]
 }
 
@@ -186,6 +190,9 @@ func (p Params) validate() error {
 func Run(kind Kind, p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
+	}
+	if kind < KindJUC || kind > kindRecorded {
+		return Result{}, fmt.Errorf("retwis: unknown backend %v", kind)
 	}
 	reg := core.NewRegistry(2*p.Threads + 8)
 
