@@ -3,6 +3,8 @@
 package dego
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -10,10 +12,11 @@ import (
 )
 
 // Allocation ceilings of construction and of the facade's hot paths, per
-// call of the row's function. Timing on a shared box cannot hold a line;
-// these counts repeat exactly, so they can. A change may lower a number
-// here, never raise one. (The race detector allocates on its own, hence
-// the build tag; `make cover` runs this file.)
+// call of the row's function, and byte ceilings of construction. Timing on
+// a shared box cannot hold a line; these counts repeat exactly, so they
+// can. A change may lower a number here, never raise one. (The race
+// detector allocates on its own, hence the build tag; `make cover` runs
+// this file.)
 //
 // Construction counts matter because a program may build one object per
 // user: the Retwis program plans one timeline queue per user, and a queue's
@@ -91,21 +94,37 @@ func TestAllocCeilings(t *testing.T) {
 	promoted.Remove(h, 2)
 	fresh := 1 << 20 // keys above every key stored so far
 
+	// Construction pins bytes beside allocations: a per-user object's
+	// footprint is what it allocates, not how often.
+	for _, row := range []struct {
+		name                  string
+		ceilAllocs, ceilBytes float64
+		f                     func()
+	}{
+		{"Queue(SingleReader())", 1, 112, func() {
+			Must(Queue[int](SingleReader()))
+		}},
+		{"Map(CommutingWriters, On, Capacity, Buckets, WithHash)", 6, 1544, func() {
+			Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
+		}},
+		{"Set(CommutingWriters, On, Capacity)", 14, 2416, func() {
+			Must(Set[int](CommutingWriters(), On(reg), Capacity(16)))
+		}},
+	} {
+		allocs, bytes := perCall(row.f)
+		if allocs > row.ceilAllocs || bytes > row.ceilBytes {
+			t.Errorf("%s: %.3f allocations, %.3f B per call; ceiling %g, %.0f B", row.name, allocs, bytes, row.ceilAllocs, row.ceilBytes)
+		} else if allocs < row.ceilAllocs || bytes < row.ceilBytes {
+			t.Logf("%s: %.3f allocations, %.3f B per call; ceiling %g, %.0f B — lower the ceiling", row.name, allocs, bytes, row.ceilAllocs, row.ceilBytes)
+		}
+	}
+
 	type allocRow struct {
 		name    string
 		ceiling float64
 		f       func()
 	}
 	rows := []allocRow{
-		{"Queue(SingleReader())", 1, func() {
-			Must(Queue[int](SingleReader()))
-		}},
-		{"Map(CommutingWriters, On, Capacity, Buckets, WithHash)", 6, func() {
-			Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
-		}},
-		{"Set(CommutingWriters, On, Capacity)", 14, func() {
-			Must(Set[int](CommutingWriters(), On(reg), Capacity(16)))
-		}},
 		{"segmented AdjustedMap.Get", 0, func() { segmented.Get(3) }},
 		{"segmented AdjustedMap.Put, present key", 1, func() { segmented.Put(h, 3, 4) }},
 		{"segmented AdjustedMap.Put, fresh key", 2, func() { fresh++; segmented.Put(h, fresh, 4) }},
@@ -167,10 +186,10 @@ func TestAllocCeilings(t *testing.T) {
 }
 
 // TestWrapperSizes pins each Adjusted* wrapper at what one object holds, in
-// machine words: an interned *Plan, the representation behind its planner
-// view (an interface, two words) and, but for a Ref, the probe it reports
-// through. A recorder lives in the recording decorator, not here. A per-user
-// object pays this on top of its representation.
+// machine words: an interned *Plan and the representation behind its
+// planner view (an interface, two words). A recorder lives in the recording
+// decorator, not here. A per-user object pays this on top of its
+// representation.
 func TestWrapperSizes(t *testing.T) {
 	const word = unsafe.Sizeof(uintptr(0))
 	for _, row := range []struct {
@@ -178,11 +197,11 @@ func TestWrapperSizes(t *testing.T) {
 		size  uintptr
 		words uintptr
 	}{
-		{"AdjustedCounter", unsafe.Sizeof(AdjustedCounter{}), 4},
-		{"AdjustedMap", unsafe.Sizeof(AdjustedMap[int, int]{}), 4},
-		{"AdjustedSet", unsafe.Sizeof(AdjustedSet[int]{}), 4},
-		{"AdjustedOrdered", unsafe.Sizeof(AdjustedOrdered[int, int]{}), 4},
-		{"AdjustedQueue", unsafe.Sizeof(AdjustedQueue[int]{}), 4},
+		{"AdjustedCounter", unsafe.Sizeof(AdjustedCounter{}), 3},
+		{"AdjustedMap", unsafe.Sizeof(AdjustedMap[int, int]{}), 3},
+		{"AdjustedSet", unsafe.Sizeof(AdjustedSet[int]{}), 3},
+		{"AdjustedOrdered", unsafe.Sizeof(AdjustedOrdered[int, int]{}), 3},
+		{"AdjustedQueue", unsafe.Sizeof(AdjustedQueue[int]{}), 3},
 		{"AdjustedRef", unsafe.Sizeof(AdjustedRef[int]{}), 3},
 	} {
 		if row.size != row.words*word {
@@ -191,12 +210,36 @@ func TestWrapperSizes(t *testing.T) {
 	}
 }
 
-// TestQueueWithSize pins what one per-user MPSC queue allocates, facade and
-// representation together, for a 16-byte element (a Retwis tweet): two
-// cache lines, the head's and the tail's.
+// TestQueueWithSize pins one per-user MPSC queue, facade and representation
+// together, for a 16-byte element (a Retwis tweet): 120 B, within the two
+// cache lines of the head and the tail. The allocation rounds up to Go's
+// 128 B size class, so the 8 B short of two lines are no saving per user.
 func TestQueueWithSize(t *testing.T) {
 	type t16 struct{ a, b int64 }
-	if size := unsafe.Sizeof(queueWith[t16, queue.MPSC[t16]]{}); size > 128 {
-		t.Errorf("an MPSC queue of a 16-byte element is %d bytes with its facade, want at most 128", size)
+	if size := unsafe.Sizeof(queueWith[t16, queue.MPSC[t16]]{}); size > 120 {
+		t.Errorf("an MPSC queue of a 16-byte element is %d bytes with its facade, want at most 120", size)
 	}
+}
+
+// perCall runs f a thousand times on one processor and returns the
+// allocations and bytes one call made on average. It first runs f 64 times
+// on that processor to reach steady state: a sync.Pool (the planner's
+// profile pool) keeps what was put back on the processor that put it, so
+// warming up on another one would leave the measured calls a cold pool.
+// The collector is off meanwhile: a collection empties the pool, and
+// refilling it allocates, which made the averages drift by a few bytes.
+func perCall(f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 64; i++ {
+		f()
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }

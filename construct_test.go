@@ -62,15 +62,15 @@ func TestConcurrentConstruction(t *testing.T) {
 	wg.Wait()
 
 	// declare recycles its profile zeroed: the pool must not keep a
-	// caller's registry, probe or hash reachable.
+	// caller's registry or hash reachable.
 	if _, _, _, err := declare("Map", mapTakes,
-		[]Option{CommutingWriters(), Adaptive(), On(reg), WithProbe(NewProbe()), WithHash(HashInt)},
+		[]Option{CommutingWriters(), Adaptive(), On(reg), WithHash(HashInt)},
 		mapRows, false); err != nil {
 		t.Fatal(err)
 	}
 	p := profiles.Get().(*profile)
 	defer profiles.Put(p)
-	if p.registry != nil || p.probe != nil || p.hash != nil {
-		t.Errorf("recycled profile keeps registry %p, probe %p, hash %v", p.registry, p.probe, p.hash != nil)
+	if p.registry != nil || p.hash != nil {
+		t.Errorf("recycled profile keeps registry %p, hash %v", p.registry, p.hash != nil)
 	}
 }

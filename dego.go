@@ -25,7 +25,7 @@
 // The options narrow the interface (Blind, WriteOnce), restrict access
 // (SingleWriter, SingleReader, CommutingWriters), request adaptivity of a
 // map (Adaptive, with Ranges granularity) or tune the result (On,
-// Checked, WithHash, WithProbe, Capacity, Stripes, Buckets). The planner
+// Checked, WithHash, Capacity, Stripes, Buckets). The planner
 // names the Table 1 object the declared profile describes from its
 // narrowings and access mode alone, certifies it against the executable
 // Definition 1 in the spec catalog, and then picks the first — most
@@ -123,11 +123,9 @@ const (
 )
 
 // Probe collects contention events (CAS failures, lock waits) — the
-// library's stall proxy. Pass nil anywhere a probe is accepted to disable.
+// library's stall proxy. An adaptive map carries its own, which
+// (*AdaptiveMap).Probe returns; no other object takes one.
 type Probe = contention.Probe
-
-// NewProbe returns an empty contention probe.
-func NewProbe() *Probe { return contention.NewProbe() }
 
 // NewRegistry creates a registry for the given maximum number of
 // simultaneously live threads.

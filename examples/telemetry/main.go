@@ -1,14 +1,16 @@
 // Telemetry: a metrics pipeline shaped like a real agent — producers emit
 // samples, one aggregator drains them — showing three adjustments working
-// together and the contention probe that the paper's §6.2 stall analysis is
-// built on:
+// together:
 //
 //   - samples flow through an MPSC queue (producers never contend with the
 //     consumer's head updates);
-//   - per-metric totals land in an increment-only counter per metric (CWSR:
-//     the aggregator is the single reader);
+//   - per-metric totals and the rate-limited drops land in increment-only
+//     counters (CWSR: the aggregator is the single reader);
 //   - the agent configuration lives in an RCU box: readers take an immutable
-//     snapshot; the control goroutine replaces it wholesale.
+//     snapshot; the control goroutine replaces it wholesale mid-run.
+//
+// It prints the samples produced, drained and dropped and the final
+// configuration, and warns if the pipeline lost a sample.
 package main
 
 import (

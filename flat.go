@@ -11,7 +11,7 @@ import (
 // plans FLAT when its key type has an integer kind and it declares
 // Capacity(n) — the family preallocates, so a declared capacity is its
 // construction contract — and asks for nothing only the node-based
-// representations honor (WithHash, Stripes, Buckets, Adaptive, WithProbe).
+// representations honor (WithHash, Stripes, Buckets, Adaptive).
 //
 // The wrappers carry the key codec: any integer-kind key type, named
 // types included, is reinterpreted losslessly to uint64 (intKeyCodec in
@@ -72,8 +72,8 @@ func (m *flatSWMRMap[K, V]) Range(f func(key K, val V) bool) {
 // flatCounterRep adapts the flat counter (C3): preallocated cache-line-
 // padded atomic cells, a thread's increment one wait-free atomic add on
 // its own line — no CAS retry (the Adder's loop exists to observe
-// contention; a flat profile declared none worth observing) and no
-// allocation, ever. Reads sum every cell, any thread.
+// contention; an add here has no wait to observe) and no allocation,
+// ever. Reads sum every cell, any thread.
 type flatCounterRep struct{ c *flatmap.Counter }
 
 func (r flatCounterRep) Inc(h *Handle)              { r.c.Inc(h) }

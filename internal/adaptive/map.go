@@ -114,7 +114,7 @@ func NewMap[K comparable, V any](r *core.Registry, stripes, capacity, dirBuckets
 	perRange := func(total int) int { return max(total/n, 1) }
 	m := &Map[K, V]{
 		ranges:     make([]machine[K, V], n),
-		probe:      contention.NewProbe(),
+		probe:      new(contention.Probe),
 		hash:       hash,
 		shift:      uint(64 - bits.TrailingZeros(uint(n))),
 		reg:        r,

@@ -46,7 +46,7 @@ func threadKeys(cfg Config) [][]int {
 // CounterJUC is the AtomicLong baseline.
 func CounterJUC() Workload {
 	return Workload{Name: "CounterJUC", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		probe := contention.NewProbe()
+		probe := new(contention.Probe)
 		c := counter.NewAtomic(probe)
 		return func(tid int, h *core.Handle, rng *rand.Rand) {
 			c.IncrementAndGet()
@@ -57,7 +57,7 @@ func CounterJUC() Workload {
 // LongAdder is the striped-CAS adder.
 func LongAdder() Workload {
 	return Workload{Name: "LongAdder", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		probe := contention.NewProbe()
+		probe := new(contention.Probe)
 		// LongAdder grows its cell array up to the number of CPUs
 		// (Striped64); beyond that, threads share cells and CAS-retry.
 		c := counter.NewAdder(runtime.GOMAXPROCS(0), probe)
@@ -127,7 +127,7 @@ func populate(cfg Config, put func(k int)) {
 // HashMapJUC is the ConcurrentHashMap stand-in (lock-striped buckets).
 func HashMapJUC() Workload {
 	return Workload{Name: "ConcurrentHashMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		probe := contention.NewProbe()
+		probe := new(contention.Probe)
 		m := hashmap.NewStriped[int, *int](256, cfg.InitialItems, intHash, probe)
 		boxes := valueBoxes(cfg)
 		populate(cfg, func(k int) { m.Put(k, boxes[k]) })
@@ -192,7 +192,7 @@ func AdaptiveMap() Workload {
 // SkipListJUC is the ConcurrentSkipListMap stand-in (lock-free CAS list).
 func SkipListJUC() Workload {
 	return Workload{Name: "ConcurrentSkipListMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		probe := contention.NewProbe()
+		probe := new(contention.Probe)
 		m := skiplist.NewConcurrent[int, int](probe)
 		boxes := valueBoxes(cfg)
 		populate(cfg, func(k int) { m.PutRef(k, boxes[k]) })
@@ -376,7 +376,7 @@ func ReferenceDEGO() Workload {
 // QueueJUC is the Michael–Scott baseline (ConcurrentLinkedQueue).
 func QueueJUC() Workload {
 	return Workload{Name: "ConcurrentLinkedQueue", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		probe := contention.NewProbe()
+		probe := new(contention.Probe)
 		q := queue.NewMS[int](probe)
 		for i := 0; i < 1024; i++ {
 			q.Offer(i)
@@ -394,7 +394,7 @@ func QueueJUC() Workload {
 // QueueDEGO is QueueMASP (Q1, MWSR): multi-producer single-consumer.
 func QueueDEGO() Workload {
 	return Workload{Name: "QueueMASP", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		probe := contention.NewProbe()
+		probe := new(contention.Probe)
 		q := queue.NewMPSC[int](probe, false)
 		seed := reg.MustRegister()
 		for i := 0; i < 1024; i++ {

@@ -14,9 +14,10 @@ import (
 	"github.com/adjusted-objects/dego/internal/core"
 )
 
-// Probe accumulates contention events. A nil *Probe is valid and free:
-// every recorder is a no-op, so structures embed an optional probe without
-// taxing the fast path when monitoring is off.
+// Probe accumulates contention events; the zero value is an empty probe.
+// A nil *Probe is valid and free: every recorder is a no-op, so structures
+// embed an optional probe without taxing the fast path when monitoring is
+// off.
 type Probe struct {
 	casFailures atomic.Int64
 	spinWaits   atomic.Int64
@@ -24,9 +25,6 @@ type Probe struct {
 	parent      *Probe
 	_           core.Pad
 }
-
-// NewProbe returns an empty probe.
-func NewProbe() *Probe { return &Probe{} }
 
 // Child returns a probe whose events also count into p. It is the sampling
 // split used by per-range adaptive objects (internal/adaptive): each key

@@ -6,7 +6,7 @@ import (
 )
 
 func TestProbeCountsAndReset(t *testing.T) {
-	p := NewProbe()
+	p := new(Probe)
 	p.RecordCASFailure()
 	p.RecordCASFailure()
 	p.RecordSpin()
@@ -40,7 +40,7 @@ func TestNilProbeIsFreeAndSafe(t *testing.T) {
 // parent (the object-wide totals), parent-only events never leak into a
 // child, and sibling children stay isolated from each other.
 func TestProbeChildPropagation(t *testing.T) {
-	parent := NewProbe()
+	parent := new(Probe)
 	a, b := parent.Child(), parent.Child()
 	a.RecordCASFailure()
 	a.RecordSpin()
@@ -87,7 +87,7 @@ func TestSnapshotSub(t *testing.T) {
 }
 
 func TestProbeConcurrent(t *testing.T) {
-	p := NewProbe()
+	p := new(Probe)
 	const goroutines, each = 8, 10000
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {

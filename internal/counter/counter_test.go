@@ -35,7 +35,7 @@ func TestAtomicSequential(t *testing.T) {
 
 func TestAtomicConcurrentSum(t *testing.T) {
 	const goroutines, each = 16, 20000
-	probe := contention.NewProbe()
+	probe := new(contention.Probe)
 	a := NewAtomic(probe)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {

@@ -236,7 +236,7 @@ func TestSWMRGuardRejectsSecondWriter(t *testing.T) {
 
 func TestStripedConcurrentMixed(t *testing.T) {
 	const goroutines, perG = 8, 20000
-	probe := contention.NewProbe()
+	probe := new(contention.Probe)
 	m := NewStriped[int, int](64, 1024, intHash, probe)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

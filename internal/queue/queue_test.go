@@ -41,7 +41,7 @@ func TestMSSequentialFIFO(t *testing.T) {
 
 func TestMSConcurrentProducersConsumers(t *testing.T) {
 	const producers, consumers, perP = 8, 8, 10000
-	q := NewMS[int](contention.NewProbe())
+	q := NewMS[int](new(contention.Probe))
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -160,7 +160,7 @@ func TestMPSCSequential(t *testing.T) {
 func TestMPSCManyProducersOneConsumer(t *testing.T) {
 	const producers, perP = 15, 20000
 	r := core.NewRegistry(producers + 1)
-	q := NewMPSC[[2]int](contention.NewProbe(), false)
+	q := NewMPSC[[2]int](new(contention.Probe), false)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)

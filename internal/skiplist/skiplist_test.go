@@ -203,7 +203,7 @@ func TestSWMRListConcurrentReaders(t *testing.T) {
 
 func TestConcurrentSkipListParallelDisjoint(t *testing.T) {
 	const writers, perW = 8, 4000
-	probe := contention.NewProbe()
+	probe := new(contention.Probe)
 	m := NewConcurrent[int, int](probe)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -246,7 +246,7 @@ func TestConcurrentSkipListContendedSameKeys(t *testing.T) {
 	// helping and physical removal. Each key's final presence must match
 	// a last-writer outcome (no torn state, Len consistent with contents).
 	const goroutines, rounds, keys = 8, 3000, 16
-	m := NewConcurrent[int, int](contention.NewProbe())
+	m := NewConcurrent[int, int](new(contention.Probe))
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)

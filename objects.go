@@ -32,10 +32,12 @@ import (
 // package.
 //
 // A wrapper holds what a program may keep one of per user: a pointer to
-// the interned Plan, the representation behind its planner view, and the
-// probe it reports through. WithUsageRecording wraps that representation in
-// a recording decorator (advise.go), so every data method is one forwarding
-// call and an unrecorded object holds no recorder.
+// the interned Plan and the representation behind its planner view.
+// Observation is never an input to the plan: representations that take a
+// contention probe are built without one, and only the adaptive map keeps
+// its own (Adaptive().Probe()). WithUsageRecording wraps the representation
+// in a recording decorator (advise.go), so every data method is one
+// forwarding call and an unrecorded object holds no recorder.
 
 // A decorator wraps a planner view (the recording decorator of advise.go
 // is the one); unwrap returns the view it wraps.
@@ -79,9 +81,8 @@ func (r adderCounterRep) Get(*Handle) int64          { return r.a.Sum() }
 // increments, a read — so the planner may substitute any representation the
 // declaration permits.
 type AdjustedCounter struct {
-	plan  *Plan
-	rep   counterRep
-	probe *Probe
+	plan *Plan
+	rep  counterRep
 }
 
 // Inc adds one.
@@ -97,10 +98,6 @@ func (c *AdjustedCounter) Get(h *Handle) int64 { return c.rep.Get(h) }
 // Plan returns the planner's decision for this object.
 func (c *AdjustedCounter) Plan() Plan { return *c.plan }
 
-// Probe returns the contention probe observing this object: the WithProbe
-// one (possibly nil).
-func (c *AdjustedCounter) Probe() *Probe { return c.probe }
-
 // Advise infers the most adjusted counter profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object
 // was constructed without WithUsageRecording.
@@ -110,8 +107,9 @@ func (c *AdjustedCounter) Advise() (Advice, bool) { return adviseObject(c.plan, 
 var counterRows = []repRow{
 	{name: "IncrementOnlyCounter", modes: inCWSR, needs: needBlind, guarded: true},
 	// Preallocated padded cells with a wait-free add, no CAS retry loop.
-	// Without CommutingWriters the Adder stays: its CAS loop is also the
-	// contention instrument WithProbe observes.
+	// Only a commuting declaration plans them; whether they should also
+	// serve the unrestricted blind counter is for a measured comparison
+	// against the Adder to decide, not this table.
 	{name: "FlatCounter", modes: inCWMR, needs: needBlind | needCells},
 	// A blind single writer keeps the atomic cell: it is uncontended.
 	{name: "Adder", modes: inALL | inCWMR, needs: needBlind},
@@ -130,16 +128,16 @@ func Counter(opts ...Option) (*AdjustedCounter, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &AdjustedCounter{plan: intern(plan), probe: p.probe}
+	c := &AdjustedCounter{plan: intern(plan)}
 	switch plan.Rep {
 	case "IncrementOnlyCounter":
 		c.rep = counter.NewIncrementOnly(p.reg(), p.checked)
 	case "FlatCounter":
 		c.rep = flatCounterRep{flatmap.NewCounter(p.capacity)}
 	case "Adder":
-		c.rep = adderCounterRep{counter.NewAdder(p.capacityOr(runtime.GOMAXPROCS(0)), p.probe)}
+		c.rep = adderCounterRep{counter.NewAdder(p.capacityOr(runtime.GOMAXPROCS(0)), nil)}
 	default: // AtomicCounter
-		c.rep = atomicCounterRep{counter.NewAtomic(p.probe)}
+		c.rep = atomicCounterRep{counter.NewAtomic(nil)}
 	}
 	if p.record {
 		c.rep = &recordedCounter{recording[counterRep]{c.rep, p.recorder(4)}}
@@ -176,9 +174,8 @@ func (r stripedMapRep[K, V]) Range(f func(K, V) bool)    { r.m.Range(f) }
 // handle-routed (representations that do not route by thread ignore the
 // handle), reads are unrestricted unless the profile says otherwise.
 type AdjustedMap[K comparable, V any] struct {
-	plan  *Plan
-	rep   mapRep[K, V]
-	probe *Probe
+	plan *Plan
+	rep  mapRep[K, V]
 }
 
 // Put stores key → val.
@@ -212,9 +209,6 @@ func (m *AdjustedMap[K, V]) Adaptive() *AdaptiveMap[K, V] {
 	return a
 }
 
-// Probe returns the contention probe observing this object.
-func (m *AdjustedMap[K, V]) Probe() *Probe { return m.probe }
-
 // Advise infers the most adjusted map profile the recorded usage permits,
 // certified against Definition 1. ok is false when the object was
 // constructed without WithUsageRecording. Map reads carry no handle, so
@@ -244,11 +238,11 @@ var mapRows = []repRow{
 // family instead (flat.go). Integer and string keys hash by default; other
 // key types need WithHash outside the flat family.
 func Map[K comparable, V any](opts ...Option) (*AdjustedMap[K, V], error) {
-	rep, plan, probe, err := planMap[K, V]("Map", mapTakes, mapRows, usage.MethodPut, opts)
+	rep, plan, err := planMap[K, V]("Map", mapTakes, mapRows, usage.MethodPut, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &AdjustedMap[K, V]{plan: plan, rep: rep, probe: probe}, nil
+	return &AdjustedMap[K, V]{plan: plan, rep: rep}, nil
 }
 
 // planMap declares a Map or Set profile against rows and builds the hash
@@ -256,19 +250,18 @@ func Map[K comparable, V any](opts ...Option) (*AdjustedMap[K, V], error) {
 // set twin build the same representation; put names the method a recorded
 // Put is filed under (a set's Add).
 func planMap[K comparable, V any](dt string, takes optBit, rows []repRow, put usage.Method,
-	opts []Option) (mapRep[K, V], *Plan, *Probe, error) {
+	opts []Option) (mapRep[K, V], *Plan, error) {
 	enc, dec, intKey := intKeyCodec[K]()
 	p, plan, row, err := declare(dt, takes, opts, rows, intKey)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	hash, rec, recHash, err := keyed[K](dt, &p, row)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	capacity := p.capacityOr(1024)
 	buckets := p.bucketsOr(capacity * 2)
-	probe := p.probe
 	var rep mapRep[K, V]
 	plan.Ranges = 1
 	switch plan.Rep {
@@ -278,18 +271,18 @@ func planMap[K comparable, V any](dt string, takes optBit, rows []repRow, put us
 		rep = newFlatMap[K, V](enc, dec, p.capacity)
 	case "AdaptiveMap":
 		ad := adaptive.NewMap[K, V](p.reg(), p.stripesOr(256), capacity, buckets, p.ranges, hash, p.policy)
-		rep, probe, plan.Ranges = ad, ad.Probe(), ad.Ranges()
+		rep, plan.Ranges = ad, ad.Ranges()
 	case "SegmentedMap", "SegmentedSet":
 		rep = hashmap.NewSegmented[K, V](p.reg(), capacity, buckets, hash, p.checked)
 	case "SWMRMap", "SWMRSet":
 		rep = hashmap.NewSWMR[K, V](capacity, hash, p.checked)
 	default: // StripedMap, StripedSet
-		rep = stripedMapRep[K, V]{hashmap.NewStriped[K, V](p.stripesOr(256), capacity, hash, p.probe)}
+		rep = stripedMapRep[K, V]{hashmap.NewStriped[K, V](p.stripesOr(256), capacity, hash, nil)}
 	}
 	if p.record {
 		rep = &recordedMap[K, V]{recording[mapRep[K, V]]{rep, rec}, recHash, put}
 	}
-	return rep, intern(plan), probe, nil
+	return rep, intern(plan), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -298,9 +291,8 @@ func planMap[K comparable, V any](dt string, takes optBit, rows []repRow, put us
 // AdjustedSet is a membership set built from a declared profile: the hash
 // map of its plan over empty values, whose Put is the set's Add.
 type AdjustedSet[K comparable] struct {
-	plan  *Plan
-	rep   mapRep[K, struct{}]
-	probe *Probe
+	plan *Plan
+	rep  mapRep[K, struct{}]
 }
 
 // Add inserts x.
@@ -325,9 +317,6 @@ func (s *AdjustedSet[K]) Range(f func(x K) bool) {
 // Plan returns the planner's decision for this object.
 func (s *AdjustedSet[K]) Plan() Plan { return *s.plan }
 
-// Probe returns the contention probe observing this object.
-func (s *AdjustedSet[K]) Probe() *Probe { return s.probe }
-
 // Advise infers the most adjusted set profile the recorded usage permits,
 // certified against Definition 1. ok is false when the object was
 // constructed without WithUsageRecording.
@@ -348,11 +337,11 @@ var setRows = []repRow{
 // (S2); CommutingWriters → the segmented set of the paper's (S3, CWMR)
 // node; the flat gate → the flat family.
 func Set[K comparable](opts ...Option) (*AdjustedSet[K], error) {
-	rep, plan, probe, err := planMap[K, struct{}]("Set", setTakes, setRows, usage.MethodAdd, opts)
+	rep, plan, err := planMap[K, struct{}]("Set", setTakes, setRows, usage.MethodAdd, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &AdjustedSet[K]{plan: plan, rep: rep, probe: probe}, nil
+	return &AdjustedSet[K]{plan: plan, rep: rep}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -409,9 +398,8 @@ func (r swmrListRep[K, V]) RangeBetween(from, to K, f func(K, V) bool) {
 // AdjustedOrdered is an ordered map built from a declared profile. Ordered
 // iteration is strictly ascending in every representation.
 type AdjustedOrdered[K cmp.Ordered, V any] struct {
-	plan  *Plan
-	rep   orderedRep[K, V]
-	probe *Probe
+	plan *Plan
+	rep  orderedRep[K, V]
 }
 
 // Put stores key → val.
@@ -445,9 +433,6 @@ func (m *AdjustedOrdered[K, V]) RangeBetween(from, to K, f func(key K, val V) bo
 // Plan returns the planner's decision for this object.
 func (m *AdjustedOrdered[K, V]) Plan() Plan { return *m.plan }
 
-// Probe returns the contention probe observing this object.
-func (m *AdjustedOrdered[K, V]) Probe() *Probe { return m.probe }
-
 // Advise infers the most adjusted ordered-map profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object
 // was constructed without WithUsageRecording.
@@ -477,14 +462,14 @@ func Ordered[K cmp.Ordered, V any](opts ...Option) (*AdjustedOrdered[K, V], erro
 	}
 	buckets := p.bucketsOr(p.capacityOr(1024) * 2)
 	plan.Ranges = 1
-	m := &AdjustedOrdered[K, V]{plan: intern(plan), probe: p.probe}
+	m := &AdjustedOrdered[K, V]{plan: intern(plan)}
 	switch plan.Rep {
 	case "SegmentedSkipList":
 		m.rep = skiplist.NewSegmented[K, V](p.reg(), buckets, hash, p.checked)
 	case "SWMRSkipList":
 		m.rep = swmrListRep[K, V]{skiplist.NewSWMR[K, V](p.checked)}
 	default: // ConcurrentSkipList
-		m.rep = concurrentListRep[K, V]{skiplist.NewConcurrent[K, V](p.probe)}
+		m.rep = concurrentListRep[K, V]{skiplist.NewConcurrent[K, V](nil)}
 	}
 	if p.record {
 		m.rep = &recordedOrdered[K, V]{recording[orderedRep[K, V]]{m.rep, rec}, recHash}
@@ -526,9 +511,8 @@ func (r msQueueRep[T]) Drain(_ *Handle, out []T, max int) int {
 
 // AdjustedQueue is a FIFO queue built from a declared profile.
 type AdjustedQueue[T any] struct {
-	plan  *Plan
-	rep   queueRep[T]
-	probe *Probe
+	plan *Plan
+	rep  queueRep[T]
 }
 
 // queueWith is a queue facade allocated together with its representation,
@@ -564,9 +548,6 @@ func (q *AdjustedQueue[T]) Drain(h *Handle, out []T, max int) int { return q.rep
 // Plan returns the planner's decision for this object.
 func (q *AdjustedQueue[T]) Plan() Plan { return *q.plan }
 
-// Probe returns the contention probe observing this object (possibly nil).
-func (q *AdjustedQueue[T]) Probe() *Probe { return q.probe }
-
 // Advise infers the most adjusted queue profile the recorded usage
 // permits, certified against Definition 1. ok is false when the object
 // was constructed without WithUsageRecording.
@@ -594,16 +575,16 @@ func Queue[T any](opts ...Option) (*AdjustedQueue[T], error) {
 	switch plan.Rep {
 	case "MPSCQueue":
 		w := new(queueWith[T, queue.MPSC[T]])
-		w.rep.Init(p.probe, p.checked)
+		w.rep.Init(nil, p.checked)
 		q = &w.q
 		q.rep = &w.rep
 	default: // MSQueue
 		w := new(queueWith[T, queue.MS[T]])
-		w.rep.Init(p.probe)
+		w.rep.Init(nil)
 		q = &w.q
 		q.rep = msQueueRep[T]{&w.rep}
 	}
-	q.plan, q.probe = intern(plan), p.probe
+	q.plan = intern(plan)
 	if p.record {
 		q.rep = &recordedQueue[T]{recording[queueRep[T]]{q.rep, p.recorder(4)}}
 	}

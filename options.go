@@ -12,8 +12,8 @@ package dego
 //     promise which threads call what;
 //   - adaptivity: Adaptive — ask a map for a representation that switches
 //     itself under measured contention;
-//   - context and tuning: On, Checked, WithHash, WithProbe, Capacity,
-//     Stripes, Buckets — they size or instrument whatever the planner
+//   - context and tuning: On, Checked, WithHash, Capacity, Stripes,
+//     Buckets — they place, guard, hash or size whatever the planner
 //     picks, and never change which object is declared.
 //
 // Narrowings, restrictions and adaptivity that do not exist for a datatype
@@ -106,13 +106,6 @@ func Ranges(n int) AdaptiveOption { return func(p *profile) { p.ranges = n } }
 func WithHash[K comparable](f func(K) uint64) Option {
 	return func(p *profile) { p.hash = f }
 }
-
-// WithProbe attaches a contention probe to representations that accept
-// external instrumentation (the lock- and CAS-based baselines). The adaptive
-// map carries its own probe regardless — read it from the constructed
-// object. Advisory: representations with nothing to record
-// ignore it.
-func WithProbe(pr *Probe) Option { return func(p *profile) { p.probe = pr } }
 
 // Capacity sizes the object: hash-table capacity for maps and sets, the
 // cell count for blind ALL-mode counters, the segment-directory default

@@ -34,7 +34,6 @@ func TestPlanGolden(t *testing.T) {
 		{"stripes16", []Option{Stripes(16)}},
 		{"buckets32", []Option{Buckets(32)}},
 		{"hash", []Option{WithHash(HashInt)}},
-		{"probe", []Option{WithProbe(NewProbe())}},
 		{"recorded", []Option{WithUsageRecording()}},
 	}
 	dts := make([]string, 0, len(builders))
@@ -71,8 +70,8 @@ func TestPlanGolden(t *testing.T) {
 			}
 		}
 	}
-	if cells != 9072 {
-		t.Fatalf("matrix has %d cells, want 9072", cells)
+	if cells != 7560 {
+		t.Fatalf("matrix has %d cells, want 7560", cells)
 	}
 	text := strings.Join(got, "\n") + "\n"
 	if *updatePlans {

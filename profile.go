@@ -49,7 +49,6 @@ func invalid(dt, format string, args ...any) error {
 // full interface, every thread may do everything.
 type profile struct {
 	registry *Registry
-	probe    *Probe
 
 	// Interface narrowings (the d/p/r arrows of Figure 3).
 	blind     bool
@@ -85,7 +84,7 @@ type profile struct {
 var profiles = sync.Pool{New: func() any { return new(profile) }}
 
 // release zeroes p, so the pool keeps nothing a caller declared (registry,
-// probe, hash) reachable, and recycles it.
+// hash) reachable, and recycles it.
 func (p *profile) release() {
 	*p = profile{}
 	profiles.Put(p)
@@ -247,11 +246,10 @@ const (
 	// Capacity (the flat tables preallocate, so a declared capacity is
 	// their construction contract), and none of what only node-based
 	// representations honor — a caller-supplied hash (flat tables hash
-	// through the integer-key codec), stripe or bucket tuning, or a probe
-	// (the flat hot paths have no instrumented wait to record).
+	// through the integer-key codec) or stripe or bucket tuning.
 	needFlat need = 1 << iota
 	needBlind
-	// needCells is preallocated counter cells: Capacity and no probe.
+	// needCells is preallocated counter cells: a declared Capacity.
 	needCells
 	// needWriteOnce is matched exactly: a row without it refuses a
 	// WriteOnce profile.
@@ -259,13 +257,13 @@ const (
 )
 
 // needNames names the needs, lowest first.
-var needNames = [...]string{"an integer key and Capacity without WithHash, Stripes, Buckets or WithProbe", "Blind", "Capacity without WithProbe", "WriteOnce"}
+var needNames = [...]string{"an integer key and Capacity without WithHash, Stripes or Buckets", "Blind", "Capacity", "WriteOnce"}
 
 // meets returns the needs the profile satisfies; intKey reports an
 // integer-kinded key type.
 func (p *profile) meets(intKey bool) need {
-	return bit(intKey && p.capacity > 0 && p.hash == nil && p.stripes == 0 && p.buckets == 0 && p.probe == nil, needFlat) |
-		bit(p.blind, needBlind) | bit(p.capacity > 0 && p.probe == nil, needCells) | bit(p.writeOnce, needWriteOnce)
+	return bit(intKey && p.capacity > 0 && p.hash == nil && p.stripes == 0 && p.buckets == 0, needFlat) |
+		bit(p.blind, needBlind) | bit(p.capacity > 0, needCells) | bit(p.writeOnce, needWriteOnce)
 }
 
 // A repRow is one representation a datatype may plan to: the modes whose

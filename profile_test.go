@@ -174,11 +174,9 @@ func TestPlannerDecisions(t *testing.T) {
 		{"Counter", []Option{WriteOnce()}, "", ""},
 		{"Counter", []Option{Blind(), SingleReader(), Adaptive(Ranges(4))}, "", "Adaptive does not apply"},
 		// The flat counter: blind + commuting + a declared cell capacity.
-		// Without CommutingWriters the same capacity keeps the Adder (its
-		// CAS loop doubles as the contention instrument), as NewAdder pins.
+		// Without CommutingWriters the same capacity keeps the Adder.
 		{"Counter", []Option{Blind(), CommutingWriters(), Capacity(8)}, "(C3, CWMR)", "FlatCounter"},
 		{"Counter", []Option{Blind(), Capacity(8)}, "(C3, ALL)", "Adder"},
-		{"Counter", []Option{Blind(), CommutingWriters(), Capacity(8), WithProbe(NewProbe())}, "(C3, CWMR)", "Adder"},
 
 		// Map: the (M2, CWMR) node is the extended segmentation.
 		{"Map", nil, "(M1, ALL)", "StripedMap"},
@@ -194,7 +192,7 @@ func TestPlannerDecisions(t *testing.T) {
 		{"Map", []Option{SingleWriter(), Adaptive()}, "", ""},
 		// The flat family: an integer key type plus a declared Capacity
 		// gates preallocated open addressing. Any node-only tuning
-		// (Stripes, Buckets, WithHash, WithProbe, Adaptive) keeps the
+		// (Stripes, Buckets, WithHash, Adaptive) keeps the
 		// node-based pick, so no existing profile changes representation
 		// by accident.
 		{"Map", []Option{Capacity(1024)}, "(M1, ALL)", "FlatMap"},

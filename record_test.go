@@ -144,17 +144,14 @@ func TestRecordedMethodTraces(t *testing.T) {
 // unrecorded and recorded, and checks that the accessors answer the same
 // through the recording decorator: the same plan, a representation of the
 // same dynamic type behind the decorator, Adaptive non-nil exactly on the
-// adaptive map row, Probe the adaptive map's own probe there, and Advise
-// available exactly when recorded.
+// adaptive map row, and Advise available exactly when recorded.
 func TestAccessorsSeeThroughRecording(t *testing.T) {
 	reg := NewRegistry(8)
 	type view struct {
 		plan     Plan
 		rep      any
-		adaptive bool   // Adaptive() is non-nil
-		probe    *Probe // Probe()
-		adProbe  *Probe // Adaptive().Probe()
-		advised  bool   // Advise() reports a recorder
+		adaptive bool // Adaptive() is non-nil
+		advised  bool // Advise() reports a recorder
 	}
 	datatypes := []struct {
 		rows  []repRow
@@ -165,7 +162,7 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 			{Blind(), SingleReader()}, {Blind(), CommutingWriters(), Capacity(8)}, {Blind()}, {},
 		}, func(opts []Option) view {
 			c := Must(Counter(opts...))
-			v := view{plan: c.Plan(), rep: unwrap(c.rep), probe: c.Probe()}
+			v := view{plan: c.Plan(), rep: unwrap(c.rep)}
 			_, v.advised = c.Advise()
 			return v
 		}},
@@ -174,10 +171,7 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 			{CommutingWriters()}, {SingleWriter()}, {},
 		}, func(opts []Option) view {
 			m := Must(Map[int, int](opts...))
-			v := view{plan: m.Plan(), rep: unwrap(m.rep), probe: m.Probe()}
-			if a := m.Adaptive(); a != nil {
-				v.adaptive, v.adProbe = true, a.Probe()
-			}
+			v := view{plan: m.Plan(), rep: unwrap(m.rep), adaptive: m.Adaptive() != nil}
 			_, v.advised = m.Advise()
 			return v
 		}},
@@ -185,7 +179,7 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 			{SingleWriter(), Capacity(16)}, {Capacity(16)}, {CommutingWriters()}, {SingleWriter()}, {},
 		}, func(opts []Option) view {
 			s := Must(Set[int](opts...))
-			v := view{plan: s.Plan(), rep: unwrap(s.rep), probe: s.Probe()}
+			v := view{plan: s.Plan(), rep: unwrap(s.rep)}
 			_, v.advised = s.Advise()
 			return v
 		}},
@@ -193,13 +187,13 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 			{CommutingWriters()}, {SingleWriter()}, {},
 		}, func(opts []Option) view {
 			o := Must(Ordered[int, int](opts...))
-			v := view{plan: o.Plan(), rep: unwrap(o.rep), probe: o.Probe()}
+			v := view{plan: o.Plan(), rep: unwrap(o.rep)}
 			_, v.advised = o.Advise()
 			return v
 		}},
 		{queueRows, [][]Option{{SingleReader()}, {}}, func(opts []Option) view {
 			q := Must(Queue[int](opts...))
-			v := view{plan: q.Plan(), rep: unwrap(q.rep), probe: q.Probe()}
+			v := view{plan: q.Plan(), rep: unwrap(q.rep)}
 			_, v.advised = q.Advise()
 			return v
 		}},
@@ -231,9 +225,6 @@ func TestAccessorsSeeThroughRecording(t *testing.T) {
 			for _, v := range []view{plain, recorded} {
 				if v.adaptive != v.plan.Adaptive {
 					t.Errorf("%s (recorded %v): Adaptive() non-nil %v, plan adaptive %v", name, v.advised, v.adaptive, v.plan.Adaptive)
-				}
-				if v.adaptive && v.probe != v.adProbe {
-					t.Errorf("%s (recorded %v): Probe() is not the adaptive probe", name, v.advised)
 				}
 			}
 			if plain.advised || !recorded.advised {
