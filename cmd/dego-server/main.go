@@ -24,8 +24,8 @@
 //
 // -smoke exists for CI: the container images have no redis-cli, so the
 // server proves the wire path with its own client — boot, connect over
-// TCP, run a GET/SET/INCR/LRANGE session, verify every reply, check INFO
-// (and, with -record, DEBUG ADVISE), shut down.
+// TCP, run a session that sends every data verb, verify every reply, check
+// INFO (and, with -record, DEBUG ADVISE), shut down.
 package main
 
 import (
@@ -134,7 +134,7 @@ func run(args []string, out *os.File) error {
 const smokeKeys = 4
 
 // smokeSession drives the scripted self-session: one pipelined connection
-// exercising every verb family, each reply checked against its expectation.
+// sending every data verb, each reply checked against its expectation.
 // A second flush asks INFO, which must name the served store kind and shard
 // map and count the keys the session left, and on a recording server DEBUG
 // ADVISE, which must certify on every shard the single-writer map the store
@@ -158,10 +158,13 @@ func smokeSession(addr string, shards int, record bool, out *os.File) error {
 		{[]string{"INCR", "visits"}, "(integer) 2"},
 		{[]string{"EXISTS", "greeting", "visits", "nope"}, "(integer) 2"},
 		{[]string{"SADD", "community", "1", "2", "3"}, "(integer) 3"},
-		{[]string{"SMEMBERS", "community"}, `["1" "2" "3"]`},
-		{[]string{"LPUSH", "timeline:1", "b", "a"}, "(integer) 2"},
+		{[]string{"SREM", "community", "3", "4"}, "(integer) 1"},
+		{[]string{"SMEMBERS", "community"}, `["1" "2"]`},
+		{[]string{"LPUSH", "timeline:1", "c", "b", "a"}, "(integer) 3"},
+		{[]string{"LTRIM", "timeline:1", "0", "1"}, "OK"},
 		{[]string{"LRANGE", "timeline:1", "0", "-1"}, `["a" "b"]`},
-		{[]string{"ZADD", "posts:1", "1", "first", "2", "second"}, "(integer) 2"},
+		{[]string{"ZADD", "posts:1", "0", "zeroth", "1", "first", "2", "second"}, "(integer) 3"},
+		{[]string{"ZREMRANGEBYSCORE", "posts:1", "-inf", "(1"}, "(integer) 1"},
 		{[]string{"ZRANGEBYSCORE", "posts:1", "-inf", "+inf"}, `["first" "second"]`},
 		{[]string{"DEL", "greeting"}, "(integer) 1"},
 		{[]string{"GET", "greeting"}, "(nil)"},

@@ -89,27 +89,17 @@ type WireStats struct {
 	Reconnects uint64 `json:"reconnects"` // successful re-dials
 }
 
-// retrySafeVerbs is the client-side retry matrix (docs/PROTOCOL.md): a
-// batch is automatically re-executed after a transport failure only if
-// every command in it is a pure read. A failed write batch may have been
-// partially applied server-side before the connection died, so replaying
-// it could double-apply; those surface as *NonRetryableError instead and
-// the caller decides (retwis' workload replays SETs itself, which are
-// idempotent in effect).
-var retrySafeVerbs = map[string]struct{}{
-	"GET": {}, "EXISTS": {}, "SMEMBERS": {}, "LRANGE": {}, "ZRANGEBYSCORE": {},
-}
-
-// firstUnsafeVerb returns the first verb in the batch outside the retry
-// matrix, if any.
+// firstUnsafeVerb returns the first verb in the batch that may write
+// (server.ReadOnly), upper-cased. A batch is re-executed after a transport
+// failure only if it has none: a batch with a write may have been partially
+// applied server-side before the connection died, so replaying it could
+// double-apply; it surfaces as *NonRetryableError instead and the caller
+// decides (retwis' workload replays SETs itself, which are idempotent in
+// effect).
 func firstUnsafeVerb(cmds [][][]byte) (string, bool) {
 	for _, cm := range cmds {
-		if len(cm) == 0 {
-			continue
-		}
-		verb := strings.ToUpper(string(cm[0]))
-		if _, ok := retrySafeVerbs[verb]; !ok {
-			return verb, true
+		if len(cm) > 0 && !server.ReadOnly(cm[0]) {
+			return strings.ToUpper(string(cm[0])), true
 		}
 	}
 	return "", false

@@ -22,32 +22,192 @@ func adviseReply(s *Store) wire.Reply {
 	return wire.Bulk(b)
 }
 
-// opcode is one shard-executable operation. Multi-key commands (DEL,
-// EXISTS) are split into one unit per key at planning time so each key
-// routes to its owning shard; FLUSHALL fans a unit to every shard.
-type opcode uint8
+// command is one served verb: the store's only record of its name, arity,
+// fan-out and whether it writes. planCommand finds the row by name, checks
+// the arity and answers a control verb at once (inline) or fans the command
+// out into units, which shard.execSafe runs under their shard's lock (exec).
+type command struct {
+	name     string // upper-case letters
+	arity    arity
+	fan      fan
+	readOnly bool // a data verb that writes nothing, so a batch of them may be replayed (ReadOnly)
+	// kind, when set, is what the key must hold for exec to run: execSafe
+	// looks the key up first, answers absent if the key is missing and absent
+	// is set, and WRONGTYPE if it holds another kind. exec gets the object,
+	// nil for a missing key it is to create.
+	kind   objKind
+	absent wire.Reply
+	// inline answers a fanInline row at planning time; where it answers the
+	// zero Reply (DEBUG PANIC and SLEEP), the command runs on shard 0 instead.
+	inline func(s *Store, args [][]byte) wire.Reply
+	// exec runs one of the row's units under its shard's lock.
+	exec func(sh *shard, u *unit, o *object, sc *scratch) wire.Reply
+}
+
+// arity bounds a command's argument count, the verb included.
+type arity struct {
+	min, max int  // max 0: no upper bound
+	even     bool // score-member pairs (ZADD)
+	options  bool // arguments past max are options outside the subset (SET … EX): ERR syntax error
+}
+
+// fits reports whether n arguments, the verb included, satisfy a.
+func (a arity) fits(n int) bool {
+	return n >= a.min && (a.max == 0 || n <= a.max) && (!a.even || n%2 == 0)
+}
+
+// arityErr is the reply to c with n arguments that do not fit its arity.
+func arityErr(c *command, n int) wire.Reply {
+	if c.arity.options && n > c.arity.max {
+		return wire.Err("ERR syntax error")
+	}
+	return wire.Errf("ERR wrong number of arguments for '%s' command", strings.ToLower(c.name))
+}
+
+// fan says which units a command becomes and how their replies combine.
+type fan uint8
 
 const (
-	opGet opcode = iota + 1
-	opSet
-	opDel
-	opExists
-	opIncr
-	opSAdd
-	opSRem
-	opSMembers
-	opLPush
-	opLRange
-	opLTrim
-	opZAdd
-	opZRangeByScore
-	opZRemRangeByScore
-	opFlush
-	// Debug opcodes (DEBUG PANIC / DEBUG SLEEP): deliberate shard
-	// crashes and stalls for the resilience tests.
-	opPanic
-	opSleep
+	fanInline fan = iota // none: inline answers at planning time
+	fanKey               // one, on the shard owning args[1], with args[2:] as operands; its reply passes through
+	fanPerKey            // one per key in args[1:] (DEL, EXISTS); integer replies summed
+	fanAll               // one per shard (FLUSHALL); +OK once all succeed
 )
+
+// pong is PING's reply, shared as wire.OK's text is: the Writer only reads it.
+var pong = wire.Simple("PONG")
+
+// commands is the served verb set; docs/PROTOCOL.md's verb tables list the
+// same rows, and its "Client retry safety" list the read-only ones.
+var commands = [...]command{
+	// Control verbs.
+	{name: "PING", arity: arity{min: 1, max: 2}, inline: func(_ *Store, args [][]byte) wire.Reply {
+		if len(args) == 2 {
+			return wire.Bulk(args[1])
+		}
+		return pong
+	}},
+	{name: "ECHO", arity: arity{min: 2, max: 2}, inline: func(_ *Store, args [][]byte) wire.Reply { return wire.Bulk(args[1]) }},
+	// Single logical database; any index is accepted.
+	{name: "SELECT", arity: arity{min: 2, max: 2}, inline: func(*Store, [][]byte) wire.Reply { return wire.OK() }},
+	// The connection layer closes after writing this reply; for an
+	// in-process caller it is a no-op acknowledgement.
+	{name: "QUIT", inline: func(*Store, [][]byte) wire.Reply { return wire.OK() }},
+	// redis-cli introspects at startup; an empty array keeps it happy.
+	{name: "COMMAND", inline: func(*Store, [][]byte) wire.Reply { return wire.Array() }},
+	// redis-benchmark asks CONFIG GET save/appendonly; an empty reply means
+	// "nothing configured" and is accepted.
+	{name: "CONFIG", inline: func(_ *Store, args [][]byte) wire.Reply {
+		if len(args) >= 2 && strings.EqualFold(string(args[1]), "GET") {
+			return wire.Array()
+		}
+		return wire.OK()
+	}},
+	{name: "DBSIZE", inline: func(s *Store, _ [][]byte) wire.Reply { return wire.Int64(int64(s.Len())) }},
+	// Full output regardless of a requested section, like a server that
+	// implements no sections would; the reply is small.
+	{name: "INFO", arity: arity{min: 1, max: 2}, inline: func(s *Store, _ [][]byte) wire.Reply { return wire.Bulk([]byte(s.Info())) }},
+	{name: "DEBUG", inline: debugReply, exec: (*shard).debug},
+	{name: "FLUSHALL", fan: fanAll, exec: (*shard).flush},
+	{name: "FLUSHDB", fan: fanAll, exec: (*shard).flush},
+
+	// Strings. SET takes the plain two-operand form only (docs/PROTOCOL.md).
+	{name: "GET", arity: arity{min: 2, max: 2}, fan: fanKey, readOnly: true, kind: objString, absent: wire.Null(), exec: (*shard).getStr},
+	{name: "SET", arity: arity{min: 3, max: 3, options: true}, fan: fanKey, exec: (*shard).set},
+	{name: "INCR", arity: arity{min: 2, max: 2}, fan: fanKey, kind: objString, exec: (*shard).incr},
+	{name: "DEL", arity: arity{min: 2}, fan: fanPerKey, exec: (*shard).del},
+	{name: "EXISTS", arity: arity{min: 2}, fan: fanPerKey, readOnly: true, exec: (*shard).exists},
+
+	// Sets.
+	{name: "SADD", arity: arity{min: 3}, fan: fanKey, kind: objSet, exec: (*shard).sadd},
+	{name: "SREM", arity: arity{min: 3}, fan: fanKey, kind: objSet, absent: wire.Int64(0), exec: (*shard).srem},
+	{name: "SMEMBERS", arity: arity{min: 2, max: 2}, fan: fanKey, readOnly: true, kind: objSet, absent: wire.Array(), exec: (*shard).smembers},
+
+	// Lists.
+	{name: "LPUSH", arity: arity{min: 3}, fan: fanKey, kind: objList, exec: (*shard).lpush},
+	{name: "LRANGE", arity: arity{min: 4, max: 4}, fan: fanKey, readOnly: true, kind: objList, absent: wire.Array(), exec: (*shard).lrange},
+	{name: "LTRIM", arity: arity{min: 4, max: 4}, fan: fanKey, kind: objList, absent: wire.OK(), exec: (*shard).ltrim},
+
+	// Sorted sets. ZADD checks its scores before the key, so it has no kind.
+	{name: "ZADD", arity: arity{min: 4, even: true}, fan: fanKey, exec: (*shard).zadd},
+	{name: "ZRANGEBYSCORE", arity: arity{min: 4, max: 4}, fan: fanKey, readOnly: true, kind: objZSet, absent: wire.Array(), exec: (*shard).zrangebyscore},
+	{name: "ZREMRANGEBYSCORE", arity: arity{min: 4, max: 4}, fan: fanKey, kind: objZSet, absent: wire.Int64(0), exec: (*shard).zremrangebyscore},
+}
+
+// commandIndex finds a row by name: open addressing over twice as many
+// slots as there are rows, hashed on the length and the first and last
+// letters. On names this short that is several times cheaper than a map.
+var commandIndex = func() (idx [indexSlots]*command) {
+	for i := range commands {
+		c := &commands[i]
+		h := nameHash([]byte(c.name))
+		for idx[h] != nil {
+			h = (h + 1) % indexSlots
+		}
+		idx[h] = c
+	}
+	return idx
+}()
+
+const indexSlots = 64
+
+// nameHash hashes a non-empty verb, in any case.
+func nameHash(verb []byte) uint {
+	return (uint(len(verb))*7 + uint(verb[0]|0x20)*3 + uint(verb[len(verb)-1]|0x20)) % indexSlots
+}
+
+// lookup returns verb's row, matching it in any case, or nil. It compares
+// the verb's bytes in place, so it costs no allocation.
+func lookup(verb []byte) *command {
+	if len(verb) == 0 {
+		return nil
+	}
+	for h := nameHash(verb); commandIndex[h] != nil; h = (h + 1) % indexSlots {
+		if c := commandIndex[h]; foldEqual(c.name, verb) {
+			return c
+		}
+	}
+	return nil
+}
+
+// foldEqual reports whether verb spells name, which is upper-case letters
+// only, in any case.
+func foldEqual(name string, verb []byte) bool {
+	if len(verb) != len(name) {
+		return false
+	}
+	for i, b := range verb {
+		if b != name[i] && b != name[i]+('a'-'A') {
+			return false
+		}
+	}
+	return true
+}
+
+// ReadOnly reports whether verb, in any case, is a data verb that writes
+// nothing. A client that lost its connection mid-batch may replay a batch of
+// such verbs; one with any other verb may have been partly applied.
+func ReadOnly(verb []byte) bool {
+	c := lookup(verb)
+	return c != nil && c.readOnly
+}
+
+// debugReply answers DEBUG ADVISE and a malformed DEBUG at planning time. The
+// two subcommands the resilience tests need answer nothing here: PANIC
+// crashes inside a shard execution (proving execSafe's isolation), SLEEP
+// holds the shard's lock (proving Shutdown drains in-flight batches), so both
+// run on shard 0 (shard.debug).
+func debugReply(s *Store, args [][]byte) wire.Reply {
+	switch {
+	case len(args) == 2 && strings.EqualFold(string(args[1]), "PANIC"),
+		len(args) == 3 && strings.EqualFold(string(args[1]), "SLEEP"):
+		return wire.Reply{}
+	case len(args) == 2 && strings.EqualFold(string(args[1]), "ADVISE"):
+		// Recorder snapshots are safe from any goroutine.
+		return adviseReply(s)
+	}
+	return wire.Err("ERR DEBUG subcommand not supported (want PANIC, SLEEP <seconds> or ADVISE)")
+}
 
 // unit is one keyed operation bound to its owning shard. key views the
 // decoded argument without a copy, valid for the unit's life: its batch runs
@@ -55,40 +215,27 @@ const (
 // write keeps it, as a clone (shard.create). args holds the operands after it.
 type unit struct {
 	shard int
-	op    opcode
+	cmd   *command
 	key   string
 	args  [][]byte
 	out   wire.Reply
 }
 
-// agg says how a command's units combine into its reply.
-type agg uint8
-
-const (
-	aggFirst agg = iota // single unit: its reply is the command reply
-	aggSum              // sum integer unit replies (DEL, EXISTS)
-	aggOK               // all units succeeded: +OK (FLUSHALL)
-)
-
-// cmdPlan is one planned command: either an inline reply computed at
-// planning time (control verbs, errors) or a window into the batch's units.
+// cmdPlan is one planned command: a reply computed at planning time (control
+// verbs, errors), or, when n > 0, a window into the batch's units.
 type cmdPlan struct {
-	done  bool
-	rep   wire.Reply
-	first int
-	n     int
-	agg   agg
+	rep      wire.Reply
+	first, n int
+	fan      fan
 }
-
-func inlinePlan(rep wire.Reply) cmdPlan { return cmdPlan{done: true, rep: rep} }
 
 // reply assembles the command reply after its units executed.
 func (p cmdPlan) reply(units []unit) wire.Reply {
-	if p.done {
+	if p.n == 0 {
 		return p.rep
 	}
-	switch p.agg {
-	case aggSum:
+	switch p.fan {
+	case fanPerKey:
 		total := int64(0)
 		for _, u := range units[p.first : p.first+p.n] {
 			if u.out.IsError() {
@@ -97,7 +244,7 @@ func (p cmdPlan) reply(units []unit) wire.Reply {
 			total += u.out.Int
 		}
 		return wire.Int64(total)
-	case aggOK:
+	case fanAll:
 		for _, u := range units[p.first : p.first+p.n] {
 			if u.out.IsError() {
 				return u.out
@@ -109,216 +256,41 @@ func (p cmdPlan) reply(units []unit) wire.Reply {
 	}
 }
 
-func arityErr(verb []byte) cmdPlan {
-	return inlinePlan(wire.Errf("ERR wrong number of arguments for '%s' command", strings.ToLower(string(verb))))
-}
-
-// upperASCII appends verb to buf in upper case. Every verb of the subset is
-// ASCII, so this is strings.ToUpper for anything the switch can match.
-func upperASCII(buf, verb []byte) []byte {
-	buf = append(buf, verb...)
-	for i, c := range buf {
-		if 'a' <= c && c <= 'z' {
-			buf[i] = c - ('a' - 'A')
-		}
-	}
-	return buf
-}
-
 // planCommand turns one parsed command into a cmdPlan, appending any
-// sharded units to *units. Control verbs answer inline; data verbs route by
-// key hash. Unknown verbs and arity violations become error replies — the
-// connection stays usable, unlike protocol (framing) errors.
+// sharded units to *units. Unknown verbs and arity violations become error
+// replies — the connection stays usable, unlike protocol (framing) errors.
 func planCommand(args [][]byte, s *Store, units *[]unit) cmdPlan {
 	if len(args) == 0 {
-		return inlinePlan(wire.Err("ERR empty command"))
+		return cmdPlan{rep: wire.Err("ERR empty command")}
 	}
-	// Upper-cased on the stack (the longest verb, ZREMRANGEBYSCORE, is 16
-	// bytes) and matched without a string conversion that outlives the
-	// switch: the verb costs no allocation.
-	var vb [16]byte
-	verb := upperASCII(vb[:0], args[0])
-
-	addUnit := func(op opcode, key []byte, rest [][]byte) {
-		*units = append(*units, unit{
-			shard: s.ShardOf(key),
-			op:    op,
-			key:   unsafe.String(unsafe.SliceData(key), len(key)),
-			args:  rest,
-		})
+	c := lookup(args[0])
+	if c == nil {
+		return cmdPlan{rep: wire.Errf("ERR unknown command '%s'", strings.ToUpper(string(args[0])))}
 	}
-	// single: one unit, reply passthrough.
-	single := func(op opcode, key []byte, rest [][]byte) cmdPlan {
-		p := cmdPlan{first: len(*units), n: 1, agg: aggFirst}
-		addUnit(op, key, rest)
-		return p
+	if !c.arity.fits(len(args)) {
+		return cmdPlan{rep: arityErr(c, len(args))}
 	}
-	// perKey: one unit per key, integer replies summed.
-	perKey := func(op opcode, keys [][]byte) cmdPlan {
-		p := cmdPlan{first: len(*units), n: len(keys), agg: aggSum}
-		for _, k := range keys {
-			addUnit(op, k, nil)
-		}
-		return p
+	p := cmdPlan{first: len(*units), fan: c.fan}
+	add := func(shard int, key []byte, operands [][]byte) {
+		*units = append(*units, unit{shard: shard, cmd: c, key: unsafe.String(unsafe.SliceData(key), len(key)), args: operands})
 	}
-
-	switch string(verb) {
-	// --- control verbs, answered at planning time -----------------------
-	case "PING":
-		switch len(args) {
-		case 1:
-			return inlinePlan(wire.Simple("PONG"))
-		case 2:
-			return inlinePlan(wire.Bulk(args[1]))
-		}
-		return arityErr(verb)
-	case "ECHO":
-		if len(args) != 2 {
-			return arityErr(verb)
-		}
-		return inlinePlan(wire.Bulk(args[1]))
-	case "SELECT":
-		// Single logical database; any index is accepted.
-		if len(args) != 2 {
-			return arityErr(verb)
-		}
-		return inlinePlan(wire.OK())
-	case "QUIT":
-		// The connection layer closes after writing this reply; for an
-		// in-process caller it is a no-op acknowledgement.
-		return inlinePlan(wire.OK())
-	case "COMMAND":
-		// redis-cli introspects at startup; an empty array keeps it happy.
-		return inlinePlan(wire.Array())
-	case "CONFIG":
-		// redis-benchmark asks CONFIG GET save/appendonly; an empty reply
-		// means "nothing configured" and is accepted.
-		if len(args) >= 2 && strings.EqualFold(string(args[1]), "GET") {
-			return inlinePlan(wire.Array())
-		}
-		return inlinePlan(wire.OK())
-	case "DBSIZE":
-		return inlinePlan(wire.Int64(int64(s.Len())))
-	case "INFO":
-		// Full output regardless of a requested section, like a server that
-		// implements no sections would; the reply is small.
-		if len(args) > 2 {
-			return arityErr(verb)
-		}
-		return inlinePlan(wire.Bulk([]byte(s.Info())))
-	case "DEBUG":
-		// The two redis DEBUG subcommands the resilience tests need: PANIC
-		// crashes inside a shard execution (proving execSafe's isolation),
-		// SLEEP holds the shard's lock (proving Shutdown drains in-flight
-		// batches). Both route to shard 0; neither touches keys.
-		if len(args) == 2 && strings.EqualFold(string(args[1]), "PANIC") {
-			p := cmdPlan{first: len(*units), n: 1, agg: aggFirst}
-			*units = append(*units, unit{shard: 0, op: opPanic})
+	switch c.fan {
+	case fanInline:
+		if p.rep = c.inline(s, args); p.rep.Kind != 0 {
 			return p
 		}
-		if len(args) == 3 && strings.EqualFold(string(args[1]), "SLEEP") {
-			p := cmdPlan{first: len(*units), n: 1, agg: aggFirst}
-			*units = append(*units, unit{shard: 0, op: opSleep, args: args[2:]})
-			return p
+		add(0, nil, args[1:]) // DEBUG PANIC or SLEEP
+	case fanKey:
+		add(s.ShardOf(args[1]), args[1], args[2:])
+	case fanPerKey:
+		for _, k := range args[1:] {
+			add(s.ShardOf(k), k, nil)
 		}
-		if len(args) == 2 && strings.EqualFold(string(args[1]), "ADVISE") {
-			// Tuning advisor over the per-shard usage recorders: a JSON
-			// array, one advisor.Advice per shard. Answered at planning
-			// time — recorder snapshots are safe from any goroutine.
-			return inlinePlan(adviseReply(s))
-		}
-		return inlinePlan(wire.Err("ERR DEBUG subcommand not supported (want PANIC, SLEEP <seconds> or ADVISE)"))
-	case "FLUSHALL", "FLUSHDB":
-		p := cmdPlan{first: len(*units), n: len(s.shards), agg: aggOK}
+	case fanAll:
 		for i := range s.shards {
-			*units = append(*units, unit{shard: i, op: opFlush})
+			add(i, nil, nil)
 		}
-		return p
-
-	// --- string verbs ---------------------------------------------------
-	case "GET":
-		if len(args) != 2 {
-			return arityErr(verb)
-		}
-		return single(opGet, args[1], nil)
-	case "SET":
-		// The plain two-operand form only: expiry/conditional options are
-		// outside the subset (docs/PROTOCOL.md).
-		if len(args) != 3 {
-			if len(args) > 3 {
-				return inlinePlan(wire.Err("ERR syntax error"))
-			}
-			return arityErr(verb)
-		}
-		return single(opSet, args[1], args[2:3])
-	case "INCR":
-		if len(args) != 2 {
-			return arityErr(verb)
-		}
-		return single(opIncr, args[1], nil)
-	case "DEL":
-		if len(args) < 2 {
-			return arityErr(verb)
-		}
-		return perKey(opDel, args[1:])
-	case "EXISTS":
-		if len(args) < 2 {
-			return arityErr(verb)
-		}
-		return perKey(opExists, args[1:])
-
-	// --- set verbs ------------------------------------------------------
-	case "SADD":
-		if len(args) < 3 {
-			return arityErr(verb)
-		}
-		return single(opSAdd, args[1], args[2:])
-	case "SREM":
-		if len(args) < 3 {
-			return arityErr(verb)
-		}
-		return single(opSRem, args[1], args[2:])
-	case "SMEMBERS":
-		if len(args) != 2 {
-			return arityErr(verb)
-		}
-		return single(opSMembers, args[1], nil)
-
-	// --- list verbs -----------------------------------------------------
-	case "LPUSH":
-		if len(args) < 3 {
-			return arityErr(verb)
-		}
-		return single(opLPush, args[1], args[2:])
-	case "LRANGE":
-		if len(args) != 4 {
-			return arityErr(verb)
-		}
-		return single(opLRange, args[1], args[2:])
-	case "LTRIM":
-		if len(args) != 4 {
-			return arityErr(verb)
-		}
-		return single(opLTrim, args[1], args[2:])
-
-	// --- sorted-set verbs -----------------------------------------------
-	case "ZADD":
-		if len(args) < 4 || len(args)%2 != 0 {
-			return arityErr(verb)
-		}
-		return single(opZAdd, args[1], args[2:])
-	case "ZRANGEBYSCORE":
-		if len(args) != 4 {
-			return arityErr(verb)
-		}
-		return single(opZRangeByScore, args[1], args[2:])
-	case "ZREMRANGEBYSCORE":
-		if len(args) != 4 {
-			return arityErr(verb)
-		}
-		return single(opZRemRangeByScore, args[1], args[2:])
-
-	default:
-		return inlinePlan(wire.Errf("ERR unknown command '%s'", strings.ToUpper(string(args[0]))))
 	}
+	p.n = len(*units) - p.first
+	return p
 }

@@ -172,8 +172,8 @@ func (sh *shard) get(key string) *object {
 // create binds an absent key to o. The unit's key is a view of a recycled
 // argument buffer and the map keeps the key of a fresh entry, so it stores a
 // clone.
-func (sh *shard) create(h *dego.Handle, key string, o *object) {
-	sh.obj.Put(h, strings.Clone(key), o)
+func (sh *shard) create(key string, o *object) {
+	sh.obj.Put(sh.h, strings.Clone(key), o)
 }
 
 var wrongType = wire.Err("WRONGTYPE Operation against a key holding the wrong kind of value")
@@ -183,12 +183,17 @@ var errMinMax = wire.Err("ERR min or max is not a float")
 var errShutDown = wire.Err("ERR store is shut down")
 var errListTooLong = wire.Err("ERR list too long")
 
-// execSafe runs one unit with panic isolation: a panic while executing a
-// command poisons that unit's reply (a typed protocol-error-derived error
-// reply, recorded on the store) instead of unwinding the lock holder — one
-// bad command cannot take the whole keyspace slice down. Keys the
-// panicking execution already mutated may be partially updated, the same
-// contract redis gives a script that dies mid-write.
+// execSafe runs one unit against the shard state: the key checks its row
+// asks for (command.kind), then the row's handler. Only key creation
+// (create), emptying (Remove) and SET call the map's writers; a write to a
+// present key updates its object in place. LRANGE answers with a window of
+// the list's frames; the other array replies are built in sc's arena.
+//
+// A panic while executing a command poisons that unit's reply (a typed
+// protocol-error-derived error reply, recorded on the store) instead of
+// unwinding the lock holder — one bad command cannot take the whole keyspace
+// slice down. Keys the panicking execution already mutated may be partially
+// updated, the same contract redis gives a script that dies mid-write.
 func (sh *shard) execSafe(u *unit, sc *scratch) (rep wire.Reply) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -199,278 +204,237 @@ func (sh *shard) execSafe(u *unit, sc *scratch) (rep wire.Reply) {
 			rep = wire.Errf("ERR Protocol error: %s", pe.Detail)
 		}
 	}()
-	return sh.exec(sh.h, u, sc)
+	c := u.cmd
+	var o *object
+	if c.kind != 0 {
+		o = sh.get(u.key)
+		switch {
+		case o == nil && c.absent.Kind != 0:
+			return c.absent
+		case o != nil && o.kind() != c.kind:
+			return wrongType
+		}
+	}
+	return c.exec(sh, u, o, sc)
 }
 
-// exec runs one unit against the shard state. Only key creation (create),
-// emptying (Remove) and SET call the map's writers; a write to a present key
-// updates its object in place. LRANGE answers with a window of the list's
-// frames; the other array replies are built in sc's arena.
-func (sh *shard) exec(h *dego.Handle, u *unit, sc *scratch) wire.Reply {
-	switch u.op {
-	case opGet:
-		o := sh.get(u.key)
-		switch {
-		case o == nil:
-			return wire.Null()
-		case o.kind() != objString:
-			return wrongType
-		}
-		return wire.Bulk(o.str)
+// The handlers below are the command rows' exec functions, one per verb. o
+// is the key's object when the row names a kind (nil for a missing key the
+// handler creates), nil otherwise.
 
-	case opSet:
-		// A fresh object Put over a present key too: the recorder sees it.
-		o := &object{str: bytes.Clone(u.args[0])}
-		if sh.obj.Contains(u.key) {
-			sh.obj.Put(h, u.key, o)
-		} else {
-			sh.create(h, u.key, o)
+func (*shard) getStr(_ *unit, o *object, _ *scratch) wire.Reply { return wire.Bulk(o.str) }
+
+func (sh *shard) set(u *unit, _ *object, _ *scratch) wire.Reply {
+	// A fresh object Put over a present key too: the recorder sees it.
+	o := &object{str: bytes.Clone(u.args[0])}
+	if sh.obj.Contains(u.key) {
+		sh.obj.Put(sh.h, u.key, o)
+	} else {
+		sh.create(u.key, o)
+	}
+	return wire.OK()
+}
+
+func (sh *shard) del(u *unit, _ *object, _ *scratch) wire.Reply {
+	return oneIf(sh.obj.Remove(sh.h, u.key))
+}
+
+func (sh *shard) exists(u *unit, _ *object, _ *scratch) wire.Reply {
+	return oneIf(sh.obj.Contains(u.key))
+}
+
+func oneIf(b bool) wire.Reply {
+	if b {
+		return wire.Int64(1)
+	}
+	return wire.Int64(0)
+}
+
+func (sh *shard) incr(u *unit, o *object, _ *scratch) wire.Reply {
+	if o == nil {
+		sh.create(u.key, &object{str: []byte("1")})
+		return wire.Int64(1)
+	}
+	// Only the canonical spelling counts, as in redis' string2ll: the
+	// value must format back to exactly its bytes, so "+5", "007" and
+	// "-0" are not integers. The digits are formatted on the stack.
+	n, err := strconv.ParseInt(string(o.str), 10, 64)
+	var digits [20]byte
+	if err != nil || n == int64(1<<63-1) || !bytes.Equal(strconv.AppendInt(digits[:0], n, 10), o.str) {
+		return errNotInt
+	}
+	n++
+	o.str = strconv.AppendInt(nil, n, 10)
+	return wire.Int64(n)
+}
+
+func (sh *shard) sadd(u *unit, o *object, _ *scratch) wire.Reply {
+	if o == nil {
+		o = &object{set: make(map[string]struct{}, len(u.args))}
+		sh.create(u.key, o)
+	}
+	added := int64(0)
+	for _, m := range u.args {
+		// Looked up without a copy; only a new member is stored as one.
+		if _, ok := o.set[string(m)]; !ok {
+			o.set[string(m)] = struct{}{}
+			added++
 		}
+	}
+	return wire.Int64(added)
+}
+
+func (sh *shard) srem(u *unit, o *object, _ *scratch) wire.Reply {
+	removed := int64(0)
+	for _, m := range u.args {
+		k := string(m)
+		if _, ok := o.set[k]; ok {
+			delete(o.set, k)
+			removed++
+		}
+	}
+	if len(o.set) == 0 {
+		sh.obj.Remove(sh.h, u.key)
+	}
+	return wire.Int64(removed)
+}
+
+func (*shard) smembers(_ *unit, o *object, sc *scratch) wire.Reply {
+	members := make([]string, 0, len(o.set))
+	for m := range o.set {
+		members = append(members, m)
+	}
+	// Sorted for determinism; redis leaves set order unspecified.
+	sort.Strings(members)
+	from := len(sc.arena)
+	for _, m := range members {
+		sc.arena = append(sc.arena, wire.BulkString(m))
+	}
+	return sc.array(from)
+}
+
+func (sh *shard) lpush(u *unit, o *object, _ *scratch) wire.Reply {
+	fresh := o == nil
+	if fresh {
+		o = &object{list: new(list)}
+	}
+	// LPUSH a b c leaves c at the head.
+	if !o.list.push(u.args) {
+		return errListTooLong
+	}
+	if fresh {
+		sh.create(u.key, o)
+	}
+	return wire.Int64(int64(o.list.len()))
+}
+
+func (*shard) lrange(u *unit, o *object, _ *scratch) wire.Reply {
+	start, stop, ok := parseRangeIndexes(u.args, o.list.len())
+	if !ok {
+		return errNotInt
+	}
+	if start > stop {
+		return wire.Array()
+	}
+	// The window as the list stores it: already the reply's encoding.
+	return wire.Frames(stop-start+1, o.list.frames(start, stop))
+}
+
+func (sh *shard) ltrim(u *unit, o *object, _ *scratch) wire.Reply {
+	start, stop, ok := parseRangeIndexes(u.args, o.list.len())
+	if !ok {
+		return errNotInt
+	}
+	if start > stop {
+		sh.obj.Remove(sh.h, u.key)
 		return wire.OK()
+	}
+	o.list.keep(start, stop)
+	return wire.OK()
+}
 
-	case opDel:
-		if sh.obj.Remove(h, u.key) {
-			return wire.Int64(1)
-		}
-		return wire.Int64(0)
-
-	case opExists:
-		if sh.obj.Contains(u.key) {
-			return wire.Int64(1)
-		}
-		return wire.Int64(0)
-
-	case opIncr:
-		o := sh.get(u.key)
-		if o == nil {
-			sh.create(h, u.key, &object{str: []byte("1")})
-			return wire.Int64(1)
-		}
-		if o.kind() != objString {
-			return wrongType
-		}
-		// Only the canonical spelling counts, as in redis' string2ll: the
-		// value must format back to exactly its bytes, so "+5", "007" and
-		// "-0" are not integers. The digits are formatted on the stack.
-		n, err := strconv.ParseInt(string(o.str), 10, 64)
-		var digits [20]byte
-		if err != nil || n == int64(1<<63-1) || !bytes.Equal(strconv.AppendInt(digits[:0], n, 10), o.str) {
-			return errNotInt
-		}
-		n++
-		o.str = strconv.AppendInt(nil, n, 10)
-		return wire.Int64(n)
-
-	case opSAdd:
-		o := sh.get(u.key)
-		if o == nil {
-			o = &object{set: make(map[string]struct{}, len(u.args))}
-			sh.create(h, u.key, o)
-		} else if o.kind() != objSet {
-			return wrongType
-		}
-		added := int64(0)
-		for _, m := range u.args {
-			// Looked up without a copy; only a new member is stored as one.
-			if _, ok := o.set[string(m)]; !ok {
-				o.set[string(m)] = struct{}{}
-				added++
-			}
-		}
-		return wire.Int64(added)
-
-	case opSRem:
-		o := sh.get(u.key)
-		if o == nil {
-			return wire.Int64(0)
-		}
-		if o.kind() != objSet {
-			return wrongType
-		}
-		removed := int64(0)
-		for _, m := range u.args {
-			k := string(m)
-			if _, ok := o.set[k]; ok {
-				delete(o.set, k)
-				removed++
-			}
-		}
-		if len(o.set) == 0 {
-			sh.obj.Remove(h, u.key)
-		}
-		return wire.Int64(removed)
-
-	case opSMembers:
-		o := sh.get(u.key)
-		if o == nil {
-			return wire.Array()
-		}
-		if o.kind() != objSet {
-			return wrongType
-		}
-		members := make([]string, 0, len(o.set))
-		for m := range o.set {
-			members = append(members, m)
-		}
-		// Sorted for determinism; redis leaves set order unspecified.
-		sort.Strings(members)
-		from := len(sc.arena)
-		for _, m := range members {
-			sc.arena = append(sc.arena, wire.BulkString(m))
-		}
-		return sc.array(from)
-
-	case opLPush:
-		o := sh.get(u.key)
-		fresh := o == nil
-		if fresh {
-			o = &object{list: new(list)}
-		} else if o.kind() != objList {
-			return wrongType
-		}
-		// LPUSH a b c leaves c at the head.
-		if !o.list.push(u.args) {
-			return errListTooLong
-		}
-		if fresh {
-			sh.create(h, u.key, o)
-		}
-		return wire.Int64(int64(o.list.len()))
-
-	case opLRange:
-		o := sh.get(u.key)
-		if o == nil {
-			return wire.Array()
-		}
-		if o.kind() != objList {
-			return wrongType
-		}
-		start, stop, ok := parseRangeIndexes(u.args, o.list.len())
-		if !ok {
-			return errNotInt
-		}
-		if start > stop {
-			return wire.Array()
-		}
-		// The window as the list stores it: already the reply's encoding.
-		return wire.Frames(stop-start+1, o.list.frames(start, stop))
-
-	case opLTrim:
-		o := sh.get(u.key)
-		if o == nil {
-			return wire.OK()
-		}
-		if o.kind() != objList {
-			return wrongType
-		}
-		start, stop, ok := parseRangeIndexes(u.args, o.list.len())
-		if !ok {
-			return errNotInt
-		}
-		if start > stop {
-			sh.obj.Remove(h, u.key)
-			return wire.OK()
-		}
-		o.list.keep(start, stop)
-		return wire.OK()
-
-	case opZAdd:
-		// Every score is parsed before the first insert, so a bad one
-		// changes nothing, as in redis.
-		scores := make([]float64, 0, 8)
-		for i := 0; i < len(u.args); i += 2 {
-			score, err := strconv.ParseFloat(string(u.args[i]), 64)
-			if err != nil || math.IsNaN(score) {
-				return errNotFloat
-			}
-			scores = append(scores, score)
-		}
-		o := sh.get(u.key)
-		if o == nil {
-			o = &object{zs: &zset{score: make(map[string]float64)}}
-			sh.create(h, u.key, o)
-		} else if o.kind() != objZSet {
-			return wrongType
-		}
-		added := int64(0)
-		for i, score := range scores {
-			if o.zs.insert(string(u.args[2*i+1]), score) {
-				added++
-			}
-		}
-		return wire.Int64(added)
-
-	case opZRangeByScore:
-		o := sh.get(u.key)
-		if o == nil {
-			return wire.Array()
-		}
-		if o.kind() != objZSet {
-			return wrongType
-		}
-		lo, hi, ok := parseScoreBounds(u.args)
-		if !ok {
-			return errMinMax
-		}
-		from, to := o.zs.boundIndexes(lo, hi)
-		first := len(sc.arena)
-		for _, e := range o.zs.sorted[from:to] {
-			sc.arena = append(sc.arena, wire.BulkString(e.member))
-		}
-		return sc.array(first)
-
-	case opZRemRangeByScore:
-		o := sh.get(u.key)
-		if o == nil {
-			return wire.Int64(0)
-		}
-		if o.kind() != objZSet {
-			return wrongType
-		}
-		lo, hi, ok := parseScoreBounds(u.args)
-		if !ok {
-			return errMinMax
-		}
-		from, to := o.zs.boundIndexes(lo, hi)
-		for _, e := range o.zs.sorted[from:to] {
-			delete(o.zs.score, e.member)
-		}
-		removed := int64(to - from)
-		o.zs.sorted = slices.Delete(o.zs.sorted, from, to) // clears the vacated tail
-		if len(o.zs.sorted) == 0 {
-			sh.obj.Remove(h, u.key)
-		}
-		return wire.Int64(removed)
-
-	case opPanic:
-		// DEBUG PANIC: deliberate crash under the shard's lock, exercised by
-		// the resilience tests to prove execSafe's isolation.
-		panic("DEBUG PANIC requested")
-
-	case opSleep:
-		// DEBUG SLEEP <seconds>: hold the shard's lock, so tests can have a
-		// batch provably in flight while Shutdown drains.
-		secs, err := strconv.ParseFloat(string(u.args[0]), 64)
-		if err != nil || secs < 0 {
+func (sh *shard) zadd(u *unit, _ *object, _ *scratch) wire.Reply {
+	// Every score is parsed before the key is looked at, so a bad one
+	// changes nothing and wins over WRONGTYPE, as in redis.
+	scores := make([]float64, 0, 8)
+	for i := 0; i < len(u.args); i += 2 {
+		score, err := strconv.ParseFloat(string(u.args[i]), 64)
+		if err != nil || math.IsNaN(score) {
 			return errNotFloat
 		}
-		time.Sleep(time.Duration(secs * float64(time.Second)))
-		return wire.OK()
-
-	case opFlush:
-		var keys []string
-		sh.obj.Range(func(k string, _ *object) bool {
-			keys = append(keys, k)
-			return true
-		})
-		for _, k := range keys {
-			sh.obj.Remove(h, k)
-		}
-		return wire.OK()
-
-	default:
-		return wire.Errf("ERR internal: unknown opcode %d", u.op)
+		scores = append(scores, score)
 	}
+	o := sh.get(u.key)
+	if o == nil {
+		o = &object{zs: &zset{score: make(map[string]float64)}}
+		sh.create(u.key, o)
+	} else if o.kind() != objZSet {
+		return wrongType
+	}
+	added := int64(0)
+	for i, score := range scores {
+		if o.zs.insert(string(u.args[2*i+1]), score) {
+			added++
+		}
+	}
+	return wire.Int64(added)
+}
+
+func (*shard) zrangebyscore(u *unit, o *object, sc *scratch) wire.Reply {
+	lo, hi, ok := parseScoreBounds(u.args)
+	if !ok {
+		return errMinMax
+	}
+	from, to := o.zs.boundIndexes(lo, hi)
+	first := len(sc.arena)
+	for _, e := range o.zs.sorted[from:to] {
+		sc.arena = append(sc.arena, wire.BulkString(e.member))
+	}
+	return sc.array(first)
+}
+
+func (sh *shard) zremrangebyscore(u *unit, o *object, _ *scratch) wire.Reply {
+	lo, hi, ok := parseScoreBounds(u.args)
+	if !ok {
+		return errMinMax
+	}
+	from, to := o.zs.boundIndexes(lo, hi)
+	for _, e := range o.zs.sorted[from:to] {
+		delete(o.zs.score, e.member)
+	}
+	removed := int64(to - from)
+	o.zs.sorted = slices.Delete(o.zs.sorted, from, to) // clears the vacated tail
+	if len(o.zs.sorted) == 0 {
+		sh.obj.Remove(sh.h, u.key)
+	}
+	return wire.Int64(removed)
+}
+
+func (sh *shard) flush(*unit, *object, *scratch) wire.Reply {
+	var keys []string
+	sh.obj.Range(func(k string, _ *object) bool {
+		keys = append(keys, k)
+		return true
+	})
+	for _, k := range keys {
+		sh.obj.Remove(sh.h, k)
+	}
+	return wire.OK()
+}
+
+// debug runs DEBUG PANIC, a deliberate crash under the shard's lock, or
+// DEBUG SLEEP <seconds>, which holds the lock so tests can have a batch
+// provably in flight while Shutdown drains.
+func (*shard) debug(u *unit, _ *object, _ *scratch) wire.Reply {
+	if strings.EqualFold(string(u.args[0]), "PANIC") {
+		panic("DEBUG PANIC requested")
+	}
+	secs, err := strconv.ParseFloat(string(u.args[1]), 64)
+	if err != nil || secs < 0 {
+		return errNotFloat
+	}
+	time.Sleep(time.Duration(secs * float64(time.Second)))
+	return wire.OK()
 }
 
 // parseRangeIndexes resolves redis start/stop list indexes (negatives count
