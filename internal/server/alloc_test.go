@@ -63,6 +63,30 @@ func TestAllocCeilings(t *testing.T) {
 			}
 		}
 	}
+	// The replies to one 16-command pipeline of the table-2 mix, as a
+	// net_table2_p16 client reads them: integers, +OK, a short bulk, the
+	// timeline and a null.
+	pipelineStream := func() func() {
+		pipeline := []wire.Reply{
+			wire.Int64(1), wire.Int64(1), wire.Int64(1), wire.Int64(1),
+			wire.Int64(4711), wire.Int64(1), wire.Int64(12), wire.OK(), wire.Int64(31), wire.OK(),
+			wire.BulkString("4711"), timeline, wire.Null(),
+			wire.OK(), wire.Int64(1), wire.Int64(1),
+		}
+		var frame bytes.Buffer
+		w := wire.NewWriter(&frame)
+		for _, rep := range pipeline {
+			w.WriteReply(rep)
+		}
+		w.Flush()
+		r := wire.NewReader(&loopReader{data: frame.Bytes()})
+		var batch wire.ReplyBatch
+		return func() {
+			if _, err := batch.Read(r, len(pipeline)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	// The encoders write into a buffer that bufio spills to io.Discard
 	// whenever it fills, so some of the measured frames straddle a spill.
 	replyEncode := func() func() {
@@ -127,6 +151,7 @@ func TestAllocCeilings(t *testing.T) {
 	}{
 		{"wire.CommandBatch, ZADD + GET batch on recycled storage", 0, cmdStream},
 		{"wire.ReplyBatch, 50-element array then an integer", 0, replyStream},
+		{"wire.ReplyBatch, 16-reply table-2 pipeline", 0, pipelineStream},
 		{"wire.Writer.WriteReply, 50-element array", 0, replyEncode},
 		{"wire.Writer.WriteReply, 50-frame pre-encoded array", 0, framesEncode},
 		{"wire.Writer.WriteCommand, 4-argument ZADD", 0, cmdEncode},

@@ -31,6 +31,7 @@ type command struct {
 	arity    arity
 	fan      fan
 	readOnly bool // a data verb that writes nothing, so a batch of them may be replayed (ReadOnly)
+	closes   bool // the batch ends at this command and the connection closes after its reply (QUIT)
 	// kind, when set, is what the key must hold for exec to run: execSafe
 	// looks the key up first, answers absent if the key is missing and absent
 	// is set, and WRONGTYPE if it holds another kind. exec gets the object,
@@ -90,9 +91,9 @@ var commands = [...]command{
 	{name: "ECHO", arity: arity{min: 2, max: 2}, inline: func(_ *Store, args [][]byte) wire.Reply { return wire.Bulk(args[1]) }},
 	// Single logical database; any index is accepted.
 	{name: "SELECT", arity: arity{min: 2, max: 2}, inline: func(*Store, [][]byte) wire.Reply { return wire.OK() }},
-	// The connection layer closes after writing this reply; for an
-	// in-process caller it is a no-op acknowledgement.
-	{name: "QUIT", inline: func(*Store, [][]byte) wire.Reply { return wire.OK() }},
+	// The batch ends here: Store.run plans nothing after it, and the
+	// connection layer closes after writing this reply.
+	{name: "QUIT", closes: true, inline: func(*Store, [][]byte) wire.Reply { return wire.OK() }},
 	// redis-cli introspects at startup; an empty array keeps it happy.
 	{name: "COMMAND", inline: func(*Store, [][]byte) wire.Reply { return wire.Array() }},
 	// redis-benchmark asks CONFIG GET save/appendonly; an empty reply means
@@ -222,11 +223,13 @@ type unit struct {
 }
 
 // cmdPlan is one planned command: a reply computed at planning time (control
-// verbs, errors), or, when n > 0, a window into the batch's units.
+// verbs, errors), or, when n > 0, a window into the batch's units. closes is
+// its row's: the batch ends at it.
 type cmdPlan struct {
 	rep      wire.Reply
 	first, n int
 	fan      fan
+	closes   bool
 }
 
 // reply assembles the command reply after its units executed.
@@ -270,7 +273,7 @@ func planCommand(args [][]byte, s *Store, units *[]unit) cmdPlan {
 	if !c.arity.fits(len(args)) {
 		return cmdPlan{rep: arityErr(c, len(args))}
 	}
-	p := cmdPlan{first: len(*units), fan: c.fan}
+	p := cmdPlan{first: len(*units), fan: c.fan, closes: c.closes}
 	add := func(shard int, key []byte, operands [][]byte) {
 		*units = append(*units, unit{shard: shard, cmd: c, key: unsafe.String(unsafe.SliceData(key), len(key)), args: operands})
 	}

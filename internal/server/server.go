@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -334,15 +333,7 @@ func (s *Server) handle(lc *lifecycleConn) {
 		}
 
 		// QUIT closes after its reply; later pipelined commands are moot.
-		cmds, quit := batch.Commands(), false
-		for i, cm := range cmds {
-			if len(cm) > 0 && strings.EqualFold(string(cm[0]), "QUIT") {
-				cmds, quit = cmds[:i+1], true
-				break
-			}
-		}
-
-		s.store.run(&sc, cmds)
+		quit := s.store.run(&sc, batch.Commands())
 		for i := range sc.plans {
 			if err := w.WriteReply(sc.plans[i].reply(sc.units)); err != nil {
 				s.closeOnWriteError(err)

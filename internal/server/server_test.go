@@ -645,6 +645,41 @@ func TestServerQuitClosesConnection(t *testing.T) {
 	if _, err := r.ReadReply(); err == nil {
 		t.Fatal("connection still open after QUIT")
 	}
+
+	// The verb in any case, with a write pipelined behind it: the write is
+	// dropped with the connection.
+	r, w, _ = dialTestServer(t, srv)
+	w.WriteCommandString("quit")
+	w.WriteCommandString("SET", "after", "v")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = r.ReadReply(); err != nil {
+		t.Fatal(err)
+	}
+	wantOK(t, rep)
+	if rep, err := r.ReadReply(); err == nil {
+		t.Fatalf("connection still open after quit, answered %v", rep)
+	}
+	if rep := srv.store.Exec(cmd("GET", "after")); rep.Kind != wire.KindNull {
+		t.Fatalf("GET after = %v, want null: the SET behind quit ran", rep)
+	}
+}
+
+// TestExecBatchEndsAtQuit: in process too, a batch ends at QUIT — its +OK is
+// the last reply and nothing after it runs.
+func TestExecBatchEndsAtQuit(t *testing.T) {
+	st := newTestStore(t, 2)
+	reps := st.ExecBatch([][][]byte{cmd("SET", "before", "v"), cmd("Quit"), cmd("SET", "after", "v")})
+	if len(reps) != 2 {
+		t.Fatalf("%d replies, want 2: %v", len(reps), reps)
+	}
+	wantOK(t, reps[0])
+	wantOK(t, reps[1])
+	wantBulk(t, st.Exec(cmd("GET", "before")), "v")
+	if rep := st.Exec(cmd("GET", "after")); rep.Kind != wire.KindNull {
+		t.Fatalf("GET after = %v, want null", rep)
+	}
 }
 
 func TestServerProtocolErrorCloses(t *testing.T) {

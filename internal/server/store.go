@@ -271,10 +271,12 @@ func (s *Store) Exec(args [][]byte) wire.Reply {
 // to keep: the working memory is borrowed from a pool and array elements are
 // copied out of it before it goes back; LRANGE's elements alias the list's
 // frames, which are never rewritten. The store keeps no reference to cmds.
+// A QUIT ends the batch as it ends a connection's: the replies stop at its
+// +OK, and the commands after it are not run.
 func (s *Store) ExecBatch(cmds [][][]byte) []wire.Reply {
 	sc := s.pool.Get().(*scratch)
 	s.run(sc, cmds)
-	replies := make([]wire.Reply, len(cmds))
+	replies := make([]wire.Reply, len(sc.plans))
 	for i := range replies {
 		rep := sc.plans[i].reply(sc.units)
 		switch rep.Kind {
@@ -337,10 +339,12 @@ func recycle[T any](s []T) []T {
 }
 
 // run plans cmds into sc and executes them; afterwards command i's reply is
-// sc.plans[i].reply(sc.units). It is the one execution path: connection
-// handlers call it with their own scratch, ExecBatch with a pooled one. sc
-// must be fresh or released.
-func (s *Store) run(sc *scratch, cmds [][][]byte) {
+// sc.plans[i].reply(sc.units). Planning stops after a command whose row
+// closes the connection (QUIT): the commands after it are dropped, so
+// sc.plans is shorter than cmds, and run reports true. It is the one
+// execution path: connection handlers call it with their own scratch,
+// ExecBatch with a pooled one. sc must be fresh or released.
+func (s *Store) run(sc *scratch, cmds [][][]byte) (closes bool) {
 	if cap(sc.plans) < len(cmds) {
 		sc.plans = make([]cmdPlan, 0, len(cmds))
 	}
@@ -349,11 +353,16 @@ func (s *Store) run(sc *scratch, cmds [][][]byte) {
 		sc.units = make([]unit, 0, len(cmds))
 	}
 	for _, args := range cmds {
-		sc.plans = append(sc.plans, planCommand(args, s, &sc.units))
+		p := planCommand(args, s, &sc.units)
+		sc.plans = append(sc.plans, p)
+		if closes = p.closes; closes {
+			break
+		}
 	}
 	if len(sc.units) > 0 {
 		s.dispatch(sc)
 	}
+	return closes
 }
 
 // dispatch groups sc's units by owning shard, preserving order within each

@@ -313,26 +313,56 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BenchmarkReplyBatch times the client's side of a timeline read: decoding
-// one 50-element LRANGE reply into a recycled ReplyBatch.
+// BenchmarkReplyBatch times the client's side of a pipeline: decoding its
+// replies into a recycled ReplyBatch. timeline is one 50-element LRANGE
+// reply; table2-pipeline is the reply to one 16-command pipeline of the
+// table-2 mix (table2Replies).
 func BenchmarkReplyBatch(b *testing.B) {
-	array, _ := timelineReply()
-	var frame bytes.Buffer
-	w := NewWriter(&frame)
-	w.WriteReply(array)
-	w.Flush()
-	r := NewReader(&loopReader{data: frame.Bytes()})
-	var batch ReplyBatch
-	for range 2 { // the first sizes the arena, the second its payload buffers
-		if _, err := batch.Read(r, 1); err != nil {
-			b.Fatal(err)
-		}
+	timeline, _ := timelineReply()
+	for _, bc := range []struct {
+		name    string
+		replies []Reply
+	}{
+		{"timeline", []Reply{timeline}},
+		{"table2-pipeline", table2Replies()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var frame bytes.Buffer
+			w := NewWriter(&frame)
+			for _, rep := range bc.replies {
+				w.WriteReply(rep)
+			}
+			w.Flush()
+			r := NewReader(&loopReader{data: frame.Bytes()})
+			var batch ReplyBatch
+			n := len(bc.replies)
+			for range 2 { // the first sizes the arena, the second its payload buffers
+				if _, err := batch.Read(r, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := batch.Read(r, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		if _, err := batch.Read(r, 1); err != nil {
-			b.Fatal(err)
-		}
+}
+
+// table2Replies answers one 16-command pipeline of the Retwis table-2 mix,
+// in the shape of a net_table2_p16 flush: a follow's SADD, SADD, SREM, SREM;
+// a post's INCR, ZADD and two LPUSH, LTRIM pairs; a timeline read's GET and
+// LRANGE, beside a GET of a key never set; a profile SET and a group join
+// and leave.
+func table2Replies() []Reply {
+	timeline, _ := timelineReply()
+	return []Reply{
+		Int64(1), Int64(1), Int64(1), Int64(1),
+		Int64(4711), Int64(1), Int64(12), OK(), Int64(31), OK(),
+		BulkString("4711"), timeline, Null(),
+		OK(), Int64(1), Int64(1),
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -34,6 +35,19 @@ var edgeCommands = []string{
 	"*1\r\n$3\r\r\nGET\r\n",
 	"*1\r\n:3\r\nGET\r\n",
 	"GET k v\r\n",
+	// Shapes the one-step bulk scan accepts or hands to the piecewise path:
+	// leading zeros, a null, 18 and 19 digits (the last overflowing), no
+	// digits, MaxBulk+1, a bare LF after a payload with more to follow, and
+	// a stray byte before the LF.
+	"*2\r\n$3\r\nGET\r\n$007\r\nabcdefg\r\n",
+	"*3\r\n$3\r\nGET\r\n$-1\r\n$1\r\nk\r\n",
+	"*2\r\n$3\r\nGET\r\n$000000000000000005\r\nhello\r\n",
+	"*2\r\n$3\r\nGET\r\n$0000000000000000005\r\nhello\r\n",
+	"*2\r\n$3\r\nGET\r\n$9223372036854775808\r\nhello\r\n",
+	"*2\r\n$3\r\nGET\r\n$\r\n\r\n",
+	"*2\r\n$3\r\nGET\r\n$8388609\r\nx\r\n",
+	"*3\r\n$3\r\nSET\r\n$1\r\nk\n$1\r\nv\r\n",
+	"*2\r\n$3\r\nGET\r\n$1\r\nkX\n",
 }
 
 var edgeReplies = []string{
@@ -48,6 +62,17 @@ var edgeReplies = []string{
 	":123456789012345678\r\n", ":1234567890123456789\r\n", ":9223372036854775808\r\n",
 	":-9223372036854775808\r\n",
 	timelineFrame(),
+	// The bulk scan's shapes, as on the command side, and an array mixing
+	// every element kind.
+	"$007\r\nabcdefg\r\n",
+	"*3\r\n$1\r\na\r\n$-1\r\n$1\r\nb\r\n",
+	"$000000000000000005\r\nhello\r\n", "$0000000000000000005\r\nhello\r\n",
+	"$9223372036854775808\r\nhello\r\n",
+	"$\r\n\r\n",
+	"$8388609\r\nx\r\n",
+	"*2\r\n$1\r\nx\n$1\r\ny\r\n",
+	"$5\r\nhelloX\n",
+	"*6\r\n$3\r\nfoo\r\n$-1\r\n:7\r\n-ERR no\r\n*2\r\n$1\r\na\r\n*1\r\n$0\r\n\r\n+OK\r\n",
 }
 
 // timelineFrame is a Timeline reply: 50 tweets of 20 bytes.
@@ -117,6 +142,47 @@ func TestDecodeAtBufferEdge(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScanKeepsTheLimits: a reader whose buffer holds a whole frame above a
+// limit, so the one-step bulk scan sees all of it, refuses it with the
+// piecewise path's error, and accepts a frame exactly at the limit.
+func TestScanKeepsTheLimits(t *testing.T) {
+	wholly := func(frame []byte) *Reader {
+		return &Reader{br: bufio.NewReaderSize(bytes.NewReader(frame), len(frame)+16)}
+	}
+	atLimit := AppendBulk(nil, make([]byte, MaxBulk))
+	overLimit := AppendBulk(nil, make([]byte, MaxBulk+1))
+	wantErr := func(what string, err error, detail string) {
+		t.Helper()
+		var pe *ProtocolError
+		if !errors.As(err, &pe) || pe.Detail != detail {
+			t.Errorf("%s: err = %v, want protocol error %q", what, err, detail)
+		}
+	}
+
+	if rep, err := wholly(atLimit).ReadReply(); err != nil || len(rep.Bulk) != MaxBulk {
+		t.Errorf("reply of MaxBulk bytes = %d bytes, %v", len(rep.Bulk), err)
+	}
+	_, err := wholly(overLimit).ReadReply()
+	wantErr("reply of MaxBulk+1 bytes", err, fmt.Sprintf("bulk string of %d bytes exceeds limit %d", MaxBulk+1, MaxBulk))
+	_, err = wholly(append([]byte("*1\r\n"), overLimit...)).ReadCommand()
+	wantErr("argument of MaxBulk+1 bytes", err, fmt.Sprintf("bulk string of %d bytes exceeds limit %d", MaxBulk+1, MaxBulk))
+
+	// Arguments of MaxBulk bytes up to exactly MaxCommandBytes, then one more.
+	const full = MaxCommandBytes / MaxBulk
+	command := func(args int, tail string) []byte {
+		cmd := fmt.Appendf(nil, "*%d\r\n", args)
+		for range full {
+			cmd = append(cmd, atLimit...)
+		}
+		return append(cmd, tail...)
+	}
+	if args, err := wholly(command(full, "")).ReadCommand(); err != nil || len(args) != full {
+		t.Errorf("command of MaxCommandBytes = %d arguments, %v", len(args), err)
+	}
+	_, err = wholly(command(full+1, "$1\r\nx\r\n")).ReadCommand()
+	wantErr("command past MaxCommandBytes", err, fmt.Sprintf("command payload exceeds %d bytes", MaxCommandBytes))
 }
 
 // TestIntegerLinesMatchParseInt: an integer line decodes to strconv's value,

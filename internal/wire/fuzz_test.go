@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // The fuzz targets hold the package's central promise: malformed bytes never
@@ -58,19 +59,27 @@ func FuzzReadCommand(f *testing.F) {
 	f.Add([]byte("*+1\r\n$003\r\nGET\r\n*1\r\n$-0\r\n\r\n"))
 	f.Add([]byte("*1\r\n$1234567890123456789\r\n"))
 	f.Add([]byte("*1\r\n$9223372036854775808\r\n"))
+	// Bulk shapes at the one-step scan's borders: 18 and 19 digits, and a
+	// bare LF after a payload with more to follow.
+	f.Add([]byte("*2\r\n$000000000000000003\r\nGET\r\n$0000000000000000001\r\nk\r\n*2\r\n$3\r\nGET\r\n$1\r\nk\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The same bytes through ReadCommand, through readCommandInto with
-		// a recycled, dirty destination, and through a CommandBatch over
-		// dirty storage: one parse, so identical commands or identical
-		// errors.
+		// a recycled, dirty destination, through a CommandBatch over dirty
+		// storage, and a byte at a time, which never gives the one-step
+		// bulk scan a whole frame: one parse, so identical commands or
+		// identical errors.
 		r, into := NewReader(bytes.NewReader(data)), NewReader(bytes.NewReader(data))
 		via, batch := NewReader(bytes.NewReader(data)), dirtyCommandBatch(t)
+		slow := NewReader(iotest.OneByteReader(bytes.NewReader(data)))
 		dst := dirtyCommand()
 		for i := 0; i < 64; i++ {
 			args, err := r.ReadCommand()
 			got, ierr := into.readCommandInto(dst)
 			if !sameErr(err, ierr) {
 				t.Fatalf("ReadCommand err = %v, readCommandInto err = %v", err, ierr)
+			}
+			if sargs, serr := slow.ReadCommand(); !sameErr(err, serr) || !sameCommand(args, sargs) {
+				t.Fatalf("ReadCommand = %q, %v; byte at a time = %q, %v", args, err, sargs, serr)
 			}
 			read := len(batch.Commands())
 			if berr := batch.Read(via); !sameErr(err, berr) {
@@ -139,8 +148,12 @@ func FuzzReadReply(f *testing.F) {
 	for _, bad := range []string{":-\r\n", ":\r\n", ":9223372036854775808\r\n"} {
 		f.Add([]byte(bad))
 	}
+	// The one-step scan's border shapes, as on the command side.
+	f.Add([]byte("*3\r\n$000000000000000001\r\na\r\n$0000000000000000001\r\nb\r\n$1\r\nc\n:1\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, into := NewReader(bytes.NewReader(data)), NewReader(bytes.NewReader(data))
+		// A byte at a time, the one-step bulk scan never sees a whole frame.
+		slow := NewReader(iotest.OneByteReader(bytes.NewReader(data)))
 		dst := dirtyReply()
 		var plain []Reply
 		var perr error
@@ -149,6 +162,9 @@ func FuzzReadReply(f *testing.F) {
 			ierr := into.readReplyInto(&dst)
 			if !sameErr(err, ierr) {
 				t.Fatalf("ReadReply err = %v, readReplyInto err = %v", err, ierr)
+			}
+			if srep, serr := slow.ReadReply(); !sameErr(err, serr) || !sameReply(rep, srep) {
+				t.Fatalf("ReadReply = %v, %v; byte at a time = %v, %v", rep, err, srep, serr)
 			}
 			if err != nil {
 				checkDecodeErr(t, err)

@@ -149,6 +149,39 @@ func (r *Reader) readBulkPayload(buf []byte, n int64) ([]byte, error) {
 	return buf, nil
 }
 
+// scanBulk decodes a bulk frame in one step when the whole frame is already
+// buffered and has the common shape: '$', 1 to 18 digits, CRLF, a payload of
+// at most limit bytes, CRLF. It copies the payload into buf's storage (never
+// nil, as readBulkPayload's) and consumes the frame. Any other frame — one
+// that straddles the buffer's edge, a null, a sign, a 19th digit, a bare LF,
+// a length above limit, another type byte — it leaves unread and reports
+// false, so the piecewise path decides it with its own limits and errors.
+func (r *Reader) scanBulk(buf []byte, limit int64) ([]byte, bool) {
+	// Peek of what is already buffered never reads, so it cannot fail.
+	b, _ := r.br.Peek(r.br.Buffered())
+	if len(b) == 0 || b[0] != '$' {
+		return nil, false
+	}
+	var n int64
+	i := 1
+	for ; i < len(b) && i <= 18 && b[i]-'0' <= 9; i++ {
+		n = n*10 + int64(b[i]-'0')
+	}
+	if i == 1 || n > limit {
+		return nil, false
+	}
+	end := i + 2 + int(n)
+	if end+2 > len(b) || b[i] != '\r' || b[i+1] != '\n' || b[end] != '\r' || b[end+1] != '\n' {
+		return nil, false
+	}
+	if buf == nil {
+		buf = make([]byte, 0, n)
+	}
+	buf = append(buf[:0], b[i+2:end]...)
+	r.br.Discard(end + 2)
+	return buf, true
+}
+
 // ReadCommand decodes one client command: a multibulk frame (*N array of
 // bulk strings) or an inline command (a space-separated line). Empty frames
 // (*0, blank lines) are skipped. The returned argument slices are freshly
@@ -188,6 +221,10 @@ func (r *Reader) readCommandInto(dst [][]byte) ([][]byte, error) {
 			args := slot(dst, int(n))
 			total := int64(0)
 			for i := range args {
+				if a, ok := r.scanBulk(args[i], min(MaxBulk, MaxCommandBytes-total)); ok {
+					args[i], total = a, total+int64(len(a))
+					continue
+				}
 				pb, err := r.br.ReadByte()
 				if err != nil {
 					if err == io.EOF {
@@ -285,6 +322,10 @@ func (r *Reader) readReplyInto(dst *Reply) error {
 func (r *Reader) decodeReply(dst *Reply, depth int) error {
 	if depth > maxReplyDepth {
 		return protoErrf("reply nesting exceeds depth %d", maxReplyDepth)
+	}
+	if bulk, ok := r.scanBulk(dst.Bulk, MaxBulk); ok {
+		dst.Kind, dst.Int, dst.Bulk, dst.Elems = KindBulk, 0, bulk, dst.Elems[:0]
+		return nil
 	}
 	b, err := r.br.ReadByte()
 	if err != nil {

@@ -34,12 +34,15 @@
 //
 // Both directions work a frame at a time against bufio's buffer. The Writer
 // assembles a frame that fits the buffer's free space in place and commits
-// it with one write; the Reader parses integer lines in place and copies a
-// payload whose CRLF is already buffered straight out of the buffer. A frame
-// that straddles the buffer's edge — or an unusual one: a '+' or 19-digit
-// integer, a bare-LF terminator — takes the piecewise path, which accepts
-// and rejects exactly the same bytes, so the limits and error texts are the
-// same on both paths.
+// it with one write. The Reader decodes a bulk string that is wholly
+// buffered in one scan — '$', 1 to 18 digits, CRLF, the payload, CRLF,
+// within the limits — which parses the length in place, copies the payload
+// out and consumes the frame at once; nearly every argument and reply
+// element is one. Everything else goes piecewise: a frame that straddles the
+// buffer's edge, every other frame type, and an unusual bulk string (a null,
+// a '+' or 19-digit length, a bare-LF terminator, an oversized length). The
+// piecewise path accepts and rejects exactly the same bytes, so the limits
+// and error texts are the same on both paths.
 //
 // Malformed input never panics: every framing violation surfaces as a
 // *ProtocolError (the fuzz tests in this package hold that line), and the
