@@ -118,10 +118,11 @@ bench-smoke:
 # GET/SET/INCR/LRANGE self-session through the repo's own wire client
 # (CI images have no redis-cli); every reply is checked, then INFO must show
 # the store kind, the single-writer shard map (SWMRMap (M2, SWMR)) and the
-# session's keys. The second run records usage, and DEBUG ADVISE must certify
-# on every shard the single-writer map the store already plans.
+# session's keys. The first run arms a 5 s deadline on every read and write;
+# the second records usage, and DEBUG ADVISE must certify on every shard the
+# single-writer map the store already plans.
 server-smoke:
-	$(GO) run ./cmd/dego-server -smoke -shards 2
+	$(GO) run ./cmd/dego-server -smoke -shards 2 -timeout 5s
 	$(GO) run ./cmd/dego-server -smoke -shards 2 -record
 
 net-smoke:

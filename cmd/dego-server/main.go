@@ -14,10 +14,9 @@
 //	-capacity  per-shard capacity hint for the planner
 //	-record    attach usage recorders to the shard maps, enabling the
 //	           DEBUG ADVISE tuning-advisor verb (a profiling mode)
-//	-pipeline  max commands executed per pipeline batch
 //	-maxconns  cap on concurrent connections; one over the cap is answered
 //	           "-ERR max clients reached" and closed (0 = unlimited)
-//	-timeout   per-connection idle/read/write deadline (0 = none)
+//	-timeout   per-connection deadline on each read and each write (0 = none)
 //	-drain     graceful-shutdown budget on SIGINT/SIGTERM: in-flight pipeline
 //	           batches finish and flush within this window (0 = hard close)
 //	-smoke     bind an ephemeral port, run a scripted self-session, exit
@@ -61,9 +60,8 @@ func run(args []string, out *os.File) error {
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "keyspace shards, each behind its own lock")
 	capacity := fs.Int("capacity", 0, "per-shard capacity hint (0 = default)")
 	record := fs.Bool("record", false, "attach usage recorders to the shard maps (DEBUG ADVISE)")
-	pipeline := fs.Int("pipeline", 0, "max commands per pipeline batch (0 = default)")
 	maxconns := fs.Int("maxconns", 0, "max concurrent connections (0 = unlimited)")
-	timeout := fs.Duration("timeout", 0, "per-connection idle/read/write deadline (0 = none)")
+	timeout := fs.Duration("timeout", 0, "per-connection deadline on each read and each write (0 = none)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain budget (0 = hard close)")
 	smoke := fs.Bool("smoke", false, "self-test: ephemeral port, scripted session, exit")
 	if err := fs.Parse(args); err != nil {
@@ -77,11 +75,8 @@ func run(args []string, out *os.File) error {
 			Capacity: *capacity,
 			Record:   *record,
 		},
-		MaxPipeline:  *pipeline,
-		MaxConns:     *maxconns,
-		IdleTimeout:  *timeout,
-		ReadTimeout:  *timeout,
-		WriteTimeout: *timeout,
+		MaxConns: *maxconns,
+		Timeout:  *timeout,
 	}
 	if *smoke {
 		cfg.Addr = "127.0.0.1:0"

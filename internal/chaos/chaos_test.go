@@ -75,12 +75,10 @@ func TestChaosStorm(t *testing.T) {
 		ResetProb:        0.01,
 	})
 	srv, err := server.New(server.Config{
-		Listener:     faultnet.WrapListener(inner, in),
-		Store:        server.StoreConfig{Shards: 2, Kind: server.StoreAdaptive, Capacity: 1024},
-		MaxConns:     128,
-		IdleTimeout:  10 * time.Second,
-		ReadTimeout:  5 * time.Second,
-		WriteTimeout: 5 * time.Second,
+		Listener: faultnet.WrapListener(inner, in),
+		Store:    server.StoreConfig{Shards: 2, Kind: server.StoreAdaptive, Capacity: 1024},
+		MaxConns: 128,
+		Timeout:  10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

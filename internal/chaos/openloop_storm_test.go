@@ -29,11 +29,9 @@ func TestChaosOpenLoopStorm(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	srv, err := server.New(server.Config{
-		Store:        server.StoreConfig{Shards: 2, Kind: server.StoreAdaptive, Capacity: 1024},
-		MaxConns:     64,
-		IdleTimeout:  10 * time.Second,
-		ReadTimeout:  5 * time.Second,
-		WriteTimeout: 5 * time.Second,
+		Store:    server.StoreConfig{Shards: 2, Kind: server.StoreAdaptive, Capacity: 1024},
+		MaxConns: 64,
+		Timeout:  10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

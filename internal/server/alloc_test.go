@@ -5,6 +5,8 @@ package server
 import (
 	"bytes"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,25 +14,27 @@ import (
 	"github.com/adjusted-objects/dego/internal/wire"
 )
 
-// Allocation ceilings of the serving path, steady state, per call of the
-// row's function. Timing on a shared box cannot hold a line; these counts
-// repeat exactly, so they can. A change may lower a number here, never
-// raise one. (The race detector allocates on its own, hence the build tag;
-// `make cover` runs this file.)
+// Allocation and byte ceilings of the serving path, steady state, per call
+// of the row's function, averaged over a thousand calls (perCall). Timing on
+// a shared box cannot hold a line; these counts repeat exactly, so they can.
+// A change may lower a number here, never raise one. (The race detector
+// allocates on its own, hence the build tag; `make cover` runs this file.)
 //
-// What the table-2 row still pays, 73 for 38 commands: 60 of them are its
-// ten follows, each a SADD that creates a set key the unfollow after it
-// empties and deletes — the object, its set, the key's clone, the SWMR map's
-// node and value box, the member string: six a follow. The rest is SET's
-// value clone, object and value box, INCR's digits, ZADD's member string,
-// and the sorted set's index growing under new members. An LPUSH encodes its
-// element into the list's buffer, which moves to a fresh one only once per
-// dozens of pushes. A write to a present key makes no map call and boxes
-// nothing. The timeline-read row pays nothing: lookups borrow their key
-// from the decoded argument, running a shard's units under its lock
-// allocates nothing, and an LRANGE answers with a window of the list's
-// buffer. Planning finds a verb's row by comparing its bytes in place, so no
-// verb costs an allocation before its handler runs.
+// What the table-2 row still pays, 73.04 allocations and 3909 B for 38
+// commands: 60 of the allocations are its ten follows, each a SADD that
+// creates a set key the unfollow after it empties and deletes — the object,
+// its set, the key's clone, the SWMR map's node and value box, the member
+// string: six a follow. The rest is SET's value clone, object and value box,
+// INCR's digits, ZADD's member string, and the sorted set's index growing
+// under new members. An LPUSH encodes its element into the list's buffer,
+// which moves to a fresh one only once per dozens of pushes; such
+// once-in-many-batches growth is the .04. A write to a present key makes no
+// map call and boxes nothing. Every other row pays nothing, in bytes too.
+// The timeline-read row: lookups borrow their key from the decoded
+// argument, running a shard's units under its lock allocates nothing, and
+// an LRANGE answers with a window of the list's buffer. Planning finds a
+// verb's row by comparing its bytes in place, so no verb costs an
+// allocation before its handler runs.
 func TestAllocCeilings(t *testing.T) {
 	cmdStream := func() func() {
 		r := wire.NewReader(&loopReader{data: []byte("*4\r\n$4\r\nZADD\r\n$9\r\nposts:123\r\n$2\r\n17\r\n$6\r\n123:17\r\n*2\r\n$3\r\nGET\r\n$11\r\nprofile:123\r\n")})
@@ -145,30 +149,49 @@ func TestAllocCeilings(t *testing.T) {
 	readBatch := func() func() { return storeRunner(t, timelineSeed(), timelineRead()) }
 
 	for _, row := range []struct {
-		name    string
-		ceiling float64
-		setup   func() func()
+		name                  string
+		ceilAllocs, ceilBytes float64
+		setup                 func() func()
 	}{
-		{"wire.CommandBatch, ZADD + GET batch on recycled storage", 0, cmdStream},
-		{"wire.ReplyBatch, 50-element array then an integer", 0, replyStream},
-		{"wire.ReplyBatch, 16-reply table-2 pipeline", 0, pipelineStream},
-		{"wire.Writer.WriteReply, 50-element array", 0, replyEncode},
-		{"wire.Writer.WriteReply, 50-frame pre-encoded array", 0, framesEncode},
-		{"wire.Writer.WriteCommand, 4-argument ZADD", 0, cmdEncode},
-		{"planCommand, one command of every verb", 0, planEveryVerb},
-		{"store.run, 38-command table-2 batch", 73, table2Batch},
-		{"store.run, GET profile + LRANGE timeline 0 49 read batch", 0, readBatch},
+		{"wire.CommandBatch, ZADD + GET batch on recycled storage", 0, 0, cmdStream},
+		{"wire.ReplyBatch, 50-element array then an integer", 0, 0, replyStream},
+		{"wire.ReplyBatch, 16-reply table-2 pipeline", 0, 0, pipelineStream},
+		{"wire.Writer.WriteReply, 50-element array", 0, 0, replyEncode},
+		{"wire.Writer.WriteReply, 50-frame pre-encoded array", 0, 0, framesEncode},
+		{"wire.Writer.WriteCommand, 4-argument ZADD", 0, 0, cmdEncode},
+		{"planCommand, one command of every verb", 0, 0, planEveryVerb},
+		{"store.run, 38-command table-2 batch", 73.04, 3909.44, table2Batch},
+		{"store.run, GET profile + LRANGE timeline 0 49 read batch", 0, 0, readBatch},
 	} {
-		f := row.setup()
-		for i := 0; i < 64; i++ {
-			f() // reach steady state: destinations sized, keys present, timelines full
-		}
-		if got := testing.AllocsPerRun(200, f); got > row.ceiling {
-			t.Errorf("%s: %v allocations per run, ceiling %v", row.name, got, row.ceiling)
-		} else if got < row.ceiling {
-			t.Logf("%s: %v allocations per run, ceiling %v — lower the ceiling", row.name, got, row.ceiling)
+		allocs, bytes := perCall(row.setup())
+		if allocs > row.ceilAllocs || bytes > row.ceilBytes {
+			t.Errorf("%s: %.3f allocations, %.3f B per call; ceiling %g, %g B", row.name, allocs, bytes, row.ceilAllocs, row.ceilBytes)
+		} else if allocs < row.ceilAllocs || bytes < row.ceilBytes {
+			t.Logf("%s: %.3f allocations, %.3f B per call; ceiling %g, %g B — lower the ceiling", row.name, allocs, bytes, row.ceilAllocs, row.ceilBytes)
 		}
 	}
+}
+
+// perCall runs f a thousand times on one processor and returns the
+// allocations and bytes one call made on average. It first runs f 64 times
+// on that processor to reach steady state: destinations sized, keys
+// present, timelines full, and the scratch pool filled on the processor
+// that measures. The collector is off meanwhile: a collection empties the
+// pool, and refilling it allocates.
+func perCall(f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 64; i++ {
+		f()
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // loopReader serves data over and over: an endless stream of valid frames.

@@ -71,7 +71,7 @@ func TestShardMapsStayQuiescentUnderConfinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBulk(t, st.Exec(cmd("GET", "stat:posts")), strconv.Itoa(clients*rounds*4))
-	if n := st.PanicCount(); n != 0 {
+	if n := st.Stats().Panics; n != 0 {
 		t.Fatalf("%d shard executions panicked; last: %v", n, st.LastPanic())
 	}
 

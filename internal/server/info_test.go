@@ -1,8 +1,8 @@
 package server
 
 // INFO and DEBUG ADVISE: the introspection verbs. INFO's sections must
-// reflect the store's real shape and the serving layer's counters when a
-// Server is attached; DEBUG ADVISE must run the tuning advisor over every
+// reflect the store's real shape and the serving layer's counters, which a
+// bare in-process store reports at zero; DEBUG ADVISE must run the tuning advisor over every
 // shard's recorded usage and rediscover the single-writer structure shard
 // confinement guarantees.
 
@@ -56,6 +56,13 @@ func TestInfoStoreSections(t *testing.T) {
 	}
 	if got["usage_recording"] != "0" {
 		t.Fatalf("usage_recording = %q, want 0", got["usage_recording"])
+	}
+	// No Server serves this store: every counter is there, at zero.
+	for _, k := range []string{"connected_clients", "total_connections_received", "rejected_connections",
+		"idle_timeouts", "slow_reader_drops", "protocol_errors", "panics_recovered"} {
+		if v, ok := got[k]; !ok || v != "0" {
+			t.Fatalf("%s = %q (present %v), want 0", k, v, ok)
+		}
 	}
 	// Per-shard op counts: the two SETs executed somewhere.
 	total := 0

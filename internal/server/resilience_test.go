@@ -76,8 +76,8 @@ func TestServerMaxConns(t *testing.T) {
 // closed by the server and counted.
 func TestServerIdleTimeout(t *testing.T) {
 	srv := startTestServer(t, Config{
-		Store:       StoreConfig{Shards: 1, Capacity: 64},
-		IdleTimeout: 50 * time.Millisecond,
+		Store:   StoreConfig{Shards: 1, Capacity: 64},
+		Timeout: 50 * time.Millisecond,
 	})
 	r, w, c := dialTestServer(t, srv)
 
@@ -99,11 +99,11 @@ func TestServerIdleTimeout(t *testing.T) {
 }
 
 // TestServerReadTimeoutTornFrame: a command that starts arriving and then
-// stalls mid-frame cannot hold the connection open past ReadTimeout.
+// stalls mid-frame cannot hold the connection open past Timeout.
 func TestServerReadTimeoutTornFrame(t *testing.T) {
 	srv := startTestServer(t, Config{
-		Store:       StoreConfig{Shards: 1, Capacity: 64},
-		ReadTimeout: 50 * time.Millisecond,
+		Store:   StoreConfig{Shards: 1, Capacity: 64},
+		Timeout: 50 * time.Millisecond,
 	})
 	_, _, c := dialTestServer(t, srv)
 
@@ -151,9 +151,18 @@ func TestServerPanicRecovery(t *testing.T) {
 
 // TestServerShutdownDrains: a pipeline batch in flight when Shutdown is
 // called executes to completion and every reply reaches the client — no
-// EOF mid-reply — while an idle connection closes immediately.
+// EOF mid-reply — while an idle connection closes immediately. With a
+// deadline armed the idle connection still closes at once, not when its
+// read deadline expires: a read arming its deadline never overwrites the
+// expired one Shutdown's interrupt set.
 func TestServerShutdownDrains(t *testing.T) {
-	srv, serveDone := startServerCapture(t, Config{Store: StoreConfig{Shards: 1, Capacity: 64}})
+	for _, timeout := range []time.Duration{0, 10 * time.Second} {
+		t.Run("timeout="+timeout.String(), func(t *testing.T) { testServerShutdownDrains(t, timeout) })
+	}
+}
+
+func testServerShutdownDrains(t *testing.T, timeout time.Duration) {
+	srv, serveDone := startServerCapture(t, Config{Store: StoreConfig{Shards: 1, Capacity: 64}, Timeout: timeout})
 	r, w, c := dialTestServer(t, srv)
 	idleR, _, idleC := dialTestServer(t, srv)
 
@@ -179,10 +188,10 @@ func TestServerShutdownDrains(t *testing.T) {
 		t.Fatal("connection still open after drain")
 	}
 
-	// The idle connection was closed without a reply.
+	// The idle connection was closed without a reply, not left to time out.
 	idleC.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := idleR.ReadReply(); err == nil {
-		t.Fatal("idle connection survived Shutdown")
+	if _, err := idleR.ReadReply(); err == nil || isTimeout(err) {
+		t.Fatalf("idle connection survived Shutdown: read = %v", err)
 	}
 
 	if err := <-serveDone; !errors.Is(err, ErrServerClosed) {
@@ -235,9 +244,8 @@ func TestServerCloseIdempotent(t *testing.T) {
 // replies are in flight is dropped instead of pinning server memory.
 func TestServerSlowReaderDisconnect(t *testing.T) {
 	srv := startTestServer(t, Config{
-		Store:        StoreConfig{Shards: 1, Capacity: 64},
-		WriteTimeout: 5 * time.Millisecond,
-		OutBuf:       4 << 10,
+		Store:   StoreConfig{Shards: 1, Capacity: 64},
+		Timeout: 100 * time.Millisecond,
 	})
 	r, w, _ := dialTestServer(t, srv)
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/adjusted-objects/dego/internal/wire"
@@ -24,6 +23,10 @@ var ErrServerClosed = errors.New("server: closed")
 // the client-visible contract.
 const MaxClientsMsg = "ERR max clients reached"
 
+// maxPipeline caps how many pipelined commands one batch executes before
+// its replies are flushed.
+const maxPipeline = 256
+
 // Config configures a Server.
 type Config struct {
 	// Addr is the TCP listen address; "" means "127.0.0.1:0" (an ephemeral
@@ -35,40 +38,16 @@ type Config struct {
 	Listener net.Listener
 	// Store sizes the sharded keyspace.
 	Store StoreConfig
-	// MaxPipeline caps how many pipelined commands one batch executes
-	// before replies are flushed; 0 means 256.
-	MaxPipeline int
 	// MaxConns caps concurrently served connections; one over the cap is
 	// answered -ERR max clients reached (MaxClientsMsg) and closed.
 	// 0 means unlimited.
 	MaxConns int
-	// IdleTimeout bounds how long a connection may sit between pipeline
-	// batches before the server closes it; 0 means forever.
-	IdleTimeout time.Duration
-	// ReadTimeout bounds each read once a command has started arriving, so
-	// a torn frame cannot hold the connection (and its memory) hostage;
-	// 0 means unbounded.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each write of reply bytes toward the client: a
-	// client that stops reading is disconnected once a write has blocked
-	// this long (counted in Stats.SlowReaderDrops). 0 means unbounded.
-	WriteTimeout time.Duration
-	// OutBuf caps the reply bytes buffered per connection before they are
-	// forced onto the wire (the write buffer size); 0 means 64 KiB.
-	// Together with WriteTimeout it bounds what a slow reader can pin.
-	OutBuf int
-}
-
-// Stats is a snapshot of the server's resilience counters; see
-// ARCHITECTURE.md's "Resilience" section for the invariants they witness.
-type Stats struct {
-	Accepted        uint64 // connections accepted and served
-	Rejected        uint64 // connections refused at the MaxConns cap
-	Active          int64  // connections being served right now
-	IdleTimeouts    uint64 // connections closed by the idle/read deadline
-	SlowReaderDrops uint64 // connections dropped writing to a slow reader
-	ProtocolErrors  uint64 // framing violations answered and closed
-	Panics          uint64 // panics recovered (connection handlers + shard executions)
+	// Timeout bounds each read from and each write to a connection: a peer
+	// silent between batches or mid-frame is closed (Stats.IdleTimeouts),
+	// and so is one that stops reading its replies (Stats.SlowReaderDrops).
+	// Together with the writer's 64 KiB buffer it bounds what a slow reader
+	// can pin. 0 means unbounded.
+	Timeout time.Duration
 }
 
 // Server serves the RESP subset over TCP: one accept loop hands each
@@ -85,9 +64,6 @@ type Server struct {
 	open   map[*lifecycleConn]struct{}
 	closed bool
 	conns  sync.WaitGroup
-
-	accepted, rejected, idleTimeouts, slowDrops, protoErrs, panics atomic.Uint64
-	active                                                         atomic.Int64
 }
 
 // New builds the store but does not bind yet.
@@ -95,40 +71,23 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	if cfg.MaxPipeline <= 0 {
-		cfg.MaxPipeline = 256
-	}
 	st, err := NewStore(cfg.Store)
 	if err != nil {
 		return nil, err
 	}
-	srv := &Server{
+	return &Server{
 		cfg:   cfg,
 		store: st,
 		open:  map[*lifecycleConn]struct{}{},
-	}
-	// INFO carries the serving layer's counters alongside the store's.
-	st.SetStatsSource(srv.Stats)
-	return srv, nil
+	}, nil
 }
 
 // Store returns the shared sharded store (also the in-process target for
 // retwis' local client).
 func (s *Server) Store() *Store { return s.store }
 
-// Stats snapshots the resilience counters. Panics sums connection-handler
-// recoveries and shard-execution recoveries.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Accepted:        s.accepted.Load(),
-		Rejected:        s.rejected.Load(),
-		Active:          s.active.Load(),
-		IdleTimeouts:    s.idleTimeouts.Load(),
-		SlowReaderDrops: s.slowDrops.Load(),
-		ProtocolErrors:  s.protoErrs.Load(),
-		Panics:          s.panics.Load() + s.store.PanicCount(),
-	}
-}
+// Stats snapshots the resilience counters, which the store keeps.
+func (s *Server) Stats() Stats { return s.store.Stats() }
 
 // Listen binds the configured address, or adopts Config.Listener.
 func (s *Server) Listen() error {
@@ -255,16 +214,16 @@ func (s *Server) acceptLoop() {
 		}
 		if s.cfg.MaxConns > 0 && len(s.open) >= s.cfg.MaxConns {
 			s.mu.Unlock()
-			s.rejected.Add(1)
+			s.store.count.rejected.Add(1)
 			go rejectMaxClients(c)
 			continue
 		}
-		lc := newLifecycleConn(c, s.cfg)
+		lc := &lifecycleConn{Conn: c, timeout: s.cfg.Timeout}
 		s.open[lc] = struct{}{}
 		s.conns.Add(1)
 		s.mu.Unlock()
-		s.accepted.Add(1)
-		s.active.Add(1)
+		s.store.count.accepted.Add(1)
+		s.store.count.active.Add(1)
 		go s.handle(lc)
 	}
 }
@@ -282,12 +241,12 @@ func (s *Server) forget(c *lifecycleConn) {
 	s.mu.Lock()
 	delete(s.open, c)
 	s.mu.Unlock()
-	s.active.Add(-1)
+	s.store.count.active.Add(-1)
 }
 
 // handle runs one connection: read the first command blocking (bounded by
-// IdleTimeout), drain whatever complete pipeline follow-up is already
-// buffered (up to MaxPipeline), execute the batch through the store, write
+// Timeout), drain whatever complete pipeline follow-up is already buffered
+// (up to maxPipeline), execute the batch through the store, write
 // the replies in order, flush once. QUIT replies +OK and closes; framing
 // errors reply -ERR Protocol error and close, since the stream position is
 // gone; deadline expiries and drain interrupts close silently. A panic
@@ -300,10 +259,10 @@ func (s *Server) handle(lc *lifecycleConn) {
 	defer s.forget(lc)
 	defer lc.Conn.Close()
 
-	w := wire.NewWriterSize(lc, s.cfg.OutBuf)
+	w := wire.NewWriter(lc)
 	defer func() {
 		if p := recover(); p != nil {
-			s.panics.Add(1)
+			s.store.count.panics.Add(1)
 			// Best effort: the peer learns the connection died server-side
 			// rather than just seeing EOF. The writer may hold a torn
 			// frame; the connection is closing either way.
@@ -320,13 +279,12 @@ func (s *Server) handle(lc *lifecycleConn) {
 	)
 
 	for {
-		lc.beginIdle()
 		if err := batch.Read(r); err != nil {
 			s.closeOnReadError(w, err)
 			return
 		}
 		var deferredErr error
-		for len(batch.Commands()) < s.cfg.MaxPipeline && r.Buffered() > 0 {
+		for len(batch.Commands()) < maxPipeline && r.Buffered() > 0 {
 			if deferredErr = batch.Read(r); deferredErr != nil {
 				break
 			}
@@ -373,11 +331,11 @@ func (s *Server) closeOnReadError(w *wire.Writer, err error) {
 	case errors.Is(err, errDrainInterrupt):
 		// Graceful shutdown interrupted the wait for the next command.
 	case isTimeout(err):
-		s.idleTimeouts.Add(1)
+		s.store.count.idleTimeouts.Add(1)
 	default:
 		var pe *wire.ProtocolError
 		if errors.As(err, &pe) {
-			s.protoErrs.Add(1)
+			s.store.count.protoErrs.Add(1)
 			w.WriteReply(wire.Errf("ERR Protocol error: %s", pe.Detail))
 			w.Flush()
 		}
@@ -385,9 +343,9 @@ func (s *Server) closeOnReadError(w *wire.Writer, err error) {
 }
 
 // closeOnWriteError counts a reply stream cut off by the write deadline —
-// WriteTimeout disconnecting a client that stopped draining.
+// Timeout disconnecting a client that stopped draining.
 func (s *Server) closeOnWriteError(err error) {
 	if isTimeout(err) {
-		s.slowDrops.Add(1)
+		s.store.count.slowDrops.Add(1)
 	}
 }

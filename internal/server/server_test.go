@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -540,7 +541,7 @@ func TestStoreCloseRacesBlockedDispatchers(t *testing.T) {
 	if rep := <-sleeper; rep.Kind != wire.KindSimple || rep.Text() != "OK" {
 		t.Fatalf("DEBUG SLEEP = %v, want +OK: it held the lock before Close", rep)
 	}
-	if n := st.PanicCount(); n != 0 {
+	if n := st.Stats().Panics; n != 0 {
 		t.Fatalf("%d unit executions panicked; last: %v", n, st.LastPanic())
 	}
 }
@@ -715,4 +716,93 @@ func TestServerInlineCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBulk(t, rep, "yes")
+}
+
+// TestPipelineCostsOneWrite pins the syscalls a connection spends on one
+// pipeline: the 16 commands of a table-2 pipeline, sent in one write, are
+// read in one Read and answered with exactly one Write; the only other Read
+// is the one that meets the client's close.
+func TestPipelineCostsOneWrite(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner, conns: make(chan *countingConn, 1)}
+	srv := startTestServer(t, Config{Listener: ln, Store: StoreConfig{Shards: 2, Capacity: 256}})
+	c, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 16
+	var pipeline bytes.Buffer
+	w := wire.NewWriter(&pipeline)
+	for _, args := range table2Commands(n) {
+		w.WriteCommand(args...)
+	}
+	w.Flush()
+	if _, err := c.Write(pipeline.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var replies wire.ReplyBatch
+	reps, err := replies.Read(wire.NewReader(c), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reps {
+		if rep.IsError() {
+			t.Fatalf("reply %d = %v", i, rep)
+		}
+	}
+	c.Close()
+
+	sc := <-ln.conns
+	select {
+	case <-sc.closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server did not close the connection after the client's")
+	}
+	if reads, writes := sc.reads.Load(), sc.writes.Load(); reads != 2 || writes != 1 {
+		t.Fatalf("%d-command pipeline cost %d Reads and %d Writes, want 2 and 1", n, reads, writes)
+	}
+}
+
+// countingListener hands out connections that count their Reads and Writes.
+type countingListener struct {
+	net.Listener
+	conns chan *countingConn
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	cc := &countingConn{Conn: c, closed: make(chan struct{})}
+	l.conns <- cc
+	return cc, nil
+}
+
+type countingConn struct {
+	net.Conn
+	reads, writes atomic.Int64
+	closed        chan struct{}
+	closeOnce     sync.Once
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c *countingConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
 }

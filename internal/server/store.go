@@ -113,16 +113,31 @@ type Store struct {
 	// pool lends ExecBatch its scratch; connection handlers own theirs.
 	pool sync.Pool
 
-	// panics counts shard executions recovered by execSafe; lastPanic
-	// holds the most recent one as a *wire.ProtocolError. A shard panic
-	// poisons one unit's reply, never the lock holder.
-	panics    atomic.Uint64
+	// count holds the resilience counters Stats snapshots; lastPanic holds
+	// the most recently recovered shard execution as a *wire.ProtocolError.
+	// A shard panic poisons one unit's reply, never the lock holder.
+	count     counters
 	lastPanic atomic.Pointer[wire.ProtocolError]
+}
 
-	// statsFn, when set, contributes the serving layer's connection
-	// counters to INFO. The TCP server installs its Stats method here; a
-	// bare in-process Store reports store-level sections only.
-	statsFn atomic.Pointer[func() Stats]
+// counters are the serving layer's resilience counters. The shard executor
+// counts the panics it recovers; a Server counts its connections and the
+// rest, so a bare in-process Store reports zero connections.
+type counters struct {
+	accepted, rejected, idleTimeouts, slowDrops, protoErrs, panics atomic.Uint64
+	active                                                         atomic.Int64
+}
+
+// Stats is a snapshot of the resilience counters; see ARCHITECTURE.md's
+// "Resilience" section for the invariants they witness.
+type Stats struct {
+	Accepted        uint64 // connections accepted and served
+	Rejected        uint64 // connections refused at the MaxConns cap
+	Active          int64  // connections being served right now
+	IdleTimeouts    uint64 // connections closed by the read deadline
+	SlowReaderDrops uint64 // connections dropped writing to a slow reader
+	ProtocolErrors  uint64 // framing violations answered and closed
+	Panics          uint64 // panics recovered (connection handlers + shard executions)
 }
 
 // NewStore builds the shards. It starts no goroutine.
@@ -174,16 +189,22 @@ func (s *Store) Len() int {
 // Plan describes shard 0's planned representation (all shards share it).
 func (s *Store) Plan() dego.Plan { return s.shards[0].obj.Plan() }
 
-// PanicCount returns how many unit executions have panicked and been
-// recovered.
-func (s *Store) PanicCount() uint64 { return s.panics.Load() }
-
 // Recording reports whether the shard maps carry usage recorders.
 func (s *Store) Recording() bool { return s.cfg.Record }
 
-// SetStatsSource installs the serving layer's counter snapshot for INFO.
-// The TCP server calls this once at construction; safe to race with Exec.
-func (s *Store) SetStatsSource(fn func() Stats) { s.statsFn.Store(&fn) }
+// Stats snapshots the resilience counters.
+func (s *Store) Stats() Stats {
+	c := &s.count
+	return Stats{
+		Accepted:        c.accepted.Load(),
+		Rejected:        c.rejected.Load(),
+		Active:          c.active.Load(),
+		IdleTimeouts:    c.idleTimeouts.Load(),
+		SlowReaderDrops: c.slowDrops.Load(),
+		ProtocolErrors:  c.protoErrs.Load(),
+		Panics:          c.panics.Load(),
+	}
+}
 
 // Advise runs the tuning advisor over every shard map's recorded usage.
 // ok is false when the store was built without StoreConfig.Record. The
@@ -203,8 +224,8 @@ func (s *Store) Advise() ([]dego.Advice, bool) {
 }
 
 // Info renders the INFO reply: redis-style "# Section" headers over
-// key:value lines, CRLF-terminated. Store sections always; the serving
-// layer's Clients/Stats sections when a stats source is installed.
+// key:value lines, CRLF-terminated. The Clients and Stats sections print
+// Stats.
 func (s *Store) Info() string {
 	var b strings.Builder
 	recording := 0
@@ -214,15 +235,11 @@ func (s *Store) Info() string {
 	plan := s.Plan()
 	fmt.Fprintf(&b, "# Server\r\nstore_kind:%s\r\nshard_map:%s %s\r\nshards:%d\r\nusage_recording:%d\r\n",
 		s.cfg.Kind, plan.Rep, plan.Declared(), len(s.shards), recording)
-	if fn := s.statsFn.Load(); fn != nil {
-		st := (*fn)()
-		fmt.Fprintf(&b, "# Clients\r\nconnected_clients:%d\r\n", st.Active)
-		fmt.Fprintf(&b, "# Stats\r\ntotal_connections_received:%d\r\nrejected_connections:%d\r\n"+
-			"idle_timeouts:%d\r\nslow_reader_drops:%d\r\nprotocol_errors:%d\r\npanics_recovered:%d\r\n",
-			st.Accepted, st.Rejected, st.IdleTimeouts, st.SlowReaderDrops, st.ProtocolErrors, st.Panics)
-	} else {
-		fmt.Fprintf(&b, "# Stats\r\npanics_recovered:%d\r\n", s.PanicCount())
-	}
+	st := s.Stats()
+	fmt.Fprintf(&b, "# Clients\r\nconnected_clients:%d\r\n", st.Active)
+	fmt.Fprintf(&b, "# Stats\r\ntotal_connections_received:%d\r\nrejected_connections:%d\r\n"+
+		"idle_timeouts:%d\r\nslow_reader_drops:%d\r\nprotocol_errors:%d\r\npanics_recovered:%d\r\n",
+		st.Accepted, st.Rejected, st.IdleTimeouts, st.SlowReaderDrops, st.ProtocolErrors, st.Panics)
 	fmt.Fprintf(&b, "# Keyspace\r\nkeys:%d\r\n", s.Len())
 	fmt.Fprintf(&b, "# Shards\r\n")
 	for i, sh := range s.shards {
@@ -237,7 +254,7 @@ func (s *Store) LastPanic() *wire.ProtocolError { return s.lastPanic.Load() }
 
 // notePanic records one recovered shard execution.
 func (s *Store) notePanic(pe *wire.ProtocolError) {
-	s.panics.Add(1)
+	s.count.panics.Add(1)
 	s.lastPanic.Store(pe)
 }
 

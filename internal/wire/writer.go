@@ -32,8 +32,8 @@ func NewWriter(w io.Writer) *Writer {
 
 // NewWriterSize returns a Writer over w whose buffer holds size bytes
 // before a write is forced onto the stream; size <= 0 means 64 KiB. The
-// server sizes this per connection (Config.OutBuf) so the buffer, together
-// with the write deadline, bounds the memory a slow reader can pin.
+// server keeps the default: that buffer, together with the write deadline,
+// bounds the memory a slow reader can pin.
 func NewWriterSize(w io.Writer, size int) *Writer {
 	if size <= 0 {
 		size = 64 << 10
