@@ -34,12 +34,12 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # the adaptive map's promotion path is exercised on every CI run. The
 # layer benchmarks of the ordered maps (BenchmarkOrdered) and the adaptive
 # map (BenchmarkMap), the root figure wrappers (BenchmarkFig*), the serving
-# executor's (BenchmarkStoreRun, its contended case included) and the
+# executor's (BenchmarkStoreRun, its contended case included), the
 # codec's (BenchmarkCommandBatch, BenchmarkReplyBatch, BenchmarkWriteReply)
-# run once each so they cannot rot, and so does cmd/benchcmp, the
-# alternating-pair runner every performance comparison is made with: one
-# -bench pair of the checkout against itself over the executor's benchmarks
-# and one over the decoders'.
+# and the wire client's (BenchmarkNetClient) run once each so they cannot
+# rot, and so does cmd/benchcmp, the alternating-pair runner every
+# performance comparison is made with: one -bench pair of the checkout
+# against itself over the executor's benchmarks and one over the decoders'.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
@@ -111,6 +111,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Fig -benchtime 1x .
 	$(GO) test -run '^$$' -bench StoreRun -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench 'CommandBatch|ReplyBatch|WriteReply' -benchtime 1x ./internal/wire
+	$(GO) test -run '^$$' -bench NetClient -benchtime 1x ./internal/retwis
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench StoreRun . . -- -benchtime 1x ./internal/server
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'CommandBatch|ReplyBatch' . . -- -benchtime 1x ./internal/wire
 

@@ -215,11 +215,12 @@ func TestChaosStorm(t *testing.T) {
 			failures <- fmt.Errorf("client %d: verify SMEMBERS: %w", cid, err)
 			return
 		}
-		if len(reps[0].Elems) != len(exp.members) {
-			failures <- fmt.Errorf("client %d: set has %d members, want %d", cid, len(reps[0].Elems), len(exp.members))
+		members := reps[0].Expand().Elems
+		if len(members) != len(exp.members) {
+			failures <- fmt.Errorf("client %d: set has %d members, want %d", cid, len(members), len(exp.members))
 			return
 		}
-		for _, e := range reps[0].Elems {
+		for _, e := range members {
 			if _, ok := exp.members[e.Text()]; !ok {
 				failures <- fmt.Errorf("client %d: unexpected member %q", cid, e.Text())
 				return

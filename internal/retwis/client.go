@@ -20,7 +20,10 @@ import (
 // dego-server over TCP. ExecPipe executes one pipeline: every command is
 // sent, then every reply is read, in order. The replies are valid until the
 // next ExecPipe on the same KV, which may decode into the same memory; a
-// caller that keeps one longer copies it. cmds is not retained.
+// caller that keeps one longer copies it. cmds is not retained. A WireKV
+// may return an array of bulk strings (LRANGE, SMEMBERS) as
+// wire.KindFrames; its Expand or String gives the elements, and IsError
+// reads it as any other reply.
 type KV interface {
 	ExecPipe(cmds [][][]byte) ([]wire.Reply, error)
 	Close() error

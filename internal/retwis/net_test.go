@@ -149,10 +149,11 @@ func TestRunNetSelfHostedAndRemote(t *testing.T) {
 
 // TestWireKVRepliesReusedAndBounded pins the KV.ExecPipe contract on the
 // wire client: replies are decoded into storage the next ExecPipe reuses
-// (so they are valid until then, not after), array elements go to the one
-// arena whichever command they answer, and neither a megabyte value nor a
-// 3000-element array stays pinned once answered — carried-over capacity is
-// at most wire.RetainTotal for the replies and as much for the arena.
+// (so they are valid until then, not after), a list comes back as the
+// frames it arrived in, in its command's slot, and neither a megabyte value
+// nor a 3000-element list stays pinned once answered — carried-over
+// capacity is at most wire.RetainTotal for the replies and as much for the
+// element arena.
 func TestWireKVRepliesReusedAndBounded(t *testing.T) {
 	srv, err := server.New(server.Config{Store: server.StoreConfig{Shards: 2}})
 	if err != nil {
@@ -190,20 +191,32 @@ func TestWireKVRepliesReusedAndBounded(t *testing.T) {
 	}
 
 	exec(b("LPUSH", "l", "one", "two", "three"), b("SET", "k", "value"))
-	// The array answers command 1, then command 0: both decodes land at the
-	// start of the arena, and the first reply's slot is decoded into again.
-	exec(b("GET", "k"), b("LRANGE", "l", "0", "-1")) // sizes the arena
+	// An array of bulk strings that arrives whole comes back as its frames,
+	// in the slot of the command it answers: the LRANGE's frames land in
+	// slot 1's storage, and the next pipeline that answers slot 1 with a
+	// list decodes into it again. The server answers a pipeline with one
+	// write, and the client refills its drained buffer before decoding, so
+	// these short lists arrive whole.
+	exec(b("GET", "k"), b("LRANGE", "l", "0", "-1")) // sizes the slots
 	first := exec(b("GET", "k"), b("LRANGE", "l", "0", "-1"))
-	slot, elem := &first[0], &first[1].Elems[0]
-	if first[0].Text() != "value" || len(first[1].Elems) != 3 || first[1].Elems[0].Text() != "three" {
+	if first[1].Kind != wire.KindFrames {
+		t.Fatalf("LRANGE answered %+v, want frames", first[1])
+	}
+	slot, frames := &first[0], &first[1].Bulk[0]
+	list := first[1].Expand()
+	if first[0].Text() != "value" || len(list.Elems) != 3 || list.Elems[0].Text() != "three" {
 		t.Fatalf("first pipeline = %v", first)
 	}
-	second := exec(b("LRANGE", "l", "0", "1"), b("GET", "k"))
-	if len(second[0].Elems) != 2 || second[0].Elems[1].Text() != "two" || second[1].Text() != "value" {
+	second := exec(b("GET", "k"), b("LRANGE", "l", "0", "1"))
+	if second[1].Kind != wire.KindFrames {
+		t.Fatalf("LRANGE answered %+v, want frames", second[1])
+	}
+	list = second[1].Expand()
+	if len(list.Elems) != 2 || list.Elems[1].Text() != "two" || second[0].Text() != "value" {
 		t.Fatalf("second pipeline = %v", second)
 	}
-	if &second[0] != slot || &second[0].Elems[0] != elem {
-		t.Fatal("the second ExecPipe did not reuse the first one's reply and element storage")
+	if &second[0] != slot || &second[1].Bulk[0] != frames {
+		t.Fatal("the second ExecPipe did not reuse the first one's reply and frames storage")
 	}
 
 	big := make([]byte, 1<<20)
@@ -214,8 +227,8 @@ func TestWireKVRepliesReusedAndBounded(t *testing.T) {
 	}
 	exec(long, long, long)
 	reps := exec(b("GET", "big"), b("LRANGE", "long", "0", "-1"))
-	if len(reps[0].Bulk) != 1<<20 || len(reps[1].Elems) != 3000 {
-		t.Fatalf("big pipeline answered %d bytes, %d elements", len(reps[0].Bulk), len(reps[1].Elems))
+	if n := len(reps[1].Expand().Elems); len(reps[0].Bulk) != 1<<20 || n != 3000 {
+		t.Fatalf("big pipeline answered %d bytes, %d elements", len(reps[0].Bulk), n)
 	}
 	slot0 := exec(b("GET", "k"))[0] // decoded after the big pipeline was trimmed
 	top, arena := kv.replies.Retained()

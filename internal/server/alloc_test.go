@@ -53,17 +53,32 @@ func TestAllocCeilings(t *testing.T) {
 		elems[i] = wire.BulkString(strconv.Itoa(1000+i) + ":" + strconv.Itoa(i))
 	}
 	timeline := wire.Array(elems...)
-	replyStream := func() func() {
-		var frame bytes.Buffer
-		w := wire.NewWriter(&frame)
-		w.WriteReply(timeline)
-		w.WriteReply(wire.Int64(7))
-		w.Flush()
-		r := wire.NewReader(&loopReader{data: frame.Bytes()})
-		var batch wire.ReplyBatch
-		return func() {
-			if _, err := batch.Read(r, 2); err != nil {
-				t.Fatal(err)
+	// An array with every other element an integer, which the reply batch
+	// decodes element by element into its arena, never as frames.
+	mixed := make([]wire.Reply, len(elems))
+	for i := range mixed {
+		if mixed[i] = elems[i]; i%2 == 1 {
+			mixed[i] = wire.Int64(int64(i))
+		}
+	}
+	// A list whose frames, 5400 B, are above wire.RetainBuf.
+	long := make([]wire.Reply, 200)
+	for i := range long {
+		long[i] = wire.BulkString(strings.Repeat("0", 17) + strconv.Itoa(100+i))
+	}
+	replyStream := func(array wire.Reply) func() func() {
+		return func() func() {
+			var frame bytes.Buffer
+			w := wire.NewWriter(&frame)
+			w.WriteReply(array)
+			w.WriteReply(wire.Int64(7))
+			w.Flush()
+			r := wire.NewReader(&loopReader{data: frame.Bytes()})
+			var batch wire.ReplyBatch
+			return func() {
+				if _, err := batch.Read(r, 2); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -87,6 +102,23 @@ func TestAllocCeilings(t *testing.T) {
 		var batch wire.ReplyBatch
 		return func() {
 			if _, err := batch.Read(r, len(pipeline)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The replies to one timeline read, a GET and the LRANGE, from a reader
+	// that returns one pipeline's bytes per Read, so every batch starts on
+	// an empty buffer, as a net_read_p1 client's does.
+	drainedStream := func() func() {
+		var frame bytes.Buffer
+		w := wire.NewWriter(&frame)
+		w.WriteReply(wire.BulkString("4711"))
+		w.WriteReply(timeline)
+		w.Flush()
+		r := wire.NewReader(pipeReader{data: frame.Bytes()})
+		var batch wire.ReplyBatch
+		return func() {
+			if _, err := batch.Read(r, 2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -154,8 +186,11 @@ func TestAllocCeilings(t *testing.T) {
 		setup                 func() func()
 	}{
 		{"wire.CommandBatch, ZADD + GET batch on recycled storage", 0, 0, cmdStream},
-		{"wire.ReplyBatch, 50-element array then an integer", 0, 0, replyStream},
+		{"wire.ReplyBatch, 50-frame list then an integer", 0, 0, replyStream(timeline)},
+		{"wire.ReplyBatch, 50-element mixed array then an integer (element arena)", 0, 0, replyStream(wire.Array(mixed...))},
+		{"wire.ReplyBatch, 200-frame list above RetainBuf then an integer", 0, 0, replyStream(wire.Array(long...))},
 		{"wire.ReplyBatch, 16-reply table-2 pipeline", 0, 0, pipelineStream},
+		{"wire.ReplyBatch, timeline read on a drained buffer", 0, 0, drainedStream},
 		{"wire.Writer.WriteReply, 50-element array", 0, 0, replyEncode},
 		{"wire.Writer.WriteReply, 50-frame pre-encoded array", 0, 0, framesEncode},
 		{"wire.Writer.WriteCommand, 4-argument ZADD", 0, 0, cmdEncode},
@@ -205,3 +240,11 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	l.off = (l.off + n) % len(l.data)
 	return n, nil
 }
+
+// pipeReader answers every Read with one copy of data, as a server answers
+// a pipeline with one write.
+type pipeReader struct {
+	data []byte
+}
+
+func (p pipeReader) Read(b []byte) (int, error) { return copy(b, p.data), nil }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -143,18 +144,27 @@ func replyTally(t *testing.T, rng *rand.Rand) {
 	r, plain := NewReader(bytes.NewReader(frames.Bytes())), NewReader(bytes.NewReader(frames.Bytes()))
 
 	var b ReplyBatch
+	kept := 0
 	for batch, width := range widths {
 		reps, err := b.Read(r, width)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A list's frames above RetainBuf stand for its elements, so they
+		// are kept up to RetainTotal, as the arena keeps elements. (The
+		// frames scan sees no more than the reader's buffer, MaxInlineLine
+		// bytes, so no frames reach past RetainTotal.)
+		frames := map[int]int{} // reply → capacity of its frames above RetainBuf
 		for c := range reps {
 			want, err := plain.ReadReply()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameReply(reps[c], want) {
+			if !batchMatches(want, reps[c]) {
 				t.Fatalf("batch %d, reply %d: read %v, want %v", batch, c, reps[c], want)
+			}
+			if reps[c].Kind == KindFrames && cap(reps[c].Bulk) > RetainBuf {
+				frames[c] = cap(reps[c].Bulk)
 			}
 		}
 		checkReps := expectTrim(t, &b.reps, replySize, replyHeaders)
@@ -163,6 +173,18 @@ func replyTally(t *testing.T, rng *rand.Rand) {
 		where := fmt.Sprintf("batch %d (%d wide)", batch, width)
 		checkReps(where + ", replies")
 		checkElems(where + ", arena")
+		for c, size := range frames {
+			if c >= cap(b.reps.buf) {
+				continue // the slot went with the total
+			}
+			if left := cap(b.reps.buf[:c+1][c].Bulk); left != size {
+				t.Fatalf("%s: reply %d kept %d of its %d bytes of frames", where, c, left, size)
+			}
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no frames reply above RetainBuf was kept in a slot")
 	}
 }
 
@@ -316,15 +338,28 @@ func (l *loopReader) Read(p []byte) (int, error) {
 // BenchmarkReplyBatch times the client's side of a pipeline: decoding its
 // replies into a recycled ReplyBatch. timeline is one 50-element LRANGE
 // reply; table2-pipeline is the reply to one 16-command pipeline of the
-// table-2 mix (table2Replies).
+// table-2 mix (table2Replies). Both read an endless stream, so a batch
+// mostly starts on bytes an earlier fill buffered; drained is the table-2
+// pipeline from a reader that returns one pipeline's bytes per Read, so
+// every batch starts on an empty buffer, as a client's does once it has
+// read the replies to its last flush. list-5k is one list of 200 20-byte
+// entries read the same way: 5400 B of frames, above RetainBuf, which the
+// batch keeps from one Read to the next as it would keep their elements.
 func BenchmarkReplyBatch(b *testing.B) {
 	timeline, _ := timelineReply()
+	entries := make([]Reply, 200)
+	for i := range entries {
+		entries[i] = BulkString(fmt.Sprintf("%020d", i))
+	}
 	for _, bc := range []struct {
 		name    string
 		replies []Reply
+		drained bool
 	}{
-		{"timeline", []Reply{timeline}},
-		{"table2-pipeline", table2Replies()},
+		{"timeline", []Reply{timeline}, false},
+		{"table2-pipeline", table2Replies(), false},
+		{"drained", table2Replies(), true},
+		{"list-5k", []Reply{Array(entries...)}, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var frame bytes.Buffer
@@ -333,7 +368,11 @@ func BenchmarkReplyBatch(b *testing.B) {
 				w.WriteReply(rep)
 			}
 			w.Flush()
-			r := NewReader(&loopReader{data: frame.Bytes()})
+			var src io.Reader = &loopReader{data: frame.Bytes()}
+			if bc.drained {
+				src = pipeReader{data: frame.Bytes()}
+			}
+			r := NewReader(src)
 			var batch ReplyBatch
 			n := len(bc.replies)
 			for range 2 { // the first sizes the arena, the second its payload buffers
@@ -351,6 +390,14 @@ func BenchmarkReplyBatch(b *testing.B) {
 		})
 	}
 }
+
+// pipeReader answers every Read with one copy of data, as a server answers
+// a pipeline with one write.
+type pipeReader struct {
+	data []byte
+}
+
+func (p pipeReader) Read(b []byte) (int, error) { return copy(b, p.data), nil }
 
 // table2Replies answers one 16-command pipeline of the Retwis table-2 mix,
 // in the shape of a net_table2_p16 flush: a follow's SADD, SADD, SREM, SREM;

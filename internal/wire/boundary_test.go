@@ -73,6 +73,17 @@ var edgeReplies = []string{
 	"*2\r\n$1\r\nx\n$1\r\ny\r\n",
 	"$5\r\nhelloX\n",
 	"*6\r\n$3\r\nfoo\r\n$-1\r\n:7\r\n-ERR no\r\n*2\r\n$1\r\na\r\n*1\r\n$0\r\n\r\n+OK\r\n",
+	// The one-step frames scan's shapes: an array of bulk strings; one with
+	// a zero-padded length, which comes back in canonical frames; one with
+	// a null, an integer and a nested array, which stays an array; the
+	// empty and the null array; an element over MaxBulk; a header ending in
+	// a bare LF, one whose CRLF is not one, and an element whose is not.
+	"*3\r\n$1\r\na\r\n$0\r\n\r\n$5\r\nhello\r\n",
+	"*1\n$1\r\na\r\n", "*1\rX$1\r\na\r\n", "*2\r\n$1\r\naX\n$1\r\nb\r\n",
+	"*2\r\n$007\r\nabcdefg\r\n$1\r\nx\r\n",
+	"*4\r\n$1\r\na\r\n$-1\r\n:1\r\n*1\r\n$1\r\nb\r\n",
+	"*0\r\n", "*-1\r\n",
+	"*2\r\n$1\r\na\r\n$8388609\r\nx\r\n",
 }
 
 // timelineFrame is a Timeline reply: 50 tweets of 20 bytes.
@@ -105,7 +116,10 @@ func edgeStream(frame string, at int, asCommand bool) []byte {
 // TestDecodeAtBufferEdge: a frame whose header, payload, '\r' or '\n'
 // straddles the end of what the reader has buffered decodes — into a
 // recycled destination — to what it decodes to wholly buffered and read one
-// byte at a time: the same value or the same error.
+// byte at a time: the same value or the same error. A ReplyBatch returns
+// what ReadReply does, or an array of bulk strings as its canonical frames;
+// it must do the latter for an array in that encoding that is wholly
+// buffered, or that follows a drained buffer, which the reader refills.
 func TestDecodeAtBufferEdge(t *testing.T) {
 	for _, frame := range edgeCommands {
 		want, wantErr := NewReader(strings.NewReader(frame)).ReadCommand()
@@ -130,6 +144,8 @@ func TestDecodeAtBufferEdge(t *testing.T) {
 		if !sameErr(wantErr, slowErr) || !sameReply(want, slow) {
 			t.Fatalf("%q: buffered = %v, %v; byte at a time = %v, %v", frame, want, wantErr, slow, slowErr)
 		}
+		frames, ok := bulkFrames(want)
+		canonical := ok && len(want.Elems) > 0 && frame == fmt.Sprintf("*%d\r\n%s", len(want.Elems), frames)
 		for at := 0; at <= len(frame); at++ {
 			r := NewReader(bytes.NewReader(edgeStream(frame, at, false)))
 			if _, err := r.ReadReply(); err != nil {
@@ -137,16 +153,40 @@ func TestDecodeAtBufferEdge(t *testing.T) {
 			}
 			got := dirtyReply()
 			err := r.readReplyInto(&got)
-			if !sameErr(wantErr, err) || !sameReply(want, got) {
+			if !sameErr(wantErr, err) || !sameReply(want, got.Expand()) {
 				t.Fatalf("%q with the buffer's edge at %d = %v, %v; want %v, %v", frame, at, got, err, want, wantErr)
+			}
+
+			r = NewReader(bytes.NewReader(edgeStream(frame, at, false)))
+			batch := dirtyReplyBatch(t)
+			if _, err := batch.Read(r, 1); err != nil {
+				t.Fatalf("%q at %d: filler: %v", frame, at, err)
+			}
+			reps, err := batch.Read(r, 1)
+			if !sameErr(wantErr, err) || err == nil && !batchMatches(want, reps[0]) {
+				t.Fatalf("%q with the buffer's edge at %d: ReplyBatch.Read = %+v, %v; want %v, %v", frame, at, reps, err, want, wantErr)
+			}
+			if canonical && (at == 0 || at == len(frame)) && reps[0].Kind != KindFrames {
+				t.Fatalf("%q with the buffer's edge at %d: ReplyBatch.Read = %+v, want frames", frame, at, reps[0])
 			}
 		}
 	}
 }
 
+// batchMatches reports whether got, a ReplyBatch result, is want, what
+// ReadReply returned for the same bytes: the same reply, or, as KindFrames,
+// want's one or more bulk strings in AppendBulk's encoding.
+func batchMatches(want, got Reply) bool {
+	if got.Kind != KindFrames {
+		return sameReply(want, got)
+	}
+	frames, ok := bulkFrames(want)
+	return ok && got.Int > 0 && got.Int == int64(len(want.Elems)) && bytes.Equal(got.Bulk, frames)
+}
+
 // TestScanKeepsTheLimits: a reader whose buffer holds a whole frame above a
-// limit, so the one-step bulk scan sees all of it, refuses it with the
-// piecewise path's error, and accepts a frame exactly at the limit.
+// limit, so the one-step scans see all of it, refuses it with the piecewise
+// path's error, and accepts a frame exactly at the limit.
 func TestScanKeepsTheLimits(t *testing.T) {
 	wholly := func(frame []byte) *Reader {
 		return &Reader{br: bufio.NewReaderSize(bytes.NewReader(frame), len(frame)+16)}
@@ -168,6 +208,26 @@ func TestScanKeepsTheLimits(t *testing.T) {
 	wantErr("reply of MaxBulk+1 bytes", err, fmt.Sprintf("bulk string of %d bytes exceeds limit %d", MaxBulk+1, MaxBulk))
 	_, err = wholly(append([]byte("*1\r\n"), overLimit...)).ReadCommand()
 	wantErr("argument of MaxBulk+1 bytes", err, fmt.Sprintf("bulk string of %d bytes exceeds limit %d", MaxBulk+1, MaxBulk))
+
+	// The frames scan: an element of MaxBulk bytes and an array of
+	// maxReplyElems elements are frames, one more of either an error.
+	var batch ReplyBatch
+	frames := func(what string, reply []byte, n, frameBytes int) {
+		t.Helper()
+		reps, err := batch.Read(wholly(reply), 1)
+		if err != nil || reps[0].Kind != KindFrames || reps[0].Int != int64(n) || len(reps[0].Bulk) != frameBytes {
+			t.Errorf("%s: %v, want %d frames of %d bytes", what, err, n, frameBytes)
+		}
+	}
+	frames("array of a MaxBulk element", append([]byte("*2\r\n$1\r\na\r\n"), atLimit...), 2, 7+len(atLimit))
+	_, err = batch.Read(wholly(append([]byte("*2\r\n$1\r\na\r\n"), overLimit...)), 1)
+	wantErr("array of a MaxBulk+1 element", err, fmt.Sprintf("bulk string of %d bytes exceeds limit %d", MaxBulk+1, MaxBulk))
+	empties := func(n int) []byte {
+		return append(fmt.Appendf(nil, "*%d\r\n", n), strings.Repeat("$0\r\n\r\n", n)...)
+	}
+	frames("array of maxReplyElems elements", empties(maxReplyElems), maxReplyElems, 6*maxReplyElems)
+	_, err = batch.Read(wholly(empties(maxReplyElems+1)), 1)
+	wantErr("array of maxReplyElems+1 elements", err, fmt.Sprintf("reply array of %d elements exceeds limit %d", maxReplyElems+1, maxReplyElems))
 
 	// Arguments of MaxBulk bytes up to exactly MaxCommandBytes, then one more.
 	const full = MaxCommandBytes / MaxBulk

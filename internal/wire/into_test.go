@@ -94,7 +94,10 @@ func TestIntoDecodersReuseTheirDestination(t *testing.T) {
 		t.Fatalf("third command = %q", c)
 	}
 
-	r = NewReader(strings.NewReader("*2\r\n$1\r\na\r\n$1\r\nb\r\n:7\r\n*2\r\n$1\r\nc\r\n$1\r\nd\r\n"))
+	// An array that is not all bulk strings keeps its element storage; one
+	// that is keeps its frames' bytes.
+	r = NewReader(strings.NewReader("*2\r\n$1\r\na\r\n:1\r\n:7\r\n*2\r\n$1\r\nc\r\n:2\r\n" +
+		"*2\r\n$1\r\na\r\n$1\r\nb\r\n:7\r\n*2\r\n$1\r\nc\r\n$1\r\nd\r\n"))
 	var rep Reply
 	if err := r.readReplyInto(&rep); err != nil {
 		t.Fatal(err)
@@ -106,11 +109,29 @@ func TestIntoDecodersReuseTheirDestination(t *testing.T) {
 	if err := r.readReplyInto(&rep); err != nil {
 		t.Fatal(err)
 	}
-	if want := Array(BulkString("c"), BulkString("d")); !sameReply(rep, want) {
+	if want := Array(BulkString("c"), Int64(2)); !sameReply(rep, want) {
 		t.Fatalf("third reply = %v, want %v", rep, want)
 	}
 	if &rep.Elems[0] != elems || &rep.Elems[0].Bulk[0] != bulk {
 		t.Fatal("an integer reply in between cost the destination its element storage")
+	}
+
+	rep = Reply{}
+	if err := r.readReplyInto(&rep); err != nil || rep.Kind != KindFrames {
+		t.Fatalf("array of bulk strings = %v, %v; want frames", rep, err)
+	}
+	frames := &rep.Bulk[0]
+	if err := r.readReplyInto(&rep); err != nil || !sameReply(rep, Int64(7)) {
+		t.Fatalf("integer into a frames destination = %v, %v", rep, err)
+	}
+	if err := r.readReplyInto(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if want := Frames(2, []byte("$1\r\nc\r\n$1\r\nd\r\n")); !sameReply(rep, want) {
+		t.Fatalf("last reply = %+v, want %+v", rep, want)
+	}
+	if &rep.Bulk[0] != frames {
+		t.Fatal("an integer reply in between cost the destination its frames' storage")
 	}
 }
 
@@ -148,9 +169,10 @@ func TestTrimBoundsRecycledStorage(t *testing.T) {
 
 	frames.Reset()
 	w.WriteReply(Bulk(big))
+	// Integers, so the array keeps 3000 element headers rather than frames.
 	elems := make([]Reply, 3000)
 	for i := range elems {
-		elems[i] = BulkString("element")
+		elems[i] = Int64(int64(i))
 	}
 	w.WriteReply(Array(elems...))
 	w.WriteReply(Array(BulkString("a"), Bulk(big)))

@@ -162,24 +162,85 @@ func (r *Reader) scanBulk(buf []byte, limit int64) ([]byte, bool) {
 	if len(b) == 0 || b[0] != '$' {
 		return nil, false
 	}
-	var n int64
-	i := 1
-	for ; i < len(b) && i <= 18 && b[i]-'0' <= 9; i++ {
-		n = n*10 + int64(b[i]-'0')
-	}
-	if i == 1 || n > limit {
+	n, start, ok := lengthLine(b)
+	if !ok || n > limit {
 		return nil, false
 	}
-	end := i + 2 + int(n)
-	if end+2 > len(b) || b[i] != '\r' || b[i+1] != '\n' || b[end] != '\r' || b[end+1] != '\n' {
+	end := start + int(n)
+	if end+2 > len(b) || b[end] != '\r' || b[end+1] != '\n' {
 		return nil, false
 	}
 	if buf == nil {
 		buf = make([]byte, 0, n)
 	}
-	buf = append(buf[:0], b[i+2:end]...)
+	buf = append(buf[:0], b[start:end]...)
 	r.br.Discard(end + 2)
 	return buf, true
+}
+
+// scanFrames decodes an array of bulk strings in one step when the whole
+// array is already buffered and has the common shape: '*', 1 to 18 digits
+// counting 1 to maxReplyElems elements, CRLF, then that many elements of
+// scanBulk's shape with a payload of at most MaxBulk bytes, whose lengths
+// have no leading zero, so that they are in AppendBulk's encoding. It copies
+// the element frames, back to back, into buf's storage, consumes the array
+// and returns the frames and their count. Any other frame it leaves unread
+// and reports false, so the piecewise path decides it.
+func (r *Reader) scanFrames(buf []byte) ([]byte, int64, bool) {
+	// Peek of what is already buffered never reads, so it cannot fail.
+	b, _ := r.br.Peek(r.br.Buffered())
+	if len(b) == 0 || b[0] != '*' {
+		return nil, 0, false
+	}
+	n, start, ok := lengthLine(b)
+	if !ok || n == 0 || n > maxReplyElems {
+		return nil, 0, false
+	}
+	rest := b[start:]
+	for range n {
+		if len(rest) == 0 || rest[0] != '$' {
+			return nil, 0, false
+		}
+		l, k, ok := lengthLine(rest)
+		if !ok || l > MaxBulk || rest[1] == '0' && k > 4 {
+			return nil, 0, false
+		}
+		end := k + int(l)
+		if end+2 > len(rest) || rest[end] != '\r' || rest[end+1] != '\n' {
+			return nil, 0, false
+		}
+		rest = rest[end+2:]
+	}
+	i := len(b) - len(rest)
+	buf = append(buf[:0], b[start:i]...)
+	r.br.Discard(i)
+	return buf, n, true
+}
+
+// lengthLine parses the length line that opens b for the one-step scans: a
+// type byte, 1 to 18 digits, CRLF. It returns the length and the line's
+// size; any other line reports false. It is small enough for the compiler
+// to inline, which scanFrames' per-element loop depends on.
+func lengthLine(b []byte) (n int64, size int, ok bool) {
+	i := 1
+	for ; i < len(b) && i <= 18 && b[i]-'0' <= 9; i++ {
+		n = n*10 + int64(b[i]-'0')
+	}
+	if i == 1 || len(b) < i+2 || b[i] != '\r' || b[i+1] != '\n' {
+		return 0, 0, false
+	}
+	return n, i + 2, true
+}
+
+// fill refills a drained buffer, so that a one-step scan sees the frame that
+// comes next rather than nothing. It fails as ReadByte fails on a drained
+// buffer, with the read's error as it is.
+func (r *Reader) fill() error {
+	if r.br.Buffered() > 0 {
+		return nil
+	}
+	_, err := r.br.Peek(1)
+	return err
 }
 
 // ReadCommand decodes one client command: a multibulk frame (*N array of
@@ -295,24 +356,34 @@ func slot(dst [][]byte, n int) [][]byte {
 	return args
 }
 
-// ReadReply decodes one server reply into a Reply tree the caller owns.
-// Framing violations return a *ProtocolError; a clean end of stream returns
-// io.EOF.
+// ReadReply decodes one server reply into a Reply tree the caller owns. An
+// array comes back as KindArray, whichever way it was decoded. Framing
+// violations return a *ProtocolError; a clean end of stream returns io.EOF.
 func (r *Reader) ReadReply() (Reply, error) {
 	var rep Reply
 	err := r.readReplyInto(&rep)
-	return rep, err
+	return rep.Expand(), err
 }
 
 // readReplyInto is ReadReply decoding into *dst's storage: Bulk, Elems and,
 // recursively, every element within Elems[:cap(Elems)] are reused where they
-// are large enough and grown where they are not. The reply aliases that
-// storage and is valid until dst is decoded into again. *dst must be the
-// zero Reply or an earlier result the caller no longer reads — never a
-// value built by OK, Bulk and friends, whose bytes belong to someone else.
-// On error *dst is the zero Reply.
+// are large enough and grown where they are not. An array of bulk strings
+// that scanFrames takes in one step comes back as KindFrames, with its
+// frames in Bulk; any other reply, or that array decoded piecewise, comes
+// back as it is encoded. The reply aliases that storage and is valid until
+// dst is decoded into again. *dst must be the zero Reply or an earlier
+// result the caller no longer reads — never a value built by OK, Bulk and
+// friends, whose bytes belong to someone else. On error *dst is the zero
+// Reply.
 func (r *Reader) readReplyInto(dst *Reply) error {
-	err := r.decodeReply(dst, 0)
+	err := r.fill()
+	if err == nil {
+		if frames, n, ok := r.scanFrames(dst.Bulk); ok {
+			dst.Kind, dst.Int, dst.Bulk, dst.Elems = KindFrames, n, frames, dst.Elems[:0]
+			return nil
+		}
+		err = r.decodeReply(dst, 0)
+	}
 	if err != nil {
 		*dst = Reply{}
 	}
@@ -322,6 +393,9 @@ func (r *Reader) readReplyInto(dst *Reply) error {
 func (r *Reader) decodeReply(dst *Reply, depth int) error {
 	if depth > maxReplyDepth {
 		return protoErrf("reply nesting exceeds depth %d", maxReplyDepth)
+	}
+	if err := r.fill(); err != nil {
+		return err
 	}
 	if bulk, ok := r.scanBulk(dst.Bulk, MaxBulk); ok {
 		dst.Kind, dst.Int, dst.Bulk, dst.Elems = KindBulk, 0, bulk, dst.Elems[:0]

@@ -23,7 +23,8 @@ const (
 // Reply is one decoded server→client frame. The server's shard executors
 // build Reply values and Writer.WriteReply serializes them; a client gets
 // the same shape back from Reader.ReadReply, so tests can compare the two
-// ends structurally.
+// ends structurally. A ReplyBatch returns an array of bulk strings as
+// KindFrames instead, which Expand turns into the array ReadReply returns.
 type Reply struct {
 	Kind  Kind
 	Int   int64   // KindInt; KindFrames (element count)
@@ -65,8 +66,10 @@ func Array(elems ...Reply) Reply { return Reply{Kind: KindArray, Elems: elems} }
 // Frames returns an array reply of n bulk strings that are already encoded:
 // b is their n frames ($<len>\r\n<payload>\r\n, as AppendBulk writes them)
 // back to back. The Writer sends it as the array header and one copy of b,
-// the same bytes as the equivalent Array of Bulk replies; the Reader never
-// produces it. b is retained and must not change while the reply is in use.
+// the same bytes as the equivalent Array of Bulk replies. A served list
+// keeps its entries this way, and a ReplyBatch decodes an array of bulk
+// strings into it, as one copy of the frames that arrived. b is retained and
+// must not change while the reply is in use.
 func Frames(n int, b []byte) Reply { return Reply{Kind: KindFrames, Int: int64(n), Bulk: b} }
 
 // Expand returns a KindFrames reply as the KindArray it encodes, whose

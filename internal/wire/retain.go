@@ -11,6 +11,7 @@ import "unsafe"
 const (
 	// RetainBuf is the largest single argument or bulk buffer worth
 	// keeping; anything above it is released and allocated again on demand.
+	// A reply's frames, a whole list, are bounded by RetainTotal instead.
 	RetainBuf = 4 << 10
 	// RetainTotal caps the bytes one storage slice keeps, headers
 	// included — the same order as the 64 KiB read and write buffers a
@@ -62,13 +63,21 @@ func (b *CommandBatch) Reset() { b.slots.trim(commandSize) }
 // command of a pipeline, and one arena the array replies' elements are
 // decoded into in order. Which command of a pipeline answers with an array
 // changes from flush to flush, so element storage tied to a position would
-// end up at every position. The zero value is empty storage.
+// end up at every position. An array of bulk strings, which is what LRANGE
+// and SMEMBERS answer, needs no element storage when it arrives whole: it is
+// kept as the frames it arrived in. The zero value is empty storage.
 type ReplyBatch struct {
 	reps, elems slots[Reply]
 }
 
 // Read decodes n replies from r. They are valid until the next Read, which
 // decodes into the same storage; a caller that keeps one longer copies it.
+// An array of one or more bulk strings, none null, that is wholly buffered
+// when its decode starts (a drained buffer is refilled first) comes back as
+// KindFrames: Int is the element count and Bulk the element frames back to
+// back, in AppendBulk's encoding. Any other reply, that array straddling the
+// buffer's edge among them, comes back as ReadReply returns it; Expand
+// gives an array's elements either way.
 // Framing violations return a *ProtocolError, as ReadReply's do.
 func (b *ReplyBatch) Read(r *Reader, n int) ([]Reply, error) {
 	b.end()
@@ -204,10 +213,16 @@ func commandSize(cmd *[][]byte) int {
 }
 
 // replySize drops a reply's Bulk buffers above RetainBuf at every depth and
-// returns the bytes it still reaches, itself included.
+// returns the bytes it still reaches, itself included. A list's frames stand
+// for the elements the arena would otherwise hold, so they are bounded as
+// the arena is, by RetainTotal.
 func replySize(r *Reply) int {
 	n := replyBytes
-	if cap(r.Bulk) > RetainBuf {
+	limit := RetainBuf
+	if r.Kind == KindFrames {
+		limit = RetainTotal
+	}
+	if cap(r.Bulk) > limit {
 		r.Bulk = nil
 	} else {
 		n += cap(r.Bulk)

@@ -16,10 +16,11 @@
 //     Reply tree: simple strings, errors, integers, bulk strings, nulls and
 //     arrays. The server builds the same Reply values and serializes them
 //     with Writer.WriteReply, so both ends of the in-repo stack agree on one
-//     representation. One kind only the server builds: Frames, an array of
-//     bulk strings that are already encoded (a served list keeps its
-//     entries that way), which WriteReply sends as the same bytes as the
-//     Array it stands for and Expand turns into that Array.
+//     representation. One more kind, Frames, is an array of bulk strings
+//     that are already encoded: a served list keeps its entries that way,
+//     and a client's ReplyBatch keeps such an array as the frames it
+//     arrived in. WriteReply sends it as the same bytes as the Array it
+//     stands for, and Expand turns it into that Array.
 //
 // Each direction decodes two ways. ReadCommand and ReadReply return memory
 // the caller owns for good. A CommandBatch (a server connection's commands)
@@ -28,21 +29,28 @@
 // argument buffers, Bulk and Elems are reused at whatever capacity they have
 // — so a connection decodes a steady stream without allocating; what they
 // return is valid only until the batch ends. The plain methods are the same
-// parse into a fresh destination, so there is one parse per direction.
+// parse into a fresh destination, so there is one parse per direction:
+// ReadReply expands the Frames a ReplyBatch would return into an Array.
 // Between batches each type trims what it keeps to RetainTotal bytes, with
-// no buffer above RetainBuf, walking only the slots the batch decoded into.
+// no buffer above RetainBuf but a list's frames, walking only the slots the
+// batch decoded into.
 //
 // Both directions work a frame at a time against bufio's buffer. The Writer
 // assembles a frame that fits the buffer's free space in place and commits
-// it with one write. The Reader decodes a bulk string that is wholly
-// buffered in one scan — '$', 1 to 18 digits, CRLF, the payload, CRLF,
-// within the limits — which parses the length in place, copies the payload
-// out and consumes the frame at once; nearly every argument and reply
-// element is one. Everything else goes piecewise: a frame that straddles the
-// buffer's edge, every other frame type, and an unusual bulk string (a null,
-// a '+' or 19-digit length, a bare-LF terminator, an oversized length). The
-// piecewise path accepts and rejects exactly the same bytes, so the limits
-// and error texts are the same on both paths.
+// it with one write. The Reader refills a drained buffer before it decodes
+// a reply, and decodes a bulk string that is wholly buffered in one scan —
+// '$', 1 to 18 digits, CRLF, the payload, CRLF, within the limits — which
+// parses the length in place, copies the payload out and consumes the frame
+// at once; nearly every argument and reply element is one. A reply that is
+// a wholly buffered array of such bulk strings, in AppendBulk's encoding, is
+// one scan too: the frames are checked, copied out with one copy and
+// consumed at once. Everything else goes piecewise: a frame that straddles
+// the buffer's edge, every other frame type, and an unusual bulk string (a
+// null, a '+' or 19-digit length, a bare-LF terminator, an oversized
+// length). The piecewise path accepts and rejects exactly the same bytes,
+// so the limits and error texts are the same on both paths. An array of
+// bulk strings it decodes stays an Array, its elements in the batch's
+// arena; Expand makes either kind the same Array.
 //
 // Malformed input never panics: every framing violation surfaces as a
 // *ProtocolError (the fuzz tests in this package hold that line), and the
