@@ -11,8 +11,11 @@ GO ?= go
 # it as the tail), the resilience layer (fault injection and the chaos
 # storm), and the load generator (clock goroutine feeding a worker pool
 # through a bounded queue, or closed workers claiming from a shared
-# counter). The planned set rows race in the root run below.
-RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/skiplist/... ./internal/queue/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
+# counter), and the in-process driver (internal/bench: its workers share
+# each figure's object behind one start signal and sum per-worker counts;
+# the Retwis runs below go through the same driver). The planned set rows
+# race in the root run below.
+RACE_PKGS = ./internal/adaptive/... ./internal/bench/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/set/... ./internal/skiplist/... ./internal/queue/... ./internal/wire/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
 
 # The serving layer (pipelined TCP clients against the shards, an adaptive
 # map under forced promote/demote flapping beside them) runs three times: a

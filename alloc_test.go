@@ -3,11 +3,10 @@
 package dego
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
 	"unsafe"
 
+	"github.com/adjusted-objects/dego/internal/alloctest"
 	"github.com/adjusted-objects/dego/internal/queue"
 )
 
@@ -111,12 +110,7 @@ func TestAllocCeilings(t *testing.T) {
 			Must(Set[int](CommutingWriters(), On(reg), Capacity(16)))
 		}},
 	} {
-		allocs, bytes := perCall(row.f)
-		if allocs > row.ceilAllocs || bytes > row.ceilBytes {
-			t.Errorf("%s: %.3f allocations, %.3f B per call; ceiling %g, %.0f B", row.name, allocs, bytes, row.ceilAllocs, row.ceilBytes)
-		} else if allocs < row.ceilAllocs || bytes < row.ceilBytes {
-			t.Logf("%s: %.3f allocations, %.3f B per call; ceiling %g, %.0f B — lower the ceiling", row.name, allocs, bytes, row.ceilAllocs, row.ceilBytes)
-		}
+		alloctest.Check(t, row.name, row.ceilAllocs, row.ceilBytes, row.f)
 	}
 
 	type allocRow struct {
@@ -219,27 +213,4 @@ func TestQueueWithSize(t *testing.T) {
 	if size := unsafe.Sizeof(queueWith[t16, queue.MPSC[t16]]{}); size > 120 {
 		t.Errorf("an MPSC queue of a 16-byte element is %d bytes with its facade, want at most 120", size)
 	}
-}
-
-// perCall runs f a thousand times on one processor and returns the
-// allocations and bytes one call made on average. It first runs f 64 times
-// on that processor to reach steady state: a sync.Pool (the planner's
-// profile pool) keeps what was put back on the processor that put it, so
-// warming up on another one would leave the measured calls a cold pool.
-// The collector is off meanwhile: a collection empties the pool, and
-// refilling it allocates, which made the averages drift by a few bytes.
-func perCall(f func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 64; i++ {
-		f()
-	}
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }

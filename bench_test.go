@@ -15,6 +15,7 @@ package dego_test
 
 import (
 	"runtime"
+	"strconv"
 	"testing"
 
 	"github.com/adjusted-objects/dego/internal/bench"
@@ -80,7 +81,7 @@ func BenchmarkFig7(b *testing.B) {
 			bench.SkipListJUC(), bench.SkipListDEGO(),
 		} {
 			wl := wl
-			b.Run(wl.Name+"/upd="+itoa(ratio), func(b *testing.B) {
+			b.Run(wl.Name+"/upd="+strconv.Itoa(ratio), func(b *testing.B) {
 				runWorkload(b, wl, ratio, 16<<10, 32<<10)
 			})
 		}
@@ -94,7 +95,7 @@ func BenchmarkFig8(b *testing.B) {
 		items := (16 << 10) * scale
 		for _, wl := range []bench.Workload{bench.HashMapJUC(), bench.HashMapDEGO()} {
 			wl := wl
-			b.Run(wl.Name+"/items="+itoa(items>>10)+"K", func(b *testing.B) {
+			b.Run(wl.Name+"/items="+strconv.Itoa(items>>10)+"K", func(b *testing.B) {
 				runWorkload(b, wl, 75, items, items*2)
 			})
 		}
@@ -115,7 +116,7 @@ func runRetwis(b *testing.B, kind retwis.Kind, users int, alpha float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(res.OpsPerSec(), "ops/s")
+	b.ReportMetric(res.Kops()*1000, "ops/s")
 }
 
 func BenchmarkFig9RetwisJUC(b *testing.B)  { runRetwis(b, retwis.KindJUC, 50_000, 1) }
@@ -127,7 +128,7 @@ func BenchmarkFig10Alpha(b *testing.B) {
 		for _, kind := range []retwis.Kind{retwis.KindJUC, retwis.KindDEGO, retwis.KindDAP} {
 			kind := kind
 			alpha := alpha
-			b.Run(kind.String()+"/alpha="+ftoa(alpha), func(b *testing.B) {
+			b.Run(kind.String()+"/alpha="+strconv.FormatFloat(alpha, 'g', -1, 64), func(b *testing.B) {
 				runRetwis(b, kind, 20_000, alpha)
 			})
 		}
@@ -155,33 +156,6 @@ func BenchmarkTable1ConsensusSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dt := types[i%len(types)]
 		igraph.ConsensusNumber(dt, opts)
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-func ftoa(f float64) string {
-	switch f {
-	case 0:
-		return "0"
-	case 1:
-		return "1"
-	case 2:
-		return "2"
-	default:
-		return "x"
 	}
 }
 

@@ -17,23 +17,35 @@ import (
 // write-amplification trade-off of §8), and what the runtime permission
 // guards cost.
 
+// routedMap is what the segmentation ablation calls on each form.
+type routedMap interface {
+	Put(h *core.Handle, key, val int)
+	Get(key int) (int, bool)
+}
+
+// routedOps is the segmentation ablation's workload over m: an update puts
+// one of the worker's own keys (keys[tid]), so each key has one writer, and
+// a read looks up a random key.
+func routedOps(cfg Config, m routedMap, keys [][]int) OpFunc {
+	return func(tid int, h *core.Handle, rng *rand.Rand) {
+		mine := keys[tid]
+		if len(mine) == 0 {
+			return
+		}
+		if int(rng.Int31n(100)) < cfg.UpdateRatio {
+			m.Put(h, mine[rng.Intn(len(mine))], tid)
+		} else {
+			m.Get(rng.Intn(cfg.KeyRange))
+		}
+	}
+}
+
 // SegBase benchmarks the BaseSegmentation map: cheap writes, O(#segments)
 // lookups.
 func SegBase() Workload {
 	return Workload{Name: "BaseSegmentation", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		m := hashmap.NewBaseSegmented[int, int](reg, cfg.InitialItems/max(cfg.Threads, 1)+16, intHash, false)
-		keys := threadKeys(cfg)
-		return func(tid int, h *core.Handle, rng *rand.Rand) {
-			mine := keys[tid]
-			if len(mine) == 0 {
-				return
-			}
-			if int(rng.Int31n(100)) < cfg.UpdateRatio {
-				m.Put(h, mine[rng.Intn(len(mine))], tid)
-			} else {
-				m.Get(rng.Intn(cfg.KeyRange))
-			}
-		}, nil
+		return routedOps(cfg, m, threadKeys(cfg)), nil
 	}}
 }
 
@@ -55,17 +67,7 @@ func SegHash() Workload {
 			}
 			keys[tid] = append(keys[tid], k)
 		}
-		return func(tid int, h *core.Handle, rng *rand.Rand) {
-			mine := keys[tid]
-			if len(mine) == 0 {
-				return
-			}
-			if int(rng.Int31n(100)) < cfg.UpdateRatio {
-				m.Put(h, mine[rng.Intn(len(mine))], tid)
-			} else {
-				m.Get(rng.Intn(cfg.KeyRange))
-			}
-		}, nil
+		return routedOps(cfg, m, keys), nil
 	}}
 }
 
@@ -76,18 +78,7 @@ func SegHash() Workload {
 func SegExtended() Workload {
 	return Workload{Name: "ExtendedSegmentation", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		m := hashmap.NewSegmented[int, int](reg, cfg.InitialItems, cfg.KeyRange*2, intHash, false)
-		keys := threadKeys(cfg)
-		return func(tid int, h *core.Handle, rng *rand.Rand) {
-			mine := keys[tid]
-			if len(mine) == 0 {
-				return
-			}
-			if int(rng.Int31n(100)) < cfg.UpdateRatio {
-				m.Put(h, mine[rng.Intn(len(mine))], tid)
-			} else {
-				m.Get(rng.Intn(cfg.KeyRange))
-			}
-		}, nil
+		return routedOps(cfg, m, threadKeys(cfg)), nil
 	}}
 }
 
@@ -122,37 +113,18 @@ func CounterGuarded() Workload {
 
 // Ablations runs the three studies and prints their tables.
 func Ablations(w io.Writer, base Config, threads []int) {
+	segmentations := []Workload{SegBase(), SegHash(), SegExtended()}
 	fmt.Fprintf(w, "=== Ablation 1: segmentation forms (§5.2), %d%% updates ===\n\n", base.UpdateRatio)
-	series := map[string][]Result{}
-	for _, wl := range []Workload{SegBase(), SegHash(), SegExtended()} {
-		series[wl.Name] = Sweep(wl, base, threads)
-	}
-	fmt.Fprint(w, FormatTable("segmentations", series, threads))
-	fmt.Fprintln(w)
+	sweepTable(w, "segmentations", base, threads, segmentations...)
 
 	readHeavy := base
 	readHeavy.UpdateRatio = 10
 	fmt.Fprintf(w, "=== Ablation 1b: segmentation forms, 10%% updates ===\n\n")
-	series = map[string][]Result{}
-	for _, wl := range []Workload{SegBase(), SegHash(), SegExtended()} {
-		series[wl.Name] = Sweep(wl, readHeavy, threads)
-	}
-	fmt.Fprint(w, FormatTable("segmentations (read-heavy)", series, threads))
-	fmt.Fprintln(w)
+	sweepTable(w, "segmentations (read-heavy)", readHeavy, threads, segmentations...)
 
 	fmt.Fprintf(w, "=== Ablation 2: cache-line padding (false sharing) ===\n\n")
-	series = map[string][]Result{}
-	for _, wl := range []Workload{CounterIncrementOnly(), CounterUnpadded()} {
-		series[wl.Name] = Sweep(wl, base, threads)
-	}
-	fmt.Fprint(w, FormatTable("padding", series, threads))
-	fmt.Fprintln(w)
+	sweepTable(w, "padding", base, threads, CounterIncrementOnly(), CounterUnpadded())
 
 	fmt.Fprintf(w, "=== Ablation 3: permission-guard overhead ===\n\n")
-	series = map[string][]Result{}
-	for _, wl := range []Workload{CounterIncrementOnly(), CounterGuarded()} {
-		series[wl.Name] = Sweep(wl, base, threads)
-	}
-	fmt.Fprint(w, FormatTable("guards", series, threads))
-	fmt.Fprintln(w)
+	sweepTable(w, "guards", base, threads, CounterIncrementOnly(), CounterGuarded())
 }

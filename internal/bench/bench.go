@@ -100,11 +100,19 @@ func (r Result) Kops() float64 {
 	return float64(r.Ops) / r.Elapsed.Seconds() / 1e3
 }
 
-// Run executes the workload under cfg and returns the measurement.
+// Run executes the workload under cfg and returns the measurement. It is
+// the one in-process driver: the figures of §6.2 and the Retwis program of
+// §6.3 both run on it. The workers' handles are registered first, in tid
+// order, so worker tid runs on handle id tid (a workload may partition by
+// h.ID()), and the first handle Setup registers has id Threads.
 func Run(w Workload, cfg Config) Result {
 	// Setup may register priming handles (one per thread partition) in
 	// addition to the worker handles, so size the registry for both.
 	reg := core.NewRegistry(max(cfg.Threads*2+8, 16))
+	handles := make([]*core.Handle, cfg.Threads)
+	for tid := range handles {
+		handles[tid] = reg.MustRegister()
+	}
 	op, probe := w.Setup(cfg, reg)
 
 	var (
@@ -117,7 +125,7 @@ func Run(w Workload, cfg Config) Result {
 
 	worker := func(tid int) {
 		defer finished.Done()
-		h := reg.MustRegister()
+		h := handles[tid]
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(tid)*7919))
 		cell := &counts[tid].V
 		started.Done()

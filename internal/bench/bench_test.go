@@ -2,12 +2,15 @@ package bench
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/adjusted-objects/dego"
+	"github.com/adjusted-objects/dego/internal/contention"
+	"github.com/adjusted-objects/dego/internal/core"
 )
 
 // The harness tests run every workload briefly in op-count mode, verifying
@@ -315,5 +318,39 @@ func TestPearsonNegativeOnContendedCounter(t *testing.T) {
 		t.Logf("live sweep: %d CAS failures, no coefficient: %v", totalStalls, err)
 	} else {
 		t.Logf("live sweep: %d CAS failures, pearson = %+.2f", totalStalls, live)
+	}
+}
+
+// TestRunContract pins what Run promises a workload, which the Retwis
+// program's DAP partition (h.ID() mod Threads) relies on: worker tid runs on
+// handle id tid, the first handle Setup registers has id Threads, and
+// op-count mode runs exactly OpsPerThread operations on each worker.
+func TestRunContract(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		cfg := tinyConfig(threads)
+		firstSetupID := -1
+		ids := make([]int, threads)
+		counts := make([]int, threads)
+		res := Run(Workload{Name: "contract", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
+			firstSetupID = reg.MustRegister().ID()
+			return func(tid int, h *core.Handle, _ *rand.Rand) {
+				ids[tid] = h.ID()
+				counts[tid]++
+			}, nil
+		}}, cfg)
+		if firstSetupID != threads {
+			t.Errorf("threads=%d: the first handle Setup registered has id %d, want %d", threads, firstSetupID, threads)
+		}
+		for tid := range threads {
+			if ids[tid] != tid {
+				t.Errorf("threads=%d: worker %d ran on handle id %d", threads, tid, ids[tid])
+			}
+			if counts[tid] != cfg.OpsPerThread {
+				t.Errorf("threads=%d: worker %d ran %d ops, want %d", threads, tid, counts[tid], cfg.OpsPerThread)
+			}
+		}
+		if want := int64(threads * cfg.OpsPerThread); res.Ops != want {
+			t.Errorf("threads=%d: Result.Ops = %d, want %d", threads, res.Ops, want)
+		}
 	}
 }

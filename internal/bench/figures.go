@@ -11,6 +11,18 @@ import (
 // count) so callers — the CI bench-smoke job in particular — can persist the
 // raw data as JSON.
 
+// sweepTable sweeps each workload under cfg across the thread counts,
+// prints the results as one table titled title and a blank line, and
+// returns them by workload name. Every figure and ablation table is one call.
+func sweepTable(w io.Writer, title string, cfg Config, threads []int, wls ...Workload) map[string][]Result {
+	series := map[string][]Result{}
+	for _, wl := range wls {
+		series[wl.Name] = Sweep(wl, cfg, threads)
+	}
+	fmt.Fprintln(w, FormatTable(title, series, threads))
+	return series
+}
+
 // Figure6 runs the five object families under high contention (100%
 // updates for the data structures) across the thread sweep and prints one
 // table per family. With pearson set, it also prints the correlation
@@ -22,20 +34,16 @@ func Figure6(w io.Writer, base Config, threads []int, pearson bool) map[string]m
 	fmt.Fprintf(w, "(initial=%d items, range=%d, duration=%v/point)\n\n",
 		base.InitialItems, base.KeyRange, base.Duration)
 	for _, family := range []string{"Counter", "HashMap", "SkipListMap", "Reference", "Queue"} {
-		series := map[string][]Result{}
-		for _, wl := range Figure6Families()[family] {
-			series[wl.Name] = Sweep(wl, base, threads)
-		}
+		series := sweepTable(w, family, base, threads, Figure6Families()[family]...)
 		out[family] = series
-		fmt.Fprint(w, FormatTable(family, series, threads))
 		if pearson {
 			for name, results := range series {
 				if r, err := PearsonThroughputStalls(results); err == nil {
 					fmt.Fprintf(w, "  pearson(throughput, stalls) %s = %+.2f\n", name, r)
 				}
 			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
 	}
 	return out
 }
@@ -53,16 +61,9 @@ func Figure7(w io.Writer, base Config, threads []int, ratios []int) map[string]m
 	for _, ratio := range ratios {
 		cfg := base
 		cfg.UpdateRatio = ratio
-		series := map[string][]Result{}
-		for _, wl := range []Workload{HashMapJUC(), HashMapDEGO(), AdaptiveMap(),
-			AdaptiveMapHotWholesale(), AdaptiveMapHotPerRange(),
-			SkipListJUC(), SkipListDEGO()} {
-			series[wl.Name] = Sweep(wl, cfg, threads)
-		}
 		title := fmt.Sprintf("%d%% updates", ratio)
-		out[title] = series
-		fmt.Fprint(w, FormatTable(title, series, threads))
-		fmt.Fprintln(w)
+		out[title] = sweepTable(w, title, cfg, threads, HashMapJUC(), HashMapDEGO(), AdaptiveMap(),
+			AdaptiveMapHotWholesale(), AdaptiveMapHotPerRange(), SkipListJUC(), SkipListDEGO())
 	}
 	return out
 }
@@ -77,14 +78,8 @@ func Figure8(w io.Writer, base Config, threads []int) map[string]map[string][]Re
 		cfg.UpdateRatio = 75
 		cfg.InitialItems = (16 << 10) * scale
 		cfg.KeyRange = (32 << 10) * scale
-		series := map[string][]Result{}
-		for _, wl := range []Workload{HashMapJUC(), HashMapDEGO()} {
-			series[wl.Name] = Sweep(wl, cfg, threads)
-		}
 		title := fmt.Sprintf("%dK initial items", cfg.InitialItems>>10)
-		out[title] = series
-		fmt.Fprint(w, FormatTable(title, series, threads))
-		fmt.Fprintln(w)
+		out[title] = sweepTable(w, title, cfg, threads, HashMapJUC(), HashMapDEGO())
 	}
 	return out
 }
@@ -109,16 +104,10 @@ func FigureFlat(w io.Writer, base Config, threads []int) map[string]map[string][
 		cfg.UpdateRatio = 30
 		cfg.InitialItems = base.InitialItems * scale
 		cfg.KeyRange = base.KeyRange * scale
-		series := map[string][]Result{}
-		for _, wl := range []Workload{FlatShardedMap(), HashMapJUC(), HashMapDEGO(), SyncMap()} {
-			series[wl.Name] = Sweep(wl, cfg, threads)
-		}
 		// Raw count, as FigureHotRange: sub-1K smoke bases would collide on
 		// a rounded "0K" title.
 		title := fmt.Sprintf("%d initial items", cfg.InitialItems)
-		out[title] = series
-		fmt.Fprint(w, FormatTable(title, series, threads))
-		fmt.Fprintln(w)
+		out[title] = sweepTable(w, title, cfg, threads, FlatShardedMap(), HashMapJUC(), HashMapDEGO(), SyncMap())
 	}
 	return out
 }
@@ -143,17 +132,11 @@ func FigureHotRange(w io.Writer, base Config, threads []int) map[string]map[stri
 		cfg.UpdateRatio = 10
 		cfg.InitialItems = base.InitialItems * scale
 		cfg.KeyRange = base.KeyRange * scale
-		series := map[string][]Result{}
-		for _, wl := range []Workload{AdaptiveMapHotWholesale(), AdaptiveMapHotPerRange()} {
-			series[wl.Name] = Sweep(wl, cfg, threads)
-		}
 		// The raw count, not Figure8's %dK: the base here is CLI-provided, and
 		// sub-1K smoke configs would collide on a rounded "0K" title,
 		// silently overwriting a sweep in the returned map and JSON artifact.
 		title := fmt.Sprintf("%d initial items", cfg.InitialItems)
-		out[title] = series
-		fmt.Fprint(w, FormatTable(title, series, threads))
-		fmt.Fprintln(w)
+		out[title] = sweepTable(w, title, cfg, threads, AdaptiveMapHotWholesale(), AdaptiveMapHotPerRange())
 	}
 	return out
 }

@@ -124,6 +124,20 @@ func populate(cfg Config, put func(k int)) {
 	}
 }
 
+// populatePartitions inserts the initial items as populate does, but
+// respecting the CWMR routing: through one priming handle per thread
+// partition, so each initial key binds to the segment that partition's
+// worker (and only that worker) will keep writing. The priming handles stay
+// registered for the run: releasing them would let a worker reuse an id and
+// alias another partition's segment.
+func populatePartitions(cfg Config, reg *core.Registry, put func(h *core.Handle, k int)) {
+	handles := make([]*core.Handle, cfg.Threads)
+	for t := range handles {
+		handles[t] = reg.MustRegister()
+	}
+	populate(cfg, func(k int) { put(handles[intHash(k)%uint64(cfg.Threads)], k) })
+}
+
 // HashMapJUC is the ConcurrentHashMap stand-in (lock-striped buckets).
 func HashMapJUC() Workload {
 	return Workload{Name: "ConcurrentHashMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
@@ -144,21 +158,7 @@ func HashMapDEGO() Workload {
 	return Workload{Name: "ExtendedSegmentedHashMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		m := hashmap.NewSegmented[int, int](reg, cfg.InitialItems, cfg.KeyRange*2, intHash, false)
 		boxes := valueBoxes(cfg)
-		// Populate respecting the CWMR routing: one priming handle per
-		// thread partition, so each initial key binds to the segment that
-		// partition's worker (and only that worker) will keep writing. The
-		// priming handles stay registered for the run: releasing them would
-		// let a worker reuse an id and alias another partition's segment.
-		handles := make([]*core.Handle, cfg.Threads)
-		for t := range handles {
-			handles[t] = reg.MustRegister()
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		for i := 0; i < cfg.InitialItems; i++ {
-			k := rng.Intn(cfg.KeyRange)
-			t := int(intHash(k) % uint64(cfg.Threads))
-			m.PutRef(handles[t], k, boxes[k])
-		}
+		populatePartitions(cfg, reg, func(h *core.Handle, k int) { m.PutRef(h, k, boxes[k]) })
 		return mapOps(cfg,
 			func(h *core.Handle, k int) { m.PutRef(h, k, boxes[k]) },
 			func(h *core.Handle, k int) { m.Remove(h, k) },
@@ -209,16 +209,7 @@ func SkipListDEGO() Workload {
 	return Workload{Name: "ExtendedSegmentedSkipListMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		m := skiplist.NewSegmented[int, int](reg, cfg.KeyRange*2, intHash, false)
 		boxes := valueBoxes(cfg)
-		handles := make([]*core.Handle, cfg.Threads)
-		for t := range handles {
-			handles[t] = reg.MustRegister()
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		for i := 0; i < cfg.InitialItems; i++ {
-			k := rng.Intn(cfg.KeyRange)
-			t := int(intHash(k) % uint64(cfg.Threads))
-			m.PutRef(handles[t], k, boxes[k])
-		}
+		populatePartitions(cfg, reg, func(h *core.Handle, k int) { m.PutRef(h, k, boxes[k]) })
 		return mapOps(cfg,
 			func(h *core.Handle, k int) { m.PutRef(h, k, boxes[k]) },
 			func(h *core.Handle, k int) { m.Remove(h, k) },

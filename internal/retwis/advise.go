@@ -82,11 +82,7 @@ func AdviseRun(p Params) ([]TableAdvice, error) {
 		return nil, err
 	}
 
-	partUsers := make([][]UserID, p.Threads)
-	for u := 0; u < p.Users; u++ {
-		tid := owner(UserID(u), p.Threads)
-		partUsers[tid] = append(partUsers[tid], UserID(u))
-	}
+	partUsers := partitions(p)
 
 	var wg sync.WaitGroup
 	wg.Add(p.Threads)

@@ -3,10 +3,9 @@
 package retwis
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
 
+	"github.com/adjusted-objects/dego/internal/alloctest"
 	"github.com/adjusted-objects/dego/internal/core"
 	"github.com/adjusted-objects/dego/internal/wire"
 )
@@ -47,36 +46,8 @@ func TestAddUserAllocCeiling(t *testing.T) {
 			cl.Flush()
 		}},
 	} {
-		allocs, bytes := perCall(row.f)
-		if allocs > row.ceilAllocs || bytes > row.ceilBytes {
-			t.Errorf("%s: %.3f allocations, %.3f B per call; ceiling %g, %g B", row.name, allocs, bytes, row.ceilAllocs, row.ceilBytes)
-		} else if allocs < row.ceilAllocs || bytes < row.ceilBytes {
-			t.Logf("%s: %.3f allocations, %.3f B per call; ceiling %g, %g B — lower the ceiling", row.name, allocs, bytes, row.ceilAllocs, row.ceilBytes)
-		}
+		alloctest.Check(t, row.name, row.ceilAllocs, row.ceilBytes, row.f)
 	}
-}
-
-// perCall runs f a thousand times on one processor and returns the
-// allocations and bytes one call made on average. It first runs f 64 times
-// on that processor to reach steady state: a sync.Pool keeps what was put
-// back on the processor that put it, so warming up on another one would
-// leave the measured calls a cold pool. The collector is off meanwhile: a
-// collection empties the pools, and refilling them allocates, which moved
-// the averages by a few thousandths.
-func perCall(f func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 64; i++ {
-		f()
-	}
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // nopKV answers every command with one reused empty reply.

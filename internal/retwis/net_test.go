@@ -20,10 +20,7 @@ func netTestParams() Params {
 
 func TestGeneratorDeterministicAndPartitioned(t *testing.T) {
 	p := netTestParams()
-	part := make([][]UserID, p.Threads)
-	for u := 0; u < p.Users; u++ {
-		part[owner(UserID(u), p.Threads)] = append(part[owner(UserID(u), p.Threads)], UserID(u))
-	}
+	part := partitions(p)
 	for tid := 0; tid < p.Threads; tid++ {
 		a := NewGenerator(tid, p, part[tid], false)
 		b := NewGenerator(tid, p, part[tid], false)
@@ -46,10 +43,7 @@ func TestGeneratorDeterministicAndPartitioned(t *testing.T) {
 
 func TestGeneratorConfinedTargets(t *testing.T) {
 	p := netTestParams()
-	part := make([][]UserID, p.Threads)
-	for u := 0; u < p.Users; u++ {
-		part[owner(UserID(u), p.Threads)] = append(part[owner(UserID(u), p.Threads)], UserID(u))
-	}
+	part := partitions(p)
 	g := NewGenerator(1, p, part[1], true)
 	for i := 0; i < 2000; i++ {
 		op := g.Next()

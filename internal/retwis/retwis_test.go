@@ -172,11 +172,11 @@ func TestRunAllBackends(t *testing.T) {
 			if res.Ops != int64(p.Threads*p.OpsPerThread) {
 				t.Fatalf("ops = %d, want %d", res.Ops, p.Threads*p.OpsPerThread)
 			}
-			if res.OpsPerSec() <= 0 {
+			if res.Kops() <= 0 {
 				t.Fatal("non-positive throughput")
 			}
-			if res.Backend != kind.String() {
-				t.Fatalf("backend label = %q", res.Backend)
+			if res.Name != kind.String() {
+				t.Fatalf("backend label = %q", res.Name)
 			}
 		})
 	}

@@ -3,10 +3,11 @@ package retwis
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
+	"math/rand"
 	"time"
 
+	"github.com/adjusted-objects/dego/internal/bench"
+	"github.com/adjusted-objects/dego/internal/contention"
 	"github.com/adjusted-objects/dego/internal/core"
 	"github.com/adjusted-objects/dego/internal/stats"
 )
@@ -66,26 +67,18 @@ func DefaultParams() Params {
 	}
 }
 
-// Result is one measured point.
-type Result struct {
-	Backend string
-	Users   int
-	Threads int
-	Ops     int64
-	Elapsed time.Duration
-}
-
-// OpsPerSec returns the total throughput.
-func (r Result) OpsPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Elapsed.Seconds()
-}
-
 // owner returns the thread owning user u on the (degenerate) consistent-hash
 // ring.
 func owner(u UserID, threads int) int { return int(int64(u) % int64(threads)) }
+
+// partitions splits the initial users by owning thread.
+func partitions(p Params) [][]UserID {
+	part := make([][]UserID, p.Threads)
+	for u := 0; u < p.Users; u++ {
+		part[owner(UserID(u), p.Threads)] = append(part[owner(UserID(u), p.Threads)], UserID(u))
+	}
+	return part
+}
 
 // newBackend constructs the empty backend of a kind: the unsynchronised DAP
 // reference, or the table program over the kind's declaration row (rowOf
@@ -186,94 +179,36 @@ func (p Params) validate() error {
 	return nil
 }
 
-// Run executes the benchmark and returns the measurement.
-func Run(kind Kind, p Params) (Result, error) {
+// Run executes the benchmark on bench.Run, the in-process driver the
+// micro-benchmarks share, and returns the measurement, named after the kind.
+// bench.Run registers the workers before Setup, so worker tid holds handle
+// id tid (the DAP partition index) and Build's priming handles come after
+// them. Each worker draws from its own Generator over its partition's users
+// and reads timelines into its own buffer; an op is one apply.
+func Run(kind Kind, p Params) (bench.Result, error) {
 	if err := p.validate(); err != nil {
-		return Result{}, err
+		return bench.Result{}, err
 	}
 	if kind < KindJUC || kind > kindRecorded {
-		return Result{}, fmt.Errorf("retwis: unknown backend %v", kind)
+		return bench.Result{}, fmt.Errorf("retwis: unknown backend %v", kind)
 	}
-	reg := core.NewRegistry(2*p.Threads + 8)
-
-	// Workers register first so their ids are 0..Threads-1 (the DAP
-	// partition index); handles are created here and handed to the worker
-	// goroutines before they start.
-	workers := make([]*core.Handle, p.Threads)
-	for i := range workers {
-		workers[i] = reg.MustRegister()
-	}
-
-	b, _ := Build(kind, p, reg)
-
-	// Partition the initial users.
-	partUsers := make([][]UserID, p.Threads)
-	for u := 0; u < p.Users; u++ {
-		t := owner(UserID(u), p.Threads)
-		partUsers[t] = append(partUsers[t], UserID(u))
-	}
-
-	var (
-		stop     atomic.Bool
-		begin    = make(chan struct{})
-		started  sync.WaitGroup
-		finished sync.WaitGroup
-		counts   = make([]int64, p.Threads)
-	)
-
-	worker := func(tid int) {
-		defer finished.Done()
-		h := workers[tid]
-		gen := NewGenerator(tid, p, partUsers[tid], kind == KindDAP)
-		tl := make([]Tweet, TimelineSize)
-
-		oneOp := func() { apply(b, h, gen.Next(), tl) }
-
-		started.Done()
-		<-begin
-		n := int64(0)
-		if p.OpsPerThread > 0 {
-			for i := 0; i < p.OpsPerThread; i++ {
-				oneOp()
-				n++
-			}
-		} else {
-			for !stop.Load() {
-				for i := 0; i < 16; i++ {
-					oneOp()
-				}
-				n += 16
-			}
+	wl := bench.Workload{Name: kind.String(), Setup: func(_ bench.Config, reg *core.Registry) (bench.OpFunc, *contention.Probe) {
+		b, _ := Build(kind, p, reg)
+		partUsers := partitions(p)
+		gens := make([]*Generator, p.Threads)
+		tls := make([][]Tweet, p.Threads)
+		for tid := range gens {
+			gens[tid] = NewGenerator(tid, p, partUsers[tid], kind == KindDAP)
+			tls[tid] = make([]Tweet, TimelineSize)
 		}
-		counts[tid] = n
-	}
-
-	started.Add(p.Threads)
-	finished.Add(p.Threads)
-	for tid := 0; tid < p.Threads; tid++ {
-		go worker(tid)
-	}
-	started.Wait()
-	t0 := time.Now()
-	close(begin)
-	if p.OpsPerThread == 0 {
-		time.Sleep(p.Duration)
-		stop.Store(true)
-	}
-	finished.Wait()
-	elapsed := time.Since(t0)
-
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return Result{
-		Backend: kind.String(),
-		Users:   p.Users,
-		Threads: p.Threads,
-		Ops:     total,
-		Elapsed: elapsed,
-	}, nil
+		return func(tid int, h *core.Handle, _ *rand.Rand) { apply(b, h, gens[tid].Next(), tls[tid]) }, nil
+	}}
+	return bench.Run(wl, bench.Config{
+		Threads:      p.Threads,
+		Duration:     p.Duration,
+		OpsPerThread: p.OpsPerThread,
+		Seed:         p.Seed,
+	}), nil
 }
 
 // Figure9 regenerates the speedup-vs-JUC table: users × threads, with DEGO,
@@ -297,10 +232,10 @@ func Figure9(w io.Writer, base Params, usersList []int, threads []int) error {
 				if err != nil {
 					return err
 				}
-				rel[i] = res.OpsPerSec() / juc.OpsPerSec()
+				rel[i] = res.Kops() / juc.Kops()
 			}
 			fmt.Fprintf(w, "%-10d%12.3f%12.2fx%12.2fx%13.2fx%11.2fx\n", t,
-				juc.OpsPerSec()/1e6, rel[0], rel[1], rel[2], rel[3])
+				juc.Kops()/1e3, rel[0], rel[1], rel[2], rel[3])
 		}
 		fmt.Fprintln(w)
 	}
@@ -323,7 +258,7 @@ func Figure10(w io.Writer, base Params, alphas []float64) error {
 			if err != nil {
 				return err
 			}
-			vals[i] = res.OpsPerSec() / 1e6
+			vals[i] = res.Kops() / 1e3
 		}
 		fmt.Fprintf(w, "%-8.2f%14.3f%14.3f%14.3f%14.3f%14.3f\n",
 			a, vals[0], vals[1], vals[2], vals[3], vals[4])

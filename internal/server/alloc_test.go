@@ -5,19 +5,17 @@ package server
 import (
 	"bytes"
 	"io"
-	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/adjusted-objects/dego/internal/alloctest"
 	"github.com/adjusted-objects/dego/internal/wire"
 )
 
 // Allocation and byte ceilings of the serving path, steady state, per call
-// of the row's function, averaged over a thousand calls (perCall). Timing on
-// a shared box cannot hold a line; these counts repeat exactly, so they can.
-// A change may lower a number here, never raise one. (The race detector
+// of the row's function, averaged over a thousand calls
+// (alloctest.PerCall). A change may lower a number here, never raise one. (The race detector
 // allocates on its own, hence the build tag; `make cover` runs this file.)
 //
 // What the table-2 row still pays, 73.04 allocations and 3909 B for 38
@@ -198,35 +196,8 @@ func TestAllocCeilings(t *testing.T) {
 		{"store.run, 38-command table-2 batch", 73.04, 3909.44, table2Batch},
 		{"store.run, GET profile + LRANGE timeline 0 49 read batch", 0, 0, readBatch},
 	} {
-		allocs, bytes := perCall(row.setup())
-		if allocs > row.ceilAllocs || bytes > row.ceilBytes {
-			t.Errorf("%s: %.3f allocations, %.3f B per call; ceiling %g, %g B", row.name, allocs, bytes, row.ceilAllocs, row.ceilBytes)
-		} else if allocs < row.ceilAllocs || bytes < row.ceilBytes {
-			t.Logf("%s: %.3f allocations, %.3f B per call; ceiling %g, %g B — lower the ceiling", row.name, allocs, bytes, row.ceilAllocs, row.ceilBytes)
-		}
+		alloctest.Check(t, row.name, row.ceilAllocs, row.ceilBytes, row.setup())
 	}
-}
-
-// perCall runs f a thousand times on one processor and returns the
-// allocations and bytes one call made on average. It first runs f 64 times
-// on that processor to reach steady state: destinations sized, keys
-// present, timelines full, and the scratch pool filled on the processor
-// that measures. The collector is off meanwhile: a collection empties the
-// pool, and refilling it allocates.
-func perCall(f func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 64; i++ {
-		f()
-	}
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // loopReader serves data over and over: an endless stream of valid frames.

@@ -65,14 +65,15 @@ func arityErr(c *command, n int) wire.Reply {
 	return wire.Errf("ERR wrong number of arguments for '%s' command", strings.ToLower(c.name))
 }
 
-// fan says which units a command becomes and how their replies combine.
+// fan says which units a command becomes; cmdPlan.reply combines their
+// replies.
 type fan uint8
 
 const (
 	fanInline fan = iota // none: inline answers at planning time
-	fanKey               // one, on the shard owning args[1], with args[2:] as operands; its reply passes through
-	fanPerKey            // one per key in args[1:] (DEL, EXISTS); integer replies summed
-	fanAll               // one per shard (FLUSHALL); +OK once all succeed
+	fanKey               // one, on the shard owning args[1], with args[2:] as operands
+	fanPerKey            // one per key in args[1:] (DEL, EXISTS)
+	fanAll               // one per shard (DBSIZE, FLUSHALL)
 )
 
 // pong is PING's reply, shared as wire.OK's text is: the Writer only reads it.
@@ -104,7 +105,9 @@ var commands = [...]command{
 		}
 		return wire.OK()
 	}},
-	{name: "DBSIZE", inline: func(s *Store, _ [][]byte) wire.Reply { return wire.Int64(int64(s.Len())) }},
+	// Each shard counts its keys in batch order, so the sum answers in
+	// program order.
+	{name: "DBSIZE", fan: fanAll, exec: (*shard).dbsize},
 	// Full output regardless of a requested section, like a server that
 	// implements no sections would; the reply is small.
 	{name: "INFO", arity: arity{min: 1, max: 2}, inline: func(s *Store, _ [][]byte) wire.Reply { return wire.Bulk([]byte(s.Info())) }},
@@ -228,35 +231,32 @@ type unit struct {
 type cmdPlan struct {
 	rep      wire.Reply
 	first, n int
-	fan      fan
 	closes   bool
 }
 
-// reply assembles the command reply after its units executed.
+// reply assembles the command reply after its units executed. One unit's
+// reply passes through. Of several, the first error wins; otherwise integer
+// replies are summed (DEL, EXISTS, DBSIZE) and any other reply is the first
+// unit's (FLUSHALL's +OK).
 func (p cmdPlan) reply(units []unit) wire.Reply {
 	if p.n == 0 {
 		return p.rep
 	}
-	switch p.fan {
-	case fanPerKey:
-		total := int64(0)
-		for _, u := range units[p.first : p.first+p.n] {
-			if u.out.IsError() {
-				return u.out
-			}
-			total += u.out.Int
-		}
-		return wire.Int64(total)
-	case fanAll:
-		for _, u := range units[p.first : p.first+p.n] {
-			if u.out.IsError() {
-				return u.out
-			}
-		}
-		return wire.OK()
-	default:
-		return units[p.first].out
+	us := units[p.first : p.first+p.n]
+	if len(us) == 1 {
+		return us[0].out
 	}
+	total := int64(0)
+	for _, u := range us {
+		if u.out.IsError() {
+			return u.out
+		}
+		total += u.out.Int
+	}
+	if us[0].out.Kind != wire.KindInt {
+		return us[0].out
+	}
+	return wire.Int64(total)
 }
 
 // planCommand turns one parsed command into a cmdPlan, appending any
@@ -273,7 +273,7 @@ func planCommand(args [][]byte, s *Store, units *[]unit) cmdPlan {
 	if !c.arity.fits(len(args)) {
 		return cmdPlan{rep: arityErr(c, len(args))}
 	}
-	p := cmdPlan{first: len(*units), fan: c.fan, closes: c.closes}
+	p := cmdPlan{first: len(*units), closes: c.closes}
 	add := func(shard int, key []byte, operands [][]byte) {
 		*units = append(*units, unit{shard: shard, cmd: c, key: unsafe.String(unsafe.SliceData(key), len(key)), args: operands})
 	}

@@ -386,6 +386,37 @@ func TestStoreBatchOrderPerShard(t *testing.T) {
 	}
 }
 
+// TestDBSizeAnswersInProgramOrder: DBSIZE counts what the commands before
+// it in the batch left, on one shard and on four, whether the batch runs as
+// one ExecBatch, as one Exec per command or as one TCP write, which the
+// connection handler reads as one batch.
+func TestDBSizeAnswersInProgramOrder(t *testing.T) {
+	batch := [][]string{{"SET", "a", "v"}, {"DBSIZE"}, {"DEL", "a"}, {"DBSIZE"}}
+	want := "[OK (integer) 1 (integer) 1 (integer) 0]"
+	for _, shards := range []int{1, 4} {
+		cmds := make([][][]byte, len(batch))
+		for i, c := range batch {
+			cmds[i] = cmd(c...)
+		}
+		if got := wire.Array(newTestStore(t, shards).ExecBatch(cmds)...).String(); got != want {
+			t.Errorf("%d shards, ExecBatch: %s, want %s", shards, got, want)
+		}
+		st := newTestStore(t, shards)
+		var reps []wire.Reply
+		for _, c := range cmds {
+			reps = append(reps, st.Exec(c))
+		}
+		if got := wire.Array(reps...).String(); got != want {
+			t.Errorf("%d shards, Exec: %s, want %s", shards, got, want)
+		}
+		srv := startTestServer(t, Config{Store: StoreConfig{Shards: shards, Capacity: 64}})
+		r, w, _ := dialTestServer(t, srv)
+		if got := wire.Array(pipeline(t, r, w, batch...)...).String(); got != want {
+			t.Errorf("%d shards, one TCP write: %s, want %s", shards, got, want)
+		}
+	}
+}
+
 // TestStoreAfterCloseAnswersShutDown: once Close has returned, the caller
 // finds every shard's lock free and runs the units itself, and every unit,
 // in single- and multi-shard batches, must answer the shut-down error

@@ -410,6 +410,11 @@ func (sh *shard) zremrangebyscore(u *unit, o *object, _ *scratch) wire.Reply {
 	return wire.Int64(removed)
 }
 
+// dbsize is DBSIZE's unit: the shard's key count at this point of the batch.
+func (sh *shard) dbsize(*unit, *object, *scratch) wire.Reply {
+	return wire.Int64(int64(sh.obj.Len()))
+}
+
 func (sh *shard) flush(*unit, *object, *scratch) wire.Reply {
 	var keys []string
 	sh.obj.Range(func(k string, _ *object) bool {
