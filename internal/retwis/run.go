@@ -75,7 +75,8 @@ func owner(u UserID, threads int) int { return int(int64(u) % int64(threads)) }
 func partitions(p Params) [][]UserID {
 	part := make([][]UserID, p.Threads)
 	for u := 0; u < p.Users; u++ {
-		part[owner(UserID(u), p.Threads)] = append(part[owner(UserID(u), p.Threads)], UserID(u))
+		t := owner(UserID(u), p.Threads)
+		part[t] = append(part[t], UserID(u))
 	}
 	return part
 }
