@@ -42,7 +42,8 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # and the wire client's (BenchmarkNetClient) run once each so they cannot
 # rot, and so does cmd/benchcmp, the alternating-pair runner every
 # performance comparison is made with: one -bench pair of the checkout
-# against itself over the executor's benchmarks and one over the decoders'.
+# against itself over the executor's benchmarks, one over the decoders' and
+# one over the wire client's.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
@@ -117,6 +118,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench NetClient -benchtime 1x ./internal/retwis
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench StoreRun . . -- -benchtime 1x ./internal/server
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'CommandBatch|ReplyBatch' . . -- -benchtime 1x ./internal/wire
+	$(GO) run ./cmd/benchcmp -pairs 1 -bench NetClient . . -- -benchtime 1x ./internal/retwis
 
 # Boot dego-server on an ephemeral port and run the scripted
 # GET/SET/INCR/LRANGE self-session through the repo's own wire client

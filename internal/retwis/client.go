@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/adjusted-objects/dego/internal/server"
 	"github.com/adjusted-objects/dego/internal/stats"
@@ -20,7 +21,10 @@ import (
 // dego-server over TCP. ExecPipe executes one pipeline: every command is
 // sent, then every reply is read, in order. The replies are valid until the
 // next ExecPipe on the same KV, which may decode into the same memory; a
-// caller that keeps one longer copies it. cmds is not retained. A WireKV
+// caller that keeps one longer copies it. WireKV and LocalKV keep no
+// reference to cmds past ExecPipe, so a NetClient over either rewrites
+// their bytes for its next pipeline; a NetClient over any other KV never
+// rewrites a command it has flushed, so that KV may keep cmds. A WireKV
 // may return an array of bulk strings (LRANGE, SMEMBERS) as
 // wire.KindFrames; its Expand or String gives the elements, and IsError
 // reads it as any other reply.
@@ -316,17 +320,11 @@ func BuildGraph(p Params) *Graph {
 //	posts:<u>      zset     u's post log by seq   ZADD / ZREMRANGEBYSCORE
 //	community      set      interest group        SADD / SREM
 //	stat:posts     string   global post counter   INCR
-func userKey(prefix string, u UserID) []byte {
-	return strconv.AppendInt(append([]byte(prefix), ':'), int64(u), 10)
-}
-
-func uidBytes(u UserID) []byte { return strconv.AppendInt(nil, int64(u), 10) }
-
-// Command words that are the same bytes in every command. They are shared and
-// read-only: the pipeline only ever serializes them. userKey, uidBytes, the
-// payloads and push's argument slices stay fresh per command on purpose —
-// the pipeline buffer is handed to KV.ExecPipe, and the repository
-// benchmark's replay keeps those commands after the client has moved on.
+//
+// Command words, constant keys and constant arguments are the same bytes in
+// every command. They are shared and read-only: the pipeline only ever
+// serializes them. Everything else a command holds is cut from the client's
+// chunks (NetClient).
 var (
 	verbSet              = []byte("SET")
 	verbGet              = []byte("GET")
@@ -348,59 +346,132 @@ var (
 
 // NetClient turns generated Ops into RESP command pipelines against a KV.
 // One NetClient serves one worker; it is not goroutine-safe.
+//
+// A pipeline allocates nothing once the client is warm. Every key, number
+// and payload is cut from one byte chunk and every command's argument list
+// from one argument chunk, each piece a capped window, so an append to it
+// cannot reach the next piece. A full chunk is left to the pieces already
+// cut from it, and one twice its size takes over. After Flush the chunks
+// restart at zero when the KV is a *WireKV or a *LocalKV: neither keeps a
+// command past ExecPipe, and no command the client sends is answered with
+// its own argument bytes (only PING and ECHO are). Any other KV may keep
+// the commands, so its chunks are never rewritten. A chunk grows to at most
+// wire.RetainTotal bytes, so that is all a client keeps of a long pipeline.
 type NetClient struct {
 	kv    KV
 	graph *Graph
 	buf   [][][]byte
+	bytes []byte
+	args  [][]byte
+	// recycle is set when kv keeps no command past ExecPipe.
+	recycle bool
 }
 
 // NewNetClient wraps kv. graph drives client-side post fanout.
 func NewNetClient(kv KV, graph *Graph) *NetClient {
-	return &NetClient{kv: kv, graph: graph}
+	c := &NetClient{kv: kv, graph: graph}
+	switch kv.(type) {
+	case *WireKV, *LocalKV:
+		c.recycle = true
+	}
+	return c
 }
 
-func (c *NetClient) push(args ...[]byte) { c.buf = append(c.buf, args) }
+// room returns chunk with space for n more elements: chunk itself, or,
+// when it is full, a new empty chunk twice its size, at most
+// wire.RetainTotal bytes (at least 16n elements).
+func room[T any](chunk []T, n int) []T {
+	if cap(chunk)-len(chunk) >= n {
+		return chunk
+	}
+	var elem T
+	limit := wire.RetainTotal / int(unsafe.Sizeof(elem))
+	return make([]T, 0, max(min(2*cap(chunk), limit), 16*n))
+}
+
+// window returns chunk[start:], capped at its end.
+func window[T any](chunk []T, start int) []T {
+	return chunk[start:len(chunk):len(chunk)]
+}
+
+// maxPiece bounds one piece of the byte chunk: a key prefix and an int64,
+// or two int64s and their separator.
+const maxPiece = 48
+
+// open makes room for one piece in the byte chunk and returns its start.
+func (c *NetClient) open() int {
+	c.bytes = room(c.bytes, maxPiece)
+	return len(c.bytes)
+}
+
+// key cuts prefix followed by u, as a piece.
+func (c *NetClient) key(prefix string, u UserID) []byte {
+	start := c.open()
+	c.bytes = strconv.AppendInt(append(c.bytes, prefix...), int64(u), 10)
+	return window(c.bytes, start)
+}
+
+// num cuts n in decimal, as a piece.
+func (c *NetClient) num(n int64) []byte {
+	start := c.open()
+	c.bytes = strconv.AppendInt(c.bytes, n, 10)
+	return window(c.bytes, start)
+}
+
+// push appends one command, its argument list cut from the argument chunk.
+func (c *NetClient) push(args ...[]byte) {
+	c.args = room(c.args, len(args))
+	start := len(c.args)
+	c.args = append(c.args, args...)
+	c.buf = append(c.buf, window(c.args, start))
+}
 
 // AppendOp expands op into its commands on the pending pipeline.
 func (c *NetClient) AppendOp(op Op) {
 	switch op.Kind {
 	case OpAddUser:
-		c.push(verbSet, userKey("profile", op.User), argZero)
+		c.push(verbSet, c.key("profile:", op.User), argZero)
 	case OpFollow:
-		u, t := uidBytes(op.User), uidBytes(op.Target)
+		u, t := c.num(int64(op.User)), c.num(int64(op.Target))
+		following, followers := c.key("following:", op.User), c.key("followers:", op.Target)
 		// Follow both directions, then the converse (§6.3): not measured
 		// separately, but part of the op's cost exactly as in-process.
-		c.push(verbSAdd, userKey("following", op.User), t)
-		c.push(verbSAdd, userKey("followers", op.Target), u)
-		c.push(verbSRem, userKey("following", op.User), t)
-		c.push(verbSRem, userKey("followers", op.Target), u)
+		c.push(verbSAdd, following, t)
+		c.push(verbSAdd, followers, u)
+		c.push(verbSRem, following, t)
+		c.push(verbSRem, followers, u)
 	case OpPost:
-		seq := strconv.AppendInt(nil, op.Seq, 10)
-		payload := append(append(uidBytes(op.User), ':'), seq...)
+		// The payload is "<user>:<seq>"; the score is its tail.
+		start := c.open()
+		c.bytes = append(strconv.AppendInt(c.bytes, int64(op.User), 10), ':')
+		mid := len(c.bytes)
+		c.bytes = strconv.AppendInt(c.bytes, op.Seq, 10)
+		payload, seq := window(c.bytes, start), window(c.bytes, mid)
+		posts := c.key("posts:", op.User)
 		c.push(verbIncr, keyStatPosts)
-		c.push(verbZAdd, userKey("posts", op.User), seq, payload)
+		c.push(verbZAdd, posts, seq, payload)
 		if op.Seq > int64(TimelineSize) {
 			// Prune the post log to the sliding window a timeline can show.
-			old := strconv.AppendInt(nil, op.Seq-int64(TimelineSize), 10)
-			c.push(verbZRemRangeByScore, userKey("posts", op.User), argNegInf, old)
+			c.push(verbZRemRangeByScore, posts, argNegInf, c.num(op.Seq-int64(TimelineSize)))
 		}
 		var fol []UserID
 		if int(op.User) < len(c.graph.Followers) {
 			fol = c.graph.Followers[op.User]
 		}
 		for _, f := range fol {
-			c.push(verbLPush, userKey("timeline", f), payload)
-			c.push(verbLTrim, userKey("timeline", f), argZero, argTimelineLast)
+			timeline := c.key("timeline:", f)
+			c.push(verbLPush, timeline, payload)
+			c.push(verbLTrim, timeline, argZero, argTimelineLast)
 		}
 	case OpTimeline:
-		c.push(verbGet, userKey("profile", op.User))
-		c.push(verbLRange, userKey("timeline", op.User), argZero, argTimelineLast)
+		c.push(verbGet, c.key("profile:", op.User))
+		c.push(verbLRange, c.key("timeline:", op.User), argZero, argTimelineLast)
 	case OpJoinGroup:
-		c.push(verbSAdd, keyCommunity, uidBytes(op.User))
+		c.push(verbSAdd, keyCommunity, c.num(int64(op.User)))
 	case OpLeaveGroup:
-		c.push(verbSRem, keyCommunity, uidBytes(op.User))
+		c.push(verbSRem, keyCommunity, c.num(int64(op.User)))
 	case OpUpdateProfile:
-		c.push(verbSet, userKey("profile", op.User), strconv.AppendInt(nil, op.Seq, 10))
+		c.push(verbSet, c.key("profile:", op.User), c.num(op.Seq))
 	}
 }
 
@@ -408,13 +479,14 @@ func (c *NetClient) AppendOp(op Op) {
 func (c *NetClient) Pending() int { return len(c.buf) }
 
 // Flush executes the pending pipeline and checks every reply; the first
-// error reply is returned as a *ReplyError. The buffer is reset either way.
+// error reply is returned as a *ReplyError. The pipeline is reset either
+// way.
 func (c *NetClient) Flush() error {
 	if len(c.buf) == 0 {
 		return nil
 	}
 	reps, err := c.kv.ExecPipe(c.buf)
-	c.buf = c.buf[:0]
+	c.reset()
 	if err != nil {
 		return err
 	}
@@ -424,6 +496,15 @@ func (c *NetClient) Flush() error {
 		}
 	}
 	return nil
+}
+
+// reset empties the pipeline; the chunks restart at zero if the KV keeps
+// no command.
+func (c *NetClient) reset() {
+	c.buf = c.buf[:0]
+	if c.recycle {
+		c.bytes, c.args = c.bytes[:0], c.args[:0]
+	}
 }
 
 // Close closes the underlying KV.
@@ -436,40 +517,24 @@ type ReplyError struct{ Message string }
 func (e *ReplyError) Error() string { return "retwis: server replied " + e.Message }
 
 // SeedKV loads the initial state for p into kv: one profile per user plus
-// the follower/following edges of graph, pipelined in chunks. It is the
-// wire-side counterpart of Build's seeding phase.
+// the follower/following edges of graph, pipelined about 512 commands at a
+// time. It is the wire-side counterpart of Build's seeding phase.
 func SeedKV(kv KV, p Params, graph *Graph) error {
 	const chunk = 512
-	var buf [][][]byte
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		reps, err := kv.ExecPipe(buf)
-		buf = buf[:0]
-		if err != nil {
-			return err
-		}
-		for _, rep := range reps {
-			if rep.IsError() {
-				return &ReplyError{Message: rep.Text()}
-			}
-		}
-		return nil
-	}
+	c := NewNetClient(kv, graph)
 	for u := 0; u < p.Users; u++ {
 		uid := UserID(u)
-		buf = append(buf, [][]byte{verbSet, userKey("profile", uid), argZero})
+		c.AppendOp(Op{Kind: OpAddUser, User: uid})
+		followers, num := c.key("followers:", uid), c.num(int64(uid))
 		for _, f := range graph.Followers[u] {
-			buf = append(buf,
-				[][]byte{verbSAdd, userKey("followers", uid), uidBytes(f)},
-				[][]byte{verbSAdd, userKey("following", f), uidBytes(uid)})
+			c.push(verbSAdd, followers, c.num(int64(f)))
+			c.push(verbSAdd, c.key("following:", f), num)
 		}
-		if len(buf) >= chunk {
-			if err := flush(); err != nil {
+		if c.Pending() >= chunk {
+			if err := c.Flush(); err != nil {
 				return err
 			}
 		}
 	}
-	return flush()
+	return c.Flush()
 }
