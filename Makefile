@@ -38,12 +38,14 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # layer benchmarks of the ordered maps (BenchmarkOrdered) and the adaptive
 # map (BenchmarkMap), the root figure wrappers (BenchmarkFig*), the serving
 # executor's (BenchmarkStoreRun, its contended case included), the
-# codec's (BenchmarkCommandBatch, BenchmarkReplyBatch, BenchmarkWriteReply)
-# and the wire client's (BenchmarkNetClient) run once each so they cannot
-# rot, and so does cmd/benchcmp, the alternating-pair runner every
-# performance comparison is made with: one -bench pair of the checkout
-# against itself over the executor's benchmarks, one over the decoders' and
-# one over the wire client's.
+# codec's (BenchmarkCommandBatch, BenchmarkReplyBatch, BenchmarkWriteReply),
+# the wire client's (BenchmarkNetClient) and the load driver's (the Zipf
+# sampler's BenchmarkZipfian, the op stream's BenchmarkGenerator) run once
+# each so they cannot rot, and so does cmd/benchcmp, the alternating-pair
+# runner every performance comparison is made with: one -bench pair of the
+# checkout against itself over the executor's benchmarks, one over the
+# decoders', one over the wire client's and one over each of the load
+# driver's two.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
@@ -116,9 +118,13 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench StoreRun -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench 'CommandBatch|ReplyBatch|WriteReply' -benchtime 1x ./internal/wire
 	$(GO) test -run '^$$' -bench NetClient -benchtime 1x ./internal/retwis
+	$(GO) test -run '^$$' -bench Zipfian -benchtime 1x ./internal/stats
+	$(GO) test -run '^$$' -bench Generator -benchtime 1x ./internal/retwis
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench StoreRun . . -- -benchtime 1x ./internal/server
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'CommandBatch|ReplyBatch' . . -- -benchtime 1x ./internal/wire
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench NetClient . . -- -benchtime 1x ./internal/retwis
+	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'Zipfian|Generator' . . -- -benchtime 1x ./internal/stats
+	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'Zipfian|Generator' . . -- -benchtime 1x ./internal/retwis
 
 # Boot dego-server on an ephemeral port and run the scripted
 # GET/SET/INCR/LRANGE self-session through the repo's own wire client

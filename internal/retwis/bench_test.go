@@ -122,3 +122,20 @@ func cannedReply(cmd [][]byte) wire.Reply {
 		return wire.Int64(1)
 	}
 }
+
+// BenchmarkGenerator times one op draw of a lib_table2 worker: the acting
+// user from the worker's 50 000 (a Zipf draw), the mix draw, and for a
+// follow the target from all 100 000 users (a second Zipf draw).
+func BenchmarkGenerator(b *testing.B) {
+	p := libShape()
+	g := NewGenerator(0, p, partitions(p)[0], false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum UserID
+	for range b.N {
+		sum += g.Next().User
+	}
+	opSink = sum
+}
+
+var opSink UserID

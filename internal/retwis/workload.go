@@ -46,8 +46,8 @@ type Op struct {
 // thresholds, and deterministic fresh user ids that stay on the owning
 // ring position (id mod threads == tid). It is the oneOp logic of Run
 // extracted so the network client can replay the exact same stream against
-// a live server; the rand draw order is part of the contract — changing it
-// changes every seeded figure.
+// a live server. TestGeneratorStreamPinned pins its streams: every seeded
+// figure depends on the draw order and on the samplers' values.
 type Generator struct {
 	mine       []UserID
 	rng        *rand.Rand

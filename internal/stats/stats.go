@@ -87,41 +87,6 @@ func Pearson(a, b []float64) (float64, error) {
 	return cov / math.Sqrt(va*vb), nil
 }
 
-// Zipfian samples integers in [0, n) with a Zipf-like skew. alpha tunes the
-// bias exactly as in §6.3: alpha near 0 approaches uniform, alpha = 1 is the
-// classic biased distribution, larger alpha concentrates further.
-type Zipfian struct {
-	rng *rand.Rand
-	z   *rand.Zipf
-	n   uint64
-	uni bool
-}
-
-// NewZipfian creates a sampler over [0, n) with skew alpha and the given
-// seed. alpha ≤ 0.01 degrades to the uniform distribution (rand.Zipf
-// requires s > 1, so the skew parameter is mapped to s = 1 + alpha).
-func NewZipfian(n int, alpha float64, seed int64) *Zipfian {
-	if n <= 0 {
-		panic("stats: Zipfian needs n > 0")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	z := &Zipfian{rng: rng, n: uint64(n)}
-	if alpha <= 0.01 {
-		z.uni = true
-		return z
-	}
-	z.z = rand.NewZipf(rng, 1+alpha, 1, uint64(n-1))
-	return z
-}
-
-// Next samples the next value in [0, n).
-func (z *Zipfian) Next() int {
-	if z.uni {
-		return int(z.rng.Int63n(int64(z.n)))
-	}
-	return int(z.z.Uint64())
-}
-
 // PowerLawDegrees samples n degrees following a truncated discrete power law
 // P(d) ∝ d^(-gamma) over [1, maxDeg], the degree model of the social-graph
 // generator (§6.3, after Schweimer et al.).
