@@ -8,7 +8,9 @@ GO ?= go
 # the flat open-addressing family for its own tables), the per-entity
 # locked set (its slice and map bodies swap under concurrent adds), the
 # queues (their embedded sentinel is retired while producers may still hold
-# it as the tail), the resilience layer (fault injection and the chaos
+# it as the tail), the value cell (internal/core: one writer removes and
+# re-puts keys under readers at each of the four maps that publish through
+# it), the resilience layer (fault injection and the chaos
 # storm), and the load generator (clock goroutine feeding a worker pool
 # through a bounded queue, or closed workers claiming from a shared
 # counter), and the in-process driver (internal/bench: its workers share
@@ -35,8 +37,10 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # "all" figure set includes the AdaptiveMap workload (Figures 6 and 7) and
 # the hot-range pair (AdaptiveMapHotWholesale / AdaptiveMapHotPerRange), so
 # the adaptive map's promotion path is exercised on every CI run. The
-# layer benchmarks of the ordered maps (BenchmarkOrdered) and the adaptive
-# map (BenchmarkMap), the root figure wrappers (BenchmarkFig*), the serving
+# layer benchmarks of the ordered maps (BenchmarkOrdered), the hash maps
+# (BenchmarkSWMR, the served shard's map, and the pointer-valued
+# BenchmarkSegmented) and the adaptive map (BenchmarkMap), the root figure
+# wrappers (BenchmarkFig*), the serving
 # executor's (BenchmarkStoreRun, its contended case included), the
 # codec's (BenchmarkCommandBatch, BenchmarkReplyBatch, BenchmarkWriteReply),
 # the wire client's (BenchmarkNetClient) and the load driver's (the Zipf
@@ -44,8 +48,8 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # each so they cannot rot, and so does cmd/benchcmp, the alternating-pair
 # runner every performance comparison is made with: one -bench pair of the
 # checkout against itself over the executor's benchmarks, one over the
-# decoders', one over the wire client's and one over each of the load
-# driver's two.
+# hash maps', one over the decoders', one over the wire client's and one
+# over each of the load driver's two.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
@@ -113,6 +117,7 @@ race:
 bench-smoke:
 	$(GO) run ./cmd/dego-bench $(BENCH_SMOKE_FLAGS) -json $(BENCH_SMOKE_JSON)
 	$(GO) test -run '^$$' -bench Ordered -benchtime 1x ./internal/skiplist
+	$(GO) test -run '^$$' -bench 'SWMR|Segmented' -benchtime 1x ./internal/hashmap
 	$(GO) test -run '^$$' -bench Map -benchtime 1x ./internal/adaptive
 	$(GO) test -run '^$$' -bench Fig -benchtime 1x .
 	$(GO) test -run '^$$' -bench StoreRun -benchtime 1x ./internal/server
@@ -121,6 +126,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Zipfian -benchtime 1x ./internal/stats
 	$(GO) test -run '^$$' -bench Generator -benchtime 1x ./internal/retwis
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench StoreRun . . -- -benchtime 1x ./internal/server
+	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'SWMR|Segmented' . . -- -benchtime 1x ./internal/hashmap
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'CommandBatch|ReplyBatch' . . -- -benchtime 1x ./internal/wire
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench NetClient . . -- -benchtime 1x ./internal/retwis
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'Zipfian|Generator' . . -- -benchtime 1x ./internal/stats

@@ -3,6 +3,7 @@
 package dego
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -23,9 +24,10 @@ import (
 // profile recycled). A segmented
 // Put of a present key pays one value box (also right after a Remove, which
 // keeps the key's node), of a fresh key the box and its directory node (a
-// set's empty value needs no box); an adaptive map's Put boxes its value in
-// every state, so a promotion can store the box as it is; an MPSC Offer
-// pays one node.
+// set's empty value needs no box); a pointer value needs no box either, in
+// the segmented map and the SWMR map alike, since the node's cell stores the
+// pointer as it is; an adaptive map's Put boxes its value in every state, so
+// a promotion can store the box as it is; an MPSC Offer pays one node.
 func TestAllocCeilings(t *testing.T) {
 	reg := NewRegistry(8)
 	h := Must(reg.Register())
@@ -37,6 +39,14 @@ func TestAllocCeilings(t *testing.T) {
 	// rows run.
 	promoted := Must(Map[int, int](CommutingWriters(), Adaptive(WithPolicy(AdaptivePolicy{SampleEvery: 1 << 62})), On(reg), Capacity(16)))
 	recorded := Must(Map[int, int](CommutingWriters(), On(reg), Capacity(16), WithUsageRecording()))
+	// Pointer-valued maps on the segmented and the served (SWMR) rows. The
+	// SWMR map holds every fresh key of its rows without growing its table.
+	ptrSegmented := Must(Map[int, *int](CommutingWriters(), On(reg), Capacity(16), Buckets(32), WithHash(HashInt)))
+	ptrSWMR := Must(Map[string, *int](SingleWriter(), On(reg), Capacity(4096)))
+	freshKeys := make([]string, 2048)
+	for i := range freshKeys {
+		freshKeys[i] = fmt.Sprint("fresh", i)
+	}
 	// The other wrappers, each built once unrecorded and once recorded:
 	// recording is itself allocation-free.
 	v := 1
@@ -78,9 +88,14 @@ func TestAllocCeilings(t *testing.T) {
 		adaptive.Put(h, k, k)
 		promoted.Put(h, k, k)
 		recorded.Put(h, k, k)
+		ptrSegmented.Put(h, k, &v)
+		ptrSWMR.Put(h, fmt.Sprint(k), &v)
 	}
 	if segmented.Plan().Rep != "SegmentedMap" || segSet.Plan().Rep != "SegmentedSet" {
 		t.Fatalf("segmented rows planned %s and %s", segmented.Plan().Rep, segSet.Plan().Rep)
+	}
+	if ptrSegmented.Plan().Rep != "SegmentedMap" || ptrSWMR.Plan().Rep != "SWMRMap" {
+		t.Fatalf("pointer-valued rows planned %s and %s", ptrSegmented.Plan().Rep, ptrSWMR.Plan().Rep)
 	}
 	if adaptive.Plan().Rep != "AdaptiveMap" {
 		t.Fatalf("adaptive row planned %s", adaptive.Plan().Rep)
@@ -131,6 +146,10 @@ func TestAllocCeilings(t *testing.T) {
 		{"segmented AdjustedMap.Put, present key", 1, 8, func() { segmented.Put(h, 3, 4) }},
 		{"segmented AdjustedMap.Put, fresh key", 2, 40, func() { fresh++; segmented.Put(h, fresh, 4) }},
 		{"segmented AdjustedSet.Add, fresh element", 1, 32, func() { fresh++; segSet.Add(h, fresh) }},
+		{"pointer-valued segmented AdjustedMap.Put, present key", 0, 0, func() { ptrSegmented.Put(h, 3, nil); ptrSegmented.Put(h, 3, &v) }},
+		{"pointer-valued segmented AdjustedMap.Put, fresh key", 1, 32, func() { fresh++; ptrSegmented.Put(h, fresh, &v) }},
+		{"pointer-valued SWMR AdjustedMap.Put, present key", 0, 0, func() { ptrSWMR.Put(h, "3", nil); ptrSWMR.Put(h, "3", &v) }},
+		{"pointer-valued SWMR AdjustedMap.Put, fresh key", 1, 48, func() { ptrSWMR.Put(h, freshKeys[0], &v); freshKeys = freshKeys[1:] }},
 		{"adaptive AdjustedMap.Get", 0, 0, func() { adaptive.Get(3) }},
 		{"adaptive AdjustedMap.Put, present key", 1, 8, func() { adaptive.Put(h, 3, 4) }},
 		{"promoted adaptive AdjustedMap.Get, shadowed key", 0, 0, func() { promoted.Get(1) }},

@@ -198,7 +198,7 @@ func (p Policy) sampleMask() int64 {
 type view[K comparable, V any] struct {
 	state State
 	cheap *hashmap.Striped[K, V]
-	adj   *hashmap.Segmented[K, V]
+	adj   *hashmap.Segmented[K, *V]
 }
 
 // action is the controller's verdict after a sample.

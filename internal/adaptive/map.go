@@ -150,16 +150,17 @@ func (m *Map[K, V]) rangeOf(key K) *machine[K, V] { return &m.ranges[m.RangeOf(k
 func (m *Map[K, V]) Put(h *core.Handle, key K, val V) { m.PutRef(h, key, &val) }
 
 // PutRef is Put with a caller-provided value box: once the key's range is
-// promoted the box is stored directly (no allocation on the update path, as
-// SWMR.PutRef); in the cheap state its value is copied into the striped
-// map. The box must not be mutated after the call.
+// promoted the box is stored directly (the segmented map holds *V, so its
+// cell stores the box as it is and an update allocates nothing); in the
+// cheap state its value is copied into the striped map. The box must not be
+// mutated after the call.
 func (m *Map[K, V]) PutRef(h *core.Handle, key K, val *V) {
 	rg := m.rangeOf(key)
 	v := rg.enter(h)
 	if v.adj == nil {
 		v.cheap.Put(key, *val)
 	} else {
-		v.adj.PutRef(h, key, val)
+		v.adj.Put(h, key, val)
 	}
 	if rg.exit(h) {
 		m.sample(rg)
@@ -176,20 +177,20 @@ func (m *Map[K, V]) Remove(h *core.Handle, key K) bool {
 	} else {
 		// The caller owns key (CWMR), so this read-modify-write races with
 		// no other writer of key.
-		box, ok := v.adj.GetRef(key)
+		box, ok := v.adj.Get(key)
 		switch {
 		case ok && box == m.tomb:
 			present = false
 		case ok:
 			present = true
 			if v.cheap.Contains(key) {
-				v.adj.PutRef(h, key, m.tomb) // mask the backed copy
+				v.adj.Put(h, key, m.tomb) // mask the backed copy
 			} else {
 				v.adj.Remove(h, key)
 			}
 		default:
 			if v.cheap.Contains(key) {
-				v.adj.PutRef(h, key, m.tomb)
+				v.adj.Put(h, key, m.tomb)
 				present = true
 			}
 		}
@@ -206,7 +207,7 @@ func (m *Map[K, V]) Remove(h *core.Handle, key K) bool {
 func (m *Map[K, V]) Get(key K) (V, bool) {
 	v := m.rangeOf(key).cur.Load()
 	if v.adj != nil { // promoted or demoting: shadow, then backing
-		if box, ok := v.adj.GetRef(key); ok {
+		if box, ok := v.adj.Get(key); ok {
 			if box == m.tomb {
 				var zero V
 				return zero, false
@@ -240,7 +241,7 @@ func (m *Map[K, V]) each(v *view[K, V], f func(key K, val V) bool) bool {
 	stop := false
 	v.cheap.Range(func(k K, val V) bool {
 		if v.adj != nil {
-			if box, ok := v.adj.GetRef(k); ok {
+			if box, ok := v.adj.Get(k); ok {
 				if box == m.tomb {
 					return true
 				}
@@ -254,7 +255,7 @@ func (m *Map[K, V]) each(v *view[K, V], f func(key K, val V) bool) bool {
 		return stop
 	}
 	// Keys living only in the segmented map (never backed).
-	v.adj.RangeRef(func(k K, box *V) bool {
+	v.adj.Range(func(k K, box *V) bool {
 		if box == m.tomb || v.cheap.Contains(k) {
 			return true
 		}
@@ -312,7 +313,7 @@ func (m *Map[K, V]) promote(rg *machine[K, V]) bool {
 	}
 	mid := &view[K, V]{state: StateMigrating, cheap: old.cheap}
 	final := &view[K, V]{state: StatePromoted, cheap: old.cheap,
-		adj: hashmap.NewSegmented[K, V](m.reg, m.capacity, m.dirBuckets, m.hash, false)}
+		adj: hashmap.NewSegmented[K, *V](m.reg, m.capacity, m.dirBuckets, m.hash, false)}
 	return rg.swap(old, mid, final, nil)
 }
 

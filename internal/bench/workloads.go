@@ -81,9 +81,10 @@ func CounterIncrementOnly() Workload {
 
 // mapOps builds the §6.2 mixed workload over a put/remove/get interface:
 // updates split evenly between adds and removes on the caller's own keys;
-// reads look up a random key. Values are pre-boxed (valueBoxes), so neither
-// side of the DEGO/JUC comparison allocates per operation — matching Java,
-// where both maps store references the caller created.
+// reads look up a random key. Values are pointers made up front
+// (valueBoxes) and stored as they are, so neither side of the DEGO/JUC
+// comparison allocates per operation — matching Java, where both maps store
+// references the caller created.
 func mapOps(cfg Config, put func(h *core.Handle, k int), remove func(h *core.Handle, k int),
 	get func(k int)) OpFunc {
 	keys := threadKeys(cfg)
@@ -105,7 +106,7 @@ func mapOps(cfg Config, put func(h *core.Handle, k int), remove func(h *core.Han
 	}
 }
 
-// valueBoxes pre-allocates one value box per key.
+// valueBoxes pre-allocates one value pointer per key.
 func valueBoxes(cfg Config) []*int {
 	boxes := make([]*int, cfg.KeyRange)
 	for i := range boxes {
@@ -156,13 +157,13 @@ func HashMapJUC() Workload {
 // HashMapDEGO is the ExtendedSegmentedHashMap (M2, CWMR).
 func HashMapDEGO() Workload {
 	return Workload{Name: "ExtendedSegmentedHashMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		m := hashmap.NewSegmented[int, int](reg, cfg.InitialItems, cfg.KeyRange*2, intHash, false)
+		m := hashmap.NewSegmented[int, *int](reg, cfg.InitialItems, cfg.KeyRange*2, intHash, false)
 		boxes := valueBoxes(cfg)
-		populatePartitions(cfg, reg, func(h *core.Handle, k int) { m.PutRef(h, k, boxes[k]) })
+		populatePartitions(cfg, reg, func(h *core.Handle, k int) { m.Put(h, k, boxes[k]) })
 		return mapOps(cfg,
-			func(h *core.Handle, k int) { m.PutRef(h, k, boxes[k]) },
+			func(h *core.Handle, k int) { m.Put(h, k, boxes[k]) },
 			func(h *core.Handle, k int) { m.Remove(h, k) },
-			func(k int) { m.GetRef(k) },
+			func(k int) { m.Get(k) },
 		), nil
 	}}
 }
@@ -193,11 +194,11 @@ func AdaptiveMap() Workload {
 func SkipListJUC() Workload {
 	return Workload{Name: "ConcurrentSkipListMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
 		probe := new(contention.Probe)
-		m := skiplist.NewConcurrent[int, int](probe)
+		m := skiplist.NewConcurrent[int, *int](probe)
 		boxes := valueBoxes(cfg)
-		populate(cfg, func(k int) { m.PutRef(k, boxes[k]) })
+		populate(cfg, func(k int) { m.Put(k, boxes[k]) })
 		return mapOps(cfg,
-			func(_ *core.Handle, k int) { m.PutRef(k, boxes[k]) },
+			func(_ *core.Handle, k int) { m.Put(k, boxes[k]) },
 			func(_ *core.Handle, k int) { m.Remove(k) },
 			func(k int) { m.Get(k) },
 		), probe
@@ -207,11 +208,11 @@ func SkipListJUC() Workload {
 // SkipListDEGO is the ExtendedSegmentedSkipListMap.
 func SkipListDEGO() Workload {
 	return Workload{Name: "ExtendedSegmentedSkipListMap", Setup: func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe) {
-		m := skiplist.NewSegmented[int, int](reg, cfg.KeyRange*2, intHash, false)
+		m := skiplist.NewSegmented[int, *int](reg, cfg.KeyRange*2, intHash, false)
 		boxes := valueBoxes(cfg)
-		populatePartitions(cfg, reg, func(h *core.Handle, k int) { m.PutRef(h, k, boxes[k]) })
+		populatePartitions(cfg, reg, func(h *core.Handle, k int) { m.Put(h, k, boxes[k]) })
 		return mapOps(cfg,
-			func(h *core.Handle, k int) { m.PutRef(h, k, boxes[k]) },
+			func(h *core.Handle, k int) { m.Put(h, k, boxes[k]) },
 			func(h *core.Handle, k int) { m.Remove(h, k) },
 			func(k int) { m.Get(k) },
 		), nil

@@ -430,26 +430,33 @@ func TestHashSegmentedMap(t *testing.T) {
 	}
 }
 
-func TestSWMRRangeRefSeesBoxIdentity(t *testing.T) {
-	m := NewSWMR[int, int](16, intHash, false)
-	tomb := new(int)
+// TestSWMRRangeSeesPointerIdentity stores pointer values, one of them nil:
+// Get and Range return the very pointers stored, across a resize.
+func TestSWMRRangeSeesPointerIdentity(t *testing.T) {
+	m := NewSWMR[int, *int](0, intHash, false)
 	box := new(int)
 	*box = 7
-	m.PutRef(nil, 1, box)
-	m.PutRef(nil, 2, tomb)
+	m.Put(nil, 1, box)
+	m.Put(nil, 2, nil)
+	for k := 3; k < 64; k++ { // grows the table past its first size
+		m.Put(nil, k, box)
+	}
+	if v, ok := m.Get(2); !ok || v != nil {
+		t.Fatalf("Get(2) = %p, %v; want a present nil", v, ok)
+	}
 	seen := map[int]*int{}
-	m.RangeRef(func(k int, v *int) bool {
+	m.Range(func(k int, v *int) bool {
 		seen[k] = v
 		return true
 	})
-	if len(seen) != 2 || seen[1] != box || seen[2] != tomb {
-		t.Fatalf("RangeRef boxes = %v (box=%p tomb=%p)", seen, box, tomb)
+	if len(seen) != 63 || seen[1] != box || seen[2] != nil {
+		t.Fatalf("Range saw %d entries, 1 → %p and 2 → %p (box=%p)", len(seen), seen[1], seen[2], box)
 	}
 }
 
-func TestSegmentedRangeRefDrains(t *testing.T) {
+func TestSegmentedRangeDrains(t *testing.T) {
 	r := core.NewRegistry(4)
-	m := NewSegmented[int, int](r, 64, 128, intHash, false)
+	m := NewSegmented[int, *int](r, 64, 128, intHash, false)
 	h1 := r.MustRegister()
 	h2 := r.MustRegister()
 	boxes := map[int]*int{}
@@ -458,28 +465,28 @@ func TestSegmentedRangeRefDrains(t *testing.T) {
 		box := &v
 		boxes[k] = box
 		if k%2 == 0 {
-			m.PutRef(h1, k, box)
+			m.Put(h1, k, box)
 		} else {
-			m.PutRef(h2, k, box)
+			m.Put(h2, k, box)
 		}
 	}
 	got := map[int]*int{}
-	m.RangeRef(func(k int, v *int) bool {
+	m.Range(func(k int, v *int) bool {
 		got[k] = v
 		return true
 	})
 	if len(got) != 10 {
-		t.Fatalf("RangeRef saw %d entries, want 10", len(got))
+		t.Fatalf("Range saw %d entries, want 10", len(got))
 	}
 	for k, box := range boxes {
 		if got[k] != box {
-			t.Fatalf("key %d: box %p, want %p", k, got[k], box)
+			t.Fatalf("key %d: pointer %p, want %p", k, got[k], box)
 		}
 	}
 	// Early stop is honored.
 	n := 0
-	m.RangeRef(func(int, *int) bool { n++; return false })
+	m.Range(func(int, *int) bool { n++; return false })
 	if n != 1 {
-		t.Fatalf("early-stop RangeRef visited %d entries", n)
+		t.Fatalf("early-stop Range visited %d entries", n)
 	}
 }

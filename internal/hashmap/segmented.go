@@ -7,7 +7,7 @@ import (
 
 // Segmented is the paper's ExtendedSegmentedHashMap — the adjusted object
 // (M2, CWMR): the extended segmentation's directory (segment.Directory)
-// itself, with nothing added to its node {key, owner, value box, chain}.
+// itself, with nothing added to its node {key, owner, value cell, chain}.
 // Each key is bound, on first insert, to the thread that inserted it; the
 // binding survives removal, and writes never contend as long as distinct
 // threads write distinct keys. Range is the directory's, bucket by bucket.

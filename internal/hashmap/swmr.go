@@ -9,7 +9,15 @@
 //     ExtendedSegmentedHashMap: the extended segmentation's lock-free
 //     directory (segment.Directory, shared with skiplist.Segmented), whose
 //     entry carries the key, the owner it is bound to (its segment) and the
-//     value box.
+//     value cell.
+//
+// SWMR and Segmented hold a value in a core.Cell: a pointer-shaped V as
+// itself (a stored nil as the cell's sentinel), any other V in a box. A
+// lookup reads it with one load, so a lookup racing a remove and a re-put
+// returns the old value, absent or the new one. SWMR's Remove unlinks a node
+// and never writes its cell again (a lookup still on it linearizes before
+// the remove); Segmented's clears the cell, and a lookup linearizes at its
+// load.
 package hashmap
 
 import (
@@ -26,7 +34,7 @@ const (
 type mnode[K comparable, V any] struct {
 	hash uint64
 	key  K
-	val  atomic.Pointer[V]
+	val  core.Cell[V]
 	next atomic.Pointer[mnode[K, V]]
 }
 
@@ -45,6 +53,7 @@ type SWMR[K comparable, V any] struct {
 	size  atomic.Int64
 	hash  func(K) uint64
 	guard *core.Guard
+	form  core.CellForm[V]
 }
 
 // NewSWMR creates a map with the given initial capacity and hash function.
@@ -54,7 +63,7 @@ func NewSWMR[K comparable, V any](capacity int, hash func(K) uint64, checked boo
 	for float64(bins)*loadFactor < float64(capacity) {
 		bins <<= 1
 	}
-	m := &SWMR[K, V]{hash: hash}
+	m := &SWMR[K, V]{hash: hash, form: core.FormFor[V]()}
 	m.table.Store(&mtable[K, V]{
 		bins: make([]atomic.Pointer[mnode[K, V]], bins),
 		mask: uint64(bins - 1),
@@ -67,24 +76,15 @@ func NewSWMR[K comparable, V any](capacity int, hash func(K) uint64, checked boo
 
 // Get returns the value for key. Any thread may call it.
 func (m *SWMR[K, V]) Get(key K) (V, bool) {
-	if p, ok := m.GetRef(key); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
-}
-
-// GetRef returns the stored value box for key. The box is immutable: an
-// update replaces the box, never its contents.
-func (m *SWMR[K, V]) GetRef(key K) (*V, bool) {
 	h := m.hash(key)
 	t := m.table.Load()
 	for n := t.bins[h&t.mask].Load(); n != nil; n = n.next.Load() {
 		if n.hash == h && n.key == key {
-			return n.val.Load(), true
+			return m.form.Load(&n.val)
 		}
 	}
-	return nil, false
+	var zero V
+	return zero, false
 }
 
 // Contains reports whether key is present.
@@ -94,17 +94,10 @@ func (m *SWMR[K, V]) Contains(key K) bool {
 }
 
 // Put inserts or updates key (single writer only). The M2 specification is
-// blind: no previous value is returned.
+// blind: no previous value is returned. An update of a pointer-shaped value
+// allocates nothing — the direct analogue of Java's setVolatile of a value
+// reference (§5.3).
 func (m *SWMR[K, V]) Put(h *core.Handle, key K, val V) {
-	m.PutRef(h, key, &val)
-}
-
-// PutRef inserts or updates key with a caller-provided value box (single
-// writer only). It performs no allocation on the update path — the direct
-// analogue of Java's setVolatile of a value reference (§5.3) — and is what
-// the benchmarks drive so both sides of the JUC comparison pay the same
-// boxing cost. The box must not be mutated after the call.
-func (m *SWMR[K, V]) PutRef(h *core.Handle, key K, val *V) {
 	m.guard.MustCheck(h, core.Write)
 	hash := m.hash(key)
 	t := m.table.Load()
@@ -113,13 +106,13 @@ func (m *SWMR[K, V]) PutRef(h *core.Handle, key K, val *V) {
 		if n.hash == hash && n.key == key {
 			// Existing key: value updated in place with an atomic store
 			// (the setVolatile of §5.3).
-			n.val.Store(val)
+			m.form.Store(&n.val, val)
 			return
 		}
 	}
 	// New key: a fresh node is prepended and published atomically.
 	fresh := &mnode[K, V]{hash: hash, key: key}
-	fresh.val.Store(val)
+	m.form.Store(&fresh.val, val)
 	fresh.next.Store(bin.Load())
 	bin.Store(fresh)
 	if sz := m.size.Add(1); float64(sz) > loadFactor*float64(len(t.bins)) {
@@ -159,19 +152,10 @@ func (m *SWMR[K, V]) Len() int { return int(m.size.Load()) }
 // java.util.concurrent collection, the view is weakly consistent: concurrent
 // updates may or may not be observed.
 func (m *SWMR[K, V]) Range(f func(key K, val V) bool) {
-	m.RangeRef(func(k K, v *V) bool { return f(k, *v) })
-}
-
-// RangeRef calls f with the stored value box of every entry until it returns
-// false. It is the snapshot hook for migration (internal/adaptive): wrappers
-// that overlay one map on another use sentinel boxes as tombstones, and only
-// the box identity — not the value — can distinguish them. Weakly consistent,
-// like Range.
-func (m *SWMR[K, V]) RangeRef(f func(key K, val *V) bool) {
 	t := m.table.Load()
 	for i := range t.bins {
 		for n := t.bins[i].Load(); n != nil; n = n.next.Load() {
-			if !f(n.key, n.val.Load()) {
+			if v, _ := m.form.Load(&n.val); !f(n.key, v) {
 				return
 			}
 		}
@@ -190,8 +174,8 @@ func (m *SWMR[K, V]) resize(old *mtable[K, V]) {
 	}
 	for i := range old.bins {
 		for n := old.bins[i].Load(); n != nil; n = n.next.Load() {
-			fresh := &mnode[K, V]{hash: n.hash, key: n.key}
-			fresh.val.Store(n.val.Load())
+			// The writer is the cell's only writer: a plain copy reads it.
+			fresh := &mnode[K, V]{hash: n.hash, key: n.key, val: n.val}
 			bin := &next.bins[n.hash&next.mask]
 			fresh.next.Store(bin.Load())
 			bin.Store(fresh)

@@ -15,10 +15,11 @@ import (
 // TestAddUserAllocCeiling pins what the per-user writes cost on the DEGO
 // row, in allocations and bytes per call. AddUser is 5 % of the Table-2 mix
 // but allocates most of the mix's bytes: a fresh key in each of four
-// segmented tables (node and value box), two empty follower sets and a
-// timeline queue whose facade and representation are one object; the
-// profile is the value in its box. UpdateProfile replaces that value, which
-// costs the box alone. The NetClient rows are the wire client's side of an
+// segmented tables (its node; the three tables whose values are pointers
+// store them in the node's cell as they are), two empty follower sets, a
+// timeline queue whose facade and representation are one object, and the
+// profile's box, the one value that is not a pointer. UpdateProfile replaces
+// that value, which costs the box alone. The NetClient rows are the wire client's side of an
 // op: 16 drawn ops expanded into their commands and flushed. Flushed to a KV
 // of another kind than WireKV and LocalKV (one that answers for nothing),
 // which may keep the commands, the client cuts them from chunks it never
@@ -56,7 +57,7 @@ func TestAddUserAllocCeiling(t *testing.T) {
 		ceilAllocs, ceilBytes float64
 		f                     func()
 	}{
-		{"AddUser", 11, 320, func() { b.AddUser(h, u); u++ }},
+		{"AddUser", 8, 296, func() { b.AddUser(h, u); u++ }},
 		{"UpdateProfile", 1, 8, func() { version++; b.UpdateProfile(h, 0, version) }},
 		{"NetClient batch of 16 ops", 0.054, 3173.12, func() {
 			for _, op := range ops[:batch] {

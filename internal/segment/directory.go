@@ -16,13 +16,18 @@ import (
 // A node's chain link is set before the node is published and never
 // changes, so the directory is insert-only and a lookup is one chain walk. A
 // key's segment is its owner field: the per-owner state is a padded live-key
-// counter, moved when a box goes nil ↔ non-nil, the SWMR guard (when checked)
-// that every write to the owner's keys runs, and the state of the owner's
-// per-node random draws. A nil box means absent; Remove keeps the node and so
-// the binding.
+// counter, moved when the node's value cell goes absent ↔ present, the SWMR
+// guard (when checked) that every write to the owner's keys runs, and the
+// state of the owner's per-node random draws. The value is a core.Cell: a
+// pointer-shaped V is stored as itself (a stored nil as the cell's
+// sentinel), any other V in a box. An absent cell means an absent key;
+// Remove keeps the node and so the binding.
 //
 // Linearization points: the CAS that prepends a fresh node to its bucket
-// (insert), the box Swap (update, remove) and the box Load (lookup).
+// (insert), the cell's swap (update, remove) and the cell's load (lookup).
+// A lookup that races a remove and a re-put of its key sees the one cell
+// load's answer, so it is ordered before the remove, between the two, or
+// after the re-put.
 //
 // X extends every node: hashmap.Segmented uses struct{}, skiplist.Segmented
 // the tower that links the node into its ordered list.
@@ -32,6 +37,7 @@ type Directory[K comparable, V any, X any] struct {
 	hash    func(K) uint64
 	reg     *core.Registry
 	owners  []owner
+	form    core.CellForm[V]
 }
 
 // Node is one key's entry. Ext comes first: Go pads a struct whose last
@@ -41,12 +47,9 @@ type Node[K comparable, V any, X any] struct {
 	Ext   X
 	Key   K
 	owner int32
-	val   atomic.Pointer[V]
+	val   core.Cell[V]
 	next  *Node[K, V, X]
 }
-
-// Load returns the node's value box, nil when the key is absent.
-func (n *Node[K, V, X]) Load() *V { return n.val.Load() }
 
 // owner is one thread's segment: the number of live keys bound to it, the
 // guard of its single-writer role (nil when unchecked) and its xorshift
@@ -77,6 +80,7 @@ func MakeDirectory[K comparable, V any, X any](r *core.Registry, buckets int,
 		hash:    hash,
 		reg:     r,
 		owners:  make([]owner, r.Capacity()),
+		form:    core.FormFor[V](),
 	}
 	if checked {
 		for i := range d.owners {
@@ -96,27 +100,19 @@ func (d *Directory[K, V, X]) find(key K) *Node[K, V, X] {
 	return nil
 }
 
-// store swaps box into n (a write by h to one of n.owner's keys) and moves
-// the owner's live count when presence changes. It returns the old box.
-func (d *Directory[K, V, X]) store(h *core.Handle, n *Node[K, V, X], box *V) *V {
+// write runs the guard of n's owner for a write by h and returns the owner.
+func (d *Directory[K, V, X]) write(h *core.Handle, n *Node[K, V, X]) *owner {
 	o := &d.owners[n.owner]
 	o.guard.MustCheck(h, core.Write)
-	old := n.val.Swap(box)
-	switch {
-	case old == nil && box != nil:
-		o.live.Add(1)
-	case old != nil && box == nil:
-		o.live.Add(-1)
-	}
-	return old
+	return o
 }
 
-// Insert stores the box val under key, binding the key to the caller on
-// first insert. It returns the node it published for a key never stored
-// before, and nil when it updated the key's node in place, so that only a
-// fresh key pays for its extension. An update allocates nothing, an insert
-// one node. The box must not be mutated after the call.
-func (d *Directory[K, V, X]) Insert(h *core.Handle, key K, val *V) *Node[K, V, X] {
+// Insert stores val under key, binding the key to the caller on first
+// insert. It returns the node it published for a key never stored before,
+// and nil when it updated the key's node in place, so that only a fresh key
+// pays for its extension. An update allocates at most the cell's box, an
+// insert one node besides.
+func (d *Directory[K, V, X]) Insert(h *core.Handle, key K, val V) *Node[K, V, X] {
 	bucket := &d.buckets[d.hash(key)&d.mask]
 	var fresh *Node[K, V, X]
 	var seen *Node[K, V, X] // chain suffix already scanned
@@ -124,14 +120,16 @@ func (d *Directory[K, V, X]) Insert(h *core.Handle, key K, val *V) *Node[K, V, X
 		head := bucket.Load()
 		for n := head; n != seen; n = n.next {
 			if n.Key == key {
-				d.store(h, n, val)
+				if o := d.write(h, n); !d.form.Swap(&n.val, val) {
+					o.live.Add(1)
+				}
 				return nil
 			}
 		}
 		if fresh == nil {
 			d.owners[h.ID()].guard.MustCheck(h, core.Write)
 			fresh = &Node[K, V, X]{Key: key, owner: int32(h.ID())}
-			fresh.val.Store(val)
+			d.form.Store(&fresh.val, val)
 		}
 		fresh.next = head
 		if bucket.CompareAndSwap(head, fresh) {
@@ -158,11 +156,6 @@ func (d *Directory[K, V, X]) Rand(n *Node[K, V, X]) *uint64 {
 // Put inserts or updates key, binding it to the caller on first insert.
 // Blind, per M2.
 func (d *Directory[K, V, X]) Put(h *core.Handle, key K, val V) {
-	d.Insert(h, key, &val)
-}
-
-// PutRef is Put with a caller-provided value box, as in Insert.
-func (d *Directory[K, V, X]) PutRef(h *core.Handle, key K, val *V) {
 	d.Insert(h, key, val)
 }
 
@@ -170,33 +163,32 @@ func (d *Directory[K, V, X]) PutRef(h *core.Handle, key K, val *V) {
 // so its binding, is retained.
 func (d *Directory[K, V, X]) Remove(h *core.Handle, key K) bool {
 	n := d.find(key)
-	return n != nil && d.store(h, n, nil) != nil
+	if n == nil {
+		return false
+	}
+	o := d.write(h, n)
+	if !n.val.Clear() {
+		return false
+	}
+	o.live.Add(-1)
+	return true
 }
 
-// Get returns the value for key: one chain walk, one box load.
+// Get returns the value for key: one chain walk, one cell load.
 func (d *Directory[K, V, X]) Get(key K) (V, bool) {
-	if p, ok := d.GetRef(key); ok {
-		return *p, true
+	if n := d.find(key); n != nil {
+		return d.form.Load(&n.val)
 	}
 	var zero V
 	return zero, false
 }
 
-// GetRef returns the stored value box for key. The box is immutable: an
-// update replaces the box, never its contents. It is the shadow-lookup hook
-// internal/adaptive uses to recognize its tombstone boxes.
-func (d *Directory[K, V, X]) GetRef(key K) (*V, bool) {
-	if n := d.find(key); n != nil {
-		if p := n.val.Load(); p != nil {
-			return p, true
-		}
-	}
-	return nil, false
-}
+// Load returns n's value, and false when n's key is absent.
+func (d *Directory[K, V, X]) Load(n *Node[K, V, X]) (V, bool) { return d.form.Load(&n.val) }
 
 // Contains reports whether key is present.
 func (d *Directory[K, V, X]) Contains(key K) bool {
-	_, ok := d.GetRef(key)
+	_, ok := d.Get(key)
 	return ok
 }
 
@@ -209,22 +201,14 @@ func (d *Directory[K, V, X]) Len() int {
 	return int(n)
 }
 
-// RangeRef calls f with the stored value box of every entry until it returns
-// false; unordered and weakly consistent, bucket by bucket. This is the
-// drain hook internal/adaptive uses to migrate entries (and recognize its
-// tombstone boxes by identity) when demoting an adaptive map.
-func (d *Directory[K, V, X]) RangeRef(f func(key K, val *V) bool) {
+// Range calls f for every entry until it returns false; unordered and
+// weakly consistent, bucket by bucket.
+func (d *Directory[K, V, X]) Range(f func(key K, val V) bool) {
 	for i := range d.buckets {
 		for n := d.buckets[i].Load(); n != nil; n = n.next {
-			if p := n.val.Load(); p != nil && !f(n.Key, p) {
+			if v, ok := d.form.Load(&n.val); ok && !f(n.Key, v) {
 				return
 			}
 		}
 	}
-}
-
-// Range calls f for every entry until it returns false; unordered and
-// weakly consistent, bucket by bucket.
-func (d *Directory[K, V, X]) Range(f func(key K, val V) bool) {
-	d.RangeRef(func(k K, v *V) bool { return f(k, *v) })
 }

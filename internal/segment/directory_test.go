@@ -24,7 +24,6 @@ type segmented interface {
 	Put(h *core.Handle, k, v int)
 	Remove(h *core.Handle, k int) bool
 	Get(k int) (int, bool)
-	GetRef(k int) (*int, bool)
 	Contains(k int) bool
 	Len() int
 	Range(f func(k, v int) bool)
@@ -149,8 +148,7 @@ func TestSegmentedSharedBucketsConcurrent(t *testing.T) {
 			om, isOrdered := m.(ordered)
 			visible := func(k, want int) bool {
 				v, ok := m.Get(k)
-				p, pok := m.GetRef(k)
-				return ok && v == want && pok && *p == want && m.Contains(k)
+				return ok && v == want && m.Contains(k)
 			}
 			var next atomic.Int64
 			kept := make([]atomic.Bool, n) // kept keys whose Put has returned

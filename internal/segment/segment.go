@@ -9,6 +9,9 @@
 //     list (internal/hashmap, internal/skiplist) are this directory; the
 //     skip list extends each node with a tower, and the adjusted set is
 //     built on the hash map.
+//     A node holds its value in a core.Cell: a pointer-shaped value as
+//     itself (a stored nil as the cell's sentinel), any other in a box; an
+//     absent cell is an absent key, and a lookup is one load of it.
 //   - Base: an array of SWMR segments with a static thread→segment mapping;
 //     reads traverse every segment (best for write-dominated workloads).
 //   - Hash: an array of SWMR segments indexed by item hash, so a lookup

@@ -41,6 +41,10 @@ type command struct {
 	// inline answers a fanInline row at planning time; where it answers the
 	// zero Reply (DEBUG PANIC and SLEEP), the command runs on shard 0 instead.
 	inline func(s *Store, args [][]byte) wire.Reply
+	// settles marks an inline row that reads what earlier commands wrote
+	// (INFO, DEBUG ADVISE): the units planned before it run before it
+	// answers, so it answers in program order.
+	settles bool
 	// exec runs one of the row's units under its shard's lock.
 	exec func(sh *shard, u *unit, o *object, sc *scratch) wire.Reply
 }
@@ -110,8 +114,8 @@ var commands = [...]command{
 	{name: "DBSIZE", fan: fanAll, exec: (*shard).dbsize},
 	// Full output regardless of a requested section, like a server that
 	// implements no sections would; the reply is small.
-	{name: "INFO", arity: arity{min: 1, max: 2}, inline: func(s *Store, _ [][]byte) wire.Reply { return wire.Bulk([]byte(s.Info())) }},
-	{name: "DEBUG", inline: debugReply, exec: (*shard).debug},
+	{name: "INFO", arity: arity{min: 1, max: 2}, settles: true, inline: func(s *Store, _ [][]byte) wire.Reply { return wire.Bulk([]byte(s.Info())) }},
+	{name: "DEBUG", settles: true, inline: debugReply, exec: (*shard).debug},
 	{name: "FLUSHALL", fan: fanAll, exec: (*shard).flush},
 	{name: "FLUSHDB", fan: fanAll, exec: (*shard).flush},
 
@@ -262,7 +266,9 @@ func (p cmdPlan) reply(units []unit) wire.Reply {
 // planCommand turns one parsed command into a cmdPlan, appending any
 // sharded units to *units. Unknown verbs and arity violations become error
 // replies — the connection stays usable, unlike protocol (framing) errors.
-func planCommand(args [][]byte, s *Store, units *[]unit) cmdPlan {
+// settle runs the units planned so far; planCommand calls it before a
+// settling row answers.
+func planCommand(args [][]byte, s *Store, units *[]unit, settle func()) cmdPlan {
 	if len(args) == 0 {
 		return cmdPlan{rep: wire.Err("ERR empty command")}
 	}
@@ -279,6 +285,9 @@ func planCommand(args [][]byte, s *Store, units *[]unit) cmdPlan {
 	}
 	switch c.fan {
 	case fanInline:
+		if c.settles {
+			settle()
+		}
 		if p.rep = c.inline(s, args); p.rep.Kind != 0 {
 			return p
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -413,6 +414,48 @@ func TestDBSizeAnswersInProgramOrder(t *testing.T) {
 		r, w, _ := dialTestServer(t, srv)
 		if got := wire.Array(pipeline(t, r, w, batch...)...).String(); got != want {
 			t.Errorf("%d shards, one TCP write: %s, want %s", shards, got, want)
+		}
+	}
+}
+
+// TestInfoAnswersInProgramOrder pins INFO's keys line to the commands
+// before it in the same batch, as TestDBSizeAnswersInProgramOrder pins
+// DBSIZE: INFO answers after the batch's earlier units ran, pipelined or
+// sent apart, on one shard or four.
+func TestInfoAnswersInProgramOrder(t *testing.T) {
+	batch := [][]string{{"SET", "a", "v"}, {"INFO"}, {"DEL", "a"}, {"SET", "b", "v"}, {"SET", "c", "v"}, {"INFO", "keyspace"}}
+	want := []string{"keys:1", "keys:2"}
+	keysLines := func(reps []wire.Reply) []string {
+		var got []string
+		for _, i := range []int{1, 5} {
+			for _, line := range strings.Split(reps[i].Text(), "\r\n") {
+				if strings.HasPrefix(line, "keys:") {
+					got = append(got, line)
+				}
+			}
+		}
+		return got
+	}
+	for _, shards := range []int{1, 4} {
+		cmds := make([][][]byte, len(batch))
+		for i, c := range batch {
+			cmds[i] = cmd(c...)
+		}
+		if got := keysLines(newTestStore(t, shards).ExecBatch(cmds)); !slices.Equal(got, want) {
+			t.Errorf("%d shards, ExecBatch: %q, want %q", shards, got, want)
+		}
+		st := newTestStore(t, shards)
+		var reps []wire.Reply
+		for _, c := range cmds {
+			reps = append(reps, st.Exec(c))
+		}
+		if got := keysLines(reps); !slices.Equal(got, want) {
+			t.Errorf("%d shards, Exec: %q, want %q", shards, got, want)
+		}
+		srv := startTestServer(t, Config{Store: StoreConfig{Shards: shards, Capacity: 64}})
+		r, w, _ := dialTestServer(t, srv)
+		if got := keysLines(pipeline(t, r, w, batch...)); !slices.Equal(got, want) {
+			t.Errorf("%d shards, one TCP write: %q, want %q", shards, got, want)
 		}
 	}
 }

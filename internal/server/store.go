@@ -358,9 +358,12 @@ func recycle[T any](s []T) []T {
 // run plans cmds into sc and executes them; afterwards command i's reply is
 // sc.plans[i].reply(sc.units). Planning stops after a command whose row
 // closes the connection (QUIT): the commands after it are dropped, so
-// sc.plans is shorter than cmds, and run reports true. It is the one
-// execution path: connection handlers call it with their own scratch,
-// ExecBatch with a pooled one. sc must be fresh or released.
+// sc.plans is shorter than cmds, and run reports true. The units run in one
+// dispatch after planning, unless a settling row (INFO, DEBUG ADVISE) asks
+// for the units planned before it to run first: then the batch runs in one
+// dispatch per such row, plus one for the rest. It is the one execution
+// path: connection handlers call it with their own scratch, ExecBatch with a
+// pooled one. sc must be fresh or released.
 func (s *Store) run(sc *scratch, cmds [][][]byte) (closes bool) {
 	if cap(sc.plans) < len(cmds) {
 		sc.plans = make([]cmdPlan, 0, len(cmds))
@@ -369,34 +372,41 @@ func (s *Store) run(sc *scratch, cmds [][][]byte) (closes bool) {
 		// Most commands are one unit: size for the batch up front.
 		sc.units = make([]unit, 0, len(cmds))
 	}
+	ran := 0 // units dispatched so far
+	settle := func() {
+		if len(sc.units) > ran {
+			s.dispatch(sc, ran)
+			ran = len(sc.units)
+		}
+	}
 	for _, args := range cmds {
-		p := planCommand(args, s, &sc.units)
+		p := planCommand(args, s, &sc.units, settle)
 		sc.plans = append(sc.plans, p)
 		if closes = p.closes; closes {
 			break
 		}
 	}
-	if len(sc.units) > 0 {
-		s.dispatch(sc)
-	}
+	settle()
 	return closes
 }
 
-// dispatch groups sc's units by owning shard, preserving order within each
-// shard, then runs each touched shard's units under its lock, in shard order,
-// waiting for the lock when another caller holds it. The caller holds at most
-// one shard lock at a time, so dispatchers cannot deadlock one another.
-func (s *Store) dispatch(sc *scratch) {
+// dispatch groups sc's units from index from on by owning shard, preserving
+// order within each shard, then runs each touched shard's units under its
+// lock, in shard order, waiting for the lock when another caller holds it.
+// The caller holds at most one shard lock at a time, so dispatchers cannot
+// deadlock one another.
+func (s *Store) dispatch(sc *scratch, from int) {
 	if len(sc.shards) != len(s.shards) {
 		sc.shards = make([][]int, len(s.shards))
 	}
-	for i := range sc.units {
+	for i := from; i < len(sc.units); i++ {
 		id := sc.units[i].shard
 		sc.shards[id] = append(sc.shards[id], i)
 	}
 	for id, idxs := range sc.shards {
 		if len(idxs) > 0 {
 			s.shards[id].run(sc, idxs)
+			sc.shards[id] = idxs[:0]
 		}
 	}
 }

@@ -16,15 +16,15 @@ type orderedOps struct {
 	put     func(h *core.Handle, k int, v *int)
 	remove  func(h *core.Handle, k int)
 	get     func(k int)
-	rng     func(f func(k, v int) bool)
-	between func(from, to int, f func(k, v int) bool)
+	rng     func(f func(k int, v *int) bool)
+	between func(from, to int, f func(k int, v *int) bool)
 }
 
 // BenchmarkOrdered is the layer benchmark of the ordered maps, under the op
 // mix of Figures 6 and 7: 16 k puts of random keys over 32 k keys, values
 // boxed up front, one goroutine per GOMAXPROCS. Each goroutine writes only
 // the keys of its own residue class (so Segmented's commuting-writers
-// contract holds) and reads any key. uN has N % updates, half PutRef and half
+// contract holds) and reads any key. uN has N % updates, half Put and half
 // Remove, and the rest lookups. Range is a full ordered scan; RangeBetween
 // scans an interval that holds 2 entries.
 func BenchmarkOrdered(b *testing.B) {
@@ -38,16 +38,16 @@ func BenchmarkOrdered(b *testing.B) {
 		build func(r *core.Registry) orderedOps
 	}{
 		{"Segmented", func(r *core.Registry) orderedOps {
-			m := NewSegmented[int, int](r, 2*keys, intHash, false)
-			return orderedOps{m.PutRef, func(h *core.Handle, k int) { m.Remove(h, k) },
-				func(k int) { m.GetRef(k) }, m.Range, m.RangeBetween}
+			m := NewSegmented[int, *int](r, 2*keys, intHash, false)
+			return orderedOps{m.Put, func(h *core.Handle, k int) { m.Remove(h, k) },
+				func(k int) { m.Get(k) }, m.Range, m.RangeBetween}
 		}},
 		{"Concurrent", func(*core.Registry) orderedOps {
-			m := NewConcurrent[int, int](nil)
-			return orderedOps{func(_ *core.Handle, k int, v *int) { m.PutRef(k, v) },
+			m := NewConcurrent[int, *int](nil)
+			return orderedOps{func(_ *core.Handle, k int, v *int) { m.Put(k, v) },
 				func(_ *core.Handle, k int) { m.Remove(k) }, func(k int) { m.Get(k) }, m.Range,
-				func(from, to int, f func(k, v int) bool) {
-					m.RangeFrom(from, func(k, v int) bool { return k < to && f(k, v) })
+				func(from, to int, f func(k int, v *int) bool) {
+					m.RangeFrom(from, func(k int, v *int) bool { return k < to && f(k, v) })
 				}}
 		}},
 	} {
@@ -93,7 +93,7 @@ func BenchmarkOrdered(b *testing.B) {
 				})
 			}
 			m, _ := fill()
-			visit := func(int, int) bool { return true }
+			visit := func(int, *int) bool { return true }
 			b.Run("Range", func(b *testing.B) {
 				b.ReportAllocs()
 				for range b.N {
@@ -102,7 +102,7 @@ func BenchmarkOrdered(b *testing.B) {
 			})
 			// The first two entries at or above the middle key.
 			var two []int
-			m.between(keys/2, keys, func(k, _ int) bool {
+			m.between(keys/2, keys, func(k int, _ *int) bool {
 				two = append(two, k)
 				return len(two) < 2
 			})

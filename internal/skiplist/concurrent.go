@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/adjusted-objects/dego/internal/contention"
+	"github.com/adjusted-objects/dego/internal/core"
 )
 
 // Concurrent is the java.util.concurrent.ConcurrentSkipListMap stand-in: the
@@ -17,6 +18,7 @@ type Concurrent[K cmp.Ordered, V any] struct {
 	size  atomic.Int64
 	rndS  atomic.Uint64
 	probe *contention.Probe
+	form  core.CellForm[V]
 }
 
 type csucc[K cmp.Ordered, V any] struct {
@@ -26,7 +28,7 @@ type csucc[K cmp.Ordered, V any] struct {
 
 type cnode[K cmp.Ordered, V any] struct {
 	key      K
-	val      atomic.Pointer[V]
+	val      core.Cell[V]
 	next     []atomic.Pointer[csucc[K, V]]
 	topLevel int // index of the highest valid level
 }
@@ -41,7 +43,7 @@ func newCNode[K cmp.Ordered, V any](key K, height int) *cnode[K, V] {
 
 // NewConcurrent creates an empty map; probe may be nil.
 func NewConcurrent[K cmp.Ordered, V any](probe *contention.Probe) *Concurrent[K, V] {
-	c := &Concurrent[K, V]{head: newCNode[K, V](*new(K), maxLevel), probe: probe}
+	c := &Concurrent[K, V]{head: newCNode[K, V](*new(K), maxLevel), probe: probe, form: core.FormFor[V]()}
 	c.rndS.Store(0x853c49e6748fea9b)
 	return c
 }
@@ -95,7 +97,17 @@ retry:
 // Get returns the value for key. Wait-free: it never snips, only skips
 // marked nodes.
 func (c *Concurrent[K, V]) Get(key K) (V, bool) {
+	if n := c.seek(key); n != nil && n.key == key && !n.next[0].Load().marked {
+		return c.form.Load(&n.val)
+	}
 	var zero V
+	return zero, false
+}
+
+// seek returns the first node with key ≥ the argument that the descent
+// reached unmarked, or nil. It only skips marked nodes, never snips, so it
+// is safe on a frozen list.
+func (c *Concurrent[K, V]) seek(key K) *cnode[K, V] {
 	pred := c.head
 	var curr *cnode[K, V]
 	for level := maxLevel - 1; level >= 0; level-- {
@@ -114,10 +126,7 @@ func (c *Concurrent[K, V]) Get(key K) (V, bool) {
 			break
 		}
 	}
-	if curr != nil && curr.key == key && !curr.next[0].Load().marked {
-		return *curr.val.Load(), true
-	}
-	return zero, false
+	return curr
 }
 
 // Contains reports whether key is present.
@@ -126,26 +135,20 @@ func (c *Concurrent[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// Put inserts or updates key.
+// Put inserts or updates key. An update of a pointer-shaped value allocates
+// nothing, mirroring Java's reference store.
 func (c *Concurrent[K, V]) Put(key K, val V) {
-	c.PutRef(key, &val)
-}
-
-// PutRef is Put with a caller-provided value box (no allocation for the
-// in-place update of an existing key, mirroring Java's reference store).
-// The box must not be mutated after the call.
-func (c *Concurrent[K, V]) PutRef(key K, val *V) {
 	var preds, succs [maxLevel]*cnode[K, V]
 	height := c.randomHeight()
 	for {
 		if n, found := c.find(key, preds[:], succs[:]); found {
 			// Existing key: update the value in place (as CSLM does). A
 			// racing remove linearizes after this write.
-			n.val.Store(val)
+			c.form.Store(&n.val, val)
 			return
 		}
 		n := newCNode[K, V](key, height)
-		n.val.Store(val)
+		c.form.Store(&n.val, val)
 		for i := 0; i < height; i++ {
 			n.next[i].Store(&csucc[K, V]{n: succs[i]})
 		}
@@ -220,42 +223,21 @@ func (c *Concurrent[K, V]) Len() int { return int(c.size.Load()) }
 // Range calls f in ascending key order until it returns false; weakly
 // consistent, skipping logically deleted nodes.
 func (c *Concurrent[K, V]) Range(f func(key K, val V) bool) {
-	for n := c.head.next[0].Load().n; n != nil; {
-		box := n.next[0].Load()
-		if !box.marked {
-			if !f(n.key, *n.val.Load()) {
-				return
-			}
-		}
-		n = box.n
-	}
+	c.walk(c.head.next[0].Load().n, f)
 }
 
-// RangeFrom is Range starting at the first key ≥ from. Like Get, the descent
-// only skips marked nodes (never snips), so it is safe on a frozen list.
+// RangeFrom is Range starting at the first key ≥ from.
 func (c *Concurrent[K, V]) RangeFrom(from K, f func(key K, val V) bool) {
-	pred := c.head
-	var curr *cnode[K, V]
-	for level := maxLevel - 1; level >= 0; level-- {
-		curr = pred.next[level].Load().n
-		for curr != nil {
-			box := curr.next[level].Load()
-			if box.marked {
-				curr = box.n
-				continue
-			}
-			if curr.key < from {
-				pred = curr
-				curr = box.n
-				continue
-			}
-			break
-		}
-	}
-	for n := curr; n != nil; {
+	c.walk(c.seek(from), f)
+}
+
+// walk calls f for every unmarked node from n on at level 0, until f
+// returns false.
+func (c *Concurrent[K, V]) walk(n *cnode[K, V], f func(key K, val V) bool) {
+	for n != nil {
 		box := n.next[0].Load()
 		if !box.marked {
-			if !f(n.key, *n.val.Load()) {
+			if v, _ := c.form.Load(&n.val); !f(n.key, v) {
 				return
 			}
 		}

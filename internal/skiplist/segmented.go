@@ -16,28 +16,29 @@ import (
 // write distinct keys.
 //
 // The directory serves Get, Remove and the write to a present key: one chain
-// walk, then a box Load, or an owner-only box Swap. The tower links a fresh
+// walk, then a cell load, or an owner-only cell swap. The tower links a fresh
 // node into one insert-only lock-free skip list that serves ordered
-// iteration: a lazy level-0 walk that skips nil boxes, allocates nothing per
-// entry and is weakly consistent, as §5.3 allows. Its Range methods shadow
-// the directory's unordered ones.
+// iteration: a lazy level-0 walk that skips absent cells, allocates nothing
+// per entry and is weakly consistent, as §5.3 allows. Its Range methods
+// shadow the directory's unordered ones.
 //
 // Linearization points are the directory's: the CAS that prepends a fresh
-// node to its bucket (insert; Get sees the key from then on), the box Swap
-// (update, remove) and the box Load (lookup). The node's publisher then
+// node to its bucket (insert; Get sees the key from then on), the cell swap
+// (update, remove) and the cell load (lookup). The node's publisher then
 // draws its height from the owner's xorshift state and links it bottom-up by
 // a CAS on each level's predecessor link; nodes are never unlinked, so a
 // predecessor stays valid and a lost CAS only re-finds that level's window.
 // Put returns after level 0 is linked, so a Range sees every Put that
 // returned before it started.
 //
-// A nil box means absent; Remove keeps the node and so the binding. Under
-// churn over fresh keys the nodes accumulate: inserting 4096 fresh int keys
-// and removing them all, 50 rounds over, retains 74.7 B of heap per removed
-// key (runtime.MemStats after GC, amd64). Nothing reclaims these nodes yet.
+// An absent cell means an absent key; Remove keeps the node and so the
+// binding. Under churn over fresh keys the nodes accumulate: inserting 4096
+// fresh int keys and removing them all, 50 rounds over, retains 74.7 B of
+// heap per removed key (runtime.MemStats after GC, amd64). Nothing reclaims
+// these nodes yet.
 type Segmented[K cmp.Ordered, V any] struct {
 	segment.Directory[K, V, Tower[K, V]]
-	head *segment.Node[K, V, Tower[K, V]] // tower of maxLevel; key and box unused
+	head *segment.Node[K, V, Tower[K, V]] // tower of maxLevel; key and cell unused
 }
 
 // Tower is a segmented-list node's extension of its directory node: the
@@ -63,15 +64,9 @@ func NewSegmented[K cmp.Ordered, V any](r *core.Registry, dirBuckets int,
 }
 
 // Put inserts or updates key, binding it to the caller on first insert.
-// Blind, per M2.
+// Blind, per M2. An update allocates at most the cell's box, an insert one
+// node and its tower besides.
 func (m *Segmented[K, V]) Put(h *core.Handle, key K, val V) {
-	m.PutRef(h, key, &val)
-}
-
-// PutRef is Put with a caller-provided value box: an update allocates
-// nothing, an insert one node and its tower. The box must not be mutated
-// after the call.
-func (m *Segmented[K, V]) PutRef(h *core.Handle, key K, val *V) {
 	if n := m.Insert(h, key, val); n != nil {
 		n.Ext.next = make([]atomic.Pointer[segment.Node[K, V, Tower[K, V]]], nextHeight(m.Rand(n)))
 		m.link(n)
@@ -101,35 +96,17 @@ func (m *Segmented[K, V]) link(n *segment.Node[K, V, Tower[K, V]]) {
 // consistent (like every java.util.concurrent iterator, per §5.3 "read
 // operations over adjusted objects are as consistent as in JUC").
 func (m *Segmented[K, V]) Range(f func(key K, val V) bool) {
-	m.RangeRef(func(k K, v *V) bool { return f(k, *v) })
+	m.walk(m.head.Ext.next[0].Load(), f)
 }
 
 // RangeFrom is Range starting at the first key ≥ from.
 func (m *Segmented[K, V]) RangeFrom(from K, f func(key K, val V) bool) {
-	m.RangeRefFrom(from, func(k K, v *V) bool { return f(k, *v) })
+	m.walk(m.findGE(from), f)
 }
 
 // RangeBetween is Range over the half-open key interval [from, to).
 func (m *Segmented[K, V]) RangeBetween(from, to K, f func(key K, val V) bool) {
-	m.RangeRefBetween(from, to, func(k K, v *V) bool { return f(k, *v) })
-}
-
-// RangeRef calls f with the stored value box of every entry in ascending key
-// order until it returns false; weakly consistent, like Range. The box-level
-// iteration is the hook internal/adaptive uses for its tombstone overlay and
-// demotion drain.
-func (m *Segmented[K, V]) RangeRef(f func(key K, val *V) bool) {
-	m.walk(m.head.Ext.next[0].Load(), f)
-}
-
-// RangeRefFrom is RangeRef starting at the first key ≥ from.
-func (m *Segmented[K, V]) RangeRefFrom(from K, f func(key K, val *V) bool) {
-	m.walk(m.findGE(from), f)
-}
-
-// RangeRefBetween is RangeRef over the half-open key interval [from, to).
-func (m *Segmented[K, V]) RangeRefBetween(from, to K, f func(key K, val *V) bool) {
-	m.walk(m.findGE(from), func(k K, v *V) bool { return k < to && f(k, v) })
+	m.walk(m.findGE(from), func(k K, v V) bool { return k < to && f(k, v) })
 }
 
 // advance, window, findGE and walk are SWMR's helpers of the same names
@@ -165,9 +142,9 @@ func (m *Segmented[K, V]) findGE(key K) *segment.Node[K, V, Tower[K, V]] {
 	return next
 }
 
-func (m *Segmented[K, V]) walk(n *segment.Node[K, V, Tower[K, V]], f func(key K, val *V) bool) {
+func (m *Segmented[K, V]) walk(n *segment.Node[K, V, Tower[K, V]], f func(key K, val V) bool) {
 	for ; n != nil; n = n.Ext.next[0].Load() {
-		if p := n.Load(); p != nil && !f(n.Key, p) {
+		if v, ok := m.Load(n); ok && !f(n.Key, v) {
 			return
 		}
 	}

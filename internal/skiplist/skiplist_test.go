@@ -351,10 +351,7 @@ func TestListRangeFrom(t *testing.T) {
 	conc := NewConcurrent[int, int](nil)
 	seg := NewSegmented[int, int](r, 128, intHash, false)
 	for _, api := range []fromAPI{
-		{"SWMR", func(k, v int) { swmr.Put(h, k, v) },
-			func(from int, f func(k, v int) bool) {
-				swmr.RangeRefFrom(from, func(k int, v *int) bool { return f(k, *v) })
-			}},
+		{"SWMR", func(k, v int) { swmr.Put(h, k, v) }, swmr.RangeFrom},
 		{"Concurrent", conc.Put, conc.RangeFrom},
 		{"Segmented", func(k, v int) { seg.Put(h, k, v) }, seg.RangeFrom},
 	} {
@@ -402,7 +399,7 @@ func TestListRangeFrom(t *testing.T) {
 	}
 }
 
-func TestSegmentedRangeRefBetween(t *testing.T) {
+func TestSegmentedRangeBetween(t *testing.T) {
 	const writers, perW = 4, 100
 	r := core.NewRegistry(writers)
 	m := NewSegmented[int, int](r, 1<<10, intHash, false)
@@ -421,7 +418,7 @@ func TestSegmentedRangeRefBetween(t *testing.T) {
 	wg.Wait()
 	// [37, 301): inclusive lower bound, exclusive upper, sorted, complete.
 	var keys []int
-	m.RangeRefBetween(37, 301, func(k int, v *int) bool {
+	m.RangeBetween(37, 301, func(k, v int) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -433,51 +430,53 @@ func TestSegmentedRangeRefBetween(t *testing.T) {
 		t.Fatal("bounded iteration not sorted")
 	}
 	// Degenerate intervals.
-	m.RangeRefBetween(10, 10, func(k int, v *int) bool {
+	m.RangeBetween(10, 10, func(k, v int) bool {
 		t.Fatalf("empty interval emitted %d", k)
 		return false
 	})
-	m.RangeRefBetween(20, 5, func(k int, v *int) bool {
+	m.RangeBetween(20, 5, func(k, v int) bool {
 		t.Fatalf("inverted interval emitted %d", k)
 		return false
 	})
 }
 
-func TestGetRefBoxIdentity(t *testing.T) {
+// TestPointerValuesKeepIdentity stores pointers in every list: each must
+// come back as the very pointer stored, a stored nil as nil and present, and
+// an absent key as absent.
+func TestPointerValuesKeepIdentity(t *testing.T) {
 	r := core.NewRegistry(4)
 	h := r.MustRegister()
 	box := new(int)
 	*box = 42
-
-	swmr := NewSWMR[int, int](false)
-	swmr.PutRef(h, 1, box)
-	if got, ok := swmr.GetRef(1); !ok || got != box {
-		t.Fatal("SWMR.GetRef did not return the stored box")
-	}
-	found := false
-	swmr.RangeRef(func(k int, v *int) bool {
-		found = found || (k == 1 && v == box)
-		return true
-	})
-	if !found {
-		t.Fatal("SWMR.RangeRef did not yield the stored box")
-	}
-
-	seg := NewSegmented[int, int](r, 64, intHash, false)
-	seg.PutRef(h, 1, box)
-	if got, ok := seg.GetRef(1); !ok || got != box {
-		t.Fatal("Segmented.GetRef did not return the stored box")
-	}
-	if _, ok := seg.GetRef(2); ok {
-		t.Fatal("Segmented.GetRef found an absent key")
-	}
-	found = false
-	seg.RangeRef(func(k int, v *int) bool {
-		found = found || (k == 1 && v == box)
-		return true
-	})
-	if !found {
-		t.Fatal("Segmented.RangeRef did not yield the stored box")
+	swmr := NewSWMR[int, *int](false)
+	conc := NewConcurrent[int, *int](nil)
+	seg := NewSegmented[int, *int](r, 64, intHash, false)
+	for _, m := range []struct {
+		name string
+		put  func(k int, v *int)
+		get  func(k int) (*int, bool)
+		scan func(f func(k int, v *int) bool)
+	}{
+		{"SWMR", func(k int, v *int) { swmr.Put(h, k, v) }, swmr.Get, swmr.Range},
+		{"Concurrent", conc.Put, conc.Get, conc.Range},
+		{"Segmented", func(k int, v *int) { seg.Put(h, k, v) }, seg.Get, seg.Range},
+	} {
+		m.put(1, box)
+		m.put(3, nil)
+		if got, ok := m.get(1); !ok || got != box {
+			t.Fatalf("%s: Get(1) = %p, %v; want the stored %p", m.name, got, ok, box)
+		}
+		if got, ok := m.get(3); !ok || got != nil {
+			t.Fatalf("%s: Get(3) = %p, %v; want a present nil", m.name, got, ok)
+		}
+		if _, ok := m.get(2); ok {
+			t.Fatalf("%s: Get found an absent key", m.name)
+		}
+		seen := map[int]*int{}
+		m.scan(func(k int, v *int) bool { seen[k] = v; return true })
+		if len(seen) != 2 || seen[1] != box || seen[3] != nil {
+			t.Fatalf("%s: Range yielded %v, want {1: %p, 3: nil}", m.name, seen, box)
+		}
 	}
 }
 

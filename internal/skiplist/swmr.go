@@ -12,6 +12,14 @@
 //     bound to the thread that first stored it, whose node also carries a
 //     tower linking it into one insert-only lock-free skip list for ordered
 //     iteration.
+//
+// All three hold a value in a core.Cell: a pointer-shaped V as itself (a
+// stored nil as the cell's sentinel), any other V in a box. A lookup reads
+// it with one load, so a lookup racing a remove and a re-put returns the old
+// value, absent or the new one. SWMR and Concurrent unlink or mark a removed
+// node and never write its cell again (a lookup still on it linearizes
+// before the remove); Segmented clears the cell, and a lookup linearizes at
+// its load.
 package skiplist
 
 import (
@@ -27,7 +35,7 @@ const maxLevel = 24
 
 type snode[K cmp.Ordered, V any] struct {
 	key  K
-	val  atomic.Pointer[V]
+	val  core.Cell[V]
 	next []atomic.Pointer[snode[K, V]]
 }
 
@@ -36,6 +44,7 @@ type snode[K cmp.Ordered, V any] struct {
 type SWMR[K cmp.Ordered, V any] struct {
 	head  *snode[K, V]
 	level atomic.Int32 // levels currently in use
+	form  core.CellForm[V]
 	size  atomic.Int64
 	rnd   uint64 // writer-only xorshift state of nextHeight
 	guard *core.Guard
@@ -47,6 +56,7 @@ func NewSWMR[K cmp.Ordered, V any](checked bool) *SWMR[K, V] {
 	s := &SWMR[K, V]{
 		head: &snode[K, V]{next: make([]atomic.Pointer[snode[K, V]], maxLevel)},
 		rnd:  0x9e3779b97f4a7c15,
+		form: core.FormFor[V](),
 	}
 	s.level.Store(1)
 	if checked {
@@ -57,21 +67,12 @@ func NewSWMR[K cmp.Ordered, V any](checked bool) *SWMR[K, V] {
 
 // Get returns the value for key. Any thread may call it.
 func (s *SWMR[K, V]) Get(key K) (V, bool) {
-	if p, ok := s.GetRef(key); ok {
-		return *p, true
+	n := findGE(s.head, int(s.level.Load()), key)
+	if n != nil && n.key == key {
+		return s.form.Load(&n.val)
 	}
 	var zero V
 	return zero, false
-}
-
-// GetRef returns the stored value box for key. The box is immutable: an
-// update replaces the box, never its contents. Any thread may call it.
-func (s *SWMR[K, V]) GetRef(key K) (*V, bool) {
-	n := findGE(s.head, int(s.level.Load()), key)
-	if n != nil && n.key == key {
-		return n.val.Load(), true
-	}
-	return nil, false
 }
 
 // Contains reports whether key is present.
@@ -80,20 +81,15 @@ func (s *SWMR[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// Put inserts or updates key (single writer only). Blind, per M2.
+// Put inserts or updates key (single writer only). Blind, per M2. An update
+// of a pointer-shaped value allocates nothing, mirroring Java's reference
+// store.
 func (s *SWMR[K, V]) Put(h *core.Handle, key K, val V) {
-	s.PutRef(h, key, &val)
-}
-
-// PutRef is Put with a caller-provided value box (no allocation on the
-// update path, mirroring Java's reference store). The box must not be
-// mutated after the call.
-func (s *SWMR[K, V]) PutRef(h *core.Handle, key K, val *V) {
 	s.guard.MustCheck(h, core.Write)
 	var preds, succs [maxLevel]*snode[K, V]
 	window(s.head, key, &preds, &succs)
 	if n := succs[0]; n != nil && n.key == key {
-		n.val.Store(val) // update in place (setVolatile)
+		s.form.Store(&n.val, val) // update in place (setVolatile)
 		return
 	}
 
@@ -102,7 +98,7 @@ func (s *SWMR[K, V]) PutRef(h *core.Handle, key K, val *V) {
 		s.level.Store(int32(height))
 	}
 	n := &snode[K, V]{key: key, next: make([]atomic.Pointer[snode[K, V]], height)}
-	n.val.Store(val)
+	s.form.Store(&n.val, val)
 	// First wire the node's own forward pointers at every level, so a
 	// reader that reaches the node can always continue.
 	for i := 0; i < height; i++ {
@@ -143,21 +139,12 @@ func (s *SWMR[K, V]) Len() int { return int(s.size.Load()) }
 // Range calls f in ascending key order until it returns false; weakly
 // consistent under concurrent writes.
 func (s *SWMR[K, V]) Range(f func(key K, val V) bool) {
-	s.RangeRef(func(k K, v *V) bool { return f(k, *v) })
+	walk(s.form, s.head.next[0].Load(), f)
 }
 
-// RangeRef calls f with the stored value box of every entry in ascending key
-// order until it returns false. It is the snapshot hook for migration
-// (internal/adaptive): overlay wrappers use sentinel boxes as tombstones, and
-// only the box identity — not the value — can distinguish them. Weakly
-// consistent, like Range.
-func (s *SWMR[K, V]) RangeRef(f func(key K, val *V) bool) {
-	walk(s.head.next[0].Load(), f)
-}
-
-// RangeRefFrom is RangeRef starting at the first key ≥ from.
-func (s *SWMR[K, V]) RangeRefFrom(from K, f func(key K, val *V) bool) {
-	walk(findGE(s.head, int(s.level.Load()), from), f)
+// RangeFrom is Range starting at the first key ≥ from.
+func (s *SWMR[K, V]) RangeFrom(from K, f func(key K, val V) bool) {
+	walk(s.form, findGE(s.head, int(s.level.Load()), from), f)
 }
 
 // Min returns the smallest key.
@@ -168,7 +155,8 @@ func (s *SWMR[K, V]) Min() (K, V, bool) {
 		var v V
 		return k, v, false
 	}
-	return n.key, *n.val.Load(), true
+	v, _ := s.form.Load(&n.val)
+	return n.key, v, true
 }
 
 // nextHeight advances the xorshift state *x and samples a geometric tower
@@ -221,11 +209,11 @@ func findGE[K cmp.Ordered, V any](head *snode[K, V], top int, key K) *snode[K, V
 	return next
 }
 
-// walk calls f for every entry with a box, from n on at level 0, until f
+// walk calls f for every present entry, from n on at level 0, until f
 // returns false.
-func walk[K cmp.Ordered, V any](n *snode[K, V], f func(key K, val *V) bool) {
+func walk[K cmp.Ordered, V any](form core.CellForm[V], n *snode[K, V], f func(key K, val V) bool) {
 	for ; n != nil; n = n.next[0].Load() {
-		if p := n.val.Load(); p != nil && !f(n.key, p) {
+		if v, ok := form.Load(&n.val); ok && !f(n.key, v) {
 			return
 		}
 	}

@@ -379,18 +379,16 @@ func (r concurrentListRep[K, V]) RangeBetween(from, to K, f func(K, V) bool) {
 	r.m.RangeFrom(from, below(to, f))
 }
 
-// swmrListRep adapts the SWMR skip list (its from-iteration is ref-based).
+// swmrListRep adapts the SWMR skip list.
 type swmrListRep[K cmp.Ordered, V any] struct{ m *skiplist.SWMR[K, V] }
 
-func (r swmrListRep[K, V]) Put(h *Handle, k K, v V)    { r.m.Put(h, k, v) }
-func (r swmrListRep[K, V]) Get(k K) (V, bool)          { return r.m.Get(k) }
-func (r swmrListRep[K, V]) Remove(h *Handle, k K) bool { return r.m.Remove(h, k) }
-func (r swmrListRep[K, V]) Contains(k K) bool          { return r.m.Contains(k) }
-func (r swmrListRep[K, V]) Len() int                   { return r.m.Len() }
-func (r swmrListRep[K, V]) Range(f func(K, V) bool)    { r.m.Range(f) }
-func (r swmrListRep[K, V]) RangeFrom(from K, f func(K, V) bool) {
-	r.m.RangeRefFrom(from, func(k K, v *V) bool { return f(k, *v) })
-}
+func (r swmrListRep[K, V]) Put(h *Handle, k K, v V)             { r.m.Put(h, k, v) }
+func (r swmrListRep[K, V]) Get(k K) (V, bool)                   { return r.m.Get(k) }
+func (r swmrListRep[K, V]) Remove(h *Handle, k K) bool          { return r.m.Remove(h, k) }
+func (r swmrListRep[K, V]) Contains(k K) bool                   { return r.m.Contains(k) }
+func (r swmrListRep[K, V]) Len() int                            { return r.m.Len() }
+func (r swmrListRep[K, V]) Range(f func(K, V) bool)             { r.m.Range(f) }
+func (r swmrListRep[K, V]) RangeFrom(from K, f func(K, V) bool) { r.m.RangeFrom(from, f) }
 func (r swmrListRep[K, V]) RangeBetween(from, to K, f func(K, V) bool) {
 	r.RangeFrom(from, below(to, f))
 }
