@@ -29,7 +29,8 @@ RACE_SERVER_PKGS = ./internal/server/...
 # The segmentations run three times too: the segmented hash map, set and
 # skip list all publish through the directory's one CAS-prepend loop, and
 # its lost-CAS retry only runs on the interleavings where two inserts race
-# for a bucket head.
+# for a bucket head; each inserter takes its nodes from a slab of its own,
+# which readers walk while the owner fills the rest of it.
 RACE_SEGMENT_PKGS = ./internal/segment/...
 
 # Tiny configuration for the bench-smoke job: catches harness bit-rot
@@ -40,7 +41,9 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # layer benchmarks of the ordered maps (BenchmarkOrdered), the hash maps
 # (BenchmarkSWMR, the served shard's map, and the pointer-valued
 # BenchmarkSegmented) and the adaptive map (BenchmarkMap), the root figure
-# wrappers (BenchmarkFig*), the serving
+# wrappers (BenchmarkFig*), the planner's (BenchmarkConstruct: a repeated
+# declaration from every goroutine at once, at -cpu 1,2; 'Construct$'
+# leaves out BenchmarkFig2GraphConstruction), the serving
 # executor's (BenchmarkStoreRun, its contended case included), the
 # codec's (BenchmarkCommandBatch, BenchmarkReplyBatch, BenchmarkWriteReply),
 # the wire client's (BenchmarkNetClient) and the load driver's (the Zipf
@@ -48,8 +51,8 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # each so they cannot rot, and so does cmd/benchcmp, the alternating-pair
 # runner every performance comparison is made with: one -bench pair of the
 # checkout against itself over the executor's benchmarks, one over the
-# hash maps', one over the decoders', one over the wire client's and one
-# over each of the load driver's two.
+# hash maps', one over the planner's, one over the decoders', one over the
+# wire client's and one over each of the load driver's two.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
@@ -120,6 +123,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'SWMR|Segmented' -benchtime 1x ./internal/hashmap
 	$(GO) test -run '^$$' -bench Map -benchtime 1x ./internal/adaptive
 	$(GO) test -run '^$$' -bench Fig -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Construct$$' -cpu 1,2 -benchtime 1x .
 	$(GO) test -run '^$$' -bench StoreRun -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench 'CommandBatch|ReplyBatch|WriteReply' -benchtime 1x ./internal/wire
 	$(GO) test -run '^$$' -bench NetClient -benchtime 1x ./internal/retwis
@@ -127,6 +131,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Generator -benchtime 1x ./internal/retwis
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench StoreRun . . -- -benchtime 1x ./internal/server
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'SWMR|Segmented' . . -- -benchtime 1x ./internal/hashmap
+	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'Construct$$' . . -- -cpu 1,2 -benchtime 1x .
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'CommandBatch|ReplyBatch' . . -- -benchtime 1x ./internal/wire
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench NetClient . . -- -benchtime 1x ./internal/retwis
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'Zipfian|Generator' . . -- -benchtime 1x ./internal/stats

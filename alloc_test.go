@@ -23,11 +23,13 @@ import (
 // facade and representation are one allocation (its plan is interned, its
 // profile recycled). A segmented
 // Put of a present key pays one value box (also right after a Remove, which
-// keeps the key's node), of a fresh key the box and its directory node (a
-// set's empty value needs no box); a pointer value needs no box either, in
-// the segmented map and the SWMR map alike, since the node's cell stores the
-// pointer as it is; an adaptive map's Put boxes its value in every state, so
-// a promotion can store the box as it is; an MPSC Offer pays one node.
+// keeps the key's node), of a fresh key the box and a sixteenth of its
+// owner's slab of directory nodes (a set's empty value needs no box); a
+// pointer value needs no box either, in the segmented map and the SWMR map
+// alike, since the node's cell stores the pointer as it is; an SWMR map's
+// fresh key pays its whole node; an adaptive map's Put boxes its value in
+// every state, so a promotion can store the box as it is; an MPSC Offer pays
+// one node.
 func TestAllocCeilings(t *testing.T) {
 	reg := NewRegistry(8)
 	h := Must(reg.Register())
@@ -115,6 +117,11 @@ func TestAllocCeilings(t *testing.T) {
 		adaptive.Put(h, 3, 3)
 	}
 	fresh := 1 << 20 // keys above every key stored so far
+	// A segmented directory takes fresh nodes from its owner's slab, 16
+	// nodes of 32 B once the slabs have grown, so the fresh-key rows insert
+	// 16 keys a call: any 16 takes in a row open exactly one slab, and a
+	// window of single inserts would split one.
+	const slab = 16
 
 	// Construction pins bytes beside allocations: a per-user object's
 	// footprint is what it allocates, not how often.
@@ -144,10 +151,25 @@ func TestAllocCeilings(t *testing.T) {
 	rows := []allocRow{
 		{"segmented AdjustedMap.Get", 0, 0, func() { segmented.Get(3) }},
 		{"segmented AdjustedMap.Put, present key", 1, 8, func() { segmented.Put(h, 3, 4) }},
-		{"segmented AdjustedMap.Put, fresh key", 2, 40, func() { fresh++; segmented.Put(h, fresh, 4) }},
-		{"segmented AdjustedSet.Add, fresh element", 1, 32, func() { fresh++; segSet.Add(h, fresh) }},
+		{"segmented AdjustedMap.Put, 16 fresh keys", 17, 640, func() {
+			for range slab {
+				fresh++
+				segmented.Put(h, fresh, 4)
+			}
+		}},
+		{"segmented AdjustedSet.Add, 16 fresh elements", 1, 512, func() {
+			for range slab {
+				fresh++
+				segSet.Add(h, fresh)
+			}
+		}},
 		{"pointer-valued segmented AdjustedMap.Put, present key", 0, 0, func() { ptrSegmented.Put(h, 3, nil); ptrSegmented.Put(h, 3, &v) }},
-		{"pointer-valued segmented AdjustedMap.Put, fresh key", 1, 32, func() { fresh++; ptrSegmented.Put(h, fresh, &v) }},
+		{"pointer-valued segmented AdjustedMap.Put, 16 fresh keys", 1, 512, func() {
+			for range slab {
+				fresh++
+				ptrSegmented.Put(h, fresh, &v)
+			}
+		}},
 		{"pointer-valued SWMR AdjustedMap.Put, present key", 0, 0, func() { ptrSWMR.Put(h, "3", nil); ptrSWMR.Put(h, "3", &v) }},
 		{"pointer-valued SWMR AdjustedMap.Put, fresh key", 1, 48, func() { ptrSWMR.Put(h, freshKeys[0], &v); freshKeys = freshKeys[1:] }},
 		{"adaptive AdjustedMap.Get", 0, 0, func() { adaptive.Get(3) }},

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/adjusted-objects/dego/internal/core"
 )
@@ -17,11 +18,14 @@ import (
 // changes, so the directory is insert-only and a lookup is one chain walk. A
 // key's segment is its owner field: the per-owner state is a padded live-key
 // counter, moved when the node's value cell goes absent ↔ present, the SWMR
-// guard (when checked) that every write to the owner's keys runs, and the
-// state of the owner's per-node random draws. The value is a core.Cell: a
-// pointer-shaped V is stored as itself (a stored nil as the cell's
-// sentinel), any other V in a box. An absent cell means an absent key;
-// Remove keeps the node and so the binding.
+// guard (when checked) that every write to the owner's keys runs, the state
+// of the owner's per-node random draws and the owner's slab of fresh nodes.
+// A node lives exactly as long as its directory (Remove keeps it), so the
+// nodes an owner publishes may share one allocation: each owner takes them
+// from a slab of its own, and only the owner's handle takes from it. The
+// value is a core.Cell: a pointer-shaped V is stored as itself (a stored nil
+// as the cell's sentinel), any other V in a box. An absent cell means an
+// absent key; Remove keeps the node and so the binding.
 //
 // Linearization points: the CAS that prepends a fresh node to its bucket
 // (insert), the cell's swap (update, remove) and the cell's load (lookup).
@@ -36,7 +40,7 @@ type Directory[K comparable, V any, X any] struct {
 	mask    uint64
 	hash    func(K) uint64
 	reg     *core.Registry
-	owners  []owner
+	owners  []owner[Node[K, V, X]]
 	form    core.CellForm[V]
 }
 
@@ -52,15 +56,47 @@ type Node[K comparable, V any, X any] struct {
 }
 
 // owner is one thread's segment: the number of live keys bound to it, the
-// guard of its single-writer role (nil when unchecked) and its xorshift
-// state (zero until first drawn from), alone on a cache line so owners never
-// share one.
-type owner struct {
+// guard of its single-writer role (nil when unchecked), its xorshift state
+// (zero until first drawn from) and the unused nodes of its current slab,
+// alone on a cache line so owners never share one.
+type owner[N any] struct {
 	_     core.Pad
 	live  atomic.Int64
 	guard *core.Guard
 	rnd   uint64
-	_     [core.CacheLineSize - 24]byte
+	slab  []N // the nodes not yet taken; cap is the slab's size
+	_     [core.CacheLineSize - 48]byte
+}
+
+// Slab sizing. An owner's first slab holds slabFirst nodes and each next one
+// twice as many, up to slabMost nodes and slabBytes bytes: the runtime adds
+// an 8-byte header to an object with pointers above 512 B, and size classes
+// past it round up further (a 64-node slab of 32 B nodes, 2048 B, lands in
+// the 2304 B class: 36 B a node instead of 32).
+const (
+	slabFirst = 4
+	slabMost  = 16
+	slabBytes = 512
+)
+
+// take hands out a fresh, zero node from the owner's slab, opening the next
+// slab when this one is used up. Only the owner's handle calls it.
+func (o *owner[N]) take() *N {
+	if len(o.slab) == 0 {
+		size := int(unsafe.Sizeof(*new(N)))
+		o.slab = make([]N, max(1, min(max(2*cap(o.slab), slabFirst), slabMost, slabBytes/size)))
+	}
+	n := &o.slab[len(o.slab)-1]
+	o.slab = o.slab[:len(o.slab)-1]
+	return n
+}
+
+// untake zeroes n, the node take last handed out, and puts it back in the
+// slab. n must never have been published.
+func (o *owner[N]) untake(n *N) {
+	var zero N
+	*n = zero
+	o.slab = o.slab[:len(o.slab)+1]
 }
 
 // MakeDirectory returns a directory over a registry. buckets sizes it,
@@ -79,7 +115,7 @@ func MakeDirectory[K comparable, V any, X any](r *core.Registry, buckets int,
 		mask:    uint64(size - 1),
 		hash:    hash,
 		reg:     r,
-		owners:  make([]owner, r.Capacity()),
+		owners:  make([]owner[Node[K, V, X]], r.Capacity()),
 		form:    core.FormFor[V](),
 	}
 	if checked {
@@ -101,7 +137,7 @@ func (d *Directory[K, V, X]) find(key K) *Node[K, V, X] {
 }
 
 // write runs the guard of n's owner for a write by h and returns the owner.
-func (d *Directory[K, V, X]) write(h *core.Handle, n *Node[K, V, X]) *owner {
+func (d *Directory[K, V, X]) write(h *core.Handle, n *Node[K, V, X]) *owner[Node[K, V, X]] {
 	o := &d.owners[n.owner]
 	o.guard.MustCheck(h, core.Write)
 	return o
@@ -111,15 +147,25 @@ func (d *Directory[K, V, X]) write(h *core.Handle, n *Node[K, V, X]) *owner {
 // insert. It returns the node it published for a key never stored before,
 // and nil when it updated the key's node in place, so that only a fresh key
 // pays for its extension. An update allocates at most the cell's box, an
-// insert one node besides.
+// insert a share of its owner's slab besides.
 func (d *Directory[K, V, X]) Insert(h *core.Handle, key K, val V) *Node[K, V, X] {
 	bucket := &d.buckets[d.hash(key)&d.mask]
+	return d.insert(h, bucket, bucket.Load(), key, val)
+}
+
+// insert is Insert from head, a value of bucket's head read before.
+func (d *Directory[K, V, X]) insert(h *core.Handle, bucket *atomic.Pointer[Node[K, V, X]],
+	head *Node[K, V, X], key K, val V) *Node[K, V, X] {
 	var fresh *Node[K, V, X]
 	var seen *Node[K, V, X] // chain suffix already scanned
 	for {
-		head := bucket.Load()
 		for n := head; n != seen; n = n.next {
 			if n.Key == key {
+				if fresh != nil {
+					// Another thread bound the key first (a violated
+					// contract): the unpublished node goes back.
+					d.owners[h.ID()].untake(fresh)
+				}
 				if o := d.write(h, n); !d.form.Swap(&n.val, val) {
 					o.live.Add(1)
 				}
@@ -127,8 +173,10 @@ func (d *Directory[K, V, X]) Insert(h *core.Handle, key K, val V) *Node[K, V, X]
 			}
 		}
 		if fresh == nil {
-			d.owners[h.ID()].guard.MustCheck(h, core.Write)
-			fresh = &Node[K, V, X]{Key: key, owner: int32(h.ID())}
+			o := &d.owners[h.ID()]
+			o.guard.MustCheck(h, core.Write)
+			fresh = o.take()
+			fresh.Key, fresh.owner = key, int32(h.ID())
 			d.form.Store(&fresh.val, val)
 		}
 		fresh.next = head
@@ -138,7 +186,7 @@ func (d *Directory[K, V, X]) Insert(h *core.Handle, key K, val V) *Node[K, V, X]
 		}
 		// Lost the race: only the nodes prepended since head are new, and
 		// one of them may bind this key.
-		seen = head
+		seen, head = head, bucket.Load()
 	}
 }
 

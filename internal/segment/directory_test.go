@@ -46,11 +46,11 @@ var reps = []struct {
 	retained float64
 	build    func(r *core.Registry, buckets int, checked bool) segmented
 }{
-	{"HashMap", unsafe.Sizeof(segment.Node[int, int, struct{}]{}), 32, 35.2,
+	{"HashMap", unsafe.Sizeof(segment.Node[int, int, struct{}]{}), 32, 35.0,
 		func(r *core.Registry, buckets int, checked bool) segmented {
 			return hashmap.NewSegmented[int, int](r, 0, buckets, intHash, checked)
 		}},
-	{"SkipList", unsafe.Sizeof(segment.Node[int, int, skiplist.Tower[int, int]]{}), 56, 82.2,
+	{"SkipList", unsafe.Sizeof(segment.Node[int, int, skiplist.Tower[int, int]]{}), 56, 74.1,
 		func(r *core.Registry, buckets int, checked bool) segmented {
 			return skiplist.NewSegmented[int, int](r, buckets, intHash, checked)
 		}},

@@ -12,9 +12,10 @@ import (
 // TestSegmentedChurnRetention pins what churn over fresh keys costs: a
 // removed key keeps its node, and so its binding, for as long as the map
 // lives. It inserts 4096 fresh int keys and removes them all, 50 rounds
-// over, and reads HeapAlloc after GC. On amd64 the hash map retains 32.0 B
-// per removed key (its node) and the skip list 74.7 B (its node and tower);
-// each ceiling is that figure plus 10 %. Reclaiming removed nodes lowers
+// over, and reads HeapAlloc after GC. On amd64 the hash map retains 31.8 B
+// per removed key (its node, a sixteenth of a 512 B slab) and the skip list
+// 67.4 B (its node, a ninth of a slab of 56 B nodes in the 512 B size class,
+// and its tower); each ceiling is that figure plus 10 %. Reclaiming removed nodes lowers
 // both. The race detector allocates on its own, hence the build tag.
 func TestSegmentedChurnRetention(t *testing.T) {
 	const keys, rounds = 4096, 50

@@ -11,7 +11,9 @@
 //     built on the hash map.
 //     A node holds its value in a core.Cell: a pointer-shaped value as
 //     itself (a stored nil as the cell's sentinel), any other in a box; an
-//     absent cell is an absent key, and a lookup is one load of it.
+//     absent cell is an absent key, and a lookup is one load of it. A node
+//     lives as long as its directory, so each owner takes its nodes from
+//     slabs of its own: the segment carries over to memory.
 //   - Base: an array of SWMR segments with a static thread→segment mapping;
 //     reads traverse every segment (best for write-dominated workloads).
 //   - Hash: an array of SWMR segments indexed by item hash, so a lookup

@@ -116,6 +116,10 @@ var counterRows = []repRow{
 	{name: "AtomicCounter", modes: anyMode},
 }
 
+// counterType is Counter's planning data. Counter writes (inc, add)
+// commute by the datatype.
+var counterType = datatype{name: "Counter", takes: counterTakes, rows: counterRows, commutes: true}
+
 // Counter builds a counter from a declared usage profile.
 //
 // Planning: without Blind the increment conceptually returns the new value
@@ -124,11 +128,11 @@ var counterRows = []repRow{
 // commute, so SingleReader alone suffices) unlocks the per-thread cells of
 // the paper's (C3, CWSR) object.
 func Counter(opts ...Option) (*AdjustedCounter, error) {
-	p, plan, _, err := declare("Counter", counterTakes, opts, counterRows, false)
+	p, plan, _, err := declare(&counterType, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	c := &AdjustedCounter{plan: intern(plan)}
+	c := &AdjustedCounter{plan: plan}
 	switch plan.Rep {
 	case "IncrementOnlyCounter":
 		c.rep = counter.NewIncrementOnly(p.reg(), p.checked)
@@ -226,6 +230,9 @@ var mapRows = []repRow{
 	{name: "StripedMap", modes: inALL, hashed: true},
 }
 
+// mapType is Map's planning data.
+var mapType = datatype{name: "Map", takes: mapTakes, rows: mapRows, ranges: 1}
+
 // Map builds a hash map from a declared usage profile.
 //
 // Planning: no restriction yields the lock-striped baseline (M1);
@@ -238,32 +245,30 @@ var mapRows = []repRow{
 // family instead (flat.go). Integer and string keys hash by default; other
 // key types need WithHash outside the flat family.
 func Map[K comparable, V any](opts ...Option) (*AdjustedMap[K, V], error) {
-	rep, plan, err := planMap[K, V]("Map", mapTakes, mapRows, usage.MethodPut, opts)
+	rep, plan, err := planMap[K, V](&mapType, usage.MethodPut, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &AdjustedMap[K, V]{plan: plan, rep: rep}, nil
 }
 
-// planMap declares a Map or Set profile against rows and builds the hash
-// map it plans. A set is the map over empty values, so each map row and its
-// set twin build the same representation; put names the method a recorded
-// Put is filed under (a set's Add).
-func planMap[K comparable, V any](dt string, takes optBit, rows []repRow, put usage.Method,
-	opts []Option) (mapRep[K, V], *Plan, error) {
+// planMap declares a Map or Set profile and builds the hash map it plans. A
+// set is the map over empty values, so each map row and its set twin build
+// the same representation; put names the method a recorded Put is filed
+// under (a set's Add).
+func planMap[K comparable, V any](dt *datatype, put usage.Method, opts []Option) (mapRep[K, V], *Plan, error) {
 	enc, dec, intKey := intKeyCodec[K]()
-	p, plan, row, err := declare(dt, takes, opts, rows, intKey)
+	p, plan, row, err := declare(dt, opts, intKey)
 	if err != nil {
 		return nil, nil, err
 	}
-	hash, rec, recHash, err := keyed[K](dt, &p, row)
+	hash, rec, recHash, err := keyed[K](dt.name, &p, row)
 	if err != nil {
 		return nil, nil, err
 	}
 	capacity := p.capacityOr(1024)
 	buckets := p.bucketsOr(capacity * 2)
 	var rep mapRep[K, V]
-	plan.Ranges = 1
 	switch plan.Rep {
 	case "FlatSWMRMap", "FlatSWMRSet":
 		rep = newFlatSWMRMap[K, V](enc, dec, p.capacity, p.checked)
@@ -271,7 +276,12 @@ func planMap[K comparable, V any](dt string, takes optBit, rows []repRow, put us
 		rep = newFlatMap[K, V](enc, dec, p.capacity)
 	case "AdaptiveMap":
 		ad := adaptive.NewMap[K, V](p.reg(), p.stripesOr(256), capacity, buckets, p.ranges, hash, p.policy)
-		rep, plan.Ranges = ad, ad.Ranges()
+		rep = ad
+		if n := ad.Ranges(); n != plan.Ranges {
+			ranged := *plan
+			ranged.Ranges = n
+			plan = intern(ranged)
+		}
 	case "SegmentedMap", "SegmentedSet":
 		rep = hashmap.NewSegmented[K, V](p.reg(), capacity, buckets, hash, p.checked)
 	case "SWMRMap", "SWMRSet":
@@ -282,7 +292,7 @@ func planMap[K comparable, V any](dt string, takes optBit, rows []repRow, put us
 	if p.record {
 		rep = &recordedMap[K, V]{recording[mapRep[K, V]]{rep, rec}, recHash, put}
 	}
-	return rep, intern(plan), nil
+	return rep, plan, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -332,12 +342,15 @@ var setRows = []repRow{
 	{name: "StripedSet", modes: inALL, hashed: true},
 }
 
+// setType is Set's planning data.
+var setType = datatype{name: "Set", takes: setTakes, rows: setRows, ranges: 1}
+
 // Set builds a membership set from a declared usage profile. Planning
 // follows Map: unrestricted → striped baseline (S1); SingleWriter → SWMR
 // (S2); CommutingWriters → the segmented set of the paper's (S3, CWMR)
 // node; the flat gate → the flat family.
 func Set[K comparable](opts ...Option) (*AdjustedSet[K], error) {
-	rep, plan, err := planMap[K, struct{}]("Set", setTakes, setRows, usage.MethodAdd, opts)
+	rep, plan, err := planMap[K, struct{}](&setType, usage.MethodAdd, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -443,24 +456,25 @@ var orderedRows = []repRow{
 	{name: "ConcurrentSkipList", modes: inALL},
 }
 
+// orderedType is Ordered's planning data.
+var orderedType = datatype{name: "Ordered", takes: orderedTakes, rows: orderedRows, ranges: 1}
+
 // Ordered builds an ordered map (skip list) from a declared usage profile.
 // The catalog rows are shared with Map — an ordered map narrows M1's
 // interface no differently — but the representations keep iteration
 // sorted: unrestricted → lock-free CAS baseline; SingleWriter → SWMR list;
 // CommutingWriters → the extended segmented list.
 func Ordered[K cmp.Ordered, V any](opts ...Option) (*AdjustedOrdered[K, V], error) {
-	const dt = "Ordered"
-	p, plan, row, err := declare(dt, orderedTakes, opts, orderedRows, false)
+	p, plan, row, err := declare(&orderedType, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	hash, rec, recHash, err := keyed[K](dt, &p, row)
+	hash, rec, recHash, err := keyed[K](orderedType.name, &p, row)
 	if err != nil {
 		return nil, err
 	}
 	buckets := p.bucketsOr(p.capacityOr(1024) * 2)
-	plan.Ranges = 1
-	m := &AdjustedOrdered[K, V]{plan: intern(plan)}
+	m := &AdjustedOrdered[K, V]{plan: plan}
 	switch plan.Rep {
 	case "SegmentedSkipList":
 		m.rep = skiplist.NewSegmented[K, V](p.reg(), buckets, hash, p.checked)
@@ -557,6 +571,9 @@ var queueRows = []repRow{
 	{name: "MSQueue", modes: inALL},
 }
 
+// queueType is Queue's planning data.
+var queueType = datatype{name: "Queue", takes: queueTakes, rows: queueRows}
+
 // Queue builds a FIFO queue from a declared usage profile: unrestricted →
 // the Michael–Scott baseline (Q1, ALL); SingleReader → the multi-producer
 // single-consumer queue of the paper's (Q1, MWSR) — producers never touch
@@ -565,7 +582,7 @@ var queueRows = []repRow{
 // queue with one producer and many consumers has no adjusted
 // representation here).
 func Queue[T any](opts ...Option) (*AdjustedQueue[T], error) {
-	p, plan, _, err := declare("Queue", queueTakes, opts, queueRows, false)
+	p, plan, _, err := declare(&queueType, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -582,7 +599,7 @@ func Queue[T any](opts ...Option) (*AdjustedQueue[T], error) {
 		q = &w.q
 		q.rep = msQueueRep[T]{&w.rep}
 	}
-	q.plan = intern(plan)
+	q.plan = plan
 	if p.record {
 		q.rep = &recordedQueue[T]{recording[queueRep[T]]{q.rep, p.recorder(4)}}
 	}
@@ -668,6 +685,9 @@ var refRows = []repRow{
 	{name: "AtomicRef", modes: inALL},
 }
 
+// refType is Ref's planning data.
+var refType = datatype{name: "Ref", takes: refTakes, rows: refRows}
+
 // Ref builds a shared reference holding v (nil allowed) from a declared
 // usage profile: unrestricted → the atomic reference (R1); SingleWriter →
 // the RCU box (R1, SWMR), whose readers take immutable snapshots;
@@ -675,15 +695,14 @@ var refRows = []repRow{
 // unset. Reference writes replace the whole referent, so they never
 // commute and CommutingWriters is rejected.
 func Ref[T any](v *T, opts ...Option) (*AdjustedRef[T], error) {
-	const dt = "Ref"
-	p, plan, _, err := declare(dt, refTakes, opts, refRows, false)
+	p, plan, _, err := declare(&refType, opts, false)
 	if err != nil {
 		return nil, err
 	}
 	if p.writeOnce && v != nil {
-		return nil, invalid(dt, "WriteOnce starts unset: construct with a nil initial value and Set once")
+		return nil, invalid(refType.name, "WriteOnce starts unset: construct with a nil initial value and Set once")
 	}
-	r := &AdjustedRef[T]{plan: intern(plan)}
+	r := &AdjustedRef[T]{plan: plan}
 	switch plan.Rep {
 	case "WriteOnceRef":
 		r.rep = writeOnceRefRep[T]{ref.NewWriteOnce[T](p.reg())}

@@ -18,10 +18,10 @@ var updatePlans = flag.Bool("update-plans", false, "rewrite testdata/plans.golde
 // accepts or rejects one more cell shows up as an added or removed line.
 const planGoldenFile = "testdata/plans.golden"
 
-// TestPlanGolden builds every cell of builders × modeDecls × narrowDecls ×
-// adaptivity × Checked × Capacity × one tuning option and compares the
-// accepted ones, line by line, against the golden file.
-func TestPlanGolden(t *testing.T) {
+// eachDeclaration calls f with every cell of builders × modeDecls ×
+// narrowDecls × adaptivity × Checked × Capacity × one tuning option, in one
+// fixed order, and returns the number of cells.
+func eachDeclaration(f func(dt, name string, opts []Option)) int {
 	type decl struct {
 		name string
 		opts []Option
@@ -42,7 +42,6 @@ func TestPlanGolden(t *testing.T) {
 	}
 	sort.Strings(dts)
 
-	var got []string
 	cells := 0
 	for _, dt := range dts {
 		for _, md := range modeDecls {
@@ -56,13 +55,7 @@ func TestPlanGolden(t *testing.T) {
 								for _, d := range [][]Option{md.opts, nd.opts, ad.opts, ck.opts, cp.opts, tn.opts} {
 									opts = append(opts, d...)
 								}
-								plan, err := builders[dt](opts...)
-								if err != nil {
-									continue
-								}
-								got = append(got, fmt.Sprintf("%s/%s/%s/%s/%s/%s/%s: %s ranges=%d",
-									dt, md.name, nd.name, ad.name, ck.name, cp.name, tn.name,
-									plan, plan.Ranges))
+								f(dt, strings.Join([]string{dt, md.name, nd.name, ad.name, ck.name, cp.name, tn.name}, "/"), opts)
 							}
 						}
 					}
@@ -70,6 +63,19 @@ func TestPlanGolden(t *testing.T) {
 			}
 		}
 	}
+	return cells
+}
+
+// TestPlanGolden builds every cell of the declaration matrix
+// (eachDeclaration) and compares the accepted ones, line by line, against
+// the golden file.
+func TestPlanGolden(t *testing.T) {
+	var got []string
+	cells := eachDeclaration(func(dt, name string, opts []Option) {
+		if plan, err := builders[dt](opts...); err == nil {
+			got = append(got, fmt.Sprintf("%s: %s ranges=%d", name, plan, plan.Ranges))
+		}
+	})
 	if cells != 7560 {
 		t.Fatalf("matrix has %d cells, want 7560", cells)
 	}
@@ -86,6 +92,71 @@ func TestPlanGolden(t *testing.T) {
 	}
 	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 	diffLines(t, want, got)
+}
+
+// TestPlanMemo plans every cell of the declaration matrix cold, with every
+// datatype's memo emptied, then warm, and once more. An accepted cell must
+// get one interned *Plan all three times; a static one must leave exactly
+// one decision in the memo and an adaptive one none, so a warm static
+// declaration is served from the memo. A rejected cell must fail with the
+// same text every time and memoise nothing.
+func TestPlanMemo(t *testing.T) {
+	defer forgetDecisions()
+	accepted := 0
+	eachDeclaration(func(dt, name string, opts []Option) {
+		forgetDecisions()
+		cold, coldErr := builders[dt](opts...)
+		memoised := decisions()
+		for i := 0; i < 2; i++ {
+			warm, err := builders[dt](opts...)
+			switch {
+			case (err == nil) != (coldErr == nil):
+				t.Errorf("%s: cold error %v, warm error %v", name, coldErr, err)
+			case err != nil && err.Error() != coldErr.Error():
+				t.Errorf("%s: cold rejection %q, warm %q", name, coldErr, err)
+			case err == nil && (warm != cold || *warm != *cold):
+				t.Errorf("%s: cold plan %p %v, warm %p %v", name, cold, cold, warm, warm)
+			}
+		}
+		want := 0
+		if coldErr == nil {
+			accepted++
+			if !cold.Adaptive {
+				want = 1
+			}
+		}
+		if memoised != want || decisions() != want {
+			t.Errorf("%s (error %v): %d decisions memoised cold, %d warm, want %d", name, coldErr, memoised, decisions(), want)
+		}
+	})
+	if accepted == 0 {
+		t.Fatal("no cell of the matrix was accepted")
+	}
+}
+
+// datatypes lists every constructor's planning data.
+var datatypes = []*datatype{&counterType, &mapType, &setType, &orderedType, &queueType, &refType}
+
+// forgetDecisions empties every datatype's memo.
+func forgetDecisions() {
+	for _, dt := range datatypes {
+		for i := range dt.memo {
+			dt.memo[i].Store(nil)
+		}
+	}
+}
+
+// decisions counts the decisions memoised over every datatype.
+func decisions() int {
+	n := 0
+	for _, dt := range datatypes {
+		for i := range dt.memo {
+			if dt.memo[i].Load() != nil {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // diffLines reports every line only one side has; both sides are in the

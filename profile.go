@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"github.com/adjusted-objects/dego/internal/usage"
 )
@@ -301,6 +302,35 @@ func (r *repRow) fit(p *profile, mode Mode, met need) int {
 	return fits
 }
 
+// A datatype is one profile constructor's planning data: its name, the
+// options it takes, its row table, the range count its static plans report
+// (1 for the keyed datatypes, 0 for the others), whether its writes commute
+// by the datatype, and the memo of its decisions.
+type datatype struct {
+	name     string
+	takes    optBit
+	rows     []repRow
+	ranges   int
+	commutes bool
+	memo     [memoKeys]atomic.Pointer[decision]
+}
+
+// A decision is a memoised plan: the interned Plan and the row it names.
+type decision struct {
+	plan *Plan
+	row  *repRow
+}
+
+// memoKeys counts the memo keys: a static declaration's plan depends on its
+// datatype, its mode, the needs it meets (Blind and WriteOnce among them)
+// and Checked alone, so those small integers index the datatype's memo.
+const memoKeys = (int(ModeCWSR) + 1) << 5
+
+// memoKey is the memo index of a declaration's mode, met needs and Checked.
+func memoKey(mode Mode, met need, checked bool) int {
+	return int(mode)<<5 | int(met)<<1 | int(bit(checked, uint8(1)))
+}
+
 // declare folds a datatype's options into a profile and plans it. (a) It
 // rejects the options the datatype does not take. (b) It resolves the §4.2
 // mode. (c) It names the Table 1 object from Blind, WriteOnce and the mode
@@ -308,48 +338,72 @@ func (r *repRow) fit(p *profile, mode Mode, met need) int {
 // is considered. (d) It picks the first row the profile fits; when none
 // does, the row that got furthest names the requirement that failed. The
 // options are folded into a recycled profile, and the constructor gets a
-// copy.
-func declare(dt string, takes optBit, opts []Option, rows []repRow, intKey bool) (profile, Plan, *repRow, error) {
+// copy, the interned plan and its row. An adaptive plan's Ranges is the
+// constructor's to set.
+func declare(dt *datatype, opts []Option, intKey bool) (profile, *Plan, *repRow, error) {
 	p := profiles.Get().(*profile)
 	defer p.release()
 	p.apply(opts)
-	plan, row, err := p.decide(dt, takes, rows, intKey)
+	plan, row, err := p.decide(dt, intKey)
 	if err != nil {
-		return profile{}, Plan{}, nil, err
+		return profile{}, nil, nil, err
 	}
 	return *p, plan, row, nil
 }
 
 // decide is declare's decision over a profile the options are folded into.
-func (p *profile) decide(dt string, takes optBit, rows []repRow, intKey bool) (Plan, *repRow, error) {
-	if extra := p.declared() &^ takes; extra != 0 {
-		return Plan{}, nil, invalid(dt, "%s does not apply", optionNames[bits.TrailingZeros16(uint16(extra))])
+// Steps (a) and (b) run on every call; the rest is memoised per datatype on
+// the mode, the met needs and Checked, so a repeated static declaration
+// takes one load and no lock. Adaptive declarations and rejections are
+// never memoised.
+func (p *profile) decide(dt *datatype, intKey bool) (*Plan, *repRow, error) {
+	if extra := p.declared() &^ dt.takes; extra != 0 {
+		return nil, nil, invalid(dt.name, "%s does not apply", optionNames[bits.TrailingZeros16(uint16(extra))])
 	}
-	mode, err := p.mode(dt)
+	mode, err := p.mode(dt.name)
 	if err != nil {
-		return Plan{}, nil, err
+		return nil, nil, err
 	}
-	if dt == "Counter" && mode == ModeMWSR {
-		// Counter writes (inc, add) commute by the datatype, so a declared
-		// single reader is the full CWSR adjustment.
+	if dt.commutes && mode == ModeMWSR {
+		// The datatype's writes (a counter's inc, add) commute, so a
+		// declared single reader is the full CWSR adjustment.
 		mode = ModeCWSR
 	}
-	plan := Plan{Datatype: dt, Variant: variant(dt, p, mode), Mode: mode}
+	met := p.meets(intKey)
+	memo := &dt.memo[memoKey(mode, met, p.checked)]
+	if !p.adaptive {
+		if d := memo.Load(); d != nil {
+			return d.plan, d.row, nil
+		}
+	}
+	plan, row, err := p.plan(dt, mode, met)
+	if err != nil {
+		return nil, nil, err
+	}
+	interned := intern(plan)
+	if !p.adaptive {
+		memo.Store(&decision{interned, row})
+	}
+	return interned, row, nil
+}
+
+// plan names and certifies the declared object and picks its row.
+func (p *profile) plan(dt *datatype, mode Mode, met need) (Plan, *repRow, error) {
+	plan := Plan{Datatype: dt.name, Variant: variant(dt.name, p, mode), Mode: mode, Ranges: dt.ranges}
 	if err := plan.validate(); err != nil {
 		return Plan{}, nil, err
 	}
-	met := p.meets(intKey)
 	best, reached := 0, -1
-	for i := range rows {
-		switch stage := rows[i].fit(p, mode, met); {
+	for i := range dt.rows {
+		switch stage := dt.rows[i].fit(p, mode, met); {
 		case stage == fits:
-			plan.Rep, plan.Adaptive = rows[i].name, rows[i].adaptive
-			return plan, &rows[i], nil
+			plan.Rep, plan.Adaptive = dt.rows[i].name, dt.rows[i].adaptive
+			return plan, &dt.rows[i], nil
 		case stage > reached:
 			best, reached = i, stage
 		}
 	}
-	return Plan{}, nil, rows[best].misfit(dt, plan.Declared(), reached, met)
+	return Plan{}, nil, dt.rows[best].misfit(dt.name, plan.Declared(), reached, met)
 }
 
 // misfit is the rejection of a profile that got no further than stage down

@@ -44,49 +44,49 @@ var narrowDecls = []narrowDecl{
 }
 
 // builders runs each profile constructor with int-shaped type arguments and
-// returns the plan (or the construction error).
-var builders = map[string]func(opts ...Option) (Plan, error){
-	"Counter": func(opts ...Option) (Plan, error) {
+// returns the object's interned plan (or the construction error).
+var builders = map[string]func(opts ...Option) (*Plan, error){
+	"Counter": func(opts ...Option) (*Plan, error) {
 		c, err := Counter(opts...)
 		if err != nil {
-			return Plan{}, err
+			return nil, err
 		}
-		return c.Plan(), nil
+		return c.plan, nil
 	},
-	"Map": func(opts ...Option) (Plan, error) {
+	"Map": func(opts ...Option) (*Plan, error) {
 		m, err := Map[int, int](opts...)
 		if err != nil {
-			return Plan{}, err
+			return nil, err
 		}
-		return m.Plan(), nil
+		return m.plan, nil
 	},
-	"Set": func(opts ...Option) (Plan, error) {
+	"Set": func(opts ...Option) (*Plan, error) {
 		s, err := Set[int](opts...)
 		if err != nil {
-			return Plan{}, err
+			return nil, err
 		}
-		return s.Plan(), nil
+		return s.plan, nil
 	},
-	"Ordered": func(opts ...Option) (Plan, error) {
+	"Ordered": func(opts ...Option) (*Plan, error) {
 		o, err := Ordered[int, int](opts...)
 		if err != nil {
-			return Plan{}, err
+			return nil, err
 		}
-		return o.Plan(), nil
+		return o.plan, nil
 	},
-	"Queue": func(opts ...Option) (Plan, error) {
+	"Queue": func(opts ...Option) (*Plan, error) {
 		q, err := Queue[int](opts...)
 		if err != nil {
-			return Plan{}, err
+			return nil, err
 		}
-		return q.Plan(), nil
+		return q.plan, nil
 	},
-	"Ref": func(opts ...Option) (Plan, error) {
+	"Ref": func(opts ...Option) (*Plan, error) {
 		r, err := Ref[int](nil, opts...)
 		if err != nil {
-			return Plan{}, err
+			return nil, err
 		}
-		return r.Plan(), nil
+		return r.plan, nil
 	},
 }
 
@@ -117,7 +117,7 @@ func TestConstructionMatrix(t *testing.T) {
 							}
 							return
 						}
-						crossCheckPlan(t, plan)
+						crossCheckPlan(t, *plan)
 					})
 				}
 			}
@@ -266,7 +266,7 @@ func TestPlannerDecisions(t *testing.T) {
 			t.Errorf("%s: planned %s → %s, want %s → %s",
 				tc.dt, plan.Declared(), plan.Rep, tc.declared, tc.rep)
 		}
-		crossCheckPlan(t, plan)
+		crossCheckPlan(t, *plan)
 	}
 }
 
