@@ -46,13 +46,15 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # leaves out BenchmarkFig2GraphConstruction), the serving
 # executor's (BenchmarkStoreRun, its contended case included), the
 # codec's (BenchmarkCommandBatch, BenchmarkReplyBatch, BenchmarkWriteReply),
-# the wire client's (BenchmarkNetClient) and the load driver's (the Zipf
-# sampler's BenchmarkZipfian, the op stream's BenchmarkGenerator) run once
-# each so they cannot rot, and so does cmd/benchcmp, the alternating-pair
-# runner every performance comparison is made with: one -bench pair of the
-# checkout against itself over the executor's benchmarks, one over the
-# hash maps', one over the planner's, one over the decoders', one over the
-# wire client's and one over each of the load driver's two.
+# the wire client's (BenchmarkNetClient), the load driver's (the Zipf
+# sampler's BenchmarkZipfian, the op stream's BenchmarkGenerator) and the
+# Retwis ops' at lib_table2's shape (BenchmarkTable2: one sub-benchmark per
+# op kind on the DEGO backend) run once each so they cannot rot, and so
+# does cmd/benchcmp, the alternating-pair runner every performance
+# comparison is made with: one -bench pair of the checkout against itself
+# over the executor's benchmarks, one over the hash maps', one over the
+# planner's, one over the decoders', one over the wire client's, one over
+# each of the load driver's two and one over the Retwis ops'.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
 BENCH_SMOKE_FLAGS = -fig all -threads 1,2 -duration 25ms -warmup 5ms -items 1024 -range 2048
@@ -129,6 +131,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench NetClient -benchtime 1x ./internal/retwis
 	$(GO) test -run '^$$' -bench Zipfian -benchtime 1x ./internal/stats
 	$(GO) test -run '^$$' -bench Generator -benchtime 1x ./internal/retwis
+	$(GO) test -run '^$$' -bench Table2 -benchtime 1x ./internal/retwis
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench StoreRun . . -- -benchtime 1x ./internal/server
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'SWMR|Segmented' . . -- -benchtime 1x ./internal/hashmap
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'Construct$$' . . -- -cpu 1,2 -benchtime 1x .
@@ -136,6 +139,7 @@ bench-smoke:
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench NetClient . . -- -benchtime 1x ./internal/retwis
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'Zipfian|Generator' . . -- -benchtime 1x ./internal/stats
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'Zipfian|Generator' . . -- -benchtime 1x ./internal/retwis
+	$(GO) run ./cmd/benchcmp -pairs 1 -bench Table2 . . -- -benchtime 1x ./internal/retwis
 
 # Boot dego-server on an ephemeral port and run the scripted
 # GET/SET/INCR/LRANGE self-session through the repo's own wire client

@@ -35,7 +35,14 @@ type network struct {
 	community *dego.AdjustedSet[userID]
 }
 
-func hashUser(u userID) uint64 { return dego.Hash64(uint64(u)) }
+// hashUser keeps id order, as a Java map keyed by Integer does (the id
+// itself, spread by ConcurrentHashMap's h ^ h>>>16): the segmented maps read
+// only the hash's low bits, so dense ids fill neighbouring buckets and a
+// shard's new users land near each other instead of in random cache lines.
+func hashUser(u userID) uint64 {
+	h := uint64(u)
+	return h ^ h>>16
+}
 
 func main() {
 	reg := dego.NewRegistry(shards + 1)

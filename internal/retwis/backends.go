@@ -6,7 +6,6 @@ import (
 	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/core"
 	"github.com/adjusted-objects/dego/internal/set"
-	"github.com/adjusted-objects/dego/internal/stats"
 )
 
 // One Retwis program, many declarations. The §6.3 application is written
@@ -35,7 +34,26 @@ const kindRecorded Kind = KindFLAT + 1
 
 // userHash hashes the named integer key type: the built-in default hashers
 // cover only the unnamed key types, so every node-based row declares it.
-func userHash(u UserID) uint64 { return stats.Hash64(uint64(u)) }
+// It keeps id order, as the paper's Java maps do (an Integer hashes to
+// itself, and ConcurrentHashMap spreads it by h ^ h>>>16): the spread is a
+// bijection whose low 16 bits are the id's low bits folded with bits 16–31,
+// so ids below 2^16 hash to themselves and dense ids fill dense buckets.
+// Only the low bits are read by any row. The DEGO directory takes hash &
+// mask over Buckets(2 * users) (2^18 buckets at 100 000 users), so a
+// thread's fresh ids (stride Threads) fill neighbouring buckets whose heads
+// share cache lines, and the dense ids [0, n) leave no chain longer than
+// ⌈n/2^18⌉. The JUC and recorded rows' stripes take hash & 255, so a thread
+// that owns the ids of one residue locks its own stripes; their Go maps
+// rehash the key with the runtime's seeded hash. ADAPTIVE reads the stripes'
+// bits quiescent and the directory's promoted; its hash >> shift range pick
+// runs only under Ranges(n > 1), which no row declares. FLAT declares no
+// hash: the flat tables hash the integer key themselves. A hash that mixed
+// every bit (splitmix64) would put each of a new user's four inserts in a
+// random line of a 2 MB bucket array.
+func userHash(u UserID) uint64 {
+	h := uint64(u)
+	return h ^ h>>16
+}
 
 // profile is one user's profile snapshot, held by value and replaced
 // wholesale on update.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/adjusted-objects/dego/internal/core"
 	"github.com/adjusted-objects/dego/internal/wire"
 )
 
@@ -139,3 +140,107 @@ func BenchmarkGenerator(b *testing.B) {
 }
 
 var opSink UserID
+
+// BenchmarkTable2 times the Table-2 ops a lib_table2 worker issues, one op
+// an iteration, on the DEGO backend at lib_table2's shape: 100 000 seeded
+// users, MaxDegree 256 and the two workers' handles. Every op is worker 0's:
+// AddUser adds fresh ids in the generator's stride, and Follow (with its
+// converse), Post, Timeline and UpdateProfile cycle through the first
+// table2Window ops of their kind in worker 0's stream. What an op kind
+// leaves behind without the rest of the mix is reset off the clock: AddUser
+// starts again on a backend of the seeded users every 2^17 fresh ids (a
+// trial ends near 390 000 users), Post drains its authors' followers'
+// timelines after every pass over its ops, and each window of Timeline reads
+// follows the posts the mix delivers to it (1 post to 4 reads), whose
+// timelines are drained after the window.
+func BenchmarkTable2(b *testing.B) {
+	p := libShape()
+	reg := core.NewRegistry(8)
+	be, hs := Build(KindDEGO, p, reg)
+	graph := BuildGraph(p)
+	tl := make([]Tweet, TimelineSize)
+	byKind := map[OpKind][]Op{}
+	gen := NewGenerator(0, p, partitions(p)[0], false)
+	for len(byKind[OpFollow]) < table2Window {
+		op := gen.Next()
+		byKind[op.Kind] = append(byKind[op.Kind], op)
+	}
+	for k, ops := range byKind {
+		byKind[k] = ops[:min(len(ops), table2Window)]
+	}
+	posts := byKind[OpPost]
+	// post applies posts; drain empties the timelines they delivered to.
+	post := func(posts []Op) {
+		for _, op := range posts {
+			apply(be, hs[0], op, tl)
+		}
+	}
+	drain := func(posts []Op) {
+		for _, op := range posts {
+			for _, f := range graph.Followers[op.User] {
+				be.Timeline(hs[owner(f, p.Threads)], f, tl)
+			}
+		}
+	}
+	// replay applies the ops of one kind, calling between off the clock
+	// before each window of table2Window ops after the first.
+	replay := func(b *testing.B, ops []Op, between func(window int)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			if i%table2Window == 0 && i > 0 {
+				b.StopTimer()
+				between(i / table2Window)
+				b.StartTimer()
+			}
+			apply(be, hs[0], ops[i%len(ops)], tl)
+		}
+	}
+	nothing := func(int) {}
+
+	b.Run("AddUser", func(b *testing.B) {
+		const fresh = 1 << 17
+		seeded := func() Backend {
+			nb := newBackend(KindDEGO, p, reg)
+			for u := range p.Users {
+				nb.AddUser(hs[owner(UserID(u), p.Threads)], UserID(u))
+			}
+			return nb
+		}
+		nb := seeded()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			if i%fresh == 0 && i > 0 {
+				b.StopTimer()
+				nb = nil
+				nb = seeded()
+				b.StartTimer()
+			}
+			nb.AddUser(hs[0], UserID(p.Users+i%fresh*p.Threads))
+		}
+	})
+	b.Run("Follow", func(b *testing.B) { replay(b, byKind[OpFollow], nothing) })
+	b.Run("Post", func(b *testing.B) {
+		replay(b, posts, func(int) { drain(posts) })
+		drain(posts)
+	})
+	b.Run("Timeline", func(b *testing.B) {
+		deliver := table2Window * p.Mix.Post / p.Mix.Timeline
+		delivered := func(window int) []Op {
+			start := window * deliver % len(posts)
+			return posts[start:min(start+deliver, len(posts))]
+		}
+		post(delivered(0))
+		replay(b, byKind[OpTimeline], func(window int) {
+			drain(delivered(window - 1))
+			post(delivered(window))
+		})
+		drain(posts)
+	})
+	b.Run("UpdateProfile", func(b *testing.B) { replay(b, byKind[OpUpdateProfile], nothing) })
+}
+
+// table2Window is how many ops of each kind BenchmarkTable2 cycles through,
+// and how many it applies between two resets.
+const table2Window = 4096

@@ -1,8 +1,12 @@
 package retwis
 
 import (
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
+	"github.com/adjusted-objects/dego/internal/core"
 	"github.com/adjusted-objects/dego/internal/loadgen"
 	"github.com/adjusted-objects/dego/internal/server"
 	"github.com/adjusted-objects/dego/internal/wire"
@@ -229,5 +233,141 @@ func TestWireKVRepliesReusedAndBounded(t *testing.T) {
 	if top > wire.RetainTotal || arena > wire.RetainTotal || cap(slot0.Bulk) > wire.RetainBuf {
 		t.Fatalf("after the big pipeline the client still holds %d reply bytes, %d arena bytes (bound %d each), a %d-byte buffer in slot 0",
 			top, arena, wire.RetainTotal, cap(slot0.Bulk))
+	}
+}
+
+// TestWireReplayAgreesWithKinds replays TestKindsAgreeOnOneOpSequence's op
+// sequence through a NetClient over a LocalKV and reads back what the store
+// holds: every user's follower count and timeline, the community and the
+// user count must be the JUC kind's. The wire timeline is the last
+// TimelineSize tweets delivered, newest first; the in-process one is drained
+// by each read, so JUC's counterpart is the last TimelineSize tweets of
+// every read and a final drain, in order. A Post fans out client-side over
+// the client's graph, which the test keeps in step with the follower sets:
+// a follow op (Follow, then the converse) removes a seeded edge it repeats.
+func TestWireReplayAgreesWithKinds(t *testing.T) {
+	p := agreeParams()
+	type state struct {
+		Users     int
+		Followers []int
+		Community []UserID
+		Timelines [][]Tweet
+	}
+	last := func(tweets []Tweet) []Tweet { return tweets[max(0, len(tweets)-TimelineSize):] }
+
+	// The JUC kind, in process.
+	reg := core.NewRegistry(8)
+	h := reg.MustRegister()
+	b, _ := Build(KindJUC, p, reg)
+	gen := agreeStream(p)
+	delivered := make([][]Tweet, p.Users)
+	tl := make([]Tweet, TimelineSize)
+	for range p.OpsPerThread {
+		op := gen.Next()
+		if op.Kind == OpTimeline {
+			n := b.Timeline(h, op.User, tl)
+			delivered[op.User] = append(delivered[op.User], tl[:n]...)
+			continue
+		}
+		apply(b, h, op, tl)
+	}
+	want := state{Users: b.Users()}
+	for u := range p.Users {
+		n := b.Timeline(h, UserID(u), tl)
+		want.Followers = append(want.Followers, b.Followers(UserID(u)))
+		want.Timelines = append(want.Timelines, last(append(delivered[u], tl[:n]...)))
+		if b.InGroup(UserID(u)) {
+			want.Community = append(want.Community, UserID(u))
+		}
+	}
+
+	// The same sequence over the wire.
+	st, err := server.NewStore(server.StoreConfig{Shards: 2, Kind: server.StoreAdaptive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	kv := &LocalKV{St: st}
+	graph := BuildGraph(p)
+	if err := SeedKV(kv, p, graph); err != nil {
+		t.Fatal(err)
+	}
+	cl := NewNetClient(kv, graph)
+	gen = agreeStream(p)
+	for i := range p.OpsPerThread {
+		op := gen.Next()
+		cl.AppendOp(op)
+		if op.Kind == OpFollow {
+			fol := graph.Followers[op.Target]
+			graph.Followers[op.Target] = slices.DeleteFunc(fol, func(f UserID) bool { return f == op.User })
+		}
+		if i%16 == 15 {
+			if err := cl.Flush(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	members := func(key string) []UserID {
+		rep := st.Exec([][]byte{[]byte("SMEMBERS"), []byte(key)}).Expand()
+		ids := make([]UserID, len(rep.Elems))
+		for i, e := range rep.Elems {
+			n, err := strconv.ParseInt(string(e.Bulk), 10, 64)
+			if err != nil {
+				t.Fatalf("%s member %q: %v", key, e.Bulk, err)
+			}
+			ids[i] = UserID(n)
+		}
+		return ids
+	}
+	var got state
+	for u := range p.Users + p.OpsPerThread {
+		rep := st.Exec([][]byte{[]byte("EXISTS"), []byte("profile:" + strconv.Itoa(u))})
+		got.Users += int(rep.Int)
+	}
+	for u := range p.Users {
+		got.Followers = append(got.Followers, len(members("followers:"+strconv.Itoa(u))))
+		rep := st.Exec([][]byte{[]byte("LRANGE"), []byte("timeline:" + strconv.Itoa(u)), []byte("0"), []byte("-1")}).Expand()
+		var tweets []Tweet
+		for i := len(rep.Elems) - 1; i >= 0; i-- {
+			author, seq, ok := strings.Cut(string(rep.Elems[i].Bulk), ":")
+			a, errA := strconv.ParseInt(author, 10, 64)
+			s, errS := strconv.ParseInt(seq, 10, 64)
+			if !ok || errA != nil || errS != nil {
+				t.Fatalf("timeline:%d entry %q is no <author>:<seq>", u, rep.Elems[i].Bulk)
+			}
+			tweets = append(tweets, Tweet{Author: UserID(a), Seq: s})
+		}
+		got.Timelines = append(got.Timelines, tweets)
+	}
+	// SMEMBERS sorts the members as strings.
+	got.Community = members("community")
+	slices.Sort(got.Community)
+
+	if want.Users <= p.Users || len(want.Community) == 0 {
+		t.Fatalf("degenerate replay: %d users, %d in the community", want.Users, len(want.Community))
+	}
+	if got.Users != want.Users {
+		t.Errorf("wire holds %d profiles, JUC %d users", got.Users, want.Users)
+	}
+	if !slices.Equal(got.Community, want.Community) {
+		t.Errorf("wire community %v, JUC %v", got.Community, want.Community)
+	}
+	delivering := 0
+	for u := range p.Users {
+		if got.Followers[u] != want.Followers[u] {
+			t.Errorf("user %d: %d followers over the wire, %d in JUC", u, got.Followers[u], want.Followers[u])
+		}
+		if !slices.Equal(got.Timelines[u], want.Timelines[u]) {
+			t.Errorf("user %d: wire timeline %v, JUC %v", u, got.Timelines[u], want.Timelines[u])
+		}
+		if len(want.Timelines[u]) > 0 {
+			delivering++
+		}
+	}
+	if delivering == 0 {
+		t.Fatal("degenerate replay: no timeline holds a tweet")
 	}
 }

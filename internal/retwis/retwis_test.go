@@ -335,6 +335,19 @@ func TestDeclarationTable(t *testing.T) {
 	}
 }
 
+// agreeParams is the shape of the one op sequence every kind, and the wire
+// client, replays: 96 users on one thread, 4000 ops.
+func agreeParams() Params {
+	p := testParams(96, 1)
+	p.OpsPerThread = 4000
+	return p
+}
+
+// agreeStream is the generator of that sequence: one thread owns every user.
+func agreeStream(p Params) *Generator {
+	return NewGenerator(0, p, partitions(p)[0], false)
+}
+
 // TestKindsAgreeOnOneOpSequence replays one seeded single-thread Table-2
 // sequence on every kind: the kinds differ in declarations only, so the
 // observable state must not differ at all — and neither may a single
@@ -343,12 +356,7 @@ func TestDeclarationTable(t *testing.T) {
 // FanoutLimit, so no delivery is cut at a set-iteration-order-dependent
 // point.)
 func TestKindsAgreeOnOneOpSequence(t *testing.T) {
-	p := testParams(96, 1)
-	p.OpsPerThread = 4000
-	all := make([]UserID, p.Users)
-	for u := range all {
-		all[u] = UserID(u)
-	}
+	p := agreeParams()
 	type state struct {
 		Users     int
 		Followers []int
@@ -359,7 +367,7 @@ func TestKindsAgreeOnOneOpSequence(t *testing.T) {
 		reg := core.NewRegistry(8)
 		h := reg.MustRegister()
 		b, _ := Build(kind, p, reg)
-		gen := NewGenerator(0, p, all, false)
+		gen := agreeStream(p)
 		var st state
 		tl := make([]Tweet, TimelineSize)
 		for i := 0; i < p.OpsPerThread; i++ {
