@@ -40,7 +40,9 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # the adaptive map's promotion path is exercised on every CI run. The
 # layer benchmarks of the ordered maps (BenchmarkOrdered), the hash maps
 # (BenchmarkSWMR, the served shard's map, and the pointer-valued
-# BenchmarkSegmented) and the adaptive map (BenchmarkMap), the root figure
+# BenchmarkSegmented), the adaptive map (BenchmarkMap) and the queues
+# (BenchmarkQueue: one hot bare queue, and 1<<17 cold planned-size ones,
+# at -cpu 1,2), the root figure
 # wrappers (BenchmarkFig*), the planner's (BenchmarkConstruct: a repeated
 # declaration from every goroutine at once, at -cpu 1,2; 'Construct$'
 # leaves out BenchmarkFig2GraphConstruction), the serving
@@ -53,7 +55,7 @@ RACE_SEGMENT_PKGS = ./internal/segment/...
 # does cmd/benchcmp, the alternating-pair runner every performance
 # comparison is made with: one -bench pair of the checkout against itself
 # over the executor's benchmarks, one over the hash maps', one over the
-# planner's, one over the decoders', one over the wire client's, one over
+# queues', one over the planner's, one over the decoders', one over the wire client's, one over
 # each of the load driver's two and one over the Retwis ops'.
 # CI overrides BENCH_SMOKE_JSON with a bench-<short-sha>.json name so
 # artifacts from different commits are diffable side by side.
@@ -124,6 +126,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Ordered -benchtime 1x ./internal/skiplist
 	$(GO) test -run '^$$' -bench 'SWMR|Segmented' -benchtime 1x ./internal/hashmap
 	$(GO) test -run '^$$' -bench Map -benchtime 1x ./internal/adaptive
+	$(GO) test -run '^$$' -bench Queue -cpu 1,2 -benchtime 1x ./internal/queue
 	$(GO) test -run '^$$' -bench Fig -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'Construct$$' -cpu 1,2 -benchtime 1x .
 	$(GO) test -run '^$$' -bench StoreRun -benchtime 1x ./internal/server
@@ -134,6 +137,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Table2 -benchtime 1x ./internal/retwis
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench StoreRun . . -- -benchtime 1x ./internal/server
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'SWMR|Segmented' . . -- -benchtime 1x ./internal/hashmap
+	$(GO) run ./cmd/benchcmp -pairs 1 -bench Queue . . -- -cpu 1,2 -benchtime 1x ./internal/queue
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'Construct$$' . . -- -cpu 1,2 -benchtime 1x .
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench 'CommandBatch|ReplyBatch' . . -- -benchtime 1x ./internal/wire
 	$(GO) run ./cmd/benchcmp -pairs 1 -bench NetClient . . -- -benchtime 1x ./internal/retwis

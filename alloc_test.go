@@ -130,7 +130,7 @@ func TestAllocCeilings(t *testing.T) {
 		ceilAllocs, ceilBytes float64
 		f                     func()
 	}{
-		{"Queue(SingleReader())", 1, 112, func() {
+		{"Queue(SingleReader())", 1, 80, func() {
 			Must(Queue[int](SingleReader()))
 		}},
 		{"Map(CommutingWriters, On, Capacity, Buckets, WithHash)", 6, 1544, func() {
@@ -246,13 +246,24 @@ func TestWrapperSizes(t *testing.T) {
 	}
 }
 
-// TestQueueWithSize pins one per-user MPSC queue, facade and representation
-// together, for a 16-byte element (a Retwis tweet): 120 B, within the two
-// cache lines of the head and the tail. The allocation rounds up to Go's
-// 128 B size class, so the 8 B short of two lines are no saving per user.
+// TestQueueWithSize pins one planned queue, facade and representation
+// together, for an int and a 16-byte element (a Retwis tweet), either
+// representation: at most 80 B, one allocation of Go's 80 B size class.
+// The facade fills the space that keeps the head and the tail a cache line
+// apart (internal/queue pins that distance).
 func TestQueueWithSize(t *testing.T) {
 	type t16 struct{ a, b int64 }
-	if size := unsafe.Sizeof(queueWith[t16, queue.MPSC[t16]]{}); size > 120 {
-		t.Errorf("an MPSC queue of a 16-byte element is %d bytes with its facade, want at most 120", size)
+	for _, row := range []struct {
+		name string
+		size uintptr
+	}{
+		{"MPSC of int", unsafe.Sizeof(queue.MPSC[int, AdjustedQueue[int]]{})},
+		{"MPSC of a 16-byte element", unsafe.Sizeof(queue.MPSC[t16, AdjustedQueue[t16]]{})},
+		{"MS of int", unsafe.Sizeof(queue.MS[int, AdjustedQueue[int]]{})},
+		{"MS of a 16-byte element", unsafe.Sizeof(queue.MS[t16, AdjustedQueue[t16]]{})},
+	} {
+		if row.size > 80 {
+			t.Errorf("an %s is %d bytes with its facade, want at most 80", row.name, row.size)
+		}
 	}
 }

@@ -72,14 +72,17 @@ type Workload struct {
 	Setup func(cfg Config, reg *core.Registry) (OpFunc, *contention.Probe)
 }
 
-// Result is one measured point.
+// Result is one measured point. Stalls is the probe's count over the
+// window; the embedded Runtime is what the runtime counted over it: lock
+// wait (MutexSec), collections, collector CPU, scannable-heap growth and
+// scheduling waits.
 type Result struct {
-	Name     string
-	Threads  int
-	Ops      int64
-	Elapsed  time.Duration
-	Stalls   int64
-	MutexSec float64
+	Name    string
+	Threads int
+	Ops     int64
+	Elapsed time.Duration
+	Stalls  int64
+	contention.Runtime
 }
 
 // KopsPerThread is the paper's y-axis: thousands of operations per second
@@ -114,6 +117,7 @@ func Run(w Workload, cfg Config) Result {
 		handles[tid] = reg.MustRegister()
 	}
 	op, probe := w.Setup(cfg, reg)
+	rt := contention.NewReader()
 
 	var (
 		stop     atomic.Bool
@@ -171,7 +175,7 @@ func Run(w Workload, cfg Config) Result {
 		baseOps = sumCounts()
 	}
 	probeBase := probe.Snapshot()
-	mutexBase := contention.MutexWaitSeconds()
+	rt.Begin()
 	t0 := time.Now()
 	if cfg.OpsPerThread == 0 {
 		time.Sleep(cfg.Duration)
@@ -181,12 +185,12 @@ func Run(w Workload, cfg Config) Result {
 	elapsed := time.Since(t0)
 
 	return Result{
-		Name:     w.Name,
-		Threads:  cfg.Threads,
-		Ops:      sumCounts() - baseOps,
-		Elapsed:  elapsed,
-		Stalls:   probe.Snapshot().Sub(probeBase).Total(),
-		MutexSec: contention.MutexWaitSeconds() - mutexBase,
+		Name:    w.Name,
+		Threads: cfg.Threads,
+		Ops:     sumCounts() - baseOps,
+		Elapsed: elapsed,
+		Stalls:  probe.Snapshot().Sub(probeBase).Total(),
+		Runtime: rt.End(),
 	}
 }
 

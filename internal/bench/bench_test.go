@@ -292,7 +292,7 @@ func TestPearsonNegativeOnContendedCounter(t *testing.T) {
 	fixed := []Result{
 		{Threads: 1, Ops: 4000, Elapsed: time.Second, Stalls: 1000},
 		{Threads: 2, Ops: 6000, Elapsed: time.Second, Stalls: 2000},
-		{Threads: 4, Ops: 4000, Elapsed: time.Second, MutexSec: 3e-6},
+		{Threads: 4, Ops: 4000, Elapsed: time.Second, Runtime: contention.Runtime{MutexSec: 3e-6}},
 		{Threads: 8, Ops: 16000, Elapsed: time.Second, Stalls: 4000},
 	}
 	r, err := PearsonThroughputStalls(fixed)

@@ -1,6 +1,7 @@
 package contention
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -105,12 +106,11 @@ func TestProbeConcurrent(t *testing.T) {
 	}
 }
 
+// TestMutexWaitSecondsMonotone reads a phase of forced lock contention and
+// a collection through a Reader: every counter is present and none goes
+// backwards. It asserts no duration, only signs and counts.
 func TestMutexWaitSecondsMonotone(t *testing.T) {
-	before := MutexWaitSeconds()
-	if before < 0 {
-		t.Fatalf("negative wait time %v", before)
-	}
-	// Force some mutex contention.
+	r := NewReader()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -125,8 +125,32 @@ func TestMutexWaitSecondsMonotone(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	after := MutexWaitSeconds()
-	if after < before {
-		t.Fatalf("mutex wait went backwards: %v -> %v", before, after)
+	// The runtime times every 8th wait of a goroutine to run: a goroutine
+	// that blocks 64 times is timed at least 8 times.
+	ping, pong := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range ping {
+			pong <- struct{}{}
+		}
+	}()
+	for i := 0; i < 64; i++ {
+		ping <- struct{}{}
+		<-pong
+	}
+	close(ping)
+	runtime.GC()
+	d := r.End()
+	if d.MutexSec < 0 || d.GCCPUSec < 0 {
+		t.Fatalf("mutex wait %v s and collector CPU %v s over the phase, want neither negative", d.MutexSec, d.GCCPUSec)
+	}
+	if d.GCCycles == 0 {
+		t.Error("a phase that ran runtime.GC read no completed cycle")
+	}
+	if d.SchedWaits == 0 || d.SchedP99Sec <= 0 {
+		t.Errorf("a phase with 64 goroutine wake-ups read %d scheduling waits, p99 %v s", d.SchedWaits, d.SchedP99Sec)
+	}
+	// A second End measures from the same Begin: nothing counts down.
+	if e := r.End(); e.MutexSec < d.MutexSec || e.GCCycles < d.GCCycles || e.SchedWaits < d.SchedWaits {
+		t.Errorf("a later End read %+v, less than the earlier %+v", e, d)
 	}
 }

@@ -286,8 +286,12 @@ func Run(cfg Config, newWorker func(id int) (Executor, error)) (Result, error) {
 	res := Result{Scheduled: uint64(cfg.Count)}
 	t0 := time.Now()
 	close(begin)
-	// Pacing is a plain sleep: the timer overshoots by some hundreds of
-	// microseconds per wake, and that overshoot lands in every measured
+	// Pacing is a plain sleep, and an idle process's sleep wakes late: the
+	// runtime waits for its timers in the netpoller, whose timeout on Linux
+	// is whole milliseconds (a shorter one is rounded up to 1 ms), so a
+	// sleep of 20–200 µs wakes 0.87–1.05 ms
+	// late (p50 over 200 idle sleeps each, Go 1.24, linux/amd64, 2 vCPUs),
+	// a 1 ms sleep 72 µs late. That overshoot lands in every measured
 	// latency. Spinning the gap away is tempting but wrong on small
 	// machines — a busy dispatcher starves the very workers (and an
 	// in-process server) it feeds. The honest answer is the Lag histogram:

@@ -20,10 +20,19 @@ import (
 	"github.com/adjusted-objects/dego/internal/core"
 )
 
+// node is one element. The link comes first: Go pads a struct whose last
+// field has size zero, so a node of a zero-size element is two words, and
+// the sentinel between a queue's head and tail (see MPSC) is never shorter.
 type node[T any] struct {
-	val  T
 	next atomic.Pointer[node[T]]
+	val  T
 }
+
+// Gap is the extension of a bare queue (NewMS, NewMPSC): with the fields
+// before it, it keeps the consumer's head and the producers' tail more
+// than a cache line apart whatever the element type, so a hot queue's two
+// ends never share a line.
+type Gap [core.CacheLineSize - 24]byte
 
 // retire unlinks a queue's embedded sentinel once both the head and the
 // tail are past it. A heap node left behind is garbage, but the sentinel
@@ -35,18 +44,26 @@ func (n *node[T]) retire() { n.next.Store(n) }
 
 // MS is the Michael–Scott queue (the JUC baseline). The zero value is not
 // usable: create one with NewMS, or Init one in place.
-type MS[T any] struct {
+//
+// Ext extends the queue, as segment.Directory's X extends its nodes, and
+// with the probe, a word of filler and the sentinel it is what lies between
+// the head and the tail (see MPSC): NewMS fills it with a Gap, an owner
+// allocating its own fields with the queue puts them there. The filler
+// keeps a three-word Ext's tail a line past the head for an 8-byte element
+// and costs nothing in Go's size classes: such a queue is 72 B, of a 16-byte
+// element 80 B, in the 80 B class either way.
+type MS[T, X any] struct {
 	head     atomic.Pointer[node[T]]
-	_        core.Pad
-	tail     atomic.Pointer[node[T]]
-	_        core.Pad
 	probe    *contention.Probe
+	_        uintptr
 	sentinel node[T]
+	Ext      X
+	tail     atomic.Pointer[node[T]]
 }
 
 // NewMS creates an empty queue; probe may be nil.
-func NewMS[T any](probe *contention.Probe) *MS[T] {
-	q := new(MS[T])
+func NewMS[T any](probe *contention.Probe) *MS[T, Gap] {
+	q := new(MS[T, Gap])
 	q.Init(probe)
 	return q
 }
@@ -54,7 +71,7 @@ func NewMS[T any](probe *contention.Probe) *MS[T] {
 // Init makes q an empty queue in place, so an owner can embed the queue
 // rather than point at it; probe may be nil. The queue starts on its
 // embedded sentinel and must not be copied afterwards.
-func (q *MS[T]) Init(probe *contention.Probe) {
+func (q *MS[T, X]) Init(probe *contention.Probe) {
 	q.probe = probe
 	q.head.Store(&q.sentinel)
 	q.tail.Store(&q.sentinel)
@@ -63,7 +80,7 @@ func (q *MS[T]) Init(probe *contention.Probe) {
 // front returns the head and the node after it (nil when the queue is
 // empty). A head that has just been retired may be the sentinel, which then
 // links to itself (see retire): re-read it.
-func (q *MS[T]) front() (head, next *node[T]) {
+func (q *MS[T, X]) front() (head, next *node[T]) {
 	for {
 		head = q.head.Load()
 		if next = head.next.Load(); next != head {
@@ -73,7 +90,7 @@ func (q *MS[T]) front() (head, next *node[T]) {
 }
 
 // Offer appends v to the tail.
-func (q *MS[T]) Offer(v T) {
+func (q *MS[T, X]) Offer(v T) {
 	n := &node[T]{val: v}
 	for {
 		tail := q.tail.Load()
@@ -92,7 +109,7 @@ func (q *MS[T]) Offer(v T) {
 }
 
 // Poll removes and returns the head, or false when the queue is empty.
-func (q *MS[T]) Poll() (T, bool) {
+func (q *MS[T, X]) Poll() (T, bool) {
 	var zero T
 	for {
 		head, next := q.front()
@@ -119,7 +136,7 @@ func (q *MS[T]) Poll() (T, bool) {
 }
 
 // Peek returns the head without removing it.
-func (q *MS[T]) Peek() (T, bool) {
+func (q *MS[T, X]) Peek() (T, bool) {
 	var zero T
 	_, next := q.front()
 	if next == nil {
@@ -129,13 +146,13 @@ func (q *MS[T]) Peek() (T, bool) {
 }
 
 // IsEmpty reports whether the queue has no elements.
-func (q *MS[T]) IsEmpty() bool {
+func (q *MS[T, X]) IsEmpty() bool {
 	_, next := q.front()
 	return next == nil
 }
 
 // Len counts the elements in O(n), like ConcurrentLinkedQueue.size.
-func (q *MS[T]) Len() int {
+func (q *MS[T, X]) Len() int {
 	n := 0
 	_, cur := q.front()
 	for ; cur != nil; cur = cur.next.Load() {
@@ -151,24 +168,32 @@ func (q *MS[T]) Len() int {
 // "simpler mechanism to update the head when a single thread executes poll".
 //
 // The layout keeps the consumer's head and the producers' tail at least one
-// cache line apart with a single gap, not a pad around each: the fields the
-// consumer alone reads (the guard; the probe, which producers read only
-// after a failed CAS) fill the head's line, and the sentinel follows the
-// tail. A queue of 8-byte elements is 88 bytes, where a pad around each end
-// made it 176; a program holding one queue per user pays that per user.
-type MPSC[T any] struct {
+// cache line apart with what lies between them, not with a pad around each:
+// the fields the consumer alone reads (the guard; the probe, which
+// producers read only after a failed CAS), the sentinel (dead once the
+// first element is polled) and Ext, the queue's extension. NewMPSC fills
+// Ext with a Gap, so a bare queue of 8-byte elements is 88 B, as a hot
+// queue needs. An owner that allocates its own fields with the queue puts
+// them in Ext instead of beside it: dego.Queue's three-word facade there
+// makes a planned queue of 8- or 16-byte elements 72 or 80 B, one
+// allocation in the 80 B size class, with the tail still a line past the
+// head. The facade is read on every call, and so shares a line with the
+// head or the tail; a program holding one queue per user pays the 80 B per
+// user, and a queue that one consumer polls while many producers offer is
+// a bare one in Figure 6.
+type MPSC[T, X any] struct {
 	head     atomic.Pointer[node[T]]
 	guard    *core.Guard
 	probe    *contention.Probe
-	_        [core.CacheLineSize - 24]byte
-	tail     atomic.Pointer[node[T]]
 	sentinel node[T]
+	Ext      X
+	tail     atomic.Pointer[node[T]]
 }
 
 // NewMPSC creates an empty queue. probe may be nil; when checked is true an
 // MWSR guard verifies the single-consumer role.
-func NewMPSC[T any](probe *contention.Probe, checked bool) *MPSC[T] {
-	q := new(MPSC[T])
+func NewMPSC[T any](probe *contention.Probe, checked bool) *MPSC[T, Gap] {
+	q := new(MPSC[T, Gap])
 	q.Init(probe, checked)
 	return q
 }
@@ -176,7 +201,7 @@ func NewMPSC[T any](probe *contention.Probe, checked bool) *MPSC[T] {
 // Init makes q an empty queue in place, so an owner can embed the queue
 // rather than point at it; see NewMPSC for the arguments. The queue starts
 // on its embedded sentinel and must not be copied afterwards.
-func (q *MPSC[T]) Init(probe *contention.Probe, checked bool) {
+func (q *MPSC[T, X]) Init(probe *contention.Probe, checked bool) {
 	q.probe = probe
 	q.head.Store(&q.sentinel)
 	q.tail.Store(&q.sentinel)
@@ -189,7 +214,7 @@ func (q *MPSC[T]) Init(probe *contention.Probe, checked bool) {
 // the JDK's ConcurrentLinkedQueue — §5.3). Any thread may offer, so there is
 // no role to check: MWSR never restricts a write, and a producer reads the
 // consumer's line only to record a failed CAS.
-func (q *MPSC[T]) Offer(_ *core.Handle, v T) {
+func (q *MPSC[T, X]) Offer(_ *core.Handle, v T) {
 	n := &node[T]{val: v}
 	for {
 		tail := q.tail.Load()
@@ -209,13 +234,13 @@ func (q *MPSC[T]) Offer(_ *core.Handle, v T) {
 // Poll removes and returns the head, or false when the queue is empty. Only
 // the single consumer may call it: the head advance needs no CAS because no
 // other thread ever moves the head.
-func (q *MPSC[T]) Poll(h *core.Handle) (T, bool) {
+func (q *MPSC[T, X]) Poll(h *core.Handle) (T, bool) {
 	q.guard.MustCheck(h, core.Read)
 	return q.poll()
 }
 
 // poll is Poll once the caller's consumer role is checked.
-func (q *MPSC[T]) poll() (T, bool) {
+func (q *MPSC[T, X]) poll() (T, bool) {
 	var zero T
 	head := q.head.Load()
 	next := head.next.Load()
@@ -236,7 +261,7 @@ func (q *MPSC[T]) poll() (T, bool) {
 }
 
 // Peek returns the head without removing it (consumer only).
-func (q *MPSC[T]) Peek(h *core.Handle) (T, bool) {
+func (q *MPSC[T, X]) Peek(h *core.Handle) (T, bool) {
 	q.guard.MustCheck(h, core.Read)
 	var zero T
 	next := q.head.Load().next.Load()
@@ -248,14 +273,14 @@ func (q *MPSC[T]) Peek(h *core.Handle) (T, bool) {
 
 // IsEmpty reports whether the queue has no elements (consumer only: the
 // answer is only stable for the consumer).
-func (q *MPSC[T]) IsEmpty(h *core.Handle) bool {
+func (q *MPSC[T, X]) IsEmpty(h *core.Handle) bool {
 	q.guard.MustCheck(h, core.Read)
 	return q.head.Load().next.Load() == nil
 }
 
 // Drain polls up to max elements into out (consumer only), returning the
 // number drained. The role is checked once per call, not per element.
-func (q *MPSC[T]) Drain(h *core.Handle, out []T, max int) int {
+func (q *MPSC[T, X]) Drain(h *core.Handle, out []T, max int) int {
 	q.guard.MustCheck(h, core.Read)
 	n := 0
 	for n < max && n < len(out) {

@@ -207,9 +207,9 @@ func TestMPSCManyProducersOneConsumer(t *testing.T) {
 }
 
 func TestMPSCGuardRejectsSecondConsumer(t *testing.T) {
-	for name, consume := range map[string]func(q *MPSC[int], h *core.Handle){
-		"Poll":  func(q *MPSC[int], h *core.Handle) { q.Poll(h) },
-		"Drain": func(q *MPSC[int], h *core.Handle) { q.Drain(h, make([]int, 2), 2) },
+	for name, consume := range map[string]func(q *MPSC[int, Gap], h *core.Handle){
+		"Poll":  func(q *MPSC[int, Gap], h *core.Handle) { q.Poll(h) },
+		"Drain": func(q *MPSC[int, Gap], h *core.Handle) { q.Drain(h, make([]int, 2), 2) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := core.NewRegistry(4)
@@ -392,26 +392,43 @@ type atomic64 struct {
 func (a *atomic64) add(d int64) { a.mu.Lock(); a.v += d; a.mu.Unlock() }
 func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }
 
-// mpscOffsets returns where MPSC[T] keeps its head, guard, probe and tail.
-func mpscOffsets[T any]() (head, guard, probe, tail uintptr) {
-	var q MPSC[T]
+// facade stands in for what dego.Queue keeps in a planned queue's Ext: an
+// interned plan and the representation behind an interface, three words.
+type facade struct {
+	plan *int
+	rep  any
+}
+
+// The element types a queue's layout is pinned for.
+type (
+	pair struct{ a, b int64 }
+	line struct{ a [8]int64 }
+)
+
+// mpscOffsets returns where MPSC[T, X] keeps its head, guard, probe and
+// tail.
+func mpscOffsets[T, X any]() (head, guard, probe, tail uintptr) {
+	var q MPSC[T, X]
 	return unsafe.Offsetof(q.head), unsafe.Offsetof(q.guard), unsafe.Offsetof(q.probe), unsafe.Offsetof(q.tail)
 }
 
-// TestMPSCLayout pins the queue's one gap: whatever the element type, the
-// consumer's head and the producers' tail sit at least a cache line apart,
-// and the consumer-side fields fill the head's line rather than the tail's.
+// TestMPSCLayout pins what lies between the queue's two ends: whatever the
+// element type, bare (a Gap in Ext) or planned (a three-word facade there),
+// the consumer's head and the producers' tail sit at least a cache line
+// apart, and the consumer-side fields sit before the tail.
 func TestMPSCLayout(t *testing.T) {
-	type pair struct{ a, b int64 }
-	type line struct{ a [8]int64 }
 	for _, tc := range []struct {
 		name    string
 		offsets func() (head, guard, probe, tail uintptr)
 	}{
-		{"struct{}", mpscOffsets[struct{}]},
-		{"int64", mpscOffsets[int64]},
-		{"16-byte struct", mpscOffsets[pair]},
-		{"64-byte struct", mpscOffsets[line]},
+		{"struct{}, Gap", mpscOffsets[struct{}, Gap]},
+		{"int64, Gap", mpscOffsets[int64, Gap]},
+		{"pair, Gap", mpscOffsets[pair, Gap]},
+		{"line, Gap", mpscOffsets[line, Gap]},
+		{"struct{}, facade", mpscOffsets[struct{}, facade]},
+		{"int64, facade", mpscOffsets[int64, facade]},
+		{"pair, facade", mpscOffsets[pair, facade]},
+		{"line, facade", mpscOffsets[line, facade]},
 	} {
 		head, guard, probe, tail := tc.offsets()
 		if tail-head < core.CacheLineSize {
@@ -419,6 +436,34 @@ func TestMPSCLayout(t *testing.T) {
 		}
 		if guard >= tail || probe >= tail {
 			t.Errorf("MPSC[%s]: guard at %d and probe at %d, want both before the tail at %d", tc.name, guard, probe, tail)
+		}
+	}
+}
+
+// msOffsets returns where MS[T, X] keeps its head and tail.
+func msOffsets[T, X any]() (head, tail uintptr) {
+	var q MS[T, X]
+	return unsafe.Offsetof(q.head), unsafe.Offsetof(q.tail)
+}
+
+// TestMSLayout pins the baseline's head and tail a cache line apart, bare
+// and planned, for the element types of TestMPSCLayout.
+func TestMSLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		offsets func() (head, tail uintptr)
+	}{
+		{"struct{}, Gap", msOffsets[struct{}, Gap]},
+		{"int64, Gap", msOffsets[int64, Gap]},
+		{"pair, Gap", msOffsets[pair, Gap]},
+		{"line, Gap", msOffsets[line, Gap]},
+		{"struct{}, facade", msOffsets[struct{}, facade]},
+		{"int64, facade", msOffsets[int64, facade]},
+		{"pair, facade", msOffsets[pair, facade]},
+		{"line, facade", msOffsets[line, facade]},
+	} {
+		if head, tail := tc.offsets(); tail-head < core.CacheLineSize {
+			t.Errorf("MS[%s]: tail is %d bytes past the head, want at least %d", tc.name, tail-head, core.CacheLineSize)
 		}
 	}
 }

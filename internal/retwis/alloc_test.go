@@ -17,8 +17,8 @@ import (
 // but allocates most of the mix's bytes: a fresh key in each of four
 // segmented tables (its node, a sixteenth of a 512 B slab of the owner's
 // nodes; the three tables whose values are pointers store them in the
-// node's cell as they are), two empty follower sets, a
-// timeline queue whose facade and representation are one object, and the
+// node's cell as they are), two empty follower sets, a timeline queue
+// whose facade fills its representation (one 80 B object), and the
 // profile's box, the one value that is not a pointer. UpdateProfile replaces
 // that value, which costs the box alone. The NetClient rows are the wire client's side of an
 // op: 16 drawn ops expanded into their commands and flushed. Flushed to a KV
@@ -58,7 +58,7 @@ func TestAddUserAllocCeiling(t *testing.T) {
 		ceilAllocs, ceilBytes float64
 		f                     func()
 	}{
-		{"AddUser", 4.248, 294.976, func() { b.AddUser(h, u); u++ }},
+		{"AddUser", 4.248, 246.976, func() { b.AddUser(h, u); u++ }},
 		{"UpdateProfile", 1, 8, func() { version++; b.UpdateProfile(h, 0, version) }},
 		{"NetClient batch of 16 ops", 0.054, 3173.12, func() {
 			for _, op := range ops[:batch] {

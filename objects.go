@@ -502,7 +502,9 @@ type queueRep[T any] interface {
 }
 
 // msQueueRep adapts the handle-free Michael–Scott baseline.
-type msQueueRep[T any] struct{ q *queue.MS[T] }
+type msQueueRep[T any] struct {
+	q *queue.MS[T, AdjustedQueue[T]]
+}
 
 func (r msQueueRep[T]) Offer(_ *Handle, v T)   { r.q.Offer(v) }
 func (r msQueueRep[T]) Poll(*Handle) (T, bool) { return r.q.Poll() }
@@ -522,21 +524,16 @@ func (r msQueueRep[T]) Drain(_ *Handle, out []T, max int) int {
 }
 
 // AdjustedQueue is a FIFO queue built from a declared profile.
+//
+// Queue allocates it inside its representation, as the extension
+// (queue.MPSC's and queue.MS's Ext) that lies between the head and the tail
+// and keeps them a cache line apart, so a program holding one queue per
+// user pays one allocation for each: 80 B for an 8- or 16-byte element,
+// either representation. Figure 6 calls the representation directly, so
+// the facade's placement never shows in it.
 type AdjustedQueue[T any] struct {
 	plan *Plan
 	rep  queueRep[T]
-}
-
-// queueWith is a queue facade allocated together with its representation,
-// so a program holding one queue per user pays one allocation for each. The
-// facade comes last: its fields, read on every call, stay off the cache
-// line the consumer writes the head on and share the tail's, which an MPSC
-// queue's gap puts a line past the head, so an MPSC queue of a 16-byte
-// element is two lines in all. Figure 6 calls the representation directly,
-// so the facade's placement never shows in it.
-type queueWith[T, R any] struct {
-	rep R
-	q   AdjustedQueue[T]
 }
 
 // Offer enqueues v.
@@ -589,15 +586,15 @@ func Queue[T any](opts ...Option) (*AdjustedQueue[T], error) {
 	var q *AdjustedQueue[T]
 	switch plan.Rep {
 	case "MPSCQueue":
-		w := new(queueWith[T, queue.MPSC[T]])
-		w.rep.Init(nil, p.checked)
-		q = &w.q
-		q.rep = &w.rep
+		r := new(queue.MPSC[T, AdjustedQueue[T]])
+		r.Init(nil, p.checked)
+		q = &r.Ext
+		q.rep = r
 	default: // MSQueue
-		w := new(queueWith[T, queue.MS[T]])
-		w.rep.Init(nil)
-		q = &w.q
-		q.rep = msQueueRep[T]{&w.rep}
+		r := new(queue.MS[T, AdjustedQueue[T]])
+		r.Init(nil)
+		q = &r.Ext
+		q.rep = msQueueRep[T]{r}
 	}
 	q.plan = plan
 	if p.record {
